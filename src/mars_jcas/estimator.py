@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
+from scipy.linalg import cho_factor, cho_solve
 
-from .scene import ArrayGeometry, RadioParams, steering_from_sin, steering_ura_from_sin
+from .scene import ArrayGeometry, RadioParams, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 
@@ -61,9 +62,6 @@ class SpaceTimeSnapshot:
     @property
     def num_range_samples(self) -> int:
         return self.y_st.shape[1]
-
-    def block(self, w: int) -> np.ndarray:
-        return self.y_st[w * self.num_elements:(w + 1) * self.num_elements]
 
 
 @dataclass(frozen=True)
@@ -247,11 +245,8 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     sx = np.clip(coarse.sin_psi_x + steps * avm_res_x, -1.0, 1.0)
     sy = np.clip(coarse.sin_psi_y + steps * avm_res_y, -1.0, 1.0)
     gx, gy = np.meshgrid(sx, sy, indexing="ij")
-    cand = np.stack([
-        steering_ura_from_sin(x, y, arr.rx_cols, arr.rx_rows,
-                              arr.rx_spacing_x_m, arr.rx_spacing_y_m, lam)
-        for x, y in zip(gx.ravel(), gy.ravel())
-    ], axis=1)
+    cand = steering_ura_from_sin(gx.ravel(), gy.ravel(), arr.rx_cols, arr.rx_rows,
+                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, lam)
     best = _music_scan(e_s, cand)
     sin_x = float(gx.ravel()[best])
     sin_y = float(gy.ravel()[best])
@@ -298,15 +293,17 @@ def temporal_steering(velocity_mps: float, schedule: MarsSchedule,
     return np.exp(2j * np.pi * fd * t_w)
 
 
-def space_time_steering(velocity_mps: float, sin_psi_x: float, sin_psi_y: float,
+def space_time_steering(velocity_mps: float, sin_psi_x, sin_psi_y,
                         arr: ArrayGeometry, schedule: MarsSchedule,
                         radio: RadioParams) -> np.ndarray:
     """Temporal Doppler factor Kronecker-left of the spatial URA steering.
-    ``arr`` must match the data rows (virtual geometry for assembled data)."""
+    ``arr`` must match the data rows (virtual geometry for assembled data).
+    Arrays of C sin-angle pairs give one column per pair, (W*L, C)."""
     lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
     a_2d = steering_ura_from_sin(sin_psi_x, sin_psi_y, arr.rx_cols, arr.rx_rows,
                                  arr.rx_spacing_x_m, arr.rx_spacing_y_m, lam)
-    return np.kron(temporal_steering(velocity_mps, schedule, radio), a_2d)
+    a_t = temporal_steering(velocity_mps, schedule, radio)
+    return (a_t.reshape(a_t.shape + (1,) * a_2d.ndim) * a_2d).reshape((-1,) + a_2d.shape[1:])
 
 
 def interference_cov(y_st: np.ndarray) -> np.ndarray:
@@ -324,8 +321,11 @@ def epsilon_m(s_i: np.ndarray) -> float:
     return float(np.trace(s_i).real) / s_i.shape[0]
 
 
-def _loaded_inverse(s_i: np.ndarray, eps_mode: str, epsilon: Optional[float]):
-    """(S + eps I)^-1 for the requested mode; pseudo-inverse when eps = 0."""
+def _loaded_solve(s_i: np.ndarray, a: np.ndarray, eps_mode: str,
+                  epsilon: Optional[float]) -> np.ndarray:
+    """(S + eps I)^-1 A with one factorization for all columns: Cholesky when
+    loaded, else the pseudo-inverse from one ``eigh`` that also gives the
+    rank (numpy's ``matrix_rank`` and ``pinv`` tolerances)."""
     dim = s_i.shape[0]
     if epsilon is not None:
         eps = float(epsilon)
@@ -335,13 +335,35 @@ def _loaded_inverse(s_i: np.ndarray, eps_mode: str, epsilon: Optional[float]):
         eps = 0.0
     else:
         raise ValueError(f"unknown eps_mode {eps_mode!r}")
-    if eps == 0.0:
-        rank = np.linalg.matrix_rank(s_i, hermitian=True)
-        if rank < dim:
-            warnings.warn(f"interference covariance rank {rank} < {dim}; "
-                          "using pseudo-inverse", RuntimeWarning, stacklevel=3)
-        return np.linalg.pinv(s_i, hermitian=True)
-    return np.linalg.inv(s_i + eps * np.eye(dim))
+    if eps != 0.0:
+        return cho_solve(cho_factor(s_i + eps * np.eye(dim)), a)
+    vals, vecs = np.linalg.eigh(s_i)
+    mags = np.abs(vals)
+    rank = int(np.sum(mags > mags.max() * dim * np.finfo(float).eps))
+    if rank < dim:
+        warnings.warn(f"interference covariance rank {rank} < {dim}; "
+                      "using pseudo-inverse", RuntimeWarning, stacklevel=3)
+    inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=mags > 1e-15 * mags.max())
+    return (vecs * inv_vals) @ (vecs.conj().T @ a)
+
+
+def _quadratic_norms(a: np.ndarray, wa: np.ndarray, caller: str) -> np.ndarray:
+    """Per-column a^H W a; columns the whitener annihilated get 1 (spectrum
+    left unnormalized) under one warning that counts them."""
+    den = np.einsum("ij,ij->j", a.conj(), wa).real
+    dead = np.abs(den) < np.finfo(float).tiny
+    if dead.any():
+        warnings.warn(f"{caller}: steering annihilated by the whitener in "
+                      f"{int(dead.sum())} of {den.size} column(s); spectrum unnormalized",
+                      RuntimeWarning, stacklevel=3)
+    return np.where(dead, 1.0, den)
+
+
+def _range_peaks(d: np.ndarray, range_res_m: float, single: bool) -> tuple:
+    bins = np.argmax(np.abs(d), axis=1)
+    if single:
+        return d[0], int(bins[0]) * range_res_m, int(bins[0])
+    return d, bins * range_res_m, bins
 
 
 def stap_range_spectrum(y_st: np.ndarray, a_st: np.ndarray, eps_mode: str = "em",
@@ -349,26 +371,23 @@ def stap_range_spectrum(y_st: np.ndarray, a_st: np.ndarray, eps_mode: str = "em"
                         epsilon: Optional[float] = None) -> tuple:
     """Adaptive (or, for eps_mode='inf', matched-filter) range spectrum.
 
-    Returns (d, range_m, range_bin): the N complex distance bins, the argmax
-    converted through ``range_res_m``, and the raw argmax bin.
+    ``a_st`` is a (W*L,) steering vector or a (W*L, C) matrix of candidates
+    sharing one covariance and whitener. Returns (d, range_m, range_bin): the
+    N complex distance bins, the argmax converted through ``range_res_m``,
+    and the raw argmax bin; (C, N), (C,) and (C,) arrays for a matrix.
     """
-    if a_st.shape[0] != y_st.shape[0]:
+    single = a_st.ndim == 1
+    a = a_st.reshape(len(a_st), -1)
+    if a.shape[0] != y_st.shape[0]:
         raise ValueError("stap_range_spectrum: steering length does not match rows")
     if eps_mode == "inf":
-        num = np.fft.fft(a_st.conj() @ y_st)
-        den = float(np.vdot(a_st, a_st).real)
+        wa = a
+        den = np.einsum("ij,ij->j", a.conj(), a).real
     else:
-        q = _loaded_inverse(interference_cov(y_st), eps_mode, epsilon)
-        wa = q @ a_st
-        num = np.fft.fft(wa.conj() @ y_st)
-        den = float(np.vdot(a_st, wa).real)
-        if abs(den) < np.finfo(float).tiny:
-            warnings.warn("stap_range_spectrum: steering annihilated by the "
-                          "whitener; spectrum unnormalized", RuntimeWarning)
-            den = 1.0
-    d = num / den
-    bin_ = int(np.argmax(np.abs(d)))
-    return d, bin_ * range_res_m, bin_
+        wa = _loaded_solve(interference_cov(y_st), a, eps_mode, epsilon)
+        den = _quadratic_norms(a, wa, "stap_range_spectrum")
+    d = np.fft.fft(wa.conj().T @ y_st, axis=1) / den[:, None]
+    return _range_peaks(d, range_res_m, single)
 
 
 def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
@@ -379,10 +398,14 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
     signature, then an L-dimension spatial stage.
 
     The time weights are the first row of pinv([a_T, 1_W]), so w a_T = 1 and
-    w 1 = 0 exactly. Returns (d, range_m, range_bin).
+    w 1 = 0 exactly. ``a_s`` is an (L,) vector or an (L, C) matrix of spatial
+    candidates sharing the temporal stage and the spatial whitener. Returns
+    (d, range_m, range_bin), shaped as in :func:`stap_range_spectrum`.
     """
+    single = a_s.ndim == 1
+    a = a_s.reshape(len(a_s), -1)
     w_dim = a_t.shape[0]
-    l_dim = a_s.shape[0]
+    l_dim = a.shape[0]
     if w_dim < 2:
         raise ValueError("sthp_range_spectrum: needs W >= 2 chirp occasions")
     if y_st.shape[0] != w_dim * l_dim:
@@ -392,24 +415,16 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
         vel = "" if velocity_mps is None else f" (velocity {velocity_mps} m/s)"
         raise ValueError("sthp_range_spectrum: temporal steering is collinear with "
                          f"the static-clutter signature{vel}; zero-forcing undefined")
-    gamma = np.linalg.pinv(np.stack([a_t, np.ones(w_dim, dtype=complex)], axis=1))
-    w_t = gamma[0]
+    w_t = np.linalg.pinv(np.stack([a_t, np.ones(w_dim, dtype=complex)], axis=1))[0]
     y_s = np.tensordot(w_t, y_st.reshape(w_dim, l_dim, -1), axes=1)
 
     if eps_mode == "inf":
-        w_s = a_s.conj() / math.sqrt(float(np.vdot(a_s, a_s).real))
+        w_s = a.conj() / np.sqrt(np.einsum("ij,ij->j", a.conj(), a).real)
     else:
-        q = _loaded_inverse(y_s @ y_s.conj().T / y_s.shape[1], eps_mode, epsilon)
-        qa = q @ a_s
-        den = float(np.vdot(a_s, qa).real)
-        if abs(den) < np.finfo(float).tiny:
-            warnings.warn("sthp_range_spectrum: steering annihilated by the "
-                          "whitener; spectrum unnormalized", RuntimeWarning)
-            den = 1.0
-        w_s = qa.conj() / math.sqrt(abs(den))
-    d = np.fft.fft(w_s @ y_s)
-    bin_ = int(np.argmax(np.abs(d)))
-    return d, bin_ * range_res_m, bin_
+        qa = _loaded_solve(y_s @ y_s.conj().T / y_s.shape[1], a, eps_mode, epsilon)
+        w_s = qa.conj() / np.sqrt(np.abs(_quadratic_norms(a, qa, "sthp_range_spectrum")))
+    d = np.fft.fft(w_s.T @ y_s, axis=1)
+    return _range_peaks(d, range_res_m, single)
 
 
 @dataclass(frozen=True)

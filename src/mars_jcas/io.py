@@ -34,19 +34,12 @@ from .scene import (
 )
 from .waveform import MarsSchedule
 
-TOOL_NAME = "mars-jcas"
-
-
 class ConfigError(ValueError):
     pass
 
 
 def dbm_to_watts(v: float) -> float:
     return 10.0 ** (float(v) / 10.0) / 1000.0
-
-
-def watts_to_dbm(v: float) -> float:
-    return 10.0 * math.log10(v * 1000.0)
 
 
 class _Section:
@@ -231,6 +224,11 @@ def _parse_target(data, path) -> Target:
     return t
 
 
+# Values each pipeline key may take: what the drop path actually runs.
+_PIPELINE_CHOICES = {"structure": ("comb", "lshape", "fa"), "suppressor": ("stap", "sthp", "mf"),
+                     "eps_mode": ("zero", "em", "inf"), "refinement": ("fft", "music")}
+
+
 def _parse_pipeline(data, path) -> PipelineSpec:
     s = _Section(data, path)
     spec = PipelineSpec(
@@ -243,6 +241,16 @@ def _parse_pipeline(data, path) -> PipelineSpec:
         stte_guard=s.take(("stte_guard", int), default=1),
     )
     s.finish()
+    for key, allowed in _PIPELINE_CHOICES.items():
+        if getattr(spec, key) not in allowed:
+            raise ConfigError(f"{path}.{key}: {getattr(spec, key)!r} is not one of "
+                              f"{', '.join(allowed)}")
+    for key, low in (("music_factor", 1), ("stte_guard", 0)):
+        if getattr(spec, key) < low:
+            raise ConfigError(f"{path}.{key}: must be >= {low}, got {getattr(spec, key)}")
+    if spec.structure == "fa" and spec.va:
+        raise ConfigError(f"{path}.va: FA pipelines have no virtual aperture; "
+                          "va must be false with structure fa")
     return spec
 
 

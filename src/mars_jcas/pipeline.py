@@ -83,11 +83,11 @@ def _compensated_chirp(cube: IfCube, scene: ValidatedScene, doppler_hz: float):
 
 
 def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
-                      scene: ValidatedScene, geom) -> list:
-    """Spatial hypotheses for the range stage: the coarse (or refined) angle
-    alone, or the virtual array's FFT bins within +-1 coarse bin."""
+                      scene: ValidatedScene, geom) -> tuple:
+    """Spatial hypotheses for the range stage as (sin_x, sin_y) arrays: the coarse
+    (or refined) angle alone, or the virtual array's FFT bins within +-1 coarse bin."""
     if pipe.refinement == "music" or not pipe.va:
-        return [(peak_sin_x, peak_sin_y)]
+        return np.array([peak_sin_x]), np.array([peak_sin_y])
     lam = scene.wavelength_m
     res_x = lam / (geom.rx_cols * geom.rx_spacing_x_m)
     res_y = lam / (geom.rx_rows * geom.rx_spacing_y_m)
@@ -95,19 +95,18 @@ def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
     eta_y = max(1, scene.array.tx_rows)
     kx = int(round(peak_sin_x / res_x))
     ky = int(round(peak_sin_y / res_y))
-    cands = []
-    for dx in range(-eta_x, eta_x + 1):
-        for dy in range(-eta_y, eta_y + 1):
-            sx = (kx + dx) * res_x
-            sy = (ky + dy) * res_y
-            if sx * sx + sy * sy <= 1.0:
-                cands.append((sx, sy))
-    return cands or [(peak_sin_x, peak_sin_y)]
+    sx, sy = np.meshgrid((kx + np.arange(-eta_x, eta_x + 1)) * res_x,
+                         (ky + np.arange(-eta_y, eta_y + 1)) * res_y, indexing="ij")
+    inside = (sx * sx + sy * sy <= 1.0).ravel()
+    if not inside.any():
+        return np.array([peak_sin_x]), np.array([peak_sin_y])
+    return sx.ravel()[inside], sy.ravel()[inside]
 
 
 def _range_stage(y_st, schedule: MarsSchedule, scene: ValidatedScene, geom,
-                 pipe: PipelineSpec, velocity_mps: float, sin_x: float, sin_y: float):
-    """Run the selected suppressor once; returns (d, range_m, bin, peak_mag)."""
+                 pipe: PipelineSpec, velocity_mps: float, sin_x, sin_y):
+    """Score all angle candidates in one suppressor call; returns (d, range_m, bin,
+    peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties)."""
     radio = scene.radio
     dr = scene.range_res_m
     if pipe.suppressor == "sthp":
@@ -115,13 +114,16 @@ def _range_stage(y_st, schedule: MarsSchedule, scene: ValidatedScene, geom,
         a_s = steering_ura_from_sin(sin_x, sin_y, geom.rx_cols, geom.rx_rows,
                                     geom.rx_spacing_x_m, geom.rx_spacing_y_m,
                                     scene.wavelength_m)
-        d, rng_m, bin_ = sthp_range_spectrum(y_st.y_st, a_t, a_s, pipe.eps_mode,
+        d, rng_m, bins = sthp_range_spectrum(y_st.y_st, a_t, a_s, pipe.eps_mode,
                                              range_res_m=dr, velocity_mps=velocity_mps)
     else:
         eps_mode = "inf" if pipe.suppressor == "mf" else pipe.eps_mode
         a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, schedule, radio)
-        d, rng_m, bin_ = stap_range_spectrum(y_st.y_st, a_st, eps_mode, range_res_m=dr)
-    return d, rng_m, bin_, float(np.abs(d[bin_]))
+        d, rng_m, bins = stap_range_spectrum(y_st.y_st, a_st, eps_mode, range_res_m=dr)
+    peak_mag = np.abs(d[np.arange(bins.size), bins])
+    k = int(np.argmax(peak_mag))
+    return (d[k], float(rng_m[k]), int(bins[k]), float(peak_mag[k]),
+            float(sin_x[k]), float(sin_y[k]))
 
 
 def run_pipeline(cube: IfCube, scene: ValidatedScene, pipe: PipelineSpec,
@@ -156,16 +158,12 @@ def run_pipeline(cube: IfCube, scene: ValidatedScene, pipe: PipelineSpec,
         chirp_eff, geom = _compensated_chirp(cube, scene, fd)
         y_st = reshape_space_time(chirp_eff, radio.num_subcarriers)
 
-        best = None
-        for cand_x, cand_y in _angle_candidates(sin_x, sin_y, pipe, scene, geom):
-            result = _range_stage(y_st, schedule, scene, geom, pipe, vel, cand_x, cand_y)
-            if best is None or result[3] > best[0][3]:
-                best = (result, cand_x, cand_y)
-        (d, rng_m, rng_bin, peak_mag), win_x, win_y = best
+        cand_x, cand_y = _angle_candidates(sin_x, sin_y, pipe, scene, geom)
+        d, rng_m, rng_bin, peak_mag, win_x, win_y = _range_stage(
+            y_st, schedule, scene, geom, pipe, vel, cand_x, cand_y)
         if debug is not None:
             debug.setdefault("spectra", []).append(d)
 
-        method = pipe.suppressor if pipe.suppressor != "mf" else "mf"
         estimates.append(TargetEstimate(
             velocity_mps=vel,
             psi_x_rad=math.asin(max(-1.0, min(1.0, win_x))),
@@ -177,7 +175,7 @@ def run_pipeline(cube: IfCube, scene: ValidatedScene, pipe: PipelineSpec,
             angle_y_bin=int(round(win_y / avm.sin_res_y)),
             range_bin=rng_bin,
             refinement=pipe.refinement,
-            method=method,
+            method=pipe.suppressor,
             eps_mode="inf" if pipe.suppressor == "mf" else pipe.eps_mode,
         ))
     return estimates

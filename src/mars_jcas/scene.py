@@ -65,11 +65,6 @@ class RadioParams:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
-    @property
-    def si_power_w(self) -> float:
-        """Received self-interference power at average transmit power."""
-        return self.avg_tx_power_w * 10.0 ** (-self.si_attenuation_db / 10.0)
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -109,10 +104,6 @@ class ArrayGeometry:
     @property
     def va_rows(self) -> int:
         return self.tx_rows * self.rx_rows if self.va_enabled else self.rx_rows
-
-    @property
-    def num_va(self) -> int:
-        return self.va_cols * self.va_rows
 
     def with_va(self, enabled: bool) -> "ArrayGeometry":
         if enabled == self.va_enabled:
@@ -222,11 +213,6 @@ class ValidatedScene:
     num_pri: int
 
     @property
-    def max_target_range_m(self) -> float:
-        """Ranges beyond this alias the beat frequency (delay > T_sym)."""
-        return SPEED_OF_LIGHT * self.symbol_duration_s / 2.0
-
-    @property
     def range_res_m(self) -> float:
         return SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
 
@@ -244,9 +230,9 @@ class ResolutionReport:
     max_unambiguous_speed_mps: float
 
 
-def steering_from_sin(sin_psi: float, count: int, spacing_m: float, wavelength_m: float) -> np.ndarray:
-    """ULA steering vector parameterized directly by sin(psi)."""
-    n = np.arange(count)
+def steering_from_sin(sin_psi, count: int, spacing_m: float, wavelength_m: float) -> np.ndarray:
+    """ULA steering vector by sin(psi); sin arrays add axes after the element axis."""
+    n = np.arange(count).reshape((count,) + (1,) * np.ndim(sin_psi))
     return np.exp(2j * np.pi * n * spacing_m * sin_psi / wavelength_m)
 
 
@@ -262,10 +248,11 @@ def steering_ula(psi_rad: float, count: int, spacing_m: float, wavelength_m: flo
 
 def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m) -> np.ndarray:
     """URA steering vector on sin-angle coordinates, y-axis factor on the
-    left of the Kronecker product (x index runs fastest)."""
+    left of the Kronecker product (x index runs fastest). Equal-length
+    arrays of C sin-angle pairs give one column per pair, (rows*cols, C)."""
     ax = steering_from_sin(sin_psi_x, cols, dx, wavelength_m)
     ay = steering_from_sin(sin_psi_y, rows, dy, wavelength_m)
-    return np.kron(ay, ax)
+    return (ay[:, None] * ax[None]).reshape((rows * cols,) + ax.shape[1:])
 
 
 def steering_ura(psi_x_rad, psi_y_rad, cols, rows, dx, dy, wavelength_m) -> np.ndarray:
@@ -324,15 +311,6 @@ def spherical_from_psi(psi_x_rad: float, psi_y_rad: float):
     theta = math.asin(min(1.0, math.hypot(sx, sy)))
     phi = math.atan2(sy, sx)
     return theta, phi
-
-
-def direction_from_psi(psi_x_rad: float, psi_y_rad: float) -> np.ndarray:
-    """Unit direction vector [sin psi_x, sin psi_y, sqrt(1 - .. - ..)]."""
-    sx, sy = math.sin(psi_x_rad), math.sin(psi_y_rad)
-    rest = 1.0 - sx * sx - sy * sy
-    if rest < 0:
-        raise ValueError("direction_from_psi: sin^2(psi_x) + sin^2(psi_y) > 1")
-    return np.array([sx, sy, math.sqrt(rest)])
 
 
 _REL_TOL = 1e-9

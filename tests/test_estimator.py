@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
+import oracles
 from conftest import make_array, make_radio, make_scene
 from mars_jcas.estimator import (
     AngleVelocityMap,
@@ -276,6 +277,16 @@ class TestMusicRefine:
         with pytest.raises(ValueError, match="rank"):
             music_refine(y, peak, arr, radio)
 
+    @given(sin_x=st.floats(-0.6, 0.6), sin_y=st.floats(-0.6, 0.6),
+           velocity=st.floats(-40.0, 40.0), seed=st.integers(0, 1000),
+           factor=st.integers(1, 10))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_list_built_grid_oracle(self, sin_x, sin_y, velocity, seed, factor):
+        y, arr, radio = self._fixture(sin_x, sin_y, velocity, m=32, snr_db=20.0, seed=seed)
+        peak = stte_peaks(angle_velocity_map(y, arr, radio), 1)[0]
+        assert (music_refine(y, peak, arr, radio, factor=factor)
+                == oracles.music_refine(y, peak, arr, radio, factor=factor))
+
 
 class TestSpaceTime:
     def test_w1_identity(self):
@@ -525,6 +536,128 @@ class TestSthpSpectrum:
     def test_needs_two_occasions(self):
         with pytest.raises(ValueError, match="W >= 2"):
             sthp_range_spectrum(np.zeros((4, 8)), np.ones(1), np.ones(4), "inf")
+
+
+def _batched_case(seed, w, l, n, c, rank_deficient):
+    """Random space-time data (full rank, or rank < W*L) and C steering columns."""
+    rng = RNG(seed)
+    dim = w * l
+    rank = int(rng.integers(1, dim)) if rank_deficient else dim
+    cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y = cplx(dim, rank) @ cplx(rank, n)
+    phases = lambda *shape: np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=shape))
+    return y, phases(dim, c), phases(w), phases(l, c)
+
+
+def _assert_matches_oracle(got, want):
+    d, _, bins = got
+    for j, (d_ref, _, bin_ref) in enumerate(want):
+        assert np.max(np.abs(d[j] - d_ref)) <= 1e-10 * np.max(np.abs(d_ref))
+        assert bins[j] == bin_ref
+
+
+class TestBatchedAgainstOracles:
+    """The batched range stage and steering against the per-candidate forms
+    they replaced (tests/oracles.py), column by column."""
+
+    @given(seed=st.integers(0, 2**32 - 1), w=st.integers(2, 3), l=st.integers(2, 5),
+           extra=st.integers(0, 24), c=st.integers(1, 6),
+           mode=st.sampled_from(["zero", "em", "inf"]), rank_deficient=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_range_spectra_match_per_candidate(self, seed, w, l, extra, c, mode,
+                                               rank_deficient):
+        y, a_st, a_t, a_s = _batched_case(seed, w, l, 2 * w * l + extra, c, rank_deficient)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_matches_oracle(
+                stap_range_spectrum(y, a_st, mode, range_res_m=0.5),
+                [oracles.stap_range_spectrum(y, a_st[:, j], mode) for j in range(c)])
+            _assert_matches_oracle(
+                sthp_range_spectrum(y, a_t, a_s, mode, range_res_m=0.5),
+                [oracles.sthp_range_spectrum(y, a_t, a_s[:, j], mode) for j in range(c)])
+
+    @pytest.mark.parametrize("mode", ["zero", "em", "inf"])
+    def test_vector_input_keeps_scalar_contract(self, mode):
+        y, a_st, a_t, a_s = _batched_case(7, 2, 4, 40, 1, False)
+        d, rng_m, bin_ = stap_range_spectrum(y, a_st[:, 0], mode, range_res_m=0.5)
+        d_ref, rng_ref, bin_ref = oracles.stap_range_spectrum(y, a_st[:, 0], mode,
+                                                              range_res_m=0.5)
+        assert d.shape == d_ref.shape and isinstance(bin_, int)
+        assert (rng_m, bin_) == (rng_ref, bin_ref)
+        d, rng_m, bin_ = sthp_range_spectrum(y, a_t, a_s[:, 0], mode, range_res_m=0.5)
+        d_ref, rng_ref, bin_ref = oracles.sthp_range_spectrum(y, a_t, a_s[:, 0], mode,
+                                                              range_res_m=0.5)
+        assert d.shape == d_ref.shape and isinstance(bin_, int)
+        assert (rng_m, bin_) == (rng_ref, bin_ref)
+
+    @given(sx=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12), cols=st.integers(1, 8),
+           rows=st.integers(1, 8), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_array_steering_is_stacked_scalar_steering(self, sx, cols, rows, data):
+        sy = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(sx), max_size=len(sx)))
+        got = steering_ura_from_sin(np.array(sx), np.array(sy), cols, rows,
+                                    LAM / 2, 0.6 * LAM, LAM)
+        want = np.stack([oracles.steering_ura_from_sin(x, y, cols, rows, LAM / 2,
+                                                       0.6 * LAM, LAM)
+                         for x, y in zip(sx, sy)], axis=1)
+        assert np.array_equal(got, want)
+        radio = make_radio()
+        sched = build_schedule(radio, make_array(cols=cols, rows=rows), "comb",
+                               chirp_pri_indices=(1, 6, 15))
+        arr = make_array(cols=cols, rows=rows)
+        got_st = space_time_steering(3.0, np.array(sx), np.array(sy), arr, sched, radio)
+        want_st = np.stack([np.kron(temporal_steering(3.0, sched, radio),
+                                    oracles.steering_ura_from_sin(x, y, cols, rows,
+                                                                  arr.rx_spacing_x_m,
+                                                                  arr.rx_spacing_y_m,
+                                                                  radio.wavelength_m))
+                            for x, y in zip(sx, sy)], axis=1)
+        assert np.array_equal(got_st, want_st)
+
+
+class TestRangeStageWarnings:
+    def _block_zero_case(self):
+        # The last element sees nothing, so its covariance row is exactly
+        # zero: rank 3 of 4, and a steering column on that element alone is
+        # annihilated by the pseudo-inverse.
+        y = RNG(3).normal(size=(4, 16)) + 1j * RNG(4).normal(size=(4, 16))
+        y[3] = 0.0
+        a = np.zeros((4, 3), dtype=complex)
+        a[:, 0] = 1.0
+        a[3, 1] = 1.0
+        a[:, 2] = np.exp(1j * np.arange(4))
+        return y, a
+
+    def test_rank_warning_once_per_whitener(self):
+        y, a = self._block_zero_case()
+        with pytest.warns(RuntimeWarning) as rec:
+            stap_range_spectrum(y, a, "zero")
+        assert sum("pseudo-inverse" in str(w.message) for w in rec) == 1
+
+    def test_annihilated_warning_once_naming_columns(self):
+        y, a = self._block_zero_case()
+        with pytest.warns(RuntimeWarning) as rec:
+            d, _, _ = stap_range_spectrum(y, a, "zero")
+        hits = [str(w.message) for w in rec if "annihilated" in str(w.message)]
+        assert len(hits) == 1 and "1 of 3" in hits[0]
+        # Denominator 1, not 0: the annihilated row stays finite (all zero).
+        assert np.all(np.isfinite(d)) and not np.any(d[1])
+        assert np.all(np.abs(d[[0, 2]]).max(axis=1) > 0)
+
+    def test_sthp_annihilated_warning_once(self):
+        # W = 2, L = 2; element 1 is dead in both occasions.
+        y = RNG(5).normal(size=(4, 16)) + 1j * RNG(6).normal(size=(4, 16))
+        y[[1, 3]] = 0.0
+        a_s = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+        a_t = np.exp(1j * np.array([0.0, 2.0]))
+        with pytest.warns(RuntimeWarning) as rec:
+            d, _, _ = sthp_range_spectrum(y, a_t, a_s, "zero")
+        messages = [str(w.message) for w in rec]
+        assert sum("pseudo-inverse" in m for m in messages) == 1
+        assert [m for m in messages if "annihilated" in m] == [
+            "sthp_range_spectrum: steering annihilated by the whitener in 1 of 2 "
+            "column(s); spectrum unnormalized"]
+        assert np.all(np.isfinite(d)) and not np.any(d[1])
 
 
 class TestFaMap:

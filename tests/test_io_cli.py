@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,6 +90,28 @@ class TestConfigParsing:
         cfg.write_text(yaml.safe_dump(raw))
         with pytest.raises(ConfigError, match="num_subcarriers"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("override,key", [
+        ({"structure": "conventional_chirp"}, "structure"),
+        ({"suppressor": "stpa"}, "suppressor"),
+        ({"eps_mode": "bogus"}, "eps_mode"),
+        ({"refinement": "musik"}, "refinement"),
+        ({"music_factor": 0}, "music_factor"),
+        ({"stte_guard": -1}, "stte_guard"),
+        ({"structure": "fa", "suppressor": "mf", "va": True}, "va"),
+    ])
+    def test_bad_pipeline_spec_fails_closed(self, tmp_path, capsys, override, key):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        pipe = {"structure": "comb", "suppressor": "sthp", "eps_mode": "inf",
+                "refinement": "fft", "va": False}
+        raw["experiment"]["pipelines"] = [pipe, {**pipe, **override}]
+        cfg = tmp_path / "pipe.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"experiment.pipelines[1].{key}"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(cfg)
+        assert main(["resolution", "--config", str(cfg)]) == 3
+        assert where in capsys.readouterr().err
 
     def test_effective_dict_round_trip(self):
         scene_cfg, plan = parse_config(preset_path("desk_small"))
