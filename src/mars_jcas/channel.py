@@ -318,10 +318,12 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
         out += np.outer(a2d, ramp) * (h * np.sqrt(schedule.per_symbol_power_w))
 
     if clutter is not None:
-        bins = np.arange(clutter.num_range_bins)
+        if clutter.num_range_bins > n:
+            raise ValueError(f"clutter map has {clutter.num_range_bins} range bins, "
+                             f"more than the {n} subcarriers")
         # exp(-j*2*pi*n_m*r/N): bin delays land exactly on DFT phases.
-        ramps = np.exp(-2j * np.pi * np.outer(bins, sub) / n)
-        out += (clutter.chirp_tables[0].T @ ramps) * np.sqrt(schedule.per_symbol_power_w)
+        spectrum = np.fft.fft(clutter.chirp_tables[0], n=n, axis=0)   # (N, L)
+        out += spectrum[sub].T * np.sqrt(schedule.per_symbol_power_w)
 
     si_phases = np.exp(1j * rng_for(seed, "si").uniform(0.0, 2.0 * np.pi, size=n_el))
     si_amp = np.sqrt(schedule.per_symbol_power_w * 10.0 ** (-radio.si_attenuation_db / 10.0))

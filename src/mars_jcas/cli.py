@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .clutter import build_clutter_map
+from .clutter import build_clutter_for, build_clutter_map
 from .channel import synthesize_fa_measurements, synthesize_if_cube
 from .harness import DropError, ExperimentPlan, draw_targets, monte_carlo, run_drop, schedule_for
 from .io import (
@@ -208,8 +208,7 @@ def cmd_simulate(args) -> int:
     cmap = None
     if scene.clutter.enabled:
         started = time.perf_counter()
-        needs_va = any(p.va for p in plan.pipelines)
-        cmap = build_clutter_map(replace(scene, array=scene.array.with_va(needs_va)))
+        cmap = build_clutter_for(scene, plan.pipelines)
         manifest.add_stage("build_clutter_map", time.perf_counter() - started)
 
     outputs = []
@@ -330,6 +329,11 @@ def cmd_montecarlo(args) -> int:
               ["pipeline", "drop", "sweep_value", "hit"], rec_rows)
     for name in ("curves.csv", "records.csv"):
         manifest.add_output(out / name)
+    # Per-drop runtimes vary run to run, so they stay out of the hashed outputs.
+    sweep = {str(v): v for v in (plan.sweep_values or (None,))}
+    write_csv(out / "timings.csv", ["sweep_value", "drop", "seconds"],
+              [(sweep[value], drop, seconds)
+               for (value, drop), seconds in report.drop_runtimes_s.items()])
     manifest.write(out / "manifest.json")
     for row in rows:
         if row["metric"] == "hit_rate":
@@ -353,7 +357,7 @@ def cmd_replay(args) -> int:
             return EXIT_CONFIG
         records = run_drop(scene, plan, args.drop,
                            clutter=None if not scene.clutter.enabled else
-                           _drop_clutter(scene, plan))
+                           build_clutter_for(scene, plan.pipelines))
         rows = [{"pipeline": r.pipeline, "hit": r.hit,
                  "truth_range_m": r.truth.range_m,
                  "est_range_m": None if r.estimate is None else r.estimate.range_m}
@@ -382,11 +386,6 @@ def cmd_replay(args) -> int:
         print(f"{len(mismatches)} outputs differ from the manifest", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def _drop_clutter(scene, plan):
-    needs_va = any(p.va for p in plan.pipelines)
-    return build_clutter_map(replace(scene, array=scene.array.with_va(needs_va)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -196,3 +196,9 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
         params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
         area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=seed,
     )
+
+
+def build_clutter_for(scene: ValidatedScene, pipelines) -> ClutterMap:
+    """The map ``pipelines`` share: with VA slot tables if any of them uses VA."""
+    needs_va = any(p.va for p in pipelines)
+    return build_clutter_map(replace(scene, array=scene.array.with_va(needs_va)))

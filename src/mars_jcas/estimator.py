@@ -443,21 +443,33 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
                          radio: RadioParams, range_res_m: float) -> FaMap:
     """Correlate per-symbol subcarrier measurements against delay/Doppler
     hypotheses on the main pipeline's (range bin, velocity bin) grid;
-    element powers combine noncoherently."""
+    element powers combine noncoherently.
+
+    The power at velocity bin k and range bin r is
+    sum_l |sum_m x_l[m] e^{j2pi n_m r/N} e^{-j2pi k m/M}|^2. Expanding the
+    square over the element Gram matrix G[m, m'] = sum_l x_l[m] conj(x_l[m'])
+    (the correlogram form) leaves a 2-D DFT of G scattered onto the lag grid
+    ((m - m') mod M, (n_m' - n_m) mod N): O(L M^2) plus one M x N FFT.
+    """
     sub = schedule.fa_subcarrier_indices
     if sub is None:
         raise ValueError("fa_range_doppler_map: schedule carries no FA subcarriers")
     m = fa_meas.shape[1]
     n = radio.num_subcarriers
-    # Hypothesis r: conj(exp(-j 2 pi n_m r / N)); Doppler scan is a plain DFT.
-    # One element at a time keeps the working set at (M, N) per pass.
-    ramps = np.exp(2j * np.pi * np.outer(sub, np.arange(n)) / n)    # (M, N)
-    power = np.zeros((m, n))
-    for row in fa_meas:
-        z = np.fft.fft(row[:, None] * ramps, axis=0)                # (M_vel, N)
-        power += np.abs(z) ** 2
+    rows = np.arange(m)
+    lags = np.zeros(m * n, dtype=complex)
+    # Blocks of at most N rows of G keep the working set at O(M N).
+    for start in range(0, m, n):
+        block = slice(start, start + n)
+        gram = fa_meas[:, block].T @ fa_meas.conj()                 # (B, M)
+        idx = (((rows[block, None] - rows[None, :]) % m) * n
+               + (sub[None, :] - sub[block, None]) % n).ravel()
+        lags.real += np.bincount(idx, weights=gram.real.ravel(), minlength=m * n)
+        lags.imag += np.bincount(idx, weights=gram.imag.ravel(), minlength=m * n)
+    # The lag (n_m' - n_m) turns the range scan's inverse DFT into a forward one.
+    power = np.fft.fft2(lags.reshape(m, n)).real                    # (M_vel, N)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=np.sqrt(power.T), range_res_m=range_res_m,
+    return FaMap(values=np.sqrt(np.maximum(power.T, 0.0)), range_res_m=range_res_m,
                  velocity_res_mps=vel_res)
 
 

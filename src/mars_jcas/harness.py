@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import synthesize_fa_measurements, synthesize_if_cube
-from .clutter import ClutterMap, build_clutter_map
+from .clutter import ClutterMap, build_clutter_for
 from .estimator import TargetEstimate
 from .pipeline import PipelineSpec, run_fa_pipeline, run_pipeline
 from .scene import (
@@ -365,8 +365,7 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     """
     plan = plan.validate()
     if clutter is None and scene.clutter.enabled:
-        needs_va = any(p.va for p in plan.pipelines)
-        clutter = build_clutter_map(replace(scene, array=scene.array.with_va(needs_va)))
+        clutter = build_clutter_for(scene, plan.pipelines)
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]
 
     report = TrialReport()

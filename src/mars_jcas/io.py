@@ -251,6 +251,9 @@ def _parse_pipeline(data, path) -> PipelineSpec:
     if spec.structure == "fa" and spec.va:
         raise ConfigError(f"{path}.va: FA pipelines have no virtual aperture; "
                           "va must be false with structure fa")
+    if spec.structure == "lshape" and spec.suppressor == "sthp":
+        raise ConfigError(f"{path}.suppressor: lshape has one chirp occasion (W = 1); "
+                          "sthp needs W >= 2")
     return spec
 
 

@@ -4,7 +4,9 @@ These are the per-candidate forms the library used before range-stage
 scoring and MUSIC candidate building were batched: one explicit
 ``matrix_rank`` + ``pinv`` (or ``inv``) per steering vector, one
 ``np.kron`` per URA steering vector and a Python list of MUSIC candidates.
-Tests compare the library against them column by column.
+Tests compare the library against them column by column. The FA
+correlator map and FA clutter term are kept in their direct forms too: one
+ramp multiply and FFT per element, and a ramp-table matmul.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from typing import Optional
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from mars_jcas.estimator import _forward_backward, _music_scan, _noise_projector, epsilon_m
+from mars_jcas.estimator import (
+    FaMap,
+    _forward_backward,
+    _music_scan,
+    _noise_projector,
+    epsilon_m,
+)
 from mars_jcas.scene import steering_from_sin
 
 
@@ -109,3 +117,26 @@ def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):
                                   / SPEED_OF_LIGHT) * t_m[:, None])
     vel = float(vels[_music_scan(e_st, cand_t)])
     return vel, math.asin(float(gx.ravel()[best])), math.asin(float(gy.ravel()[best]))
+
+
+def fa_range_doppler_map(fa_meas, schedule, radio, range_res_m):
+    """Per-element correlator map: an (M, N) ramp multiply and a length-M
+    FFT for each element, powers summed over elements."""
+    sub = schedule.fa_subcarrier_indices
+    m = fa_meas.shape[1]
+    n = radio.num_subcarriers
+    ramps = np.exp(2j * np.pi * np.outer(sub, np.arange(n)) / n)    # (M, N)
+    power = np.zeros((m, n))
+    for row in fa_meas:
+        z = np.fft.fft(row[:, None] * ramps, axis=0)                # (M_vel, N)
+        power += np.abs(z) ** 2
+    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
+    return FaMap(values=np.sqrt(power.T), range_res_m=range_res_m,
+                 velocity_res_mps=vel_res)
+
+
+def fa_clutter_term(clutter, schedule, n):
+    """FA clutter measurements (L x M) by an explicit (bins x M) ramp table."""
+    bins = np.arange(clutter.num_range_bins)
+    ramps = np.exp(-2j * np.pi * np.outer(bins, schedule.fa_subcarrier_indices) / n)
+    return (clutter.chirp_tables[0].T @ ramps) * np.sqrt(schedule.per_symbol_power_w)

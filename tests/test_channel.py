@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C0
 
+import oracles
 from conftest import make_array, make_radio, make_scene, on_grid_target
 from mars_jcas.channel import (
     butterworth_power_gain,
@@ -14,7 +17,7 @@ from mars_jcas.channel import (
     synthesize_if_cube,
     tone_branch_unfused,
 )
-from mars_jcas.clutter import build_clutter_map
+from mars_jcas.clutter import ClutterMap, build_clutter_map
 from mars_jcas.estimator import column_compress
 from mars_jcas.harness import schedule_for
 from mars_jcas.scene import ClutterConfig, Target
@@ -253,6 +256,37 @@ class TestFaMeasurements:
                 * np.exp(2j * np.pi * fd * np.arange(m) * radio.pri_s))
         row = meas[0] / meas[0, 0]
         np.testing.assert_allclose(row, ramp / ramp[0], atol=1e-9)
+
+    @staticmethod
+    def _table_case(seed, l, m, n, r_bins):
+        rng = np.random.default_rng(seed)
+        base = make_scene()
+        scene = replace(base, radio=make_radio(n=n, num_pri=m),
+                        array=make_array(cols=l, rows=1), num_pri=m)
+        sched = build_schedule(scene.radio, scene.array, "fa", fa_seed=seed)
+        shape = (1, r_bins, l)
+        cmap = ClutterMap(chirp_tables=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                          tone_vec=np.zeros(l, dtype=complex), range_res_m=1.0,
+                          terrain="synthetic", params=None, patch_count=0, area_x_m=0.0,
+                          area_y_m=0.0, cell_m=1.0, station_height_m=1.0, seed=seed)
+        return scene, sched, cmap
+
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
+           n=st.integers(4, 64), short=st.booleans())
+    @example(seed=3, l=2, m=40, n=4, short=False)   # M > N: every subcarrier repeats
+    @settings(max_examples=40, deadline=None)
+    def test_clutter_term_matches_ramp_table_oracle(self, seed, l, m, n, short):
+        # short: a table with fewer range bins than subcarriers (zero-padded FFT).
+        scene, sched, cmap = self._table_case(seed, l, m, n, n // 2 if short else n)
+        got = synthesize_fa_measurements(scene, sched, cmap)
+        want = (synthesize_fa_measurements(scene, sched)
+                + oracles.fa_clutter_term(cmap, sched, n))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_clutter_table_longer_than_symbol_rejected(self):
+        scene, sched, cmap = self._table_case(0, 2, 8, 16, 17)
+        with pytest.raises(ValueError, match="17 range bins"):
+            synthesize_fa_measurements(scene, sched, cmap)
 
     def test_fa_requires_fa_schedule(self):
         scene = make_scene(radio=quiet_radio())

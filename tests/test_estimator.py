@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
@@ -685,6 +685,55 @@ class TestFaMap:
         sched = build_schedule(radio, make_array(), "comb", chirp_pri_indices=(1,))
         with pytest.raises(ValueError, match="FA"):
             fa_range_doppler_map(np.zeros((16, 16)), sched, radio, 1.0)
+
+    @staticmethod
+    def _fa_case(m, n, sub):
+        radio = make_radio(n=n, num_pri=m)
+        sched = build_schedule(radio, make_array(), "fa", fa_seed=0)
+        return radio, replace(sched, fa_subcarrier_indices=np.asarray(sub))
+
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
+           n=st.integers(4, 64), pool=st.sampled_from([None, 1, 3]))
+    @example(seed=1, l=3, m=40, n=4, pool=None)   # M > N: ten blocks of G rows
+    @example(seed=2, l=1, m=9, n=4, pool=3)       # partial last block, repeats
+    @settings(max_examples=60, deadline=None)
+    def test_gram_form_matches_per_element_oracle(self, seed, l, m, n, pool):
+        rng = RNG(seed)
+        # pool: subcarriers drawn from the first `pool` indices (heavy repeats).
+        sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
+        radio, sched = self._fa_case(m, n, sub)
+        r0, v0 = rng.integers(0, n), rng.integers(0, m)
+        planted = (np.exp(-2j * np.pi * sub * r0 / n)
+                   * np.exp(2j * np.pi * v0 * np.arange(m) / m))
+        meas = (3.0 * planted + rng.normal(size=(l, m))
+                + 1j * rng.normal(size=(l, m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fa_range_doppler_map(meas, sched, radio, 1.0).values
+        want = oracles.fa_range_doppler_map(meas, sched, radio, 1.0).values
+        assert got.shape == want.shape == (n, m)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
+        top = np.sort(want.ravel())[-2:]
+        if top[1] - top[0] > 1e-9 * top[1]:   # argmax is defined only without a tie
+            assert np.argmax(got) == np.argmax(want)
+
+    def test_exact_nulls_clip_to_zero_without_warning(self):
+        # A noiseless on-grid target with distinct subcarriers: every cell but
+        # one is an exact null, which the Gram form reaches only to rounding.
+        m = n = 32
+        radio, sched = self._fa_case(m, n, RNG(7).permutation(n))
+        sub = sched.fa_subcarrier_indices
+        ramp = (np.exp(-2j * np.pi * sub * 11 / n)
+                * np.exp(2j * np.pi * 5 * np.arange(m) / m))
+        meas = np.outer(np.ones(4), ramp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fa_range_doppler_map(meas, sched, radio, 1.0).values
+        want = oracles.fa_range_doppler_map(meas, sched, radio, 1.0).values
+        assert np.all(np.isfinite(got)) and np.all(got >= 0)
+        assert np.unravel_index(np.argmax(got), got.shape) == (11, 5)
+        np.testing.assert_allclose(got**2, want**2, rtol=0, atol=1e-12 * want.max() ** 2)
 
 
 class TestVaAssemble:

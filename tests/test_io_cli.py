@@ -99,6 +99,7 @@ class TestConfigParsing:
         ({"music_factor": 0}, "music_factor"),
         ({"stte_guard": -1}, "stte_guard"),
         ({"structure": "fa", "suppressor": "mf", "va": True}, "va"),
+        ({"structure": "lshape", "suppressor": "sthp"}, "suppressor"),
     ])
     def test_bad_pipeline_spec_fails_closed(self, tmp_path, capsys, override, key):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
@@ -111,6 +112,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(where)):
             parse_config(cfg)
         assert main(["resolution", "--config", str(cfg)]) == 3
+        assert where in capsys.readouterr().err
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 3
         assert where in capsys.readouterr().err
 
     def test_effective_dict_round_trip(self):
@@ -271,6 +274,30 @@ class TestCli:
         assert code == 0
         for name in ("curves.csv", "records.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_montecarlo_timings_unhashed_and_replay_identical(self, tmp_path, capsys):
+        cfg = self._fast_config(tmp_path, drops=3)
+        raw = yaml.safe_load(cfg.read_text())
+        raw["experiment"]["sweep_values"] = [0.5, 1.0]
+        cfg.write_text(yaml.safe_dump(raw))
+        out1 = tmp_path / "run1"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(out1)]) == 0
+        manifest = read_manifest(out1 / "manifest.json")
+        assert sorted(o["path"] for o in manifest.outputs) == ["curves.csv", "records.csv"]
+        lines = (out1 / "timings.csv").read_text().splitlines()
+        assert lines[0] == "sweep_value,drop,seconds"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 3 * 2
+        assert {(float(v), int(d)) for v, d, _ in rows} == {
+            (v, d) for v in (0.5, 1.0) for d in range(3)}
+        assert all(float(sec) > 0 for _, _, sec in rows)
+        capsys.readouterr()
+        code = main(["replay", "--manifest", str(out1 / "manifest.json"),
+                     "--out", str(tmp_path / "run2")])
+        assert code == 0
+        report = capsys.readouterr().out
+        for name in ("curves.csv", "records.csv"):
+            assert re.search(rf"^{re.escape(name)}\s+ok$", report, re.MULTILINE)
 
     def test_scale_full_raises_drop_floor_but_yields_to_override(self, tmp_path, capsys):
         cfg = self._fast_config(tmp_path)
