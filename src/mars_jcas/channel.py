@@ -256,37 +256,6 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                   schedule=schedule, sample_rate_hz=bw)
 
 
-def tone_branch_unfused(scene: ValidatedScene, schedule: MarsSchedule,
-                        clutter: Optional[ClutterMap] = None) -> np.ndarray:
-    """Noiseless tone branch at sample level (L x num_tone_pris*N), for
-    checking the fused integrate-and-hold against explicit column sums."""
-    radio, rec = scene.radio, scene.receiver
-    n = radio.num_subcarriers
-    n_el = scene.array.num_rx
-    tone_pris = schedule.tone_pri_indices()
-    out = np.zeros((n_el, tone_pris.size * n), dtype=complex)
-    samples = np.arange(n)
-    seed = scene.seed
-    for col, pri in enumerate(tone_pris):
-        p = schedule.per_symbol_power_w[pri]
-        t_ref = pri * radio.pri_s
-        cell = np.zeros((n_el, n), dtype=complex)
-        for t in scene.targets:
-            tau = t.delay_s()
-            fd = t.doppler_hz(radio.carrier_freq_hz)
-            a2d = _rx_steering(scene, t)
-            h = _target_coeff(scene, t, seed)
-            phase = np.exp(2j * np.pi * radio.carrier_freq_hz * tau) \
-                * np.exp(2j * np.pi * fd * (t_ref - tau))
-            within = (np.exp(2j * np.pi * fd * samples / scene.bandwidth_hz)
-                      if rec.exact_within_symbol_doppler else np.ones(n))
-            cell += np.outer(a2d * (h * math.sqrt(p) * phase), within)
-        if clutter is not None:
-            cell += math.sqrt(p) * clutter.tone_vec[:, None] * np.ones(n)[None, :]
-        out[:, col * n:(col + 1) * n] = cell
-    return out
-
-
 def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
                                clutter: Optional[ClutterMap] = None,
                                seed: Optional[int] = None) -> np.ndarray:

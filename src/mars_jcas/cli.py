@@ -21,8 +21,7 @@ import yaml
 
 from . import __version__
 from .clutter import build_clutter_for, build_clutter_map
-from .channel import synthesize_fa_measurements, synthesize_if_cube
-from .harness import DropError, ExperimentPlan, draw_targets, monte_carlo, run_drop, schedule_for
+from .harness import DropError, ExperimentPlan, draw_targets, drop_estimates, monte_carlo, run_drop
 from .io import (
     ConfigError,
     RunManifest,
@@ -35,8 +34,6 @@ from .io import (
     write_csv,
     write_cube,
 )
-from .pipeline import run_fa_pipeline, run_pipeline
-from .seeding import derive_seed
 from .scene import SceneValidationError, resolution_report, validate_scene
 from .waveform import build_schedule, overhead_fraction, symbol_time_samples
 
@@ -213,24 +210,14 @@ def cmd_simulate(args) -> int:
 
     outputs = []
     est_rows = []
-    drop_seed = derive_seed(plan.seed, "drop", args.drop, "None")
-    for pipe in plan.pipelines:
-        schedule = schedule_for(scene, pipe, plan.seed)
-        started = time.perf_counter()
-        debug = {} if args.dump_spectra else None
-        if pipe.structure == "fa":
-            meas = synthesize_fa_measurements(scene, schedule, cmap, seed=drop_seed)
-            ests = run_fa_pipeline(meas, scene, schedule, len(scene.targets),
-                                   guard=plan.stte_guard)
-        else:
-            va_scene = replace(scene, array=scene.array.with_va(pipe.va))
-            cube = synthesize_if_cube(va_scene, schedule, cmap, seed=drop_seed)
-            ests = run_pipeline(cube, va_scene, pipe, len(scene.targets), debug=debug)
-            if args.dump_cube:
-                cube_path = out / f"cube_{pipe.tag}.bin"
-                write_cube(cube_path, cube)
-                outputs.append(cube_path)
+    started = time.perf_counter()
+    for pipe, data, ests, debug in drop_estimates(scene, plan, args.drop, cmap,
+                                                  debug=args.dump_spectra):
         manifest.add_stage(f"simulate_{pipe.tag}", time.perf_counter() - started)
+        if args.dump_cube and pipe.structure != "fa":
+            cube_path = out / f"cube_{pipe.tag}.bin"
+            write_cube(cube_path, data)
+            outputs.append(cube_path)
         for k, e in enumerate(ests):
             est_rows.append({
                 "pipeline": pipe.tag, "target": k,
@@ -258,6 +245,10 @@ def cmd_simulate(args) -> int:
                 write_csv(sp_path, ["range_m", "magnitude"],
                           [(i * scene.range_res_m, abs(v)) for i, v in enumerate(d)])
                 outputs.append(sp_path)
+        started = time.perf_counter()
+    # Pipelines run grouped by shared cube; list their estimates in plan order.
+    tags = [p.tag for p in plan.pipelines]
+    est_rows.sort(key=lambda row: tags.index(row["pipeline"]))
 
     truth_rows = [{
         "target": k, "range_m": t.range_m, "radial_velocity_mps": t.radial_velocity_mps,

@@ -59,10 +59,6 @@ class SpaceTimeSnapshot:
     num_chirp: int
     num_elements: int
 
-    @property
-    def num_range_samples(self) -> int:
-        return self.y_st.shape[1]
-
 
 @dataclass(frozen=True)
 class CoarsePeak:
@@ -270,13 +266,6 @@ def reshape_space_time(chirp_branch: np.ndarray, n: int) -> SpaceTimeSnapshot:
     w = cols // n
     y_st = chirp_branch.reshape(l, w, n).transpose(1, 0, 2).reshape(w * l, n)
     return SpaceTimeSnapshot(y_st=y_st, num_chirp=w, num_elements=l)
-
-
-def unshape_space_time(snapshot: SpaceTimeSnapshot) -> np.ndarray:
-    """Inverse of :func:`reshape_space_time`."""
-    w, l = snapshot.num_chirp, snapshot.num_elements
-    n = snapshot.num_range_samples
-    return snapshot.y_st.reshape(w, l, n).transpose(1, 0, 2).reshape(l, w * n)
 
 
 def temporal_steering(velocity_mps: float, schedule: MarsSchedule,

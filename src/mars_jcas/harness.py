@@ -64,12 +64,11 @@ class ExperimentPlan:
     range_bounds_m: tuple = (100.0, 1000.0)
     azimuth_max_rad: float = math.radians(60.0)
     custom: CustomRanges = field(default_factory=CustomRanges)
-    stte_guard: int = 1
     workers: int = 1
 
     def validate(self) -> "ExperimentPlan":
         if self.scenario not in ("car", "uav", "custom"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ValueError(f"scenario must be car, uav or custom, got {self.scenario!r}")
         if self.num_drops < 0:
             raise ValueError("num_drops must be >= 0")
         if self.target_count < 1:
@@ -80,6 +79,8 @@ class ExperimentPlan:
             raise ValueError("sweep_values must be sorted")
         if any(v <= 0 for v in self.sweep_values):
             raise ValueError("sweep_values must be positive (watts or meters)")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         for p in self.pipelines:
             if p.structure == "lshape" and p.suppressor == "sthp":
                 raise ValueError("lshape has W = 1; STHP needs W >= 2")
@@ -93,7 +94,12 @@ class DropError(RuntimeError):
         self.drop_index = drop_index
         self.drop_seed = drop_seed
         self.pipeline = pipeline
+        self.cause = cause
         super().__init__(f"drop {drop_index} (seed {drop_seed}, pipeline {pipeline}): {cause}")
+
+    def __reduce__(self):
+        # Pool workers send it back pickled; rebuild it from the replay fields.
+        return DropError, (self.drop_index, self.drop_seed, self.pipeline, self.cause)
 
 
 @dataclass(frozen=True)
@@ -246,12 +252,6 @@ def score_estimates(truths: Sequence[Target], estimates: Sequence[TargetEstimate
     return records
 
 
-def _scene_at(scene: ValidatedScene, sweep_axis: str, value: Optional[float]) -> ValidatedScene:
-    if value is None or sweep_axis != "tx_power":
-        return scene
-    return replace(scene, radio=replace(scene.radio, avg_tx_power_w=float(value)))
-
-
 def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
                  plan_seed: int) -> MarsSchedule:
     """Schedule for one pipeline's structure/VA choice over this scene."""
@@ -268,49 +268,54 @@ def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
                           guard_subcarriers=w.guard_subcarriers)
 
 
-def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
-             clutter: Optional[ClutterMap] = None,
-             sweep_value: Optional[float] = None) -> list:
-    """Synthesize and score one drop for every pipeline in the plan.
+def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
+                   clutter: Optional[ClutterMap] = None,
+                   sweep_value: Optional[float] = None, debug: bool = False):
+    """Run every pipeline of the plan on one drop of ``scene`` (targets
+    set), yielding (pipe, cube or FA measurements, estimates, debug dict).
 
-    Pipelines sharing (structure, va) run on the same cube, so suppressor
-    and refinement comparisons are paired sample-for-sample.
+    Pipelines sharing (structure, va) share one synthesized cube, so
+    suppressor and refinement comparisons are paired sample-for-sample.
+    Failures are raised as DropError, tagged with the drop seed.
     """
-    scene = _scene_at(scene, plan.sweep_axis, sweep_value)
-    fixed_range = sweep_value if plan.sweep_axis == "range" and sweep_value is not None else None
-    targets = draw_targets(plan, scene, drop_index, fixed_range)
-    scene = replace(scene, targets=targets)
     drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
-
-    records = []
     groups = {}
     for pipe in plan.pipelines:
         groups.setdefault((pipe.structure, pipe.va), []).append(pipe)
     for (structure, va), pipes in groups.items():
-        schedule = schedule_for(scene, pipes[0], plan.seed)
-        cmap = clutter
-        if cmap is not None and cmap.num_tx_slots < schedule.slots_per_chirp:
-            raise DropError(drop_index, drop_seed, pipes[0].tag,
-                            "clutter map lacks VA transmit slots; rebuild with VA geometry")
+        pipe = pipes[0]
         try:
+            schedule = schedule_for(scene, pipe, plan.seed)
             if structure == "fa":
-                meas = synthesize_fa_measurements(scene, schedule, cmap, seed=drop_seed)
-                for pipe in pipes:
-                    ests = run_fa_pipeline(meas, scene, schedule, plan.target_count,
-                                           guard=plan.stte_guard)
-                    records += score_estimates(targets, ests, scene, pipe.tag,
-                                               drop_index, sweep_value)
+                data = synthesize_fa_measurements(scene, schedule, clutter, seed=drop_seed)
             else:
                 va_scene = replace(scene, array=scene.array.with_va(va))
-                cube = synthesize_if_cube(va_scene, schedule, cmap, seed=drop_seed)
-                for pipe in pipes:
-                    ests = run_pipeline(cube, va_scene, pipe, plan.target_count)
-                    records += score_estimates(targets, ests, scene, pipe.tag,
-                                               drop_index, sweep_value)
-        except DropError:
-            raise
+                data = synthesize_if_cube(va_scene, schedule, clutter, seed=drop_seed)
+            for pipe in pipes:
+                info = {} if debug else None
+                if structure == "fa":
+                    ests = run_fa_pipeline(data, scene, schedule, len(scene.targets),
+                                           guard=pipe.stte_guard)
+                else:
+                    ests = run_pipeline(data, va_scene, pipe, len(scene.targets), debug=info)
+                yield pipe, data, ests, info
         except Exception as exc:
-            raise DropError(drop_index, drop_seed, pipes[0].tag, exc) from exc
+            raise DropError(drop_index, drop_seed, pipe.tag, exc) from exc
+
+
+def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
+             clutter: Optional[ClutterMap] = None,
+             sweep_value: Optional[float] = None) -> list:
+    """Draw the drop's targets at this sweep point, run every pipeline on
+    them (:func:`drop_estimates`) and score the estimates."""
+    if plan.sweep_axis == "tx_power" and sweep_value is not None:
+        scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=float(sweep_value)))
+    fixed_range = sweep_value if plan.sweep_axis == "range" else None
+    scene = replace(scene, targets=draw_targets(plan, scene, drop_index, fixed_range))
+    records = []
+    for pipe, _, ests, _ in drop_estimates(scene, plan, drop_index, clutter, sweep_value):
+        records += score_estimates(scene.targets, ests, scene, pipe.tag,
+                                   drop_index, sweep_value)
     return records
 
 
@@ -341,16 +346,11 @@ def _pool_init(scene, plan, clutter):
     _POOL_STATE["args"] = (scene, plan, clutter)
 
 
-def _pool_task(args):
-    drop_index, sweep_value = args
-    scene, plan, clutter = _POOL_STATE["args"]
-    started = time.perf_counter()
-    records = run_drop(scene, plan, drop_index, clutter, sweep_value)
-    return records, time.perf_counter() - started
-
-
-def _drop_task(args):
-    scene, plan, drop_index, clutter, sweep_value = args
+def _timed_drop(task, args=None):
+    """One drop and its wall time; ``args`` is (scene, plan, clutter), or
+    in a pool worker what :func:`_pool_init` stored."""
+    drop_index, sweep_value = task
+    scene, plan, clutter = args or _POOL_STATE["args"]
     started = time.perf_counter()
     records = run_drop(scene, plan, drop_index, clutter, sweep_value)
     return records, time.perf_counter() - started
@@ -370,19 +370,17 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
 
     report = TrialReport()
     started = time.perf_counter()
-    for value in sweep:
-        if plan.workers > 1 and plan.num_drops:
-            with ProcessPoolExecutor(max_workers=plan.workers, initializer=_pool_init,
-                                     initargs=(scene, plan, clutter)) as pool:
-                results = list(pool.map(_pool_task,
-                                        [(i, value) for i in range(plan.num_drops)]))
-        else:
-            results = [_drop_task((scene, plan, i, clutter, value))
-                       for i in range(plan.num_drops)]
-        for i, (recs, seconds) in enumerate(results):
-            report.records.extend(recs)
-            report.drop_seeds[(str(value), i)] = derive_seed(plan.seed, "drop", i, str(value))
-            report.drop_runtimes_s[(str(value), i)] = seconds
+    tasks = [(i, value) for value in sweep for i in range(plan.num_drops)]
+    if plan.workers > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=plan.workers, initializer=_pool_init,
+                                 initargs=(scene, plan, clutter)) as pool:
+            results = list(pool.map(_timed_drop, tasks))
+    else:
+        results = [_timed_drop(task, (scene, plan, clutter)) for task in tasks]
+    for (i, value), (recs, seconds) in zip(tasks, results):
+        report.records.extend(recs)
+        report.drop_seeds[(str(value), i)] = derive_seed(plan.seed, "drop", i, str(value))
+        report.drop_runtimes_s[(str(value), i)] = seconds
     report.runtime_s = time.perf_counter() - started
 
     rows = []

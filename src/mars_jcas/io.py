@@ -292,11 +292,13 @@ def _parse_experiment(data, path, default_seed) -> ExperimentPlan:
         azimuth_max_rad=s.take(("azimuth_max_rad", float), ("azimuth_max_deg", deg),
                                default=math.radians(60.0)),
         custom=_parse_custom(custom_raw or {}, f"{path}.custom"),
-        stte_guard=s.take(("stte_guard", int), default=1),
         workers=s.take(("workers", int), default=1),
     )
     s.finish()
-    return plan.validate()
+    try:
+        return plan.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(raw: dict, source: str = "config"):

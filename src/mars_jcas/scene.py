@@ -297,22 +297,6 @@ def resolution_report(radio: RadioParams, arr: ArrayGeometry) -> ResolutionRepor
     )
 
 
-def psi_from_spherical(theta_rad: float, phi_rad: float):
-    """Convert (azimuth theta, elevation phi) spherical angles to the
-    per-axis (psi_x, psi_y) angles used internally (IO helper)."""
-    sx = math.cos(phi_rad) * math.sin(theta_rad)
-    sy = math.sin(phi_rad) * math.sin(theta_rad)
-    return math.asin(sx), math.asin(sy)
-
-
-def spherical_from_psi(psi_x_rad: float, psi_y_rad: float):
-    """Inverse of :func:`psi_from_spherical` (IO helper)."""
-    sx, sy = math.sin(psi_x_rad), math.sin(psi_y_rad)
-    theta = math.asin(min(1.0, math.hypot(sx, sy)))
-    phi = math.atan2(sy, sx)
-    return theta, phi
-
-
 _REL_TOL = 1e-9
 _STRUCTURES = ("fa", "lshape", "comb", "conventional_chirp")
 

@@ -6,7 +6,9 @@ scoring and MUSIC candidate building were batched: one explicit
 ``np.kron`` per URA steering vector and a Python list of MUSIC candidates.
 Tests compare the library against them column by column. The FA
 correlator map and FA clutter term are kept in their direct forms too: one
-ramp multiply and FFT per element, and a ramp-table matmul.
+ramp multiply and FFT per element, and a ramp-table matmul. The last
+section holds forms that only tests use: the sample-level tone branch,
+the spherical angle conversions and the inverse space-time reshape.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from typing import Optional
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from mars_jcas.channel import _rx_steering, _target_coeff
 from mars_jcas.estimator import (
     FaMap,
+    SpaceTimeSnapshot,
     _forward_backward,
     _music_scan,
     _noise_projector,
@@ -140,3 +144,56 @@ def fa_clutter_term(clutter, schedule, n):
     bins = np.arange(clutter.num_range_bins)
     ramps = np.exp(-2j * np.pi * np.outer(bins, schedule.fa_subcarrier_indices) / n)
     return (clutter.chirp_tables[0].T @ ramps) * np.sqrt(schedule.per_symbol_power_w)
+
+
+def tone_branch_unfused(scene, schedule, clutter=None):
+    """Noiseless tone branch at sample level (L x num_tone_pris*N), for
+    checking the fused integrate-and-hold against explicit column sums."""
+    radio, rec = scene.radio, scene.receiver
+    n = radio.num_subcarriers
+    n_el = scene.array.num_rx
+    tone_pris = schedule.tone_pri_indices()
+    out = np.zeros((n_el, tone_pris.size * n), dtype=complex)
+    samples = np.arange(n)
+    seed = scene.seed
+    for col, pri in enumerate(tone_pris):
+        p = schedule.per_symbol_power_w[pri]
+        t_ref = pri * radio.pri_s
+        cell = np.zeros((n_el, n), dtype=complex)
+        for t in scene.targets:
+            tau = t.delay_s()
+            fd = t.doppler_hz(radio.carrier_freq_hz)
+            a2d = _rx_steering(scene, t)
+            h = _target_coeff(scene, t, seed)
+            phase = np.exp(2j * np.pi * radio.carrier_freq_hz * tau) \
+                * np.exp(2j * np.pi * fd * (t_ref - tau))
+            within = (np.exp(2j * np.pi * fd * samples / scene.bandwidth_hz)
+                      if rec.exact_within_symbol_doppler else np.ones(n))
+            cell += np.outer(a2d * (h * math.sqrt(p) * phase), within)
+        if clutter is not None:
+            cell += math.sqrt(p) * clutter.tone_vec[:, None] * np.ones(n)[None, :]
+        out[:, col * n:(col + 1) * n] = cell
+    return out
+
+
+def psi_from_spherical(theta_rad, phi_rad):
+    """Convert (azimuth theta, elevation phi) spherical angles to the
+    per-axis (psi_x, psi_y) angles used internally."""
+    sx = math.cos(phi_rad) * math.sin(theta_rad)
+    sy = math.sin(phi_rad) * math.sin(theta_rad)
+    return math.asin(sx), math.asin(sy)
+
+
+def spherical_from_psi(psi_x_rad, psi_y_rad):
+    """Inverse of :func:`psi_from_spherical`."""
+    sx, sy = math.sin(psi_x_rad), math.sin(psi_y_rad)
+    theta = math.asin(min(1.0, math.hypot(sx, sy)))
+    phi = math.atan2(sy, sx)
+    return theta, phi
+
+
+def unshape_space_time(snapshot: SpaceTimeSnapshot) -> np.ndarray:
+    """Inverse of :func:`mars_jcas.estimator.reshape_space_time`."""
+    w, l = snapshot.num_chirp, snapshot.num_elements
+    n = snapshot.y_st.shape[1]
+    return snapshot.y_st.reshape(w, l, n).transpose(1, 0, 2).reshape(l, w * n)

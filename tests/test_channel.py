@@ -15,13 +15,13 @@ from mars_jcas.channel import (
     butterworth_power_gain,
     synthesize_fa_measurements,
     synthesize_if_cube,
-    tone_branch_unfused,
 )
 from mars_jcas.clutter import ClutterMap, build_clutter_map
 from mars_jcas.estimator import column_compress
 from mars_jcas.harness import schedule_for
 from mars_jcas.scene import ClutterConfig, Target
 from mars_jcas.waveform import build_schedule
+from oracles import tone_branch_unfused
 
 
 def quiet_radio(**kw):

@@ -29,12 +29,12 @@ from mars_jcas.estimator import (
     sthp_range_spectrum,
     stte_peaks,
     temporal_steering,
-    unshape_space_time,
     va_assemble,
     va_receive_geometry,
 )
 from mars_jcas.scene import steering_from_sin, steering_ura_from_sin
 from mars_jcas.waveform import build_schedule
+from oracles import unshape_space_time
 
 LAM = C0 / 5e9  # conftest radio wavelength
 RNG = np.random.default_rng

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_array, make_radio, make_scene, on_grid_target
+from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import TargetEstimate
 from mars_jcas.harness import (
     CustomRanges,
@@ -22,7 +23,8 @@ from mars_jcas.harness import (
     wilson_interval,
 )
 from mars_jcas.pipeline import PipelineSpec
-from mars_jcas.scene import Target
+from mars_jcas.scene import ClutterConfig, Target
+from mars_jcas.seeding import derive_seed
 
 
 def quiet_plan(**kw):
@@ -212,6 +214,20 @@ class TestRunDrop:
         assert err.value.drop_seed > 0
         assert "seed" in str(err.value)
 
+    def test_va_pipeline_on_non_va_clutter_map_is_drop_error(self):
+        # A no-VA map has one transmit slot table; the VA schedule needs four.
+        scene = make_scene(arr=make_array(tx=2), radio=make_radio(power_w=10.0))
+        scene = replace(scene, clutter=ClutterConfig(enabled=True, station_height_m=10.0,
+                                                     area_x_m=60.0, area_y_m=30.0))
+        cmap = build_clutter_map(scene)
+        plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp",
+                                                  va=True),))
+        with pytest.raises(DropError, match="tx slot") as err:
+            run_drop(scene, plan, 3, cmap)
+        assert err.value.drop_index == 3
+        assert err.value.drop_seed == derive_seed(plan.seed, "drop", 3, "None")
+        assert f"seed {err.value.drop_seed}" in str(err.value)
+
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="W >= 2"):
             quiet_plan(pipelines=(PipelineSpec(structure="lshape", suppressor="sthp"),))
@@ -301,3 +317,37 @@ class TestMonteCarlo:
         assert rep_serial.records == rep_par.records
         assert [(r["metric"], r["value"]) for r in rows_serial] == \
             [(r["metric"], r["value"]) for r in rows_par]
+        # One pool serves every sweep point, in the serial drop order.
+        plan = quiet_plan(num_drops=3, sweep_values=(1e-3, 10.0))
+        rows_serial, rep_serial = monte_carlo(plan, scene)
+        rows_par, rep_par = monte_carlo(replace(plan, workers=2), scene)
+        assert {r.sweep_value for r in rep_par.records} == {1e-3, 10.0}
+        assert rep_serial.records == rep_par.records
+        assert rep_serial.drop_seeds == rep_par.drop_seeds
+        assert list(rep_serial.drop_runtimes_s) == list(rep_par.drop_runtimes_s)
+        assert rows_serial == rows_par
+
+    def test_worker_drop_error_keeps_drop_seed(self):
+        scene = make_scene(indices=(1,))  # W = 1: STHP fails on every drop
+        plan = quiet_plan(num_drops=2, workers=2)
+        with pytest.raises(DropError) as err:
+            monte_carlo(plan, scene)
+        assert err.value.drop_index == 0
+        assert err.value.drop_seed == derive_seed(plan.seed, "drop", 0, "None")
+        assert "W >= 2" in str(err.value)
+
+    def test_fa_pipeline_reads_its_stte_guard(self):
+        # Targets two velocity bins from zero, SI out of the way: guard 1
+        # finds them, guard 3 masks bins -3..3 and must land elsewhere.
+        scene = make_scene(radio=make_radio(power_w=10.0), si_attenuation_db=300.0)
+        assert 3.5 / scene.velocity_res_mps > 1.5 and 4.5 / scene.velocity_res_mps < 2.5
+        custom = CustomRanges(range_m=(100.0, 450.0), speed_mps=(3.5, 4.5))
+
+        def fa_records(guard):
+            pipe = PipelineSpec(structure="fa", suppressor="mf", stte_guard=guard)
+            plan = quiet_plan(num_drops=3, custom=custom, pipelines=(pipe,))
+            return monte_carlo(plan, scene)[1].records
+
+        near, far = fa_records(1), fa_records(3)
+        assert all(r.hit and abs(r.estimate.velocity_bin) == 2 for r in near)
+        assert all(abs(r.estimate.velocity_bin) > 3 for r in far)

@@ -116,6 +116,29 @@ class TestConfigParsing:
         assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 3
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,key", [
+        ({"scenario": "boat"}, "scenario"),
+        ({"num_drops": -1}, "num_drops"),
+        ({"target_count": 0}, "target_count"),
+        ({"sweep_values": [1.0, 0.5]}, "sweep_values"),
+        ({"sweep_axis": "speed"}, "sweep_axis"),
+        ({"workers": 0}, "workers"),
+        ({"stte_guard": 1}, "stte_guard"),   # a per-pipeline key only
+    ])
+    def test_bad_plan_value_fails_closed(self, tmp_path, capsys, override, key):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["experiment"].update(override)
+        cfg = tmp_path / "plan.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"{cfg}.experiment"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(cfg)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert where in err and key in err
+        assert not out.exists()
+
     def test_effective_dict_round_trip(self):
         scene_cfg, plan = parse_config(preset_path("desk_small"))
         effective = scene_to_dict(scene_cfg)
@@ -246,6 +269,34 @@ class TestCli:
         names = {o["path"] for o in manifest.outputs}
         assert "estimates.csv" in names and "truth.csv" in names
         assert any(n.startswith("range_spectrum") for n in names)
+
+    def test_simulate_runs_the_scored_drop(self, tmp_path, capsys):
+        # simulate --drop d and montecarlo share one drop path: the same
+        # targets, cubes and estimates, down to the last printed digit.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(area_x_m=200.0, area_y_m=100.0)
+        pipe = {"structure": "comb", "suppressor": "sthp", "eps_mode": "inf",
+                "refinement": "fft", "va": False}
+        raw["experiment"].update(num_drops=3, target_count=1, pipelines=[
+            {**pipe, "va": True}, {**pipe, "structure": "fa", "suppressor": "mf"},
+            {**pipe, "refinement": "music"}, {**pipe, "suppressor": "mf"}])
+        cfg = tmp_path / "four.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        sim, mc = tmp_path / "sim", tmp_path / "mc"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim),
+                     "--targets", "1", "--drop", "2"]) == 0
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(mc)]) == 0
+
+        def rows(path):
+            lines = path.read_text().splitlines()
+            return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+        simulated = [(r["pipeline"], r["range_m"], r["velocity_mps"], r["psi_x_rad"])
+                     for r in rows(sim / "estimates.csv")]
+        scored = [(r["pipeline"], r["est_range_m"], r["est_velocity_mps"], r["est_psi_x_rad"])
+                  for r in rows(mc / "records.csv") if r["drop"] == "2"]
+        assert len(simulated) == 4
+        assert sorted(simulated) == sorted(scored)
 
     def test_simulate_table1_cube_header_dims(self, tmp_path, capsys):
         # Table-I geometry: 64 elements, 4 chirp symbols, 2048 samples each.

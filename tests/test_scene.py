@@ -12,14 +12,13 @@ from scipy.constants import c as C0
 from conftest import make_array, make_radio, make_scene
 from mars_jcas.cli import preset_path
 from mars_jcas.io import parse_config
+from oracles import psi_from_spherical, spherical_from_psi
 from mars_jcas.scene import (
     ArrayGeometry,
     SceneValidationError,
     Target,
-    psi_from_spherical,
     received_power,
     resolution_report,
-    spherical_from_psi,
     steering_ula,
     steering_ura,
     validate_scene,
