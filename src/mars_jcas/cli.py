@@ -291,6 +291,10 @@ def cmd_montecarlo(args) -> int:
         plan = replace(plan, num_drops=args.drops)
     if args.workers is not None:
         plan = replace(plan, workers=args.workers)
+    try:
+        plan.validate()
+    except ValueError as exc:
+        raise ConfigError(f"command-line override: {exc}") from exc
     out = _outdir(args)
     manifest = _manifest_for(args, scene_cfg, plan, _montecarlo_tokens(args))
 

@@ -125,76 +125,94 @@ def patch_grid(clutter_cfg) -> tuple:
     return x, y
 
 
-def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
-    """Sweep the patch grid once and accumulate the aggregated tables.
+# Patches per chunk of the virtual-array pass: a chunk's phase powers are
+# (va_cols + va_rows) x CHUNK_PATCHES complex values.
+CHUNK_PATCHES = 16384
+
+
+def _patches(scene: ValidatedScene, params: GtriParams) -> tuple:
+    """x, range, unit-power coefficient and range bin of every patch that
+    falls inside the table, sorted by bin (stable: a bin keeps grid order).
 
     Per patch: flat-earth grazing angle, reflectivity, RCS = sigma0 * cell
-    area, radar-equation amplitude at unit power, one seeded uniform phase,
-    then scatter-add of amplitude x steering into the patch's range bin.
+    area, radar-equation amplitude at unit power, one seeded uniform phase
+    (drawn for every patch of the grid, in grid order).
     """
-    cl = scene.clutter
-    if cl.station_height_m <= 0:
-        raise ValueError("build_clutter_map: station height must be > 0")
-    params = _resolve_params(scene)
-    radio, arr = scene.radio, scene.array
+    cl, radio = scene.clutter, scene.radio
     lam = scene.wavelength_m
-    n_bins = radio.num_subcarriers
-    dr = scene.range_res_m
-    seed = scene.seed
-
     xs, ys = patch_grid(cl)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    x = gx.ravel()
-    y = gy.ravel()
+    x, y = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
     h = cl.station_height_m
     r = np.sqrt(x * x + y * y + h * h)
+    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=r.size)
+    bins = np.rint(r / scene.range_res_m).astype(int)
+    kept = np.flatnonzero(bins < radio.num_subcarriers)
+    kept = kept[np.argsort(bins[kept], kind="stable")]
+    x, r, phase, bins = x[kept], r[kept], phase[kept], bins[kept]
+
     grazing = np.arcsin(h / r)
     sigma0 = gtri_reflectivity(grazing, params, lam)
     rcs = sigma0 * cl.cell_m**2
     # Radar-equation amplitude at unit transmit power.
     amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
                   / ((4.0 * np.pi) ** 3 * r**4))
-    rng = rng_for(seed, "clutter")
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=r.size)
-    coeff = amp * np.exp(1j * phase)
+    return x, r, amp * np.exp(1j * phase), bins
 
-    bins = np.rint(r / dr).astype(int)
-    keep = bins < n_bins
-    if not np.all(keep):
-        x, y, r, coeff, bins = x[keep], y[keep], r[keep], coeff[keep], bins[keep]
 
-    sin_x = x / r
-    sin_y = -h / r  # patches sit below the array plane
-    wavenum = 2.0 * np.pi / lam
+def _phase_powers(phase, n: int) -> np.ndarray:
+    """``exp(1j * k * phase)`` for k = 0..n-1, one row per k."""
+    powers = np.empty((n, phase.size), dtype=complex)
+    powers[0] = 1.0
+    step = np.exp(1j * phase)
+    for k in range(1, n):
+        np.multiply(powers[k - 1], step, out=powers[k])
+    return powers
 
-    # Receive element coordinates, x index fastest (Kronecker order).
-    ex = (np.arange(arr.rx_cols) * arr.rx_spacing_x_m)[np.tile(np.arange(arr.rx_cols), arr.rx_rows)]
-    ey = (np.arange(arr.rx_rows) * arr.rx_spacing_y_m)[np.repeat(np.arange(arr.rx_rows), arr.rx_cols)]
 
-    # Transmit slot positions (reference element first, x fastest).
-    if arr.va_enabled:
-        tx_pos = [(a * arr.rx_cols * arr.rx_spacing_x_m, b * arr.rx_rows * arr.rx_spacing_y_m)
-                  for b in range(arr.tx_rows) for a in range(arr.tx_cols)]
-    else:
-        tx_pos = [(0.0, 0.0)]
+def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
+    """Sweep the patch grid once and accumulate the aggregated tables.
 
-    n_el = arr.num_rx
-    tables = np.zeros((len(tx_pos), n_bins, n_el), dtype=complex)
-    tone = np.zeros(n_el, dtype=complex)
-    tau = 2.0 * r / SPEED_OF_LIGHT
-    tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
-    for s, (txx, txy) in enumerate(tx_pos):
-        for l in range(n_el):
-            w = coeff * np.exp(1j * wavenum * (sin_x * (ex[l] + txx) + sin_y * (ey[l] + txy)))
-            tables[s, :, l] = (np.bincount(bins, weights=w.real, minlength=n_bins)
-                               + 1j * np.bincount(bins, weights=w.imag, minlength=n_bins))
-            if s == 0:
-                tone[l] = np.sum(w * tone_carrier)
+    Every slot table is a slice of one table on the uniform virtual URA
+    (``va_rows x va_cols`` at the receive spacing; slot 0 is its first
+    ``rx_rows x rx_cols`` corner). A patch's steering there is the outer
+    product of its per-axis phase powers, so with the patches sorted by
+    range bin, a bin's entry is one (rows x patches) @ (patches x cols)
+    product over the bin's patches, scaled by their coefficients.
+    """
+    cl = scene.clutter
+    if cl.station_height_m <= 0:
+        raise ValueError("build_clutter_map: station height must be > 0")
+    params = _resolve_params(scene)
+    radio, arr = scene.radio, scene.array
+    n_bins = radio.num_subcarriers
+    h = cl.station_height_m
+    x, r, coeff, bins = _patches(scene, params)
 
+    wavenum = 2.0 * np.pi / scene.wavelength_m
+    cols, rows = arr.va_cols, arr.va_rows
+    virtual = np.zeros((n_bins, rows, cols), dtype=complex)
+    tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
+    for lo in range(0, r.size, CHUNK_PATCHES):
+        part = slice(lo, lo + CHUNK_PATCHES)
+        px = _phase_powers(wavenum * arr.rx_spacing_x_m * x[part] / r[part], cols)
+        # Patches sit below the array plane: sin_y = -h / r.
+        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r[part], rows) * coeff[part]
+        tau = 2.0 * r[part] / SPEED_OF_LIGHT
+        tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+        tone += (py[:arr.rx_rows] * tone_carrier) @ px[:arr.rx_cols].T
+        b = bins[part]
+        starts = np.flatnonzero(np.diff(b, prepend=-1))
+        for s, e in zip(starts, np.append(starts[1:], b.size)):
+            virtual[b[s]] += py[:, s:e] @ px[:, s:e].T
+
+    slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
+    tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
+              .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
     return ClutterMap(
-        chirp_tables=tables, tone_vec=tone, range_res_m=dr, terrain=cl.terrain,
-        params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
-        area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=seed,
+        chirp_tables=tables, tone_vec=tone.ravel(),
+        range_res_m=scene.range_res_m, terrain=cl.terrain, params=params,
+        patch_count=int(r.size), area_x_m=cl.area_x_m, area_y_m=cl.area_y_m,
+        cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
     )
 
 

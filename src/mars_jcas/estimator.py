@@ -438,7 +438,8 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     sum_l |sum_m x_l[m] e^{j2pi n_m r/N} e^{-j2pi k m/M}|^2. Expanding the
     square over the element Gram matrix G[m, m'] = sum_l x_l[m] conj(x_l[m'])
     (the correlogram form) leaves a 2-D DFT of G scattered onto the lag grid
-    ((m - m') mod M, (n_m' - n_m) mod N): O(L M^2) plus one M x N FFT.
+    ((m - m') mod M, (n_m' - n_m) mod N): O(L M^2) plus one M x N FFT,
+    half of it real because the grid is Hermitian.
     """
     sub = schedule.fa_subcarrier_indices
     if sub is None:
@@ -455,8 +456,11 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
                + (sub[None, :] - sub[block, None]) % n).ravel()
         lags.real += np.bincount(idx, weights=gram.real.ravel(), minlength=m * n)
         lags.imag += np.bincount(idx, weights=gram.imag.ravel(), minlength=m * n)
-    # The lag (n_m' - n_m) turns the range scan's inverse DFT into a forward one.
-    power = np.fft.fft2(lags.reshape(m, n)).real                    # (M_vel, N)
+    # The lag (n_m' - n_m) turns the range scan's inverse DFT into a forward
+    # one. The grid is Hermitian (G is), so after the Doppler FFT each row is
+    # too: transform the non-negative subcarrier lags and take a real hfft.
+    half = np.fft.fft(lags.reshape(m, n)[:, :n // 2 + 1], axis=0)
+    power = np.fft.hfft(half, n=n, axis=1)                          # (M_vel, N)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     return FaMap(values=np.sqrt(np.maximum(power.T, 0.0)), range_res_m=range_res_m,
                  velocity_res_mps=vel_res)

@@ -81,9 +81,15 @@ class ExperimentPlan:
             raise ValueError("sweep_values must be positive (watts or meters)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        for p in self.pipelines:
+        first = {}
+        for i, p in enumerate(self.pipelines):
             if p.structure == "lshape" and p.suppressor == "sthp":
                 raise ValueError("lshape has W = 1; STHP needs W >= 2")
+            # The tag keys curves.csv rows and simulate's file names.
+            j = first.setdefault(p.tag, i)
+            if j != i:
+                raise ValueError(f"pipelines[{i}] repeats the tag {p.tag!r} of pipelines[{j}] "
+                                 "(stte_guard and music_factor are not part of it)")
         return self
 
 

@@ -6,7 +6,8 @@ scoring and MUSIC candidate building were batched: one explicit
 ``np.kron`` per URA steering vector and a Python list of MUSIC candidates.
 Tests compare the library against them column by column. The FA
 correlator map and FA clutter term are kept in their direct forms too: one
-ramp multiply and FFT per element, and a ramp-table matmul. The last
+ramp multiply and FFT per element, and a ramp-table matmul; so is the
+clutter map, built by a transmit-slot x receive-element loop. The last
 section holds forms that only tests use: the sample-level tone branch,
 the spherical angle conversions and the inverse space-time reshape.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from mars_jcas.channel import _rx_steering, _target_coeff
+from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
 from mars_jcas.estimator import (
     FaMap,
     SpaceTimeSnapshot,
@@ -30,6 +32,7 @@ from mars_jcas.estimator import (
     epsilon_m,
 )
 from mars_jcas.scene import steering_from_sin
+from mars_jcas.seeding import rng_for
 
 
 def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m):
@@ -144,6 +147,71 @@ def fa_clutter_term(clutter, schedule, n):
     bins = np.arange(clutter.num_range_bins)
     ramps = np.exp(-2j * np.pi * np.outer(bins, schedule.fa_subcarrier_indices) / n)
     return (clutter.chirp_tables[0].T @ ramps) * np.sqrt(schedule.per_symbol_power_w)
+
+
+def build_clutter_map(scene):
+    """Clutter tables by a transmit-slot x receive-element loop: one complex
+    exp over every patch and two ``bincount`` scatters per (slot, element)."""
+    cl = scene.clutter
+    params = _resolve_params(scene)
+    radio, arr = scene.radio, scene.array
+    lam = scene.wavelength_m
+    n_bins = radio.num_subcarriers
+    dr = scene.range_res_m
+
+    xs, ys = patch_grid(cl)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    x = gx.ravel()
+    y = gy.ravel()
+    h = cl.station_height_m
+    r = np.sqrt(x * x + y * y + h * h)
+    grazing = np.arcsin(h / r)
+    sigma0 = gtri_reflectivity(grazing, params, lam)
+    rcs = sigma0 * cl.cell_m**2
+    amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
+                  / ((4.0 * np.pi) ** 3 * r**4))
+    rng = rng_for(scene.seed, "clutter")
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=r.size)
+    coeff = amp * np.exp(1j * phase)
+
+    bins = np.rint(r / dr).astype(int)
+    keep = bins < n_bins
+    if not np.all(keep):
+        x, y, r, coeff, bins = x[keep], y[keep], r[keep], coeff[keep], bins[keep]
+
+    sin_x = x / r
+    sin_y = -h / r  # patches sit below the array plane
+    wavenum = 2.0 * np.pi / lam
+
+    # Receive element coordinates, x index fastest (Kronecker order).
+    ex = (np.arange(arr.rx_cols) * arr.rx_spacing_x_m)[np.tile(np.arange(arr.rx_cols), arr.rx_rows)]
+    ey = (np.arange(arr.rx_rows) * arr.rx_spacing_y_m)[np.repeat(np.arange(arr.rx_rows), arr.rx_cols)]
+
+    # Transmit slot positions (reference element first, x fastest).
+    if arr.va_enabled:
+        tx_pos = [(a * arr.rx_cols * arr.rx_spacing_x_m, b * arr.rx_rows * arr.rx_spacing_y_m)
+                  for b in range(arr.tx_rows) for a in range(arr.tx_cols)]
+    else:
+        tx_pos = [(0.0, 0.0)]
+
+    n_el = arr.num_rx
+    tables = np.zeros((len(tx_pos), n_bins, n_el), dtype=complex)
+    tone = np.zeros(n_el, dtype=complex)
+    tau = 2.0 * r / SPEED_OF_LIGHT
+    tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+    for s, (txx, txy) in enumerate(tx_pos):
+        for l in range(n_el):
+            w = coeff * np.exp(1j * wavenum * (sin_x * (ex[l] + txx) + sin_y * (ey[l] + txy)))
+            tables[s, :, l] = (np.bincount(bins, weights=w.real, minlength=n_bins)
+                               + 1j * np.bincount(bins, weights=w.imag, minlength=n_bins))
+            if s == 0:
+                tone[l] = np.sum(w * tone_carrier)
+
+    return ClutterMap(
+        chirp_tables=tables, tone_vec=tone, range_res_m=dr, terrain=cl.terrain,
+        params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
+        area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
+    )
 
 
 def tone_branch_unfused(scene, schedule, clutter=None):

@@ -5,16 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C0
 
-from conftest import make_array, make_radio, make_scene
+import oracles
+from conftest import WAVELENGTH, make_array, make_radio, make_scene
+from mars_jcas import clutter
 from mars_jcas.clutter import (
     GtriParams,
     build_clutter_map,
     gtri_reflectivity,
     terrain_preset,
 )
-from mars_jcas.scene import ClutterConfig, received_power, steering_ura_from_sin
+from mars_jcas.scene import ArrayGeometry, ClutterConfig, received_power, steering_ura_from_sin
 
 
 class TestGtri:
@@ -130,3 +134,40 @@ class TestClutterMap:
         va = build_clutter_map(replace(scene, array=scene.array.with_va(True)))
         np.testing.assert_allclose(va.chirp_tables[0], no_va.chirp_tables[0], rtol=1e-12)
         assert not np.allclose(va.chirp_tables[1], no_va.chirp_tables[0])
+
+    @given(rx=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           tx=st.tuples(st.integers(1, 3), st.integers(1, 3)), va=st.booleans(),
+           spacing=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+           n=st.integers(8, 128), grid=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           standoff=st.sampled_from([0.0, 40.0, 2400.0, 2460.0]),
+           height=st.floats(1.0, 50.0), chunk=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rx=(4, 2), tx=(3, 2), va=True, spacing=(0.5, 0.7), n=64, grid=(12, 12),
+             standoff=2460.0, height=10.0, chunk=7, seed=5)
+    @example(rx=(2, 3), tx=(2, 1), va=False, spacing=(0.4, 0.9), n=16, grid=(9, 5),
+             standoff=40.0, height=3.0, chunk=60, seed=6)
+    @settings(max_examples=60, deadline=None)
+    def test_virtual_array_pass_matches_slot_element_loop(self, rx, tx, va, spacing, n, grid,
+                                                          standoff, height, chunk, seed):
+        # Standoffs near 2.5 km put far patches past the last range bin
+        # (c / (2 * 60 kHz)); chunks of 1..60 patches split every grid of
+        # more than one chunk, mostly not into equal parts.
+        cell = 5.0
+        scene = make_scene(radio=make_radio(n=n), clutter_enabled=True, seed=seed)
+        arr = ArrayGeometry(rx_cols=rx[0], rx_rows=rx[1],
+                            rx_spacing_x_m=spacing[0] * WAVELENGTH,
+                            rx_spacing_y_m=spacing[1] * WAVELENGTH,
+                            tx_cols=tx[0], tx_rows=tx[1], va_enabled=va)
+        scene = replace(scene, array=arr, clutter=ClutterConfig(
+            enabled=True, area_x_m=grid[0] * cell, area_y_m=grid[1] * cell, cell_m=cell,
+            station_height_m=height, area_standoff_m=standoff))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clutter, "CHUNK_PATCHES", chunk)
+            got = build_clutter_map(scene)
+        want = oracles.build_clutter_map(scene)
+        assert got.chirp_tables.shape == want.chirp_tables.shape
+        assert got.patch_count == want.patch_count
+        for a, b in ((got.chirp_tables, want.chirp_tables), (got.tone_vec, want.tone_vec)):
+            scale = np.abs(b).max()
+            assert np.abs(a - b).max() <= 1e-12 * scale
+            assert np.array_equal(a == 0, b == 0)

@@ -139,6 +139,35 @@ class TestConfigParsing:
         assert where in err and key in err
         assert not out.exists()
 
+    def test_duplicate_pipeline_tag_fails_closed(self, tmp_path, capsys):
+        # FA guard 1 and guard 3 share the tag fa-mf-inf-fft: their curves
+        # would merge and simulate would write both to the same files.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        fa = {"structure": "fa", "suppressor": "mf", "eps_mode": "inf", "refinement": "fft"}
+        raw["experiment"]["pipelines"] = [{**fa, "stte_guard": 1}, {**fa, "stte_guard": 3}]
+        cfg = tmp_path / "dup.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"{cfg}.experiment"
+        with pytest.raises(ConfigError, match=re.escape(where) + ".*pipelines\\[1\\].*fa-mf-inf-fft"):
+            parse_config(cfg)
+        for command in ("montecarlo", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert where in err and "fa-mf-inf-fft" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--workers", "0", "workers"),
+        ("--drops", "-1", "num_drops"),
+    ])
+    def test_bad_override_fails_before_output_dir(self, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--preset", "desk_small", "--out", str(out),
+                     flag, value]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_effective_dict_round_trip(self):
         scene_cfg, plan = parse_config(preset_path("desk_small"))
         effective = scene_to_dict(scene_cfg)
