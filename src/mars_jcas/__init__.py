@@ -34,7 +34,6 @@ from .clutter import ClutterMap, GtriParams, build_clutter_map, gtri_reflectivit
 from .channel import IfCube, synthesize_fa_measurements, synthesize_if_cube
 from .estimator import (
     AngleVelocityMap,
-    SpaceTimeSnapshot,
     TargetEstimate,
     angle_velocity_map,
     column_compress,
@@ -50,7 +49,7 @@ from .estimator import (
     stte_peaks,
     va_assemble,
 )
-from .pipeline import PipelineSpec, run_fa_pipeline, run_pipeline
+from .pipeline import FrontEnd, PipelineSpec, front_end, run_fa_pipeline, run_pipeline
 from .harness import (
     DropError,
     ExperimentPlan,

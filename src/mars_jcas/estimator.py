@@ -52,15 +52,6 @@ class AngleVelocityMap:
 
 
 @dataclass(frozen=True)
-class SpaceTimeSnapshot:
-    """Chirp-branch data stacked into (W*L, N) with range samples as columns."""
-
-    y_st: np.ndarray
-    num_chirp: int
-    num_elements: int
-
-
-@dataclass(frozen=True)
 class CoarsePeak:
     """One STTE extraction from the angle-velocity map."""
 
@@ -258,14 +249,13 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     return vel, math.asin(sin_x), math.asin(sin_y)
 
 
-def reshape_space_time(chirp_branch: np.ndarray, n: int) -> SpaceTimeSnapshot:
+def reshape_space_time(chirp_branch: np.ndarray, n: int) -> np.ndarray:
     """Stack the W chirp symbols' (L, N) blocks vertically into (W*L, N)."""
     l, cols = chirp_branch.shape
     if cols % n:
         raise ValueError(f"reshape_space_time: {cols} columns not divisible by N={n}")
     w = cols // n
-    y_st = chirp_branch.reshape(l, w, n).transpose(1, 0, 2).reshape(w * l, n)
-    return SpaceTimeSnapshot(y_st=y_st, num_chirp=w, num_elements=l)
+    return chirp_branch.reshape(l, w, n).transpose(1, 0, 2).reshape(w * l, n)
 
 
 def temporal_steering(velocity_mps: float, schedule: MarsSchedule,

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import synthesize_fa_measurements, synthesize_if_cube
 from .clutter import ClutterMap, build_clutter_for
 from .estimator import TargetEstimate
-from .pipeline import PipelineSpec, run_fa_pipeline, run_pipeline
+from .pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
 from .scene import (
     ResolutionReport,
     Target,
@@ -280,9 +280,10 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
     """Run every pipeline of the plan on one drop of ``scene`` (targets
     set), yielding (pipe, cube or FA measurements, estimates, debug dict).
 
-    Pipelines sharing (structure, va) share one synthesized cube, so
-    suppressor and refinement comparisons are paired sample-for-sample.
-    Failures are raised as DropError, tagged with the drop seed.
+    Pipelines sharing (structure, va) share one synthesized cube and its
+    :func:`~mars_jcas.pipeline.front_end`, built once, so suppressor and
+    refinement comparisons are paired sample-for-sample. Failures are
+    raised as DropError, tagged with the drop seed.
     """
     drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
     groups = {}
@@ -297,13 +298,14 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
             else:
                 va_scene = replace(scene, array=scene.array.with_va(va))
                 data = synthesize_if_cube(va_scene, schedule, clutter, seed=drop_seed)
+                front = front_end(data, va_scene)
             for pipe in pipes:
                 info = {} if debug else None
                 if structure == "fa":
                     ests = run_fa_pipeline(data, scene, schedule, len(scene.targets),
                                            guard=pipe.stte_guard)
                 else:
-                    ests = run_pipeline(data, va_scene, pipe, len(scene.targets), debug=info)
+                    ests = run_pipeline(front, va_scene, pipe, len(scene.targets), debug=info)
                 yield pipe, data, ests, info
         except Exception as exc:
             raise DropError(drop_index, drop_seed, pipe.tag, exc) from exc

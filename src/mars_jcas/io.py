@@ -227,6 +227,10 @@ def _parse_target(data, path) -> Target:
 # Values each pipeline key may take: what the drop path actually runs.
 _PIPELINE_CHOICES = {"structure": ("comb", "lshape", "fa"), "suppressor": ("stap", "sthp", "mf"),
                      "eps_mode": ("zero", "em", "inf"), "refinement": ("fft", "music")}
+# Values a structure or suppressor fixes: FA is its own matched filter, MF is STAP at eps = inf.
+_PIPELINE_FIXED = {("structure", "fa"): {"suppressor": "mf", "eps_mode": "inf",
+                                         "refinement": "fft", "va": False},
+                   ("suppressor", "mf"): {"eps_mode": "inf"}}
 
 
 def _parse_pipeline(data, path) -> PipelineSpec:
@@ -248,9 +252,11 @@ def _parse_pipeline(data, path) -> PipelineSpec:
     for key, low in (("music_factor", 1), ("stte_guard", 0)):
         if getattr(spec, key) < low:
             raise ConfigError(f"{path}.{key}: must be >= {low}, got {getattr(spec, key)}")
-    if spec.structure == "fa" and spec.va:
-        raise ConfigError(f"{path}.va: FA pipelines have no virtual aperture; "
-                          "va must be false with structure fa")
+    for (key, value), fixed in _PIPELINE_FIXED.items():
+        for other, want in fixed.items():
+            if getattr(spec, key) == value and getattr(spec, other) != want:
+                raise ConfigError(f"{path}.{other}: {key} {value} needs {want!r}, "
+                                  f"got {getattr(spec, other)!r}")
     if spec.structure == "lshape" and spec.suppressor == "sthp":
         raise ConfigError(f"{path}.suppressor: lshape has one chirp occasion (W = 1); "
                           "sthp needs W >= 2")

@@ -1,12 +1,13 @@
 """Composable detection pipelines over synthesized receiver data.
 
-The main chain: expand the compressed tone branch, form the angle-velocity
-map, extract coarse peaks (STTE), optionally refine with MUSIC, then per
-target assemble the chirp branch (VA slots are Doppler-compensated with the
-coarse velocity before stacking) and run the selected range stage (STAP,
-STHP, or the matched filter). With VA and FFT refinement the spatial
-steering is picked from the virtual array's finer FFT-native angle bins
-within one coarse bin, scored by the range-stage peak itself.
+The front end runs once per cube: it expands the compressed tone branch,
+forms the angle-velocity map and assembles the chirp branch into the VA
+space-time snapshot. Each pipeline then extracts coarse peaks (STTE),
+optionally refines with MUSIC, rotates each VA slot's rows back by the
+target's coarse Doppler and runs the range stage (STAP, STHP, or the
+matched filter, which is STAP at eps = inf). With VA and FFT refinement the
+spatial steering is picked from the virtual array's finer FFT-native angle
+bins within one coarse bin, scored by the range-stage peak itself.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.constants import c as SPEED_OF_LIGHT
 
 from .channel import IfCube
 from .estimator import (
+    AngleVelocityMap,
     TargetEstimate,
     angle_velocity_map,
     expand_nn,
@@ -34,7 +36,7 @@ from .estimator import (
     temporal_steering,
     va_assemble,
 )
-from .scene import ValidatedScene, steering_ura_from_sin
+from .scene import ArrayGeometry, ValidatedScene, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 
@@ -58,28 +60,35 @@ class PipelineSpec:
         return "-".join(parts)
 
 
-def _compensated_chirp(cube: IfCube, scene: ValidatedScene, doppler_hz: float):
-    """Per-occasion VA assembly of the chirp branch, slots rotated back by
-    the estimated Doppler so the stacked snapshot keeps the URA structure.
+@dataclass(frozen=True)
+class FrontEnd:
+    """What :func:`front_end` builds once per cube."""
 
-    Static clutter stays occasion-invariant under this rotation (every
-    occasion gets the same per-slot phase), so the STHP null survives.
-    """
-    schedule = cube.schedule
+    schedule: MarsSchedule
+    y_e2: np.ndarray          # (L, M) expanded tone branch
+    avmap: AngleVelocityMap
+    y_st: np.ndarray          # (W*L', N) VA-assembled chirp snapshot, uncompensated
+    row_slot: np.ndarray      # (W*L',) VA slot each snapshot row came from
+    geom: ArrayGeometry       # receive geometry of the snapshot rows
+
+
+def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
+    """Per-cube work for every pipeline on ``cube``: the angle-velocity map
+    and the chirp branch assembled over all occasions. :func:`run_pipeline`
+    rotates each VA slot's rows back by the target's Doppler; every occasion
+    gets the same per-slot phase, so static clutter stays occasion-invariant."""
+    y_e2 = expand_nn(cube.tone_branch_compressed, cube.schedule)
+    avm = angle_velocity_map(y_e2, scene.array.with_va(False), scene.radio)
     n = scene.radio.num_subcarriers
-    slots = schedule.slots_per_chirp
+    w, slots = cube.schedule.num_chirp_occasions, cube.schedule.slots_per_chirp
     arr = scene.array.with_va(slots > 1)
-    occasions = []
-    for w in range(schedule.num_chirp_occasions):
-        mats = []
-        for e in range(slots):
-            block = cube.chirp_symbol(w * slots + e)
-            if slots > 1 and e:
-                block = block * np.exp(-2j * np.pi * doppler_hz * e * scene.radio.pri_s)
-            mats.append(block)
-        assembled, geom = va_assemble(mats, arr)
-        occasions.append(assembled)
-    return np.concatenate(occasions, axis=1), geom
+    # Columns are (occasion, slot, sample): assemble each slot's (L, W, N) block.
+    by_slot = cube.chirp_branch.reshape(-1, w, slots, n)
+    chirp, geom = va_assemble([by_slot[:, :, e] for e in range(slots)], arr)
+    row_slot, _ = va_assemble([np.full((len(by_slot), w), e) for e in range(slots)], arr)
+    return FrontEnd(schedule=cube.schedule, y_e2=y_e2, avmap=avm,
+                    y_st=reshape_space_time(chirp.reshape(-1, w * n), n),
+                    row_slot=row_slot.T.ravel(), geom=geom)
 
 
 def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
@@ -114,35 +123,29 @@ def _range_stage(y_st, schedule: MarsSchedule, scene: ValidatedScene, geom,
         a_s = steering_ura_from_sin(sin_x, sin_y, geom.rx_cols, geom.rx_rows,
                                     geom.rx_spacing_x_m, geom.rx_spacing_y_m,
                                     scene.wavelength_m)
-        d, rng_m, bins = sthp_range_spectrum(y_st.y_st, a_t, a_s, pipe.eps_mode,
+        d, rng_m, bins = sthp_range_spectrum(y_st, a_t, a_s, pipe.eps_mode,
                                              range_res_m=dr, velocity_mps=velocity_mps)
     else:
-        eps_mode = "inf" if pipe.suppressor == "mf" else pipe.eps_mode
         a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, schedule, radio)
-        d, rng_m, bins = stap_range_spectrum(y_st.y_st, a_st, eps_mode, range_res_m=dr)
+        d, rng_m, bins = stap_range_spectrum(y_st, a_st, pipe.eps_mode, range_res_m=dr)
     peak_mag = np.abs(d[np.arange(bins.size), bins])
     k = int(np.argmax(peak_mag))
     return (d[k], float(rng_m[k]), int(bins[k]), float(peak_mag[k]),
             float(sin_x[k]), float(sin_y[k]))
 
 
-def run_pipeline(cube: IfCube, scene: ValidatedScene, pipe: PipelineSpec,
+def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                  num_targets: int, debug: dict = None) -> list:
-    """Full detection chain on one cube; returns one TargetEstimate per
-    extracted peak, strongest first. ``debug``, when given, collects the
-    angle-velocity map and each target's range spectrum for dumping."""
+    """Detection chain on one cube's :func:`front_end`; returns one
+    TargetEstimate per extracted peak, strongest first. ``debug``, when given,
+    collects the angle-velocity map and each target's range spectrum."""
     if pipe.structure == "fa":
         raise ValueError("FA pipelines take measurements, not IF cubes; "
                          "use run_fa_pipeline")
-    schedule = cube.schedule
     radio = scene.radio
-    y_e2 = expand_nn(cube.tone_branch_compressed, schedule)
-    avm = angle_velocity_map(y_e2, scene.array.with_va(False), radio)
     if debug is not None:
-        debug["avmap"] = avm
-    peaks = stte_peaks(avm, num_targets, pipe.stte_guard)
-    if pipe.suppressor == "sthp" and schedule.num_chirp_occasions < 2:
-        raise ValueError("STHP needs at least two chirp occasions (W >= 2)")
+        debug["avmap"] = front.avmap
+    peaks = stte_peaks(front.avmap, num_targets, pipe.stte_guard)
 
     dv = scene.velocity_res_mps
     estimates = []
@@ -150,17 +153,16 @@ def run_pipeline(cube: IfCube, scene: ValidatedScene, pipe: PipelineSpec,
         vel = peak.velocity_mps
         sin_x, sin_y = peak.sin_psi_x, peak.sin_psi_y
         if pipe.refinement == "music":
-            vel, psi_x, psi_y = music_refine(y_e2, peak, scene.array.with_va(False),
+            vel, psi_x, psi_y = music_refine(front.y_e2, peak, scene.array.with_va(False),
                                              radio, num_sources=num_targets,
                                              factor=pipe.music_factor)
             sin_x, sin_y = math.sin(psi_x), math.sin(psi_y)
         fd = 2.0 * vel * radio.carrier_freq_hz / SPEED_OF_LIGHT
-        chirp_eff, geom = _compensated_chirp(cube, scene, fd)
-        y_st = reshape_space_time(chirp_eff, radio.num_subcarriers)
+        y_st = front.y_st * np.exp(-2j * np.pi * fd * front.row_slot * radio.pri_s)[:, None]
 
-        cand_x, cand_y = _angle_candidates(sin_x, sin_y, pipe, scene, geom)
+        cand_x, cand_y = _angle_candidates(sin_x, sin_y, pipe, scene, front.geom)
         d, rng_m, rng_bin, peak_mag, win_x, win_y = _range_stage(
-            y_st, schedule, scene, geom, pipe, vel, cand_x, cand_y)
+            y_st, front.schedule, scene, front.geom, pipe, vel, cand_x, cand_y)
         if debug is not None:
             debug.setdefault("spectra", []).append(d)
 
@@ -171,12 +173,12 @@ def run_pipeline(cube: IfCube, scene: ValidatedScene, pipe: PipelineSpec,
             range_m=rng_m,
             amplitude=peak_mag,
             velocity_bin=int(round(vel / dv)),
-            angle_x_bin=int(round(win_x / avm.sin_res_x)),
-            angle_y_bin=int(round(win_y / avm.sin_res_y)),
+            angle_x_bin=int(round(win_x / front.avmap.sin_res_x)),
+            angle_y_bin=int(round(win_y / front.avmap.sin_res_y)),
             range_bin=rng_bin,
             refinement=pipe.refinement,
             method=pipe.suppressor,
-            eps_mode="inf" if pipe.suppressor == "mf" else pipe.eps_mode,
+            eps_mode=pipe.eps_mode,
         ))
     return estimates
 

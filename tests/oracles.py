@@ -7,9 +7,10 @@ scoring and MUSIC candidate building were batched: one explicit
 Tests compare the library against them column by column. The FA
 correlator map and FA clutter term are kept in their direct forms too: one
 ramp multiply and FFT per element, and a ramp-table matmul; so is the
-clutter map, built by a transmit-slot x receive-element loop. The last
-section holds forms that only tests use: the sample-level tone branch,
-the spherical angle conversions and the inverse space-time reshape.
+clutter map, built by a transmit-slot x receive-element loop, and the
+per-target chirp-branch assembly that the pipeline front end replaced.
+The last section holds forms that only tests use: the sample-level tone
+branch, the spherical angle conversions and the inverse space-time reshape.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from mars_jcas.channel import _rx_steering, _target_coeff
 from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
 from mars_jcas.estimator import (
     FaMap,
-    SpaceTimeSnapshot,
     _forward_backward,
     _music_scan,
     _noise_projector,
     epsilon_m,
+    reshape_space_time,
+    va_assemble,
 )
 from mars_jcas.scene import steering_from_sin
 from mars_jcas.seeding import rng_for
@@ -214,6 +216,28 @@ def build_clutter_map(scene):
     )
 
 
+def compensated_space_time(cube, scene, doppler_hz):
+    """Chirp-branch space-time snapshot assembled per target: per occasion,
+    each VA slot e > 0 rotated by exp(-j 2 pi f_d e PRI), one ``va_assemble``
+    per occasion, then the occasions concatenated and reshaped. Returns
+    (y_st, virtual receive geometry)."""
+    schedule = cube.schedule
+    slots = schedule.slots_per_chirp
+    arr = scene.array.with_va(slots > 1)
+    occasions = []
+    for w in range(schedule.num_chirp_occasions):
+        mats = []
+        for e in range(slots):
+            block = cube.chirp_symbol(w * slots + e)
+            if slots > 1 and e:
+                block = block * np.exp(-2j * np.pi * doppler_hz * e * scene.radio.pri_s)
+            mats.append(block)
+        assembled, geom = va_assemble(mats, arr)
+        occasions.append(assembled)
+    chirp = np.concatenate(occasions, axis=1)
+    return reshape_space_time(chirp, scene.radio.num_subcarriers), geom
+
+
 def tone_branch_unfused(scene, schedule, clutter=None):
     """Noiseless tone branch at sample level (L x num_tone_pris*N), for
     checking the fused integrate-and-hold against explicit column sums."""
@@ -260,8 +284,9 @@ def spherical_from_psi(psi_x_rad, psi_y_rad):
     return theta, phi
 
 
-def unshape_space_time(snapshot: SpaceTimeSnapshot) -> np.ndarray:
-    """Inverse of :func:`mars_jcas.estimator.reshape_space_time`."""
-    w, l = snapshot.num_chirp, snapshot.num_elements
-    n = snapshot.y_st.shape[1]
-    return snapshot.y_st.reshape(w, l, n).transpose(1, 0, 2).reshape(l, w * n)
+def unshape_space_time(y_st: np.ndarray, num_elements: int) -> np.ndarray:
+    """Inverse of :func:`mars_jcas.estimator.reshape_space_time` for
+    ``num_elements`` rows per chirp occasion."""
+    n = y_st.shape[1]
+    w = y_st.shape[0] // num_elements
+    return y_st.reshape(w, num_elements, n).transpose(1, 0, 2).reshape(num_elements, w * n)

@@ -291,21 +291,21 @@ class TestMusicRefine:
 class TestSpaceTime:
     def test_w1_identity(self):
         y = RNG(0).normal(size=(4, 8)) + 0j
-        snap = reshape_space_time(y, 8)
-        assert snap.num_chirp == 1
-        np.testing.assert_allclose(snap.y_st, y)
+        y_st = reshape_space_time(y, 8)
+        assert y_st.shape == (4, 8)     # W = 1: one block of L = 4 rows
+        np.testing.assert_allclose(y_st, y)
 
     def test_toy_layout(self):
         # W=2, L=2, N=3: block rows stack symbol samples.
         y = np.arange(12).reshape(2, 6).astype(complex)
-        snap = reshape_space_time(y, 3)
+        y_st = reshape_space_time(y, 3)
         want = np.array([[0, 1, 2], [6, 7, 8], [3, 4, 5], [9, 10, 11]], dtype=complex)
-        np.testing.assert_allclose(snap.y_st, want)
+        np.testing.assert_allclose(y_st, want)
 
     def test_round_trip(self):
         y = RNG(1).normal(size=(6, 20)) + 1j * RNG(2).normal(size=(6, 20))
-        snap = reshape_space_time(y, 5)
-        np.testing.assert_allclose(unshape_space_time(snap), y)
+        y_st = reshape_space_time(y, 5)
+        np.testing.assert_allclose(unshape_space_time(y_st, 6), y)
 
     def test_mismatched_columns(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_array, make_radio, make_scene, on_grid_target
+from mars_jcas import pipeline
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import TargetEstimate
 from mars_jcas.harness import (
@@ -227,6 +228,32 @@ class TestRunDrop:
         assert err.value.drop_index == 3
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 3, "None")
         assert f"seed {err.value.drop_seed}" in str(err.value)
+
+    def test_front_end_runs_once_per_cube(self, desk, monkeypatch):
+        # Per-cube work must not scale with the pipelines sharing the cube or
+        # with the targets: count calls where the pipeline module makes them.
+        scene, plan = desk
+        names = ("expand_nn", "angle_velocity_map", "reshape_space_time", "va_assemble")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        sthp = PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf")
+        counts = []
+        for pipes, k in (((sthp,), 1), ((sthp, replace(sthp, refinement="music")), 2)):
+            calls.update(dict.fromkeys(names, 0))
+            recs = run_drop(scene, replace(plan, pipelines=pipes, target_count=k), 0)
+            assert len(recs) == len(pipes) * k
+            counts.append(dict(calls))
+        one, two = counts
+        assert two["expand_nn"] == two["angle_velocity_map"] == two["reshape_space_time"] == 1
+        assert two == one
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="W >= 2"):

@@ -28,7 +28,7 @@ from mars_jcas.io import (
     write_csv,
     write_cube,
 )
-from mars_jcas.pipeline import PipelineSpec, run_pipeline
+from mars_jcas.pipeline import PipelineSpec, front_end, run_pipeline
 from mars_jcas.scene import validate_scene
 
 
@@ -100,6 +100,11 @@ class TestConfigParsing:
         ({"stte_guard": -1}, "stte_guard"),
         ({"structure": "fa", "suppressor": "mf", "va": True}, "va"),
         ({"structure": "lshape", "suppressor": "sthp"}, "suppressor"),
+        # MF is STAP at eps = inf; FA is its own matched filter, FFT angles only.
+        ({"suppressor": "mf", "eps_mode": "zero"}, "eps_mode"),
+        ({"structure": "fa", "eps_mode": "em", "refinement": "music"}, "suppressor"),
+        ({"structure": "fa", "suppressor": "mf", "eps_mode": "em"}, "eps_mode"),
+        ({"structure": "fa", "suppressor": "mf", "refinement": "music"}, "refinement"),
     ])
     def test_bad_pipeline_spec_fails_closed(self, tmp_path, capsys, override, key):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
@@ -207,8 +212,8 @@ class TestCubeFormat:
         write_cube(path, cube)
         back = read_cube(path)
         pipe = PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf")
-        direct = run_pipeline(cube, scene, pipe, 1)[0]
-        loaded = run_pipeline(back, scene, pipe, 1)[0]
+        direct = run_pipeline(front_end(cube, scene), scene, pipe, 1)[0]
+        loaded = run_pipeline(front_end(back, scene), scene, pipe, 1)[0]
         assert direct == loaded
 
     def test_bad_magic(self, tmp_path):

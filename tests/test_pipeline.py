@@ -5,13 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.constants import c as C0
 
-from conftest import make_array, make_radio, make_scene, on_grid_target
-from mars_jcas.channel import synthesize_fa_measurements, synthesize_if_cube
-from mars_jcas.estimator import expand_nn, signed_bin
+import oracles
+from conftest import WAVELENGTH, make_array, make_radio, make_scene, on_grid_target
+from mars_jcas import pipeline
+from mars_jcas.channel import IfCube, synthesize_fa_measurements, synthesize_if_cube
+from mars_jcas.estimator import CoarsePeak, expand_nn, signed_bin, stap_range_spectrum
 from mars_jcas.harness import schedule_for
-from mars_jcas.pipeline import PipelineSpec, run_fa_pipeline, run_pipeline
-from mars_jcas.scene import Target
+from mars_jcas.pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
+from mars_jcas.scene import ArrayGeometry, Target
 from mars_jcas.waveform import build_schedule
 
 
@@ -38,7 +43,7 @@ class TestMainPipeline:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = run_pipeline(cube, scene, pipe, 1)[0]
+            est = run_pipeline(front_end(cube, scene), scene, pipe, 1)[0]
         assert est.range_bin == 60
         assert est.velocity_bin == 10
         assert est.angle_x_bin == 1
@@ -53,7 +58,7 @@ class TestMainPipeline:
                             rcs=60.0)
         scene = replace(scene, targets=(t1, t2))
         cube = synthesize_if_cube(scene, schedule_of(scene))
-        ests = run_pipeline(cube, scene, PipelineSpec(suppressor="sthp",
+        ests = run_pipeline(front_end(cube, scene), scene, PipelineSpec(suppressor="sthp",
                                                       eps_mode="inf"), 2)
         got = {(e.range_bin, e.velocity_bin, e.angle_x_bin, e.angle_y_bin)
                for e in ests}
@@ -69,7 +74,7 @@ class TestMainPipeline:
                    psi_y_rad=0.0, rcs_m2=100.0)
         scene = replace(scene, targets=(t,))
         cube = synthesize_if_cube(scene, schedule_of(scene))
-        est = run_pipeline(cube, scene, PipelineSpec(suppressor="sthp", eps_mode="inf",
+        est = run_pipeline(front_end(cube, scene), scene, PipelineSpec(suppressor="sthp", eps_mode="inf",
                                                      refinement="music"), 1)[0]
         assert est.refinement == "music"
         assert abs(est.sin_psi_x - t.sin_psi_x) < 0.1 * res_x
@@ -85,7 +90,7 @@ class TestMainPipeline:
                    psi_x_rad=math.asin(0.5 * res_x), psi_y_rad=0.0, rcs_m2=100.0)
         scene = replace(scene, targets=(t,))
         cube = synthesize_if_cube(scene, schedule_of(scene))
-        est = run_pipeline(cube, scene, PipelineSpec(suppressor="sthp", eps_mode="inf",
+        est = run_pipeline(front_end(cube, scene), scene, PipelineSpec(suppressor="sthp", eps_mode="inf",
                                                      va=True), 1)[0]
         assert est.range_bin == 60
         assert abs(est.sin_psi_x - 0.5 * res_x) < 1e-9
@@ -98,13 +103,13 @@ class TestMainPipeline:
         sched = build_schedule(scene.radio, scene.array, "lshape", chirp_pri_indices=(1,))
         cube = synthesize_if_cube(scene, sched)
         with pytest.raises(ValueError, match="W >= 2"):
-            run_pipeline(cube, scene, PipelineSpec(suppressor="sthp"), 1)
+            run_pipeline(front_end(cube, scene), scene, PipelineSpec(suppressor="sthp"), 1)
 
     def test_fa_cube_rejected(self):
         scene = clean_scene([on_grid_target(make_scene())])
         cube = synthesize_if_cube(scene, schedule_of(scene))
         with pytest.raises(ValueError, match="measurements"):
-            run_pipeline(cube, scene, PipelineSpec(structure="fa"), 1)
+            run_pipeline(front_end(cube, scene), scene, PipelineSpec(structure="fa"), 1)
 
     def test_expand_then_fft_close_to_nonuniform_dft(self):
         # Documented interpolation bound: the expanded-FFT Doppler peak
@@ -125,6 +130,56 @@ class TestMainPipeline:
         assert abs(int(np.argmax(spec_fft)) - int(np.argmax(spec_nudft))) <= 1
         ratio = spec_fft.max() / spec_nudft.max()
         assert 0.8 < ratio < 1.2
+
+
+class TestFrontEnd:
+    @given(va=st.booleans(), tx=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           rx=st.tuples(st.integers(1, 4), st.integers(1, 4)), w=st.integers(1, 4),
+           n=st.integers(4, 32), velocity=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)),
+           seed=st.integers(0, 1000))
+    @example(va=True, tx=(3, 3), rx=(4, 4), w=4, n=32, velocity=0.0, seed=0)
+    @example(va=True, tx=(2, 1), rx=(1, 3), w=2, n=4, velocity=-23.7, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_range_stage_input_matches_per_target_assembly(self, va, tx, rx, w, n,
+                                                           velocity, seed):
+        # What the range stage receives (the front end's snapshot times the
+        # per-row slot phase at the coarse peak's Doppler) must equal the
+        # per-target assembly bit for bit. The peak is fed in to set the
+        # Doppler, zero included; the snapshot is caught on its way in.
+        arr = ArrayGeometry(rx_cols=rx[0], rx_rows=rx[1], rx_spacing_x_m=WAVELENGTH / 2,
+                            rx_spacing_y_m=0.7 * WAVELENGTH, tx_cols=tx[0], tx_rows=tx[1],
+                            va_enabled=va)
+        slots = arr.slots_per_chirp
+        scene = make_scene(radio=make_radio(n=n), arr=arr,
+                           indices=tuple(1 + k * slots for k in range(w)))
+        sched = schedule_of(scene)
+        rng = np.random.default_rng(seed)
+        l = rx[0] * rx[1]
+
+        def noise(cols):
+            return rng.normal(size=(l, cols)) + 1j * rng.normal(size=(l, cols))
+
+        cube = IfCube(chirp_branch=noise(sched.num_chirp_symbols * n),
+                      tone_branch_compressed=noise(sched.num_tone_pris),
+                      schedule=sched, sample_rate_hz=1.0)
+        peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,
+                          velocity_mps=velocity, magnitude=1.0)
+        seen = []
+
+        def spy(y_st, *args, **kwargs):
+            seen.append(y_st)
+            return stap_range_spectrum(y_st, *args, **kwargs)
+
+        front = front_end(cube, scene)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "stte_peaks", lambda *args: [peak])
+            mp.setattr(pipeline, "stap_range_spectrum", spy)
+            run_pipeline(front, scene, PipelineSpec(suppressor="mf", va=va), 1)
+        fd = 2.0 * velocity * scene.radio.carrier_freq_hz / C0
+        want, geom = oracles.compensated_space_time(cube, scene, fd)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].view(float), want.view(float))
+        assert front.geom == geom
 
 
 class TestFaPipeline:
