@@ -184,8 +184,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         if clutter.num_tx_slots < schedule.slots_per_chirp:
             raise ValueError(f"clutter map has {clutter.num_tx_slots} tx slot tables, "
                              f"schedule needs {schedule.slots_per_chirp}")
-        clutter_base = [n * np.fft.ifft(clutter.chirp_tables[s], axis=0).T
-                        for s in range(schedule.slots_per_chirp)]
+        clutter_base = clutter.chirp_spectra(n)
 
     samples = np.arange(n)
     chirp_blocks = []
@@ -287,12 +286,7 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
         out += np.outer(a2d, ramp) * (h * np.sqrt(schedule.per_symbol_power_w))
 
     if clutter is not None:
-        if clutter.num_range_bins > n:
-            raise ValueError(f"clutter map has {clutter.num_range_bins} range bins, "
-                             f"more than the {n} subcarriers")
-        # exp(-j*2*pi*n_m*r/N): bin delays land exactly on DFT phases.
-        spectrum = np.fft.fft(clutter.chirp_tables[0], n=n, axis=0)   # (N, L)
-        out += spectrum[sub].T * np.sqrt(schedule.per_symbol_power_w)
+        out += clutter.fa_spectrum(n)[sub].T * np.sqrt(schedule.per_symbol_power_w)
 
     si_phases = np.exp(1j * rng_for(seed, "si").uniform(0.0, 2.0 * np.pi, size=n_el))
     si_amp = np.sqrt(schedule.per_symbol_power_w * 10.0 ** (-radio.si_attenuation_db / 10.0))

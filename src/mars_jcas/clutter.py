@@ -10,7 +10,7 @@ resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -87,6 +87,28 @@ class ClutterMap:
     cell_m: float
     station_height_m: float
     seed: int
+    # Derived spectra, built on first use and held with the map.
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def chirp_spectra(self, n: int) -> np.ndarray:
+        """(slots, L, N) chirp-branch clutter per transmit slot: the bins'
+        beat tones over the N samples collapse to ``N * ifft`` of the table."""
+        key = ("chirp", n)
+        if key not in self._spectra:
+            self._spectra[key] = np.stack([n * np.fft.ifft(table, axis=0).T
+                                           for table in self.chirp_tables])
+        return self._spectra[key]
+
+    def fa_spectrum(self, n: int) -> np.ndarray:
+        """(N, L) FA clutter per subcarrier: bin delays land exactly on DFT
+        phases, so it is slot 0's table zero-padded to N bins and FFT'd."""
+        if self.num_range_bins > n:
+            raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
+                             f"more than the {n} subcarriers")
+        key = ("fa", n)
+        if key not in self._spectra:
+            self._spectra[key] = np.fft.fft(self.chirp_tables[0], n=n, axis=0)
+        return self._spectra[key]
 
     @property
     def num_range_bins(self) -> int:

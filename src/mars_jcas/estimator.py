@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -418,6 +419,26 @@ class FaMap:
         return float(signed_bin(bin_v, self.values.shape[1]) * self.velocity_res_mps)
 
 
+@lru_cache(maxsize=8)
+def _lag_cells(m: int, n: int, sub_bytes: bytes) -> tuple:
+    """Per block of at most N rows of G: the block, the flat positions in
+    its (B, M) entries of the pairs whose subcarrier lag (n_m' - n_m) mod N
+    is at most N/2 (the columns the hfft reads), and their cells on the
+    (M, N//2 + 1) lag grid. Every drop of a schedule shares them."""
+    sub = np.frombuffer(sub_bytes, dtype=np.intp)
+    rows = np.arange(m)
+    half = n // 2 + 1
+    blocks = []
+    for start in range(0, m, n):
+        block = slice(start, start + n)
+        lag = (sub[None, :] - sub[block, None]) % n
+        keep = np.flatnonzero(lag <= n // 2)
+        cells = (((rows[block, None] - rows[None, :]) % m) * half + lag).ravel()[keep]
+        keep.flags.writeable = cells.flags.writeable = False
+        blocks.append((block, keep, cells))
+    return tuple(blocks)
+
+
 def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
                          radio: RadioParams, range_res_m: float) -> FaMap:
     """Correlate per-symbol subcarrier measurements against delay/Doppler
@@ -436,24 +457,23 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
         raise ValueError("fa_range_doppler_map: schedule carries no FA subcarriers")
     m = fa_meas.shape[1]
     n = radio.num_subcarriers
-    rows = np.arange(m)
-    lags = np.zeros(m * n, dtype=complex)
-    # Blocks of at most N rows of G keep the working set at O(M N).
-    for start in range(0, m, n):
-        block = slice(start, start + n)
-        gram = fa_meas[:, block].T @ fa_meas.conj()                 # (B, M)
-        idx = (((rows[block, None] - rows[None, :]) % m) * n
-               + (sub[None, :] - sub[block, None]) % n).ravel()
-        lags.real += np.bincount(idx, weights=gram.real.ravel(), minlength=m * n)
-        lags.imag += np.bincount(idx, weights=gram.imag.ravel(), minlength=m * n)
+    cells = m * (n // 2 + 1)
+    conj = fa_meas.conj()
+    lags = np.zeros(cells, dtype=complex)
+    # Blocks of at most N rows of G keep the working set at O(M N); summing
+    # block by block also keeps each cell's rounding what the full grid gave.
+    for block, keep, idx in _lag_cells(m, n, np.asarray(sub, dtype=np.intp).tobytes()):
+        gram = (fa_meas[:, block].T @ conj).ravel()[keep]
+        lags.real += np.bincount(idx, weights=gram.real, minlength=cells)
+        lags.imag += np.bincount(idx, weights=gram.imag, minlength=cells)
     # The lag (n_m' - n_m) turns the range scan's inverse DFT into a forward
     # one. The grid is Hermitian (G is), so after the Doppler FFT each row is
     # too: transform the non-negative subcarrier lags and take a real hfft.
-    half = np.fft.fft(lags.reshape(m, n)[:, :n // 2 + 1], axis=0)
-    power = np.fft.hfft(half, n=n, axis=1)                          # (M_vel, N)
+    half = np.fft.fft(lags.reshape(m, -1), axis=0)
+    power = np.fft.hfft(half, n=n, axis=1).T                        # (N, M_vel)
+    np.sqrt(np.maximum(power, 0.0, out=power), out=power)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=np.sqrt(np.maximum(power.T, 0.0)), range_res_m=range_res_m,
-                 velocity_res_mps=vel_res)
+    return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 
 
 def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,
@@ -480,8 +500,7 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
         raise ValueError(f"va_assemble: expected {eta_x * eta_y} slot matrices, "
                          f"got {len(per_slot)}")
     lx, ly = arr.rx_cols, arr.rx_rows
-    stacked = np.vstack(per_slot)
-    if stacked.shape[0] != eta_x * eta_y * lx * ly:
+    if any(len(block) != lx * ly for block in per_slot):
         raise ValueError("va_assemble: slot matrices do not match the receive array size")
     # Row (slot = b*eta_x + a, element = ly*Lx + lx) belongs at URA index
     # (b*Ly + ly) * (eta_x*Lx) + (a*Lx + lx).
@@ -490,7 +509,8 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
     a_idx, b_idx = slots % eta_x, slots // eta_x
     lx_idx, ly_idx = rx % lx, rx // lx
     target = ((b_idx[:, None] * ly + ly_idx[None, :]) * (eta_x * lx)
-              + a_idx[:, None] * lx + lx_idx[None, :]).ravel()
-    out = np.empty_like(stacked)
-    out[target] = stacked
+              + a_idx[:, None] * lx + lx_idx[None, :])
+    out = np.empty((target.size,) + np.shape(per_slot[0])[1:], dtype=np.result_type(*per_slot))
+    for rows, block in zip(target, per_slot):
+        out[rows] = block
     return out, va_receive_geometry(arr)

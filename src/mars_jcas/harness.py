@@ -83,8 +83,9 @@ class ExperimentPlan:
             raise ValueError("workers must be >= 1")
         first = {}
         for i, p in enumerate(self.pipelines):
-            if p.structure == "lshape" and p.suppressor == "sthp":
-                raise ValueError("lshape has W = 1; STHP needs W >= 2")
+            conflict = p.conflict()
+            if conflict:
+                raise ValueError(f"pipelines[{i}].{conflict[0]}: {conflict[1]}")
             # The tag keys curves.csv rows and simulate's file names.
             j = first.setdefault(p.tag, i)
             if j != i:

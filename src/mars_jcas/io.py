@@ -224,15 +224,6 @@ def _parse_target(data, path) -> Target:
     return t
 
 
-# Values each pipeline key may take: what the drop path actually runs.
-_PIPELINE_CHOICES = {"structure": ("comb", "lshape", "fa"), "suppressor": ("stap", "sthp", "mf"),
-                     "eps_mode": ("zero", "em", "inf"), "refinement": ("fft", "music")}
-# Values a structure or suppressor fixes: FA is its own matched filter, MF is STAP at eps = inf.
-_PIPELINE_FIXED = {("structure", "fa"): {"suppressor": "mf", "eps_mode": "inf",
-                                         "refinement": "fft", "va": False},
-                   ("suppressor", "mf"): {"eps_mode": "inf"}}
-
-
 def _parse_pipeline(data, path) -> PipelineSpec:
     s = _Section(data, path)
     spec = PipelineSpec(
@@ -245,21 +236,9 @@ def _parse_pipeline(data, path) -> PipelineSpec:
         stte_guard=s.take(("stte_guard", int), default=1),
     )
     s.finish()
-    for key, allowed in _PIPELINE_CHOICES.items():
-        if getattr(spec, key) not in allowed:
-            raise ConfigError(f"{path}.{key}: {getattr(spec, key)!r} is not one of "
-                              f"{', '.join(allowed)}")
-    for key, low in (("music_factor", 1), ("stte_guard", 0)):
-        if getattr(spec, key) < low:
-            raise ConfigError(f"{path}.{key}: must be >= {low}, got {getattr(spec, key)}")
-    for (key, value), fixed in _PIPELINE_FIXED.items():
-        for other, want in fixed.items():
-            if getattr(spec, key) == value and getattr(spec, other) != want:
-                raise ConfigError(f"{path}.{other}: {key} {value} needs {want!r}, "
-                                  f"got {getattr(spec, other)!r}")
-    if spec.structure == "lshape" and spec.suppressor == "sthp":
-        raise ConfigError(f"{path}.suppressor: lshape has one chirp occasion (W = 1); "
-                          "sthp needs W >= 2")
+    conflict = spec.conflict()
+    if conflict:
+        raise ConfigError(f"{path}.{conflict[0]}: {conflict[1]}")
     return spec
 
 

@@ -40,6 +40,15 @@ from .scene import ArrayGeometry, ValidatedScene, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 
+# Values each pipeline key may take: what the drop path actually runs.
+_CHOICES = {"structure": ("comb", "lshape", "fa"), "suppressor": ("stap", "sthp", "mf"),
+            "eps_mode": ("zero", "em", "inf"), "refinement": ("fft", "music")}
+# Values a structure or suppressor fixes: FA is its own matched filter, MF is STAP at eps = inf.
+_FIXED = {("structure", "fa"): {"suppressor": "mf", "eps_mode": "inf",
+                                "refinement": "fft", "va": False},
+          ("suppressor", "mf"): {"eps_mode": "inf"}}
+
+
 @dataclass(frozen=True)
 class PipelineSpec:
     """One point in the structure x suppressor x eps x refinement x VA grid."""
@@ -58,6 +67,23 @@ class PipelineSpec:
         if self.va:
             parts.append("va")
         return "-".join(parts)
+
+    def conflict(self) -> tuple | None:
+        """(key, reason) for the first value the drop path would not run as
+        given, else None; config parsing and plan validation both use it."""
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                return key, f"{getattr(self, key)!r} is not one of {', '.join(allowed)}"
+        for key, low in (("music_factor", 1), ("stte_guard", 0)):
+            if getattr(self, key) < low:
+                return key, f"must be >= {low}, got {getattr(self, key)}"
+        for (key, value), fixed in _FIXED.items():
+            for other, want in fixed.items():
+                if getattr(self, key) == value and getattr(self, other) != want:
+                    return other, f"{key} {value} needs {want!r}, got {getattr(self, other)!r}"
+        if self.structure == "lshape" and self.suppressor == "sthp":
+            return "suppressor", "lshape has one chirp occasion (W = 1); sthp needs W >= 2"
+        return None
 
 
 @dataclass(frozen=True)
@@ -190,19 +216,21 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     The same zero-velocity guard as STTE keeps the static ridge out."""
     radio = scene.radio
     famap = fa_range_doppler_map(fa_meas, schedule, radio, scene.range_res_m)
-    values = famap.values.copy()
-    n_rng, m = values.shape
-    guard_mask = np.abs(signed_bin(np.arange(m), m)) <= guard
-    values[:, guard_mask] = -np.inf
+    # Search the map in its (velocity, range) memory order; the first maximum
+    # in (range, velocity) order is the first range column holding the
+    # maximum, then the first velocity within that column.
+    values = famap.values.T.copy()
+    m, n_rng = values.shape
+    values[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
 
     arr = scene.array
     estimates = []
     for _ in range(num_targets):
-        flat = int(np.argmax(values))
-        r_bin, v_bin = np.unravel_index(flat, values.shape)
-        if not np.isfinite(values[r_bin, v_bin]):
+        r_bin = int(np.argmax(values.max(axis=0)))
+        v_bin = int(np.argmax(values[:, r_bin]))
+        if not np.isfinite(values[v_bin, r_bin]):
             raise ValueError("run_fa_pipeline: map exhausted before K peaks")
-        snap = fa_angle_snapshot(fa_meas, schedule, radio, int(r_bin), int(v_bin))
+        snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
         lam = scene.wavelength_m
@@ -210,7 +238,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
         res_y = lam / (arr.rx_rows * arr.rx_spacing_y_m)
         sin_x = float(signed_bin(bx, arr.rx_cols)) * res_x
         sin_y = float(signed_bin(by, arr.rx_rows)) * res_y
-        vel = famap.velocity(int(v_bin))
+        vel = famap.velocity(v_bin)
         estimates.append(TargetEstimate(
             velocity_mps=vel,
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
@@ -220,7 +248,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
             angle_y_bin=int(signed_bin(by, arr.rx_rows)),
-            range_bin=int(r_bin),
+            range_bin=r_bin,
             refinement="fft",
             method="mf",
             eps_mode="inf",
@@ -229,5 +257,5 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             for dv in (-1, 0, 1):
                 rr = r_bin + dr
                 if 0 <= rr < n_rng:
-                    values[rr, (v_bin + dv) % m] = -np.inf
+                    values[(v_bin + dv) % m, rr] = -np.inf
     return estimates

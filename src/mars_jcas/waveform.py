@@ -58,13 +58,6 @@ def chirp_freq_coeffs(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / math.sqrt(samples.size)
 
 
-def ofdm_time_samples(freq_coeffs: np.ndarray) -> np.ndarray:
-    """Per-symbol OFDM synthesis sampled at rate B:
-    x[k] = (1/sqrt(N)) * sum_n X[n] exp(j*2*pi*n*k/N)."""
-    freq_coeffs = np.asarray(freq_coeffs)
-    return np.fft.ifft(freq_coeffs) * math.sqrt(freq_coeffs.size)
-
-
 @dataclass(frozen=True)
 class MarsSchedule:
     """Fully resolved per-PRI sensing plan for one CPI.

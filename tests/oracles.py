@@ -6,11 +6,13 @@ scoring and MUSIC candidate building were batched: one explicit
 ``np.kron`` per URA steering vector and a Python list of MUSIC candidates.
 Tests compare the library against them column by column. The FA
 correlator map and FA clutter term are kept in their direct forms too: one
-ramp multiply and FFT per element, and a ramp-table matmul; so is the
-clutter map, built by a transmit-slot x receive-element loop, and the
-per-target chirp-branch assembly that the pipeline front end replaced.
-The last section holds forms that only tests use: the sample-level tone
-branch, the spherical angle conversions and the inverse space-time reshape.
+ramp multiply and FFT per element, and a ramp-table matmul; so are the
+full-grid Gram form of the FA map with its per-call lag cells and the FA
+peak search on a transposed copy of the map, the clutter map, built by a
+transmit-slot x receive-element loop, and the per-target chirp-branch
+assembly that the pipeline front end replaced. The last section holds
+forms that only tests use: the sample-level tone branch, the spherical
+angle conversions, the inverse space-time reshape and OFDM synthesis.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from mars_jcas.channel import _rx_steering, _target_coeff
 from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
 from mars_jcas.estimator import (
     FaMap,
+    TargetEstimate,
     _forward_backward,
     _music_scan,
     _noise_projector,
     epsilon_m,
+    fa_angle_snapshot,
     reshape_space_time,
+    signed_bin,
     va_assemble,
 )
 from mars_jcas.scene import steering_from_sin
@@ -142,6 +147,67 @@ def fa_range_doppler_map(fa_meas, schedule, radio, range_res_m):
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     return FaMap(values=np.sqrt(power.T), range_res_m=range_res_m,
                  velocity_res_mps=vel_res)
+
+
+def fa_range_doppler_map_full_grid(fa_meas, schedule, radio, range_res_m):
+    """Gram form on the full (M, N) lag grid: every pair's lag cell rebuilt
+    on each call and scattered, then the non-negative subcarrier lags
+    transformed."""
+    sub = schedule.fa_subcarrier_indices
+    m = fa_meas.shape[1]
+    n = radio.num_subcarriers
+    rows = np.arange(m)
+    lags = np.zeros(m * n, dtype=complex)
+    for start in range(0, m, n):
+        block = slice(start, start + n)
+        gram = fa_meas[:, block].T @ fa_meas.conj()
+        idx = (((rows[block, None] - rows[None, :]) % m) * n
+               + (sub[None, :] - sub[block, None]) % n).ravel()
+        lags.real += np.bincount(idx, weights=gram.real.ravel(), minlength=m * n)
+        lags.imag += np.bincount(idx, weights=gram.imag.ravel(), minlength=m * n)
+    half = np.fft.fft(lags.reshape(m, n)[:, :n // 2 + 1], axis=0)
+    power = np.fft.hfft(half, n=n, axis=1)
+    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
+    return FaMap(values=np.sqrt(np.maximum(power.T, 0.0)), range_res_m=range_res_m,
+                 velocity_res_mps=vel_res)
+
+
+def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
+    """FA pipeline on the full-grid map, searching a C-order (range, velocity)
+    copy of it by flat argmax."""
+    radio = scene.radio
+    famap = fa_range_doppler_map_full_grid(fa_meas, schedule, radio, scene.range_res_m)
+    values = famap.values.copy()
+    n_rng, m = values.shape
+    values[:, np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
+    arr = scene.array
+    estimates = []
+    for _ in range(num_targets):
+        r_bin, v_bin = np.unravel_index(int(np.argmax(values)), values.shape)
+        if not np.isfinite(values[r_bin, v_bin]):
+            raise ValueError("run_fa_pipeline: map exhausted before K peaks")
+        snap = fa_angle_snapshot(fa_meas, schedule, radio, int(r_bin), int(v_bin))
+        spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
+        by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
+        lam = scene.wavelength_m
+        sin_x = float(signed_bin(bx, arr.rx_cols)) * lam / (arr.rx_cols * arr.rx_spacing_x_m)
+        sin_y = float(signed_bin(by, arr.rx_rows)) * lam / (arr.rx_rows * arr.rx_spacing_y_m)
+        estimates.append(TargetEstimate(
+            velocity_mps=famap.velocity(int(v_bin)),
+            psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
+            psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
+            range_m=float(r_bin) * scene.range_res_m,
+            amplitude=float(famap.values[r_bin, v_bin]),
+            velocity_bin=int(signed_bin(v_bin, m)),
+            angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
+            angle_y_bin=int(signed_bin(by, arr.rx_rows)),
+            range_bin=int(r_bin), refinement="fft", method="mf", eps_mode="inf",
+        ))
+        for dr in (-1, 0, 1):
+            for dv in (-1, 0, 1):
+                if 0 <= r_bin + dr < n_rng:
+                    values[r_bin + dr, (v_bin + dv) % m] = -np.inf
+    return estimates
 
 
 def fa_clutter_term(clutter, schedule, n):
@@ -290,3 +356,10 @@ def unshape_space_time(y_st: np.ndarray, num_elements: int) -> np.ndarray:
     n = y_st.shape[1]
     w = y_st.shape[0] // num_elements
     return y_st.reshape(w, num_elements, n).transpose(1, 0, 2).reshape(num_elements, w * n)
+
+
+def ofdm_time_samples(freq_coeffs: np.ndarray) -> np.ndarray:
+    """Per-symbol OFDM synthesis sampled at rate B:
+    x[k] = (1/sqrt(N)) * sum_n X[n] exp(j*2*pi*n*k/N)."""
+    freq_coeffs = np.asarray(freq_coeffs)
+    return np.fft.ifft(freq_coeffs) * math.sqrt(freq_coeffs.size)

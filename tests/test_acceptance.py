@@ -35,9 +35,9 @@ from mars_jcas.waveform import (
     build_schedule,
     chirp_freq_coeffs,
     chirp_time_samples,
-    ofdm_time_samples,
     overhead_fraction,
 )
+from oracles import ofdm_time_samples
 
 LAM = 299792458.0 / 5e9
 

@@ -13,6 +13,7 @@ import oracles
 from conftest import WAVELENGTH, make_array, make_radio, make_scene
 from mars_jcas import clutter
 from mars_jcas.clutter import (
+    ClutterMap,
     GtriParams,
     build_clutter_map,
     gtri_reflectivity,
@@ -171,3 +172,38 @@ class TestClutterMap:
             scale = np.abs(b).max()
             assert np.abs(a - b).max() <= 1e-12 * scale
             assert np.array_equal(a == 0, b == 0)
+
+
+class TestDerivedSpectra:
+    @staticmethod
+    def _map(rng, slots, bins, l):
+        shape = (slots, bins, l)
+        return ClutterMap(chirp_tables=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                          tone_vec=np.zeros(l, dtype=complex), range_res_m=1.0,
+                          terrain="synthetic", params=None, patch_count=0, area_x_m=0.0,
+                          area_y_m=0.0, cell_m=1.0, station_height_m=1.0, seed=0)
+
+    @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4), l=st.integers(1, 8),
+           n=st.integers(4, 64), short=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_cached_spectra_equal_per_call_ffts(self, seed, slots, l, n, short):
+        # short: fewer range bins than subcarriers, so the FA FFT zero-pads.
+        cmap = self._map(np.random.default_rng(seed), slots, n // 2 if short else n, l)
+        fa = cmap.fa_spectrum(n)
+        assert np.array_equal(fa, np.fft.fft(cmap.chirp_tables[0], n=n, axis=0))
+        assert cmap.fa_spectrum(n) is fa
+        if not short:
+            chirp = cmap.chirp_spectra(n)
+            for s, table in enumerate(cmap.chirp_tables):
+                assert np.array_equal(chirp[s], n * np.fft.ifft(table, axis=0).T)
+            assert cmap.chirp_spectra(n) is chirp
+
+    def test_replaced_map_starts_without_spectra(self):
+        cmap = self._map(np.random.default_rng(1), 2, 8, 3)
+        held = cmap.fa_spectrum(8)
+        assert replace(cmap).fa_spectrum(8) is not held
+
+    def test_table_longer_than_symbol_rejected(self):
+        with pytest.raises(ValueError, match="17 range bins"):
+            self._map(np.random.default_rng(0), 1, 17, 2).fa_spectrum(16)
+

@@ -12,6 +12,7 @@ from scipy.constants import c as C0
 
 import oracles
 from conftest import make_array, make_radio, make_scene
+from mars_jcas import estimator
 from mars_jcas.estimator import (
     AngleVelocityMap,
     angle_velocity_map,
@@ -717,6 +718,39 @@ class TestFaMap:
         top = np.sort(want.ravel())[-2:]
         if top[1] - top[0] > 1e-9 * top[1]:   # argmax is defined only without a tie
             assert np.argmax(got) == np.argmax(want)
+
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
+           n=st.integers(4, 64), pool=st.sampled_from([None, 1, 3]))
+    @example(seed=1, l=3, m=40, n=4, pool=None)   # M > N: ten blocks of G rows
+    @example(seed=4, l=2, m=37, n=7, pool=None)   # odd N, M > N, partial last block
+    @example(seed=5, l=1, m=12, n=9, pool=1)      # one subcarrier: every lag is 0
+    @settings(max_examples=60, deadline=None)
+    def test_half_grid_equals_full_grid_oracle_exactly(self, seed, l, m, n, pool):
+        rng = RNG(seed)
+        sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
+        radio, sched = self._fa_case(m, n, sub)
+        meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
+        got = fa_range_doppler_map(meas, sched, radio, 1.0)
+        want = oracles.fa_range_doppler_map_full_grid(meas, sched, radio, 1.0)
+        assert np.array_equal(got.values, want.values)
+        assert got.velocity_res_mps == want.velocity_res_mps
+
+    def test_lag_cells_keyed_on_subcarriers_not_shape(self):
+        # Two draws with the same (M, N) in one process: a cache keyed on the
+        # shape alone would scatter the second onto the first one's cells.
+        m, n = 24, 16
+        rng = RNG(11)
+        meas = rng.normal(size=(3, m)) + 1j * rng.normal(size=(3, m))
+        estimator._lag_cells.cache_clear()
+        maps = []
+        for draw in (rng.integers(0, n, size=m), rng.permutation(np.arange(m) % n)):
+            radio, sched = self._fa_case(m, n, draw)
+            got = fa_range_doppler_map(meas, sched, radio, 1.0).values
+            assert np.array_equal(
+                got, oracles.fa_range_doppler_map_full_grid(meas, sched, radio, 1.0).values)
+            maps.append(got)
+        assert not np.array_equal(*maps)
+        assert estimator._lag_cells.cache_info().misses == 2
 
     def test_exact_nulls_clip_to_zero_without_warning(self):
         # A noiseless on-grid target with distinct subcarriers: every cell but

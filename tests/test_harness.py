@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_array, make_radio, make_scene, on_grid_target
-from mars_jcas import pipeline
+from mars_jcas import estimator, pipeline
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import TargetEstimate
 from mars_jcas.harness import (
@@ -263,6 +264,20 @@ class TestRunDrop:
         with pytest.raises(ValueError, match="scenario"):
             quiet_plan(scenario="boat")
 
+    @pytest.mark.parametrize("pipe,key", [
+        (PipelineSpec(suppressor="mf", eps_mode="em"), "eps_mode"),
+        (PipelineSpec(structure="fa", suppressor="sthp"), "suppressor"),
+        (PipelineSpec(structure="fa", suppressor="mf", refinement="music"), "refinement"),
+        (PipelineSpec(structure="fa", suppressor="mf", va=True), "va"),
+        (PipelineSpec(suppressor="music"), "suppressor"),
+        (PipelineSpec(music_factor=0), "music_factor"),
+    ], ids=lambda v: "" if isinstance(v, PipelineSpec) else v)
+    def test_plan_validation_checks_fixed_values(self, pipe, key):
+        # Built in Python, not parsed: validate() must hold the same line as the parser.
+        ok = PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf")
+        with pytest.raises(ValueError, match=re.escape(f"pipelines[1].{key}: ")):
+            ExperimentPlan(pipelines=(ok, pipe)).validate()
+
 
 class TestMonteCarlo:
     def test_zero_drops_no_crash(self):
@@ -362,6 +377,26 @@ class TestMonteCarlo:
         assert err.value.drop_index == 0
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 0, "None")
         assert "W >= 2" in str(err.value)
+
+    def test_drop_invariants_built_once_per_run(self, desk, desk_clutter, monkeypatch):
+        # 3 drops x 2 sweep points: the FA lag cells and each clutter
+        # spectrum are built once, not once per drop.
+        scene, plan = desk
+        cmap = replace(desk_clutter)   # same tables, no spectra held yet
+        plan = replace(plan, num_drops=3, sweep_values=(0.5, 1.0), workers=1, pipelines=(
+            PipelineSpec(structure="fa", suppressor="mf", eps_mode="inf"),
+            PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf")))
+        transforms = {"fft": 0, "ifft": 0}
+        for name in transforms:
+            def counted(a, *args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                transforms[_name] += np.shares_memory(a, cmap.chirp_tables)
+                return _fft(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        estimator._lag_cells.cache_clear()
+        records = monte_carlo(plan, scene, cmap)[1].records
+        assert len(records) == 2 * 3 * 2
+        assert estimator._lag_cells.cache_info().misses == 1
+        assert transforms == {"fft": 1, "ifft": cmap.num_tx_slots}
 
     def test_fa_pipeline_reads_its_stte_guard(self):
         # Targets two velocity bins from zero, SI out of the way: guard 1

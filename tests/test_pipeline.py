@@ -205,3 +205,44 @@ class TestFaPipeline:
         est = run_fa_pipeline(meas, scene, sched, 1)[0]
         # The static target is guard-masked; the peak lands elsewhere.
         assert abs(signed_bin(est.velocity_bin, sched.num_pri)) > 1
+
+    @staticmethod
+    def _fa_case(l, m, n, sub):
+        scene = replace(clean_scene([]), radio=make_radio(n=n, num_pri=m),
+                        array=make_array(cols=l, rows=1), num_pri=m)
+        sched = build_schedule(scene.radio, scene.array, "fa", fa_seed=0)
+        return scene, replace(sched, fa_subcarrier_indices=np.asarray(sub))
+
+    @staticmethod
+    def _outcome(run, *args):
+        try:
+            return run(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
+           n=st.integers(4, 64), pool=st.sampled_from([None, 1, 3]),
+           k=st.integers(1, 3), guard=st.integers(0, 2))
+    @example(seed=1, l=3, m=40, n=5, pool=None, k=3, guard=1)   # odd N, M > N
+    @example(seed=2, l=2, m=3, n=4, pool=1, k=3, guard=1)       # K past the free cells
+    @settings(max_examples=60, deadline=None)
+    def test_peaks_equal_transposed_copy_oracle(self, seed, l, m, n, pool, k, guard):
+        rng = np.random.default_rng(seed)
+        sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
+        scene, sched = self._fa_case(l, m, n, sub)
+        meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
+        got = self._outcome(run_fa_pipeline, meas, scene, sched, k, guard)
+        assert got == self._outcome(oracles.run_fa_pipeline, meas, scene, sched, k, guard)
+
+    def test_all_zero_map_ties_resolve_like_oracle(self):
+        # Every cell ties at 0: the first free cell in (range, velocity) order wins.
+        l, m, n = 4, 8, 6
+        scene, sched = self._fa_case(l, m, n, np.arange(m) % n)
+        meas = np.zeros((l, m), dtype=complex)
+        got = run_fa_pipeline(meas, scene, sched, 2)
+        assert got == oracles.run_fa_pipeline(meas, scene, sched, 2)
+        assert [(e.range_bin, e.velocity_bin) for e in got] == [(0, 2), (0, -4)]
+        # Guard 1 leaves 5 velocity bins x 6 ranges = 30 free cells.
+        for run in (run_fa_pipeline, oracles.run_fa_pipeline):
+            with pytest.raises(ValueError, match="map exhausted"):
+                run(meas, scene, sched, 31)

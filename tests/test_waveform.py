@@ -13,10 +13,10 @@ from mars_jcas.waveform import (
     build_schedule,
     chirp_freq_coeffs,
     chirp_time_samples,
-    ofdm_time_samples,
     overhead_fraction,
     symbol_time_samples,
 )
+from oracles import ofdm_time_samples
 
 
 def brute_cyclic_autocorr(x: np.ndarray) -> np.ndarray:
