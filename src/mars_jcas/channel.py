@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -29,7 +29,7 @@ from .seeding import rng_for
 from .waveform import MarsSchedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IfCube:
     """Sampled two-branch receiver data for one CPI.
 
@@ -58,17 +58,105 @@ def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
     return 1.0 / (1.0 + np.abs(np.asarray(freq_hz, dtype=float) / cutoff_hz) ** (2 * order))
 
 
-def _target_phase(seed: int, t: Target) -> float:
-    key = (f"{t.range_m:.9e},{t.radial_velocity_mps:.9e},"
-           f"{t.psi_x_rad:.9e},{t.psi_y_rad:.9e},{t.rcs_m2:.9e}")
-    return float(rng_for(seed, "target-phase", key).uniform(0.0, 2.0 * np.pi))
+class DropDraws:
+    """The labelled random draws one drop's cubes and FA measurements share.
+
+    Every cube of a drop reads the same streams of ``rng_for(seed, label)``,
+    so each is drawn once here: the ``si`` phases, one ``target-phase`` per
+    target, the ``uplink-direction``, and the ``noise-chirp`` blocks, where
+    block k is the k-th :func:`_complex_noise` draw of the stream at one
+    noise scale and block shape. ``chirp_reads`` gives the number of chirp
+    blocks each IF cube of the drop reads, in the order they are synthesized;
+    a block is kept only while a later cube will read it. Without it no block
+    is kept, and a block read again is drawn again from a fresh generator.
+    """
+
+    def __init__(self, seed: int, chirp_reads: Sequence[int] = ()):
+        self.seed = seed
+        self._reads = list(chirp_reads)
+        self._si = {}
+        self._phases = {}
+        self._uplink_sin = None
+        self._noise_key, self._noise_rng, self._drawn, self._kept = None, None, 0, []
+
+    def si_phases(self, num_elements: int) -> np.ndarray:
+        """Unit self-interference phasors, one per receive element."""
+        if num_elements not in self._si:
+            phases = np.exp(1j * rng_for(self.seed, "si").uniform(0.0, 2.0 * np.pi,
+                                                                  size=num_elements))
+            phases.flags.writeable = False
+            self._si[num_elements] = phases
+        return self._si[num_elements]
+
+    def target_phase(self, t: Target) -> float:
+        key = (f"{t.range_m:.9e},{t.radial_velocity_mps:.9e},"
+               f"{t.psi_x_rad:.9e},{t.psi_y_rad:.9e},{t.rcs_m2:.9e}")
+        if key not in self._phases:
+            self._phases[key] = float(rng_for(self.seed, "target-phase", key)
+                                      .uniform(0.0, 2.0 * np.pi))
+        return self._phases[key]
+
+    def uplink_direction(self, scene: ValidatedScene) -> np.ndarray:
+        """Receive steering toward the uplink user."""
+        if self._uplink_sin is None:
+            rng = rng_for(self.seed, "uplink-direction")
+            while True:
+                sx, sy = rng.uniform(-0.7, 0.7, size=2)
+                if sx * sx + sy * sy <= 1.0:
+                    break
+            self._uplink_sin = (sx, sy)
+        a = scene.array
+        return steering_ura_from_sin(*self._uplink_sin, a.rx_cols, a.rx_rows,
+                                     a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
+
+    def chirp_noise(self, scale: float, shape: tuple, count: int) -> Iterator[np.ndarray]:
+        """The next IF cube's ``count`` chirp noise blocks, in stream order.
+        Once the last is handed out, only the blocks a later cube reads stay."""
+        self._reads = self._reads[1:]
+        if self._noise_key != (scale, shape):
+            self._noise_key, self._noise_rng, self._drawn, self._kept = (scale, shape), None, 0, []
+        keep = max(self._reads, default=0)
+        # A generator expression holds no block between reads: one not kept
+        # is freed as soon as the cube has added it.
+        return (self._chirp_block(scale, shape, k, keep, k == count - 1) for k in range(count))
+
+    def _chirp_block(self, scale, shape, k, keep, last):
+        if k < len(self._kept):
+            block = self._kept[k]
+        else:
+            if self._noise_rng is None or self._drawn > k:
+                # First use, or block k was drawn and let go: replay the stream.
+                self._noise_rng, self._drawn = rng_for(self.seed, "noise-chirp"), 0
+            while self._drawn <= k:
+                block = _complex_noise(self._noise_rng, scale, shape)
+                self._drawn += 1
+            if k < keep:
+                block.flags.writeable = False
+                self._kept.append(block)
+        if last:
+            del self._kept[keep:]
+        return block
+
+    @property
+    def held_chirp_blocks(self) -> int:
+        """Chirp noise blocks kept for later cubes."""
+        return len(self._kept)
 
 
-def _target_coeff(scene: ValidatedScene, t: Target, seed: int) -> complex:
+def _draws_for(seed: Optional[int], draws: Optional[DropDraws],
+               scene: ValidatedScene) -> DropDraws:
+    if draws is None:
+        return DropDraws(scene.seed if seed is None else seed)
+    if seed is not None and seed != draws.seed:
+        raise ValueError(f"seed {seed} disagrees with the draws' seed {draws.seed}")
+    return draws
+
+
+def _target_coeff(scene: ValidatedScene, t: Target, draws: DropDraws) -> complex:
     """Round-trip channel coefficient at unit transmit power."""
     p = received_power("radar", 1.0, scene.radio.gain_tx, scene.radio.gain_rx,
                        scene.wavelength_m, t.range_m, t.rcs_m2)
-    return math.sqrt(p) * np.exp(1j * _target_phase(seed, t))
+    return math.sqrt(p) * np.exp(1j * draws.target_phase(t))
 
 
 def _rx_steering(scene: ValidatedScene, t: Target) -> np.ndarray:
@@ -94,17 +182,6 @@ def _integration_factor(doppler_hz: float, n: int, sample_rate_hz: float, exact:
         return float(n)
     z = np.exp(2j * np.pi * doppler_hz / sample_rate_hz)
     return (z**n - 1.0) / (z - 1.0)
-
-
-def _uplink_direction(scene: ValidatedScene, seed: int) -> np.ndarray:
-    rng = rng_for(seed, "uplink-direction")
-    while True:
-        sx, sy = rng.uniform(-0.7, 0.7, size=2)
-        if sx * sx + sy * sy <= 1.0:
-            break
-    a = scene.array
-    return steering_ura_from_sin(sx, sy, a.rx_cols, a.rx_rows,
-                                 a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
 
 
 def _uplink_residual_power(scene: ValidatedScene, schedule: MarsSchedule) -> float:
@@ -147,8 +224,12 @@ def _complex_noise(rng, scale: float, shape) -> np.ndarray:
 
 def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                        clutter: Optional[ClutterMap] = None,
-                       seed: Optional[int] = None) -> IfCube:
+                       seed: Optional[int] = None, *,
+                       draws: Optional[DropDraws] = None) -> IfCube:
     """Generate both receiver branches for one CPI of the given schedule.
+
+    ``draws`` holds the drop's shared draws (:class:`DropDraws`); without it
+    the cube makes its own from ``seed`` (default the scene's).
 
     Raises ``ValueError`` when a target's round-trip delay exceeds the OFDM
     symbol (its beat frequency would alias out of the receive window).
@@ -156,7 +237,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     if schedule.structure == "fa":
         raise ValueError("FA structures produce per-subcarrier measurements; "
                          "use synthesize_fa_measurements")
-    seed = scene.seed if seed is None else seed
+    draws = _draws_for(seed, draws, scene)
     radio, arr, rec = scene.radio, scene.array, scene.receiver
     n = radio.num_subcarriers
     n_el = arr.num_rx
@@ -168,12 +249,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             raise ValueError(f"target at {t.range_m} m has delay {t.delay_s():.3e} s "
                              f"> symbol duration {t_sym:.3e} s (beat would alias)")
 
-    si_phases = np.exp(1j * rng_for(seed, "si").uniform(0.0, 2.0 * np.pi, size=n_el))
-    rng_cnoise = rng_for(seed, "noise-chirp")
-    rng_tnoise = rng_for(seed, "noise-tone")
-    rng_uplink = rng_for(seed, "uplink-symbols")
-
-    coeffs = [_target_coeff(scene, t, seed) for t in scene.targets]
+    si_phases = draws.si_phases(n_el)
+    coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]
     steers = [_rx_steering(scene, t) for t in scene.targets]
 
     # Chirp branch: per-bin clutter beat tones collapse to an inverse DFT.
@@ -187,6 +264,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         clutter_base = clutter.chirp_spectra(n)
 
     samples = np.arange(n)
+    noise = draws.chirp_noise(math.sqrt(radio.noise_density_w_per_hz * bw), (n_el, n),
+                              len(flat_slots))
     chirp_blocks = []
     for slot_e, pri, tx_a, tx_b in flat_slots:
         p_slot = schedule.per_symbol_power_w[pri]
@@ -205,8 +284,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             block += math.sqrt(p_slot) * clutter_base[slot_e]
         si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
         block += si_amp * si_phases[:, None]
-        block += _complex_noise(rng_cnoise, math.sqrt(radio.noise_density_w_per_hz * bw),
-                                (n_el, n))
+        block += next(noise)
         block -= block.mean(axis=1, keepdims=True)
         if rec.residual_dc_db is not None:
             block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
@@ -235,14 +313,15 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         tone += np.outer(si_phases, si_amp) * n
         p_up = _uplink_residual_power(scene, schedule)
         if p_up > 0:
-            a_up = _uplink_direction(scene, seed)
-            symbols = _complex_noise(rng_uplink, math.sqrt(p_up), m_tone)
+            a_up = draws.uplink_direction(scene)
+            symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
+                                     math.sqrt(p_up), m_tone)
             tone += np.outer(a_up, symbols) * n
         if rec.tone_noise_bandwidth == "symbol":
             eff_bw = 1.0 / t_sym
         else:
             eff_bw = 1.0 / radio.pri_s
-        tone += _complex_noise(rng_tnoise,
+        tone += _complex_noise(rng_for(draws.seed, "noise-tone"),
                                n * math.sqrt(radio.noise_density_w_per_hz * eff_bw),
                                (n_el, m_tone))
         if rec.dc_removal:
@@ -257,17 +336,19 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
 
 def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
                                clutter: Optional[ClutterMap] = None,
-                               seed: Optional[int] = None) -> np.ndarray:
+                               seed: Optional[int] = None, *,
+                               draws: Optional[DropDraws] = None) -> np.ndarray:
     """Per-PRI single-subcarrier measurements (L x M) for an FA schedule.
 
     Measurement m is the demodulated coefficient of subcarrier n_m: target
     phase ramps exp(-j*2*pi*n_m*df*tau) * exp(j*2*pi*f_d*t_m), static
     clutter via the aggregated table, plus self-interference, a flat share
-    of the uplink, and per-subcarrier thermal noise.
+    of the uplink, and per-subcarrier thermal noise. ``draws`` and ``seed``
+    are as for :func:`synthesize_if_cube`.
     """
     if schedule.structure != "fa":
         raise ValueError("synthesize_fa_measurements requires an FA schedule")
-    seed = scene.seed if seed is None else seed
+    draws = _draws_for(seed, draws, scene)
     radio, arr = scene.radio, scene.array
     n = radio.num_subcarriers
     n_el = arr.num_rx
@@ -280,7 +361,7 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
         tau = t.delay_s()
         fd = t.doppler_hz(radio.carrier_freq_hz)
         a2d = _rx_steering(scene, t)
-        h = _target_coeff(scene, t, seed)
+        h = _target_coeff(scene, t, draws)
         ramp = np.exp(-2j * np.pi * sub * radio.subcarrier_spacing_hz * tau) \
             * np.exp(2j * np.pi * fd * t_m)
         out += np.outer(a2d, ramp) * (h * np.sqrt(schedule.per_symbol_power_w))
@@ -288,18 +369,17 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
     if clutter is not None:
         out += clutter.fa_spectrum(n)[sub].T * np.sqrt(schedule.per_symbol_power_w)
 
-    si_phases = np.exp(1j * rng_for(seed, "si").uniform(0.0, 2.0 * np.pi, size=n_el))
     si_amp = np.sqrt(schedule.per_symbol_power_w * 10.0 ** (-radio.si_attenuation_db / 10.0))
-    out += np.outer(si_phases, si_amp)
+    out += np.outer(draws.si_phases(n_el), si_amp)
 
     if radio.uplink_power_w > 0:
         p_rx = received_power("comm", radio.uplink_power_w, 1.0, 1.0,
                               scene.wavelength_m, radio.uplink_distance_m)
-        a_up = _uplink_direction(scene, seed)
-        symbols = _complex_noise(rng_for(seed, "uplink-symbols"),
+        a_up = draws.uplink_direction(scene)
+        symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
                                  math.sqrt(p_rx / n), m)
         out += np.outer(a_up, symbols)
 
     noise_scale = math.sqrt(radio.noise_density_w_per_hz * radio.subcarrier_spacing_hz)
-    out += _complex_noise(rng_for(seed, "noise-fa"), noise_scale, (n_el, m))
+    out += _complex_noise(rng_for(draws.seed, "noise-fa"), noise_scale, (n_el, m))
     return out

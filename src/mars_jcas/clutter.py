@@ -64,7 +64,7 @@ def gtri_reflectivity(grazing_rad, params: GtriParams, wavelength_m: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClutterMap:
     """Aggregated clutter response at unit transmit power and unit gains.
 

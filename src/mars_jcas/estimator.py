@@ -28,7 +28,7 @@ def signed_bin(index, size: int):
     return ((np.asarray(index) + size // 2) % size) - size // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleVelocityMap:
     """Magnitudes over (sin psi_x bin, sin psi_y bin, velocity bin) with the
     metadata to map bins back to physical values."""
@@ -407,7 +407,7 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
     return _range_peaks(d, range_res_m, single)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaMap:
     """FA nonuniform matched-filter output on the shared bin grid."""
 

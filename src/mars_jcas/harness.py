@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import synthesize_fa_measurements, synthesize_if_cube
+from .channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from .clutter import ClutterMap, build_clutter_for
 from .estimator import TargetEstimate
 from .pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
@@ -283,22 +283,34 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
 
     Pipelines sharing (structure, va) share one synthesized cube and its
     :func:`~mars_jcas.pipeline.front_end`, built once, so suppressor and
-    refinement comparisons are paired sample-for-sample. Failures are
-    raised as DropError, tagged with the drop seed.
+    refinement comparisons are paired sample-for-sample. All cubes and FA
+    measurements of the drop share one :class:`~mars_jcas.channel.DropDraws`,
+    so structures are compared on the same noise, SI and uplink draws.
+    Failures are raised as DropError, tagged with the drop seed.
     """
     drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
     groups = {}
     for pipe in plan.pipelines:
         groups.setdefault((pipe.structure, pipe.va), []).append(pipe)
+    schedules = {}
+    for key, pipes in groups.items():
+        try:
+            schedules[key] = schedule_for(scene, pipes[0], plan.seed)
+        except Exception as exc:
+            schedules[key] = exc   # raised in its group's turn, after the groups before it
+    draws = DropDraws(drop_seed, [s.num_chirp_symbols for (structure, _), s in schedules.items()
+                                  if structure != "fa" and isinstance(s, MarsSchedule)])
     for (structure, va), pipes in groups.items():
         pipe = pipes[0]
         try:
-            schedule = schedule_for(scene, pipe, plan.seed)
+            schedule = schedules[structure, va]
+            if isinstance(schedule, Exception):
+                raise schedule
             if structure == "fa":
-                data = synthesize_fa_measurements(scene, schedule, clutter, seed=drop_seed)
+                data = synthesize_fa_measurements(scene, schedule, clutter, draws=draws)
             else:
                 va_scene = replace(scene, array=scene.array.with_va(va))
-                data = synthesize_if_cube(va_scene, schedule, clutter, seed=drop_seed)
+                data = synthesize_if_cube(va_scene, schedule, clutter, draws=draws)
                 front = front_end(data, va_scene)
             for pipe in pipes:
                 info = {} if debug else None

@@ -86,7 +86,7 @@ class PipelineSpec:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontEnd:
     """What :func:`front_end` builds once per cube."""
 
@@ -183,8 +183,11 @@ def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                                              radio, num_sources=num_targets,
                                              factor=pipe.music_factor)
             sin_x, sin_y = math.sin(psi_x), math.sin(psi_y)
-        fd = 2.0 * vel * radio.carrier_freq_hz / SPEED_OF_LIGHT
-        y_st = front.y_st * np.exp(-2j * np.pi * fd * front.row_slot * radio.pri_s)[:, None]
+        y_st = front.y_st
+        if front.schedule.slots_per_chirp > 1:
+            # One slot gives every row the phase 1: no product, no copy.
+            fd = 2.0 * vel * radio.carrier_freq_hz / SPEED_OF_LIGHT
+            y_st = y_st * np.exp(-2j * np.pi * fd * front.row_slot * radio.pri_s)[:, None]
 
         cand_x, cand_y = _angle_candidates(sin_x, sin_y, pipe, scene, front.geom)
         d, rng_m, rng_bin, peak_mag, win_x, win_y = _range_stage(

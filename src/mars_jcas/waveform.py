@@ -58,7 +58,7 @@ def chirp_freq_coeffs(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / math.sqrt(samples.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarsSchedule:
     """Fully resolved per-PRI sensing plan for one CPI.
 

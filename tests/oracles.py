@@ -10,9 +10,11 @@ ramp multiply and FFT per element, and a ramp-table matmul; so are the
 full-grid Gram form of the FA map with its per-call lag cells and the FA
 peak search on a transposed copy of the map, the clutter map, built by a
 transmit-slot x receive-element loop, and the per-target chirp-branch
-assembly that the pipeline front end replaced. The last section holds
-forms that only tests use: the sample-level tone branch, the spherical
-angle conversions, the inverse space-time reshape and OFDM synthesis.
+assembly that the pipeline front end replaced. ``FreshDraws`` makes every
+random draw of a cube afresh, as each cube did before a drop's cubes shared
+one ``DropDraws``. The last section holds forms that only tests use: the
+sample-level tone branch, the spherical angle conversions, the inverse
+space-time reshape and OFDM synthesis.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from mars_jcas.channel import _rx_steering, _target_coeff
+from mars_jcas.channel import _complex_noise, _rx_steering, _target_coeff
 from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
 from mars_jcas.estimator import (
     FaMap,
@@ -39,6 +41,7 @@ from mars_jcas.estimator import (
     va_assemble,
 )
 from mars_jcas.scene import steering_from_sin
+from mars_jcas.scene import steering_ura_from_sin as library_ura_steering
 from mars_jcas.seeding import rng_for
 
 
@@ -304,6 +307,38 @@ def compensated_space_time(cube, scene, doppler_hz):
     return reshape_space_time(chirp, scene.radio.num_subcarriers), geom
 
 
+class FreshDraws:
+    """``DropDraws`` without sharing: each call draws from a fresh
+    ``rng_for(seed, label)``, and a cube's chirp noise block k is the k-th
+    ``_complex_noise`` draw of its own ``noise-chirp`` generator."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def si_phases(self, num_elements):
+        return np.exp(1j * rng_for(self.seed, "si").uniform(0.0, 2.0 * np.pi,
+                                                           size=num_elements))
+
+    def target_phase(self, t):
+        key = (f"{t.range_m:.9e},{t.radial_velocity_mps:.9e},"
+               f"{t.psi_x_rad:.9e},{t.psi_y_rad:.9e},{t.rcs_m2:.9e}")
+        return float(rng_for(self.seed, "target-phase", key).uniform(0.0, 2.0 * np.pi))
+
+    def uplink_direction(self, scene):
+        rng = rng_for(self.seed, "uplink-direction")
+        while True:
+            sx, sy = rng.uniform(-0.7, 0.7, size=2)
+            if sx * sx + sy * sy <= 1.0:
+                break
+        a = scene.array
+        return library_ura_steering(sx, sy, a.rx_cols, a.rx_rows,
+                                    a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
+
+    def chirp_noise(self, scale, shape, count):
+        rng = rng_for(self.seed, "noise-chirp")
+        return iter([_complex_noise(rng, scale, shape) for _ in range(count)])
+
+
 def tone_branch_unfused(scene, schedule, clutter=None):
     """Noiseless tone branch at sample level (L x num_tone_pris*N), for
     checking the fused integrate-and-hold against explicit column sums."""
@@ -322,7 +357,7 @@ def tone_branch_unfused(scene, schedule, clutter=None):
             tau = t.delay_s()
             fd = t.doppler_hz(radio.carrier_freq_hz)
             a2d = _rx_steering(scene, t)
-            h = _target_coeff(scene, t, seed)
+            h = _target_coeff(scene, t, FreshDraws(seed))
             phase = np.exp(2j * np.pi * radio.carrier_freq_hz * tau) \
                 * np.exp(2j * np.pi * fd * (t_ref - tau))
             within = (np.exp(2j * np.pi * fd * samples / scene.bandwidth_hz)

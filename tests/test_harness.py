@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_array, make_radio, make_scene, on_grid_target
-from mars_jcas import estimator, pipeline
+from mars_jcas import channel, estimator, harness, pipeline, seeding
+from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
+from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import TargetEstimate
 from mars_jcas.harness import (
@@ -17,16 +23,28 @@ from mars_jcas.harness import (
     ExperimentPlan,
     TargetRecord,
     draw_targets,
+    drop_estimates,
     hit_rate,
     monte_carlo,
     rmse_normalized,
     run_drop,
+    schedule_for,
     score_estimates,
     wilson_interval,
 )
+from mars_jcas.io import parse_config
 from mars_jcas.pipeline import PipelineSpec
-from mars_jcas.scene import ClutterConfig, Target
+from mars_jcas.scene import ClutterConfig, Target, validate_scene
 from mars_jcas.seeding import derive_seed
+
+# The five pipelines the desk_mc acceptance run compares.
+DESK_MC = (
+    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", va=True),
+    PipelineSpec(structure="lshape", suppressor="stap", eps_mode="zero", va=True),
+    PipelineSpec(structure="fa", suppressor="mf", eps_mode="inf"),
+    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf"),
+    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", refinement="music"),
+)
 
 
 def quiet_plan(**kw):
@@ -230,6 +248,20 @@ class TestRunDrop:
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 3, "None")
         assert f"seed {err.value.drop_seed}" in str(err.value)
 
+    def test_schedule_error_raised_in_its_groups_turn(self):
+        # Schedules are built before any cube; a group whose schedule fails
+        # still fails only after the groups before it have run.
+        scene = make_scene(arr=make_array(tx=2), indices=(1, 3, 15))  # VA slots overlap
+        plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp"),
+                                     PipelineSpec(structure="comb", suppressor="sthp", va=True)))
+        scene = replace(scene, targets=draw_targets(plan, scene, 0))
+        done = []
+        with pytest.raises(DropError, match="overlaps") as err:
+            for pipe, *_ in drop_estimates(scene, plan, 0):
+                done.append(pipe.tag)
+        assert done == [plan.pipelines[0].tag]
+        assert err.value.pipeline == plan.pipelines[1].tag
+
     def test_front_end_runs_once_per_cube(self, desk, monkeypatch):
         # Per-cube work must not scale with the pipelines sharing the cube or
         # with the targets: count calls where the pipeline module makes them.
@@ -413,3 +445,141 @@ class TestMonteCarlo:
         near, far = fa_records(1), fa_records(3)
         assert all(r.hit and abs(r.estimate.velocity_bin) == 2 for r in near)
         assert all(abs(r.estimate.velocity_bin) > 3 for r in far)
+
+
+class TestDropDraws:
+    """A drop's cubes share one DropDraws: every cube and FA measurement must
+    equal the one its own fresh draws give, and no chirp noise block is drawn
+    twice or held longer than a later cube of the drop needs it."""
+
+    @staticmethod
+    def drop_scene(scene, plan, drop_index, sweep_value):
+        # The scene run_drop hands to drop_estimates.
+        scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=sweep_value))
+        return replace(scene, targets=draw_targets(plan, scene, drop_index))
+
+    @given(order=st.permutations(range(len(DESK_MC))), size=st.integers(1, len(DESK_MC)),
+           k=st.integers(1, 3), drop_index=st.integers(0, 50),
+           sweep_value=st.sampled_from((0.1, 1.0)))
+    @settings(max_examples=25, deadline=None)
+    def test_cubes_equal_fresh_draws_and_blocks_drawn_once(self, desk, desk_clutter, order,
+                                                            size, k, drop_index, sweep_value):
+        scene, plan = desk
+        plan = replace(plan, pipelines=tuple(DESK_MC[i] for i in order[:size]),
+                       target_count=k, sweep_values=(sweep_value,))
+        scene = self.drop_scene(scene, plan, drop_index, sweep_value)
+        drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
+        counts = {"normal": 0}
+
+        class CountedRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def normal(self, *args, **kwargs):
+                counts["normal"] += 1
+                return self.rng.normal(*args, **kwargs)
+
+        def rng_for(seed, *labels):
+            counts[labels[0]] = counts.get(labels[0], 0) + 1
+            rng = seeding.rng_for(seed, *labels)
+            return CountedRng(rng) if labels == ("noise-chirp",) else rng
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(channel, "rng_for", rng_for)
+            yielded = [(pipe, data) for pipe, data, _, _ in
+                       drop_estimates(scene, plan, drop_index, desk_clutter, sweep_value)]
+        assert sorted(pipe.tag for pipe, _ in yielded) == sorted(p.tag for p in plan.pipelines)
+
+        chirp_symbols = [0]
+        for pipe, data in yielded:
+            schedule = schedule_for(scene, pipe, plan.seed)
+            fresh = oracles.FreshDraws(drop_seed)
+            if pipe.structure == "fa":
+                want = synthesize_fa_measurements(scene, schedule, desk_clutter, draws=fresh)
+                assert np.array_equal(data.view(float), want.view(float))
+                continue
+            va_scene = replace(scene, array=scene.array.with_va(pipe.va))
+            want = synthesize_if_cube(va_scene, schedule, desk_clutter, draws=fresh)
+            assert np.array_equal(data.chirp_branch.view(float), want.chirp_branch.view(float))
+            assert np.array_equal(data.tone_branch_compressed.view(float),
+                                  want.tone_branch_compressed.view(float))
+            chirp_symbols.append(schedule.num_chirp_symbols)
+        # One generator per shared label and drop (one per target for the
+        # phases); each chirp noise block is one pair of normal calls.
+        for label, want in (("noise-chirp", max(chirp_symbols) > 0), ("si", 1),
+                            ("uplink-direction", 1), ("target-phase", k)):
+            assert counts.get(label, 0) == want, label
+        assert counts["normal"] == 2 * max(chirp_symbols)
+
+    @staticmethod
+    def held_blocks(monkeypatch, scene, plan, clutter, sweep_value=None):
+        """Chirp noise blocks the drop's DropDraws holds after each block it
+        hands out, and once the drop is done."""
+        held, made = [], []
+
+        class Watched(DropDraws):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def chirp_noise(self, *args):
+                blocks = super().chirp_noise(*args)
+
+                def watched():
+                    for block in blocks:
+                        held.append(self.held_chirp_blocks)
+                        yield block
+                return watched()
+
+        monkeypatch.setattr(harness, "DropDraws", Watched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            list(drop_estimates(scene, plan, 0, clutter, sweep_value))
+        assert len(made) == 1
+        return held, made[0].held_chirp_blocks
+
+    def test_one_cube_group_holds_no_block(self, monkeypatch):
+        # The car_fa benchmark plan: FA plus one comb cube without VA.
+        scene_cfg, plan = parse_config(preset_path("table1_car"))
+        scene = validate_scene(scene_cfg)
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
+        plan = replace(plan, pipelines=(DESK_MC[2], DESK_MC[3]))
+        scene = self.drop_scene(scene, plan, 0, plan.sweep_values[0])
+        held, after = self.held_blocks(monkeypatch, scene, plan, None, plan.sweep_values[0])
+        assert len(held) == len(plan.pipelines[1:]) * 4     # 4 comb occasions, 1 slot
+        assert max(held) == after == 0
+
+    def test_blocks_held_only_for_later_cubes(self, desk, desk_clutter, monkeypatch):
+        # desk_mc order: comb-VA reads 12 blocks, then lshape-VA 4 and comb 3,
+        # so at most 4 are held, 3 while lshape-VA reads, none at the end.
+        scene, plan = desk
+        plan = replace(plan, pipelines=DESK_MC)
+        scene = self.drop_scene(scene, plan, 0, scene.radio.avg_tx_power_w)
+        held, after = self.held_blocks(monkeypatch, scene, plan, desk_clutter)
+        assert held == [1, 2, 3, 4] + [4] * 8 + [4, 4, 4, 3] + [3, 3, 0]
+        assert after == 0
+
+    def test_draws_reread_after_release_replay_the_stream(self):
+        # A DropDraws without a plan lets every block go; a second cube on it
+        # must still read blocks 0.. of the stream, not the blocks after them.
+        t = Target(300.0, 18.0, 0.1, 0.0, 50.0)
+        scene = make_scene(targets=[t])
+        sched = schedule_for(scene, PipelineSpec(), 0)
+        draws = DropDraws(42)
+        first = synthesize_if_cube(scene, sched, draws=draws)
+        again = synthesize_if_cube(scene, sched, draws=draws)
+        assert draws.held_chirp_blocks == 0
+        assert np.array_equal(first.chirp_branch.view(float), again.chirp_branch.view(float))
+        want = synthesize_if_cube(scene, sched, seed=42)
+        assert np.array_equal(want.chirp_branch.view(float), again.chirp_branch.view(float))
+        # Blocks kept for a later cube serve only cubes of the same noise scale.
+        draws = DropDraws(42, [sched.num_chirp_symbols] * 2)
+        synthesize_if_cube(scene, sched, draws=draws)
+        assert draws.held_chirp_blocks == sched.num_chirp_symbols
+        louder = replace(scene, radio=replace(scene.radio, noise_density_w_per_hz=1e-17))
+        got = synthesize_if_cube(louder, sched, draws=draws)
+        want = synthesize_if_cube(louder, sched, seed=42)
+        assert np.array_equal(want.chirp_branch.view(float), got.chirp_branch.view(float))
+        with pytest.raises(ValueError, match="disagrees"):
+            synthesize_if_cube(scene, sched, seed=41, draws=draws)

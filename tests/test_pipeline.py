@@ -13,6 +13,7 @@ import oracles
 from conftest import WAVELENGTH, make_array, make_radio, make_scene, on_grid_target
 from mars_jcas import pipeline
 from mars_jcas.channel import IfCube, synthesize_fa_measurements, synthesize_if_cube
+from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import CoarsePeak, expand_nn, signed_bin, stap_range_spectrum
 from mars_jcas.harness import schedule_for
 from mars_jcas.pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
@@ -171,6 +172,7 @@ class TestFrontEnd:
             return stap_range_spectrum(y_st, *args, **kwargs)
 
         front = front_end(cube, scene)
+        y_st = front.y_st.copy()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "stte_peaks", lambda *args: [peak])
             mp.setattr(pipeline, "stap_range_spectrum", spy)
@@ -180,6 +182,11 @@ class TestFrontEnd:
         assert len(seen) == 1
         assert np.array_equal(seen[0].view(float), want.view(float))
         assert front.geom == geom
+        # Also equal to the row-phase product on one-slot cubes, where the
+        # phase is 1 and skipped; pipelines share the snapshot, left as it was.
+        rotated = y_st * np.exp(-2j * np.pi * fd * front.row_slot * scene.radio.pri_s)[:, None]
+        assert np.array_equal(seen[0].view(float), rotated.view(float))
+        assert np.array_equal(front.y_st.view(float), y_st.view(float))
 
 
 class TestFaPipeline:
@@ -246,3 +253,37 @@ class TestFaPipeline:
         for run in (run_fa_pipeline, oracles.run_fa_pipeline):
             with pytest.raises(ValueError, match="map exhausted"):
                 run(meas, scene, sched, 31)
+
+
+class TestArrayHoldingEquality:
+    """Dataclasses holding arrays compare by identity: ``==`` answers a bool
+    instead of raising on the arrays' elementwise truth value."""
+
+    @staticmethod
+    def pair(name):
+        """Two equal-valued instances that share every non-array field."""
+        scene = make_scene(targets=[Target(300.0, 18.0, 0.1, 0.0, 50.0)])
+        fa = build_schedule(scene.radio, scene.array, "fa", fa_seed=1)
+        if name == "MarsSchedule":
+            return fa, build_schedule(scene.radio, scene.array, "fa", fa_seed=1)
+        if name == "ClutterMap":
+            return [build_clutter_map(replace(scene, clutter=replace(
+                scene.clutter, enabled=True, area_x_m=60.0, area_y_m=30.0))) for _ in "ab"]
+        if name == "FaMap":
+            meas = synthesize_fa_measurements(scene, fa, seed=1)
+            return [pipeline.fa_range_doppler_map(meas, fa, scene.radio, scene.range_res_m)
+                    for _ in "ab"]
+        sched = schedule_of(scene)
+        if name == "IfCube":
+            return [synthesize_if_cube(scene, sched, seed=1) for _ in "ab"]
+        cube = synthesize_if_cube(scene, sched, seed=1)
+        fronts = [front_end(cube, scene) for _ in "ab"]
+        return fronts if name == "FrontEnd" else [f.avmap for f in fronts]
+
+    @pytest.mark.parametrize("name", ["MarsSchedule", "ClutterMap", "IfCube", "FaMap",
+                                      "AngleVelocityMap", "FrontEnd"])
+    def test_eq_returns_bool(self, name):
+        a, b = self.pair(name)
+        assert type(a).__name__ == name
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
