@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .clutter import ClutterMap
 from .scene import (
@@ -64,11 +63,12 @@ class DropDraws:
     Every cube of a drop reads the same streams of ``rng_for(seed, label)``,
     so each is drawn once here: the ``si`` phases, one ``target-phase`` per
     target, the ``uplink-direction``, and the ``noise-chirp`` blocks, where
-    block k is the k-th :func:`_complex_noise` draw of the stream at one
-    noise scale and block shape. ``chirp_reads`` gives the number of chirp
-    blocks each IF cube of the drop reads, in the order they are synthesized;
-    a block is kept only while a later cube will read it. Without it no block
-    is kept, and a block read again is drawn again from a fresh generator.
+    block k holds the real and imaginary parts of the k-th
+    :func:`_complex_noise` draw of the stream at one noise scale and block
+    shape. ``chirp_reads`` gives the number of chirp blocks each IF cube of
+    the drop reads, in the order they are synthesized; a block is kept only
+    while a later cube will read it. Without it no block is kept, and a
+    block read again is drawn again from a fresh generator.
     """
 
     def __init__(self, seed: int, chirp_reads: Sequence[int] = ()):
@@ -78,6 +78,7 @@ class DropDraws:
         self._phases = {}
         self._uplink_sin = None
         self._noise_key, self._noise_rng, self._drawn, self._kept = None, None, 0, []
+        self._buffer = None
 
     def si_phases(self, num_elements: int) -> np.ndarray:
         """Unit self-interference phasors, one per receive element."""
@@ -109,27 +110,38 @@ class DropDraws:
         return steering_ura_from_sin(*self._uplink_sin, a.rx_cols, a.rx_rows,
                                      a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
 
-    def chirp_noise(self, scale: float, shape: tuple, count: int) -> Iterator[np.ndarray]:
-        """The next IF cube's ``count`` chirp noise blocks, in stream order.
-        Once the last is handed out, only the blocks a later cube reads stay."""
+    def chirp_noise(self, scale: float, shape: tuple, count: int):
+        """The next IF cube's ``count`` chirp noise blocks, in stream order,
+        each a (2, *shape) float array of real and imaginary parts. A block
+        no later cube reads is drawn into one reused buffer, which the next
+        block overwrites. Once the last is handed out, only the blocks a
+        later cube reads stay."""
         self._reads = self._reads[1:]
         if self._noise_key != (scale, shape):
             self._noise_key, self._noise_rng, self._drawn, self._kept = (scale, shape), None, 0, []
+            self._buffer = np.empty((2,) + tuple(shape))
         keep = max(self._reads, default=0)
-        # A generator expression holds no block between reads: one not kept
-        # is freed as soon as the cube has added it.
-        return (self._chirp_block(scale, shape, k, keep, k == count - 1) for k in range(count))
+        return (self._chirp_block(k, keep, k == count - 1) for k in range(count))
 
-    def _chirp_block(self, scale, shape, k, keep, last):
+    def _draw_chirp(self, out: np.ndarray) -> np.ndarray:
+        # One standard_normal over (2, *shape) draws the real parts, then the
+        # imaginary parts: the values of _complex_noise's two normal calls.
+        self._noise_rng.standard_normal(out=out)
+        out *= self._noise_key[0] / math.sqrt(2.0)
+        self._drawn += 1
+        return out
+
+    def _chirp_block(self, k, keep, last):
         if k < len(self._kept):
             block = self._kept[k]
         else:
             if self._noise_rng is None or self._drawn > k:
                 # First use, or block k was drawn and let go: replay the stream.
                 self._noise_rng, self._drawn = rng_for(self.seed, "noise-chirp"), 0
-            while self._drawn <= k:
-                block = _complex_noise(self._noise_rng, scale, shape)
-                self._drawn += 1
+            while self._drawn < k:
+                self._draw_chirp(self._buffer)
+            # A block a later cube reads gets its own array.
+            block = self._draw_chirp(np.empty_like(self._buffer) if k < keep else self._buffer)
             if k < keep:
                 block.flags.writeable = False
                 self._kept.append(block)
@@ -178,7 +190,9 @@ def _tx_slot_phase(scene: ValidatedScene, t: Target, tx_col: int, tx_row: int) -
 
 def _integration_factor(doppler_hz: float, n: int, sample_rate_hz: float, exact: bool) -> complex:
     """Coherent sum over the symbol of the within-symbol Doppler rotation."""
-    if not exact or doppler_hz == 0.0:
+    if not exact or abs(2.0 * np.pi * doppler_hz * n / sample_rate_hz) < np.finfo(float).eps:
+        # No rotation over the symbol, or one below rounding: the samples add
+        # up to n, where the geometric sum would divide 0 by 0 or overflow.
         return float(n)
     z = np.exp(2j * np.pi * doppler_hz / sample_rate_hz)
     return (z**n - 1.0) / (z - 1.0)
@@ -264,19 +278,26 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         clutter_base = clutter.chirp_spectra(n)
 
     samples = np.arange(n)
+    beats = []
+    for t in scene.targets:
+        beat = np.exp(2j * np.pi * (bw / t_sym) * t.delay_s() * samples / bw)
+        if rec.exact_within_symbol_doppler:
+            beat = beat * np.exp(2j * np.pi * t.doppler_hz(radio.carrier_freq_hz) * samples / bw)
+        beats.append(beat)
     noise = draws.chirp_noise(math.sqrt(radio.noise_density_w_per_hz * bw), (n_el, n),
                               len(flat_slots))
-    chirp_blocks = []
-    for slot_e, pri, tx_a, tx_b in flat_slots:
+    # Each symbol is built in one contiguous (L, N) work block (its slice of
+    # the branch has a row stride of S*N samples), then written mean-removed
+    # into that slice of the preallocated branch.
+    chirp = np.empty((n_el, len(flat_slots), n), dtype=complex)
+    block = np.empty((n_el, n), dtype=complex)
+    for out, (slot_e, pri, tx_a, tx_b) in zip(chirp.transpose(1, 0, 2), flat_slots):
+        block.fill(0.0)
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
-        block = np.zeros((n_el, n), dtype=complex)
-        for t, h, a2d in zip(scene.targets, coeffs, steers):
+        for t, h, a2d, beat in zip(scene.targets, coeffs, steers, beats):
             tau = t.delay_s()
             fd = t.doppler_hz(radio.carrier_freq_hz)
-            beat = np.exp(2j * np.pi * (bw / t_sym) * tau * samples / bw)
-            if rec.exact_within_symbol_doppler:
-                beat = beat * np.exp(2j * np.pi * fd * samples / bw)
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
             block += np.outer(a2d * amp, beat)
@@ -284,13 +305,13 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             block += math.sqrt(p_slot) * clutter_base[slot_e]
         si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
         block += si_amp * si_phases[:, None]
-        block += next(noise)
-        block -= block.mean(axis=1, keepdims=True)
+        re, im = next(noise)
+        block.real += re
+        block.imag += im
+        np.subtract(block, block.mean(axis=1, keepdims=True), out=out)
         if rec.residual_dc_db is not None:
-            block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
-        chirp_blocks.append(block)
-    chirp_branch = (np.concatenate(chirp_blocks, axis=1) if chirp_blocks
-                    else np.zeros((n_el, 0), dtype=complex))
+            out += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
+    chirp_branch = chirp.reshape(n_el, len(flat_slots) * n)
 
     # Tone branch, already integrated per PRI (sum over the symbol's N samples).
     tone_pris = schedule.tone_pri_indices()

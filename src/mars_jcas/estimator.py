@@ -3,7 +3,8 @@ angle-velocity map, coarse peak extraction (STTE), MUSIC refinement,
 space-time reshaping and steering, adaptive / hierarchical / matched-filter
 range spectra, the FA baseline correlator, and virtual-aperture assembly.
 
-Everything operates on immutable inputs and returns new arrays; grids are
+Everything treats its inputs as immutable. Results are new arrays, except
+that a one-slot :func:`va_assemble` returns its block itself. Grids are
 FFT-native and physical values derive from bin x resolution.
 """
 
@@ -421,21 +422,25 @@ class FaMap:
 
 @lru_cache(maxsize=8)
 def _lag_cells(m: int, n: int, sub_bytes: bytes) -> tuple:
-    """Per block of at most N rows of G: the block, the flat positions in
+    """Per block of at most N rows of G: the block, the float positions in
     its (B, M) entries of the pairs whose subcarrier lag (n_m' - n_m) mod N
-    is at most N/2 (the columns the hfft reads), and their cells on the
-    (M, N//2 + 1) lag grid. Every drop of a schedule shares them."""
+    is at most N/2 (the columns the range transform reads), and their slots
+    in the float view of the (M, N//2 + 1) complex lag grid; both
+    interleave (re, im). Every drop of a schedule shares them."""
     sub = np.frombuffer(sub_bytes, dtype=np.intp)
     rows = np.arange(m)
     half = n // 2 + 1
+    parts = np.arange(2)
     blocks = []
     for start in range(0, m, n):
         block = slice(start, start + n)
         lag = (sub[None, :] - sub[block, None]) % n
         keep = np.flatnonzero(lag <= n // 2)
         cells = (((rows[block, None] - rows[None, :]) % m) * half + lag).ravel()[keep]
-        keep.flags.writeable = cells.flags.writeable = False
-        blocks.append((block, keep, cells))
+        keep = (2 * keep[:, None] + parts).ravel()
+        slots = (2 * cells[:, None] + parts).ravel()
+        keep.flags.writeable = slots.flags.writeable = False
+        blocks.append((block, keep, slots))
     return tuple(blocks)
 
 
@@ -457,20 +462,24 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
         raise ValueError("fa_range_doppler_map: schedule carries no FA subcarriers")
     m = fa_meas.shape[1]
     n = radio.num_subcarriers
-    cells = m * (n // 2 + 1)
     conj = fa_meas.conj()
-    lags = np.zeros(cells, dtype=complex)
+    grid = None
     # Blocks of at most N rows of G keep the working set at O(M N); summing
     # block by block also keeps each cell's rounding what the full grid gave.
-    for block, keep, idx in _lag_cells(m, n, np.asarray(sub, dtype=np.intp).tobytes()):
-        gram = (fa_meas[:, block].T @ conj).ravel()[keep]
-        lags.real += np.bincount(idx, weights=gram.real, minlength=cells)
-        lags.imag += np.bincount(idx, weights=gram.imag, minlength=cells)
+    # The grid holds conj(G): conj(x)^T x needs no conjugate copy of a block,
+    # and conj(FFT(g)) is exactly the unnormalised inverse FFT of conj(g).
+    for block, keep, slots in _lag_cells(m, n, np.asarray(sub, dtype=np.intp).tobytes()):
+        gram = (conj[:, block].T @ fa_meas).view(float).ravel()[keep]
+        part = np.bincount(slots, weights=gram, minlength=2 * m * (n // 2 + 1))
+        grid = part if grid is None else np.add(grid, part, out=grid)
+    grid = grid.view(complex).reshape(m, -1)
     # The lag (n_m' - n_m) turns the range scan's inverse DFT into a forward
-    # one. The grid is Hermitian (G is), so after the Doppler FFT each row is
-    # too: transform the non-negative subcarrier lags and take a real hfft.
-    half = np.fft.fft(lags.reshape(m, -1), axis=0)
-    power = np.fft.hfft(half, n=n, axis=1).T                        # (N, M_vel)
+    # one. The grid is Hermitian (G is), so after the Doppler transform each
+    # row is too: transform the non-negative subcarrier lags, then take the
+    # real inverse FFT of the conjugate half spectrum (numpy's hfft, without
+    # its conjugate copy).
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    power = np.fft.irfft(grid, n=n, axis=1, norm="forward").T     # (N, M_vel)
     np.sqrt(np.maximum(power, 0.0, out=power), out=power)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
@@ -492,7 +501,8 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
     into the virtual-array snapshot whose rows follow the URA steering of
     the (tx_cols*rx_cols) x (tx_rows*rx_rows) array.
 
-    Returns (assembled matrix, virtual receive geometry).
+    Returns (assembled matrix, virtual receive geometry). With one slot the
+    rows are already in URA order and the block itself is returned.
     """
     eta_x = arr.tx_cols if arr.va_enabled else 1
     eta_y = arr.tx_rows if arr.va_enabled else 1
@@ -502,6 +512,8 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
     lx, ly = arr.rx_cols, arr.rx_rows
     if any(len(block) != lx * ly for block in per_slot):
         raise ValueError("va_assemble: slot matrices do not match the receive array size")
+    if len(per_slot) == 1:
+        return np.asarray(per_slot[0]), va_receive_geometry(arr)
     # Row (slot = b*eta_x + a, element = ly*Lx + lx) belongs at URA index
     # (b*Ly + ly) * (eta_x*Lx) + (a*Lx + lx).
     slots = np.arange(eta_x * eta_y)

@@ -219,10 +219,11 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     The same zero-velocity guard as STTE keeps the static ridge out."""
     radio = scene.radio
     famap = fa_range_doppler_map(fa_meas, schedule, radio, scene.range_res_m)
-    # Search the map in its (velocity, range) memory order; the first maximum
-    # in (range, velocity) order is the first range column holding the
-    # maximum, then the first velocity within that column.
-    values = famap.values.T.copy()
+    # The map never leaves this function, so it is masked in place. Search
+    # it in its (velocity, range) memory order; the first maximum in (range,
+    # velocity) order is the first range column holding the maximum, then
+    # the first velocity within that column.
+    values = famap.values.T
     m, n_rng = values.shape
     values[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
 
@@ -247,7 +248,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
             range_m=float(r_bin) * scene.range_res_m,
-            amplitude=float(famap.values[r_bin, v_bin]),
+            amplitude=float(values[v_bin, r_bin]),     # before the exclusion below
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
             angle_y_bin=int(signed_bin(by, arr.rx_rows)),

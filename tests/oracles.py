@@ -7,14 +7,17 @@ scoring and MUSIC candidate building were batched: one explicit
 Tests compare the library against them column by column. The FA
 correlator map and FA clutter term are kept in their direct forms too: one
 ramp multiply and FFT per element, and a ramp-table matmul; so are the
-full-grid Gram form of the FA map with its per-call lag cells and the FA
-peak search on a transposed copy of the map, the clutter map, built by a
-transmit-slot x receive-element loop, and the per-target chirp-branch
-assembly that the pipeline front end replaced. ``FreshDraws`` makes every
-random draw of a cube afresh, as each cube did before a drop's cubes shared
-one ``DropDraws``. The last section holds forms that only tests use: the
-sample-level tone branch, the spherical angle conversions, the inverse
-space-time reshape and OFDM synthesis.
+full-grid Gram form of the FA map with its per-call lag cells, the
+half-grid form with a zeroed grid, two ``bincount`` passes and numpy's
+``hfft``, the FA peak search on a transposed copy of the map, the clutter
+map, built by a transmit-slot x receive-element loop, the general VA row
+scatter (one slot included), the per-target chirp-branch assembly that the
+pipeline front end replaced, and the chirp branch synthesized one symbol
+at a time with complex noise and a final concatenation. ``FreshDraws``
+makes every random draw of a cube afresh, as each cube did before a drop's
+cubes shared one ``DropDraws``. The last section holds forms that only
+tests use: the sample-level tone branch, the spherical angle conversions,
+the inverse space-time reshape and OFDM synthesis.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from mars_jcas.channel import _complex_noise, _rx_steering, _target_coeff
+from mars_jcas.channel import _complex_noise, _rx_steering, _target_coeff, _tx_slot_phase
 from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
 from mars_jcas.estimator import (
     FaMap,
@@ -175,6 +178,31 @@ def fa_range_doppler_map_full_grid(fa_meas, schedule, radio, range_res_m):
                  velocity_res_mps=vel_res)
 
 
+def fa_range_doppler_map_half_grid(fa_meas, schedule, radio, range_res_m):
+    """Gram form on the (M, N//2 + 1) half lag grid: a zeroed complex grid,
+    one ``bincount`` each for the real and imaginary parts of G's kept
+    pairs, a forward Doppler FFT and numpy's ``hfft``."""
+    sub = schedule.fa_subcarrier_indices
+    m = fa_meas.shape[1]
+    n = radio.num_subcarriers
+    half = n // 2 + 1
+    rows = np.arange(m)
+    lags = np.zeros(m * half, dtype=complex)
+    conj = fa_meas.conj()
+    for start in range(0, m, n):
+        block = slice(start, start + n)
+        lag = (sub[None, :] - sub[block, None]) % n
+        keep = np.flatnonzero(lag <= n // 2)
+        idx = (((rows[block, None] - rows[None, :]) % m) * half + lag).ravel()[keep]
+        gram = (fa_meas[:, block].T @ conj).ravel()[keep]
+        lags.real += np.bincount(idx, weights=gram.real, minlength=m * half)
+        lags.imag += np.bincount(idx, weights=gram.imag, minlength=m * half)
+    power = np.fft.hfft(np.fft.fft(lags.reshape(m, half), axis=0), n=n, axis=1).T
+    np.sqrt(np.maximum(power, 0.0, out=power), out=power)
+    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
+    return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+
+
 def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
     """FA pipeline on the full-grid map, searching a C-order (range, velocity)
     copy of it by flat argmax."""
@@ -285,6 +313,22 @@ def build_clutter_map(scene):
     )
 
 
+def va_assemble_scatter(per_slot, arr):
+    """Virtual-array assembly by the general row scatter for any slot count,
+    one slot included."""
+    eta_x = arr.tx_cols if arr.va_enabled else 1
+    eta_y = arr.tx_rows if arr.va_enabled else 1
+    lx, ly = arr.rx_cols, arr.rx_rows
+    slots = np.arange(eta_x * eta_y)
+    rx = np.arange(lx * ly)
+    target = (((slots // eta_x)[:, None] * ly + (rx // lx)[None, :]) * (eta_x * lx)
+              + (slots % eta_x)[:, None] * lx + (rx % lx)[None, :])
+    out = np.empty((target.size,) + np.shape(per_slot[0])[1:], dtype=np.result_type(*per_slot))
+    for rows, block in zip(target, per_slot):
+        out[rows] = block
+    return out
+
+
 def compensated_space_time(cube, scene, doppler_hz):
     """Chirp-branch space-time snapshot assembled per target: per occasion,
     each VA slot e > 0 rotated by exp(-j 2 pi f_d e PRI), one ``va_assemble``
@@ -309,8 +353,9 @@ def compensated_space_time(cube, scene, doppler_hz):
 
 class FreshDraws:
     """``DropDraws`` without sharing: each call draws from a fresh
-    ``rng_for(seed, label)``, and a cube's chirp noise block k is the k-th
-    ``_complex_noise`` draw of its own ``noise-chirp`` generator."""
+    ``rng_for(seed, label)``, and a cube's chirp noise block k holds the
+    real and imaginary parts of the k-th ``_complex_noise`` draw of its own
+    ``noise-chirp`` generator."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -336,7 +381,49 @@ class FreshDraws:
 
     def chirp_noise(self, scale, shape, count):
         rng = rng_for(self.seed, "noise-chirp")
-        return iter([_complex_noise(rng, scale, shape) for _ in range(count)])
+        blocks = [_complex_noise(rng, scale, shape) for _ in range(count)]
+        return iter([np.stack([b.real, b.imag]) for b in blocks])
+
+
+def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
+    """Chirp branch built one symbol at a time: a zeroed (L, N) block per
+    symbol with every target's beat tone recomputed, the complex noise of
+    the cube's own ``noise-chirp`` generator added, and the blocks then
+    concatenated."""
+    radio, arr, rec = scene.radio, scene.array, scene.receiver
+    n, n_el = radio.num_subcarriers, arr.num_rx
+    bw, t_sym = scene.bandwidth_hz, scene.symbol_duration_s
+    draws = FreshDraws(scene.seed if seed is None else seed)
+    si_phases = draws.si_phases(n_el)
+    coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]
+    steers = [_rx_steering(scene, t) for t in scene.targets]
+    noise_rng = rng_for(draws.seed, "noise-chirp")
+    samples = np.arange(n)
+    blocks = []
+    for occ in schedule.va_slots:
+        for slot_e, (pri, tx_a, tx_b) in enumerate(occ):
+            p_slot = schedule.per_symbol_power_w[pri]
+            block = np.zeros((n_el, n), dtype=complex)
+            for t, h, a2d in zip(scene.targets, coeffs, steers):
+                tau = t.delay_s()
+                fd = t.doppler_hz(radio.carrier_freq_hz)
+                beat = np.exp(2j * np.pi * (bw / t_sym) * tau * samples / bw)
+                if rec.exact_within_symbol_doppler:
+                    beat = beat * np.exp(2j * np.pi * fd * samples / bw)
+                amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
+                       * np.exp(2j * np.pi * fd * (pri * radio.pri_s - tau)))
+                block += np.outer(a2d * amp, beat)
+            if clutter is not None:
+                block += math.sqrt(p_slot) * clutter.chirp_spectra(n)[slot_e]
+            si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
+            block += si_amp * si_phases[:, None]
+            block += _complex_noise(noise_rng, math.sqrt(radio.noise_density_w_per_hz * bw),
+                                    (n_el, n))
+            block -= block.mean(axis=1, keepdims=True)
+            if rec.residual_dc_db is not None:
+                block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
+            blocks.append(block)
+    return np.concatenate(blocks, axis=1) if blocks else np.zeros((n_el, 0), dtype=complex)
 
 
 def tone_branch_unfused(scene, schedule, clutter=None):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 import oracles
-from conftest import make_array, make_radio, make_scene, on_grid_target
+from conftest import make_array, make_radio, make_scene
 from mars_jcas.channel import (
     butterworth_power_gain,
     synthesize_fa_measurements,
@@ -18,8 +18,7 @@ from mars_jcas.channel import (
 )
 from mars_jcas.clutter import ClutterMap, build_clutter_map
 from mars_jcas.estimator import column_compress
-from mars_jcas.harness import schedule_for
-from mars_jcas.scene import ClutterConfig, Target
+from mars_jcas.scene import Target
 from mars_jcas.waveform import build_schedule
 from oracles import tone_branch_unfused
 
@@ -60,6 +59,31 @@ class TestChirpBranch:
         si_amp = math.sqrt(10 * scene.radio.avg_tx_power_w * 1e-5)
         got = np.abs(cube.chirp_branch[0, 0])
         assert got == pytest.approx(si_amp * 10 ** (-40 / 20), rel=1e-6)
+
+    @given(targets=st.lists(st.tuples(st.floats(10.0, 2000.0), st.floats(-60.0, 60.0),
+                                      st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+                            max_size=3),
+           va=st.booleans(), clutter=st.booleans(), exact=st.booleans(),
+           residual=st.sampled_from([None, 40.0]), seed=st.integers(0, 2**32 - 1))
+    @example(targets=[(300.0, 18.0, 0.1, 0.0)], va=True, clutter=True, exact=True,
+             residual=40.0, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_in_place_symbols_equal_per_symbol_oracle(self, targets, va, clutter, exact,
+                                                      residual, seed):
+        # Symbols built in their slices of one branch, beat tones made once
+        # per cube and real noise parts added in place must give the
+        # per-symbol blocks with complex noise, concatenated, bit for bit.
+        scene = make_scene(arr=make_array(tx=2, va=va), exact_within_symbol_doppler=exact,
+                           residual_dc_db=residual,
+                           targets=[Target(r, v, x, y, 50.0) for r, v, x, y in targets])
+        cmap = None
+        if clutter:
+            cmap = build_clutter_map(replace(scene, clutter=replace(
+                scene.clutter, enabled=True, area_x_m=60.0, area_y_m=30.0)))
+        sched = schedule_of(scene)
+        got = synthesize_if_cube(scene, sched, cmap, seed=seed).chirp_branch
+        want = oracles.chirp_branch_per_symbol(scene, sched, cmap, seed=seed)
+        assert np.array_equal(got.view(float), want.view(float))
 
     def test_delay_beyond_symbol_rejected(self):
         t = Target(range_m=3000.0, radial_velocity_mps=0.0, psi_x_rad=0.0,
@@ -209,6 +233,20 @@ class TestDopplerModes:
         tf = np.max(np.abs(cf.tone_branch_compressed))
         te = np.max(np.abs(ce.tone_branch_compressed))
         assert abs(20 * math.log10(tf / te)) < 0.1
+
+
+    def test_exact_mode_with_doppler_below_rounding_stays_finite(self):
+        # A Doppler too small to rotate the symbol (here subnormal, where the
+        # geometric sum's quotient overflowed) integrates like a static target.
+        scene = make_scene(radio=quiet_radio(), si_attenuation_db=600.0, dc_removal=False,
+                           exact_within_symbol_doppler=True,
+                           targets=[Target(300.0, 2.2250738585072014e-309, 0.0, 0.0, 100.0)])
+        static = replace(scene, targets=(Target(300.0, 0.0, 0.0, 0.0, 100.0),))
+        sched = schedule_of(scene)
+        got, want = (synthesize_if_cube(s, sched, seed=5) for s in (scene, static))
+        assert np.all(np.isfinite(got.tone_branch_compressed))
+        np.testing.assert_allclose(np.abs(got.tone_branch_compressed),
+                                   np.abs(want.tone_branch_compressed), rtol=1e-9)
 
 
 class TestUplinkAndFilters:

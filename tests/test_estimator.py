@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 import oracles
-from conftest import make_array, make_radio, make_scene
+from conftest import make_array, make_radio
 from mars_jcas import estimator
 from mars_jcas.estimator import (
     AngleVelocityMap,
@@ -31,7 +31,6 @@ from mars_jcas.estimator import (
     stte_peaks,
     temporal_steering,
     va_assemble,
-    va_receive_geometry,
 )
 from mars_jcas.scene import steering_from_sin, steering_ura_from_sin
 from mars_jcas.waveform import build_schedule
@@ -735,6 +734,25 @@ class TestFaMap:
         assert np.array_equal(got.values, want.values)
         assert got.velocity_res_mps == want.velocity_res_mps
 
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
+           n=st.integers(4, 64), pool=st.sampled_from([None, 1, 3]))
+    @example(seed=1, l=3, m=40, n=4, pool=None)   # M > N: ten blocks of G rows
+    @example(seed=4, l=2, m=37, n=7, pool=None)   # odd N, M > N, partial last block
+    @example(seed=5, l=1, m=12, n=9, pool=1)      # one subcarrier: every lag is 0
+    @example(seed=6, l=4, m=30, n=5, pool=3)      # odd N, M > N, repeats
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_gram_equals_half_grid_oracle_exactly(self, seed, l, m, n, pool):
+        # The conjugate Gram, one interleaved bincount and the in-place inverse
+        # transforms must give the zeroed-grid, two-bincount, fft + hfft map.
+        rng = RNG(seed)
+        sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
+        radio, sched = self._fa_case(m, n, sub)
+        meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
+        got = fa_range_doppler_map(meas, sched, radio, 1.0)
+        want = oracles.fa_range_doppler_map_half_grid(meas, sched, radio, 1.0)
+        assert np.array_equal(got.values, want.values)
+        assert got.velocity_res_mps == want.velocity_res_mps
+
     def test_lag_cells_keyed_on_subcarriers_not_shape(self):
         # Two draws with the same (M, N) in one process: a cache keyed on the
         # shape alone would scatter the second onto the first one's cells.
@@ -777,6 +795,27 @@ class TestVaAssemble:
         out, geom = va_assemble(mats, arr)
         np.testing.assert_allclose(out, mats[0])
         assert geom.rx_cols == 4 and geom.rx_rows == 4
+
+    @given(rx=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           tx=st.tuples(st.integers(1, 3), st.integers(1, 3)), va=st.booleans(),
+           cols=st.integers(1, 6), real=st.booleans(), seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_general_scatter_oracle(self, rx, tx, va, cols, real, seed):
+        # One slot returns its block itself; every slot count must still equal
+        # the general row scatter.
+        arr = make_array(cols=rx[0], rows=rx[1], tx=1, va=va)
+        arr = replace(arr, tx_cols=tx[0], tx_rows=tx[1])
+        rng = RNG(seed)
+        count = arr.slots_per_chirp
+        shape = (arr.num_rx, cols)
+        slots = [rng.normal(size=shape) if real
+                 else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                 for _ in range(count)]
+        out, _ = va_assemble(slots, arr)
+        want = oracles.va_assemble_scatter(slots, arr)
+        assert out.dtype == want.dtype
+        assert np.array_equal(out, want)
+        assert (out is slots[0]) == (count == 1)
 
     def test_steering_stack_matches_big_ura(self):
         arr = make_array(cols=2, rows=2, tx=2, va=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -469,15 +470,15 @@ class TestDropDraws:
                        target_count=k, sweep_values=(sweep_value,))
         scene = self.drop_scene(scene, plan, drop_index, sweep_value)
         drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
-        counts = {"normal": 0}
+        counts = {"normals": 0}
 
         class CountedRng:
             def __init__(self, rng):
                 self.rng = rng
 
-            def normal(self, *args, **kwargs):
-                counts["normal"] += 1
-                return self.rng.normal(*args, **kwargs)
+            def standard_normal(self, *, out):
+                counts["normals"] += out.size
+                return self.rng.standard_normal(out=out)
 
         def rng_for(seed, *labels):
             counts[labels[0]] = counts.get(labels[0], 0) + 1
@@ -491,7 +492,7 @@ class TestDropDraws:
                        drop_estimates(scene, plan, drop_index, desk_clutter, sweep_value)]
         assert sorted(pipe.tag for pipe, _ in yielded) == sorted(p.tag for p in plan.pipelines)
 
-        chirp_symbols = [0]
+        chirp_symbols, block_size = [0], 2 * scene.array.num_rx * scene.radio.num_subcarriers
         for pipe, data in yielded:
             schedule = schedule_for(scene, pipe, plan.seed)
             fresh = oracles.FreshDraws(drop_seed)
@@ -506,11 +507,11 @@ class TestDropDraws:
                                   want.tone_branch_compressed.view(float))
             chirp_symbols.append(schedule.num_chirp_symbols)
         # One generator per shared label and drop (one per target for the
-        # phases); each chirp noise block is one pair of normal calls.
+        # phases); each chirp noise block is drawn once, 2 x L x N normals.
         for label, want in (("noise-chirp", max(chirp_symbols) > 0), ("si", 1),
                             ("uplink-direction", 1), ("target-phase", k)):
             assert counts.get(label, 0) == want, label
-        assert counts["normal"] == 2 * max(chirp_symbols)
+        assert counts["normals"] == block_size * max(chirp_symbols)
 
     @staticmethod
     def held_blocks(monkeypatch, scene, plan, clutter, sweep_value=None):
@@ -583,3 +584,32 @@ class TestDropDraws:
         assert np.array_equal(want.chirp_branch.view(float), got.chirp_branch.view(float))
         with pytest.raises(ValueError, match="disagrees"):
             synthesize_if_cube(scene, sched, seed=41, draws=draws)
+
+
+class TestDropMemory:
+    """Peak memory of the drop phase alone. perfbench's peak RSS is set by
+    the clutter build, so it cannot see what one drop allocates."""
+
+    def test_car_drop_peak_below_three_chirp_branches(self):
+        # A car_fa drop (FA + comb, no VA) must stay below three 8 MiB chirp
+        # branches.
+        scene_cfg, plan = parse_config(preset_path("table1_car"))
+        scene = validate_scene(scene_cfg)
+        plan = replace(plan, pipelines=(DESK_MC[2], DESK_MC[3]))
+        clutter = build_clutter_map(scene)
+        sweep_value = plan.sweep_values[0]
+        sched = schedule_for(scene, DESK_MC[3], plan.seed)
+        branch = scene.array.num_rx * sched.num_chirp_symbols * scene.radio.num_subcarriers * 16
+        assert branch == 8 * 2**20
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # The first drop builds what every later drop shares: the map's
+            # spectra and the FA lag cells.
+            run_drop(scene, plan, 0, clutter, sweep_value)
+            tracemalloc.start()
+            try:
+                run_drop(scene, plan, 1, clutter, sweep_value)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * branch
