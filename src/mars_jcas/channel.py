@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .clutter import ClutterMap
 from .scene import (
+    RadioParams,
+    ReceiverConfig,
     Target,
     ValidatedScene,
     received_power,
@@ -32,24 +35,24 @@ from .waveform import MarsSchedule
 class IfCube:
     """Sampled two-branch receiver data for one CPI.
 
-    ``chirp_branch`` holds every chirp symbol's N beat samples side by side
-    (occasion-major, VA slot order within an occasion), ``tone_branch_compressed``
-    one integrated value per tone-bearing PRI.
+    ``chirp_branch`` is symbol-major: one contiguous (L, N) block of beat
+    samples per chirp symbol, occasion-major with the VA slot order within
+    an occasion. ``tone_branch_compressed`` holds one integrated value per
+    tone-bearing PRI.
     """
 
-    chirp_branch: np.ndarray           # (L, num_chirp_symbols * N)
+    chirp_branch: np.ndarray           # (num_chirp_symbols, L, N)
     tone_branch_compressed: np.ndarray  # (L, num_tone_pris)
     schedule: MarsSchedule
     sample_rate_hz: float
 
     @property
     def num_elements(self) -> int:
-        return self.chirp_branch.shape[0]
+        return self.chirp_branch.shape[1]
 
     def chirp_symbol(self, index: int) -> np.ndarray:
         """One chirp symbol's (L, N) sample block."""
-        n = int(round(self.chirp_branch.shape[1] / max(1, self.schedule.num_chirp_symbols)))
-        return self.chirp_branch[:, index * n:(index + 1) * n]
+        return self.chirp_branch[index]
 
 
 def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
@@ -124,12 +127,8 @@ class DropDraws:
         return (self._chirp_block(k, keep, k == count - 1) for k in range(count))
 
     def _draw_chirp(self, out: np.ndarray) -> np.ndarray:
-        # One standard_normal over (2, *shape) draws the real parts, then the
-        # imaginary parts: the values of _complex_noise's two normal calls.
-        self._noise_rng.standard_normal(out=out)
-        out *= self._noise_key[0] / math.sqrt(2.0)
         self._drawn += 1
-        return out
+        return _noise_parts(self._noise_rng, self._noise_key[0], out)
 
     def _chirp_block(self, k, keep, last):
         if k < len(self._kept):
@@ -198,9 +197,12 @@ def _integration_factor(doppler_hz: float, n: int, sample_rate_hz: float, exact:
     return (z**n - 1.0) / (z - 1.0)
 
 
-def _uplink_residual_power(scene: ValidatedScene, schedule: MarsSchedule) -> float:
+@lru_cache(maxsize=8)
+def _uplink_residual_power(radio: RadioParams, rec: ReceiverConfig, guard: int,
+                           tone_index: int) -> float:
     """Uplink power surviving the whole tone-branch chain, on the unit-gain
-    (pre-integration) amplitude scale.
+    (pre-integration) amplitude scale, for a schedule's guard width and tone
+    subcarrier; cached, as every cube of a run asks for the same few.
 
     Each data subcarrier sits (k + cfo) subcarrier spacings away from the
     tone; it is attenuated by the low-pass power response there, then by the
@@ -208,18 +210,16 @@ def _uplink_residual_power(scene: ValidatedScene, schedule: MarsSchedule) -> flo
     the spacing (OFDM orthogonality) and leaves only the fractional-offset
     leakage.
     """
-    radio, rec = scene.radio, scene.receiver
     if radio.uplink_power_w <= 0:
         return 0.0
     p_rx = received_power("comm", radio.uplink_power_w, 1.0, 1.0,
-                          scene.wavelength_m, radio.uplink_distance_m)
+                          radio.wavelength_m, radio.uplink_distance_m)
     df = radio.subcarrier_spacing_hz
-    guard = schedule.guard_subcarriers
     cutoff = rec.butterworth_cutoff_hz
     if cutoff is None:
         cutoff = (1 + guard) * df / 2.0
     n = radio.num_subcarriers
-    k = np.arange(n) - schedule.tone_subcarrier_index
+    k = np.arange(n) - tone_index
     mask = np.abs(k) > guard
     offsets = (k[mask] + rec.uplink_cfo_fraction) * df
     gains = butterworth_power_gain(offsets, cutoff, rec.butterworth_order)
@@ -231,9 +231,19 @@ def _uplink_residual_power(scene: ValidatedScene, schedule: MarsSchedule) -> flo
     return float(p_rx / n * np.sum(gains * integ))
 
 
-def _complex_noise(rng, scale: float, shape) -> np.ndarray:
-    return (rng.normal(scale=scale / math.sqrt(2.0), size=shape)
-            + 1j * rng.normal(scale=scale / math.sqrt(2.0), size=shape))
+def _noise_parts(rng, scale: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (2, *shape) with the real parts, then the imaginary parts,
+    of complex Gaussian noise of power ``scale**2``: one ``standard_normal``
+    draw scaled in place, bit for bit the values of a ``normal(scale=...)``
+    call for each part."""
+    rng.standard_normal(out=out)
+    out *= scale / math.sqrt(2.0)
+    return out
+
+
+def _complex_noise(rng, scale: float, shape: tuple) -> np.ndarray:
+    re, im = _noise_parts(rng, scale, np.empty((2,) + shape))
+    return re + 1j * im
 
 
 def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
@@ -286,32 +296,42 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         beats.append(beat)
     noise = draws.chirp_noise(math.sqrt(radio.noise_density_w_per_hz * bw), (n_el, n),
                               len(flat_slots))
-    # Each symbol is built in one contiguous (L, N) work block (its slice of
-    # the branch has a row stride of S*N samples), then written mean-removed
-    # into that slice of the preallocated branch.
-    chirp = np.empty((n_el, len(flat_slots), n), dtype=complex)
-    block = np.empty((n_el, n), dtype=complex)
-    for out, (slot_e, pri, tx_a, tx_b) in zip(chirp.transpose(1, 0, 2), flat_slots):
-        block.fill(0.0)
+    # Each symbol is built in place in its own contiguous (L, N) block, in
+    # the order a zero-filled block would sum its terms: the first product
+    # is written, later ones are added through one reused spare. Noise is
+    # added to every sample, so dropping the zero fill's 0 + x (which only
+    # turns -0.0 into 0.0) changes no bit of the branch.
+    chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
+    spare = np.empty((n_el, n), dtype=complex)
+    means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
+    for block, mean, (slot_e, pri, tx_a, tx_b) in zip(chirp, means, flat_slots):
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
+        terms = []
         for t, h, a2d, beat in zip(scene.targets, coeffs, steers, beats):
             tau = t.delay_s()
             fd = t.doppler_hz(radio.carrier_freq_hz)
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
-            block += np.outer(a2d * amp, beat)
+            terms.append(((a2d * amp)[:, None], beat))
         if clutter_base is not None:
-            block += math.sqrt(p_slot) * clutter_base[slot_e]
+            terms.append((math.sqrt(p_slot), clutter_base[slot_e]))
+        if not terms:
+            block.fill(0.0)
+        for k, (a, b) in enumerate(terms):
+            np.multiply(a, b, out=spare if k else block)
+            if k:
+                block += spare
         si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
         block += si_amp * si_phases[:, None]
         re, im = next(noise)
         block.real += re
         block.imag += im
-        np.subtract(block, block.mean(axis=1, keepdims=True), out=out)
+        # A NaN or inf sample makes its row mean non-finite: the guard below
+        # reads the means instead of scanning the branch again.
+        block -= np.mean(block, axis=1, keepdims=True, out=mean)
         if rec.residual_dc_db is not None:
-            out += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
-    chirp_branch = chirp.reshape(n_el, len(flat_slots) * n)
+            block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
 
     # Tone branch, already integrated per PRI (sum over the symbol's N samples).
     tone_pris = schedule.tone_pri_indices()
@@ -332,11 +352,12 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     if m_tone:
         si_amp = np.sqrt(p_tone * 10.0 ** (-radio.si_attenuation_db / 10.0))
         tone += np.outer(si_phases, si_amp) * n
-        p_up = _uplink_residual_power(scene, schedule)
+        p_up = _uplink_residual_power(radio, rec, schedule.guard_subcarriers,
+                                      schedule.tone_subcarrier_index)
         if p_up > 0:
             a_up = draws.uplink_direction(scene)
             symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
-                                     math.sqrt(p_up), m_tone)
+                                     math.sqrt(p_up), (m_tone,))
             tone += np.outer(a_up, symbols) * n
         if rec.tone_noise_bandwidth == "symbol":
             eff_bw = 1.0 / t_sym
@@ -348,10 +369,10 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         if rec.dc_removal:
             tone -= tone.mean(axis=1, keepdims=True)
 
-    if not (np.all(np.isfinite(chirp_branch)) and np.all(np.isfinite(tone))):
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(tone))):
         raise ValueError("synthesize_if_cube produced non-finite samples; "
                          "check powers and geometry")
-    return IfCube(chirp_branch=chirp_branch, tone_branch_compressed=tone,
+    return IfCube(chirp_branch=chirp, tone_branch_compressed=tone,
                   schedule=schedule, sample_rate_hz=bw)
 
 
@@ -398,7 +419,7 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
                               scene.wavelength_m, radio.uplink_distance_m)
         a_up = draws.uplink_direction(scene)
         symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
-                                 math.sqrt(p_rx / n), m)
+                                 math.sqrt(p_rx / n), (m,))
         out += np.outer(a_up, symbols)
 
     noise_scale = math.sqrt(radio.noise_density_w_per_hz * radio.subcarrier_spacing_hz)

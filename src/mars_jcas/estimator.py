@@ -4,7 +4,8 @@ space-time reshaping and steering, adaptive / hierarchical / matched-filter
 range spectra, the FA baseline correlator, and virtual-aperture assembly.
 
 Everything treats its inputs as immutable. Results are new arrays, except
-that a one-slot :func:`va_assemble` returns its block itself. Grids are
+that a one-slot :func:`va_assemble` returns its block itself and
+:func:`reshape_space_time` a view of a contiguous stack. Grids are
 FFT-native and physical values derive from bin x resolution.
 """
 
@@ -187,8 +188,8 @@ def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
 
 
 def _forward_backward(r: np.ndarray) -> np.ndarray:
-    j = np.eye(r.shape[0])[::-1]
-    return 0.5 * (r + j @ r.conj() @ j)
+    # J conj(R) J with the exchange matrix J is conj(R) with both axes reversed.
+    return 0.5 * (r + r.conj()[::-1, ::-1])
 
 
 def _noise_projector(r: np.ndarray, num_sources: int) -> np.ndarray:
@@ -251,13 +252,15 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     return vel, math.asin(sin_x), math.asin(sin_y)
 
 
-def reshape_space_time(chirp_branch: np.ndarray, n: int) -> np.ndarray:
-    """Stack the W chirp symbols' (L, N) blocks vertically into (W*L, N)."""
-    l, cols = chirp_branch.shape
-    if cols % n:
-        raise ValueError(f"reshape_space_time: {cols} columns not divisible by N={n}")
-    w = cols // n
-    return chirp_branch.reshape(l, w, n).transpose(1, 0, 2).reshape(w * l, n)
+def reshape_space_time(symbols: np.ndarray, n: int) -> np.ndarray:
+    """Stack W chirp symbols' (L, N) blocks, given symbol-major as (W, L, N),
+    vertically into the (W*L, N) snapshot; a view when the stack is
+    contiguous."""
+    if np.ndim(symbols) != 3 or symbols.shape[2] != n:
+        raise ValueError(f"reshape_space_time: shape {np.shape(symbols)} is not "
+                         f"(W, L, N={n}) symbol blocks")
+    w, l, _ = symbols.shape
+    return symbols.reshape(w * l, n)
 
 
 def temporal_steering(velocity_mps: float, schedule: MarsSchedule,
@@ -499,9 +502,11 @@ def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,
 def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
     """Stack the per-transmit-element chirp matrices (x-fastest slot order)
     into the virtual-array snapshot whose rows follow the URA steering of
-    the (tx_cols*rx_cols) x (tx_rows*rx_rows) array.
+    the (tx_cols*rx_cols) x (tx_rows*rx_rows) array. Each slot's rows are
+    its second-to-last axis, so (L, N) matrices and (W, L, N) stacks of
+    them both assemble.
 
-    Returns (assembled matrix, virtual receive geometry). With one slot the
+    Returns (assembled array, virtual receive geometry). With one slot the
     rows are already in URA order and the block itself is returned.
     """
     eta_x = arr.tx_cols if arr.va_enabled else 1
@@ -510,19 +515,14 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
         raise ValueError(f"va_assemble: expected {eta_x * eta_y} slot matrices, "
                          f"got {len(per_slot)}")
     lx, ly = arr.rx_cols, arr.rx_rows
-    if any(len(block) != lx * ly for block in per_slot):
+    if any(np.ndim(block) < 2 or np.shape(block)[-2] != lx * ly for block in per_slot):
         raise ValueError("va_assemble: slot matrices do not match the receive array size")
     if len(per_slot) == 1:
         return np.asarray(per_slot[0]), va_receive_geometry(arr)
     # Row (slot = b*eta_x + a, element = ly*Lx + lx) belongs at URA index
-    # (b*Ly + ly) * (eta_x*Lx) + (a*Lx + lx).
-    slots = np.arange(eta_x * eta_y)
-    rx = np.arange(lx * ly)
-    a_idx, b_idx = slots % eta_x, slots // eta_x
-    lx_idx, ly_idx = rx % lx, rx // lx
-    target = ((b_idx[:, None] * ly + ly_idx[None, :]) * (eta_x * lx)
-              + a_idx[:, None] * lx + lx_idx[None, :])
-    out = np.empty((target.size,) + np.shape(per_slot[0])[1:], dtype=np.result_type(*per_slot))
-    for rows, block in zip(target, per_slot):
-        out[rows] = block
-    return out, va_receive_geometry(arr)
+    # ((b*Ly + ly) * eta_x + a) * Lx + lx: one strided copy per slot.
+    lead, cols = np.shape(per_slot[0])[:-2], np.shape(per_slot[0])[-1]
+    out = np.empty(lead + (eta_y, ly, eta_x, lx, cols), dtype=np.result_type(*per_slot))
+    for slot, block in enumerate(per_slot):
+        out[..., slot // eta_x, :, slot % eta_x, :, :] = np.reshape(block, lead + (ly, lx, cols))
+    return out.reshape(lead + (eta_y * ly * eta_x * lx, cols)), va_receive_geometry(arr)

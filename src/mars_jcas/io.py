@@ -363,11 +363,14 @@ _CUBE_MAGIC = b"MARSCUB1"
 
 def write_cube(path, cube: IfCube) -> None:
     """Header (magic, version, dims, sample rate, schedule JSON) followed by
-    row-major little-endian complex128 payloads, chirp branch then tone."""
-    chirp = np.ascontiguousarray(cube.chirp_branch, dtype="<c16")
+    row-major little-endian complex128 payloads, chirp branch then tone.
+    The file holds the chirp branch element-major, (L, symbols * N); the
+    cube's symbol-major (symbols, L, N) is transposed here and in
+    :func:`read_cube`."""
+    chirp = np.ascontiguousarray(cube.chirp_branch.transpose(1, 0, 2), dtype="<c16")
     tone = np.ascontiguousarray(cube.tone_branch_compressed, dtype="<c16")
     n_sym = cube.schedule.num_chirp_symbols
-    n = chirp.shape[1] // n_sym if n_sym else 0
+    n = chirp.shape[2] if n_sym else 0
     meta = json.dumps({"schedule": cube.schedule.to_dict()}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CUBE_MAGIC)
@@ -389,10 +392,11 @@ def read_cube(path) -> IfCube:
         (sample_rate,) = struct.unpack("<d", fh.read(8))
         (meta_len,) = struct.unpack("<I", fh.read(4))
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        chirp = np.frombuffer(fh.read(16 * l * n_sym * n), dtype="<c16").reshape(l, n_sym * n)
+        chirp = np.frombuffer(fh.read(16 * l * n_sym * n), dtype="<c16").reshape(l, n_sym, n)
         tone = np.frombuffer(fh.read(16 * l * m_tone), dtype="<c16").reshape(l, m_tone)
     schedule = MarsSchedule.from_dict(meta["schedule"])
-    return IfCube(chirp_branch=chirp.astype(complex), tone_branch_compressed=tone.astype(complex),
+    return IfCube(chirp_branch=np.ascontiguousarray(chirp.transpose(1, 0, 2), dtype=complex),
+                  tone_branch_compressed=tone.astype(complex),
                   schedule=schedule, sample_rate_hz=sample_rate)
 
 

@@ -105,16 +105,16 @@ def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
     gets the same per-slot phase, so static clutter stays occasion-invariant."""
     y_e2 = expand_nn(cube.tone_branch_compressed, cube.schedule)
     avm = angle_velocity_map(y_e2, scene.array.with_va(False), scene.radio)
-    n = scene.radio.num_subcarriers
+    n, l = scene.radio.num_subcarriers, cube.num_elements
     w, slots = cube.schedule.num_chirp_occasions, cube.schedule.slots_per_chirp
     arr = scene.array.with_va(slots > 1)
-    # Columns are (occasion, slot, sample): assemble each slot's (L, W, N) block.
-    by_slot = cube.chirp_branch.reshape(-1, w, slots, n)
-    chirp, geom = va_assemble([by_slot[:, :, e] for e in range(slots)], arr)
-    row_slot, _ = va_assemble([np.full((len(by_slot), w), e) for e in range(slots)], arr)
+    # Symbols are (occasion, slot)-major: assemble each slot's (W, L, N) view.
+    # One slot needs no assembly, so the snapshot is a view of the cube.
+    by_slot = cube.chirp_branch.reshape(w, slots, l, n)
+    chirp, geom = va_assemble([by_slot[:, e] for e in range(slots)], arr)
+    row_slot, _ = va_assemble([np.full((w, l, 1), e) for e in range(slots)], arr)
     return FrontEnd(schedule=cube.schedule, y_e2=y_e2, avmap=avm,
-                    y_st=reshape_space_time(chirp.reshape(-1, w * n), n),
-                    row_slot=row_slot.T.ravel(), geom=geom)
+                    y_st=reshape_space_time(chirp, n), row_slot=row_slot.ravel(), geom=geom)
 
 
 def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from mars_jcas.cli import preset_path

@@ -12,12 +12,16 @@ half-grid form with a zeroed grid, two ``bincount`` passes and numpy's
 ``hfft``, the FA peak search on a transposed copy of the map, the clutter
 map, built by a transmit-slot x receive-element loop, the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
-pipeline front end replaced, and the chirp branch synthesized one symbol
-at a time with complex noise and a final concatenation. ``FreshDraws``
-makes every random draw of a cube afresh, as each cube did before a drop's
-cubes shared one ``DropDraws``. The last section holds forms that only
-tests use: the sample-level tone branch, the spherical angle conversions,
-the inverse space-time reshape and OFDM synthesis.
+pipeline front end replaced (on the element-major (L, W*N) chirp layout,
+with its occasion interleave), and the chirp branch synthesized one symbol
+at a time with complex noise and a final concatenation into that layout.
+``complex_noise`` draws the real and imaginary parts by two ``normal``
+calls, and MUSIC's forward-backward average is kept with its dense
+exchange-matrix products. ``FreshDraws`` makes every random draw of a cube
+afresh, as each cube did before a drop's cubes shared one ``DropDraws``.
+The last section holds forms that only tests use: the sample-level tone
+branch, the spherical angle conversions, the inverse space-time reshape
+and OFDM synthesis.
 """
 
 from __future__ import annotations
@@ -29,17 +33,15 @@ from typing import Optional
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from mars_jcas.channel import _complex_noise, _rx_steering, _target_coeff, _tx_slot_phase
+from mars_jcas.channel import _rx_steering, _target_coeff, _tx_slot_phase
 from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
 from mars_jcas.estimator import (
     FaMap,
     TargetEstimate,
-    _forward_backward,
     _music_scan,
     _noise_projector,
     epsilon_m,
     fa_angle_snapshot,
-    reshape_space_time,
     signed_bin,
     va_assemble,
 )
@@ -53,6 +55,20 @@ def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m
     ax = steering_from_sin(sin_psi_x, cols, dx, wavelength_m)
     ay = steering_from_sin(sin_psi_y, rows, dy, wavelength_m)
     return np.kron(ay, ax)
+
+
+def complex_noise(rng, scale, shape):
+    """Complex Gaussian noise of power ``scale**2``: one ``normal`` call for
+    the real parts, then one for the imaginary parts."""
+    return (rng.normal(scale=scale / math.sqrt(2.0), size=shape)
+            + 1j * rng.normal(scale=scale / math.sqrt(2.0), size=shape))
+
+
+def forward_backward_dense(r):
+    """Forward-backward average 0.5 (R + J conj(R) J) with the exchange
+    matrix J applied by two dense matmuls."""
+    j = np.eye(r.shape[0])[::-1]
+    return 0.5 * (r + j @ r.conj() @ j)
 
 
 def _loaded_inverse(s_i, eps_mode, epsilon):
@@ -113,10 +129,11 @@ def sthp_range_spectrum(y_st, a_t, a_s, eps_mode="em", *, range_res_m=1.0,
 
 
 def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):
-    """MUSIC refinement with the spatial candidates built one point at a time."""
+    """MUSIC refinement with the spatial candidates built one point at a time
+    and the dense forward-backward average."""
     l, m = y_e2.shape
     lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
-    e_s = _noise_projector(_forward_backward(y_e2 @ y_e2.conj().T / m), num_sources)
+    e_s = _noise_projector(forward_backward_dense(y_e2 @ y_e2.conj().T / m), num_sources)
     steps = np.linspace(-1.0, 1.0, 2 * factor + 1)
     res_x = lam / (arr.rx_cols * arr.rx_spacing_x_m)
     res_y = lam / (arr.rx_rows * arr.rx_spacing_y_m)
@@ -129,7 +146,7 @@ def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):
         for x, y in zip(gx.ravel(), gy.ravel())
     ], axis=1)
     best = _music_scan(e_s, cand)
-    e_st = _noise_projector(_forward_backward(y_e2.T @ y_e2.conj() / l), num_sources)
+    e_st = _noise_projector(forward_backward_dense(y_e2.T @ y_e2.conj() / l), num_sources)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     vels = coarse.velocity_mps + steps * vel_res
     t_m = np.arange(m) * radio.pri_s
@@ -329,11 +346,19 @@ def va_assemble_scatter(per_slot, arr):
     return out
 
 
+def interleave_space_time(chirp_branch, n):
+    """Element-major (L, W*N) chirp branch to the (W*L, N) snapshot: the W
+    symbols' (L, N) blocks stacked vertically."""
+    l, cols = chirp_branch.shape
+    w = cols // n
+    return chirp_branch.reshape(l, w, n).transpose(1, 0, 2).reshape(w * l, n)
+
+
 def compensated_space_time(cube, scene, doppler_hz):
     """Chirp-branch space-time snapshot assembled per target: per occasion,
     each VA slot e > 0 rotated by exp(-j 2 pi f_d e PRI), one ``va_assemble``
-    per occasion, then the occasions concatenated and reshaped. Returns
-    (y_st, virtual receive geometry)."""
+    of (L, N) blocks per occasion, then the occasions concatenated
+    element-major and interleaved. Returns (y_st, virtual receive geometry)."""
     schedule = cube.schedule
     slots = schedule.slots_per_chirp
     arr = scene.array.with_va(slots > 1)
@@ -348,14 +373,14 @@ def compensated_space_time(cube, scene, doppler_hz):
         assembled, geom = va_assemble(mats, arr)
         occasions.append(assembled)
     chirp = np.concatenate(occasions, axis=1)
-    return reshape_space_time(chirp, scene.radio.num_subcarriers), geom
+    return interleave_space_time(chirp, scene.radio.num_subcarriers), geom
 
 
 class FreshDraws:
     """``DropDraws`` without sharing: each call draws from a fresh
     ``rng_for(seed, label)``, and a cube's chirp noise block k holds the
-    real and imaginary parts of the k-th ``_complex_noise`` draw of its own
-    ``noise-chirp`` generator."""
+    real and imaginary parts of the k-th :func:`complex_noise` draw of its
+    own ``noise-chirp`` generator."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -381,7 +406,7 @@ class FreshDraws:
 
     def chirp_noise(self, scale, shape, count):
         rng = rng_for(self.seed, "noise-chirp")
-        blocks = [_complex_noise(rng, scale, shape) for _ in range(count)]
+        blocks = [complex_noise(rng, scale, shape) for _ in range(count)]
         return iter([np.stack([b.real, b.imag]) for b in blocks])
 
 
@@ -389,7 +414,7 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
     """Chirp branch built one symbol at a time: a zeroed (L, N) block per
     symbol with every target's beat tone recomputed, the complex noise of
     the cube's own ``noise-chirp`` generator added, and the blocks then
-    concatenated."""
+    concatenated element-major into (L, symbols * N)."""
     radio, arr, rec = scene.radio, scene.array, scene.receiver
     n, n_el = radio.num_subcarriers, arr.num_rx
     bw, t_sym = scene.bandwidth_hz, scene.symbol_duration_s
@@ -417,8 +442,8 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
                 block += math.sqrt(p_slot) * clutter.chirp_spectra(n)[slot_e]
             si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
             block += si_amp * si_phases[:, None]
-            block += _complex_noise(noise_rng, math.sqrt(radio.noise_density_w_per_hz * bw),
-                                    (n_el, n))
+            block += complex_noise(noise_rng, math.sqrt(radio.noise_density_w_per_hz * bw),
+                                   (n_el, n))
             block -= block.mean(axis=1, keepdims=True)
             if rec.residual_dc_db is not None:
                 block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
@@ -474,10 +499,9 @@ def spherical_from_psi(psi_x_rad, psi_y_rad):
 
 def unshape_space_time(y_st: np.ndarray, num_elements: int) -> np.ndarray:
     """Inverse of :func:`mars_jcas.estimator.reshape_space_time` for
-    ``num_elements`` rows per chirp occasion."""
+    ``num_elements`` rows per chirp occasion: the (W, L, N) symbol stack."""
     n = y_st.shape[1]
-    w = y_st.shape[0] // num_elements
-    return y_st.reshape(w, num_elements, n).transpose(1, 0, 2).reshape(num_elements, w * n)
+    return y_st.reshape(y_st.shape[0] // num_elements, num_elements, n)
 
 
 def ofdm_time_samples(freq_coeffs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ The desk-scale Monte-Carlo run backing criteria 5 and 6 is shared: the same
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import replace
@@ -27,9 +26,9 @@ from mars_jcas.estimator import (
     sthp_range_spectrum,
 )
 from mars_jcas.harness import monte_carlo, rmse_normalized
-from mars_jcas.io import parse_config, read_manifest
+from mars_jcas.io import read_manifest
 from mars_jcas.pipeline import PipelineSpec
-from mars_jcas.scene import steering_from_sin, steering_ura_from_sin, validate_scene
+from mars_jcas.scene import steering_from_sin, steering_ura_from_sin
 from mars_jcas.waveform import (
     ChirpSpec,
     build_schedule,

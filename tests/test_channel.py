@@ -11,6 +11,7 @@ from scipy.constants import c as C0
 
 import oracles
 from conftest import make_array, make_radio, make_scene
+from mars_jcas import channel
 from mars_jcas.channel import (
     butterworth_power_gain,
     synthesize_fa_measurements,
@@ -57,24 +58,28 @@ class TestChirpBranch:
         scene = make_scene(radio=radio, residual_dc_db=40.0)
         cube = synthesize_if_cube(scene, schedule_of(scene))
         si_amp = math.sqrt(10 * scene.radio.avg_tx_power_w * 1e-5)
-        got = np.abs(cube.chirp_branch[0, 0])
+        got = np.abs(cube.chirp_branch[0, 0, 0])
         assert got == pytest.approx(si_amp * 10 ** (-40 / 20), rel=1e-6)
 
     @given(targets=st.lists(st.tuples(st.floats(10.0, 2000.0), st.floats(-60.0, 60.0),
                                       st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
-                            max_size=3),
-           va=st.booleans(), clutter=st.booleans(), exact=st.booleans(),
+                            max_size=2),
+           va=st.booleans(), w=st.integers(1, 4), clutter=st.booleans(), exact=st.booleans(),
            residual=st.sampled_from([None, 40.0]), seed=st.integers(0, 2**32 - 1))
-    @example(targets=[(300.0, 18.0, 0.1, 0.0)], va=True, clutter=True, exact=True,
+    @example(targets=[(300.0, 18.0, 0.1, 0.0)], va=True, w=3, clutter=True, exact=True,
              residual=40.0, seed=1)
-    @settings(max_examples=30, deadline=None)
-    def test_in_place_symbols_equal_per_symbol_oracle(self, targets, va, clutter, exact,
+    @example(targets=[], va=False, w=1, clutter=False, exact=False, residual=None, seed=2)
+    @example(targets=[(300.0, 18.0, 0.1, 0.0), (800.0, -7.0, -0.3, 0.2)], va=True, w=4,
+             clutter=False, exact=False, residual=None, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_symbols_equal_per_symbol_oracle(self, targets, va, w, clutter, exact,
                                                       residual, seed):
-        # Symbols built in their slices of one branch, beat tones made once
-        # per cube and real noise parts added in place must give the
-        # per-symbol blocks with complex noise, concatenated, bit for bit.
+        # Symbols built in place in the symbol-major branch, beat tones made
+        # once per cube and real noise parts added in place must give the
+        # per-symbol blocks with two-normal complex noise, bit for bit.
+        slots = 4 if va else 1
         scene = make_scene(arr=make_array(tx=2, va=va), exact_within_symbol_doppler=exact,
-                           residual_dc_db=residual,
+                           residual_dc_db=residual, indices=tuple(1 + k * slots for k in range(w)),
                            targets=[Target(r, v, x, y, 50.0) for r, v, x, y in targets])
         cmap = None
         if clutter:
@@ -83,7 +88,50 @@ class TestChirpBranch:
         sched = schedule_of(scene)
         got = synthesize_if_cube(scene, sched, cmap, seed=seed).chirp_branch
         want = oracles.chirp_branch_per_symbol(scene, sched, cmap, seed=seed)
+        n_el, n = scene.array.num_rx, scene.radio.num_subcarriers
+        assert got.shape == (w * slots, n_el, n) and got.flags.c_contiguous
+        want = want.reshape(n_el, w * slots, n).transpose(1, 0, 2)
         assert np.array_equal(got.view(float), want.view(float))
+
+    @given(uplink=st.sampled_from([0.0, 0.2]), fa=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_tone_and_fa_noise_equal_two_normal_draws(self, uplink, fa, seed):
+        # The tone, uplink and FA noise are one standard_normal draw per
+        # stream; with the two-normal draw patched in, every sample is equal.
+        scene = make_scene(uplink_power_w=uplink, uplink_cfo_fraction=0.3,
+                           targets=[Target(300.0, 18.0, 0.1, 0.0, 50.0)])
+        if fa:
+            sched = build_schedule(scene.radio, scene.array, "fa", fa_seed=4)
+            synth = synthesize_fa_measurements
+        else:
+            sched = schedule_of(scene)
+            synth = synthesize_if_cube
+        got = synth(scene, sched, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_complex_noise", oracles.complex_noise)
+            want = synth(scene, sched, seed=seed)
+        if not fa:
+            got, want = got.tone_branch_compressed, want.tone_branch_compressed
+        assert np.array_equal(got.view(float), want.view(float))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0, 0), (2, 1, 5, 511)])
+    def test_non_finite_sample_raises(self, value, where):
+        # One bad noise sample, in the real or imaginary part of any symbol,
+        # makes its row mean non-finite, and the cube is refused.
+        k, part, row, col = where
+        scene = make_scene(targets=[Target(300.0, 18.0, 0.1, 0.0, 50.0)])
+
+        class PoisonedDraws(oracles.FreshDraws):
+            def chirp_noise(self, scale, shape, count):
+                blocks = list(super().chirp_noise(scale, shape, count))
+                blocks[k][part, row, col] = value
+                return iter(blocks)
+
+        with pytest.raises(ValueError, match="non-finite samples"):
+            synthesize_if_cube(scene, schedule_of(scene), draws=PoisonedDraws(7))
+        synthesize_if_cube(scene, schedule_of(scene), draws=oracles.FreshDraws(7))
 
     def test_delay_beyond_symbol_rejected(self):
         t = Target(range_m=3000.0, radial_velocity_mps=0.0, psi_x_rad=0.0,
@@ -263,6 +311,23 @@ class TestUplinkAndFilters:
         cube = synthesize_if_cube(scene, schedule_of(scene))
         assert np.max(np.abs(cube.tone_branch_compressed)) > 0
         assert np.max(np.abs(cube.chirp_branch)) < 1e-15
+
+    def test_residual_power_cached_per_radio_receiver_and_tone(self):
+        # Every cube of a run asks for the same residual power: computed once,
+        # and a changed receiver (here the CFO) is a new key and a new value.
+        radio = replace(quiet_radio(), uplink_power_w=0.2)
+        scene = make_scene(radio=radio, dc_removal=False, uplink_cfo_fraction=0.3)
+        shifted = replace(scene, receiver=replace(scene.receiver, uplink_cfo_fraction=0.1))
+        sched = schedule_of(scene)
+        channel._uplink_residual_power.cache_clear()
+        first, again = (synthesize_if_cube(scene, sched, seed=1) for _ in range(2))
+        assert np.array_equal(first.tone_branch_compressed, again.tone_branch_compressed)
+        info = channel._uplink_residual_power.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        key = (sched.guard_subcarriers, sched.tone_subcarrier_index)
+        assert (channel._uplink_residual_power(radio, shifted.receiver, *key)
+                != channel._uplink_residual_power(radio, scene.receiver, *key))
+        assert channel._uplink_residual_power.cache_info().misses == 2
 
     def test_on_grid_uplink_is_orthogonal(self):
         # With zero fractional offset the integrate-and-hold nulls every

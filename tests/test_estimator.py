@@ -287,29 +287,48 @@ class TestMusicRefine:
         assert (music_refine(y, peak, arr, radio, factor=factor)
                 == oracles.music_refine(y, peak, arr, radio, factor=factor))
 
+    @given(l=st.integers(1, 70), m=st.integers(1, 520), seed=st.integers(0, 1000))
+    @example(l=16, m=64, seed=0)     # desk size
+    @example(l=64, m=500, seed=1)    # table1_uav size
+    @example(l=7, m=13, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_forward_backward_reversal_equals_dense_exchange(self, l, m, seed):
+        # Both covariances MUSIC averages: spatial (L x L) and temporal (M x M).
+        rng = RNG(seed)
+        y = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
+        for r in (y @ y.conj().T / m, y.T @ y.conj() / l):
+            got = estimator._forward_backward(r)
+            assert np.array_equal(got.view(float), oracles.forward_backward_dense(r).view(float))
+
 
 class TestSpaceTime:
     def test_w1_identity(self):
-        y = RNG(0).normal(size=(4, 8)) + 0j
+        y = RNG(0).normal(size=(1, 4, 8)) + 0j
         y_st = reshape_space_time(y, 8)
         assert y_st.shape == (4, 8)     # W = 1: one block of L = 4 rows
-        np.testing.assert_allclose(y_st, y)
+        np.testing.assert_allclose(y_st, y[0])
+        assert np.shares_memory(y_st, y)
 
     def test_toy_layout(self):
-        # W=2, L=2, N=3: block rows stack symbol samples.
+        # W=2, L=2, N=3: block rows stack symbol samples, symbol by symbol,
+        # as the occasion interleave of the element-major (L, W*N) layout.
         y = np.arange(12).reshape(2, 6).astype(complex)
-        y_st = reshape_space_time(y, 3)
+        y_st = reshape_space_time(y.reshape(2, 2, 3).transpose(1, 0, 2).copy(), 3)
         want = np.array([[0, 1, 2], [6, 7, 8], [3, 4, 5], [9, 10, 11]], dtype=complex)
         np.testing.assert_allclose(y_st, want)
+        np.testing.assert_allclose(oracles.interleave_space_time(y, 3), want)
 
     def test_round_trip(self):
-        y = RNG(1).normal(size=(6, 20)) + 1j * RNG(2).normal(size=(6, 20))
+        y = RNG(1).normal(size=(4, 6, 5)) + 1j * RNG(2).normal(size=(4, 6, 5))
         y_st = reshape_space_time(y, 5)
+        assert y_st.shape == (24, 5) and np.shares_memory(y_st, y)
         np.testing.assert_allclose(unshape_space_time(y_st, 6), y)
 
     def test_mismatched_columns(self):
-        with pytest.raises(ValueError, match="divisible"):
-            reshape_space_time(np.ones((2, 10)), 4)
+        with pytest.raises(ValueError, match="N=4"):
+            reshape_space_time(np.ones((2, 2, 10)), 4)
+        with pytest.raises(ValueError, match="N=4"):      # the element-major layout
+            reshape_space_time(np.ones((2, 8)), 4)
 
 
 class TestSpaceTimeSteering:
@@ -798,21 +817,27 @@ class TestVaAssemble:
 
     @given(rx=st.tuples(st.integers(1, 4), st.integers(1, 4)),
            tx=st.tuples(st.integers(1, 3), st.integers(1, 3)), va=st.booleans(),
-           cols=st.integers(1, 6), real=st.booleans(), seed=st.integers(0, 1000))
+           cols=st.integers(1, 6), w=st.sampled_from([None, 1, 2, 4]),
+           real=st.booleans(), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
-    def test_equals_general_scatter_oracle(self, rx, tx, va, cols, real, seed):
+    def test_equals_general_scatter_oracle(self, rx, tx, va, cols, w, real, seed):
         # One slot returns its block itself; every slot count must still equal
-        # the general row scatter.
+        # the general row scatter, for (L, N) matrices and for the (W, L, N)
+        # stacks the front end passes, each symbol assembled on its own.
         arr = make_array(cols=rx[0], rows=rx[1], tx=1, va=va)
         arr = replace(arr, tx_cols=tx[0], tx_rows=tx[1])
         rng = RNG(seed)
         count = arr.slots_per_chirp
-        shape = (arr.num_rx, cols)
+        shape = (arr.num_rx, cols) if w is None else (w, arr.num_rx, cols)
         slots = [rng.normal(size=shape) if real
                  else rng.normal(size=shape) + 1j * rng.normal(size=shape)
                  for _ in range(count)]
         out, _ = va_assemble(slots, arr)
-        want = oracles.va_assemble_scatter(slots, arr)
+        if w is None:
+            want = oracles.va_assemble_scatter(slots, arr)
+        else:
+            want = np.stack([oracles.va_assemble_scatter([b[k] for b in slots], arr)
+                             for k in range(w)])
         assert out.dtype == want.dtype
         assert np.array_equal(out, want)
         assert (out is slots[0]) == (count == 1)

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
 import json
-import math
 import re
+import struct
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import make_radio, make_scene, on_grid_target
+import oracles
+from conftest import make_array, make_radio, make_scene, on_grid_target
 from mars_jcas.channel import synthesize_if_cube
 from mars_jcas.cli import main, preset_path
 from mars_jcas.harness import schedule_for
@@ -29,7 +29,6 @@ from mars_jcas.io import (
     write_cube,
 )
 from mars_jcas.pipeline import PipelineSpec, front_end, run_pipeline
-from mars_jcas.scene import validate_scene
 
 
 class TestConfigParsing:
@@ -216,6 +215,32 @@ class TestCubeFormat:
         loaded = run_pipeline(front_end(back, scene), scene, pipe, 1)[0]
         assert direct == loaded
 
+    @pytest.mark.parametrize("va", [False, True])
+    def test_file_bytes_keep_element_major_layout(self, tmp_path, va):
+        # The file is version 1 as documented in the README: the chirp
+        # branch element-major, (L, symbols * N), as the per-symbol oracle
+        # concatenates it; the cube's symbol-major branch is transposed on
+        # the way out and back.
+        scene = make_scene(radio=make_radio(n=64, power_w=10.0),
+                           arr=make_array(cols=2, rows=3, tx=2, va=va),
+                           indices=(1, 5) if va else (1, 6, 15))
+        scene = replace(scene, targets=(on_grid_target(scene),))
+        sched = schedule_for(scene, PipelineSpec(structure="comb", va=va), 1)
+        cube = synthesize_if_cube(scene, sched, seed=9)
+        path = tmp_path / "c.bin"
+        write_cube(path, cube)
+        chirp = oracles.chirp_branch_per_symbol(scene, sched, seed=9)
+        meta = json.dumps({"schedule": sched.to_dict()}).encode("utf-8")
+        want = (b"MARSCUB1"
+                + struct.pack("<IIIII", 1, 6, sched.num_chirp_symbols, 64, sched.num_tone_pris)
+                + struct.pack("<d", cube.sample_rate_hz) + struct.pack("<I", len(meta)) + meta
+                + chirp.astype("<c16").tobytes()
+                + cube.tone_branch_compressed.astype("<c16").tobytes())
+        assert path.read_bytes() == want
+        back = read_cube(path)
+        assert back.chirp_branch.flags.c_contiguous
+        assert np.array_equal(back.chirp_branch.view(float), cube.chirp_branch.view(float))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACUBE" + b"\0" * 64)
@@ -298,7 +323,7 @@ class TestCli:
         est = (out / "estimates.csv").read_text().splitlines()
         assert len(est) == 2
         cube = read_cube(out / "cube_comb-sthp-inf-fft-va.bin")
-        assert cube.chirp_branch.shape[0] == 16
+        assert cube.num_elements == 16 and cube.chirp_branch.shape[1] == 16
         manifest = read_manifest(out / "manifest.json")
         names = {o["path"] for o in manifest.outputs}
         assert "estimates.csv" in names and "truth.csv" in names
@@ -344,7 +369,7 @@ class TestCli:
                      "--targets", "1", "--dump-cube"])
         assert code == 0
         cube = read_cube(out / "cube_comb-sthp-inf-fft.bin")
-        assert cube.chirp_branch.shape == (64, 4 * 2048)
+        assert cube.chirp_branch.shape == (4, 64, 2048)
         assert cube.tone_branch_compressed.shape == (64, 496)
         assert cube.schedule.num_chirp_occasions == 4
         assert cube.sample_rate_hz == pytest.approx(122.88e6)

@@ -159,7 +159,8 @@ class TestFrontEnd:
         def noise(cols):
             return rng.normal(size=(l, cols)) + 1j * rng.normal(size=(l, cols))
 
-        cube = IfCube(chirp_branch=noise(sched.num_chirp_symbols * n),
+        cube = IfCube(chirp_branch=noise(sched.num_chirp_symbols * n)
+                      .reshape(l, -1, n).transpose(1, 0, 2).copy(),
                       tone_branch_compressed=noise(sched.num_tone_pris),
                       schedule=sched, sample_rate_hz=1.0)
         peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,
@@ -186,11 +187,9 @@ class TestFrontEnd:
         rotated = y_st * np.exp(-2j * np.pi * fd * front.row_slot * scene.radio.pri_s)[:, None]
         assert np.array_equal(seen[0].view(float), rotated.view(float))
         assert np.array_equal(front.y_st.view(float), y_st.view(float))
-        # One-slot va_assemble returns the cube's block; reshape_space_time's
-        # occasion interleave then copies it, unless one occasion or one
-        # element leaves the row order as it is.
-        view = slots == 1 and (w == 1 or l == 1)
-        assert np.shares_memory(front.y_st, cube.chirp_branch) == view
+        # One slot needs no assembly: the snapshot is a view of the
+        # symbol-major cube for any W. With VA the slot scatter copies it.
+        assert np.shares_memory(front.y_st, cube.chirp_branch) == (slots == 1)
 
 
 class TestFaPipeline:

@@ -14,7 +14,6 @@ from mars_jcas.cli import preset_path
 from mars_jcas.io import parse_config
 from oracles import psi_from_spherical, spherical_from_psi
 from mars_jcas.scene import (
-    ArrayGeometry,
     SceneValidationError,
     Target,
     received_power,
