@@ -80,7 +80,7 @@ class TargetEstimate:
     range_bin: int
     refinement: str = "fft"   # fft | music
     method: str = "stap"      # stap | sthp | mf
-    eps_mode: str = "em"      # zero | em | inf | value
+    eps_mode: str = "em"      # zero | em | inf
 
     @property
     def sin_psi_x(self) -> float:
@@ -326,7 +326,7 @@ def _loaded_solve(s_i: np.ndarray, a: np.ndarray, eps_mode: str,
     rank = int(np.sum(mags > mags.max() * dim * np.finfo(float).eps))
     if rank < dim:
         warnings.warn(f"interference covariance rank {rank} < {dim}; "
-                      "using pseudo-inverse", RuntimeWarning, stacklevel=3)
+                      "using pseudo-inverse", RuntimeWarning, stacklevel=4)
     inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=mags > 1e-15 * mags.max())
     return (vecs * inv_vals) @ (vecs.conj().T @ a)
 
@@ -339,13 +339,27 @@ def _quadratic_norms(a: np.ndarray, wa: np.ndarray, caller: str) -> np.ndarray:
     if dead.any():
         warnings.warn(f"{caller}: steering annihilated by the whitener in "
                       f"{int(dead.sum())} of {den.size} column(s); spectrum unnormalized",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
     return np.where(dead, 1.0, den)
 
 
-def _range_peaks(d: np.ndarray, range_res_m: float, single: bool) -> tuple:
+def _range_spectra(y: np.ndarray, steering: np.ndarray, eps_mode: str, epsilon,
+                   range_res_m: float, caller: str, root_norm: bool) -> tuple:
+    """Range FFT of (W a)^H y over a^H W a (sqrt(|a^H W a|) with ``root_norm``)
+    for each steering column a, and its peaks. W is the identity at eps_mode
+    'inf', else the loaded or pseudo-inverse of y's covariance, by one solve."""
+    a = steering.reshape(len(steering), -1)
+    if eps_mode == "inf":
+        wa = a
+        den = np.einsum("ij,ij->j", a.conj(), a).real
+    else:
+        wa = _loaded_solve(interference_cov(y), a, eps_mode, epsilon)
+        den = _quadratic_norms(a, wa, caller)
+    if root_norm:
+        den = np.sqrt(np.abs(den))
+    d = np.fft.fft(wa.conj().T @ y, axis=1) / den[:, None]
     bins = np.argmax(np.abs(d), axis=1)
-    if single:
+    if steering.ndim == 1:
         return d[0], int(bins[0]) * range_res_m, int(bins[0])
     return d, bins * range_res_m, bins
 
@@ -360,18 +374,18 @@ def stap_range_spectrum(y_st: np.ndarray, a_st: np.ndarray, eps_mode: str = "em"
     N complex distance bins, the argmax converted through ``range_res_m``,
     and the raw argmax bin; (C, N), (C,) and (C,) arrays for a matrix.
     """
-    single = a_st.ndim == 1
-    a = a_st.reshape(len(a_st), -1)
-    if a.shape[0] != y_st.shape[0]:
+    if len(a_st) != y_st.shape[0]:
         raise ValueError("stap_range_spectrum: steering length does not match rows")
-    if eps_mode == "inf":
-        wa = a
-        den = np.einsum("ij,ij->j", a.conj(), a).real
-    else:
-        wa = _loaded_solve(interference_cov(y_st), a, eps_mode, epsilon)
-        den = _quadratic_norms(a, wa, "stap_range_spectrum")
-    d = np.fft.fft(wa.conj().T @ y_st, axis=1) / den[:, None]
-    return _range_peaks(d, range_res_m, single)
+    return _range_spectra(y_st, a_st, eps_mode, epsilon, range_res_m,
+                          "stap_range_spectrum", root_norm=False)
+
+
+def _zero_forcing_weights(a_t: np.ndarray) -> np.ndarray:
+    """First row of pinv([a_T, 1]) from its 2 x 2 Gram matrix, with numerator and
+    determinant as pairwise differences (Lagrange's identity), which stay accurate
+    near collinearity: w_k = conj(sum_j (a_k - a_j)) / (sum_{j,l} |a_j - a_l|^2 / 2)."""
+    diff = a_t[:, None] - a_t[None, :]
+    return diff.sum(axis=1).conj() / (0.5 * np.sum(np.abs(diff) ** 2))
 
 
 def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
@@ -381,15 +395,12 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
     """Hierarchical processing: temporal zero-forcing of the static-clutter
     signature, then an L-dimension spatial stage.
 
-    The time weights are the first row of pinv([a_T, 1_W]), so w a_T = 1 and
-    w 1 = 0 exactly. ``a_s`` is an (L,) vector or an (L, C) matrix of spatial
+    The time weights (:func:`_zero_forcing_weights`) give w a_T = 1 and
+    w 1 = 0. ``a_s`` is an (L,) vector or an (L, C) matrix of spatial
     candidates sharing the temporal stage and the spatial whitener. Returns
     (d, range_m, range_bin), shaped as in :func:`stap_range_spectrum`.
     """
-    single = a_s.ndim == 1
-    a = a_s.reshape(len(a_s), -1)
-    w_dim = a_t.shape[0]
-    l_dim = a.shape[0]
+    w_dim, l_dim = len(a_t), len(a_s)
     if w_dim < 2:
         raise ValueError("sthp_range_spectrum: needs W >= 2 chirp occasions")
     if y_st.shape[0] != w_dim * l_dim:
@@ -399,16 +410,9 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
         vel = "" if velocity_mps is None else f" (velocity {velocity_mps} m/s)"
         raise ValueError("sthp_range_spectrum: temporal steering is collinear with "
                          f"the static-clutter signature{vel}; zero-forcing undefined")
-    w_t = np.linalg.pinv(np.stack([a_t, np.ones(w_dim, dtype=complex)], axis=1))[0]
-    y_s = np.tensordot(w_t, y_st.reshape(w_dim, l_dim, -1), axes=1)
-
-    if eps_mode == "inf":
-        w_s = a.conj() / np.sqrt(np.einsum("ij,ij->j", a.conj(), a).real)
-    else:
-        qa = _loaded_solve(y_s @ y_s.conj().T / y_s.shape[1], a, eps_mode, epsilon)
-        w_s = qa.conj() / np.sqrt(np.abs(_quadratic_norms(a, qa, "sthp_range_spectrum")))
-    d = np.fft.fft(w_s.T @ y_s, axis=1)
-    return _range_peaks(d, range_res_m, single)
+    y_s = np.tensordot(_zero_forcing_weights(a_t), y_st.reshape(w_dim, l_dim, -1), axes=1)
+    return _range_spectra(y_s, a_s, eps_mode, epsilon, range_res_m,
+                          "sthp_range_spectrum", root_norm=True)
 
 
 @dataclass(frozen=True, eq=False)

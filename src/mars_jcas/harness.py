@@ -346,11 +346,9 @@ def hit_rate(records: Sequence[TargetRecord]) -> float:
     return sum(r.hit for r in records) / len(records)
 
 
-def rmse_normalized(records: Sequence[TargetRecord],
-                    resolution: ResolutionReport = None) -> Optional[dict]:
+def rmse_normalized(records: Sequence[TargetRecord]) -> Optional[dict]:
     """Per-dimension RMSE of (estimate - truth)/resolution over hits only;
-    None when there are no hits. Records already carry normalized errors
-    (the resolution argument documents the contract)."""
+    None when there are no hits. Records already carry normalized errors."""
     errs = np.array([r.errors_norm for r in records if r.hit], dtype=float)
     if errs.size == 0:
         return None

@@ -3,11 +3,11 @@
 The front end runs once per cube: it expands the compressed tone branch,
 forms the angle-velocity map and assembles the chirp branch into the VA
 space-time snapshot. Each pipeline then extracts coarse peaks (STTE),
-optionally refines with MUSIC, rotates each VA slot's rows back by the
-target's coarse Doppler and runs the range stage (STAP, STHP, or the
-matched filter, which is STAP at eps = inf). With VA and FFT refinement the
-spatial steering is picked from the virtual array's finer FFT-native angle
-bins within one coarse bin, scored by the range-stage peak itself.
+optionally refines with MUSIC and runs the range stage (STAP, STHP, or the
+matched filter, which is STAP at eps = inf) on that same snapshot, with each
+VA slot's Doppler in the steering. With VA and FFT refinement the spatial
+steering is picked from the virtual array's finer FFT-native angle bins
+within one coarse bin, scored by the range-stage peak itself.
 """
 
 from __future__ import annotations
@@ -93,16 +93,16 @@ class FrontEnd:
     schedule: MarsSchedule
     y_e2: np.ndarray          # (L, M) expanded tone branch
     avmap: AngleVelocityMap
-    y_st: np.ndarray          # (W*L', N) VA-assembled chirp snapshot, uncompensated
-    row_slot: np.ndarray      # (W*L',) VA slot each snapshot row came from
+    y_st: np.ndarray          # (W*L', N) VA-assembled chirp snapshot; never written
+    row_slot: np.ndarray      # (L',) VA slot of each virtual row, the same every occasion
     geom: ArrayGeometry       # receive geometry of the snapshot rows
 
 
 def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
     """Per-cube work for every pipeline on ``cube``: the angle-velocity map
-    and the chirp branch assembled over all occasions. :func:`run_pipeline`
-    rotates each VA slot's rows back by the target's Doppler; every occasion
-    gets the same per-slot phase, so static clutter stays occasion-invariant."""
+    and the chirp branch assembled over all occasions. The range stage puts
+    each virtual row's slot Doppler into the steering; every occasion has
+    the same per-row phase, so static clutter stays occasion-invariant."""
     y_e2 = expand_nn(cube.tone_branch_compressed, cube.schedule)
     avm = angle_velocity_map(y_e2, scene.array.with_va(False), scene.radio)
     n, l = scene.radio.num_subcarriers, cube.num_elements
@@ -112,7 +112,7 @@ def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
     # One slot needs no assembly, so the snapshot is a view of the cube.
     by_slot = cube.chirp_branch.reshape(w, slots, l, n)
     chirp, geom = va_assemble([by_slot[:, e] for e in range(slots)], arr)
-    row_slot, _ = va_assemble([np.full((w, l, 1), e) for e in range(slots)], arr)
+    row_slot, _ = va_assemble([np.full((l, 1), e) for e in range(slots)], arr)
     return FrontEnd(schedule=cube.schedule, y_e2=y_e2, avmap=avm,
                     y_st=reshape_space_time(chirp, n), row_slot=row_slot.ravel(), geom=geom)
 
@@ -138,22 +138,26 @@ def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
     return sx.ravel()[inside], sy.ravel()[inside]
 
 
-def _range_stage(y_st, schedule: MarsSchedule, scene: ValidatedScene, geom,
-                 pipe: PipelineSpec, velocity_mps: float, sin_x, sin_y):
+def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
+                 velocity_mps: float, sin_x, sin_y):
     """Score all angle candidates in one suppressor call; returns (d, range_m, bin,
-    peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties)."""
-    radio = scene.radio
-    dr = scene.range_res_m
+    peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties).
+    Each row's VA slot Doppler D is in the steering: STAP on D Y with steering a is
+    STAP on Y with D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
+    radio, geom, dr = scene.radio, front.geom, scene.range_res_m
+    fd = 2.0 * velocity_mps * radio.carrier_freq_hz / SPEED_OF_LIGHT
+    slot_phase = np.exp(2j * np.pi * fd * front.row_slot * radio.pri_s)[:, None]
     if pipe.suppressor == "sthp":
-        a_t = temporal_steering(velocity_mps, schedule, radio)
+        a_t = temporal_steering(velocity_mps, front.schedule, radio)
         a_s = steering_ura_from_sin(sin_x, sin_y, geom.rx_cols, geom.rx_rows,
                                     geom.rx_spacing_x_m, geom.rx_spacing_y_m,
-                                    scene.wavelength_m)
-        d, rng_m, bins = sthp_range_spectrum(y_st, a_t, a_s, pipe.eps_mode,
+                                    scene.wavelength_m) * slot_phase
+        d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s, pipe.eps_mode,
                                              range_res_m=dr, velocity_mps=velocity_mps)
     else:
-        a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, schedule, radio)
-        d, rng_m, bins = stap_range_spectrum(y_st, a_st, pipe.eps_mode, range_res_m=dr)
+        a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, front.schedule, radio)
+        a_st *= np.tile(slot_phase, (front.schedule.num_chirp_occasions, 1))
+        d, rng_m, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode, range_res_m=dr)
     peak_mag = np.abs(d[np.arange(bins.size), bins])
     k = int(np.argmax(peak_mag))
     return (d[k], float(rng_m[k]), int(bins[k]), float(peak_mag[k]),
@@ -183,15 +187,9 @@ def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                                              radio, num_sources=num_targets,
                                              factor=pipe.music_factor)
             sin_x, sin_y = math.sin(psi_x), math.sin(psi_y)
-        y_st = front.y_st
-        if front.schedule.slots_per_chirp > 1:
-            # One slot gives every row the phase 1: no product, no copy.
-            fd = 2.0 * vel * radio.carrier_freq_hz / SPEED_OF_LIGHT
-            y_st = y_st * np.exp(-2j * np.pi * fd * front.row_slot * radio.pri_s)[:, None]
-
         cand_x, cand_y = _angle_candidates(sin_x, sin_y, pipe, scene, front.geom)
         d, rng_m, rng_bin, peak_mag, win_x, win_y = _range_stage(
-            y_st, front.schedule, scene, front.geom, pipe, vel, cand_x, cand_y)
+            front, scene, pipe, vel, cand_x, cand_y)
         if debug is not None:
             debug.setdefault("spectra", []).append(d)
 

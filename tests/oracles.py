@@ -4,7 +4,9 @@ These are the per-candidate forms the library used before range-stage
 scoring and MUSIC candidate building were batched: one explicit
 ``matrix_rank`` + ``pinv`` (or ``inv``) per steering vector, one
 ``np.kron`` per URA steering vector and a Python list of MUSIC candidates.
-Tests compare the library against them column by column. The FA
+Tests compare the library against them column by column. The batched STAP
+and STHP range spectra are kept as they were before the two shared one
+whitening core, with STHP's temporal weights as a ``pinv`` row. The FA
 correlator map and FA clutter term are kept in their direct forms too: one
 ramp multiply and FFT per element, and a ramp-table matmul; so are the
 full-grid Gram form of the FA map with its per-call lag cells, the
@@ -13,8 +15,10 @@ half-grid form with a zeroed grid, two ``bincount`` passes and numpy's
 map, built by a transmit-slot x receive-element loop, the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
 pipeline front end replaced (on the element-major (L, W*N) chirp layout,
-with its occasion interleave), and the chirp branch synthesized one symbol
-at a time with complex noise and a final concatenation into that layout.
+with its occasion interleave, and each VA slot's rows rotated back by the
+target's Doppler, which the range stage's steering now carries), and the
+chirp branch synthesized one symbol at a time with complex noise and a
+final concatenation into that layout.
 ``complex_noise`` draws the real and imaginary parts by two ``normal``
 calls, and MUSIC's forward-backward average is kept with its dense
 exchange-matrix products. ``FreshDraws`` makes every random draw of a cube
@@ -38,8 +42,10 @@ from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, pa
 from mars_jcas.estimator import (
     FaMap,
     TargetEstimate,
+    _loaded_solve,
     _music_scan,
     _noise_projector,
+    _quadratic_norms,
     epsilon_m,
     fa_angle_snapshot,
     signed_bin,
@@ -108,12 +114,16 @@ def stap_range_spectrum(y_st, a_st, eps_mode="em", *, range_res_m=1.0,
     return d, bin_ * range_res_m, bin_
 
 
+def zero_forcing_weights_pinv(a_t):
+    """STHP temporal weights as the first row of pinv([a_T, 1_W])."""
+    return np.linalg.pinv(np.stack([a_t, np.ones(a_t.shape[0], dtype=complex)], axis=1))[0]
+
+
 def sthp_range_spectrum(y_st, a_t, a_s, eps_mode="em", *, range_res_m=1.0,
                         epsilon: Optional[float] = None):
     """One spatial steering vector: (d, range_m, range_bin)."""
     w_dim, l_dim = a_t.shape[0], a_s.shape[0]
-    gamma = np.linalg.pinv(np.stack([a_t, np.ones(w_dim, dtype=complex)], axis=1))
-    y_s = np.tensordot(gamma[0], y_st.reshape(w_dim, l_dim, -1), axes=1)
+    y_s = np.tensordot(zero_forcing_weights_pinv(a_t), y_st.reshape(w_dim, l_dim, -1), axes=1)
     if eps_mode == "inf":
         w_s = a_s.conj() / math.sqrt(float(np.vdot(a_s, a_s).real))
     else:
@@ -126,6 +136,35 @@ def sthp_range_spectrum(y_st, a_t, a_s, eps_mode="em", *, range_res_m=1.0,
     d = np.fft.fft(w_s @ y_s)
     bin_ = int(np.argmax(np.abs(d)))
     return d, bin_ * range_res_m, bin_
+
+
+def stap_range_spectrum_batched(y_st, a, eps_mode):
+    """The batched STAP range stage before STAP and STHP shared one
+    whitening core: one covariance and solve for all (W*L, C) columns.
+    Returns the (C, N) spectra and their argmax bins."""
+    if eps_mode == "inf":
+        wa = a
+        den = np.einsum("ij,ij->j", a.conj(), a).real
+    else:
+        wa = _loaded_solve(y_st @ y_st.conj().T / y_st.shape[1], a, eps_mode, None)
+        den = _quadratic_norms(a, wa, "stap_range_spectrum")
+    d = np.fft.fft(wa.conj().T @ y_st, axis=1) / den[:, None]
+    return d, np.argmax(np.abs(d), axis=1)
+
+
+def sthp_range_spectrum_batched(y_st, a_t, a, eps_mode):
+    """The batched STHP range stage before the shared whitening core: pinv
+    temporal weights, then (L, C) spatial weights normalised before the
+    range FFT. Returns the (C, N) spectra and their argmax bins."""
+    w_dim, l_dim = a_t.shape[0], a.shape[0]
+    y_s = np.tensordot(zero_forcing_weights_pinv(a_t), y_st.reshape(w_dim, l_dim, -1), axes=1)
+    if eps_mode == "inf":
+        w_s = a.conj() / np.sqrt(np.einsum("ij,ij->j", a.conj(), a).real)
+    else:
+        qa = _loaded_solve(y_s @ y_s.conj().T / y_s.shape[1], a, eps_mode, None)
+        w_s = qa.conj() / np.sqrt(np.abs(_quadratic_norms(a, qa, "sthp_range_spectrum")))
+    d = np.fft.fft(w_s.T @ y_s, axis=1)
+    return d, np.argmax(np.abs(d), axis=1)
 
 
 def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):

@@ -507,11 +507,30 @@ class TestStapSpectrum:
 class TestSthpSpectrum:
     def test_two_pulse_zero_forcing_weights(self):
         a_t = np.array([1.0, -1.0], dtype=complex)
-        gamma = np.linalg.pinv(np.stack([a_t, np.ones(2, dtype=complex)], axis=1))
-        w_t = gamma[0]
+        w_t = estimator._zero_forcing_weights(a_t)
         np.testing.assert_allclose(w_t, [0.5, -0.5])
         assert np.vdot(np.ones(2), w_t) == pytest.approx(0.0)
         assert w_t @ a_t == pytest.approx(1.0)
+
+    @given(indices=st.sets(st.integers(1, 200), min_size=2, max_size=8),
+           log_speed=st.floats(-6.0, 2.0), sign=st.sampled_from([-1, 1]))
+    @example(indices={1, 200}, log_speed=-5.0, sign=1)   # 1.4e-9 from the threshold
+    @settings(max_examples=200, deadline=None)
+    def test_zero_forcing_weights_equal_pinv_row(self, indices, log_speed, sign):
+        # W = 2-8 occasions on random schedules, at speeds from far below the
+        # collinearity threshold to tens of m/s; the pinv row is the reference.
+        radio = make_radio(num_pri=256)
+        sched = build_schedule(radio, make_array(), "comb",
+                               chirp_pri_indices=tuple(sorted(indices)))
+        a_t = temporal_steering(sign * 10.0 ** log_speed, sched, radio)
+        corr = abs(np.sum(a_t)) / (np.linalg.norm(a_t) * math.sqrt(len(a_t)))
+        if corr > 1.0 - 1e-9:
+            return                        # rejected by sthp_range_spectrum
+        got = estimator._zero_forcing_weights(a_t)
+        assert abs(got @ a_t - 1.0) <= 1e-11
+        assert abs(np.sum(got)) <= 1e-11
+        want = oracles.zero_forcing_weights_pinv(a_t)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_static_clutter_annihilated(self):
         rng = RNG(18)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,13 @@ from conftest import WAVELENGTH, make_array, make_radio, make_scene, on_grid_tar
 from mars_jcas import pipeline
 from mars_jcas.channel import IfCube, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.clutter import build_clutter_map
-from mars_jcas.estimator import CoarsePeak, expand_nn, signed_bin, stap_range_spectrum
+from mars_jcas.estimator import (
+    CoarsePeak,
+    expand_nn,
+    signed_bin,
+    space_time_steering,
+    temporal_steering,
+)
 from mars_jcas.pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
 from mars_jcas.scene import ArrayGeometry, Target
 from mars_jcas.waveform import build_schedule
@@ -133,19 +140,49 @@ class TestMainPipeline:
 
 
 class TestFrontEnd:
+    @staticmethod
+    def _oracle_range_stage(cube, scene, pipe, front, peak):
+        """The per-target path: the snapshot rotated by each row's slot
+        phase, then the batched spectra before the shared whitening core.
+        Returns (spectra, bins, peak magnitudes, candidates)."""
+        fd = 2.0 * peak.velocity_mps * scene.radio.carrier_freq_hz / C0
+        y_st, geom = oracles.compensated_space_time(cube, scene, fd)
+        assert front.geom == geom
+        cand = pipeline._angle_candidates(peak.sin_psi_x, peak.sin_psi_y, pipe, scene, geom)
+        sched, radio = cube.schedule, scene.radio
+        if pipe.suppressor == "sthp":
+            a_s = np.stack([oracles.steering_ura_from_sin(x, y, geom.rx_cols, geom.rx_rows,
+                                                          geom.rx_spacing_x_m,
+                                                          geom.rx_spacing_y_m, WAVELENGTH)
+                            for x, y in zip(*cand)], axis=1)
+            d, bins = oracles.sthp_range_spectrum_batched(
+                y_st, temporal_steering(peak.velocity_mps, sched, radio), a_s, pipe.eps_mode)
+        else:
+            a_st = space_time_steering(peak.velocity_mps, *cand, geom, sched, radio)
+            d, bins = oracles.stap_range_spectrum_batched(y_st, a_st, pipe.eps_mode)
+        return d, bins, np.abs(d[np.arange(bins.size), bins]), cand
+
     @given(va=st.booleans(), tx=st.tuples(st.integers(1, 3), st.integers(1, 3)),
            rx=st.tuples(st.integers(1, 4), st.integers(1, 4)), w=st.integers(1, 4),
            n=st.integers(4, 32), velocity=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)),
-           seed=st.integers(0, 1000))
-    @example(va=True, tx=(3, 3), rx=(4, 4), w=4, n=32, velocity=0.0, seed=0)
-    @example(va=True, tx=(2, 1), rx=(1, 3), w=2, n=4, velocity=-23.7, seed=1)
-    @settings(max_examples=60, deadline=None)
-    def test_range_stage_input_matches_per_target_assembly(self, va, tx, rx, w, n,
-                                                           velocity, seed):
-        # What the range stage receives (the front end's snapshot times the
-        # per-row slot phase at the coarse peak's Doppler) must equal the
-        # per-target assembly bit for bit. The peak is fed in to set the
-        # Doppler, zero included; the snapshot is caught on its way in.
+           suppressor=st.sampled_from(["stap", "sthp", "mf"]),
+           eps=st.sampled_from(["inf", "em", "zero"]), seed=st.integers(0, 1000))
+    @example(va=True, tx=(3, 3), rx=(4, 4), w=4, n=32, velocity=0.0, suppressor="stap",
+             eps="em", seed=0)
+    @example(va=True, tx=(2, 1), rx=(1, 3), w=2, n=4, velocity=-23.7, suppressor="sthp",
+             eps="zero", seed=1)
+    @example(va=True, tx=(2, 2), rx=(2, 2), w=3, n=32, velocity=17.3, suppressor="sthp",
+             eps="em", seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_range_stage_output_matches_per_target_oracle(self, va, tx, rx, w, n, velocity,
+                                                          suppressor, eps, seed):
+        # Each target's range stage reads the front end's snapshot itself and
+        # puts the VA slot Doppler in the steering. Its spectrum, range bin
+        # and chosen candidate must match the per-target rotated snapshot run
+        # through the batched spectra it replaced. Two peaks are fed in to set
+        # the Doppler and angles; the snapshot is caught on its way in.
+        w = max(w, 2) if suppressor == "sthp" else w
+        eps = "inf" if suppressor == "mf" else eps
         arr = ArrayGeometry(rx_cols=rx[0], rx_rows=rx[1], rx_spacing_x_m=WAVELENGTH / 2,
                             rx_spacing_y_m=0.7 * WAVELENGTH, tx_cols=tx[0], tx_rows=tx[1],
                             va_enabled=va)
@@ -163,32 +200,51 @@ class TestFrontEnd:
                       .reshape(l, -1, n).transpose(1, 0, 2).copy(),
                       tone_branch_compressed=noise(sched.num_tone_pris),
                       schedule=sched, sample_rate_hz=1.0)
-        peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,
-                          velocity_mps=velocity, magnitude=1.0)
-        seen = []
-
-        def spy(y_st, *args, **kwargs):
-            seen.append(y_st)
-            return stap_range_spectrum(y_st, *args, **kwargs)
-
+        # The second peak sits off the coarse grid, between candidate bins.
+        peaks = [CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=sx, sin_psi_y=sy,
+                            velocity_mps=v, magnitude=1.0)
+                 for sx, sy, v in ((0.0, 0.0, velocity),
+                                   (0.3 / rx[0], -0.1 / rx[1], velocity + 7.9))]
+        pipe = PipelineSpec(suppressor=suppressor, eps_mode=eps, va=va)
         front = front_end(cube, scene)
         y_st = front.y_st.copy()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "stte_peaks", lambda *args: [peak])
-            mp.setattr(pipeline, "stap_range_spectrum", spy)
-            run_pipeline(front, scene, PipelineSpec(suppressor="mf", va=va), 1)
-        fd = 2.0 * velocity * scene.radio.carrier_freq_hz / C0
-        want, geom = oracles.compensated_space_time(cube, scene, fd)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0].view(float), want.view(float))
-        assert front.geom == geom
-        # Also equal to the row-phase product on one-slot cubes, where the
-        # phase is 1 and skipped; pipelines share the snapshot, left as it was.
-        rotated = y_st * np.exp(-2j * np.pi * fd * front.row_slot * scene.radio.pri_s)[:, None]
-        assert np.array_equal(seen[0].view(float), rotated.view(float))
+        seen = []
+
+        def spy(original):
+            def call(y, *args, **kwargs):
+                seen.append(y)
+                return original(y, *args, **kwargs)
+            return call
+
+        debug = {}
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(pipeline, "stte_peaks", lambda *args: peaks)
+            for name in ("stap_range_spectrum", "sthp_range_spectrum"):
+                mp.setattr(pipeline, name, spy(getattr(pipeline, name)))
+            # Near zero velocity a_T is the static-clutter signature itself.
+            if suppressor == "sthp" and any(
+                    abs(np.mean(temporal_steering(p.velocity_mps, sched, scene.radio)))
+                    > 1.0 - 1e-9 for p in peaks):
+                with pytest.raises(ValueError, match="collinear"):
+                    run_pipeline(front, scene, pipe, 2)
+                return
+            ests = run_pipeline(front, scene, pipe, 2, debug=debug)
+            want = [self._oracle_range_stage(cube, scene, pipe, front, p) for p in peaks]
+        assert len(seen) == 2 and all(y is front.y_st for y in seen)
+        for est, got_d, peak, (d, bins, mags, cand) in zip(ests, debug["spectra"], peaks, want):
+            top = np.sort(mags)[::-1]
+            if top.size > 1 and top[0] - top[1] <= 1e-9 * top[0]:
+                continue                     # a near tie may pick either candidate
+            k = int(np.argmax(mags))
+            assert est.range_bin == bins[k]
+            assert (est.psi_x_rad, est.psi_y_rad) == (math.asin(cand[0][k]),
+                                                      math.asin(cand[1][k]))
+            assert np.max(np.abs(got_d - d[k])) <= 1e-10 * np.max(np.abs(d[k]))
+        # Pipelines share the snapshot, left as it was. One slot needs no
+        # assembly: the snapshot is a view of the symbol-major cube for any
+        # W. With VA the slot scatter copies it.
         assert np.array_equal(front.y_st.view(float), y_st.view(float))
-        # One slot needs no assembly: the snapshot is a view of the
-        # symbol-major cube for any W. With VA the slot scatter copies it.
         assert np.shares_memory(front.y_st, cube.chirp_branch) == (slots == 1)
 
 
