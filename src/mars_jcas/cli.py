@@ -21,7 +21,15 @@ import yaml
 
 from . import __version__
 from .clutter import build_clutter_for, build_clutter_map
-from .harness import DropError, ExperimentPlan, draw_targets, drop_estimates, monte_carlo, run_drop
+from .harness import (
+    DropError,
+    ExperimentPlan,
+    draw_targets,
+    drop_estimates,
+    monte_carlo,
+    plan_groups,
+    run_drop,
+)
 from .io import (
     ConfigError,
     RunManifest,
@@ -52,16 +60,36 @@ def preset_path(name: str) -> Path:
     return Path(str(path))
 
 
-def _load(args):
-    if args.config:
-        scene_cfg, plan = parse_config(args.config)
-    else:
-        scene_cfg, plan = parse_config(preset_path(args.preset))
+def _scene_schedule(scene):
+    """The schedule of the scene's own waveform section."""
+    w = scene.waveform
+    return build_schedule(scene.radio, scene.array, w.structure,
+                          chirp_pri_indices=w.chirp_pri_indices,
+                          tone_subcarrier_index=w.tone_subcarrier_index,
+                          guard_subcarriers=w.guard_subcarriers, fa_seed=scene.seed)
+
+
+def _load(args, default_plan=False):
+    """(scene config, scene, plan) of the command's config, with every
+    schedule the run will use built once (the scene's own and each
+    pipeline group's), so a bad one is a config error before anything is
+    written or drawn. With ``default_plan`` a config without an
+    experiment section gets the one-pipeline default plan."""
+    source = args.config or preset_path(args.preset)
+    scene_cfg, plan = parse_config(source)
     if getattr(args, "seed", None) is not None:
         scene_cfg = replace(scene_cfg, seed=args.seed)
         if plan is not None:
             plan = replace(plan, seed=args.seed)
+    if plan is None and default_plan:
+        plan = ExperimentPlan(seed=scene_cfg.seed)
     scene = validate_scene(scene_cfg)
+    try:
+        _scene_schedule(scene)
+        if plan is not None:
+            plan_groups(scene, plan)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return scene_cfg, scene, plan
 
 
@@ -108,13 +136,7 @@ def cmd_resolution(args) -> int:
 
 def cmd_waveform(args) -> int:
     scene_cfg, scene, plan = _load(args)
-    schedule = build_schedule(
-        scene.radio, scene.array, scene.waveform.structure,
-        chirp_pri_indices=scene.waveform.chirp_pri_indices,
-        tone_subcarrier_index=scene.waveform.tone_subcarrier_index,
-        guard_subcarriers=scene.waveform.guard_subcarriers,
-        fa_seed=scene.seed,
-    )
+    schedule = _scene_schedule(scene)
     overhead = overhead_fraction(schedule, scene.radio)
     print(f"structure            {schedule.structure}")
     print(f"num_pri              {schedule.num_pri}")
@@ -190,9 +212,7 @@ def _simulate_tokens(args):
 
 
 def cmd_simulate(args) -> int:
-    scene_cfg, scene, plan = _load(args)
-    if plan is None:
-        plan = ExperimentPlan(seed=scene.seed)
+    scene_cfg, scene, plan = _load(args, default_plan=True)
     if args.targets is not None:
         plan = replace(plan, target_count=args.targets)
         scene = replace(scene, targets=draw_targets(plan, scene, args.drop))

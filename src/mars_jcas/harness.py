@@ -23,12 +23,7 @@ from .channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from .clutter import ClutterMap, build_clutter_for
 from .estimator import TargetEstimate
 from .pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
-from .scene import (
-    ResolutionReport,
-    Target,
-    ValidatedScene,
-    resolution_report,
-)
+from .scene import Target, ValidatedScene, resolution_report
 from .seeding import derive_seed, rng_for
 from .waveform import MarsSchedule, build_schedule
 
@@ -130,7 +125,6 @@ class TrialReport:
     records: list = field(default_factory=list)
     drop_seeds: dict = field(default_factory=dict)
     drop_runtimes_s: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
 
 
 def wilson_interval(hits: int, total: int, z: float = 1.96) -> tuple:
@@ -144,8 +138,10 @@ def wilson_interval(hits: int, total: int, z: float = 1.96) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _wrap(delta: float, period: float) -> float:
-    return delta - period * round(delta / period)
+def _wrapped(deltas, periods) -> tuple:
+    """Differences, each wrapped to the nearest alias where ``periods``
+    gives its grid a period (None: not periodic)."""
+    return tuple(d if p is None else d - p * round(d / p) for d, p in zip(deltas, periods))
 
 
 def draw_targets(plan: ExperimentPlan, scene: ValidatedScene, drop_index: int,
@@ -183,49 +179,24 @@ def draw_targets(plan: ExperimentPlan, scene: ValidatedScene, drop_index: int,
     return tuple(out)
 
 
-def _truth_bins(t: Target, res: ResolutionReport) -> tuple:
-    return (
-        round(t.range_m / res.range_res_m),
-        round(t.radial_velocity_mps / res.velocity_res_mps),
-        round(t.sin_psi_x / res.sin_angle_res_x),
-        round(t.sin_psi_y / res.sin_angle_res_y),
-    )
-
-
-def _est_bins(e: TargetEstimate, res: ResolutionReport) -> tuple:
-    return (
-        round(e.range_m / res.range_res_m),
-        round(e.velocity_mps / res.velocity_res_mps),
-        round(e.sin_psi_x / res.sin_angle_res_x),
-        round(e.sin_psi_y / res.sin_angle_res_y),
-    )
-
-
 def score_estimates(truths: Sequence[Target], estimates: Sequence[TargetEstimate],
                     scene: ValidatedScene, pipeline_tag: str, drop_index: int,
-                    sweep_value: Optional[float], tolerance_bins: float = 1) -> list:
+                    sweep_value: Optional[float]) -> list:
     """Greedy nearest truth-to-estimate assignment in summed bin distance,
-    then per-dimension hit scoring on the no-VA grid (within
-    ``tolerance_bins`` of the truth bin, default the +-1 neighbour rule)."""
+    then per-dimension hit scoring on the no-VA grid (within one bin of the
+    truth bin)."""
     res = resolution_report(scene.radio, scene.array.with_va(False))
-    m = scene.num_pri
-    nx = scene.array.rx_cols
-    ny = scene.array.rx_rows
-    periods = (None, m, nx, ny)
-    vel_period = m * res.velocity_res_mps
-    sinx_period = nx * res.sin_angle_res_x
-    siny_period = ny * res.sin_angle_res_y
-
-    pairs = []
-    for i, t in enumerate(truths):
-        tb = _truth_bins(t, res)
-        for j, e in enumerate(estimates):
-            eb = _est_bins(e, res)
-            dist = 0.0
-            for d, (per, db) in enumerate(zip(periods, np.subtract(eb, tb))):
-                dist += abs(db) if per is None else abs(_wrap(db, per))
-            pairs.append((dist, i, j))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    units = (res.range_res_m, res.velocity_res_mps, res.sin_angle_res_x, res.sin_angle_res_y)
+    periods = (None, scene.num_pri, scene.array.rx_cols, scene.array.rx_rows)
+    truth_vals = [(t.range_m, t.radial_velocity_mps, t.sin_psi_x, t.sin_psi_y) for t in truths]
+    est_vals = [(e.range_m, e.velocity_mps, e.sin_psi_x, e.sin_psi_y) for e in estimates]
+    truth_bins = [tuple(round(v / u) for v, u in zip(vals, units)) for vals in truth_vals]
+    est_bins = [tuple(round(v / u) for v, u in zip(vals, units)) for vals in est_vals]
+    # Wrapped est - truth bin offsets of every pair; their summed magnitude
+    # is the matching distance.
+    offsets = {(i, j): _wrapped([b - a for a, b in zip(tb, eb)], periods)
+               for i, tb in enumerate(truth_bins) for j, eb in enumerate(est_bins)}
+    pairs = sorted((sum(map(abs, offs)), i, j) for (i, j), offs in offsets.items())
     used_t, used_e, match = set(), set(), {}
     for dist, i, j in pairs:
         if i in used_t or j in used_e:
@@ -234,28 +205,19 @@ def score_estimates(truths: Sequence[Target], estimates: Sequence[TargetEstimate
         used_e.add(j)
         match[i] = j
 
+    value_periods = [None if p is None else p * u for p, u in zip(periods, units)]
     records = []
     for i, t in enumerate(truths):
-        e = estimates[match[i]] if i in match else None
-        if e is None:
+        if i not in match:
             records.append(TargetRecord(pipeline_tag, drop_index, sweep_value, t, None,
                                         (0, 0, 0, 0), (0.0, 0.0, 0.0, 0.0), False))
             continue
-        tb, eb = _truth_bins(t, res), _est_bins(e, res)
-        offs = (
-            eb[0] - tb[0],
-            int(_wrap(eb[1] - tb[1], m)),
-            int(_wrap(eb[2] - tb[2], nx)),
-            int(_wrap(eb[3] - tb[3], ny)),
-        )
-        errs = (
-            (e.range_m - t.range_m) / res.range_res_m,
-            _wrap(e.velocity_mps - t.radial_velocity_mps, vel_period) / res.velocity_res_mps,
-            _wrap(e.sin_psi_x - t.sin_psi_x, sinx_period) / res.sin_angle_res_x,
-            _wrap(e.sin_psi_y - t.sin_psi_y, siny_period) / res.sin_angle_res_y,
-        )
-        hit = all(abs(o) <= tolerance_bins for o in offs)
-        records.append(TargetRecord(pipeline_tag, drop_index, sweep_value, t, e, offs, errs, hit))
+        j = match[i]
+        deltas = _wrapped([b - a for a, b in zip(truth_vals[i], est_vals[j])], value_periods)
+        errs = tuple(d / u for d, u in zip(deltas, units))
+        hit = all(abs(o) <= 1 for o in offsets[i, j])
+        records.append(TargetRecord(pipeline_tag, drop_index, sweep_value, t, estimates[j],
+                                    offsets[i, j], errs, hit))
     return records
 
 
@@ -268,11 +230,37 @@ def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
         return build_schedule(scene.radio, arr, "fa",
                               guard_subcarriers=w.guard_subcarriers,
                               fa_seed=derive_seed(plan_seed, "fa"))
-    indices = w.chirp_pri_indices if pipe.structure == "comb" else (w.chirp_pri_indices[0],)
+    indices = w.chirp_pri_indices if pipe.structure == "comb" else w.chirp_pri_indices[:1]
     return build_schedule(scene.radio, arr, pipe.structure,
                           chirp_pri_indices=indices,
                           tone_subcarrier_index=w.tone_subcarrier_index,
                           guard_subcarriers=w.guard_subcarriers)
+
+
+def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
+    """The plan's pipelines grouped by (structure, va), in plan order, as
+    (pipelines, schedule) pairs; each group shares one schedule and cube.
+
+    Raises ValueError naming the pipeline at fault when a group's schedule
+    cannot be built (its first pipeline) or an STHP pipeline's schedule
+    has fewer than two chirp occasions.
+    """
+    members = {}
+    for i, pipe in enumerate(plan.pipelines):
+        members.setdefault((pipe.structure, pipe.va), []).append((i, pipe))
+    groups = []
+    for group in members.values():
+        i, first = group[0]
+        try:
+            schedule = schedule_for(scene, first, plan.seed)
+        except ValueError as exc:
+            raise ValueError(f"pipelines[{i}] {first.tag}: {exc}") from exc
+        for i, pipe in group:
+            if pipe.suppressor == "sthp" and schedule.num_chirp_occasions < 2:
+                raise ValueError(f"pipelines[{i}] {pipe.tag}: sthp needs W >= 2 chirp "
+                                 f"occasions, the schedule has {schedule.num_chirp_occasions}")
+        groups.append((tuple(pipe for _, pipe in group), schedule))
+    return groups
 
 
 def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
@@ -286,35 +274,25 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
     refinement comparisons are paired sample-for-sample. All cubes and FA
     measurements of the drop share one :class:`~mars_jcas.channel.DropDraws`,
     so structures are compared on the same noise, SI and uplink draws.
-    Failures are raised as DropError, tagged with the drop seed.
+    A plan whose schedules :func:`plan_groups` rejects raises its
+    ValueError before any cube; failures inside the drop are raised as
+    DropError, tagged with the drop seed.
     """
     drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
-    groups = {}
-    for pipe in plan.pipelines:
-        groups.setdefault((pipe.structure, pipe.va), []).append(pipe)
-    schedules = {}
-    for key, pipes in groups.items():
-        try:
-            schedules[key] = schedule_for(scene, pipes[0], plan.seed)
-        except Exception as exc:
-            schedules[key] = exc   # raised in its group's turn, after the groups before it
-    draws = DropDraws(drop_seed, [s.num_chirp_symbols for (structure, _), s in schedules.items()
-                                  if structure != "fa" and isinstance(s, MarsSchedule)])
-    for (structure, va), pipes in groups.items():
+    groups = plan_groups(scene, plan)
+    draws = DropDraws(drop_seed, [s.num_chirp_symbols for _, s in groups if s.structure != "fa"])
+    for pipes, schedule in groups:
         pipe = pipes[0]
         try:
-            schedule = schedules[structure, va]
-            if isinstance(schedule, Exception):
-                raise schedule
-            if structure == "fa":
+            if schedule.structure == "fa":
                 data = synthesize_fa_measurements(scene, schedule, clutter, draws=draws)
             else:
-                va_scene = replace(scene, array=scene.array.with_va(va))
+                va_scene = replace(scene, array=scene.array.with_va(pipe.va))
                 data = synthesize_if_cube(va_scene, schedule, clutter, draws=draws)
                 front = front_end(data, va_scene)
             for pipe in pipes:
                 info = {} if debug else None
-                if structure == "fa":
+                if schedule.structure == "fa":
                     ests = run_fa_pipeline(data, scene, schedule, len(scene.targets),
                                            guard=pipe.stte_guard)
                 else:
@@ -383,12 +361,12 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     Wilson interval bounds (rates only).
     """
     plan = plan.validate()
+    plan_groups(scene, plan)   # a bad schedule fails before the clutter map and any drop
     if clutter is None and scene.clutter.enabled:
         clutter = build_clutter_for(scene, plan.pipelines)
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]
 
     report = TrialReport()
-    started = time.perf_counter()
     tasks = [(i, value) for value in sweep for i in range(plan.num_drops)]
     if plan.workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=plan.workers, initializer=_pool_init,
@@ -400,7 +378,6 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
         report.records.extend(recs)
         report.drop_seeds[(str(value), i)] = derive_seed(plan.seed, "drop", i, str(value))
         report.drop_runtimes_s[(str(value), i)] = seconds
-    report.runtime_s = time.perf_counter() - started
 
     rows = []
     for value in sweep:

@@ -309,7 +309,10 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
     """Check every invariant of a scene and return the normalized form.
 
     Raises :class:`SceneValidationError` carrying the complete list of
-    violations rather than stopping at the first one.
+    violations rather than stopping at the first one. Chirp occasions are
+    not checked here: whether they fit and stay disjoint depends on each
+    pipeline's VA choice, so :func:`mars_jcas.waveform.build_schedule`
+    owns those rules.
     """
     v: list[str] = []
     r, a, w = config.radio, config.array, config.waveform
@@ -364,32 +367,6 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
     if w.duty_ratio is not None and not _close(w.duty_ratio, 1.0 / r.symbols_per_pri):
         v.append(f"waveform.duty_ratio={w.duty_ratio} incompatible with "
                  f"symbols_per_pri={r.symbols_per_pri} (expected {1.0 / r.symbols_per_pri})")
-
-    if w.structure in ("lshape", "comb"):
-        idx = tuple(w.chirp_pri_indices)
-        slots = a.slots_per_chirp
-        if len(idx) < 1:
-            v.append("waveform.chirp_pri_indices must contain at least one index")
-        else:
-            if w.structure == "lshape" and len(idx) != 1:
-                v.append("lshape structure requires exactly one chirp index")
-            if any(i != int(i) for i in idx):
-                v.append("waveform.chirp_pri_indices must be integers")
-            if idx and min(idx) < 1:
-                v.append("chirp index 0 is forbidden (no preceding tone PRI to "
-                         "interpolate from); use index >= 1")
-            if any(j <= i for i, j in zip(idx, idx[1:])):
-                v.append("waveform.chirp_pri_indices must be strictly increasing")
-            expanded = [i + s for i in idx for s in range(slots)]
-            if expanded and max(expanded) >= num_pri:
-                v.append(f"chirp PRI slots {expanded} exceed num_pri={num_pri}")
-            if len(set(expanded)) != len(expanded):
-                v.append(f"VA expansion of chirp indices {idx} into {slots} slots "
-                         "each produces overlapping PRIs")
-            if 10 * len(idx) >= num_pri:
-                v.append(f"power allocation requires 10*W < M (W={len(idx)}, M={num_pri})")
-    if w.structure == "fa" and a.va_enabled:
-        v.append("FA structure combined with virtual aperture is undefined")
 
     for k, t in enumerate(config.targets):
         if t.range_m <= 0:

@@ -157,6 +157,10 @@ def build_schedule(radio: RadioParams, arr: ArrayGeometry, structure: str, *,
     tone symbols get (M - 10W)/(M - W*slots) of the average, which keeps the
     CPI average exactly at ``radio.avg_tx_power_w``. FA and conventional
     schedules transmit the average power in every sensing symbol.
+
+    This is the one place the chirp-occasion rules live (integer, >= 1,
+    strictly increasing, 10W < M, VA slots inside the CPI and disjoint, no
+    FA with VA); a broken rule raises ValueError.
     """
     m_total = radio.num_pri
     p_avg = radio.avg_tx_power_w
@@ -185,6 +189,8 @@ def build_schedule(radio: RadioParams, arr: ArrayGeometry, structure: str, *,
         raise ValueError(f"unknown waveform structure {structure!r}")
 
     occasions = tuple(int(i) for i in chirp_pri_indices)
+    if occasions != tuple(chirp_pri_indices):
+        raise ValueError(f"chirp occasion indices must be integers: {chirp_pri_indices}")
     if structure == "lshape" and len(occasions) != 1:
         raise ValueError("lshape requires exactly one chirp occasion")
     if not occasions:

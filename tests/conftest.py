@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
@@ -66,6 +67,22 @@ def on_grid_target(scene, *, range_bin=60, vel_bin=10, x_bin=1, y_bin=-1, rcs=10
         psi_y_rad=math.asin(y_bin * res_sin_y),
         rcs_m2=rcs,
     )
+
+
+# desk_small waveform changes that each break the schedule of its first
+# pipeline group (comb with VA), not the scene's own: (change, message).
+BAD_DESK_WAVEFORMS = [
+    ({"chirp_pri_indices": [1, 3, 15]}, "overlaps"),
+    ({"structure": "fa", "chirp_pri_indices": [0, 6, 15]}, "index 0 is forbidden"),
+    ({"chirp_pri_indices": [1]}, "W >= 2"),
+]
+
+
+def desk_raw(**waveform) -> dict:
+    """The desk_small preset as a mapping, with its waveform section updated."""
+    raw = yaml.safe_load(preset_path("desk_small").read_text())
+    raw["waveform"].update(waveform)
+    return raw
 
 
 @pytest.fixture(scope="session")

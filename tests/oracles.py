@@ -18,7 +18,9 @@ pipeline front end replaced (on the element-major (L, W*N) chirp layout,
 with its occasion interleave, and each VA slot's rows rotated back by the
 target's Doppler, which the range stage's steering now carries), and the
 chirp branch synthesized one symbol at a time with complex noise and a
-final concatenation into that layout.
+final concatenation into that layout. Scoring is kept as it was with the
+grid wrap written twice: the matching distance from numpy bin differences,
+and the matched pair's offsets computed again for its record.
 ``complex_noise`` draws the real and imaginary parts by two ``normal``
 calls, and MUSIC's forward-backward average is kept with its dense
 exchange-matrix products. ``FreshDraws`` makes every random draw of a cube
@@ -51,7 +53,8 @@ from mars_jcas.estimator import (
     signed_bin,
     va_assemble,
 )
-from mars_jcas.scene import steering_from_sin
+from mars_jcas.harness import TargetRecord
+from mars_jcas.scene import resolution_report, steering_from_sin
 from mars_jcas.scene import steering_ura_from_sin as library_ura_steering
 from mars_jcas.seeding import rng_for
 
@@ -518,6 +521,60 @@ def tone_branch_unfused(scene, schedule, clutter=None):
             cell += math.sqrt(p) * clutter.tone_vec[:, None] * np.ones(n)[None, :]
         out[:, col * n:(col + 1) * n] = cell
     return out
+
+
+def _wrap(delta, period):
+    return delta - period * round(delta / period)
+
+
+def _bins(range_m, velocity_mps, sin_x, sin_y, res):
+    return (round(range_m / res.range_res_m), round(velocity_mps / res.velocity_res_mps),
+            round(sin_x / res.sin_angle_res_x), round(sin_y / res.sin_angle_res_y))
+
+
+def score_estimates(truths, estimates, scene, pipeline_tag, drop_index, sweep_value):
+    res = resolution_report(scene.radio, scene.array.with_va(False))
+    m, nx, ny = scene.num_pri, scene.array.rx_cols, scene.array.rx_rows
+    periods = (None, m, nx, ny)
+    truth_bins = [_bins(t.range_m, t.radial_velocity_mps, t.sin_psi_x, t.sin_psi_y, res)
+                  for t in truths]
+    est_bins = [_bins(e.range_m, e.velocity_mps, e.sin_psi_x, e.sin_psi_y, res)
+                for e in estimates]
+    pairs = []
+    for i, tb in enumerate(truth_bins):
+        for j, eb in enumerate(est_bins):
+            dist = 0.0
+            for per, db in zip(periods, np.subtract(eb, tb)):
+                dist += abs(db) if per is None else abs(_wrap(db, per))
+            pairs.append((dist, i, j))
+    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    used_t, used_e, match = set(), set(), {}
+    for dist, i, j in pairs:
+        if i in used_t or j in used_e:
+            continue
+        used_t.add(i)
+        used_e.add(j)
+        match[i] = j
+    records = []
+    for i, t in enumerate(truths):
+        if i not in match:
+            records.append(TargetRecord(pipeline_tag, drop_index, sweep_value, t, None,
+                                        (0, 0, 0, 0), (0.0, 0.0, 0.0, 0.0), False))
+            continue
+        e = estimates[match[i]]
+        tb, eb = truth_bins[i], est_bins[match[i]]
+        offs = (eb[0] - tb[0], int(_wrap(eb[1] - tb[1], m)),
+                int(_wrap(eb[2] - tb[2], nx)), int(_wrap(eb[3] - tb[3], ny)))
+        errs = (
+            (e.range_m - t.range_m) / res.range_res_m,
+            _wrap(e.velocity_mps - t.radial_velocity_mps, m * res.velocity_res_mps)
+            / res.velocity_res_mps,
+            _wrap(e.sin_psi_x - t.sin_psi_x, nx * res.sin_angle_res_x) / res.sin_angle_res_x,
+            _wrap(e.sin_psi_y - t.sin_psi_y, ny * res.sin_angle_res_y) / res.sin_angle_res_y,
+        )
+        hit = all(abs(o) <= 1 for o in offs)
+        records.append(TargetRecord(pipeline_tag, drop_index, sweep_value, t, e, offs, errs, hit))
+    return records
 
 
 def psi_from_spherical(theta_rad, phi_rad):

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_array, make_radio, make_scene, on_grid_target
+from conftest import (
+    BAD_DESK_WAVEFORMS,
+    desk_raw,
+    make_array,
+    make_radio,
+    make_scene,
+    on_grid_target,
+)
 from mars_jcas import channel, estimator, harness, pipeline, seeding
 from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.cli import preset_path
@@ -27,13 +34,14 @@ from mars_jcas.harness import (
     drop_estimates,
     hit_rate,
     monte_carlo,
+    plan_groups,
     rmse_normalized,
     run_drop,
     schedule_for,
     score_estimates,
     wilson_interval,
 )
-from mars_jcas.io import parse_config
+from mars_jcas.io import config_from_dict, parse_config
 from mars_jcas.pipeline import PipelineSpec
 from mars_jcas.scene import ClutterConfig, Target, validate_scene
 from mars_jcas.seeding import derive_seed
@@ -55,6 +63,18 @@ def quiet_plan(**kw):
                     custom=CustomRanges(range_m=(100.0, 450.0), speed_mps=(7.0, 50.0)))
     defaults.update(kw)
     return ExperimentPlan(**defaults).validate()
+
+
+def va_clutter_mismatch(**plan_kw):
+    """A scene, its no-VA clutter map and a plan with one VA pipeline: the
+    map has one transmit slot table and the VA schedule needs four, so
+    every drop fails inside synthesis."""
+    scene = make_scene(arr=make_array(tx=2), radio=make_radio(power_w=10.0))
+    scene = replace(scene, clutter=ClutterConfig(enabled=True, station_height_m=10.0,
+                                                 area_x_m=60.0, area_y_m=30.0))
+    plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp",
+                                              va=True),), **plan_kw)
+    return scene, build_clutter_map(scene), plan
 
 
 def estimate_like(t: Target, scene, **overrides) -> TargetEstimate:
@@ -103,13 +123,26 @@ class TestScoring:
         rec = score_estimates([t], [est], scene, "p", 0, None)[0]
         assert rec.offsets_bins[1] == 1  # wrapped distance, not m-1
 
-    def test_infinite_tolerance_always_hits(self):
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_twice_wrapped_oracle(self, data):
+        # Offsets computed once per pair give the same records, types
+        # included (records.csv prints them), as the form that wrapped twice.
         scene = make_scene()
-        t = on_grid_target(scene)
-        est = estimate_like(t, scene, range_m=300.0, velocity_mps=-40.0)
-        rec = score_estimates([t], [est], scene, "p", 0, None,
-                              tolerance_bins=math.inf)[0]
-        assert rec.hit
+        vmax = (scene.num_pri // 2 + 2) * scene.velocity_res_mps
+        point = st.tuples(st.floats(1.0, 400.0), st.floats(-vmax, vmax),
+                          st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+        truths = [Target(r, v, math.asin(x), math.asin(y), 1.0)
+                  for r, v, x, y in data.draw(st.lists(point, min_size=1, max_size=4))]
+        ests = [estimate_like(truths[0], scene, range_m=r, velocity_mps=v,
+                              psi_x_rad=math.asin(x), psi_y_rad=math.asin(y))
+                for r, v, x, y in data.draw(st.lists(point, max_size=4))]
+        got = score_estimates(truths, ests, scene, "p", 3, 0.5)
+        want = oracles.score_estimates(truths, ests, scene, "p", 3, 0.5)
+        assert got == want
+        for g, w in zip(got, want):
+            assert list(map(type, g.offsets_bins)) == list(map(type, w.offsets_bins))
+            assert list(map(type, g.errors_norm)) == list(map(type, w.errors_norm))
 
     def test_unmatched_truths_are_misses(self):
         scene = make_scene()
@@ -226,42 +259,52 @@ class TestRunDrop:
         assert len(recs) == 5
 
     def test_pipeline_error_carries_drop_seed(self):
-        scene = make_scene(indices=(1,))  # W = 1
-        plan = quiet_plan(pipelines=(PipelineSpec(structure="comb",
-                                                  suppressor="sthp"),))
+        scene, cmap, plan = va_clutter_mismatch()
         with pytest.raises(DropError) as err:
-            run_drop(scene, plan, 7)
+            run_drop(scene, plan, 7, cmap)
         assert err.value.drop_index == 7
         assert err.value.drop_seed > 0
         assert "seed" in str(err.value)
 
     def test_va_pipeline_on_non_va_clutter_map_is_drop_error(self):
-        # A no-VA map has one transmit slot table; the VA schedule needs four.
-        scene = make_scene(arr=make_array(tx=2), radio=make_radio(power_w=10.0))
-        scene = replace(scene, clutter=ClutterConfig(enabled=True, station_height_m=10.0,
-                                                     area_x_m=60.0, area_y_m=30.0))
-        cmap = build_clutter_map(scene)
-        plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp",
-                                                  va=True),))
+        scene, cmap, plan = va_clutter_mismatch()
         with pytest.raises(DropError, match="tx slot") as err:
             run_drop(scene, plan, 3, cmap)
         assert err.value.drop_index == 3
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 3, "None")
         assert f"seed {err.value.drop_seed}" in str(err.value)
 
-    def test_schedule_error_raised_in_its_groups_turn(self):
-        # Schedules are built before any cube; a group whose schedule fails
-        # still fails only after the groups before it have run.
+    def test_plan_groups_keep_plan_order(self):
+        scene = make_scene(indices=(1,))   # W = 1
+        stap = PipelineSpec(structure="comb", suppressor="stap", eps_mode="zero")
+        fa = PipelineSpec(structure="fa", suppressor="mf")
+        lshape = PipelineSpec(structure="lshape", suppressor="stap", eps_mode="zero")
+        stap_em = replace(stap, eps_mode="em")
+        groups = plan_groups(scene, quiet_plan(pipelines=(stap, fa, stap_em, lshape)))
+        assert [pipes for pipes, _ in groups] == [(stap, stap_em), (fa,), (lshape,)]
+        assert [s.structure for _, s in groups] == ["comb", "fa", "lshape"]
+        # The STHP check names the STHP pipeline, not its group's first one.
+        sthp = PipelineSpec(structure="comb", suppressor="sthp")
+        with pytest.raises(ValueError, match=re.escape(f"pipelines[1] {sthp.tag}: sthp needs")):
+            plan_groups(scene, quiet_plan(pipelines=(stap, sthp)))
+
+    def test_va_overlap_raises_before_any_cube(self, monkeypatch):
+        # Every group's schedule is built before the first cube: a plan whose
+        # VA schedule overlaps is a ValueError naming its pipeline, not a
+        # DropError after the groups before it have run.
         scene = make_scene(arr=make_array(tx=2), indices=(1, 3, 15))  # VA slots overlap
         plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp"),
                                      PipelineSpec(structure="comb", suppressor="sthp", va=True)))
         scene = replace(scene, targets=draw_targets(plan, scene, 0))
-        done = []
-        with pytest.raises(DropError, match="overlaps") as err:
-            for pipe, *_ in drop_estimates(scene, plan, 0):
-                done.append(pipe.tag)
-        assert done == [plan.pipelines[0].tag]
-        assert err.value.pipeline == plan.pipelines[1].tag
+
+        def no_cube(*args, **kwargs):
+            raise AssertionError("a cube was synthesised")
+
+        monkeypatch.setattr(harness, "synthesize_if_cube", no_cube)
+        with pytest.raises(ValueError, match="overlaps") as err:
+            next(drop_estimates(scene, plan, 0))
+        assert not isinstance(err.value, DropError)
+        assert f"pipelines[1] {plan.pipelines[1].tag}:" in str(err.value)
 
     def test_front_end_runs_once_per_cube(self, desk, monkeypatch):
         # Per-cube work must not scale with the pipelines sharing the cube or
@@ -403,13 +446,25 @@ class TestMonteCarlo:
         assert rows_serial == rows_par
 
     def test_worker_drop_error_keeps_drop_seed(self):
-        scene = make_scene(indices=(1,))  # W = 1: STHP fails on every drop
-        plan = quiet_plan(num_drops=2, workers=2)
+        scene, cmap, plan = va_clutter_mismatch(num_drops=2, workers=2)
         with pytest.raises(DropError) as err:
-            monte_carlo(plan, scene)
+            monte_carlo(plan, scene, cmap)
         assert err.value.drop_index == 0
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 0, "None")
-        assert "W >= 2" in str(err.value)
+        assert "tx slot" in str(err.value)
+
+    @pytest.mark.parametrize("waveform,message", BAD_DESK_WAVEFORMS)
+    def test_bad_schedule_fails_before_clutter_map(self, monkeypatch, waveform, message):
+        scene_cfg, plan = config_from_dict(desk_raw(**waveform))
+        scene = validate_scene(scene_cfg)
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("a clutter map was built")
+
+        monkeypatch.setattr(harness, "build_clutter_for", no_map)
+        with pytest.raises(ValueError, match=message) as err:
+            monte_carlo(replace(plan, num_drops=1), scene)
+        assert f"pipelines[0] {plan.pipelines[0].tag}:" in str(err.value)
 
     def test_drop_invariants_built_once_per_run(self, desk, desk_clutter, monkeypatch):
         # 3 drops x 2 sweep points: the FA lag cells and each clutter

@@ -4,13 +4,21 @@ import json
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 import oracles
-from conftest import make_array, make_radio, make_scene, on_grid_target
+from conftest import (
+    BAD_DESK_WAVEFORMS,
+    desk_raw,
+    make_array,
+    make_radio,
+    make_scene,
+    on_grid_target,
+)
 from mars_jcas.channel import synthesize_if_cube
 from mars_jcas.cli import main, preset_path
 from mars_jcas.harness import schedule_for
@@ -180,6 +188,36 @@ class TestConfigParsing:
         assert back_scene == scene_cfg
         assert back_plan == plan
 
+    def test_readme_config_block_shows_true_defaults(self, tmp_path, capsys):
+        # The README's schema block is a working config, and every optional
+        # value it shows is the default: reduced to the keys it marks
+        # "required", it gives the same scene and plan.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Config schema \(YAML\).*?```yaml\n(.*?)```", readme, re.S)[1]
+        raw = yaml.safe_load(block)
+        required = set(re.findall(r"^  (\w+):.*#\s*required\b", block, re.M))
+        reduced = {section: {k: v for k, v in body.items() if k in required}
+                   for section, body in raw.items() if isinstance(body, dict)}
+        assert set(reduced["radio"]) | set(reduced["array"]) == required
+        full_scene, full_plan = config_from_dict(raw)
+        bare_scene, bare_plan = config_from_dict(reduced)
+        assert scene_to_dict(full_scene) == scene_to_dict(bare_scene)
+        assert plan_to_dict(full_plan) == plan_to_dict(bare_plan)
+        for section in ("radio", "array"):
+            for key in reduced[section]:
+                body = {k: v for k, v in reduced[section].items() if k != key}
+                with pytest.raises(ConfigError, match="missing required key"):
+                    config_from_dict({**reduced, section: body})
+        # The default pipeline (comb, STHP) needs two chirp occasions and the
+        # default waveform has one, as the README says: exit 3 until given two.
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(block)
+        assert main(["resolution", "--config", str(cfg)]) == 3
+        assert "pipelines[0] comb-sthp-inf-fft: sthp needs W >= 2" in capsys.readouterr().err
+        raw["waveform"]["chirp_pri_indices"] = [1, 6]
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["resolution", "--config", str(cfg)]) == 0
+
     def test_config_hash_key_order_invariant(self):
         a = {"radio": {"x": 1.0, "y": 2.0}, "seed": 3}
         b = {"seed": 3, "radio": {"y": 2.0, "x": 1.0}}
@@ -305,6 +343,52 @@ class TestCli:
         cfg.write_text(yaml.safe_dump(raw))
         assert main(["resolution", "--config", str(cfg)]) == 3
         assert "index 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["montecarlo", "simulate"])
+    @pytest.mark.parametrize("waveform,message", BAD_DESK_WAVEFORMS)
+    def test_bad_schedule_fails_before_output_dir(self, tmp_path, capsys, command,
+                                                  waveform, message):
+        # Each config parses and validates, and one of its pipeline groups'
+        # schedules cannot be built: a config error naming that pipeline.
+        raw = desk_raw(**waveform)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        tag = config_from_dict(raw)[1].pipelines[0].tag
+        out = tmp_path / command
+        targets = ["--targets", "1"] if command == "simulate" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *targets]) == 3
+        err = capsys.readouterr().err
+        assert f"{cfg}: pipelines[0] {tag}:" in err and message in err
+        assert not out.exists()
+
+    def test_simulate_default_plan_schedule_checked(self, tmp_path, capsys):
+        # Without an experiment section simulate runs the default comb-STHP
+        # pipeline, which W = 1 cannot feed; commands with no plan still run.
+        raw = desk_raw(chirp_pri_indices=[1])
+        del raw["experiment"]
+        cfg = tmp_path / "w1.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--targets", "1"]) == 3
+        assert "pipelines[0] comb-sthp-inf-fft: sthp needs W >= 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["resolution", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("waveform,va,message", [
+        ({"structure": "lshape", "chirp_pri_indices": [1, 6]}, False, "exactly one"),
+        ({"structure": "fa"}, True, "virtual aperture"),
+    ])
+    def test_scene_waveform_schedule_checked_at_load(self, tmp_path, capsys, waveform, va,
+                                                     message):
+        # The waveform section's own schedule fails while every pipeline
+        # group's builds: still a config error for any command.
+        raw = desk_raw(**waveform)
+        raw["array"]["va_enabled"] = va
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        for command in ("resolution", "waveform"):
+            assert main([command, "--config", str(cfg)]) == 3
+            assert message in capsys.readouterr().err
 
     def _fast_config(self, tmp_path, drops=2):
         raw = yaml.safe_load(preset_path("desk_small").read_text())

@@ -22,6 +22,7 @@ from mars_jcas.scene import (
     steering_ura,
     validate_scene,
 )
+from mars_jcas.waveform import build_schedule
 
 
 class TestValidation:
@@ -46,14 +47,19 @@ class TestValidation:
         with pytest.raises(SceneValidationError, match="bandwidth"):
             make_scene(radio=radio)
 
+    # Occasion rules depend on each pipeline's VA choice, so build_schedule
+    # owns them: validate_scene passes such a scene and its schedule fails.
     def test_chirp_index_zero_forbidden(self):
-        with pytest.raises(SceneValidationError, match="index 0"):
-            make_scene(indices=(0, 3))
+        scene = make_scene(indices=(0, 3))
+        with pytest.raises(ValueError, match="index 0"):
+            build_schedule(scene.radio, scene.array, "comb",
+                           chirp_pri_indices=scene.waveform.chirp_pri_indices)
 
     def test_va_overlap_rejected(self):
-        arr = make_array(tx=2, va=True)
-        with pytest.raises(SceneValidationError, match="overlap"):
-            make_scene(arr=arr, indices=(1, 3, 6, 10))
+        scene = make_scene(arr=make_array(tx=2, va=True), indices=(1, 3, 6, 10))
+        with pytest.raises(ValueError, match="overlap"):
+            build_schedule(scene.radio, scene.array, "comb",
+                           chirp_pri_indices=scene.waveform.chirp_pri_indices)
 
     def test_duty_ratio_incompatible(self):
         from mars_jcas.scene import SceneConfig, WaveformConfig

@@ -103,6 +103,12 @@ class TestBuildSchedule:
         with pytest.raises(ValueError, match="0"):
             build_schedule(make_radio(), make_array(), "comb", chirp_pri_indices=(0, 5))
 
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            build_schedule(make_radio(), make_array(), "comb", chirp_pri_indices=(1.5, 6))
+        sched = build_schedule(make_radio(), make_array(), "comb", chirp_pri_indices=(1.0, 6))
+        assert sched.chirp_pri_indices == (1, 6)
+
     def test_fa_with_va_rejected(self):
         with pytest.raises(ValueError, match="virtual aperture"):
             build_schedule(make_radio(), make_array(tx=2, va=True), "fa", fa_seed=1)
