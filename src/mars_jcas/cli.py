@@ -36,9 +36,8 @@ from .io import (
     config_from_dict,
     config_hash,
     parse_config,
-    plan_to_dict,
     read_manifest,
-    scene_to_dict,
+    to_dict,
     write_csv,
     write_cube,
 )
@@ -94,9 +93,9 @@ def _load(args, default_plan=False):
 
 
 def _manifest_for(args, scene_cfg, plan, command_tokens) -> RunManifest:
-    effective = scene_to_dict(scene_cfg)
+    effective = to_dict(scene_cfg)
     if plan is not None:
-        effective["experiment"] = plan_to_dict(plan)
+        effective["experiment"] = to_dict(plan)
     return RunManifest(
         tool="mars-jcas", version=__version__, command=command_tokens,
         master_seed=plan.seed if plan is not None else scene_cfg.seed,

@@ -40,10 +40,10 @@ _SCENARIOS = {
 class CustomRanges:
     """Draw bounds for the ``custom`` scenario (angles in sin space)."""
 
-    range_m: tuple = (100.0, 500.0)
-    speed_mps: tuple = (7.0, 50.0)
-    sin_psi_x: tuple = (-0.5, 0.5)
-    sin_psi_y: tuple = (-0.5, 0.5)
+    range_m: tuple[float, float] = (100.0, 500.0)
+    speed_mps: tuple[float, float] = (7.0, 50.0)
+    sin_psi_x: tuple[float, float] = (-0.5, 0.5)
+    sin_psi_y: tuple[float, float] = (-0.5, 0.5)
     rcs_m2: float = 100.0
 
 
@@ -52,11 +52,11 @@ class ExperimentPlan:
     scenario: str = "custom"          # car | uav | custom
     num_drops: int = 100
     sweep_axis: str = "tx_power"      # range | tx_power
-    sweep_values: tuple = ()          # empty: one point at the scene's own values
-    pipelines: tuple = (PipelineSpec(),)
+    sweep_values: tuple[float, ...] = ()  # empty: one point at the scene's own values
+    pipelines: tuple[PipelineSpec, ...] = (PipelineSpec(),)
     target_count: int = 1
     seed: int = 0
-    range_bounds_m: tuple = (100.0, 1000.0)
+    range_bounds_m: tuple[float, float] = (100.0, 1000.0)
     azimuth_max_rad: float = math.radians(60.0)
     custom: CustomRanges = field(default_factory=CustomRanges)
     workers: int = 1

@@ -1,28 +1,30 @@
 """Config parsing, serialization, and run manifests.
 
-Configs are YAML with nested sections; keys carry explicit unit suffixes
-(``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``) and are converted to SI at
-parse time. Parsing fails closed: unknown keys, duplicate unit variants,
-and type mismatches all raise :class:`ConfigError` with path-qualified
-messages. CSV output uses locale-independent full-precision scientific
+Configs are YAML with nested sections. Each section's keys, types and
+defaults are the fields of its dataclass; a field may also be given in
+another unit (``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``, ...), converted
+to SI at parse time. Parsing fails closed: unknown keys, duplicate unit
+variants, and type mismatches (an integer key given 2.7 or true, say) all
+raise :class:`ConfigError` with path-qualified messages. CSV output uses locale-independent full-precision scientific
 notation so replays are byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .channel import IfCube
-from .harness import CustomRanges, ExperimentPlan
-from .pipeline import PipelineSpec
+from .harness import ExperimentPlan
 from .scene import (
     ArrayGeometry,
     ClutterConfig,
@@ -34,12 +36,16 @@ from .scene import (
 )
 from .waveform import MarsSchedule
 
+
 class ConfigError(ValueError):
     pass
 
 
 def dbm_to_watts(v: float) -> float:
     return 10.0 ** (float(v) / 10.0) / 1000.0
+
+
+_REQUIRED = object()
 
 
 class _Section:
@@ -54,14 +60,14 @@ class _Section:
         self.path = path
         self.seen = set()
 
-    def take(self, *variants, required=False, default=None):
+    def take(self, *variants, default=_REQUIRED):
         """variants: (key, converter) pairs; at most one may be present."""
         present = [(k, fn) for k, fn in variants if k in self.data]
         if len(present) > 1:
             keys = ", ".join(k for k, _ in present)
             raise ConfigError(f"{self.path}: give only one of {keys}")
         if not present:
-            if required:
+            if default is _REQUIRED:
                 raise ConfigError(f"{self.path}: missing required key "
                                   f"{' or '.join(k for k, _ in variants)}")
             return default
@@ -70,6 +76,8 @@ class _Section:
         raw = self.data[key]
         try:
             return fn(raw)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.path}.{key}: bad value {raw!r} ({exc})") from exc
 
@@ -79,207 +87,125 @@ class _Section:
             raise ConfigError(f"{self.path}: unknown keys {sorted(unknown)}")
 
 
+def _int(v):
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError("expected an integer")
+    return int(v)
+
+
 def _bool(v):
     if isinstance(v, bool):
         return v
     raise ValueError("expected true/false")
 
 
-def _float_list(v):
-    return tuple(float(x) for x in v)
+_SCALARS = {int: _int, float: float, bool: _bool, str: str}
 
 
-def _int_list(v):
-    return tuple(int(x) for x in v)
+def _converter(tp, path):
+    """value -> annotation ``tp`` for the value at ``path``. A nested
+    dataclass is a section of its own; Optional[X] reads as X, since None is
+    only ever a default."""
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return lambda v: _read(tp, dict(v), path)
+    if origin is Union:
+        return _converter(args[0], path)
+    if origin is tuple and is_dataclass(args[0]):
+        return lambda v: tuple(_read(args[0], x, f"{path}[{i}]") for i, x in enumerate(v))
+    if origin is tuple:
+        item = _converter(args[0], path)
+        size = None if args[-1] is Ellipsis else len(args)
+
+        def items(v):
+            v = tuple(item(x) for x in v)
+            if size is not None and len(v) != size:
+                raise ValueError("expected [low, high]")
+            return v
+        return items
+    return _SCALARS[tp]
 
 
-def _pair(v):
-    pair = tuple(float(x) for x in v)
-    if len(pair) != 2:
-        raise ValueError("expected [low, high]")
-    return pair
+def _scaled(k):
+    return lambda v, got: float(v) * k
 
 
-def _parse_radio(data, path) -> RadioParams:
+_dbm = lambda v, got: dbm_to_watts(v)
+_dbi = lambda v, got: 10.0 ** (float(v) / 10.0)
+_deg = lambda v, got: math.radians(float(v))
+_sin = lambda v, got: math.asin(float(v))
+_wavelengths = lambda v, got: float(v) * got["wavelength_m"]
+
+# Unit variants of a field's own SI key: (key, to_SI(value, fields read so far)).
+_UNITS = {
+    RadioParams: {
+        "carrier_freq_hz": [("carrier_freq_ghz", _scaled(1e9))],
+        "subcarrier_spacing_hz": [("subcarrier_spacing_khz", _scaled(1e3))],
+        "pri_s": [("pri_ms", _scaled(1e-3))],
+        "cpi_s": [("cpi_ms", _scaled(1e-3)), ("num_pri", lambda v, got: _int(v) * got["pri_s"])],
+        "avg_tx_power_w": [("avg_tx_power_dbm", _dbm)],
+        "noise_density_w_per_hz": [("noise_density_dbm_per_hz", _dbm)],
+        "uplink_power_w": [("uplink_power_dbm", _dbm)],
+        "gain_tx": [("gain_tx_dbi", _dbi)],
+        "gain_rx": [("gain_rx_dbi", _dbi)],
+        "bandwidth_hz": [("bandwidth_mhz", _scaled(1e6))],
+        "symbol_duration_s": [("symbol_duration_us", _scaled(1e-6))],
+    },
+    ArrayGeometry: {
+        "rx_spacing_x_m": [("rx_spacing_x_wavelengths", _wavelengths)],
+        "rx_spacing_y_m": [("rx_spacing_y_wavelengths", _wavelengths)],
+    },
+    Target: {
+        "range_m": [("range_km", _scaled(1e3))],
+        "radial_velocity_mps": [("speed_kmh", lambda v, got: float(v) / 3.6)],
+        "psi_x_rad": [("psi_x_deg", _deg), ("sin_psi_x", _sin)],
+        "psi_y_rad": [("psi_y_deg", _deg), ("sin_psi_y", _sin)],
+    },
+    ExperimentPlan: {
+        "sweep_values": [("sweep_values_dbm", lambda v, got: tuple(dbm_to_watts(x) for x in v)),
+                         ("sweep_values_m", lambda v, got: tuple(float(x) for x in v))],
+        "azimuth_max_rad": [("azimuth_max_deg", _deg)],
+    },
+}
+
+
+@functools.cache
+def _fields(cls):
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def _default(f):
+    if f.default is not MISSING:
+        return f.default
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return _REQUIRED
+
+
+def _read(cls, data, path, **context):
+    """Dataclass ``cls`` from the mapping ``data`` at ``path``. Each field's
+    key is its name or one of its ``_UNITS`` variants, its converter comes
+    from its annotation, and an absent key takes the field's default (a
+    field without one is required). ``context`` holds defaults that depend
+    on context, by field name, and values the unit conversions use."""
     s = _Section(data, path)
-    carrier = s.take(("carrier_freq_hz", float), ("carrier_freq_ghz", lambda v: float(v) * 1e9),
-                     required=True)
-    spacing = s.take(("subcarrier_spacing_hz", float),
-                     ("subcarrier_spacing_khz", lambda v: float(v) * 1e3), required=True)
-    n = s.take(("num_subcarriers", int), required=True)
-    pri = s.take(("pri_s", float), ("pri_ms", lambda v: float(v) * 1e-3), required=True)
-    cpi = s.take(("cpi_s", float), ("cpi_ms", lambda v: float(v) * 1e-3),
-                 ("num_pri", lambda v: int(v) * pri), required=True)
-    radio = RadioParams(
-        carrier_freq_hz=carrier,
-        subcarrier_spacing_hz=spacing,
-        num_subcarriers=n,
-        pri_s=pri,
-        cpi_s=cpi,
-        symbols_per_pri=s.take(("symbols_per_pri", int), default=1),
-        avg_tx_power_w=s.take(("avg_tx_power_w", float), ("avg_tx_power_dbm", dbm_to_watts),
-                              required=True),
-        noise_density_w_per_hz=s.take(("noise_density_w_per_hz", float),
-                                      ("noise_density_dbm_per_hz", dbm_to_watts),
-                                      required=True),
-        si_attenuation_db=s.take(("si_attenuation_db", float), default=50.0),
-        uplink_power_w=s.take(("uplink_power_w", float), ("uplink_power_dbm", dbm_to_watts),
-                              default=0.0),
-        uplink_distance_m=s.take(("uplink_distance_m", float), default=100.0),
-        gain_tx=s.take(("gain_tx", float),
-                       ("gain_tx_dbi", lambda v: 10.0 ** (float(v) / 10.0)), default=1.0),
-        gain_rx=s.take(("gain_rx", float),
-                       ("gain_rx_dbi", lambda v: 10.0 ** (float(v) / 10.0)), default=1.0),
-        bandwidth_hz=s.take(("bandwidth_hz", float), ("bandwidth_mhz", lambda v: float(v) * 1e6)),
-        symbol_duration_s=s.take(("symbol_duration_s", float),
-                                 ("symbol_duration_us", lambda v: float(v) * 1e-6)),
-    )
+    got = dict(context)
+    for f, tp in _fields(cls):
+        units = _UNITS.get(cls, {}).get(f.name, ())
+        got[f.name] = s.take((f.name, _converter(tp, f"{path}.{f.name}")),
+                             *[(key, lambda v, fn=fn: fn(v, got)) for key, fn in units],
+                             default=got.get(f.name, _default(f)))
     s.finish()
-    return radio
+    return cls(**{f.name: got[f.name] for f, _ in _fields(cls)})
 
 
-def _parse_array(data, path, wavelength_m) -> ArrayGeometry:
-    s = _Section(data, path)
-    per_wl = lambda v: float(v) * wavelength_m
-    arr = ArrayGeometry(
-        rx_cols=s.take(("rx_cols", int), required=True),
-        rx_rows=s.take(("rx_rows", int), required=True),
-        rx_spacing_x_m=s.take(("rx_spacing_x_m", float), ("rx_spacing_x_wavelengths", per_wl),
-                              default=wavelength_m / 2.0),
-        rx_spacing_y_m=s.take(("rx_spacing_y_m", float), ("rx_spacing_y_wavelengths", per_wl),
-                              default=wavelength_m / 2.0),
-        tx_cols=s.take(("tx_cols", int), default=1),
-        tx_rows=s.take(("tx_rows", int), default=1),
-        va_enabled=s.take(("va_enabled", _bool), default=False),
-    )
-    s.finish()
-    return arr
-
-
-def _parse_waveform(data, path) -> WaveformConfig:
-    s = _Section(data, path)
-    cfg = WaveformConfig(
-        structure=s.take(("structure", str), default="comb"),
-        chirp_pri_indices=s.take(("chirp_pri_indices", _int_list), default=(1,)),
-        tone_subcarrier_index=s.take(("tone_subcarrier_index", int)),
-        guard_subcarriers=s.take(("guard_subcarriers", int), default=0),
-        duty_ratio=s.take(("duty_ratio", float)),
-    )
-    s.finish()
-    return cfg
-
-
-def _parse_clutter(data, path) -> ClutterConfig:
-    s = _Section(data, path)
-    cfg = ClutterConfig(
-        enabled=s.take(("enabled", _bool), default=False),
-        terrain=s.take(("terrain", str), default="grass_5ghz"),
-        area_x_m=s.take(("area_x_m", float), default=2000.0),
-        area_y_m=s.take(("area_y_m", float), default=1000.0),
-        cell_m=s.take(("cell_m", float), default=1.0),
-        station_height_m=s.take(("station_height_m", float), default=10.0),
-        area_standoff_m=s.take(("area_standoff_m", float), default=0.0),
-        gtri_a=s.take(("gtri_a", float)),
-        gtri_b=s.take(("gtri_b", float)),
-        gtri_c=s.take(("gtri_c", float)),
-        gtri_d=s.take(("gtri_d", float)),
-        surface_rms_height_m=s.take(("surface_rms_height_m", float)),
-    )
-    s.finish()
-    return cfg
-
-
-def _parse_receiver(data, path) -> ReceiverConfig:
-    s = _Section(data, path)
-    cfg = ReceiverConfig(
-        butterworth_order=s.take(("butterworth_order", int), default=5),
-        butterworth_cutoff_hz=s.take(("butterworth_cutoff_hz", float)),
-        dc_removal=s.take(("dc_removal", _bool), default=True),
-        residual_dc_db=s.take(("residual_dc_db", float)),
-        tone_noise_bandwidth=s.take(("tone_noise_bandwidth", str), default="pri"),
-        exact_within_symbol_doppler=s.take(("exact_within_symbol_doppler", _bool),
-                                           default=False),
-        uplink_cfo_fraction=s.take(("uplink_cfo_fraction", float), default=0.05),
-    )
-    s.finish()
-    return cfg
-
-
-def _parse_target(data, path) -> Target:
-    s = _Section(data, path)
-    deg = lambda v: math.radians(float(v))
-    sin_to_rad = lambda v: math.asin(float(v))
-    t = Target(
-        range_m=s.take(("range_m", float), ("range_km", lambda v: float(v) * 1e3),
-                       required=True),
-        radial_velocity_mps=s.take(("radial_velocity_mps", float),
-                                   ("speed_kmh", lambda v: float(v) / 3.6), required=True),
-        psi_x_rad=s.take(("psi_x_rad", float), ("psi_x_deg", deg), ("sin_psi_x", sin_to_rad),
-                         default=0.0),
-        psi_y_rad=s.take(("psi_y_rad", float), ("psi_y_deg", deg), ("sin_psi_y", sin_to_rad),
-                         default=0.0),
-        rcs_m2=s.take(("rcs_m2", float), required=True),
-    )
-    s.finish()
-    return t
-
-
-def _parse_pipeline(data, path) -> PipelineSpec:
-    s = _Section(data, path)
-    spec = PipelineSpec(
-        structure=s.take(("structure", str), default="comb"),
-        suppressor=s.take(("suppressor", str), default="sthp"),
-        eps_mode=s.take(("eps_mode", str), default="inf"),
-        refinement=s.take(("refinement", str), default="fft"),
-        va=s.take(("va", _bool), default=False),
-        music_factor=s.take(("music_factor", int), default=10),
-        stte_guard=s.take(("stte_guard", int), default=1),
-    )
-    s.finish()
-    conflict = spec.conflict()
-    if conflict:
-        raise ConfigError(f"{path}.{conflict[0]}: {conflict[1]}")
-    return spec
-
-
-def _parse_custom(data, path) -> CustomRanges:
-    s = _Section(data, path)
-    cfg = CustomRanges(
-        range_m=s.take(("range_m", _pair), default=(100.0, 500.0)),
-        speed_mps=s.take(("speed_mps", _pair), default=(7.0, 50.0)),
-        sin_psi_x=s.take(("sin_psi_x", _pair), default=(-0.5, 0.5)),
-        sin_psi_y=s.take(("sin_psi_y", _pair), default=(-0.5, 0.5)),
-        rcs_m2=s.take(("rcs_m2", float), default=100.0),
-    )
-    s.finish()
-    return cfg
-
-
-def _parse_experiment(data, path, default_seed) -> ExperimentPlan:
-    s = _Section(data, path)
-    pipelines_raw = s.take(("pipelines", list), default=[{}])
-    pipelines = tuple(_parse_pipeline(p, f"{path}.pipelines[{i}]")
-                      for i, p in enumerate(pipelines_raw))
-    sweep_values = s.take(("sweep_values", _float_list),
-                          ("sweep_values_dbm", lambda v: tuple(dbm_to_watts(x) for x in v)),
-                          ("sweep_values_m", _float_list), default=())
-    custom_raw = s.take(("custom", dict), default=None)
-    deg = lambda v: math.radians(float(v))
-    plan = ExperimentPlan(
-        scenario=s.take(("scenario", str), default="custom"),
-        num_drops=s.take(("num_drops", int), default=100),
-        sweep_axis=s.take(("sweep_axis", str), default="tx_power"),
-        sweep_values=sweep_values,
-        pipelines=pipelines,
-        target_count=s.take(("target_count", int), default=1),
-        seed=s.take(("seed", int), default=default_seed),
-        range_bounds_m=s.take(("range_bounds_m", _pair), default=(100.0, 1000.0)),
-        azimuth_max_rad=s.take(("azimuth_max_rad", float), ("azimuth_max_deg", deg),
-                               default=math.radians(60.0)),
-        custom=_parse_custom(custom_raw or {}, f"{path}.custom"),
-        workers=s.take(("workers", int), default=1),
-    )
-    s.finish()
+def _read_plan(data, path, seed) -> ExperimentPlan:
+    plan = _read(ExperimentPlan, data, path, seed=seed)
+    for i, spec in enumerate(plan.pipelines):
+        conflict = spec.conflict()
+        if conflict:
+            raise ConfigError(f"{path}.pipelines[{i}].{conflict[0]}: {conflict[1]}")
     try:
         return plan.validate()
     except ValueError as exc:
@@ -291,22 +217,20 @@ def config_from_dict(raw: dict, source: str = "config"):
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"{source}: empty config; required sections: radio, array")
     top = _Section(raw, source)
-    radio_raw = top.take(("radio", dict), required=True)
-    radio = _parse_radio(radio_raw, f"{source}.radio")
-    array_raw = top.take(("array", dict), required=True)
-    arr = _parse_array(array_raw, f"{source}.array", radio.wavelength_m)
-    waveform = _parse_waveform(top.take(("waveform", dict), default={}), f"{source}.waveform")
-    clutter = _parse_clutter(top.take(("clutter", dict), default={}), f"{source}.clutter")
-    receiver = _parse_receiver(top.take(("receiver", dict), default={}), f"{source}.receiver")
-    targets_raw = top.take(("targets", list), default=[])
-    targets = tuple(_parse_target(t, f"{source}.targets[{i}]")
-                    for i, t in enumerate(targets_raw))
-    seed = top.take(("seed", int), default=0)
+    radio = _read(RadioParams, top.take(("radio", dict)), f"{source}.radio")
+    lam = radio.wavelength_m
+    arr = _read(ArrayGeometry, top.take(("array", dict)), f"{source}.array",
+                wavelength_m=lam, rx_spacing_x_m=lam / 2.0, rx_spacing_y_m=lam / 2.0)
+    sections = {name: _read(cls, top.take((name, dict), default={}), f"{source}.{name}")
+                for name, cls in (("waveform", WaveformConfig), ("clutter", ClutterConfig),
+                                  ("receiver", ReceiverConfig))}
+    targets = tuple(_read(Target, t, f"{source}.targets[{i}]", psi_x_rad=0.0, psi_y_rad=0.0)
+                    for i, t in enumerate(top.take(("targets", list), default=[])))
+    seed = top.take(("seed", _int), default=SceneConfig.seed)
     experiment_raw = top.take(("experiment", dict), default=None)
     top.finish()
-    scene = SceneConfig(radio=radio, array=arr, waveform=waveform, clutter=clutter,
-                        receiver=receiver, targets=targets, seed=seed)
-    plan = (_parse_experiment(experiment_raw, f"{source}.experiment", seed)
+    scene = SceneConfig(radio=radio, array=arr, targets=targets, seed=seed, **sections)
+    plan = (_read_plan(experiment_raw, f"{source}.experiment", seed)
             if experiment_raw is not None else None)
     return scene, plan
 
@@ -323,31 +247,16 @@ def parse_config(path):
     return config_from_dict(raw, source=str(path))
 
 
-def scene_to_dict(config: SceneConfig) -> dict:
-    """Canonical SI form with all defaults resolved (round-trips through
-    :func:`config_from_dict`)."""
-    radio = {k: v for k, v in asdict(config.radio).items() if v is not None}
-    out = {
-        "radio": radio,
-        "array": asdict(config.array),
-        "waveform": {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in asdict(config.waveform).items() if v is not None},
-        "clutter": {k: v for k, v in asdict(config.clutter).items() if v is not None},
-        "receiver": {k: v for k, v in asdict(config.receiver).items() if v is not None},
-        "targets": [asdict(t) for t in config.targets],
-        "seed": config.seed,
-    }
-    return out
-
-
-def plan_to_dict(plan: ExperimentPlan) -> dict:
-    d = asdict(plan)
-    d["sweep_values"] = list(plan.sweep_values)
-    d["range_bounds_m"] = list(plan.range_bounds_m)
-    d["pipelines"] = [asdict(p) for p in plan.pipelines]
-    d["custom"] = {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(plan.custom).items()}
-    return d
+def to_dict(value):
+    """Canonical SI form of a config dataclass, all defaults resolved, that
+    round-trips through :func:`config_from_dict`: each dataclass becomes a
+    dict without its None fields, each tuple a list."""
+    if is_dataclass(value):
+        return {f.name: to_dict(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, tuple):
+        return [to_dict(v) for v in value]
+    return value
 
 
 def config_hash(effective: dict) -> str:

@@ -9,7 +9,7 @@ validation and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -108,11 +108,7 @@ class ArrayGeometry:
     def with_va(self, enabled: bool) -> "ArrayGeometry":
         if enabled == self.va_enabled:
             return self
-        return ArrayGeometry(
-            rx_cols=self.rx_cols, rx_rows=self.rx_rows,
-            rx_spacing_x_m=self.rx_spacing_x_m, rx_spacing_y_m=self.rx_spacing_y_m,
-            tx_cols=self.tx_cols, tx_rows=self.tx_rows, va_enabled=enabled,
-        )
+        return replace(self, va_enabled=enabled)
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ class WaveformConfig:
     """Sensing waveform structure request (resolved by build_schedule)."""
 
     structure: str = "comb"  # fa | lshape | comb | conventional_chirp
-    chirp_pri_indices: tuple = (1,)
+    chirp_pri_indices: tuple[int, ...] = (1,)
     tone_subcarrier_index: Optional[int] = None  # default: nearest band center
     guard_subcarriers: int = 0
     duty_ratio: Optional[float] = None           # must equal 1/symbols_per_pri when given
@@ -192,7 +188,7 @@ class SceneConfig:
     waveform: WaveformConfig = field(default_factory=WaveformConfig)
     clutter: ClutterConfig = field(default_factory=ClutterConfig)
     receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
-    targets: tuple = ()
+    targets: tuple[Target, ...] = ()
     seed: int = 0
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,22 +21,70 @@ from conftest import (
 )
 from mars_jcas.channel import synthesize_if_cube
 from mars_jcas.cli import main, preset_path
-from mars_jcas.harness import schedule_for
+from mars_jcas.harness import CustomRanges, ExperimentPlan, schedule_for
 from mars_jcas.io import (
     ConfigError,
+    _converter,
+    _fields,
     config_from_dict,
     config_hash,
     dbm_to_watts,
     format_cell,
     parse_config,
-    plan_to_dict,
     read_cube,
     read_manifest,
-    scene_to_dict,
+    to_dict,
     write_csv,
     write_cube,
 )
 from mars_jcas.pipeline import PipelineSpec, front_end, run_pipeline
+from mars_jcas.scene import (
+    ArrayGeometry,
+    ClutterConfig,
+    RadioParams,
+    ReceiverConfig,
+    Target,
+    WaveformConfig,
+)
+
+# Every optional key set, each None-default optional included, and at least
+# one unit variant in each section that has them.
+EVERY_KEY_CONFIG = """
+radio: {carrier_freq_ghz: 5.1, subcarrier_spacing_hz: 60.0e3, num_subcarriers: 512,
+        pri_ms: 0.25, num_pri: 64, symbols_per_pri: 15, avg_tx_power_dbm: 27.0,
+        noise_density_w_per_hz: 4.0e-21, si_attenuation_db: 40.0, uplink_power_dbm: 20.0,
+        uplink_distance_m: 50.0, gain_tx_dbi: 3.0, gain_rx: 2.0, bandwidth_mhz: 30.72,
+        symbol_duration_s: 16.666666666666668e-6}
+array: {rx_cols: 4, rx_rows: 4, rx_spacing_x_m: 0.03, rx_spacing_y_wavelengths: 0.6,
+        tx_cols: 2, tx_rows: 2, va_enabled: true}
+waveform: {structure: comb, chirp_pri_indices: [1, 6, 15], tone_subcarrier_index: 200,
+           guard_subcarriers: 1, duty_ratio: 0.0666}
+clutter: {enabled: true, terrain: soil_5ghz, area_x_m: 100.0, area_y_m: 50.0, cell_m: 2.0,
+          station_height_m: 5.0, area_standoff_m: 10.0, gtri_a: 0.1, gtri_b: 1.0,
+          gtri_c: 0.2, gtri_d: 1.5, surface_rms_height_m: 0.02}
+receiver: {butterworth_order: 3, butterworth_cutoff_hz: 30.0e3, dc_removal: false,
+           residual_dc_db: 60.0, tone_noise_bandwidth: symbol,
+           exact_within_symbol_doppler: true, uplink_cfo_fraction: 0.1}
+targets:
+  - {range_km: 0.3, speed_kmh: 72.0, psi_x_deg: 10.0, sin_psi_y: 0.2, rcs_m2: 10.0}
+  - {range_m: 200.0, radial_velocity_mps: -5.0, psi_x_rad: 0.1, psi_y_rad: -0.05, rcs_m2: 1.0}
+seed: 11
+experiment:
+  scenario: custom
+  num_drops: 7
+  sweep_axis: range
+  sweep_values_m: [100, 200.5]
+  pipelines:
+    - {structure: comb, suppressor: stap, eps_mode: em, refinement: music, va: true,
+       music_factor: 4, stte_guard: 2}
+  target_count: 2
+  seed: 5
+  range_bounds_m: [50, 900]
+  azimuth_max_deg: 45.0
+  custom: {range_m: [10, 20], speed_mps: [1, 2], sin_psi_x: [-0.1, 0.1],
+           sin_psi_y: [-0.2, 0.2], rcs_m2: 3.0}
+  workers: 2
+"""
 
 
 class TestConfigParsing:
@@ -180,13 +228,64 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("waveform", "chirp_pri_indices", [1.5, 6]),
+        ("experiment", "num_drops", 2.7),
+        ("radio", "num_subcarriers", 2048.5),
+        ("array", "rx_cols", True),
+        (None, "seed", 3.9),
+    ])
+    def test_integer_key_rejects_fraction_and_bool(self, tmp_path, capsys, section, key, value):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        (raw[section] if section else raw)[key] = value
+        cfg = tmp_path / "int.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"{cfg}.{section}.{key}" if section else f"{cfg}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(where) + ": bad value"):
+            parse_config(cfg)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == 3
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_parses_as_int(self):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["array"]["rx_cols"] = 8.0
+        scene_cfg, _ = config_from_dict(raw)
+        assert scene_cfg.array.rx_cols == 8 and type(scene_cfg.array.rx_cols) is int
+
+    @pytest.mark.parametrize("cls", [RadioParams, ArrayGeometry, WaveformConfig, ClutterConfig,
+                                     ReceiverConfig, Target, CustomRanges, PipelineSpec,
+                                     ExperimentPlan])
+    def test_every_config_field_has_a_converter(self, cls):
+        # An annotation the reader cannot convert would otherwise surface as
+        # a KeyError at a user's load, reported as a config error.
+        for f, annotation in _fields(cls):
+            assert callable(_converter(annotation, f"{cls.__name__}.{f.name}"))
+
     def test_effective_dict_round_trip(self):
-        scene_cfg, plan = parse_config(preset_path("desk_small"))
-        effective = scene_to_dict(scene_cfg)
-        effective["experiment"] = plan_to_dict(plan)
-        back_scene, back_plan = config_from_dict(effective, source="round")
-        assert back_scene == scene_cfg
-        assert back_plan == plan
+        # The effective config of every preset, and of a config that sets
+        # every optional key, parses back to the same scene and plan; the
+        # preset hashes are pinned so that old manifests keep replaying.
+        pinned = {
+            "desk_small": "f378aea5351d449767b14a27fffbeafb5e5bc643b57784b081f90db33ec7bd40",
+            "table1_car": "4226376d54f9ee010fedd40f84edfdd99eb7e464921a11f9471a5e792b24bf8e",
+            "table1_uav": "419dda2f4e38f77261c31a2c219a4fa319de9bef0cb044061d9e116b4db24843",
+            "every_key": "9b5ad26d8c9b6288844f67552d66459724ce5acf8536e0e383aae9d4ad9ce697",
+        }
+        configs = {name: parse_config(preset_path(name)) for name in pinned if name != "every_key"}
+        configs["every_key"] = config_from_dict(yaml.safe_load(EVERY_KEY_CONFIG), source="every")
+        scene_cfg = configs["every_key"][0]
+        sections = (scene_cfg.radio, scene_cfg.array, scene_cfg.waveform, scene_cfg.clutter,
+                    scene_cfg.receiver, *scene_cfg.targets)
+        assert all(v is not None for section in sections for v in asdict(section).values())
+        for name, (scene_cfg, plan) in configs.items():
+            effective = to_dict(scene_cfg)
+            effective["experiment"] = to_dict(plan)
+            back_scene, back_plan = config_from_dict(effective, source="round")
+            assert back_scene == scene_cfg, name
+            assert back_plan == plan, name
+            assert config_hash(effective) == pinned[name], name
 
     def test_readme_config_block_shows_true_defaults(self, tmp_path, capsys):
         # The README's schema block is a working config, and every optional
@@ -201,8 +300,8 @@ class TestConfigParsing:
         assert set(reduced["radio"]) | set(reduced["array"]) == required
         full_scene, full_plan = config_from_dict(raw)
         bare_scene, bare_plan = config_from_dict(reduced)
-        assert scene_to_dict(full_scene) == scene_to_dict(bare_scene)
-        assert plan_to_dict(full_plan) == plan_to_dict(bare_plan)
+        assert to_dict(full_scene) == to_dict(bare_scene)
+        assert to_dict(full_plan) == to_dict(bare_plan)
         for section in ("radio", "array"):
             for key in reduced[section]:
                 body = {k: v for k, v in reduced[section].items() if k != key}
