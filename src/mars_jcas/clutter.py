@@ -152,35 +152,6 @@ def patch_grid(clutter_cfg) -> tuple:
 CHUNK_PATCHES = 16384
 
 
-def _patches(scene: ValidatedScene, params: GtriParams) -> tuple:
-    """x, range, unit-power coefficient and range bin of every patch that
-    falls inside the table, sorted by bin (stable: a bin keeps grid order).
-
-    Per patch: flat-earth grazing angle, reflectivity, RCS = sigma0 * cell
-    area, radar-equation amplitude at unit power, one seeded uniform phase
-    (drawn for every patch of the grid, in grid order).
-    """
-    cl, radio = scene.clutter, scene.radio
-    lam = scene.wavelength_m
-    xs, ys = patch_grid(cl)
-    x, y = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
-    h = cl.station_height_m
-    r = np.sqrt(x * x + y * y + h * h)
-    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=r.size)
-    bins = np.rint(r / scene.range_res_m).astype(int)
-    kept = np.flatnonzero(bins < radio.num_subcarriers)
-    kept = kept[np.argsort(bins[kept], kind="stable")]
-    x, r, phase, bins = x[kept], r[kept], phase[kept], bins[kept]
-
-    grazing = np.arcsin(h / r)
-    sigma0 = gtri_reflectivity(grazing, params, lam)
-    rcs = sigma0 * cl.cell_m**2
-    # Radar-equation amplitude at unit transmit power.
-    amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
-                  / ((4.0 * np.pi) ** 3 * r**4))
-    return x, r, amp * np.exp(1j * phase), bins
-
-
 def _phase_powers(phase, n: int) -> np.ndarray:
     """``exp(1j * k * phase)`` for k = 0..n-1, one row per k."""
     powers = np.empty((n, phase.size), dtype=complex)
@@ -200,29 +171,54 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     product of its per-axis phase powers, so with the patches sorted by
     range bin, a bin's entry is one (rows x patches) @ (patches x cols)
     product over the bin's patches, scaled by their coefficients.
+
+    Per patch: flat-earth grazing angle, reflectivity, RCS = sigma0 * cell
+    area, radar-equation amplitude at unit power, one seeded uniform phase
+    (drawn for every patch of the grid, in grid order). Only the patch
+    order (stable by range bin; key ``num_subcarriers`` marks a patch past
+    the last bin), the bin keys and the phases are held for the whole grid;
+    the rest is computed a chunk of patches at a time.
     """
     cl = scene.clutter
     if cl.station_height_m <= 0:
         raise ValueError("build_clutter_map: station height must be > 0")
     params = _resolve_params(scene)
     radio, arr = scene.radio, scene.array
+    lam = scene.wavelength_m
     n_bins = radio.num_subcarriers
     h = cl.station_height_m
-    x, r, coeff, bins = _patches(scene, params)
+    xs, ys = patch_grid(cl)
+    bins = np.rint(np.sqrt(np.add.outer(xs * xs, ys * ys).ravel() + h * h) / scene.range_res_m)
+    # Sort keys of 16 bits or fewer take numpy's radix sort.
+    keys = np.minimum(bins, n_bins, out=bins).astype(np.uint16 if n_bins < 2**16 else np.intp)
+    del bins
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    kept = int(np.searchsorted(keys, n_bins))
+    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=keys.size)
 
-    wavenum = 2.0 * np.pi / scene.wavelength_m
+    wavenum = 2.0 * np.pi / lam
     cols, rows = arr.va_cols, arr.va_rows
     virtual = np.zeros((n_bins, rows, cols), dtype=complex)
     tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
-    for lo in range(0, r.size, CHUNK_PATCHES):
-        part = slice(lo, lo + CHUNK_PATCHES)
-        px = _phase_powers(wavenum * arr.rx_spacing_x_m * x[part] / r[part], cols)
+    for lo in range(0, kept, CHUNK_PATCHES):
+        part = slice(lo, min(lo + CHUNK_PATCHES, kept))
+        idx = order[part]
+        ix, iy = np.divmod(idx, ys.size)
+        x, y = xs[ix], ys[iy]
+        r = np.sqrt(x * x + y * y + h * h)
+        sigma0 = gtri_reflectivity(np.arcsin(h / r), params, lam)
+        # Radar-equation amplitude at unit transmit power.
+        amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * (sigma0 * cl.cell_m**2)
+                      / ((4.0 * np.pi) ** 3 * r**4))
+        coeff = amp * np.exp(1j * phase[idx])
+        px = _phase_powers(wavenum * arr.rx_spacing_x_m * x / r, cols)
         # Patches sit below the array plane: sin_y = -h / r.
-        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r[part], rows) * coeff[part]
-        tau = 2.0 * r[part] / SPEED_OF_LIGHT
+        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r, rows) * coeff
+        tau = 2.0 * r / SPEED_OF_LIGHT
         tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
         tone += (py[:arr.rx_rows] * tone_carrier) @ px[:arr.rx_cols].T
-        b = bins[part]
+        b = keys[part]
         starts = np.flatnonzero(np.diff(b, prepend=-1))
         for s, e in zip(starts, np.append(starts[1:], b.size)):
             virtual[b[s]] += py[:, s:e] @ px[:, s:e].T
@@ -233,7 +229,7 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     return ClutterMap(
         chirp_tables=tables, tone_vec=tone.ravel(),
         range_res_m=scene.range_res_m, terrain=cl.terrain, params=params,
-        patch_count=int(r.size), area_x_m=cl.area_x_m, area_y_m=cl.area_y_m,
+        patch_count=kept, area_x_m=cl.area_x_m, area_y_m=cl.area_y_m,
         cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
     )
 

@@ -4,8 +4,9 @@ Configs are YAML with nested sections. Each section's keys, types and
 defaults are the fields of its dataclass; a field may also be given in
 another unit (``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``, ...), converted
 to SI at parse time. Parsing fails closed: unknown keys, duplicate unit
-variants, and type mismatches (an integer key given 2.7 or true, say) all
-raise :class:`ConfigError` with path-qualified messages. CSV output uses locale-independent full-precision scientific
+variants, type mismatches (an integer key given 2.7 or true, say) and
+non-finite floats all raise :class:`ConfigError` with path-qualified
+messages. CSV output uses locale-independent full-precision scientific
 notation so replays are byte-identical.
 """
 
@@ -75,11 +76,16 @@ class _Section:
         self.seen.add(key)
         raw = self.data[key]
         try:
-            return fn(raw)
+            value = fn(raw)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}.{key}: bad value {raw!r} ({exc})") from exc
+        # Every float a key yields, unit-converted or a tuple item, is finite.
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{self.path}.{key}: bad value {raw!r} (not finite)")
+        return value
 
     def finish(self):
         unknown = set(self.data) - self.seen

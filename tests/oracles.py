@@ -12,7 +12,9 @@ ramp multiply and FFT per element, and a ramp-table matmul; so are the
 full-grid Gram form of the FA map with its per-call lag cells, the
 half-grid form with a zeroed grid, two ``bincount`` passes and numpy's
 ``hfft``, the FA peak search on a transposed copy of the map, the clutter
-map, built by a transmit-slot x receive-element loop, the general VA row
+map, built by a transmit-slot x receive-element loop and, for exact
+comparison, with every per-patch array held for the whole grid (the
+build before it streamed chunks over the patch order), the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
 pipeline front end replaced (on the element-major (L, W*N) chirp layout,
 with its occasion interleave, and each VA slot's rows rotated back by the
@@ -39,8 +41,15 @@ from typing import Optional
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from mars_jcas import clutter as library_clutter
 from mars_jcas.channel import _rx_steering, _target_coeff, _tx_slot_phase
-from mars_jcas.clutter import ClutterMap, _resolve_params, gtri_reflectivity, patch_grid
+from mars_jcas.clutter import (
+    ClutterMap,
+    _phase_powers,
+    _resolve_params,
+    gtri_reflectivity,
+    patch_grid,
+)
 from mars_jcas.estimator import (
     FaMap,
     TargetEstimate,
@@ -368,6 +377,58 @@ def build_clutter_map(scene):
     return ClutterMap(
         chirp_tables=tables, tone_vec=tone, range_res_m=dr, terrain=cl.terrain,
         params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
+        area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
+    )
+
+
+def build_clutter_map_full_grid(scene):
+    """Clutter tables as the library built them before the streamed pass:
+    meshgrid, range, phase and bins for the whole grid, the kept patches
+    sorted by an int64 bin key, then every per-patch quantity at full size
+    before the chunked virtual-array accumulation."""
+    cl, radio, arr = scene.clutter, scene.radio, scene.array
+    params = _resolve_params(scene)
+    lam = scene.wavelength_m
+    n_bins = radio.num_subcarriers
+    xs, ys = patch_grid(cl)
+    x, y = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
+    h = cl.station_height_m
+    r = np.sqrt(x * x + y * y + h * h)
+    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=r.size)
+    bins = np.rint(r / scene.range_res_m).astype(int)
+    kept = np.flatnonzero(bins < n_bins)
+    kept = kept[np.argsort(bins[kept], kind="stable")]
+    x, r, phase, bins = x[kept], r[kept], phase[kept], bins[kept]
+    grazing = np.arcsin(h / r)
+    sigma0 = gtri_reflectivity(grazing, params, lam)
+    rcs = sigma0 * cl.cell_m**2
+    amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
+                  / ((4.0 * np.pi) ** 3 * r**4))
+    coeff = amp * np.exp(1j * phase)
+
+    wavenum = 2.0 * np.pi / lam
+    cols, rows = arr.va_cols, arr.va_rows
+    virtual = np.zeros((n_bins, rows, cols), dtype=complex)
+    tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
+    chunk = library_clutter.CHUNK_PATCHES
+    for lo in range(0, r.size, chunk):
+        part = slice(lo, lo + chunk)
+        px = _phase_powers(wavenum * arr.rx_spacing_x_m * x[part] / r[part], cols)
+        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r[part], rows) * coeff[part]
+        tau = 2.0 * r[part] / SPEED_OF_LIGHT
+        tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+        tone += (py[:arr.rx_rows] * tone_carrier) @ px[:arr.rx_cols].T
+        b = bins[part]
+        starts = np.flatnonzero(np.diff(b, prepend=-1))
+        for s, e in zip(starts, np.append(starts[1:], b.size)):
+            virtual[b[s]] += py[:, s:e] @ px[:, s:e].T
+
+    slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
+    tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
+              .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
+    return ClutterMap(
+        chirp_tables=tables, tone_vec=tone.ravel(), range_res_m=scene.range_res_m,
+        terrain=cl.terrain, params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
         area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
     )
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.constants import c as C0
 import oracles
 from conftest import WAVELENGTH, make_array, make_radio, make_scene
 from mars_jcas import clutter
+from mars_jcas.cli import preset_path
 from mars_jcas.clutter import (
     ClutterMap,
     GtriParams,
@@ -19,7 +21,20 @@ from mars_jcas.clutter import (
     gtri_reflectivity,
     terrain_preset,
 )
-from mars_jcas.scene import ArrayGeometry, ClutterConfig, received_power, steering_ura_from_sin
+from mars_jcas.io import parse_config
+from mars_jcas.scene import (
+    ArrayGeometry,
+    ClutterConfig,
+    received_power,
+    steering_ura_from_sin,
+    validate_scene,
+)
+
+
+def assert_same_map(got, want):
+    assert np.array_equal(got.chirp_tables, want.chirp_tables)
+    assert np.array_equal(got.tone_vec, want.tone_vec)
+    assert got.patch_count == want.patch_count
 
 
 class TestGtri:
@@ -165,6 +180,8 @@ class TestClutterMap:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", chunk)
             got = build_clutter_map(scene)
+            # Bit for bit the build that held every per-patch array at once.
+            assert_same_map(got, oracles.build_clutter_map_full_grid(scene))
         want = oracles.build_clutter_map(scene)
         assert got.chirp_tables.shape == want.chirp_tables.shape
         assert got.patch_count == want.patch_count
@@ -172,6 +189,44 @@ class TestClutterMap:
             scale = np.abs(b).max()
             assert np.abs(a - b).max() <= 1e-12 * scale
             assert np.array_equal(a == 0, b == 0)
+
+    @pytest.mark.parametrize("preset,va", [("desk_small", True), ("table1_car", False)])
+    def test_preset_map_equals_full_grid_build(self, preset, va):
+        scene = validate_scene(parse_config(preset_path(preset))[0])
+        scene = replace(scene, array=scene.array.with_va(va))
+        assert_same_map(build_clutter_map(scene), oracles.build_clutter_map_full_grid(scene))
+
+    # Below 2**16 subcarriers the sort keys are uint16 (the key
+    # num_subcarriers marks a patch past the last bin); from 2**16 on they
+    # are intp. The patches' bins run from about 65 525 to 65 545.
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_sort_key_width_boundary(self, n):
+        scene = make_scene(radio=make_radio(n=n), arr=make_array(cols=2, rows=1, tx=2, va=True),
+                           clutter_enabled=True, seed=n)
+        res = scene.range_res_m
+        scene = replace(scene, clutter=ClutterConfig(
+            enabled=True, area_x_m=3 * res, area_y_m=20 * res, cell_m=res,
+            station_height_m=1.0, area_standoff_m=(2**16 - 11) * res))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clutter, "CHUNK_PATCHES", 7)
+            got = build_clutter_map(scene)
+            assert_same_map(got, oracles.build_clutter_map_full_grid(scene))
+        bins = np.flatnonzero(np.abs(got.chirp_tables[0]).sum(axis=1))
+        assert bins.min() < 2**16 - 1 and bins.max() == min(n, 2**16 + 10) - 1
+
+    def test_desk_build_peak_below_four_patch_arrays(self, desk):
+        # Only the patch order, the phases and 16-bit keys are held for the
+        # whole grid, not ten full-grid temporaries.
+        scene, _ = desk
+        scene = replace(scene, array=scene.array.with_va(True))
+        tracemalloc.start()
+        try:
+            cmap = build_clutter_map(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cmap.patch_count == 2_000_000
+        assert peak < 4 * 8 * cmap.patch_count
 
 
 class TestDerivedSpectra:

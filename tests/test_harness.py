@@ -642,8 +642,9 @@ class TestDropDraws:
 
 
 class TestDropMemory:
-    """Peak memory of the drop phase alone. perfbench's peak RSS is set by
-    the clutter build, so it cannot see what one drop allocates."""
+    """Peak memory of the drop phase alone. perfbench's peak RSS covers the
+    whole process, imports and set-up included, so it cannot single out
+    what one drop allocates."""
 
     def test_car_drop_peak_below_three_chirp_branches(self):
         # A car_fa drop (FA + comb, no VA) must stay below three 8 MiB chirp

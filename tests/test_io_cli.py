@@ -248,6 +248,26 @@ class TestConfigParsing:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("radio", "avg_tx_power_dbm", float("inf")),
+        ("radio", "avg_tx_power_dbm", 1e308),         # 10 ** 1e307 W overflows
+        ("radio", "carrier_freq_ghz", 1e305),         # finite GHz, inf Hz
+        ("clutter", "cell_m", float("nan")),
+        ("experiment", "sweep_values_dbm", [10.0, float("nan")]),
+    ])
+    def test_non_finite_float_fails_closed(self, tmp_path, capsys, section, key, value):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw[section][key] = value
+        cfg = tmp_path / "finite.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"{cfg}.{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(where) + ": bad value"):
+            parse_config(cfg)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(out), "--drops", "1"]) == 3
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_parses_as_int(self):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
         raw["array"]["rx_cols"] = 8.0
