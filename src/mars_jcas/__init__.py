@@ -26,7 +26,6 @@ from .waveform import (
     ChirpSpec,
     MarsSchedule,
     build_schedule,
-    chirp_freq_coeffs,
     chirp_time_samples,
     overhead_fraction,
 )

@@ -16,9 +16,8 @@ from importlib import resources
 
 import numpy as np
 import yaml
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from .scene import ValidatedScene
+from .scene import SPEED_OF_LIGHT, ValidatedScene
 from .seeding import rng_for
 
 
@@ -194,6 +193,9 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     del bins
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    # Hold the patch order in 32 bits while the grid index fits; the intp
+    # sort result is freed before the phase draw.
+    order = order.astype(np.int32 if keys.size < 2**31 else np.intp)
     kept = int(np.searchsorted(keys, n_bins))
     phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=keys.size)
 

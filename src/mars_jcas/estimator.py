@@ -18,10 +18,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.linalg import cho_factor, cho_solve
 
-from .scene import ArrayGeometry, RadioParams, steering_ura_from_sin
+from .scene import SPEED_OF_LIGHT, ArrayGeometry, RadioParams, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 
@@ -307,9 +305,9 @@ def epsilon_m(s_i: np.ndarray) -> float:
 
 def _loaded_solve(s_i: np.ndarray, a: np.ndarray, eps_mode: str,
                   epsilon: Optional[float]) -> np.ndarray:
-    """(S + eps I)^-1 A with one factorization for all columns: Cholesky when
-    loaded, else the pseudo-inverse from one ``eigh`` that also gives the
-    rank (numpy's ``matrix_rank`` and ``pinv`` tolerances)."""
+    """(S + eps I)^-1 A with one factorization for all columns: an LU solve
+    when loaded, else the pseudo-inverse from one ``eigh`` that also gives
+    the rank (numpy's ``matrix_rank`` and ``pinv`` tolerances)."""
     dim = s_i.shape[0]
     if epsilon is not None:
         eps = float(epsilon)
@@ -320,7 +318,7 @@ def _loaded_solve(s_i: np.ndarray, a: np.ndarray, eps_mode: str,
     else:
         raise ValueError(f"unknown eps_mode {eps_mode!r}")
     if eps != 0.0:
-        return cho_solve(cho_factor(s_i + eps * np.eye(dim)), a)
+        return np.linalg.solve(s_i + eps * np.eye(dim), a)
     vals, vecs = np.linalg.eigh(s_i)
     mags = np.abs(vals)
     rank = int(np.sum(mags > mags.max() * dim * np.finfo(float).eps))

@@ -76,6 +76,15 @@ class ExperimentPlan:
             raise ValueError("sweep_values must be positive (watts or meters)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        c = self.custom
+        if c.rcs_m2 <= 0:
+            raise ValueError(f"custom.rcs_m2: must be > 0, got {c.rcs_m2}")
+        # draw_targets redraws until a direction falls in the unit disk: the
+        # box's point nearest broadside must lie strictly inside it.
+        near = [min(max(0.0, min(box)), max(box)) for box in (c.sin_psi_x, c.sin_psi_y)]
+        if math.hypot(*near) >= 1.0:
+            raise ValueError(f"custom.sin_psi_x, custom.sin_psi_y: the box {list(c.sin_psi_x)} "
+                             f"x {list(c.sin_psi_y)} has no point inside the unit disk")
         first = {}
         for i, p in enumerate(self.pipelines):
             conflict = p.conflict()

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .channel import IfCube
 from .estimator import (
@@ -36,7 +35,7 @@ from .estimator import (
     temporal_steering,
     va_assemble,
 )
-from .scene import ArrayGeometry, ValidatedScene, steering_ura_from_sin
+from .scene import SPEED_OF_LIGHT, ArrayGeometry, ValidatedScene, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
+
+# Speed of light in vacuum, m/s (exact in SI).
+SPEED_OF_LIGHT = 299_792_458.0
 
 
 class SceneValidationError(ValueError):

@@ -51,13 +51,6 @@ def chirp_time_samples(spec: ChirpSpec) -> np.ndarray:
     return np.exp(1j * np.pi * spec.chirp_rate_hz_per_s * (k * step) ** 2)
 
 
-def chirp_freq_coeffs(samples: np.ndarray) -> np.ndarray:
-    """Frequency-domain OFDM data that regenerates ``samples``:
-    X[n] = (1/sqrt(N)) * sum_k x[k] exp(-j*2*pi*n*k/N)."""
-    samples = np.asarray(samples)
-    return np.fft.fft(samples) / math.sqrt(samples.size)
-
-
 @dataclass(frozen=True, eq=False)
 class MarsSchedule:
     """Fully resolved per-PRI sensing plan for one CPI.

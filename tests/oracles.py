@@ -25,11 +25,13 @@ grid wrap written twice: the matching distance from numpy bin differences,
 and the matched pair's offsets computed again for its record.
 ``complex_noise`` draws the real and imaginary parts by two ``normal``
 calls, and MUSIC's forward-backward average is kept with its dense
-exchange-matrix products. ``FreshDraws`` makes every random draw of a cube
-afresh, as each cube did before a drop's cubes shared one ``DropDraws``.
+exchange-matrix products. The loaded range-stage solve is kept as the
+Cholesky factor and solve it was before the library dropped scipy.
+``FreshDraws`` makes every random draw of a cube afresh, as each cube did
+before a drop's cubes shared one ``DropDraws``.
 The last section holds forms that only tests use: the sample-level tone
 branch, the spherical angle conversions, the inverse space-time reshape
-and OFDM synthesis.
+and OFDM synthesis and analysis.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
+from scipy.linalg import cho_factor, cho_solve
 
 from mars_jcas import clutter as library_clutter
 from mars_jcas.channel import _rx_steering, _target_coeff, _tx_slot_phase
@@ -106,6 +109,18 @@ def _loaded_inverse(s_i, eps_mode, epsilon):
                           "using pseudo-inverse", RuntimeWarning, stacklevel=3)
         return np.linalg.pinv(s_i, hermitian=True)
     return np.linalg.inv(s_i + eps * np.eye(dim))
+
+
+def loaded_solve_cholesky(s_i, a, eps_mode, epsilon):
+    """The range stage's solve before it dropped scipy: a Cholesky factor and
+    solve when loaded, the library's ``eigh`` pseudo-inverse otherwise."""
+    if epsilon is not None:
+        eps = float(epsilon)
+    else:
+        eps = epsilon_m(s_i) if eps_mode == "em" else 0.0
+    if eps == 0.0:
+        return _loaded_solve(s_i, a, eps_mode, epsilon)
+    return cho_solve(cho_factor(s_i + eps * np.eye(s_i.shape[0])), a)
 
 
 def stap_range_spectrum(y_st, a_st, eps_mode="em", *, range_res_m=1.0,
@@ -666,3 +681,10 @@ def ofdm_time_samples(freq_coeffs: np.ndarray) -> np.ndarray:
     x[k] = (1/sqrt(N)) * sum_n X[n] exp(j*2*pi*n*k/N)."""
     freq_coeffs = np.asarray(freq_coeffs)
     return np.fft.ifft(freq_coeffs) * math.sqrt(freq_coeffs.size)
+
+
+def chirp_freq_coeffs(samples: np.ndarray) -> np.ndarray:
+    """Frequency-domain OFDM data that regenerates ``samples``, the inverse
+    of :func:`ofdm_time_samples`: X[n] = (1/sqrt(N)) * sum_k x[k] exp(-j*2*pi*n*k/N)."""
+    samples = np.asarray(samples)
+    return np.fft.fft(samples) / math.sqrt(samples.size)

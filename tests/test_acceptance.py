@@ -32,11 +32,10 @@ from mars_jcas.scene import steering_from_sin, steering_ura_from_sin
 from mars_jcas.waveform import (
     ChirpSpec,
     build_schedule,
-    chirp_freq_coeffs,
     chirp_time_samples,
     overhead_fraction,
 )
-from oracles import ofdm_time_samples
+from oracles import chirp_freq_coeffs, ofdm_time_samples
 
 LAM = 299792458.0 / 5e9
 

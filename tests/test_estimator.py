@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -613,6 +614,29 @@ class TestBatchedAgainstOracles:
             _assert_matches_oracle(
                 sthp_range_spectrum(y, a_t, a_s, mode, range_res_m=0.5),
                 [oracles.sthp_range_spectrum(y, a_t, a_s[:, j], mode) for j in range(c)])
+
+    @given(seed=st.integers(0, 2**32 - 1), w=st.integers(2, 4), l=st.integers(2, 64),
+           extra=st.integers(0, 24), c=st.integers(1, 8), rank_deficient=st.booleans(),
+           scale=st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    @settings(max_examples=40, deadline=None)
+    def test_loaded_solve_matches_cholesky(self, seed, w, l, extra, c, rank_deficient, scale):
+        # eps_mode 'em', or an explicit epsilon of ``scale`` times the em level.
+        # LU and Cholesky are both backward stable, so the two spectra differ
+        # by O(machine eps x condition number of the loaded covariance).
+        y, a_st, a_t, a_s = _batched_case(seed, w, l, 2 * w * l + extra, c, rank_deficient)
+        y_s = np.tensordot(estimator._zero_forcing_weights(a_t), y.reshape(w, l, -1), axes=1)
+        runs = ((stap_range_spectrum, (y, a_st), y), (sthp_range_spectrum, (y, a_t, a_s), y_s))
+        for spectrum, args, y_cov in runs:
+            cov = interference_cov(y_cov)
+            eps = epsilon_m(cov) * (1.0 if scale is None else scale)
+            vals = np.linalg.eigvalsh(cov)
+            cond = (vals[-1] + eps) / (max(vals[0], 0.0) + eps)
+            d, _, bins = spectrum(*args, "em", epsilon=None if scale is None else eps)
+            with mock.patch.object(estimator, "_loaded_solve", oracles.loaded_solve_cholesky):
+                d_ref, _, bins_ref = spectrum(*args, "em", epsilon=None if scale is None else eps)
+            tol = 64 * np.finfo(float).eps * cond * np.max(np.abs(d_ref), axis=1)
+            assert np.all(np.max(np.abs(d - d_ref), axis=1) <= tol)
+            assert np.array_equal(bins, bins_ref)
 
     @pytest.mark.parametrize("mode", ["zero", "em", "inf"])
     def test_vector_input_keeps_scalar_contract(self, mode):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import signal
 import struct
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -267,6 +268,45 @@ class TestConfigParsing:
         assert main(["montecarlo", "--config", str(cfg), "--out", str(out), "--drops", "1"]) == 3
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("sin_psi_x", [2.0, 3.0], "sin_psi_x, custom.sin_psi_y: the box [2.0, 3.0]"),
+        ("sin_psi_y", [-3.0, -1.0], "sin_psi_x, custom.sin_psi_y: the box"),  # touches at -1
+        ("rcs_m2", 0.0, "rcs_m2: must be > 0"),
+        ("rcs_m2", -5.0, "rcs_m2: must be > 0"),
+    ])
+    def test_custom_draw_box_fails_closed(self, tmp_path, capsys, key, value, message):
+        # Before this check a box outside the disk hung draw_targets and a
+        # zero RCS failed at drop 0; an alarm in this process bounds a hang.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"]["enabled"] = False
+        raw["experiment"]["custom"][key] = value
+        cfg = tmp_path / "custom.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"{cfg}.experiment: custom.{message}"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(cfg)
+        out = tmp_path / "mc"
+
+        def hang(signum, frame):
+            raise TimeoutError("montecarlo did not finish within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            code = main(["montecarlo", "--config", str(cfg), "--out", str(out), "--drops", "1"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_custom_box_partly_outside_disk_parses(self):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["experiment"]["custom"].update(sin_psi_x=[0.5, 2.0], sin_psi_y=[0.8, 0.9])
+        _, plan = config_from_dict(raw)
+        assert plan.custom.sin_psi_x == (0.5, 2.0)
 
     def test_integral_float_parses_as_int(self):
         raw = yaml.safe_load(preset_path("desk_small").read_text())

@@ -1,10 +1,11 @@
 """No explicit matrix inverse in the library.
 
-Numerical paths use solves and decompositions (``cho_solve``, ``eigh``),
-not ``inv`` or ``pinv`` from ``numpy.linalg`` or ``scipy.linalg``. This AST
-scan of ``src/`` resolves each call's name through the module's imports,
-so ``np.linalg.pinv``, ``la.inv`` and a bare imported ``pinv`` are all
-caught. Tests may still call them: their oracles keep the old forms.
+Numerical paths use solves and decompositions (``numpy.linalg.solve``,
+``eigh``), not ``inv`` or ``pinv`` from ``numpy.linalg`` or
+``scipy.linalg``. This AST scan of ``src/`` resolves each call's name
+through the module's imports, so ``np.linalg.pinv``, ``la.inv`` and a bare
+imported ``pinv`` are all caught. Tests may still call them: their oracles
+keep the old forms.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ from mars_jcas.waveform import (
     ChirpSpec,
     MarsSchedule,
     build_schedule,
-    chirp_freq_coeffs,
     chirp_time_samples,
     overhead_fraction,
     symbol_time_samples,
 )
-from oracles import ofdm_time_samples
+from oracles import chirp_freq_coeffs, ofdm_time_samples
 
 
 def brute_cyclic_autocorr(x: np.ndarray) -> np.ndarray:
