@@ -369,15 +369,16 @@ def cmd_replay(args) -> int:
         if plan is None:
             print("manifest has no experiment plan to replay a drop from", file=sys.stderr)
             return EXIT_CONFIG
-        records = run_drop(scene, plan, args.drop,
-                           clutter=None if not scene.clutter.enabled else
-                           build_clutter_for(scene, plan.pipelines))
-        rows = [{"pipeline": r.pipeline, "hit": r.hit,
+        clutter = build_clutter_for(scene, plan.pipelines) if scene.clutter.enabled else None
+        # The drop seed and its targets depend on the sweep point: replay each.
+        records = [r for value in plan.sweep_values or (None,)
+                   for r in run_drop(scene, plan, args.drop, clutter, value)]
+        rows = [{"pipeline": r.pipeline, "sweep_value": r.sweep_value, "hit": r.hit,
                  "truth_range_m": r.truth.range_m,
                  "est_range_m": None if r.estimate is None else r.estimate.range_m}
                 for r in records]
         write_csv(out / f"drop_{args.drop}_records.csv",
-                  ["pipeline", "hit", "truth_range_m", "est_range_m"], rows)
+                  ["pipeline", "sweep_value", "hit", "truth_range_m", "est_range_m"], rows)
         print(f"replayed drop {args.drop}: {sum(r.hit for r in records)}/{len(records)} hits")
         return EXIT_OK
 

@@ -4,9 +4,8 @@ space-time reshaping and steering, adaptive / hierarchical / matched-filter
 range spectra, the FA baseline correlator, and virtual-aperture assembly.
 
 Everything treats its inputs as immutable. Results are new arrays, except
-that a one-slot :func:`va_assemble` returns its block itself and
-:func:`reshape_space_time` a view of a contiguous stack. Grids are
-FFT-native and physical values derive from bin x resolution.
+that :func:`reshape_space_time` returns a view of a contiguous stack. Grids
+are FFT-native and physical values derive from bin x resolution.
 """
 
 from __future__ import annotations
@@ -502,14 +501,11 @@ def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,
 
 
 def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
-    """Stack the per-transmit-element chirp matrices (x-fastest slot order)
-    into the virtual-array snapshot whose rows follow the URA steering of
-    the (tx_cols*rx_cols) x (tx_rows*rx_rows) array. Each slot's rows are
-    its second-to-last axis, so (L, N) matrices and (W, L, N) stacks of
-    them both assemble.
+    """Stack the per-transmit-element (L, N) chirp matrices (x-fastest slot
+    order) into the virtual-array snapshot whose rows follow the URA steering
+    of the (tx_cols*rx_cols) x (tx_rows*rx_rows) array.
 
-    Returns (assembled array, virtual receive geometry). With one slot the
-    rows are already in URA order and the block itself is returned.
+    Returns (assembled array, virtual receive geometry).
     """
     eta_x = arr.tx_cols if arr.va_enabled else 1
     eta_y = arr.tx_rows if arr.va_enabled else 1
@@ -517,14 +513,9 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
         raise ValueError(f"va_assemble: expected {eta_x * eta_y} slot matrices, "
                          f"got {len(per_slot)}")
     lx, ly = arr.rx_cols, arr.rx_rows
-    if any(np.ndim(block) < 2 or np.shape(block)[-2] != lx * ly for block in per_slot):
+    if any(np.ndim(block) != 2 or np.shape(block)[0] != lx * ly for block in per_slot):
         raise ValueError("va_assemble: slot matrices do not match the receive array size")
-    if len(per_slot) == 1:
-        return np.asarray(per_slot[0]), va_receive_geometry(arr)
     # Row (slot = b*eta_x + a, element = ly*Lx + lx) belongs at URA index
-    # ((b*Ly + ly) * eta_x + a) * Lx + lx: one strided copy per slot.
-    lead, cols = np.shape(per_slot[0])[:-2], np.shape(per_slot[0])[-1]
-    out = np.empty(lead + (eta_y, ly, eta_x, lx, cols), dtype=np.result_type(*per_slot))
-    for slot, block in enumerate(per_slot):
-        out[..., slot // eta_x, :, slot % eta_x, :, :] = np.reshape(block, lead + (ly, lx, cols))
-    return out.reshape(lead + (eta_y * ly * eta_x * lx, cols)), va_receive_geometry(arr)
+    # ((b*Ly + ly) * eta_x + a) * Lx + lx.
+    out = np.reshape(per_slot, (eta_y, eta_x, ly, lx, -1)).transpose(0, 2, 1, 3, 4)
+    return out.reshape(eta_y * ly * eta_x * lx, -1), va_receive_geometry(arr)

@@ -101,16 +101,19 @@ class ExperimentPlan:
 class DropError(RuntimeError):
     """A pipeline failure, tagged with everything needed to replay the drop."""
 
-    def __init__(self, drop_index, drop_seed, pipeline, cause):
+    def __init__(self, drop_index, drop_seed, pipeline, cause, sweep_value):
         self.drop_index = drop_index
         self.drop_seed = drop_seed
         self.pipeline = pipeline
         self.cause = cause
-        super().__init__(f"drop {drop_index} (seed {drop_seed}, pipeline {pipeline}): {cause}")
+        self.sweep_value = sweep_value
+        super().__init__(f"drop {drop_index} (sweep value {sweep_value}, seed {drop_seed}, "
+                         f"pipeline {pipeline}): {cause}")
 
     def __reduce__(self):
         # Pool workers send it back pickled; rebuild it from the replay fields.
-        return DropError, (self.drop_index, self.drop_seed, self.pipeline, self.cause)
+        return DropError, (self.drop_index, self.drop_seed, self.pipeline, self.cause,
+                           self.sweep_value)
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
     so structures are compared on the same noise, SI and uplink draws.
     A plan whose schedules :func:`plan_groups` rejects raises its
     ValueError before any cube; failures inside the drop are raised as
-    DropError, tagged with the drop seed.
+    DropError, tagged with the drop seed and sweep value.
     """
     drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
     groups = plan_groups(scene, plan)
@@ -308,7 +311,7 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
                     ests = run_pipeline(front, va_scene, pipe, len(scene.targets), debug=info)
                 yield pipe, data, ests, info
         except Exception as exc:
-            raise DropError(drop_index, drop_seed, pipe.tag, exc) from exc
+            raise DropError(drop_index, drop_seed, pipe.tag, exc, sweep_value) from exc
 
 
 def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,

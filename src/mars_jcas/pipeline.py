@@ -1,13 +1,14 @@
 """Composable detection pipelines over synthesized receiver data.
 
 The front end runs once per cube: it expands the compressed tone branch,
-forms the angle-velocity map and assembles the chirp branch into the VA
-space-time snapshot. Each pipeline then extracts coarse peaks (STTE),
-optionally refines with MUSIC and runs the range stage (STAP, STHP, or the
-matched filter, which is STAP at eps = inf) on that same snapshot, with each
-VA slot's Doppler in the steering. With VA and FFT refinement the spatial
-steering is picked from the virtual array's finer FFT-native angle bins
-within one coarse bin, scored by the range-stage peak itself.
+forms the angle-velocity map and views the chirp branch, in its own row
+order, as the space-time snapshot. Each pipeline then extracts coarse peaks
+(STTE), optionally refines with MUSIC and runs the range stage (STAP, STHP,
+or the matched filter, which is STAP at eps = inf) on that same snapshot,
+with each row's URA position and VA slot Doppler in the steering. With VA
+and FFT refinement the spatial steering is picked from the virtual array's
+finer FFT-native angle bins within one coarse bin, scored by the range-stage
+peak itself.
 """
 
 from __future__ import annotations
@@ -92,28 +93,27 @@ class FrontEnd:
     schedule: MarsSchedule
     y_e2: np.ndarray          # (L, M) expanded tone branch
     avmap: AngleVelocityMap
-    y_st: np.ndarray          # (W*L', N) VA-assembled chirp snapshot; never written
-    row_slot: np.ndarray      # (L',) VA slot of each virtual row, the same every occasion
-    geom: ArrayGeometry       # receive geometry of the snapshot rows
+    y_st: np.ndarray          # (W*L', N) view of the chirp branch; never written
+    virtual_row: np.ndarray   # (L',) virtual-URA row of each (slot, element) row
+    geom: ArrayGeometry       # virtual receive geometry the steering follows
 
 
 def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
-    """Per-cube work for every pipeline on ``cube``: the angle-velocity map
-    and the chirp branch assembled over all occasions. The range stage puts
-    each virtual row's slot Doppler into the steering; every occasion has
+    """Per-cube work for every pipeline on ``cube``: the angle-velocity map and
+    a view of the chirp branch over all occasions. The range stage puts each
+    row's URA position and slot Doppler into the steering; every occasion has
     the same per-row phase, so static clutter stays occasion-invariant."""
     y_e2 = expand_nn(cube.tone_branch_compressed, cube.schedule)
     avm = angle_velocity_map(y_e2, scene.array.with_va(False), scene.radio)
     n, l = scene.radio.num_subcarriers, cube.num_elements
     w, slots = cube.schedule.num_chirp_occasions, cube.schedule.slots_per_chirp
-    arr = scene.array.with_va(slots > 1)
-    # Symbols are (occasion, slot)-major: assemble each slot's (W, L, N) view.
-    # One slot needs no assembly, so the snapshot is a view of the cube.
-    by_slot = cube.chirp_branch.reshape(w, slots, l, n)
-    chirp, geom = va_assemble([by_slot[:, e] for e in range(slots)], arr)
-    row_slot, _ = va_assemble([np.full((l, 1), e) for e in range(slots)], arr)
+    # Each occasion's rows run (slot, element). Assembling the row indices
+    # gives the cube row at each URA row; argsort inverts that.
+    cube_row, geom = va_assemble(list(np.arange(slots * l).reshape(slots, l, 1)),
+                                 scene.array.with_va(slots > 1))
     return FrontEnd(schedule=cube.schedule, y_e2=y_e2, avmap=avm,
-                    y_st=reshape_space_time(chirp, n), row_slot=row_slot.ravel(), geom=geom)
+                    y_st=reshape_space_time(cube.chirp_branch.reshape(w, slots * l, n), n),
+                    virtual_row=np.argsort(cube_row.ravel()), geom=geom)
 
 
 def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
@@ -141,21 +141,24 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                  velocity_mps: float, sin_x, sin_y):
     """Score all angle candidates in one suppressor call; returns (d, range_m, bin,
     peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties).
-    Each row's VA slot Doppler D is in the steering: STAP on D Y with steering a is
-    STAP on Y with D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
+    The steering follows the snapshot rows: URA rows permuted (no quadratic form
+    changes) times each row's VA slot Doppler D. STAP on D Y with steering a is STAP
+    on Y with D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
     radio, geom, dr = scene.radio, front.geom, scene.range_res_m
+    rows = front.virtual_row
     fd = 2.0 * velocity_mps * radio.carrier_freq_hz / SPEED_OF_LIGHT
-    slot_phase = np.exp(2j * np.pi * fd * front.row_slot * radio.pri_s)[:, None]
+    row_slot = np.arange(rows.size) // scene.array.num_rx
+    slot_phase = np.exp(2j * np.pi * fd * row_slot * radio.pri_s)[:, None]
     if pipe.suppressor == "sthp":
         a_t = temporal_steering(velocity_mps, front.schedule, radio)
         a_s = steering_ura_from_sin(sin_x, sin_y, geom.rx_cols, geom.rx_rows,
                                     geom.rx_spacing_x_m, geom.rx_spacing_y_m,
-                                    scene.wavelength_m) * slot_phase
+                                    scene.wavelength_m)[rows] * slot_phase
         d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s, pipe.eps_mode,
                                              range_res_m=dr, velocity_mps=velocity_mps)
     else:
         a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, front.schedule, radio)
-        a_st *= np.tile(slot_phase, (front.schedule.num_chirp_occasions, 1))
+        a_st = (a_st.reshape(-1, rows.size, sin_x.size)[:, rows] * slot_phase).reshape(a_st.shape)
         d, rng_m, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode, range_res_m=dr)
     peak_mag = np.abs(d[np.arange(bins.size), bins])
     k = int(np.argmax(peak_mag))

@@ -860,30 +860,21 @@ class TestVaAssemble:
 
     @given(rx=st.tuples(st.integers(1, 4), st.integers(1, 4)),
            tx=st.tuples(st.integers(1, 3), st.integers(1, 3)), va=st.booleans(),
-           cols=st.integers(1, 6), w=st.sampled_from([None, 1, 2, 4]),
-           real=st.booleans(), seed=st.integers(0, 1000))
+           cols=st.integers(1, 6), real=st.booleans(), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
-    def test_equals_general_scatter_oracle(self, rx, tx, va, cols, w, real, seed):
-        # One slot returns its block itself; every slot count must still equal
-        # the general row scatter, for (L, N) matrices and for the (W, L, N)
-        # stacks the front end passes, each symbol assembled on its own.
+    def test_equals_general_scatter_oracle(self, rx, tx, va, cols, real, seed):
+        # Every slot count, one included, must equal the general row scatter.
         arr = make_array(cols=rx[0], rows=rx[1], tx=1, va=va)
         arr = replace(arr, tx_cols=tx[0], tx_rows=tx[1])
         rng = RNG(seed)
-        count = arr.slots_per_chirp
-        shape = (arr.num_rx, cols) if w is None else (w, arr.num_rx, cols)
+        shape = (arr.num_rx, cols)
         slots = [rng.normal(size=shape) if real
                  else rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                 for _ in range(count)]
+                 for _ in range(arr.slots_per_chirp)]
         out, _ = va_assemble(slots, arr)
-        if w is None:
-            want = oracles.va_assemble_scatter(slots, arr)
-        else:
-            want = np.stack([oracles.va_assemble_scatter([b[k] for b in slots], arr)
-                             for k in range(w)])
+        want = oracles.va_assemble_scatter(slots, arr)
         assert out.dtype == want.dtype
         assert np.array_equal(out, want)
-        assert (out is slots[0]) == (count == 1)
 
     def test_steering_stack_matches_big_ura(self):
         arr = make_array(cols=2, rows=2, tx=2, va=True)
@@ -902,6 +893,9 @@ class TestVaAssemble:
         arr = make_array(cols=2, rows=2, tx=2, va=True)
         with pytest.raises(ValueError, match="slot matrices"):
             va_assemble([np.ones((4, 3))] * 3, arr)
+        # (L, N) matrices only: a (W, L, N) stack per slot is not assembled.
+        with pytest.raises(ValueError, match="receive array size"):
+            va_assemble([np.ones((2, 4, 3))] * 4, arr)
 
     def test_commutes_with_angle_fft(self):
         # Angle map of the assembled snapshot peaks at the fine VA bin.

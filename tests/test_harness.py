@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -23,7 +24,7 @@ from conftest import (
 from mars_jcas import channel, estimator, harness, pipeline, seeding
 from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.cli import preset_path
-from mars_jcas.clutter import build_clutter_map
+from mars_jcas.clutter import build_clutter_for, build_clutter_map
 from mars_jcas.estimator import TargetEstimate
 from mars_jcas.harness import (
     CustomRanges,
@@ -446,12 +447,19 @@ class TestMonteCarlo:
         assert rows_serial == rows_par
 
     def test_worker_drop_error_keeps_drop_seed(self):
-        scene, cmap, plan = va_clutter_mismatch(num_drops=2, workers=2)
+        # The drop seed depends on the sweep point, so the error names it too,
+        # and every replay field survives the trip back from a worker.
+        scene, cmap, plan = va_clutter_mismatch(num_drops=2, workers=2,
+                                                sweep_values=(5.0, 10.0))
         with pytest.raises(DropError) as err:
             monte_carlo(plan, scene, cmap)
         assert err.value.drop_index == 0
-        assert err.value.drop_seed == derive_seed(plan.seed, "drop", 0, "None")
-        assert "tx slot" in str(err.value)
+        assert err.value.sweep_value == 5.0
+        assert err.value.drop_seed == derive_seed(plan.seed, "drop", 0, "5.0")
+        assert "tx slot" in str(err.value) and "sweep value 5.0" in str(err.value)
+        again = pickle.loads(pickle.dumps(err.value))
+        fields = ("drop_index", "drop_seed", "pipeline", "sweep_value", "args")
+        assert [getattr(again, k) for k in fields] == [getattr(err.value, k) for k in fields]
 
     @pytest.mark.parametrize("waveform,message", BAD_DESK_WAVEFORMS)
     def test_bad_schedule_fails_before_clutter_map(self, monkeypatch, waveform, message):
@@ -646,17 +654,21 @@ class TestDropMemory:
     whole process, imports and set-up included, so it cannot single out
     what one drop allocates."""
 
-    def test_car_drop_peak_below_three_chirp_branches(self):
-        # A car_fa drop (FA + comb, no VA) must stay below three 8 MiB chirp
-        # branches.
-        scene_cfg, plan = parse_config(preset_path("table1_car"))
+    @pytest.mark.parametrize("preset,pipes,branch_mib,branches", [
+        # car_fa (FA + comb, no VA): below three 8 MiB chirp branches.
+        ("table1_car", (DESK_MC[2], DESK_MC[3]), 8, 3),
+        # A VA drop keeps the chirp branch in place: below two 32 MiB branches.
+        ("table1_uav", (DESK_MC[0],), 32, 2),
+    ], ids=["table1_car", "table1_uav"])
+    def test_warm_drop_peak_below_chirp_branches(self, preset, pipes, branch_mib, branches):
+        scene_cfg, plan = parse_config(preset_path(preset))
         scene = validate_scene(scene_cfg)
-        plan = replace(plan, pipelines=(DESK_MC[2], DESK_MC[3]))
-        clutter = build_clutter_map(scene)
+        plan = replace(plan, pipelines=pipes)
+        clutter = build_clutter_for(scene, pipes)
         sweep_value = plan.sweep_values[0]
-        sched = schedule_for(scene, DESK_MC[3], plan.seed)
+        sched = schedule_for(scene, pipes[-1], plan.seed)
         branch = scene.array.num_rx * sched.num_chirp_symbols * scene.radio.num_subcarriers * 16
-        assert branch == 8 * 2**20
+        assert branch == branch_mib * 2**20
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             # The first drop builds what every later drop shares: the map's
@@ -668,4 +680,4 @@ class TestDropMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 3 * branch
+        assert peak < branches * branch

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import re
 import signal
@@ -674,6 +675,30 @@ class TestCli:
                      "--out", str(out2), "--drop", "1"])
         assert code == 0
         assert (out2 / "drop_1_records.csv").exists()
+
+    def test_replay_single_drop_runs_every_sweep_point(self, tmp_path, capsys):
+        # The drop seed and the fixed target range both depend on the sweep
+        # value, so drop K is replayed at each point, as montecarlo ran it.
+        cfg = self._fast_config(tmp_path)
+        raw = yaml.safe_load(cfg.read_text())
+        raw["experiment"].update(sweep_axis="range", sweep_values_m=[150.0, 300.0])
+        cfg.write_text(yaml.safe_dump(raw))
+        out1 = tmp_path / "run1"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(out1)]) == 0
+        out2 = tmp_path / "drop"
+        code = main(["replay", "--manifest", str(out1 / "manifest.json"),
+                     "--out", str(out2), "--drop", "1"])
+        assert code == 0
+        keys = ("pipeline", "sweep_value", "truth_range_m", "est_range_m", "hit")
+
+        def cells(path, **where):
+            with path.open(newline="") as f:
+                return [tuple(row[k] for k in keys) for row in csv.DictReader(f)
+                        if all(row[k] == v for k, v in where.items())]
+
+        want = cells(out1 / "records.csv", drop="1")
+        assert len(want) == 2
+        assert cells(out2 / "drop_1_records.csv") == want
 
     def test_replay_detects_tampering(self, tmp_path, capsys):
         cfg = self._fast_config(tmp_path)
