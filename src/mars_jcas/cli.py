@@ -24,8 +24,8 @@ from .clutter import build_clutter_for, build_clutter_map
 from .harness import (
     DropError,
     ExperimentPlan,
-    draw_targets,
     drop_estimates,
+    drop_scene,
     monte_carlo,
     plan_groups,
     run_drop,
@@ -212,10 +212,16 @@ def _simulate_tokens(args):
 
 def cmd_simulate(args) -> int:
     scene_cfg, scene, plan = _load(args, default_plan=True)
+    points = [(None, scene)]   # (sweep value, scene): the config's own targets
     if args.targets is not None:
-        plan = replace(plan, target_count=args.targets)
-        scene = replace(scene, targets=draw_targets(plan, scene, args.drop))
-    if not scene.targets:
+        try:
+            plan = replace(plan, target_count=args.targets)
+        except ValueError as exc:
+            raise ConfigError(f"command-line override: {exc}") from exc
+        # The drop at every sweep point, as montecarlo scores it.
+        points = [(value, drop_scene(scene, plan, args.drop, value))
+                  for value in plan.sweep_values or (None,)]
+    if not points[0][1].targets:
         print("no targets: give a targets section or --targets K", file=sys.stderr)
         return EXIT_CONFIG
     out = _outdir(args)
@@ -227,57 +233,45 @@ def cmd_simulate(args) -> int:
         cmap = build_clutter_for(scene, plan.pipelines)
         manifest.add_stage("build_clutter_map", time.perf_counter() - started)
 
-    outputs = []
-    est_rows = []
-    started = time.perf_counter()
-    for pipe, data, ests, debug in drop_estimates(scene, plan, args.drop, cmap,
-                                                  debug=args.dump_spectra):
-        manifest.add_stage(f"simulate_{pipe.tag}", time.perf_counter() - started)
-        if args.dump_cube and pipe.structure != "fa":
-            cube_path = out / f"cube_{pipe.tag}.bin"
-            write_cube(cube_path, data)
-            outputs.append(cube_path)
-        for k, e in enumerate(ests):
-            est_rows.append({
-                "pipeline": pipe.tag, "target": k,
-                "velocity_mps": e.velocity_mps, "psi_x_rad": e.psi_x_rad,
-                "psi_y_rad": e.psi_y_rad, "range_m": e.range_m,
-                "amplitude": e.amplitude, "velocity_bin": e.velocity_bin,
-                "angle_x_bin": e.angle_x_bin, "angle_y_bin": e.angle_y_bin,
-                "range_bin": e.range_bin, "refinement": e.refinement,
-                "method": e.method, "eps_mode": e.eps_mode,
-            })
-        if debug:
-            avm = debug["avmap"]
-            rows = []
-            nx, ny, nv = avm.values.shape
-            for bx in range(nx):
-                for by in range(ny):
-                    for bv in range(nv):
-                        rows.append((avm.sin_x(bx), avm.sin_y(by), avm.velocity(bv),
-                                     avm.values[bx, by, bv]))
-            map_path = out / f"angle_velocity_map_{pipe.tag}.csv"
-            write_csv(map_path, ["sin_psi_x", "sin_psi_y", "velocity_mps", "magnitude"], rows)
-            outputs.append(map_path)
-            for k, d in enumerate(debug.get("spectra", [])):
-                sp_path = out / f"range_spectrum_{pipe.tag}_{k}.csv"
-                write_csv(sp_path, ["range_m", "magnitude"],
-                          [(i * scene.range_res_m, abs(v)) for i, v in enumerate(d)])
-                outputs.append(sp_path)
-        started = time.perf_counter()
-    # Pipelines run grouped by shared cube; list their estimates in plan order.
+    outputs, est_rows, truth_rows = [], [], []
     tags = [p.tag for p in plan.pipelines]
-    est_rows.sort(key=lambda row: tags.index(row["pipeline"]))
-
-    truth_rows = [{
-        "target": k, "range_m": t.range_m, "radial_velocity_mps": t.radial_velocity_mps,
-        "psi_x_rad": t.psi_x_rad, "psi_y_rad": t.psi_y_rad, "rcs_m2": t.rcs_m2,
-    } for k, t in enumerate(scene.targets)]
+    for k, (value, drop) in enumerate(points):
+        sweep = "" if value is None else f"_sweep{k}"
+        rows_k = []
+        started = time.perf_counter()
+        for pipe, data, ests, debug in drop_estimates(drop, plan, args.drop, cmap, value,
+                                                      debug=args.dump_spectra):
+            name = pipe.tag + sweep
+            manifest.add_stage(f"simulate_{name}", time.perf_counter() - started)
+            if args.dump_cube and pipe.structure != "fa":
+                cube_path = out / f"cube_{name}.bin"
+                write_cube(cube_path, data)
+                outputs.append(cube_path)
+            rows_k += [{"pipeline": pipe.tag, "sweep_value": value, "target": j, **vars(e)}
+                       for j, e in enumerate(ests)]
+            if debug:
+                avm = debug["avmap"]
+                rows = [(avm.sin_x(bx), avm.sin_y(by), avm.velocity(bv), avm.values[bx, by, bv])
+                        for bx, by, bv in np.ndindex(avm.values.shape)]
+                map_path = out / f"angle_velocity_map_{name}.csv"
+                write_csv(map_path, ["sin_psi_x", "sin_psi_y", "velocity_mps", "magnitude"],
+                          rows)
+                outputs.append(map_path)
+                for j, d in enumerate(debug.get("spectra", [])):
+                    sp_path = out / f"range_spectrum_{name}_{j}.csv"
+                    write_csv(sp_path, ["range_m", "magnitude"],
+                              [(i * scene.range_res_m, abs(v)) for i, v in enumerate(d)])
+                    outputs.append(sp_path)
+            started = time.perf_counter()
+        # Pipelines run grouped by shared cube; list their estimates in plan order.
+        est_rows += sorted(rows_k, key=lambda row: tags.index(row["pipeline"]))
+        truth_rows += [{"sweep_value": value, "target": j, **vars(t)}
+                       for j, t in enumerate(drop.targets)]
     write_csv(out / "truth.csv", list(truth_rows[0].keys()), truth_rows)
     write_csv(out / "estimates.csv",
-              ["pipeline", "target", "velocity_mps", "psi_x_rad", "psi_y_rad", "range_m",
-               "amplitude", "velocity_bin", "angle_x_bin", "angle_y_bin", "range_bin",
-               "refinement", "method", "eps_mode"], est_rows)
+              ["pipeline", "sweep_value", "target", "velocity_mps", "psi_x_rad", "psi_y_rad",
+               "range_m", "amplitude", "velocity_bin", "angle_x_bin", "angle_y_bin",
+               "range_bin", "refinement", "method", "eps_mode"], est_rows)
     outputs += [out / "truth.csv", out / "estimates.csv"]
     for p in outputs:
         manifest.add_output(p)
@@ -302,16 +296,15 @@ def cmd_montecarlo(args) -> int:
     if plan is None:
         print("config has no experiment section", file=sys.stderr)
         return EXIT_CONFIG
-    if args.scale == "full":
-        # Benchmark-scale statistics; pair with the table1_* presets to
-        # reproduce the published curve structure (long runtime).
-        plan = replace(plan, num_drops=max(plan.num_drops, 500))
-    if args.drops is not None:
-        plan = replace(plan, num_drops=args.drops)
-    if args.workers is not None:
-        plan = replace(plan, workers=args.workers)
     try:
-        plan.validate()
+        if args.scale == "full":
+            # Benchmark-scale statistics; pair with the table1_* presets to
+            # reproduce the published curve structure (long runtime).
+            plan = replace(plan, num_drops=max(plan.num_drops, 500))
+        if args.drops is not None:
+            plan = replace(plan, num_drops=args.drops)
+        if args.workers is not None:
+            plan = replace(plan, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(f"command-line override: {exc}") from exc
     out = _outdir(args)

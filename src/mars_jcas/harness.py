@@ -61,7 +61,8 @@ class ExperimentPlan:
     custom: CustomRanges = field(default_factory=CustomRanges)
     workers: int = 1
 
-    def validate(self) -> "ExperimentPlan":
+    def __post_init__(self):
+        # Each pipeline spec checks itself; these are the plan-level rules.
         if self.scenario not in ("car", "uav", "custom"):
             raise ValueError(f"scenario must be car, uav or custom, got {self.scenario!r}")
         if self.num_drops < 0:
@@ -87,15 +88,11 @@ class ExperimentPlan:
                              f"x {list(c.sin_psi_y)} has no point inside the unit disk")
         first = {}
         for i, p in enumerate(self.pipelines):
-            conflict = p.conflict()
-            if conflict:
-                raise ValueError(f"pipelines[{i}].{conflict[0]}: {conflict[1]}")
             # The tag keys curves.csv rows and simulate's file names.
             j = first.setdefault(p.tag, i)
             if j != i:
                 raise ValueError(f"pipelines[{i}] repeats the tag {p.tag!r} of pipelines[{j}] "
                                  "(stte_guard and music_factor are not part of it)")
-        return self
 
 
 class DropError(RuntimeError):
@@ -254,8 +251,9 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     (pipelines, schedule) pairs; each group shares one schedule and cube.
 
     Raises ValueError naming the pipeline at fault when a group's schedule
-    cannot be built (its first pipeline) or an STHP pipeline's schedule
-    has fewer than two chirp occasions.
+    cannot be built (its first pipeline), an STHP pipeline's schedule
+    has fewer than two chirp occasions, or a pipeline's ``stte_guard``
+    masks every velocity bin of its map (num_pri bins, FA included).
     """
     members = {}
     for i, pipe in enumerate(plan.pipelines):
@@ -271,6 +269,10 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
             if pipe.suppressor == "sthp" and schedule.num_chirp_occasions < 2:
                 raise ValueError(f"pipelines[{i}] {pipe.tag}: sthp needs W >= 2 chirp "
                                  f"occasions, the schedule has {schedule.num_chirp_occasions}")
+            if pipe.stte_guard >= schedule.num_pri // 2:
+                raise ValueError(f"pipelines[{i}] {pipe.tag}: stte_guard {pipe.stte_guard} masks "
+                                 f"every velocity bin of M = {schedule.num_pri}; it must be "
+                                 f"< {schedule.num_pri // 2}")
         groups.append((tuple(pipe for _, pipe in group), schedule))
     return groups
 
@@ -314,15 +316,22 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
             raise DropError(drop_index, drop_seed, pipe.tag, exc, sweep_value) from exc
 
 
-def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
-             clutter: Optional[ClutterMap] = None,
-             sweep_value: Optional[float] = None) -> list:
-    """Draw the drop's targets at this sweep point, run every pipeline on
-    them (:func:`drop_estimates`) and score the estimates."""
+def drop_scene(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
+               sweep_value: Optional[float]) -> ValidatedScene:
+    """``scene`` at this sweep point (None: the scene's own values), with
+    the drop's targets drawn."""
     if plan.sweep_axis == "tx_power" and sweep_value is not None:
         scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=float(sweep_value)))
     fixed_range = sweep_value if plan.sweep_axis == "range" else None
-    scene = replace(scene, targets=draw_targets(plan, scene, drop_index, fixed_range))
+    return replace(scene, targets=draw_targets(plan, scene, drop_index, fixed_range))
+
+
+def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
+             clutter: Optional[ClutterMap] = None,
+             sweep_value: Optional[float] = None) -> list:
+    """Run every pipeline on the drop's scene at this sweep point
+    (:func:`drop_scene`, :func:`drop_estimates`) and score the estimates."""
+    scene = drop_scene(scene, plan, drop_index, sweep_value)
     records = []
     for pipe, _, ests, _ in drop_estimates(scene, plan, drop_index, clutter, sweep_value):
         records += score_estimates(scene.targets, ests, scene, pipe.tag,
@@ -372,7 +381,6 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     Curve rows: one dict per (sweep value, pipeline, metric) with value and
     Wilson interval bounds (rates only).
     """
-    plan = plan.validate()
     plan_groups(scene, plan)   # a bad schedule fails before the clutter map and any drop
     if clutter is None and scene.clutter.enabled:
         clutter = build_clutter_for(scene, plan.pipelines)

@@ -194,7 +194,9 @@ def _read(cls, data, path, **context):
     key is its name or one of its ``_UNITS`` variants, its converter comes
     from its annotation, and an absent key takes the field's default (a
     field without one is required). ``context`` holds defaults that depend
-    on context, by field name, and values the unit conversions use."""
+    on context, by field name, and values the unit conversions use. A rule
+    the class checks itself (a ValueError from ``cls``) is a ConfigError
+    at ``path``."""
     s = _Section(data, path)
     got = dict(context)
     for f, tp in _fields(cls):
@@ -203,19 +205,10 @@ def _read(cls, data, path, **context):
                              *[(key, lambda v, fn=fn: fn(v, got)) for key, fn in units],
                              default=got.get(f.name, _default(f)))
     s.finish()
-    return cls(**{f.name: got[f.name] for f, _ in _fields(cls)})
-
-
-def _read_plan(data, path, seed) -> ExperimentPlan:
-    plan = _read(ExperimentPlan, data, path, seed=seed)
-    for i, spec in enumerate(plan.pipelines):
-        conflict = spec.conflict()
-        if conflict:
-            raise ConfigError(f"{path}.pipelines[{i}].{conflict[0]}: {conflict[1]}")
     try:
-        return plan.validate()
+        return cls(**{f.name: got[f.name] for f, _ in _fields(cls)})
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def config_from_dict(raw: dict, source: str = "config"):
@@ -236,7 +229,7 @@ def config_from_dict(raw: dict, source: str = "config"):
     experiment_raw = top.take(("experiment", dict), default=None)
     top.finish()
     scene = SceneConfig(radio=radio, array=arr, targets=targets, seed=seed, **sections)
-    plan = (_read_plan(experiment_raw, f"{source}.experiment", seed)
+    plan = (_read(ExperimentPlan, experiment_raw, f"{source}.experiment", seed=seed)
             if experiment_raw is not None else None)
     return scene, plan
 

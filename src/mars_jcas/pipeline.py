@@ -51,7 +51,9 @@ _FIXED = {("structure", "fa"): {"suppressor": "mf", "eps_mode": "inf",
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """One point in the structure x suppressor x eps x refinement x VA grid."""
+    """One point in the structure x suppressor x eps x refinement x VA grid.
+    Building one the drop path would not run as given raises
+    ValueError("<key>: <reason>")."""
 
     structure: str = "comb"     # comb | lshape | fa
     suppressor: str = "sthp"    # stap | sthp | mf
@@ -68,22 +70,21 @@ class PipelineSpec:
             parts.append("va")
         return "-".join(parts)
 
-    def conflict(self) -> tuple | None:
-        """(key, reason) for the first value the drop path would not run as
-        given, else None; config parsing and plan validation both use it."""
+    def __post_init__(self):
+        v = vars(self)
         for key, allowed in _CHOICES.items():
-            if getattr(self, key) not in allowed:
-                return key, f"{getattr(self, key)!r} is not one of {', '.join(allowed)}"
+            if v[key] not in allowed:
+                raise ValueError(f"{key}: {v[key]!r} is not one of {', '.join(allowed)}")
         for key, low in (("music_factor", 1), ("stte_guard", 0)):
-            if getattr(self, key) < low:
-                return key, f"must be >= {low}, got {getattr(self, key)}"
+            if v[key] < low:
+                raise ValueError(f"{key}: must be >= {low}, got {v[key]}")
         for (key, value), fixed in _FIXED.items():
             for other, want in fixed.items():
-                if getattr(self, key) == value and getattr(self, other) != want:
-                    return other, f"{key} {value} needs {want!r}, got {getattr(self, other)!r}"
+                if v[key] == value and v[other] != want:
+                    raise ValueError(f"{other}: {key} {value} needs {want!r}, got {v[other]!r}")
         if self.structure == "lshape" and self.suppressor == "sthp":
-            return "suppressor", "lshape has one chirp occasion (W = 1); sthp needs W >= 2"
-        return None
+            raise ValueError("suppressor: lshape has one chirp occasion (W = 1); "
+                             "sthp needs W >= 2")
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,7 +175,7 @@ class WaveformConfig:
     """Sensing waveform structure request (resolved by build_schedule)."""
 
     structure: str = "comb"  # fa | lshape | comb | conventional_chirp
-    chirp_pri_indices: tuple[int, ...] = (1,)
+    chirp_pri_indices: tuple[int, ...] = (1, 6)
     tone_subcarrier_index: Optional[int] = None  # default: nearest band center
     guard_subcarriers: int = 0
     duty_ratio: Optional[float] = None           # must equal 1/symbols_per_pri when given

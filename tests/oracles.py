@@ -31,7 +31,11 @@ Cholesky factor and solve it was before the library dropped scipy.
 before a drop's cubes shared one ``DropDraws``.
 The last section holds forms that only tests use: the sample-level tone
 branch, the spherical angle conversions, the inverse space-time reshape
-and OFDM synthesis and analysis.
+and OFDM synthesis and analysis. ``pipeline_conflict`` and
+``validate_plan`` are the pipeline and plan checks as they were before
+``PipelineSpec`` and ``ExperimentPlan`` checked themselves when built:
+``(key, reason)`` for a spec, and an explicit call on a plan that raises.
+They read plain attributes, so they take specs no constructor accepts.
 """
 
 from __future__ import annotations
@@ -688,3 +692,65 @@ def chirp_freq_coeffs(samples: np.ndarray) -> np.ndarray:
     of :func:`ofdm_time_samples`: X[n] = (1/sqrt(N)) * sum_k x[k] exp(-j*2*pi*n*k/N)."""
     samples = np.asarray(samples)
     return np.fft.fft(samples) / math.sqrt(samples.size)
+
+
+# --- plan checks before construction-time validation --------------------------
+
+_CHOICES = {"structure": ("comb", "lshape", "fa"), "suppressor": ("stap", "sthp", "mf"),
+            "eps_mode": ("zero", "em", "inf"), "refinement": ("fft", "music")}
+_FIXED = {("structure", "fa"): {"suppressor": "mf", "eps_mode": "inf",
+                                "refinement": "fft", "va": False},
+          ("suppressor", "mf"): {"eps_mode": "inf"}}
+
+
+def pipeline_conflict(spec) -> Optional[tuple]:
+    """(key, reason) for the first value the drop path would not run as
+    given, else None."""
+    for key, allowed in _CHOICES.items():
+        if getattr(spec, key) not in allowed:
+            return key, f"{getattr(spec, key)!r} is not one of {', '.join(allowed)}"
+    for key, low in (("music_factor", 1), ("stte_guard", 0)):
+        if getattr(spec, key) < low:
+            return key, f"must be >= {low}, got {getattr(spec, key)}"
+    for (key, value), fixed in _FIXED.items():
+        for other, want in fixed.items():
+            if getattr(spec, key) == value and getattr(spec, other) != want:
+                return other, f"{key} {value} needs {want!r}, got {getattr(spec, other)!r}"
+    if spec.structure == "lshape" and spec.suppressor == "sthp":
+        return "suppressor", "lshape has one chirp occasion (W = 1); sthp needs W >= 2"
+    return None
+
+
+def validate_plan(plan):
+    """Raise ValueError for the first rule ``plan`` breaks; return it otherwise."""
+    if plan.scenario not in ("car", "uav", "custom"):
+        raise ValueError(f"scenario must be car, uav or custom, got {plan.scenario!r}")
+    if plan.num_drops < 0:
+        raise ValueError("num_drops must be >= 0")
+    if plan.target_count < 1:
+        raise ValueError("target_count must be >= 1")
+    if plan.sweep_axis not in ("range", "tx_power"):
+        raise ValueError("sweep_axis must be 'range' or 'tx_power'")
+    if list(plan.sweep_values) != sorted(plan.sweep_values):
+        raise ValueError("sweep_values must be sorted")
+    if any(v <= 0 for v in plan.sweep_values):
+        raise ValueError("sweep_values must be positive (watts or meters)")
+    if plan.workers < 1:
+        raise ValueError("workers must be >= 1")
+    c = plan.custom
+    if c.rcs_m2 <= 0:
+        raise ValueError(f"custom.rcs_m2: must be > 0, got {c.rcs_m2}")
+    near = [min(max(0.0, min(box)), max(box)) for box in (c.sin_psi_x, c.sin_psi_y)]
+    if math.hypot(*near) >= 1.0:
+        raise ValueError(f"custom.sin_psi_x, custom.sin_psi_y: the box {list(c.sin_psi_x)} "
+                         f"x {list(c.sin_psi_y)} has no point inside the unit disk")
+    first = {}
+    for i, p in enumerate(plan.pipelines):
+        conflict = pipeline_conflict(p)
+        if conflict:
+            raise ValueError(f"pipelines[{i}].{conflict[0]}: {conflict[1]}")
+        j = first.setdefault(p.tag, i)
+        if j != i:
+            raise ValueError(f"pipelines[{i}] repeats the tag {p.tag!r} of pipelines[{j}] "
+                             "(stte_guard and music_factor are not part of it)")
+    return plan

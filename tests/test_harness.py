@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ def quiet_plan(**kw):
                                             eps_mode="inf"),),
                     custom=CustomRanges(range_m=(100.0, 450.0), speed_mps=(7.0, 50.0)))
     defaults.update(kw)
-    return ExperimentPlan(**defaults).validate()
+    return ExperimentPlan(**defaults)
 
 
 def va_clutter_mismatch(**plan_kw):
@@ -341,19 +343,79 @@ class TestRunDrop:
         with pytest.raises(ValueError, match="scenario"):
             quiet_plan(scenario="boat")
 
-    @pytest.mark.parametrize("pipe,key", [
-        (PipelineSpec(suppressor="mf", eps_mode="em"), "eps_mode"),
-        (PipelineSpec(structure="fa", suppressor="sthp"), "suppressor"),
-        (PipelineSpec(structure="fa", suppressor="mf", refinement="music"), "refinement"),
-        (PipelineSpec(structure="fa", suppressor="mf", va=True), "va"),
-        (PipelineSpec(suppressor="music"), "suppressor"),
-        (PipelineSpec(music_factor=0), "music_factor"),
-    ], ids=lambda v: "" if isinstance(v, PipelineSpec) else v)
-    def test_plan_validation_checks_fixed_values(self, pipe, key):
-        # Built in Python, not parsed: validate() must hold the same line as the parser.
-        ok = PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf")
-        with pytest.raises(ValueError, match=re.escape(f"pipelines[1].{key}: ")):
-            ExperimentPlan(pipelines=(ok, pipe)).validate()
+    @pytest.mark.parametrize("kw,key", [
+        (dict(suppressor="mf", eps_mode="em"), "eps_mode"),
+        (dict(structure="fa", suppressor="sthp"), "suppressor"),
+        (dict(structure="fa", suppressor="mf", refinement="music"), "refinement"),
+        (dict(structure="fa", suppressor="mf", va=True), "va"),
+        (dict(suppressor="music"), "suppressor"),
+        (dict(music_factor=0), "music_factor"),
+    ], ids=lambda v: "" if isinstance(v, dict) else v)
+    def test_plan_validation_checks_fixed_values(self, kw, key):
+        # Built in Python, not parsed: the spec holds the same line as the parser.
+        with pytest.raises(ValueError, match="^" + re.escape(f"{key}: ")):
+            PipelineSpec(**kw)
+
+
+class TestPlanRules:
+    """A spec or plan that exists is one the drop path runs as given: the
+    constructors hold the rules the explicit checks held before."""
+
+    # Every value each key may take, one bad value per choice key, and each
+    # bound on both sides.
+    GRID = {"structure": ("comb", "lshape", "fa", "bogus"),
+            "suppressor": ("stap", "sthp", "mf", "bogus"),
+            "eps_mode": ("zero", "em", "inf", "bogus"),
+            "refinement": ("fft", "music", "musik"),
+            "music_factor": (0, 1), "stte_guard": (-1, 0), "va": (False, True)}
+    # Specs that used to run as loaded STAP under the mf tag, as STAP, and
+    # with FFT refinement, with the key each is now rejected on.
+    PROBES = ((dict(suppressor="mf", eps_mode="em"), "eps_mode"),
+              (dict(suppressor="bogus"), "suppressor"), (dict(refinement="musik"), "refinement"))
+
+    def test_spec_raises_iff_oracle_reports_a_conflict(self):
+        defaults = {f.name: f.default for f in fields(PipelineSpec)}
+        grid = [dict(zip(self.GRID, values)) for values in itertools.product(*self.GRID.values())]
+        grid += [{**defaults, **probe} for probe, _ in self.PROBES]
+        raised = 0
+        for kw in grid:
+            want = oracles.pipeline_conflict(SimpleNamespace(**kw))
+            if want is None:
+                PipelineSpec(**kw)
+                continue
+            with pytest.raises(ValueError) as err:
+                PipelineSpec(**kw)
+            assert str(err.value) == f"{want[0]}: {want[1]}", kw
+            raised += 1
+        assert 0 < raised < len(grid)
+        for probe, key in self.PROBES:
+            with pytest.raises(ValueError, match=f"^{key}: "):
+                replace(PipelineSpec(), **probe)
+
+    def test_plan_raises_iff_oracle_does(self):
+        spec = PipelineSpec()
+        fa1 = PipelineSpec(structure="fa", suppressor="mf", stte_guard=1)
+        options = {
+            "scenario": ("custom", "boat"), "num_drops": (0, -1), "target_count": (1, 0),
+            "sweep_axis": ("tx_power", "speed"),
+            "sweep_values": ((), (0.5, 1.0), (1.0, 0.5), (0.0, 1.0)), "workers": (1, 0),
+            "custom": (CustomRanges(), CustomRanges(rcs_m2=0.0),
+                       CustomRanges(sin_psi_x=(0.8, 0.9), sin_psi_y=(0.8, 0.9))),
+            "pipelines": ((spec,), (), (spec, fa1, replace(fa1, stte_guard=3))),
+        }
+        base = {f.name: getattr(ExperimentPlan(), f.name) for f in fields(ExperimentPlan)}
+        for values in itertools.product(*options.values()):
+            kw = {**base, **dict(zip(options, values))}
+            try:
+                oracles.validate_plan(SimpleNamespace(**kw))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    ExperimentPlan(**kw)
+                assert str(err.value) == str(exc)
+                with pytest.raises(ValueError):
+                    replace(ExperimentPlan(), **dict(zip(options, values)))
+            else:
+                ExperimentPlan(**kw)
 
 
 class TestMonteCarlo:

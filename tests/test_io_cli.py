@@ -230,6 +230,33 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_zero_targets_fails_before_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--preset", "desk_small", "--out", str(out),
+                     "--targets", "0"]) == 3
+        assert "target_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("structure", ["comb", "fa"])
+    def test_stte_guard_masking_every_velocity_bin_fails_closed(self, tmp_path, capsys,
+                                                               structure):
+        # desk_small has M = 64 velocity bins, signed -32..31: guard 31 leaves
+        # bin -32, guard 32 masks them all and used to fail at drop 0.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"]["enabled"] = False
+        pipe = {"structure": structure, "suppressor": "mf" if structure == "fa" else "sthp"}
+        for guard, code in ((31, 0), (32, 3)):
+            raw["experiment"]["pipelines"] = [{**pipe, "stte_guard": guard}]
+            cfg = tmp_path / f"guard{guard}.yaml"
+            cfg.write_text(yaml.safe_dump(raw))
+            out = tmp_path / f"mc{guard}"
+            assert main(["montecarlo", "--config", str(cfg), "--out", str(out),
+                         "--drops", "1"]) == code
+            err = capsys.readouterr().err
+            assert out.exists() == (code == 0)
+        tag = PipelineSpec(**pipe).tag
+        assert f"{cfg}: pipelines[0] {tag}: stte_guard 32 masks every velocity bin" in err
+
     @pytest.mark.parametrize("section,key,value", [
         ("waveform", "chirp_pri_indices", [1.5, 6]),
         ("experiment", "num_drops", 2.7),
@@ -284,7 +311,7 @@ class TestConfigParsing:
         raw["experiment"]["custom"][key] = value
         cfg = tmp_path / "custom.yaml"
         cfg.write_text(yaml.safe_dump(raw))
-        where = f"{cfg}.experiment: custom.{message}"
+        where = f"{cfg}.experiment.custom.{message}"
         with pytest.raises(ConfigError, match=re.escape(where)):
             parse_config(cfg)
         out = tmp_path / "mc"
@@ -368,15 +395,13 @@ class TestConfigParsing:
                 body = {k: v for k, v in reduced[section].items() if k != key}
                 with pytest.raises(ConfigError, match="missing required key"):
                     config_from_dict({**reduced, section: body})
-        # The default pipeline (comb, STHP) needs two chirp occasions and the
-        # default waveform has one, as the README says: exit 3 until given two.
+        # The defaults run together: the default pipeline (comb, STHP) gets
+        # the two chirp occasions it needs from the default waveform.
         cfg = tmp_path / "readme.yaml"
         cfg.write_text(block)
-        assert main(["resolution", "--config", str(cfg)]) == 3
-        assert "pipelines[0] comb-sthp-inf-fft: sthp needs W >= 2" in capsys.readouterr().err
-        raw["waveform"]["chirp_pri_indices"] = [1, 6]
-        cfg.write_text(yaml.safe_dump(raw))
         assert main(["resolution", "--config", str(cfg)]) == 0
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "mc"),
+                     "--drops", "1"]) == 0
 
     def test_config_hash_key_order_invariant(self):
         a = {"radio": {"x": 1.0, "y": 2.0}, "seed": 3}
@@ -601,6 +626,43 @@ class TestCli:
         assert len(simulated) == 4
         assert sorted(simulated) == sorted(scored)
 
+    def test_simulate_runs_the_scored_drop_at_every_sweep_point(self, tmp_path, capsys):
+        # With --targets on a swept plan, simulate draws drop d at each sweep
+        # point, as montecarlo scores it, even where the point is the
+        # scene's own power.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"]["enabled"] = False
+        raw["radio"]["avg_tx_power_dbm"] = -30.0
+        raw["experiment"].update(num_drops=6, sweep_values_dbm=[-30.0, -25.0], pipelines=[
+            {"structure": "comb", "suppressor": "sthp", "eps_mode": "inf",
+             "refinement": "music"}])
+        cfg = tmp_path / "swept.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        mc = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(mc)]) == 0
+
+        def rows(path):
+            with path.open(newline="") as f:
+                return list(csv.DictReader(f))
+
+        records = rows(mc / "records.csv")
+        for drop in range(6):
+            sim = tmp_path / f"sim{drop}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(sim),
+                         "--targets", "1", "--drop", str(drop), "--dump-spectra"]) == 0
+            simulated = [(r["sweep_value"], r["range_m"], r["velocity_mps"], r["psi_x_rad"])
+                         for r in rows(sim / "estimates.csv")]
+            scored = [(r["sweep_value"], r["est_range_m"], r["est_velocity_mps"],
+                       r["est_psi_x_rad"]) for r in records if r["drop"] == str(drop)]
+            truth = [(r["sweep_value"], r["range_m"], r["radial_velocity_mps"])
+                     for r in rows(sim / "truth.csv")]
+            assert len(simulated) == 2 and simulated == scored
+            assert truth == [(r["sweep_value"], r["truth_range_m"], r["truth_velocity_mps"])
+                             for r in records if r["drop"] == str(drop)]
+        names = {o["path"] for o in read_manifest(sim / "manifest.json").outputs}
+        assert {"angle_velocity_map_comb-sthp-inf-music_sweep0.csv",
+                "angle_velocity_map_comb-sthp-inf-music_sweep1.csv"} <= names
+
     def test_simulate_table1_cube_header_dims(self, tmp_path, capsys):
         # Table-I geometry: 64 elements, 4 chirp symbols, 2048 samples each.
         raw = yaml.safe_load(preset_path("table1_car").read_text())
@@ -612,7 +674,7 @@ class TestCli:
         code = main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--targets", "1", "--dump-cube"])
         assert code == 0
-        cube = read_cube(out / "cube_comb-sthp-inf-fft.bin")
+        cube = read_cube(out / "cube_comb-sthp-inf-fft_sweep0.bin")
         assert cube.chirp_branch.shape == (4, 64, 2048)
         assert cube.tone_branch_compressed.shape == (64, 496)
         assert cube.schedule.num_chirp_occasions == 4

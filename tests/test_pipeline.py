@@ -116,7 +116,8 @@ class TestMainPipeline:
         scene = clean_scene([on_grid_target(make_scene())])
         cube = synthesize_if_cube(scene, schedule_of(scene))
         with pytest.raises(ValueError, match="measurements"):
-            run_pipeline(front_end(cube, scene), scene, PipelineSpec(structure="fa"), 1)
+            run_pipeline(front_end(cube, scene), scene,
+                         PipelineSpec(structure="fa", suppressor="mf"), 1)
 
     def test_expand_then_fft_close_to_nonuniform_dft(self):
         # Documented interpolation bound: the expanded-FFT Doppler peak
