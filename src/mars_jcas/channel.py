@@ -20,6 +20,7 @@ import numpy as np
 
 from .clutter import ClutterMap
 from .scene import (
+    SPEED_OF_LIGHT,
     RadioParams,
     ReceiverConfig,
     Target,
@@ -246,6 +247,17 @@ def _complex_noise(rng, scale: float, shape: tuple) -> np.ndarray:
     return re + 1j * im
 
 
+def check_if_range(key: str, range_m: float, t_sym: float) -> None:
+    """Raise ``ValueError`` naming ``key`` when a target at ``range_m`` has
+    a round trip longer than the OFDM symbol ``t_sym``: its beat would alias
+    out of an IF cube's receive window."""
+    delay = 2.0 * range_m / SPEED_OF_LIGHT
+    if delay > t_sym:
+        raise ValueError(f"{key}: {range_m} m has delay {delay:.3e} s > symbol duration "
+                         f"{t_sym:.3e} s (beat would alias); an IF cube holds ranges up "
+                         f"to {SPEED_OF_LIGHT * t_sym / 2.0} m")
+
+
 def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                        clutter: Optional[ClutterMap] = None,
                        seed: Optional[int] = None, *,
@@ -268,10 +280,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     bw = scene.bandwidth_hz
     t_sym = scene.symbol_duration_s
 
-    for t in scene.targets:
-        if t.delay_s() > t_sym:
-            raise ValueError(f"target at {t.range_m} m has delay {t.delay_s():.3e} s "
-                             f"> symbol duration {t_sym:.3e} s (beat would alias)")
+    for j, t in enumerate(scene.targets):
+        check_if_range(f"target {j}", t.range_m, t_sym)
 
     si_phases = draws.si_phases(n_el)
     coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]

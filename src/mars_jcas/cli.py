@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .clutter import build_clutter_for, build_clutter_map
+from .channel import check_if_range
+from .clutter import build_clutter_for, build_clutter_map, build_cpus
 from .harness import (
     DropError,
     ExperimentPlan,
@@ -68,13 +69,18 @@ def _scene_schedule(scene):
                           guard_subcarriers=w.guard_subcarriers, fa_seed=scene.seed)
 
 
+def _source(args):
+    """The command's config file: ``--config`` or the preset's path."""
+    return args.config or preset_path(args.preset)
+
+
 def _load(args, default_plan=False):
     """(scene config, scene, plan) of the command's config, with every
     schedule the run will use built once (the scene's own and each
     pipeline group's), so a bad one is a config error before anything is
     written or drawn. With ``default_plan`` a config without an
     experiment section gets the one-pipeline default plan."""
-    source = args.config or preset_path(args.preset)
+    source = _source(args)
     scene_cfg, plan = parse_config(source)
     if getattr(args, "seed", None) is not None:
         scene_cfg = replace(scene_cfg, seed=args.seed)
@@ -188,6 +194,7 @@ def cmd_clutter_map(args) -> int:
     print(f"tx_slots             {cmap.num_tx_slots}")
     print(f"total_power_unit_tx  {power.sum():.6g}")
     print(f"build_seconds        {seconds:.3f}")
+    print(f"build_cpus           {build_cpus()}")
     if args.out:
         out = _outdir(args)
         rows = [(r, r * cmap.range_res_m, power[r]) for r in range(cmap.num_range_bins)]
@@ -221,6 +228,14 @@ def cmd_simulate(args) -> int:
         # The drop at every sweep point, as montecarlo scores it.
         points = [(value, drop_scene(scene, plan, args.drop, value))
                   for value in plan.sweep_values or (None,)]
+    elif any(schedule.structure != "fa" for _, schedule in plan_groups(scene, plan)):
+        # The config's own targets go into the IF cubes: check them before
+        # anything is written.
+        try:
+            for j, t in enumerate(scene.targets):
+                check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
+        except ValueError as exc:
+            raise ConfigError(f"{_source(args)}: {exc}") from exc
     if not points[0][1].targets:
         print("no targets: give a targets section or --targets K", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,6 +10,8 @@ resolution.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -151,6 +153,22 @@ def patch_grid(clutter_cfg) -> tuple:
 CHUNK_PATCHES = 16384
 
 
+# Most CPUs the build runs on. Each one holds a chunk's operands while the
+# map is built, and the speed-up was measured at two.
+BUILD_CPUS_MAX = 2
+
+
+def build_cpus() -> int:
+    """CPUs :func:`build_clutter_map` runs on: those in the process's CPU
+    set where the platform reports it, else every CPU of the machine, at
+    most :data:`BUILD_CPUS_MAX`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, BUILD_CPUS_MAX)
+
+
 def _phase_powers(phase, n: int) -> np.ndarray:
     """``exp(1j * k * phase)`` for k = 0..n-1, one row per k."""
     powers = np.empty((n, phase.size), dtype=complex)
@@ -174,9 +192,14 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     Per patch: flat-earth grazing angle, reflectivity, RCS = sigma0 * cell
     area, radar-equation amplitude at unit power, one seeded uniform phase
     (drawn for every patch of the grid, in grid order). Only the patch
-    order (stable by range bin; key ``num_subcarriers`` marks a patch past
-    the last bin), the bin keys and the phases are held for the whole grid;
-    the rest is computed a chunk of patches at a time.
+    order (stable by range bin, patches past the last bin at its end), the
+    bins' edges in that order and the phases are held for the whole grid.
+
+    The rest is computed a chunk of patches at a time, each chunk a pure
+    function of its start giving its tone term and one product per range
+    bin it meets. The chunks run on :func:`build_cpus` threads (the calling
+    thread takes every CPUs-th chunk) and are added in chunk order, so
+    every entry sums the same terms in the same order at any CPU count.
     """
     cl = scene.clutter
     if cl.station_height_m <= 0:
@@ -188,24 +211,27 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     h = cl.station_height_m
     xs, ys = patch_grid(cl)
     bins = np.rint(np.sqrt(np.add.outer(xs * xs, ys * ys).ravel() + h * h) / scene.range_res_m)
-    # Sort keys of 16 bits or fewer take numpy's radix sort.
+    # Sort keys of 16 bits or fewer take numpy's radix sort; key n_bins
+    # marks a patch past the last bin.
     keys = np.minimum(bins, n_bins, out=bins).astype(np.uint16 if n_bins < 2**16 else np.intp)
     del bins
+    # Patches of bin b sit at edges[b]:edges[b + 1] of the sorted order.
+    edges = np.zeros(n_bins + 2, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=n_bins + 1), out=edges[1:])
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    del keys
     # Hold the patch order in 32 bits while the grid index fits; the intp
     # sort result is freed before the phase draw.
-    order = order.astype(np.int32 if keys.size < 2**31 else np.intp)
-    kept = int(np.searchsorted(keys, n_bins))
-    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=keys.size)
+    order = order.astype(np.int32 if order.size < 2**31 else np.intp)
+    kept = int(edges[n_bins])
+    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=order.size)
 
     wavenum = 2.0 * np.pi / lam
     cols, rows = arr.va_cols, arr.va_rows
-    virtual = np.zeros((n_bins, rows, cols), dtype=complex)
-    tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
-    for lo in range(0, kept, CHUNK_PATCHES):
-        part = slice(lo, min(lo + CHUNK_PATCHES, kept))
-        idx = order[part]
+
+    def chunk(lo):
+        hi = min(lo + CHUNK_PATCHES, kept)
+        idx = order[lo:hi]
         ix, iy = np.divmod(idx, ys.size)
         x, y = xs[ix], ys[iy]
         r = np.sqrt(x * x + y * y + h * h)
@@ -214,16 +240,37 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
         amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * (sigma0 * cl.cell_m**2)
                       / ((4.0 * np.pi) ** 3 * r**4))
         coeff = amp * np.exp(1j * phase[idx])
+        # Each thread holds its chunk's operands: free what the rest skips.
+        del ix, iy, y, sigma0, amp
         px = _phase_powers(wavenum * arr.rx_spacing_x_m * x / r, cols)
         # Patches sit below the array plane: sin_y = -h / r.
-        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r, rows) * coeff
+        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r, rows)
+        py *= coeff
+        # Bin b's patches in this chunk: cuts[b]:cuts[b + 1].
+        cuts = np.clip(edges[:n_bins + 1], lo, hi) - lo
+        products = [(b, py[:, cuts[b]:cuts[b + 1]] @ px[:, cuts[b]:cuts[b + 1]].T)
+                    for b in np.flatnonzero(np.diff(cuts))]
+        # With the bin products taken, the tone carrier scales py in place.
         tau = 2.0 * r / SPEED_OF_LIGHT
-        tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
-        tone += (py[:arr.rx_rows] * tone_carrier) @ px[:arr.rx_cols].T
-        b = keys[part]
-        starts = np.flatnonzero(np.diff(b, prepend=-1))
-        for s, e in zip(starts, np.append(starts[1:], b.size)):
-            virtual[b[s]] += py[:, s:e] @ px[:, s:e].T
+        py[:arr.rx_rows] *= np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+        return py[:arr.rx_rows] @ px[:arr.rx_cols].T, products
+
+    virtual = np.zeros((n_bins, rows, cols), dtype=complex)
+    tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
+    starts = range(0, kept, CHUNK_PATCHES)
+    cpus = build_cpus()
+    # The pool starts a thread only when a chunk is submitted: none at 1 CPU.
+    pool = ThreadPoolExecutor(max(cpus - 1, 1))
+    try:
+        pending = [None if i % cpus == 0 else pool.submit(chunk, lo)
+                   for i, lo in enumerate(starts)]
+        for lo, future in zip(starts, pending):
+            tone_term, products = chunk(lo) if future is None else future.result()
+            tone += tone_term
+            for b, product in products:
+                virtual[b] += product
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
+from .channel import DropDraws, check_if_range, synthesize_fa_measurements, synthesize_if_cube
 from .clutter import ClutterMap, build_clutter_for
 from .estimator import TargetEstimate
 from .pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
@@ -86,6 +86,8 @@ class ExperimentPlan:
         if math.hypot(*near) >= 1.0:
             raise ValueError(f"custom.sin_psi_x, custom.sin_psi_y: the box {list(c.sin_psi_x)} "
                              f"x {list(c.sin_psi_y)} has no point inside the unit disk")
+        if not self.pipelines:
+            raise ValueError("pipelines: must list at least one pipeline")
         first = {}
         for i, p in enumerate(self.pipelines):
             # The tag keys curves.csv rows and simulate's file names.
@@ -246,6 +248,18 @@ def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
                           guard_subcarriers=w.guard_subcarriers)
 
 
+def _drawn_ranges(plan: ExperimentPlan) -> list:
+    """(key, range) of each bound on the ranges the plan draws into a
+    cube: a range sweep's values or, when the ranges are drawn, the draw's
+    upper bound. A config's own targets go into a cube only under
+    ``simulate`` without ``--targets``, which checks them itself."""
+    if plan.sweep_axis == "range" and plan.sweep_values:
+        return [(f"sweep_values[{k}]", v) for k, v in enumerate(plan.sweep_values)]
+    if plan.scenario == "custom":
+        return [("custom.range_m", max(plan.custom.range_m))]
+    return [("range_bounds_m", max(plan.range_bounds_m))]
+
+
 def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     """The plan's pipelines grouped by (structure, va), in plan order, as
     (pipelines, schedule) pairs; each group shares one schedule and cube.
@@ -254,6 +268,9 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     cannot be built (its first pipeline), an STHP pipeline's schedule
     has fewer than two chirp occasions, or a pipeline's ``stte_guard``
     masks every velocity bin of its map (num_pri bins, FA included).
+    With an IF cube among the groups, it also raises naming the key of a
+    drawn range (:func:`_drawn_ranges`) whose round trip outlasts the
+    symbol (:func:`~mars_jcas.channel.check_if_range`).
     """
     members = {}
     for i, pipe in enumerate(plan.pipelines):
@@ -274,6 +291,9 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
                                  f"every velocity bin of M = {schedule.num_pri}; it must be "
                                  f"< {schedule.num_pri // 2}")
         groups.append((tuple(pipe for _, pipe in group), schedule))
+    if any(schedule.structure != "fa" for _, schedule in groups):
+        for key, r in _drawn_ranges(plan):
+            check_if_range(key, r, scene.symbol_duration_s)
     return groups
 
 

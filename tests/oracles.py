@@ -744,6 +744,8 @@ def validate_plan(plan):
     if math.hypot(*near) >= 1.0:
         raise ValueError(f"custom.sin_psi_x, custom.sin_psi_y: the box {list(c.sin_psi_x)} "
                          f"x {list(c.sin_psi_y)} has no point inside the unit disk")
+    if not plan.pipelines:
+        raise ValueError("pipelines: must list at least one pipeline")
     first = {}
     for i, p in enumerate(plan.pipelines):
         conflict = pipeline_conflict(p)

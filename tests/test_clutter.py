@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +216,63 @@ class TestClutterMap:
         bins = np.flatnonzero(np.abs(got.chirp_tables[0]).sum(axis=1))
         assert bins.min() < 2**16 - 1 and bins.max() == min(n, 2**16 + 10) - 1
 
+    # The chunks' products are added in chunk order, whichever thread made
+    # them, so every table entry sums the same terms in the same order at
+    # any CPU count; 3 CPUs run two pool threads beside the calling one.
+    def test_same_desk_map_at_any_cpu_count(self, desk):
+        scene, _ = desk
+        scene = replace(scene, array=scene.array.with_va(True))
+        maps = []
+        for cpus in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(clutter, "build_cpus", lambda: cpus)
+                maps.append(build_clutter_map(scene))
+        assert_same_map(*maps)
+
+    def test_same_small_map_at_any_cpu_count(self):
+        # Chunks of 4 patches: most bins straddle many chunks, so an entry's
+        # terms come from chunks that different threads computed.
+        chunk = 4
+        scene = make_scene(arr=make_array(tx=2, va=True), clutter_enabled=True, seed=19)
+        scene = replace(scene, clutter=ClutterConfig(enabled=True, area_x_m=60.0,
+                                                     area_y_m=40.0, cell_m=1.0,
+                                                     station_height_m=10.0))
+        xs, ys = clutter.patch_grid(scene.clutter)
+        r = np.sqrt(np.add.outer(xs * xs, ys * ys) + 100.0)
+        assert np.bincount(np.rint(r / scene.range_res_m).astype(int).ravel()).max() > 10 * chunk
+        maps, submitted = [], []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args):
+                submitted[-1] += 1
+                return super().submit(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clutter, "CHUNK_PATCHES", chunk)
+            mp.setattr(clutter, "ThreadPoolExecutor", CountingPool)
+            for cpus in (1, 3):
+                mp.setattr(clutter, "build_cpus", lambda: cpus)
+                submitted.append(0)
+                maps.append(build_clutter_map(scene))
+            assert_same_map(maps[0], oracles.build_clutter_map_full_grid(scene))
+        assert_same_map(*maps)
+        # One CPU runs every chunk on the calling thread; three hand two of
+        # every three chunks to the pool.
+        chunks = math.ceil(maps[0].patch_count / chunk)
+        assert submitted == [0, chunks - math.ceil(chunks / 3)]
+
+    def test_chunk_error_surfaces_at_any_cpu_count(self):
+        # gtri_reflectivity rejects a negative A inside every chunk.
+        scene = make_scene(clutter_enabled=True)
+        scene = replace(scene, clutter=replace(scene.clutter, area_x_m=40.0, area_y_m=20.0,
+                                               station_height_m=5.0, gtri_a=-1.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clutter, "CHUNK_PATCHES", 8)
+            for cpus in (1, 3):
+                mp.setattr(clutter, "build_cpus", lambda: cpus)
+                with pytest.raises(ValueError, match="A must be >= 0"):
+                    build_clutter_map(scene)
+
     def test_desk_build_peak_below_22_bytes_per_patch(self, desk):
         # Only the 32-bit patch order, the 16-bit keys and the float64 phases
         # (14 bytes a patch) are held for the whole grid, plus one chunk's
@@ -226,6 +285,28 @@ class TestClutterMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert cmap.patch_count == 2_000_000
+        assert peak < 22 * cmap.patch_count
+
+
+    def test_desk_build_peak_independent_of_cpu_set(self, desk):
+        # Each build thread holds one chunk's operands, so the thread count
+        # is capped: a 64-CPU set, with or without sched_getaffinity, runs
+        # the build on BUILD_CPUS_MAX threads and keeps the peak bound above.
+        scene, _ = desk
+        scene = replace(scene, array=scene.array.with_va(True))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "cpu_count", lambda: 64)
+            mp.delattr(os, "sched_getaffinity", raising=False)
+            assert clutter.build_cpus() == clutter.BUILD_CPUS_MAX == 2
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+            assert clutter.build_cpus() == 2
+            tracemalloc.start()
+            try:
+                cmap = build_clutter_map(scene)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert cmap.patch_count == 2_000_000
         assert peak < 22 * cmap.patch_count
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import signal
 import struct
@@ -43,6 +44,7 @@ from mars_jcas.pipeline import PipelineSpec, front_end, run_pipeline
 from mars_jcas.scene import (
     ArrayGeometry,
     ClutterConfig,
+    SPEED_OF_LIGHT,
     RadioParams,
     ReceiverConfig,
     Target,
@@ -330,6 +332,93 @@ class TestConfigParsing:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_pipeline_list_fails_closed(self, tmp_path, capsys):
+        # An empty list used to run every drop and write header-only CSVs.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"]["enabled"] = False
+        raw["experiment"]["pipelines"] = []
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        where = f"{cfg}.experiment.pipelines: must list at least one pipeline"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(cfg)
+        for command, flags in (("montecarlo", ["--drops", "2"]), ("simulate", ["--targets", "1"])):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 3
+            assert where in capsys.readouterr().err
+            assert not out.exists()
+
+    # c * T_sym / 2 on desk_small (60 kHz subcarriers): the farthest range
+    # whose round trip fits the OFDM symbol.
+    IF_RANGE_LIMIT_M = SPEED_OF_LIGHT / 60e3 / 2.0
+
+    @staticmethod
+    def _desk_without_clutter(tmp_path, name, experiment=None, targets=None):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"]["enabled"] = False
+        for key, value in (experiment or {}).items():
+            if key == "custom":
+                raw["experiment"]["custom"].update(value)
+            else:
+                raw["experiment"][key] = value
+        if targets is not None:
+            raw["targets"] = targets
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        return cfg
+
+    @pytest.mark.parametrize("experiment,targets,key,runs", [
+        ({"custom": {"range_m": [100.0, 50000.0]}}, None, "custom.range_m: 50000.0 m",
+         [("montecarlo", "--drops", "2"), ("simulate", "--targets", "1")]),
+        ({}, [{"range_m": 3000.0, "radial_velocity_mps": 10.0, "rcs_m2": 100.0}],
+         "targets[0].range_m: 3000.0 m", [("simulate",)]),
+        ({"sweep_axis": "range", "sweep_values_m": [200.0, 3000.0]}, None,
+         "sweep_values[1]: 3000.0 m", [("montecarlo", "--drops", "2")]),
+    ], ids=["custom_range", "config_target", "range_sweep"])
+    def test_range_beyond_if_symbol_fails_closed(self, tmp_path, capsys, experiment, targets,
+                                                 key, runs):
+        # Each used to exit 4 at drop 0, after the output directory was made.
+        cfg = self._desk_without_clutter(tmp_path, "far", experiment, targets)
+        for command, *flags in runs:
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 3
+            err = capsys.readouterr().err
+            assert f"{cfg}: {key} has delay" in err and "> symbol duration" in err
+            assert not out.exists()
+
+    def test_range_at_if_symbol_boundary(self, tmp_path, capsys):
+        inside = self.IF_RANGE_LIMIT_M * (1 - 1e-12)
+        outside = self.IF_RANGE_LIMIT_M * (1 + 1e-12)
+        cases = [  # (experiment edit, exit code)
+            ({"custom": {"range_m": [100.0, inside]}}, 0),
+            ({"custom": {"range_m": [100.0, outside]}}, 3),
+            # A range sweep puts a target exactly at its value.
+            ({"sweep_axis": "range", "sweep_values_m": [200.0, inside]}, 0),
+            ({"sweep_axis": "range", "sweep_values_m": [200.0, outside]}, 3),
+            # FA cubes hold no beat: an FA-only plan is not held to the bound.
+            ({"custom": {"range_m": [100.0, 50000.0]},
+              "pipelines": [{"structure": "fa", "suppressor": "mf"}]}, 0),
+        ]
+        for k, (experiment, code) in enumerate(cases):
+            cfg = self._desk_without_clutter(tmp_path, f"edge{k}", experiment)
+            out = tmp_path / f"mc{k}"
+            assert main(["montecarlo", "--config", str(cfg), "--out", str(out),
+                         "--drops", "2"]) == code, experiment
+            assert out.exists() == (code == 0)
+        assert "sweep_values[1]: " in capsys.readouterr().err
+
+    def test_far_config_target_with_drawn_ranges_runs(self, tmp_path, capsys):
+        # montecarlo and simulate --targets draw every drop's targets, so a
+        # config target beyond c * T_sym / 2 never reaches a cube there.
+        cfg = self._desk_without_clutter(
+            tmp_path, "far_target",
+            targets=[{"range_m": 3000.0, "radial_velocity_mps": 10.0, "rcs_m2": 100.0}])
+        for command, *flags in (("montecarlo", "--drops", "2"), ("simulate", "--targets", "1")):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+            assert out.exists()
+        capsys.readouterr()
+
     def test_custom_box_partly_outside_disk_parses(self):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
         raw["experiment"]["custom"].update(sin_psi_x=[0.5, 2.0], sin_psi_y=[0.8, 0.9])
@@ -512,6 +601,24 @@ class TestCli:
         assert len(sym) == 1 + 512
         sched = yaml.safe_load((tmp_path / "schedule.yaml").read_text())
         assert sched["chirp_pri_indices"] == [1, 6, 15]
+
+    def test_clutter_map_prints_build_cpus(self, tmp_path, capsys, monkeypatch):
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(area_x_m=60.0, area_y_m=30.0)
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "cm"
+        # The CPU set the build reads, as under `taskset -c 0`, and one of 64
+        # CPUs, which the build caps at two.
+        for cpu_set, cpus in (({0}, "1"), (set(range(64)), "2")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpu_set, raising=False)
+            assert main(["clutter-map", "--config", str(cfg), "--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-2].startswith("build_seconds ")
+            assert lines[-1].split() == ["build_cpus", cpus]
+        # Stdout only: the manifest holds the build time, not the CPU count.
+        manifest = (out / "manifest.json").read_text()
+        assert "build_clutter_map" in manifest and "cpus" not in manifest
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["resolution", "--preset", "nope"]) == 3
