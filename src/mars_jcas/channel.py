@@ -12,12 +12,16 @@ subcarrier offsets.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import clutter as clutter_module
 from .clutter import ClutterMap
 from .scene import (
     SPEED_OF_LIGHT,
@@ -61,6 +65,57 @@ def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
     return 1.0 / (1.0 + np.abs(np.asarray(freq_hz, dtype=float) / cutoff_hz) ** (2 * order))
 
 
+# Ring buffers a drop's chirp noise is drawn into ahead of the cube: the
+# block the symbol being built reads and the next two.
+RING_SLOTS = 3
+
+
+class _Inline:
+    """The draw thread at one CPU: each draw runs on the calling thread
+    when it is submitted."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+_SIDE = None    # the process's draw thread, made on first use; _Inline in a pool worker
+
+
+def _side_thread():
+    global _SIDE
+    if _SIDE is None:
+        _SIDE = ThreadPoolExecutor(1, thread_name_prefix="mars-jcas-draws")
+    return _SIDE
+
+
+def _forget_side_thread() -> None:
+    # A forked child has no copy of the thread.
+    global _SIDE
+    _SIDE = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_side_thread)
+
+
+def draw_on_calling_thread() -> None:
+    """Draw this process's chirp noise on the calling thread from now on,
+    as at one CPU. For a pool worker, whose siblings keep the other CPUs
+    busy: with two workers on two CPUs the draw thread gained nothing."""
+    global _SIDE
+    _SIDE = _Inline
+
+
+def chirp_noise_key(scene: ValidatedScene) -> tuple:
+    """(scale, shape) of the chirp noise blocks of every IF cube of ``scene``:
+    noise of power N0*B over one symbol's (num_rx, N) samples."""
+    return (math.sqrt(scene.radio.noise_density_w_per_hz * scene.bandwidth_hz),
+            (scene.array.num_rx, scene.radio.num_subcarriers))
+
+
 class DropDraws:
     """The labelled random draws one drop's cubes and FA measurements share.
 
@@ -73,16 +128,36 @@ class DropDraws:
     the drop reads, in the order they are synthesized; a block is kept only
     while a later cube will read it. Without it no block is kept, and a
     block read again is drawn again from a fresh generator.
+
+    With more than one CPU (:func:`~mars_jcas.clutter.build_cpus`), unless
+    :func:`draw_on_calling_thread` was called, the chirp blocks are drawn
+    on the process's draw thread, one at a time and in stream order,
+    ahead of the cube that reads them: a kept block into
+    its own array, any other into one of :data:`RING_SLOTS` ring buffers,
+    which is drawn into again once the cube has asked for the block after
+    the one it holds. ``chirp_key``, the blocks' (scale, shape)
+    (:func:`chirp_noise_key`), starts the draws when the drop's draws are
+    made; without it they start with the first cube. At one CPU the same
+    draws run in the same order on the calling thread, so the blocks do
+    not depend on the CPU count. :meth:`settle` waits for the draws in
+    flight.
     """
 
-    def __init__(self, seed: int, chirp_reads: Sequence[int] = ()):
+    def __init__(self, seed: int, chirp_reads: Sequence[int] = (),
+                 chirp_key: Optional[tuple] = None):
         self.seed = seed
         self._reads = list(chirp_reads)
         self._si = {}
         self._phases = {}
         self._uplink_sin = None
-        self._noise_key, self._noise_rng, self._drawn, self._kept = None, None, 0, []
-        self._buffer = None
+        self._side = _side_thread() if clutter_module.build_cpus() > 1 else _Inline
+        self._count = 0             # blocks the cube being built reads
+        self._noise_key, self._noise_rng, self._next, self._kept = None, None, 0, []
+        self._ahead = deque()       # (block, future, own array) of drawn blocks, in order
+        self._slots, self._free, self._held = 0, [], None
+        if chirp_key is not None and self._reads:
+            self._start(chirp_key)
+            self._fill()
 
     def si_phases(self, num_elements: int) -> np.ndarray:
         """Unit self-interference phasors, one per receive element."""
@@ -117,36 +192,110 @@ class DropDraws:
     def chirp_noise(self, scale: float, shape: tuple, count: int):
         """The next IF cube's ``count`` chirp noise blocks, in stream order,
         each a (2, *shape) float array of real and imaginary parts. A block
-        no later cube reads is drawn into one reused buffer, which the next
-        block overwrites. Once the last is handed out, only the blocks a
-        later cube reads stay."""
-        self._reads = self._reads[1:]
+        no later cube reads lives in a ring buffer, drawn into again once
+        the next block is asked for. Once the last is handed out, only the
+        blocks a later cube reads stay."""
+        self._release_held()
+        self._count, self._reads = count, self._reads[1:]
         if self._noise_key != (scale, shape):
-            self._noise_key, self._noise_rng, self._drawn, self._kept = (scale, shape), None, 0, []
-            self._buffer = np.empty((2,) + tuple(shape))
+            self._start((scale, shape))
         keep = max(self._reads, default=0)
+        self._fill()
         return (self._chirp_block(k, keep, k == count - 1) for k in range(count))
 
-    def _draw_chirp(self, out: np.ndarray) -> np.ndarray:
-        self._drawn += 1
-        return _noise_parts(self._noise_rng, self._noise_key[0], out)
+    def settle(self) -> None:
+        """Wait for the chirp draw in flight and drop the queued ones; a
+        block asked for later replays the stream."""
+        for _, future, _ in self._ahead:
+            future.cancel()
+        wait([future for _, future, _ in self._ahead])
+        self._free += [block for block, _, own in self._ahead if not own]
+        self._ahead.clear()
+        self._noise_rng = None
+
+    def _start(self, key: tuple) -> None:
+        """The stream of blocks of ``key`` = (scale, shape), from its start."""
+        self.settle()
+        self._noise_key, self._kept, self._slots, self._free, self._held = key, [], 0, [], None
+        self._noise_rng, self._next = rng_for(self.seed, "noise-chirp"), 0
+
+    def _planned(self, j: int) -> Optional[bool]:
+        """Whether the cube being built or a later one reads stream block j
+        (None if none does), and if so whether a cube after the first to
+        read it reads it again."""
+        reads = [self._count] + self._reads
+        for i, r in enumerate(reads):
+            if r > j:
+                return j < max(reads[i + 1:], default=0)
+        return None
+
+    def _fill(self) -> None:
+        """Start the draws of the next stream blocks the cubes read, each
+        into its own array if it is kept, else into a free ring buffer."""
+        while self._noise_rng is not None:
+            own = self._planned(self._next)
+            if own is None:
+                return
+            block = np.empty((2,) + self._noise_key[1]) if own else self._slot()
+            if block is None:
+                return
+            self._submit(block, own)
+
+    def _slot(self) -> Optional[np.ndarray]:
+        """A free ring buffer, or None while all are in use."""
+        if self._free:
+            return self._free.pop()
+        if self._slots == RING_SLOTS:
+            return None
+        self._slots += 1
+        return np.empty((2,) + self._noise_key[1])
+
+    def _submit(self, block: np.ndarray, own: bool) -> None:
+        future = self._side.submit(_noise_parts, self._noise_rng, self._noise_key[0], block)
+        self._ahead.append((block, future, own))
+        self._next += 1
+
+    def _release_held(self) -> None:
+        # The cube is done with the ring block it read last.
+        if self._held is not None:
+            self._free.append(self._held)
+            self._held = None
+
+    def _take(self, k: int) -> tuple:
+        """(block, own array) of stream block k, once drawn."""
+        if self._noise_rng is None or self._next - len(self._ahead) > k:
+            # Block k was drawn and let go, or the draws were settled: replay.
+            self.settle()
+            self._noise_rng, self._next = rng_for(self.seed, "noise-chirp"), 0
+        while True:
+            if not self._ahead:
+                self._submit(self._slot(), False)
+            index = self._next - len(self._ahead)
+            block, future, own = self._ahead.popleft()
+            future.result()
+            if index == k:
+                return block, own
+            if not own:
+                self._free.append(block)
 
     def _chirp_block(self, k, keep, last):
+        self._release_held()
         if k < len(self._kept):
             block = self._kept[k]
         else:
-            if self._noise_rng is None or self._drawn > k:
-                # First use, or block k was drawn and let go: replay the stream.
-                self._noise_rng, self._drawn = rng_for(self.seed, "noise-chirp"), 0
-            while self._drawn < k:
-                self._draw_chirp(self._buffer)
-            # A block a later cube reads gets its own array.
-            block = self._draw_chirp(np.empty_like(self._buffer) if k < keep else self._buffer)
+            block, own = self._take(k)
             if k < keep:
+                if not own:
+                    # Drawn into the ring for a plan that did not keep it:
+                    # the buffer leaves the ring.
+                    self._slots -= 1
                 block.flags.writeable = False
                 self._kept.append(block)
+            elif not own:
+                self._held = block
         if last:
             del self._kept[keep:]
+        self._fill()
         return block
 
     @property
@@ -304,8 +453,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         if rec.exact_within_symbol_doppler:
             beat = beat * np.exp(2j * np.pi * t.doppler_hz(radio.carrier_freq_hz) * samples / bw)
         beats.append(beat)
-    noise = draws.chirp_noise(math.sqrt(radio.noise_density_w_per_hz * bw), (n_el, n),
-                              len(flat_slots))
+    noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
     # Each symbol is built in place in its own contiguous (L, N) block, in
     # the order a zero-filled block would sum its terms: the first product
     # is written, later ones are added through one reused spare. Noise is

@@ -25,6 +25,7 @@ from .clutter import build_clutter_for, build_clutter_map, build_cpus
 from .harness import (
     DropError,
     ExperimentPlan,
+    check_target_count,
     drop_estimates,
     drop_scene,
     monte_carlo,
@@ -223,17 +224,20 @@ def cmd_simulate(args) -> int:
     if args.targets is not None:
         try:
             plan = replace(plan, target_count=args.targets)
+            check_target_count(scene, plan, args.targets, "experiment.target_count")
         except ValueError as exc:
             raise ConfigError(f"command-line override: {exc}") from exc
         # The drop at every sweep point, as montecarlo scores it.
         points = [(value, drop_scene(scene, plan, args.drop, value))
                   for value in plan.sweep_values or (None,)]
-    elif any(schedule.structure != "fa" for _, schedule in plan_groups(scene, plan)):
-        # The config's own targets go into the IF cubes: check them before
-        # anything is written.
+    else:
+        # The config's own targets are scored, and go into the IF cubes:
+        # check them before anything is written.
         try:
-            for j, t in enumerate(scene.targets):
-                check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
+            check_target_count(scene, plan, len(scene.targets), "len(targets)")
+            if any(schedule.structure != "fa" for _, schedule in plan_groups(scene, plan)):
+                for j, t in enumerate(scene.targets):
+                    check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
         except ValueError as exc:
             raise ConfigError(f"{_source(args)}: {exc}") from exc
     if not points[0][1].targets:
@@ -311,6 +315,10 @@ def cmd_montecarlo(args) -> int:
     if plan is None:
         print("config has no experiment section", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        check_target_count(scene, plan, plan.target_count, "experiment.target_count")
+    except ValueError as exc:
+        raise ConfigError(f"{_source(args)}: {exc}") from exc
     try:
         if args.scale == "full":
             # Benchmark-scale statistics; pair with the table1_* presets to

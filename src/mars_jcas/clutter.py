@@ -159,9 +159,11 @@ BUILD_CPUS_MAX = 2
 
 
 def build_cpus() -> int:
-    """CPUs :func:`build_clutter_map` runs on: those in the process's CPU
-    set where the platform reports it, else every CPU of the machine, at
-    most :data:`BUILD_CPUS_MAX`."""
+    """CPUs the program spreads one process's work over: those in the
+    process's CPU set where the platform reports it, else every CPU of the
+    machine, at most :data:`BUILD_CPUS_MAX`. :func:`build_clutter_map`
+    runs on this many threads, and with two or more a drop draws its
+    chirp noise on a second thread (:class:`~mars_jcas.channel.DropDraws`)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:

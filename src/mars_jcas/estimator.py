@@ -448,6 +448,10 @@ def _lag_cells(m: int, n: int, sub_bytes: bytes) -> tuple:
     return tuple(blocks)
 
 
+# Rows of the FA lag grid one real-transform block copies out.
+_FA_ROWS = 64
+
+
 def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
                          radio: RadioParams, range_res_m: float) -> FaMap:
     """Correlate per-symbol subcarrier measurements against delay/Doppler
@@ -483,7 +487,15 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     # real inverse FFT of the conjugate half spectrum (numpy's hfft, without
     # its conjugate copy).
     np.fft.ifft(grid, axis=0, norm="forward", out=grid)
-    power = np.fft.irfft(grid, n=n, axis=1, norm="forward").T     # (N, M_vel)
+    # The real transform writes over the grid's own buffer, viewed as (M, N)
+    # floats, a block of rows at a time from a copy of the block: an output
+    # row (8N bytes) is shorter than an input row (16(N//2 + 1) bytes), so a
+    # block never overwrites a row not yet read.
+    power = grid.view(float).ravel()[:m * n].reshape(m, n)
+    for lo in range(0, m, _FA_ROWS):
+        np.fft.irfft(grid[lo:lo + _FA_ROWS].copy(), n=n, axis=1, norm="forward",
+                     out=power[lo:lo + _FA_ROWS])
+    power = power.T                                                   # (N, M_vel)
     np.sqrt(np.maximum(power, 0.0, out=power), out=power)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)

@@ -19,7 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import DropDraws, check_if_range, synthesize_fa_measurements, synthesize_if_cube
+from .channel import (
+    DropDraws,
+    check_if_range,
+    chirp_noise_key,
+    draw_on_calling_thread,
+    synthesize_fa_measurements,
+    synthesize_if_cube,
+)
 from .clutter import ClutterMap, build_clutter_for
 from .estimator import TargetEstimate
 from .pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
@@ -260,6 +267,43 @@ def _drawn_ranges(plan: ExperimentPlan) -> list:
     return [("range_bounds_m", max(plan.range_bounds_m))]
 
 
+def _check_target_count(scene: ValidatedScene, schedule: MarsSchedule, k: int, i: int,
+                        pipe: PipelineSpec, what: str) -> None:
+    """Raise ValueError when pipeline ``i`` cannot return ``k`` targets on
+    every drop: more peaks than its map always holds, or (MUSIC) a signal
+    subspace of K in its num_rx x num_rx spatial and M x M temporal
+    covariances, which needs K + 1 <= min(num_rx, M)."""
+    if pipe.structure == "fa":
+        name, cells, claim = "FA", scene.radio.num_subcarriers, 9
+    else:
+        name, cells, claim = "STTE", scene.array.num_rx, 27
+    # The guard masks 2g + 1 velocity bins (g < M/2). Each peak the greedy
+    # search takes claims at most its 3 x 3 (x 3) neighbourhood, so it
+    # always finds ceil(F / claim) peaks among the F unmasked cells.
+    cells *= schedule.num_pri - 2 * pipe.stte_guard - 1
+    most = -(-cells // claim)
+    if k > most:
+        raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} exceeds the {most} peaks "
+                         f"its {name} map of {cells} unmasked cells always holds")
+    rank = min(scene.array.num_rx, schedule.num_pri)
+    if pipe.refinement == "music" and k + 1 > rank:
+        raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} needs K + 1 <= "
+                         f"min(num_rx, M) = {rank} for MUSIC")
+
+
+def check_target_count(scene: ValidatedScene, plan: ExperimentPlan, k: int,
+                       what: str) -> None:
+    """Raise ValueError naming the first pipeline of ``plan`` that cannot
+    return ``k`` targets on every drop (``what`` names the count in the
+    message), and whatever :func:`plan_groups` raises. A drop scores as
+    many targets as its scene holds: ``plan.target_count`` for drawn
+    targets, a config's own targets under ``simulate``."""
+    schedules = {(pipes[0].structure, pipes[0].va): schedule
+                 for pipes, schedule in plan_groups(scene, plan)}
+    for i, pipe in enumerate(plan.pipelines):
+        _check_target_count(scene, schedules[pipe.structure, pipe.va], k, i, pipe, what)
+
+
 def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     """The plan's pipelines grouped by (structure, va), in plan order, as
     (pipelines, schedule) pairs; each group shares one schedule and cube.
@@ -314,26 +358,33 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
     """
     drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
     groups = plan_groups(scene, plan)
-    draws = DropDraws(drop_seed, [s.num_chirp_symbols for _, s in groups if s.structure != "fa"])
-    for pipes, schedule in groups:
-        pipe = pipes[0]
-        try:
-            if schedule.structure == "fa":
-                data = synthesize_fa_measurements(scene, schedule, clutter, draws=draws)
-            else:
-                va_scene = replace(scene, array=scene.array.with_va(pipe.va))
-                data = synthesize_if_cube(va_scene, schedule, clutter, draws=draws)
-                front = front_end(data, va_scene)
-            for pipe in pipes:
-                info = {} if debug else None
+    draws = DropDraws(drop_seed, [s.num_chirp_symbols for _, s in groups if s.structure != "fa"],
+                      chirp_noise_key(scene))
+    try:
+        for pipes, schedule in groups:
+            pipe = pipes[0]
+            try:
                 if schedule.structure == "fa":
-                    ests = run_fa_pipeline(data, scene, schedule, len(scene.targets),
-                                           guard=pipe.stte_guard)
+                    data = synthesize_fa_measurements(scene, schedule, clutter, draws=draws)
                 else:
-                    ests = run_pipeline(front, va_scene, pipe, len(scene.targets), debug=info)
-                yield pipe, data, ests, info
-        except Exception as exc:
-            raise DropError(drop_index, drop_seed, pipe.tag, exc, sweep_value) from exc
+                    va_scene = replace(scene, array=scene.array.with_va(pipe.va))
+                    data = synthesize_if_cube(va_scene, schedule, clutter, draws=draws)
+                    front = front_end(data, va_scene)
+                for pipe in pipes:
+                    info = {} if debug else None
+                    if schedule.structure == "fa":
+                        ests = run_fa_pipeline(data, scene, schedule, len(scene.targets),
+                                               guard=pipe.stte_guard)
+                    else:
+                        ests = run_pipeline(front, va_scene, pipe, len(scene.targets),
+                                            debug=info)
+                    yield pipe, data, ests, info
+            except Exception as exc:
+                raise DropError(drop_index, drop_seed, pipe.tag, exc, sweep_value) from exc
+    finally:
+        # No chirp draw outlives the drop, when a cube raises or the caller
+        # stops early.
+        draws.settle()
 
 
 def drop_scene(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
@@ -381,7 +432,9 @@ _POOL_STATE: dict = {}
 
 def _pool_init(scene, plan, clutter):
     # Ships the heavy read-only inputs to each worker once, not per drop.
+    # The workers keep the CPUs busy, so none starts a draw thread.
     _POOL_STATE["args"] = (scene, plan, clutter)
+    draw_on_calling_thread()
 
 
 def _timed_drop(task, args=None):
@@ -401,7 +454,8 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     Curve rows: one dict per (sweep value, pipeline, metric) with value and
     Wilson interval bounds (rates only).
     """
-    plan_groups(scene, plan)   # a bad schedule fails before the clutter map and any drop
+    # A bad schedule or target count fails before the clutter map and any drop.
+    check_target_count(scene, plan, plan.target_count, "experiment.target_count")
     if clutter is None and scene.clutter.enabled:
         clutter = build_clutter_for(scene, plan.pipelines)
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]

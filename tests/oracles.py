@@ -11,8 +11,10 @@ correlator map and FA clutter term are kept in their direct forms too: one
 ramp multiply and FFT per element, and a ramp-table matmul; so are the
 full-grid Gram form of the FA map with its per-call lag cells, the
 half-grid form with a zeroed grid, two ``bincount`` passes and numpy's
-``hfft``, the FA peak search on a transposed copy of the map, the clutter
-map, built by a transmit-slot x receive-element loop and, for exact
+``hfft``, the Gram form with its real transform into a new array rather
+than over the lag grid, the FA peak search on a transposed copy of the
+map, the clutter map, built by a transmit-slot x receive-element loop
+and, for exact
 comparison, with every per-patch array held for the whole grid (the
 build before it streamed chunks over the patch order), the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
@@ -60,6 +62,7 @@ from mars_jcas.clutter import (
 from mars_jcas.estimator import (
     FaMap,
     TargetEstimate,
+    _lag_cells,
     _loaded_solve,
     _music_scan,
     _noise_projector,
@@ -285,6 +288,28 @@ def fa_range_doppler_map_half_grid(fa_meas, schedule, radio, range_res_m):
         lags.real += np.bincount(idx, weights=gram.real, minlength=m * half)
         lags.imag += np.bincount(idx, weights=gram.imag, minlength=m * half)
     power = np.fft.hfft(np.fft.fft(lags.reshape(m, half), axis=0), n=n, axis=1).T
+    np.sqrt(np.maximum(power, 0.0, out=power), out=power)
+    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
+    return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+
+
+def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio, range_res_m):
+    """The library's FA map before its real transform wrote over the lag
+    grid: the conjugate Gram scattered block by block onto the cached lag
+    cells, the Doppler transform in place, then one ``irfft`` of the whole
+    grid into a new (M, N) array."""
+    sub = schedule.fa_subcarrier_indices
+    m = fa_meas.shape[1]
+    n = radio.num_subcarriers
+    conj = fa_meas.conj()
+    grid = None
+    for block, keep, slots in _lag_cells(m, n, np.asarray(sub, dtype=np.intp).tobytes()):
+        gram = (conj[:, block].T @ fa_meas).view(float).ravel()[keep]
+        part = np.bincount(slots, weights=gram, minlength=2 * m * (n // 2 + 1))
+        grid = part if grid is None else np.add(grid, part, out=grid)
+    grid = grid.view(complex).reshape(m, -1)
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    power = np.fft.irfft(grid, n=n, axis=1, norm="forward").T
     np.sqrt(np.maximum(power, 0.0, out=power), out=power)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)

@@ -815,6 +815,26 @@ class TestFaMap:
         assert np.array_equal(got.values, want.values)
         assert got.velocity_res_mps == want.velocity_res_mps
 
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 4), m=st.integers(2, 160),
+           n=st.integers(1, 40), pool=st.sampled_from([None, 1, 3]))
+    @example(seed=7, l=2, m=150, n=9, pool=None)   # odd N, M > N, three transform blocks
+    @example(seed=8, l=3, m=64, n=64, pool=None)   # one full transform block
+    @example(seed=9, l=1, m=129, n=4, pool=3)      # a one-row last block, repeats
+    @example(seed=10, l=2, m=70, n=1, pool=None)   # N = 1: 8-byte rows over 16-byte rows
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_transform_equals_out_of_place_oracle(self, seed, l, m, n, pool):
+        # The real transform writes over the lag grid, estimator._FA_ROWS
+        # rows at a time; it must give the map the whole-grid irfft gave.
+        assert estimator._FA_ROWS == 64
+        rng = RNG(seed)
+        sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
+        radio, sched = self._fa_case(m, n, sub)
+        meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
+        got = fa_range_doppler_map(meas, sched, radio, 1.0)
+        want = oracles.fa_range_doppler_map_out_of_place(meas, sched, radio, 1.0)
+        assert np.array_equal(got.values, want.values)
+        assert got.velocity_res_mps == want.velocity_res_mps
+
     def test_lag_cells_keyed_on_subcarriers_not_shape(self):
         # Two draws with the same (M, N) in one process: a cache keyed on the
         # shape alone would scatter the second onto the first one's cells.

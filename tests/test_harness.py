@@ -4,14 +4,18 @@ import itertools
 import math
 import pickle
 import re
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,16 +27,17 @@ from conftest import (
     make_scene,
     on_grid_target,
 )
-from mars_jcas import channel, estimator, harness, pipeline, seeding
+from mars_jcas import channel, clutter, estimator, harness, pipeline, seeding
 from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_for, build_clutter_map
-from mars_jcas.estimator import TargetEstimate
+from mars_jcas.estimator import AngleVelocityMap, FaMap, TargetEstimate, stte_peaks
 from mars_jcas.harness import (
     CustomRanges,
     DropError,
     ExperimentPlan,
     TargetRecord,
+    check_target_count,
     draw_targets,
     drop_estimates,
     hit_rate,
@@ -45,8 +50,9 @@ from mars_jcas.harness import (
     wilson_interval,
 )
 from mars_jcas.io import config_from_dict, parse_config
-from mars_jcas.pipeline import PipelineSpec
+from mars_jcas.pipeline import PipelineSpec, run_fa_pipeline
 from mars_jcas.scene import ClutterConfig, Target, validate_scene
+from mars_jcas.waveform import build_schedule
 from mars_jcas.seeding import derive_seed
 
 # The five pipelines the desk_mc acceptance run compares.
@@ -57,6 +63,14 @@ DESK_MC = (
     PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf"),
     PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", refinement="music"),
 )
+
+
+def draw_threads_after_a_drop():
+    """In a pool worker: whether its chirp draws run on the calling thread,
+    and the names of its draw threads, after one drop."""
+    harness._timed_drop((0, None))
+    return (channel._SIDE is channel._Inline,
+            [t.name for t in threading.enumerate() if t.name.startswith("mars-jcas-draws")])
 
 
 def quiet_plan(**kw):
@@ -417,6 +431,67 @@ class TestPlanRules:
             else:
                 ExperimentPlan(**kw)
 
+    @given(structure=st.sampled_from(["comb", "fa"]), cols=st.integers(1, 3),
+           rows=st.integers(1, 3), n=st.integers(2, 12), m=st.integers(3, 12),
+           guard=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_target_count_is_returned(self, structure, cols, rows, n, m,
+                                                     guard, seed):
+        # The greedy peak search returns the largest target_count the
+        # check accepts on any map, ties included: each peak claims at
+        # most a 3 x 3 (x 3) neighbourhood of the unmasked cells.
+        assume(guard < m // 2)
+        scene = make_scene(radio=make_radio(n=n, num_pri=m), arr=make_array(cols=cols, rows=rows),
+                           indices=(1,))
+        schedule = build_schedule(scene.radio, scene.array, "fa", fa_seed=0)
+        pipe = PipelineSpec(structure=structure, suppressor="mf" if structure == "fa" else "sthp",
+                            stte_guard=guard)
+        most = 1
+        while True:
+            try:
+                harness._check_target_count(scene, schedule, most + 1, 0, pipe,
+                                            "experiment.target_count")
+            except ValueError as exc:
+                assert f"experiment.target_count {most + 1} exceeds" in str(exc)
+                break
+            most += 1
+        rng = np.random.default_rng(seed)
+        if structure == "fa":
+            values = rng.integers(0, 3, size=(n, m)).astype(float)
+            famap = FaMap(values=values, range_res_m=1.0, velocity_res_mps=1.0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: famap)
+                got = run_fa_pipeline(np.ones((cols * rows, m), dtype=complex), scene,
+                                      schedule, most, guard)
+        else:
+            values = rng.integers(0, 3, size=(cols, rows, m)).astype(float)
+            got = stte_peaks(AngleVelocityMap(values, 1.0, 1.0, 1.0), most, guard)
+        assert len(got) == most
+
+    def test_music_target_count_bounded_by_elements(self, desk):
+        # MUSIC needs K + 1 <= the rank of its num_rx x num_rx spatial and
+        # M x M temporal covariances.
+        scene, plan = desk
+        music = PipelineSpec(refinement="music")
+        check_target_count(scene, replace(plan, pipelines=(music,)), 15, "experiment.target_count")
+        with pytest.raises(ValueError, match=re.escape(
+                "pipelines[1] comb-sthp-inf-music: experiment.target_count 16 needs "
+                "K + 1 <= min(num_rx, M) = 16 for MUSIC")):
+            check_target_count(scene, replace(plan, pipelines=(PipelineSpec(), music)), 16,
+                               "experiment.target_count")
+        # A 6 x 5 array over M = 16 PRIs: the temporal covariance binds,
+        # and 16 targets fit the map's ceil(30 * 15 / 27) = 17 peaks.
+        scene = make_scene(radio=make_radio(num_pri=16, power_w=10.0),
+                           arr=make_array(cols=6, rows=5), indices=(1,))
+        music = PipelineSpec(suppressor="mf", refinement="music", stte_guard=0)
+        plan = quiet_plan(pipelines=(music,), num_drops=1)
+        check_target_count(scene, plan, 15, "experiment.target_count")
+        assert len(run_drop(scene, replace(plan, target_count=15), 0)) == 15
+        with pytest.raises(ValueError, match=re.escape("needs K + 1 <= min(num_rx, M) = 16")):
+            check_target_count(scene, plan, 16, "experiment.target_count")
+        with pytest.raises(DropError, match=re.escape("covariance rank 16 < K+1 = 17")):
+            run_drop(scene, replace(plan, target_count=16), 0)
+
 
 class TestMonteCarlo:
     def test_zero_drops_no_crash(self):
@@ -709,6 +784,162 @@ class TestDropDraws:
         assert np.array_equal(want.chirp_branch.view(float), got.chirp_branch.view(float))
         with pytest.raises(ValueError, match="disagrees"):
             synthesize_if_cube(scene, sched, seed=41, draws=draws)
+
+
+class TestDrawThread:
+    """The chirp noise is drawn on a second CPU ahead of the cube that reads
+    it: records, cubes and FA measurements must not depend on the CPU
+    count, and no draw may outlive its drop."""
+
+    @staticmethod
+    def car(clutter_enabled=False):
+        # The car_fa benchmark plan: FA, then one comb cube without VA.
+        scene_cfg, plan = parse_config(preset_path("table1_car"))
+        scene = validate_scene(scene_cfg)
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=clutter_enabled))
+        return scene, replace(plan, pipelines=(DESK_MC[2], DESK_MC[3]))
+
+    @staticmethod
+    def drop_outputs(scene, plan, clutter_map, cpus, drops=2):
+        """(records, cube and FA arrays) of ``drops`` drops at each sweep
+        point, with the draws run as on ``cpus`` CPUs."""
+        records, arrays = [], []
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(clutter, "build_cpus", lambda: cpus)
+            for value in plan.sweep_values or (None,):
+                for i in range(drops):
+                    records += run_drop(scene, plan, i, clutter_map, value)
+                    drop = harness.drop_scene(scene, plan, i, value)
+                    for pipe, data, _, _ in drop_estimates(drop, plan, i, clutter_map, value):
+                        arrays += ([data] if pipe.structure == "fa" else
+                                   [data.chirp_branch, data.tone_branch_compressed])
+        return records, arrays
+
+    @pytest.mark.parametrize("preset", ["desk_small", "table1_car"])
+    def test_same_drops_at_any_cpu_count(self, desk, desk_clutter, preset):
+        # desk_mc: the VA comb cube reads 12 chirp blocks, 4 of them kept for
+        # the lshape cube and 3 for the comb cube without VA.
+        if preset == "desk_small":
+            (scene, plan), clutter_map = desk, desk_clutter
+            plan = replace(plan, pipelines=DESK_MC, sweep_values=(0.1, 1.0))
+        else:
+            (scene, plan), clutter_map = self.car(), None
+        one, two = (self.drop_outputs(scene, plan, clutter_map, cpus) for cpus in (1, 2))
+        assert one[0] == two[0] and len(one[1]) == len(two[1])
+        for a, b in zip(one[1], two[1]):
+            assert np.array_equal(a.view(float), b.view(float))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("reads,counts,louder", [
+        ([3, 12], [3, 12], False), ([12, 4, 3], [12, 4, 3], False),
+        ([4, 4], [4, 4], True),
+        # Blocks 1-3 are drawn ahead into the ring for the second cube, but
+        # the first cube reads them and the second reads them again.
+        ([1, 4], [4, 8], False)])
+    def test_chirp_blocks_equal_unshared_draws(self, monkeypatch, cpus, reads, counts, louder):
+        # Each cube's blocks are what its own fresh noise-chirp generator
+        # gives: kept blocks, ring blocks drawn ahead, and after a key change.
+        monkeypatch.setattr(clutter, "build_cpus", lambda: cpus)
+        key = (0.5, (3, 8))
+        draws = DropDraws(11, reads, key)
+        for j, count in enumerate(counts):
+            scale = 2.0 if louder and j else key[0]
+            got = [block.copy() for block in draws.chirp_noise(scale, key[1], count)]
+            want = list(oracles.FreshDraws(11).chirp_noise(scale, key[1], count))
+            assert len(got) == count
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        draws.settle()
+
+    def test_one_cpu_starts_no_thread(self, desk, monkeypatch):
+        monkeypatch.setattr(channel, "_SIDE", None)
+        monkeypatch.setattr(clutter, "build_cpus", lambda: 1)
+        scene, plan = desk
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_drop(scene, replace(plan, pipelines=DESK_MC), 0)
+        assert channel._SIDE is None and threading.active_count() == threads
+        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        DropDraws(1, [1], (1.0, (2, 4))).settle()
+        assert channel._SIDE is not None
+        channel._SIDE.shutdown()
+
+    @pytest.mark.parametrize("stop", ["cube_raises", "closed_early"])
+    def test_no_draw_outlives_its_drop(self, monkeypatch, stop):
+        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        draws_made = {"started": 0, "running": 0}
+        noise_parts = channel._noise_parts
+
+        def slow_noise_parts(rng, scale, out):
+            draws_made["started"] += 1
+            draws_made["running"] += 1
+            try:
+                time.sleep(0.01)
+                return noise_parts(rng, scale, out)
+            finally:
+                draws_made["running"] -= 1
+
+        monkeypatch.setattr(channel, "_noise_parts", slow_noise_parts)
+        scene, plan = self.car()
+        drop = harness.drop_scene(scene, plan, 0, plan.sweep_values[0])
+        if stop == "cube_raises":
+            # The cube asks for its first block, with more drawn ahead.
+            def failing_cube(scene, schedule, clutter_map, *, draws):
+                next(draws.chirp_noise(*channel.chirp_noise_key(scene),
+                                       schedule.num_chirp_symbols))
+                raise RuntimeError("cube failed")
+
+            monkeypatch.setattr(harness, "synthesize_if_cube", failing_cube)
+            with pytest.raises(DropError, match="cube failed"):
+                list(drop_estimates(drop, plan, 0, None, plan.sweep_values[0]))
+        else:
+            # FA runs first; the cube's blocks are drawn meanwhile.
+            estimates = drop_estimates(drop, plan, 0, None, plan.sweep_values[0])
+            assert next(estimates)[0].structure == "fa"
+            estimates.close()
+        started = draws_made["started"]
+        assert started >= 1 and draws_made["running"] == 0
+        time.sleep(0.05)
+        assert draws_made == {"started": started, "running": 0}
+
+    def test_forked_workers_after_the_draw_thread(self, desk, monkeypatch):
+        # A serial drop starts this process's draw thread; the --workers pool
+        # forks after it, and its workers draw on their calling threads.
+        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        scene, plan = desk
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
+        plan = replace(plan, pipelines=DESK_MC, num_drops=4)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("monte_carlo with forked workers hung")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                serial = monte_carlo(plan, scene)[1].records
+                assert channel._SIDE is not None
+                pooled = monte_carlo(replace(plan, workers=2), scene)[1].records
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert pooled == serial and len(serial) == 4 * len(DESK_MC)
+
+    def test_pool_workers_start_no_draw_thread(self, desk, monkeypatch):
+        # With --workers the pool keeps the CPUs busy: a worker's drop draws
+        # its chirp noise on the calling thread, as at one CPU.
+        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        scene, plan = desk
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
+        plan = replace(plan, pipelines=DESK_MC)
+        with ProcessPoolExecutor(1, initializer=harness._pool_init,
+                                 initargs=(scene, plan, None)) as pool:
+            inline, threads = pool.submit(draw_threads_after_a_drop).result(timeout=60)
+        assert inline and threads == []
 
 
 class TestDropMemory:

@@ -259,6 +259,50 @@ class TestConfigParsing:
         tag = PipelineSpec(**pipe).tag
         assert f"{cfg}: pipelines[0] {tag}: stte_guard 32 masks every velocity bin" in err
 
+    @pytest.mark.parametrize("refinement,fits,over,reason", [
+        # 16 elements x (64 - 3 masked) bins = 976 STTE cells: each peak
+        # claims at most 27, so 37 are always there; 300 stopped at 110.
+        ("fft", 37, 300, "exceeds the 37 peaks its STTE map of 976 unmasked cells"),
+        # MUSIC's spatial covariance is 16 x 16 (M = 64): K + 1 <= 16.
+        ("music", 15, 16, "needs K + 1 <= min(num_rx, M) = 16 for MUSIC"),
+    ])
+    def test_target_count_the_drop_cannot_return_fails_closed(self, tmp_path, capsys,
+                                                              refinement, fits, over, reason):
+        # Each over-count used to exit 4 at drop 0, after the output
+        # directory was made.
+        pipe = {"structure": "comb", "suppressor": "sthp", "refinement": refinement}
+        tag = PipelineSpec(**pipe).tag
+        for k, code in ((fits, 0), (over, 3)):
+            cfg = self._desk_without_clutter(tmp_path, f"k{k}",
+                                             {"target_count": k, "pipelines": [pipe]})
+            out = tmp_path / f"mc{k}"
+            assert main(["montecarlo", "--config", str(cfg), "--out", str(out),
+                         "--drops", "2"]) == code
+            assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert f"{cfg}: pipelines[0] {tag}: experiment.target_count {over} {reason}" in err
+        # simulate --targets K goes through the same check.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--targets", str(over)]) == 3
+        assert f"experiment.target_count {over} {reason}" in capsys.readouterr().err
+        assert not out.exists()
+        # simulate scores the count it is given, or the config's targets,
+        # never the config's target_count.
+        targets = [{"range_m": 100.0 + 10.0 * j, "radial_velocity_mps": 10.0, "rcs_m2": 100.0}
+                   for j in range(over)]
+        cfg = self._desk_without_clutter(tmp_path, "one", {"target_count": over,
+                                                           "pipelines": [pipe]}, targets[:1])
+        for flags in (["--targets", str(fits)], []):
+            out = tmp_path / f"sim{len(flags)}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        cfg = self._desk_without_clutter(tmp_path, "own", {"pipelines": [pipe]}, targets)
+        out = tmp_path / "own"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert (f"{cfg}: pipelines[0] {tag}: len(targets) {over} {reason}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("waveform", "chirp_pri_indices", [1.5, 6]),
         ("experiment", "num_drops", 2.7),

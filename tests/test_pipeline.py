@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ import oracles
 from conftest import WAVELENGTH, make_array, make_radio, make_scene, on_grid_target
 from mars_jcas import pipeline
 from mars_jcas.channel import IfCube, synthesize_fa_measurements, synthesize_if_cube
+from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import (
     CoarsePeak,
@@ -23,7 +25,9 @@ from mars_jcas.estimator import (
     temporal_steering,
 )
 from mars_jcas.pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
-from mars_jcas.scene import ArrayGeometry, Target
+from mars_jcas.harness import schedule_for
+from mars_jcas.io import parse_config
+from mars_jcas.scene import ArrayGeometry, Target, validate_scene
 from mars_jcas.waveform import build_schedule
 
 
@@ -319,6 +323,22 @@ class TestFaPipeline:
         for run in (run_fa_pipeline, oracles.run_fa_pipeline):
             with pytest.raises(ValueError, match="map exhausted"):
                 run(meas, scene, sched, 31)
+
+    def test_table1_car_pipeline_peak_below_13_mib(self):
+        # The real transform writes over the lag grid: one (M, N) float map
+        # fewer than the 18.0 MiB the whole-grid irfft peaked at.
+        scene_cfg, plan = parse_config(preset_path("table1_car"))
+        scene = validate_scene(scene_cfg)
+        fa = schedule_for(scene, PipelineSpec(structure="fa", suppressor="mf"), plan.seed)
+        meas = synthesize_fa_measurements(scene, fa, seed=1)
+        run_fa_pipeline(meas, scene, fa, 1)    # the lag cells are cached from here on
+        tracemalloc.start()
+        try:
+            run_fa_pipeline(meas, scene, fa, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
 
 class TestArrayHoldingEquality:
