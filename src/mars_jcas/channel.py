@@ -417,7 +417,9 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     the cube makes its own from ``seed`` (default the scene's).
 
     Raises ``ValueError`` when a target's round-trip delay exceeds the OFDM
-    symbol (its beat frequency would alias out of the receive window).
+    symbol (its beat frequency would alias out of the receive window), or
+    when ``clutter`` does not fit the scene or schedule
+    (:meth:`~mars_jcas.clutter.ClutterMap.check_fits`).
     """
     if schedule.structure == "fa":
         raise ValueError("FA structures produce per-subcarrier measurements; "
@@ -436,15 +438,17 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]
     steers = [_rx_steering(scene, t) for t in scene.targets]
 
-    # Chirp branch: per-bin clutter beat tones collapse to an inverse DFT.
     flat_slots = [(e, p, a, b) for occ in schedule.va_slots
                   for e, (p, a, b) in enumerate(occ)]
-    clutter_base = None
+    tone_pris = schedule.tone_pri_indices()
+    m_tone = tone_pris.size
+    p_tone = schedule.per_symbol_power_w[tone_pris]
+    sqrt_p = np.sqrt(p_tone)
     if clutter is not None:
+        clutter.check_fits(scene)
         if clutter.num_tx_slots < schedule.slots_per_chirp:
             raise ValueError(f"clutter map has {clutter.num_tx_slots} tx slot tables, "
                              f"schedule needs {schedule.slots_per_chirp}")
-        clutter_base = clutter.chirp_spectra(n)
 
     samples = np.arange(n)
     beats = []
@@ -454,15 +458,28 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             beat = beat * np.exp(2j * np.pi * t.doppler_hz(radio.carrier_freq_hz) * samples / bw)
         beats.append(beat)
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
+    # Clutter: per-bin beat tones collapse to an inverse DFT per chirp slot,
+    # and the zero-Doppler field to one constant per tone PRI; the map holds
+    # both products. They are taken after the drop's noise buffers and
+    # before the cube's: taken per block among the cube's buffers, or before
+    # the noise buffers, they left no hole in the heap that the next drop's
+    # FA map fits in, and car_fa's peak RSS rose by 4.6 and 11.8 MB.
+    grounds, tone_ground = [None] * len(flat_slots), None
+    if clutter is not None:
+        grounds = [clutter.chirp_clutter(n, e, math.sqrt(schedule.per_symbol_power_w[pri]),
+                                         schedule.avg_power_w) for e, pri, _, _ in flat_slots]
+        if m_tone:
+            tone_ground = clutter.tone_clutter(n, sqrt_p, schedule.avg_power_w)
     # Each symbol is built in place in its own contiguous (L, N) block, in
     # the order a zero-filled block would sum its terms: the first product
-    # is written, later ones are added through one reused spare. Noise is
-    # added to every sample, so dropping the zero fill's 0 + x (which only
-    # turns -0.0 into 0.0) changes no bit of the branch.
+    # is written, later ones are added through one reused spare, and the
+    # clutter, a product the map holds per slot and amplitude, comes last.
+    # Noise is added to every sample, so dropping the zero fill's 0 + x
+    # (which only turns -0.0 into 0.0) changes no bit of the branch.
     chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
     spare = np.empty((n_el, n), dtype=complex)
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
-    for block, mean, (slot_e, pri, tx_a, tx_b) in zip(chirp, means, flat_slots):
+    for block, mean, ground, (_, pri, tx_a, tx_b) in zip(chirp, means, grounds, flat_slots):
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
         terms = []
@@ -472,14 +489,14 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
             terms.append(((a2d * amp)[:, None], beat))
-        if clutter_base is not None:
-            terms.append((math.sqrt(p_slot), clutter_base[slot_e]))
-        if not terms:
-            block.fill(0.0)
         for k, (a, b) in enumerate(terms):
             np.multiply(a, b, out=spare if k else block)
             if k:
                 block += spare
+        if not terms:
+            block[...] = 0.0 if ground is None else ground
+        elif ground is not None:
+            block += ground
         si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
         block += si_amp * si_phases[:, None]
         re, im = next(noise)
@@ -492,12 +509,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
 
     # Tone branch, already integrated per PRI (sum over the symbol's N samples).
-    tone_pris = schedule.tone_pri_indices()
-    m_tone = tone_pris.size
     tone = np.zeros((n_el, m_tone), dtype=complex)
     t_m = tone_pris * radio.pri_s
-    p_tone = schedule.per_symbol_power_w[tone_pris]
-    sqrt_p = np.sqrt(p_tone)
     for t, h, a2d in zip(scene.targets, coeffs, steers):
         tau = t.delay_s()
         fd = t.doppler_hz(radio.carrier_freq_hz)
@@ -505,8 +518,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         phases = np.exp(2j * np.pi * fd * (t_m - tau)) * sqrt_p
         tone += np.outer(a2d, phases) * (h * gain
                                          * np.exp(2j * np.pi * radio.carrier_freq_hz * tau))
-    if clutter is not None and m_tone:
-        tone += np.outer(clutter.tone_vec, sqrt_p) * n
+    if tone_ground is not None:
+        tone += tone_ground
     if m_tone:
         si_amp = np.sqrt(p_tone * 10.0 ** (-radio.si_attenuation_db / 10.0))
         tone += np.outer(si_phases, si_amp) * n
@@ -544,7 +557,8 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
     phase ramps exp(-j*2*pi*n_m*df*tau) * exp(j*2*pi*f_d*t_m), static
     clutter via the aggregated table, plus self-interference, a flat share
     of the uplink, and per-subcarrier thermal noise. ``draws`` and ``seed``
-    are as for :func:`synthesize_if_cube`.
+    are as for :func:`synthesize_if_cube`; ``clutter`` must fit the scene
+    (:meth:`~mars_jcas.clutter.ClutterMap.check_fits`, FA rules).
     """
     if schedule.structure != "fa":
         raise ValueError("synthesize_fa_measurements requires an FA schedule")
@@ -567,7 +581,9 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
         out += np.outer(a2d, ramp) * (h * np.sqrt(schedule.per_symbol_power_w))
 
     if clutter is not None:
-        out += clutter.fa_spectrum(n)[sub].T * np.sqrt(schedule.per_symbol_power_w)
+        clutter.check_fits(scene, chirp=False)
+        out += clutter.fa_clutter(n, sub, np.sqrt(schedule.per_symbol_power_w),
+                                  schedule.avg_power_w)
 
     si_amp = np.sqrt(schedule.per_symbol_power_w * 10.0 ** (-radio.si_attenuation_db / 10.0))
     out += np.outer(draws.si_phases(n_el), si_amp)

@@ -90,26 +90,101 @@ class ClutterMap:
     seed: int
     # Derived spectra, built on first use and held with the map.
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Products of the spectra and a transmit amplitude, by the average power
+    # they were made at, least recently used first (see _held).
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chirp_spectra(self, n: int) -> np.ndarray:
-        """(slots, L, N) chirp-branch clutter per transmit slot: the bins'
-        beat tones over the N samples collapse to ``N * ifft`` of the table."""
+        """(slots, L, N) chirp-branch clutter per transmit slot, C-contiguous
+        and read-only: the bins' beat tones over the N samples collapse to
+        ``N * ifft`` of the table."""
         key = ("chirp", n)
         if key not in self._spectra:
-            self._spectra[key] = np.stack([n * np.fft.ifft(table, axis=0).T
-                                           for table in self.chirp_tables])
+            slots, bins, elements = self.chirp_tables.shape
+            spectra = np.empty((slots, elements, bins), dtype=complex)
+            # The transform writes each slot's bins down the columns of its
+            # (L, N) block, so there is no transposed copy to make.
+            np.fft.ifft(self.chirp_tables, axis=1, out=spectra.transpose(0, 2, 1))
+            spectra *= n
+            spectra.flags.writeable = False
+            self._spectra[key] = spectra
         return self._spectra[key]
 
     def fa_spectrum(self, n: int) -> np.ndarray:
-        """(N, L) FA clutter per subcarrier: bin delays land exactly on DFT
-        phases, so it is slot 0's table zero-padded to N bins and FFT'd."""
+        """(N, L) FA clutter per subcarrier, read-only: bin delays land
+        exactly on DFT phases, so it is slot 0's table zero-padded to N bins
+        and FFT'd."""
         if self.num_range_bins > n:
             raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
                              f"more than the {n} subcarriers")
         key = ("fa", n)
         if key not in self._spectra:
-            self._spectra[key] = np.fft.fft(self.chirp_tables[0], n=n, axis=0)
+            spectrum = np.fft.fft(self.chirp_tables[0], n=n, axis=0)
+            spectrum.flags.writeable = False
+            self._spectra[key] = spectrum
         return self._spectra[key]
+
+    def chirp_clutter(self, n: int, slot: int, amplitude: float, power_w: float) -> np.ndarray:
+        """``amplitude * chirp_spectra(n)[slot]``: one (L, N) chirp symbol's
+        clutter from transmit slot ``slot`` (see :meth:`_held`)."""
+        return self._held(("chirp", n, slot, amplitude), power_w,
+                          lambda: amplitude * self.chirp_spectra(n)[slot])
+
+    def tone_clutter(self, n: int, amplitudes: np.ndarray, power_w: float) -> np.ndarray:
+        """(L, T) tone-branch clutter of T tone symbols of the given
+        amplitudes, each summed over its N samples (see :meth:`_held`)."""
+        return self._held(("tone", n, amplitudes.tobytes()), power_w,
+                          lambda: np.outer(self.tone_vec, amplitudes) * n)
+
+    def fa_clutter(self, n: int, subcarriers: np.ndarray, amplitudes: np.ndarray,
+                   power_w: float) -> np.ndarray:
+        """(L, M) FA clutter of M symbols on the given subcarriers at the
+        given amplitudes (see :meth:`_held`)."""
+        key = ("fa", n, np.asarray(subcarriers, dtype=np.intp).tobytes(), amplitudes.tobytes())
+        return self._held(key, power_w,
+                          lambda: self.fa_spectrum(n)[subcarriers].T * amplitudes)
+
+    def _held(self, key: tuple, power_w: float, make) -> np.ndarray:
+        """The read-only product ``make()`` under ``key``, made once and
+        shared by every later cube that asks for it. The map holds products
+        of one average transmit power ``power_w`` (a sweep point), at most
+        :data:`SCALED_ENTRIES` of them: asking at another power drops them
+        all, and past the bound the least recently used goes, each before
+        the new product is made."""
+        held = self._scaled.get(power_w)
+        if held is None:
+            self._scaled.clear()
+            held = self._scaled[power_w] = {}
+        product = held.pop(key, None)
+        if product is not None:
+            held[key] = product
+            return product
+        if len(held) == SCALED_ENTRIES:
+            del held[next(iter(held))]
+        product = make()
+        product.flags.writeable = False
+        held[key] = product
+        return product
+
+    def check_fits(self, scene: ValidatedScene, *, chirp: bool = True) -> None:
+        """Raise ``ValueError``, naming both sides, unless the map was built
+        for ``scene``'s receive elements and range resolution, with one range
+        bin per subcarrier. With ``chirp=False`` (FA only) fewer bins fit:
+        the FA spectrum zero-pads them."""
+        n = scene.radio.num_subcarriers
+        bins_fit = self.num_range_bins == n if chirp else self.num_range_bins <= n
+        if (bins_fit and self.num_elements == scene.array.num_rx
+                and self.range_res_m == scene.range_res_m):
+            return
+        raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
+                         f"{self.num_elements} elements and range_res_m {self.range_res_m}; "
+                         f"the scene has {n} subcarriers, {scene.array.num_rx} elements and "
+                         f"range_res_m {scene.range_res_m}")
+
+    @property
+    def held_products(self) -> int:
+        """Scaled clutter products the map holds (see :meth:`_held`)."""
+        return sum(map(len, self._scaled.values()))
 
     @property
     def num_range_bins(self) -> int:
@@ -146,6 +221,11 @@ def patch_grid(clutter_cfg) -> tuple:
     x = (np.arange(nx) - (nx - 1) / 2.0) * cell
     y = clutter_cfg.area_standoff_m + (np.arange(ny) + 0.5) * cell
     return x, y
+
+
+# Most scaled clutter products a map holds: a drop of every structure, VA
+# on and off, asks for fewer at the presets' sizes.
+SCALED_ENTRIES = 16
 
 
 # Patches per chunk of the virtual-array pass: a chunk's phase powers are

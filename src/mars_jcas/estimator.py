@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -414,14 +414,21 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class FaMap:
-    """FA nonuniform matched-filter output on the shared bin grid."""
+    """FA nonuniform matched-filter output on the shared bin grid: the
+    correlator powers, and their magnitudes on first read."""
 
-    values: np.ndarray  # (N range bins, M velocity bins) magnitudes
+    power: np.ndarray   # (M velocity bins, N range bins); rounding may leave p < 0
     range_res_m: float
     velocity_res_mps: float
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """(N range bins, M velocity bins) magnitudes sqrt(max(p, 0))."""
+        magnitudes = np.maximum(self.power, 0.0)
+        return np.sqrt(magnitudes, out=magnitudes).T
+
     def velocity(self, bin_v: int) -> float:
-        return float(signed_bin(bin_v, self.values.shape[1]) * self.velocity_res_mps)
+        return float(signed_bin(bin_v, self.power.shape[0]) * self.velocity_res_mps)
 
 
 @lru_cache(maxsize=8)
@@ -495,10 +502,8 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     for lo in range(0, m, _FA_ROWS):
         np.fft.irfft(grid[lo:lo + _FA_ROWS].copy(), n=n, axis=1, norm="forward",
                      out=power[lo:lo + _FA_ROWS])
-    power = power.T                                                   # (N, M_vel)
-    np.sqrt(np.maximum(power, 0.0, out=power), out=power)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 
 
 def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,

@@ -454,9 +454,11 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     Curve rows: one dict per (sweep value, pipeline, metric) with value and
     Wilson interval bounds (rates only).
     """
-    # A bad schedule or target count fails before the clutter map and any drop.
+    # A bad schedule, target count or clutter map fails before any drop.
     check_target_count(scene, plan, plan.target_count, "experiment.target_count")
-    if clutter is None and scene.clutter.enabled:
+    if clutter is not None:
+        clutter.check_fits(scene, chirp=any(p.structure != "fa" for p in plan.pipelines))
+    elif scene.clutter.enabled:
         clutter = build_clutter_for(scene, plan.pipelines)
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]
 

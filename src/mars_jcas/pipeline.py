@@ -220,20 +220,25 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     The same zero-velocity guard as STTE keeps the static ridge out."""
     radio = scene.radio
     famap = fa_range_doppler_map(fa_meas, schedule, radio, scene.range_res_m)
-    # The map never leaves this function, so it is masked in place. Search
-    # it in its (velocity, range) memory order; the first maximum in (range,
-    # velocity) order is the first range column holding the maximum, then
-    # the first velocity within that column.
-    values = famap.values.T
-    m, n_rng = values.shape
-    values[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
+    # The map never leaves this function, so its power grid is masked in
+    # place. Search it in its (velocity, range) memory order; the first
+    # maximum in (range, velocity) order is the first range column holding
+    # the maximum, then the first velocity within that column. The search
+    # is on the magnitudes, where two powers an ulp apart may tie, but takes
+    # them only at the column maxima and in the chosen column: the
+    # magnitude never decreases with the power, so a column's largest
+    # magnitude is the magnitude of its largest power.
+    power = famap.power
+    m, n_rng = power.shape
+    power[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
 
     arr = scene.array
     estimates = []
     for _ in range(num_targets):
-        r_bin = int(np.argmax(values.max(axis=0)))
-        v_bin = int(np.argmax(values[:, r_bin]))
-        if not np.isfinite(values[v_bin, r_bin]):
+        r_bin = int(np.argmax(_magnitudes(power.max(axis=0))))
+        column = _magnitudes(power[:, r_bin])
+        v_bin = int(np.argmax(column))
+        if not np.isfinite(column[v_bin]):
             raise ValueError("run_fa_pipeline: map exhausted before K peaks")
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
@@ -249,7 +254,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
             range_m=float(r_bin) * scene.range_res_m,
-            amplitude=float(values[v_bin, r_bin]),     # before the exclusion below
+            amplitude=float(column[v_bin]),     # before the exclusion below
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
             angle_y_bin=int(signed_bin(by, arr.rx_rows)),
@@ -262,5 +267,11 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             for dv in (-1, 0, 1):
                 rr = r_bin + dr
                 if 0 <= rr < n_rng:
-                    values[(v_bin + dv) % m, rr] = -np.inf
+                    power[(v_bin + dv) % m, rr] = -np.inf
     return estimates
+
+
+def _magnitudes(power: np.ndarray) -> np.ndarray:
+    """:attr:`~mars_jcas.estimator.FaMap.values` of FA map powers,
+    sqrt(max(p, 0)), with a masked cell's -inf kept."""
+    return np.where(power == -np.inf, -np.inf, np.sqrt(np.maximum(power, 0.0)))

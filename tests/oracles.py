@@ -241,8 +241,7 @@ def fa_range_doppler_map(fa_meas, schedule, radio, range_res_m):
         z = np.fft.fft(row[:, None] * ramps, axis=0)                # (M_vel, N)
         power += np.abs(z) ** 2
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=np.sqrt(power.T), range_res_m=range_res_m,
-                 velocity_res_mps=vel_res)
+    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 
 
 def fa_range_doppler_map_full_grid(fa_meas, schedule, radio, range_res_m):
@@ -264,8 +263,7 @@ def fa_range_doppler_map_full_grid(fa_meas, schedule, radio, range_res_m):
     half = np.fft.fft(lags.reshape(m, n)[:, :n // 2 + 1], axis=0)
     power = np.fft.hfft(half, n=n, axis=1)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=np.sqrt(np.maximum(power.T, 0.0)), range_res_m=range_res_m,
-                 velocity_res_mps=vel_res)
+    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 
 
 def fa_range_doppler_map_half_grid(fa_meas, schedule, radio, range_res_m):
@@ -287,10 +285,9 @@ def fa_range_doppler_map_half_grid(fa_meas, schedule, radio, range_res_m):
         gram = (fa_meas[:, block].T @ conj).ravel()[keep]
         lags.real += np.bincount(idx, weights=gram.real, minlength=m * half)
         lags.imag += np.bincount(idx, weights=gram.imag, minlength=m * half)
-    power = np.fft.hfft(np.fft.fft(lags.reshape(m, half), axis=0), n=n, axis=1).T
-    np.sqrt(np.maximum(power, 0.0, out=power), out=power)
+    power = np.fft.hfft(np.fft.fft(lags.reshape(m, half), axis=0), n=n, axis=1)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 
 
 def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio, range_res_m):
@@ -309,47 +306,58 @@ def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio, range_res_m):
         grid = part if grid is None else np.add(grid, part, out=grid)
     grid = grid.view(complex).reshape(m, -1)
     np.fft.ifft(grid, axis=0, norm="forward", out=grid)
-    power = np.fft.irfft(grid, n=n, axis=1, norm="forward").T
-    np.sqrt(np.maximum(power, 0.0, out=power), out=power)
+    power = np.fft.irfft(grid, n=n, axis=1, norm="forward")
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(values=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 
 
-def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
-    """FA pipeline on the full-grid map, searching a C-order (range, velocity)
-    copy of it by flat argmax."""
-    radio = scene.radio
-    famap = fa_range_doppler_map_full_grid(fa_meas, schedule, radio, scene.range_res_m)
-    values = famap.values.copy()
+def fa_peak_search(values, num_targets, guard=1):
+    """Greedy peaks of an (N range, M velocity) FA magnitude map, by flat
+    argmax of a C-order copy: (range bin, velocity bin, magnitude) each,
+    with the guard's velocity bins and each peak's 3 x 3 neighbourhood
+    masked to -inf."""
+    values = values.copy()
     n_rng, m = values.shape
     values[:, np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
-    arr = scene.array
-    estimates = []
+    peaks = []
     for _ in range(num_targets):
         r_bin, v_bin = np.unravel_index(int(np.argmax(values)), values.shape)
         if not np.isfinite(values[r_bin, v_bin]):
             raise ValueError("run_fa_pipeline: map exhausted before K peaks")
-        snap = fa_angle_snapshot(fa_meas, schedule, radio, int(r_bin), int(v_bin))
+        peaks.append((int(r_bin), int(v_bin), float(values[r_bin, v_bin])))
+        for dr in (-1, 0, 1):
+            for dv in (-1, 0, 1):
+                if 0 <= r_bin + dr < n_rng:
+                    values[r_bin + dr, (v_bin + dv) % m] = -np.inf
+    return peaks
+
+
+def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
+    """FA pipeline on the full-grid map, searching its magnitudes
+    (:func:`fa_peak_search`)."""
+    radio = scene.radio
+    famap = fa_range_doppler_map_full_grid(fa_meas, schedule, radio, scene.range_res_m)
+    m = famap.values.shape[1]
+    arr = scene.array
+    estimates = []
+    for r_bin, v_bin, amplitude in fa_peak_search(famap.values, num_targets, guard):
+        snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
         lam = scene.wavelength_m
         sin_x = float(signed_bin(bx, arr.rx_cols)) * lam / (arr.rx_cols * arr.rx_spacing_x_m)
         sin_y = float(signed_bin(by, arr.rx_rows)) * lam / (arr.rx_rows * arr.rx_spacing_y_m)
         estimates.append(TargetEstimate(
-            velocity_mps=famap.velocity(int(v_bin)),
+            velocity_mps=famap.velocity(v_bin),
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
             range_m=float(r_bin) * scene.range_res_m,
-            amplitude=float(famap.values[r_bin, v_bin]),
+            amplitude=amplitude,
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
             angle_y_bin=int(signed_bin(by, arr.rx_rows)),
-            range_bin=int(r_bin), refinement="fft", method="mf", eps_mode="inf",
+            range_bin=r_bin, refinement="fft", method="mf", eps_mode="inf",
         ))
-        for dr in (-1, 0, 1):
-            for dv in (-1, 0, 1):
-                if 0 <= r_bin + dr < n_rng:
-                    values[r_bin + dr, (v_bin + dv) % m] = -np.inf
     return estimates
 
 

@@ -11,7 +11,7 @@ from scipy.constants import c as C0
 
 import oracles
 from conftest import make_array, make_radio, make_scene
-from mars_jcas import channel
+from mars_jcas import channel, clutter
 from mars_jcas.channel import (
     butterworth_power_gain,
     synthesize_fa_measurements,
@@ -19,6 +19,8 @@ from mars_jcas.channel import (
 )
 from mars_jcas.clutter import ClutterMap, build_clutter_map
 from mars_jcas.estimator import column_compress
+from mars_jcas.harness import schedule_for
+from mars_jcas.pipeline import PipelineSpec
 from mars_jcas.scene import Target
 from mars_jcas.waveform import build_schedule
 from oracles import tone_branch_unfused
@@ -369,7 +371,7 @@ class TestFaMeasurements:
         sched = build_schedule(scene.radio, scene.array, "fa", fa_seed=seed)
         shape = (1, r_bins, l)
         cmap = ClutterMap(chirp_tables=rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                          tone_vec=np.zeros(l, dtype=complex), range_res_m=1.0,
+                          tone_vec=np.zeros(l, dtype=complex), range_res_m=scene.range_res_m,
                           terrain="synthetic", params=None, patch_count=0, area_x_m=0.0,
                           area_y_m=0.0, cell_m=1.0, station_height_m=1.0, seed=seed)
         return scene, sched, cmap
@@ -398,3 +400,115 @@ class TestFaMeasurements:
         with pytest.raises(ValueError, match="fa"):
             synthesize_if_cube(scene, build_schedule(scene.radio, scene.array, "fa",
                                                      fa_seed=1))
+
+
+# desk_small's three IF groups: two chirp powers in one drop (the VA slots
+# at a quarter of the plain comb's), and its FA group.
+DESK_GROUPS = (PipelineSpec(structure="comb", suppressor="sthp", va=True),
+               PipelineSpec(structure="lshape", suppressor="stap", eps_mode="zero", va=True),
+               PipelineSpec(structure="comb", suppressor="sthp"),
+               PipelineSpec(structure="fa", suppressor="mf"))
+
+
+class TestHeldClutter:
+    """Cubes read the clutter products the map holds per sweep point."""
+
+    @staticmethod
+    def _cubes(scene, plan, cmap, power_w, seed):
+        """Each desk group's (schedule, cube or FA measurements) at ``power_w``."""
+        scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=power_w),
+                        targets=(Target(300.0, 18.0, 0.1, 0.0, 50.0),
+                                 Target(420.0, -7.0, -0.3, 0.2, 50.0)))
+        out = []
+        for pipe in DESK_GROUPS:
+            sched = schedule_for(scene, pipe, plan.seed)
+            if pipe.structure == "fa":
+                out.append((scene, sched, synthesize_fa_measurements(scene, sched, cmap,
+                                                                     seed=seed)))
+            else:
+                va_scene = replace(scene, array=scene.array.with_va(pipe.va))
+                out.append((va_scene, sched, synthesize_if_cube(va_scene, sched, cmap,
+                                                                seed=seed)))
+        return out
+
+    def test_chirp_branches_over_power_sweep_equal_per_block_oracle(self, desk, desk_clutter):
+        # A tx_power sweep, back to its first point, each point read twice:
+        # every chirp symbol equals the oracle's per-block sqrt(p) * spectra
+        # product, VA slots included, whether its product was just made or
+        # held since an earlier cube.
+        scene, plan = desk
+        cmap = replace(desk_clutter)
+        powers = set()
+        for power_w in (0.5, 3.0, 0.5):
+            for _ in range(2):
+                for va_scene, sched, cube in self._cubes(scene, plan, cmap, power_w, seed=9):
+                    if sched.structure == "fa":
+                        continue
+                    powers |= set(sched.per_symbol_power_w[sched.chirp_slot_pris()])
+                    want = oracles.chirp_branch_per_symbol(va_scene, sched, cmap, seed=9)
+                    n_el, n = va_scene.array.num_rx, va_scene.radio.num_subcarriers
+                    want = want.reshape(n_el, -1, n).transpose(1, 0, 2)
+                    assert np.array_equal(cube.chirp_branch.view(float), want.view(float))
+                assert 0 < cmap.held_products <= clutter.SCALED_ENTRIES
+        # Two chirp powers per sweep point: 10 p_avg and 10 p_avg / 4.
+        assert len(powers) == 4 and desk_clutter.num_tx_slots == 4
+
+    def test_held_products_change_no_bit(self, desk, desk_clutter, monkeypatch):
+        # Both branches and the FA measurements over a sweep equal those of
+        # cubes that make every clutter product afresh, as each did before
+        # the map held them; a drop's products are made once per point.
+        scene, plan = desk
+        cmap = replace(desk_clutter)
+        got = []
+        for power_w in (0.5, 2.0):
+            got += self._cubes(scene, plan, cmap, power_w, seed=4)
+            held = cmap.held_products
+            got += self._cubes(scene, plan, cmap, power_w, seed=5)
+            # Four VA slots and the plain comb's slot 0, three tone branches
+            # and the FA measurements.
+            assert cmap.held_products == held == 4 + 1 + 3 + 1
+        monkeypatch.setattr(ClutterMap, "_held", lambda self, key, power_w, make: make())
+        want = []
+        for power_w in (0.5, 2.0):
+            for seed in (4, 5):
+                want += self._cubes(scene, plan, cmap, power_w, seed=seed)
+        for (_, _, a), (_, _, b) in zip(got, want):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a.view(float), b.view(float))
+            else:
+                assert np.array_equal(a.chirp_branch.view(float), b.chirp_branch.view(float))
+                assert np.array_equal(a.tone_branch_compressed.view(float),
+                                      b.tone_branch_compressed.view(float))
+
+
+class TestClutterFit:
+    """A map built for another scene is refused by name, not by a broadcast."""
+
+    @staticmethod
+    def _case():
+        scene = make_scene(radio=make_radio(n=64, num_pri=32), indices=(1, 6, 15))
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=True,
+                                               area_x_m=60.0, area_y_m=30.0))
+        return scene, build_clutter_map(scene)
+
+    @pytest.mark.parametrize("misfit", ["bins", "elements", "range_res"])
+    def test_synthesizers_refuse_a_map_of_another_scene(self, misfit):
+        scene, cmap = self._case()
+        tables = cmap.chirp_tables
+        bad = {"bins": replace(cmap, chirp_tables=tables[:, :-1]),
+               "elements": replace(cmap, chirp_tables=tables[:, :, :-1]),
+               "range_res": replace(cmap, range_res_m=2.0 * cmap.range_res_m)}[misfit]
+        message = (f"clutter map has {bad.num_range_bins} range bins, {bad.num_elements} "
+                   f"elements and range_res_m {bad.range_res_m}; the scene has 64 "
+                   f"subcarriers, 16 elements and range_res_m {scene.range_res_m}")
+        with pytest.raises(ValueError) as err:
+            synthesize_if_cube(scene, schedule_of(scene), bad)
+        assert str(err.value) == message
+        fa = build_schedule(scene.radio, scene.array, "fa", fa_seed=2)
+        if misfit == "bins":
+            # The FA spectrum zero-pads a map with fewer bins.
+            synthesize_fa_measurements(scene, fa, bad)
+        else:
+            with pytest.raises(ValueError) as err:
+                synthesize_fa_measurements(scene, fa, bad)
+            assert str(err.value) == message

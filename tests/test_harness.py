@@ -31,7 +31,13 @@ from mars_jcas import channel, clutter, estimator, harness, pipeline, seeding
 from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_for, build_clutter_map
-from mars_jcas.estimator import AngleVelocityMap, FaMap, TargetEstimate, stte_peaks
+from mars_jcas.estimator import (
+    AngleVelocityMap,
+    FaMap,
+    TargetEstimate,
+    signed_bin,
+    stte_peaks,
+)
 from mars_jcas.harness import (
     CustomRanges,
     DropError,
@@ -458,11 +464,16 @@ class TestPlanRules:
         rng = np.random.default_rng(seed)
         if structure == "fa":
             values = rng.integers(0, 3, size=(n, m)).astype(float)
-            famap = FaMap(values=values, range_res_m=1.0, velocity_res_mps=1.0)
+            # Squared magnitudes keep their order and ties.
+            famap = FaMap(power=values.T**2, range_res_m=1.0, velocity_res_mps=1.0)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: famap)
                 got = run_fa_pipeline(np.ones((cols * rows, m), dtype=complex), scene,
                                       schedule, most, guard)
+            # The peaks are the injected map's.
+            want = oracles.fa_peak_search(values, most, guard)
+            assert [(e.range_bin, e.velocity_bin, e.amplitude) for e in got] == [
+                (r, signed_bin(v, m), a) for r, v, a in want]
         else:
             values = rng.integers(0, 3, size=(cols, rows, m)).astype(float)
             got = stte_peaks(AngleVelocityMap(values, 1.0, 1.0, 1.0), most, guard)
@@ -611,9 +622,33 @@ class TestMonteCarlo:
             monte_carlo(replace(plan, num_drops=1), scene)
         assert f"pipelines[0] {plan.pipelines[0].tag}:" in str(err.value)
 
+    def test_clutter_map_of_another_scene_fails_before_any_drop(self, desk_clutter,
+                                                                 monkeypatch):
+        # A desk_small map on a table1_car scene: refused by name before any
+        # drop, not at drop 0 by a broadcast of (16, 512) into (64, 2048).
+        scene_cfg, plan = parse_config(preset_path("table1_car"))
+        car = validate_scene(scene_cfg)
+        plan = replace(plan, num_drops=2, workers=1)
+        message = (f"clutter map has 512 range bins, 16 elements and range_res_m "
+                   f"{desk_clutter.range_res_m}; the scene has 2048 subcarriers, 64 elements "
+                   f"and range_res_m {car.range_res_m}")
+        fa = PipelineSpec(structure="fa", suppressor="mf")
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_timed_drop", lambda *args: pytest.fail("a drop ran"))
+            for pipes in (plan.pipelines, (fa,)):
+                with pytest.raises(ValueError) as err:
+                    monte_carlo(replace(plan, pipelines=pipes), car, desk_clutter)
+                assert str(err.value) == message
+        # A direct caller of run_drop meets the synthesizers' own check.
+        for pipes in ((PipelineSpec(),), (fa,)):
+            with pytest.raises(DropError) as err:
+                run_drop(car, replace(plan, pipelines=pipes), 0, desk_clutter)
+            assert str(err.value.cause) == message
+
     def test_drop_invariants_built_once_per_run(self, desk, desk_clutter, monkeypatch):
         # 3 drops x 2 sweep points: the FA lag cells and each clutter
-        # spectrum are built once, not once per drop.
+        # spectrum are built once, not once per drop, the chirp spectra of
+        # every slot in one transform.
         scene, plan = desk
         cmap = replace(desk_clutter)   # same tables, no spectra held yet
         plan = replace(plan, num_drops=3, sweep_values=(0.5, 1.0), workers=1, pipelines=(
@@ -629,7 +664,7 @@ class TestMonteCarlo:
         records = monte_carlo(plan, scene, cmap)[1].records
         assert len(records) == 2 * 3 * 2
         assert estimator._lag_cells.cache_info().misses == 1
-        assert transforms == {"fft": 1, "ifft": cmap.num_tx_slots}
+        assert transforms == {"fft": 1, "ifft": 1}
 
     def test_fa_pipeline_reads_its_stte_guard(self):
         # Targets two velocity bins from zero, SI out of the way: guard 1

@@ -19,6 +19,7 @@ from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import (
     CoarsePeak,
+    FaMap,
     expand_nn,
     signed_bin,
     space_time_steering,
@@ -310,6 +311,40 @@ class TestFaPipeline:
             famap = pipeline.fa_range_doppler_map(meas, sched, scene.radio, 1.0).values
             assert [e.amplitude for e in got] == [e.amplitude for e in want] == [
                 famap[e.range_bin, e.velocity_bin] for e in got]
+
+    # Powers whose magnitudes tie exactly, an ulp apart with equal square
+    # roots (sqrt(4 + ulp) rounds to 2), and rounding below zero, which the
+    # magnitude clips to a tie with 0.
+    UP = float(np.nextafter(4.0, 5.0))
+    POWERS = (0.0, -0.0, -2.0**-60, 1.0, float(np.nextafter(1.0, 2.0)), 4.0, UP)
+
+    @given(cells=st.lists(st.sampled_from(POWERS), min_size=1, max_size=64),
+           m=st.integers(2, 8), n=st.integers(1, 8), k=st.integers(1, 8),
+           guard=st.integers(0, 3))
+    @example(cells=[0.0, 4.0, UP], m=3, n=1, k=1, guard=0)          # a tie in the column
+    @example(cells=[0.0, 0.0, 4.0, UP, 0.0, 0.0], m=3, n=2, k=1, guard=0)  # across columns
+    @example(cells=POWERS, m=3, n=4, k=5, guard=0)   # each peak masks whole columns
+    @settings(max_examples=100, deadline=None)
+    def test_power_search_equals_magnitude_search_oracle(self, cells, m, n, k, guard):
+        # The search runs on the power grid and takes magnitudes only at the
+        # column maxima and in the chosen column; it must pick the peaks,
+        # ties included, that the oracle's search of every magnitude picks.
+        assert math.sqrt(self.UP) == 2.0 and math.sqrt(self.POWERS[4]) == 1.0
+        power = np.resize(np.array(cells), (m, n))
+        values = FaMap(power=power.copy(), range_res_m=1.0, velocity_res_mps=1.0).values
+        scene, sched = self._fa_case(2, m, n, np.arange(m) % n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "fa_range_doppler_map",
+                       lambda *args: FaMap(power=power.copy(), range_res_m=1.0,
+                                           velocity_res_mps=1.0))
+            got = self._outcome(run_fa_pipeline, np.ones((2, m), dtype=complex), scene,
+                                sched, k, guard)
+        want = self._outcome(oracles.fa_peak_search, values, k, guard)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [(e.range_bin, e.velocity_bin, e.amplitude) for e in got] == [
+                (r, signed_bin(v, m), a) for r, v, a in want]
 
     def test_all_zero_map_ties_resolve_like_oracle(self):
         # Every cell ties at 0: the first free cell in (range, velocity) order wins.
