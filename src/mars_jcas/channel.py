@@ -12,17 +12,15 @@ subcarrier offsets.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import clutter as clutter_module
-from .clutter import ClutterMap
+from . import cpus
 from .scene import (
     SPEED_OF_LIGHT,
     RadioParams,
@@ -34,6 +32,10 @@ from .scene import (
 )
 from .seeding import rng_for
 from .waveform import MarsSchedule
+
+if TYPE_CHECKING:
+    # Annotations only: a cube reads the map's methods, not the module.
+    from .clutter import ClutterMap
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,45 +72,6 @@ def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
 RING_SLOTS = 3
 
 
-class _Inline:
-    """The draw thread at one CPU: each draw runs on the calling thread
-    when it is submitted."""
-
-    @staticmethod
-    def submit(fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-_SIDE = None    # the process's draw thread, made on first use; _Inline in a pool worker
-
-
-def _side_thread():
-    global _SIDE
-    if _SIDE is None:
-        _SIDE = ThreadPoolExecutor(1, thread_name_prefix="mars-jcas-draws")
-    return _SIDE
-
-
-def _forget_side_thread() -> None:
-    # A forked child has no copy of the thread.
-    global _SIDE
-    _SIDE = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_side_thread)
-
-
-def draw_on_calling_thread() -> None:
-    """Draw this process's chirp noise on the calling thread from now on,
-    as at one CPU. For a pool worker, whose siblings keep the other CPUs
-    busy: with two workers on two CPUs the draw thread gained nothing."""
-    global _SIDE
-    _SIDE = _Inline
-
-
 def chirp_noise_key(scene: ValidatedScene) -> tuple:
     """(scale, shape) of the chirp noise blocks of every IF cube of ``scene``:
     noise of power N0*B over one symbol's (num_rx, N) samples."""
@@ -129,18 +92,17 @@ class DropDraws:
     while a later cube will read it. Without it no block is kept, and a
     block read again is drawn again from a fresh generator.
 
-    With more than one CPU (:func:`~mars_jcas.clutter.build_cpus`), unless
-    :func:`draw_on_calling_thread` was called, the chirp blocks are drawn
-    on the process's draw thread, one at a time and in stream order,
+    The chirp blocks are drawn on the process's helper thread
+    (:func:`~mars_jcas.cpus.helper`), one at a time and in stream order,
     ahead of the cube that reads them: a kept block into
     its own array, any other into one of :data:`RING_SLOTS` ring buffers,
     which is drawn into again once the cube has asked for the block after
     the one it holds. ``chirp_key``, the blocks' (scale, shape)
     (:func:`chirp_noise_key`), starts the draws when the drop's draws are
-    made; without it they start with the first cube. At one CPU the same
-    draws run in the same order on the calling thread, so the blocks do
-    not depend on the CPU count. :meth:`settle` waits for the draws in
-    flight.
+    made; without it they start with the first cube. At one CPU, and in a
+    pool worker, the same draws run in the same order on the calling
+    thread, so the blocks do not depend on the CPU count. :meth:`settle`
+    waits for the draws in flight.
     """
 
     def __init__(self, seed: int, chirp_reads: Sequence[int] = (),
@@ -150,7 +112,7 @@ class DropDraws:
         self._si = {}
         self._phases = {}
         self._uplink_sin = None
-        self._side = _side_thread() if clutter_module.build_cpus() > 1 else _Inline
+        self._side = cpus.helper()
         self._count = 0             # blocks the cube being built reads
         self._noise_key, self._noise_rng, self._next, self._kept = None, None, 0, []
         self._ahead = deque()       # (block, future, own array) of drawn blocks, in order
@@ -407,6 +369,37 @@ def check_if_range(key: str, range_m: float, t_sym: float) -> None:
                          f"to {SPEED_OF_LIGHT * t_sym / 2.0} m")
 
 
+def _build_rows(block, spare, mean, terms, ground, si, noise, dc, rows) -> None:
+    """Build rows ``rows`` of one chirp symbol in place in ``block``, in
+    the order a zero-filled block would sum its terms: the first product
+    of ``terms`` (steering column, beat) is written, later ones are added
+    through the same rows of ``spare``, and the clutter ``ground``, a
+    product the map holds per slot and amplitude, comes last. Then the
+    self interference ``si``, the ``noise`` block's real and imaginary
+    parts, minus each row's mean (into ``mean``), plus the residual DC
+    ``dc``. Noise is added to every sample, so dropping the zero fill's
+    0 + x (which only turns -0.0 into 0.0) changes no bit of the branch.
+    Every operation is row by row, so the rows can be built in any split."""
+    block, spare, mean = block[rows], spare[rows], mean[rows]
+    for k, (a, b) in enumerate(terms):
+        np.multiply(a[rows], b, out=spare if k else block)
+        if k:
+            block += spare
+    if not terms:
+        block[...] = 0.0 if ground is None else ground[rows]
+    elif ground is not None:
+        block += ground[rows]
+    block += si[rows]
+    re, im = noise
+    block.real += re[rows]
+    block.imag += im[rows]
+    # A NaN or inf sample makes its row mean non-finite: the cube's guard
+    # reads the means instead of scanning the branch again.
+    block -= np.mean(block, axis=1, keepdims=True, out=mean)
+    if dc is not None:
+        block += dc[rows]
+
+
 def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                        clutter: Optional[ClutterMap] = None,
                        seed: Optional[int] = None, *,
@@ -470,15 +463,16 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                                          schedule.avg_power_w) for e, pri, _, _ in flat_slots]
         if m_tone:
             tone_ground = clutter.tone_clutter(n, sqrt_p, schedule.avg_power_w)
-    # Each symbol is built in place in its own contiguous (L, N) block, in
-    # the order a zero-filled block would sum its terms: the first product
-    # is written, later ones are added through one reused spare, and the
-    # clutter, a product the map holds per slot and amplitude, comes last.
-    # Noise is added to every sample, so dropping the zero fill's 0 + x
-    # (which only turns -0.0 into 0.0) changes no bit of the branch.
+    # Each symbol is built in place in its own contiguous (L, N) block
+    # (:func:`_build_rows`), as two row halves shared with the helper thread
+    # when a half holds at least cpus.PIECE_VALUES samples. The symbol's
+    # noise block is taken before its first row, so the ring buffer of the
+    # block before it is free again as soon as that block's noise is in.
     chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
     spare = np.empty((n_el, n), dtype=complex)
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
+    half = n_el // 2
+    halves = (slice(0, half), slice(half, n_el)) if half * n >= cpus.PIECE_VALUES else None
     for block, mean, ground, (_, pri, tx_a, tx_b) in zip(chirp, means, grounds, flat_slots):
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
@@ -489,24 +483,14 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
             terms.append(((a2d * amp)[:, None], beat))
-        for k, (a, b) in enumerate(terms):
-            np.multiply(a, b, out=spare if k else block)
-            if k:
-                block += spare
-        if not terms:
-            block[...] = 0.0 if ground is None else ground
-        elif ground is not None:
-            block += ground
         si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
-        block += si_amp * si_phases[:, None]
-        re, im = next(noise)
-        block.real += re
-        block.imag += im
-        # A NaN or inf sample makes its row mean non-finite: the guard below
-        # reads the means instead of scanning the branch again.
-        block -= np.mean(block, axis=1, keepdims=True, out=mean)
-        if rec.residual_dc_db is not None:
-            block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)
+        si = si_amp * si_phases[:, None]
+        dc = None if rec.residual_dc_db is None else si * 10.0 ** (-rec.residual_dc_db / 20.0)
+        build = partial(_build_rows, block, spare, mean, terms, ground, si, next(noise), dc)
+        if halves:
+            cpus.share((partial(build, rows) for rows in halves), half * n)
+        else:
+            build(slice(None))
 
     # Tone branch, already integrated per PRI (sum over the symbol's N samples).
     tone = np.zeros((n_el, m_tone), dtype=complex)

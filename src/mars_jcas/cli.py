@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, cpus
 from .channel import check_if_range
-from .clutter import build_clutter_for, build_clutter_map, build_cpus
+from .clutter import build_clutter_for, build_clutter_map
 from .harness import (
     DropError,
     ExperimentPlan,
@@ -195,7 +195,7 @@ def cmd_clutter_map(args) -> int:
     print(f"tx_slots             {cmap.num_tx_slots}")
     print(f"total_power_unit_tx  {power.sum():.6g}")
     print(f"build_seconds        {seconds:.3f}")
-    print(f"build_cpus           {build_cpus()}")
+    print(f"build_cpus           {cpus.count()}")
     if args.out:
         out = _outdir(args)
         rows = [(r, r * cmap.range_res_m, power[r]) for r in range(cmap.num_range_bins)]

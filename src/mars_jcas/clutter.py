@@ -10,7 +10,6 @@ resolution.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -19,6 +18,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
+from . import cpus
 from .scene import SPEED_OF_LIGHT, ValidatedScene
 from .seeding import rng_for
 
@@ -233,24 +233,6 @@ SCALED_ENTRIES = 16
 CHUNK_PATCHES = 16384
 
 
-# Most CPUs the build runs on. Each one holds a chunk's operands while the
-# map is built, and the speed-up was measured at two.
-BUILD_CPUS_MAX = 2
-
-
-def build_cpus() -> int:
-    """CPUs the program spreads one process's work over: those in the
-    process's CPU set where the platform reports it, else every CPU of the
-    machine, at most :data:`BUILD_CPUS_MAX`. :func:`build_clutter_map`
-    runs on this many threads, and with two or more a drop draws its
-    chirp noise on a second thread (:class:`~mars_jcas.channel.DropDraws`)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, BUILD_CPUS_MAX)
-
-
 def _phase_powers(phase, n: int) -> np.ndarray:
     """``exp(1j * k * phase)`` for k = 0..n-1, one row per k."""
     powers = np.empty((n, phase.size), dtype=complex)
@@ -279,8 +261,9 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
 
     The rest is computed a chunk of patches at a time, each chunk a pure
     function of its start giving its tone term and one product per range
-    bin it meets. The chunks run on :func:`build_cpus` threads (the calling
-    thread takes every CPUs-th chunk) and are added in chunk order, so
+    bin it meets. The chunks run on :func:`~mars_jcas.cpus.count` threads
+    (the calling thread takes every count-th chunk), in a pool of this
+    build's own, and are added in chunk order, so
     every entry sums the same terms in the same order at any CPU count.
     """
     cl = scene.clutter
@@ -340,11 +323,11 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     virtual = np.zeros((n_bins, rows, cols), dtype=complex)
     tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
     starts = range(0, kept, CHUNK_PATCHES)
-    cpus = build_cpus()
+    threads = cpus.count()
     # The pool starts a thread only when a chunk is submitted: none at 1 CPU.
-    pool = ThreadPoolExecutor(max(cpus - 1, 1))
+    pool = ThreadPoolExecutor(max(threads - 1, 1))
     try:
-        pending = [None if i % cpus == 0 else pool.submit(chunk, lo)
+        pending = [None if i % threads == 0 else pool.submit(chunk, lo)
                    for i, lo in enumerate(starts)]
         for lo, future in zip(starts, pending):
             tone_term, products = chunk(lo) if future is None else future.result()

@@ -1,0 +1,158 @@
+"""The process's CPU budget: how many CPUs one process spreads its work
+over, and the one helper thread that takes a share of a drop's work.
+
+- :func:`~mars_jcas.clutter.build_clutter_map` runs its chunks on
+  :func:`count` threads, in a pool of its own per build rather than on
+  the helper: each thread holds a chunk's operands (about 5 MB), memory
+  its malloc arena keeps, so the build's threads end with the build.
+- With two or more CPUs the process has one helper thread, made on first
+  use. It draws each drop's chirp noise ahead of the cube that reads it
+  (:class:`~mars_jcas.channel.DropDraws`), and it takes its share of the
+  pieces handed to :func:`share`: the FA map's Doppler and range
+  transforms (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the
+  row halves of each IF cube symbol
+  (:func:`~mars_jcas.channel.synthesize_if_cube`), where a piece holds at
+  least :data:`PIECE_VALUES` values.
+- A ``--workers`` pool process, whose siblings keep the other CPUs busy,
+  calls :func:`work_on_calling_thread` and runs all of it on its calling
+  thread, as at one CPU.
+
+Who runs a piece never changes what it computes, so results do not
+depend on the CPU count.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from functools import partial
+from typing import Callable, Iterable
+
+# Most CPUs one process's work spreads over. Each build thread holds a
+# chunk's operands, and the speed-ups were measured at two.
+MAX = 2
+
+# Fewest complex values a piece must hold to be shared: smaller pieces
+# cost more to hand over than the helper saves (desk-sized pieces made
+# desk drops 11% slower).
+PIECE_VALUES = 2**16
+
+
+def count() -> int:
+    """CPUs one process spreads its work over: those in the process's CPU
+    set where the platform reports it, else every CPU of the machine, at
+    most :data:`MAX`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX)
+
+
+class _Inline:
+    """The helper at one CPU: each call runs on the calling thread when it
+    is submitted."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+_HELPER = None  # the helper thread, made on first use; _Inline in a pool worker
+
+
+def helper():
+    """The executor of the process's helper thread: a single thread, or
+    at one CPU and in a pool worker one that runs each call when it is
+    submitted."""
+    global _HELPER
+    if count() < 2:
+        return _Inline
+    if _HELPER is None:
+        _HELPER = ThreadPoolExecutor(1, thread_name_prefix="mars-jcas-helper")
+    return _HELPER
+
+
+def _forget_helper() -> None:
+    # A forked child has no copy of the thread.
+    global _HELPER
+    _HELPER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def work_on_calling_thread() -> None:
+    """Run this process's draws and pieces on the calling thread from now
+    on, as at one CPU. For a pool worker, whose siblings keep the other
+    CPUs busy: with two workers on two CPUs the helper gained nothing."""
+    global _HELPER
+    _HELPER = _Inline
+
+
+def _run(take: Callable[[], object]) -> None:
+    """Run the pieces ``take()`` hands out until it hands out None, letting
+    go of each before taking the next: a piece may hold a copy of its
+    input."""
+    while (piece := take()) is not None:
+        piece()
+        del piece
+
+
+class _Claims:
+    """Pieces handed out one at a time, in order, to whichever thread asks
+    first. A piece is made under the claim, so whatever making it does
+    happens in piece order."""
+
+    def __init__(self, pieces: Iterable[Callable[[], object]]):
+        self._pieces = iter(pieces)
+        self._lock = threading.Lock()
+
+    def take(self):
+        """The next piece, or None once every piece is claimed."""
+        with self._lock:
+            return next(self._pieces, None)
+
+    def run(self) -> None:
+        _run(self.take)
+
+    def close(self) -> None:
+        """Hand out nothing more, and let go of the pieces."""
+        with self._lock:
+            self._pieces = iter(())
+
+
+def share(pieces: Iterable[Callable[[], object]], values: int) -> None:
+    """Run every piece of ``pieces`` once and return when all are done.
+
+    ``values`` is the number of complex values a piece holds. From
+    :data:`PIECE_VALUES` on, one claim loop is queued on the helper thread,
+    behind the draws queued before it, and the calling thread runs every
+    piece the helper has not claimed, so a busy helper costs one queued
+    loop that finds nothing left. Below it, at one CPU and in a pool
+    worker, the pieces run in order on the calling thread.
+
+    ``pieces`` may be a generator: each piece is made under its claim, in
+    order. An exception a piece raises is raised here once every claimed
+    piece has finished, and the queued loop keeps no piece once this
+    returns.
+    """
+    side = helper()
+    if side is _Inline or values < PIECE_VALUES:
+        _run(partial(next, iter(pieces), None))
+        return
+    claims = _Claims(pieces)
+    loop = side.submit(claims.run)
+    try:
+        claims.run()
+    finally:
+        claims.close()
+        helped = not loop.cancel()
+        if helped:
+            wait((loop,))
+    if helped:
+        loop.result()

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import cpus
 from .scene import SPEED_OF_LIGHT, ArrayGeometry, RadioParams, steering_ura_from_sin
 from .waveform import MarsSchedule
 
@@ -488,20 +489,28 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
         part = np.bincount(slots, weights=gram, minlength=2 * m * (n // 2 + 1))
         grid = part if grid is None else np.add(grid, part, out=grid)
     grid = grid.view(complex).reshape(m, -1)
+    half = grid.shape[1]
     # The lag (n_m' - n_m) turns the range scan's inverse DFT into a forward
     # one. The grid is Hermitian (G is), so after the Doppler transform each
     # row is too: transform the non-negative subcarrier lags, then take the
     # real inverse FFT of the conjugate half spectrum (numpy's hfft, without
-    # its conjugate copy).
-    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    # its conjugate copy). Both transforms are shared with the helper thread
+    # (cpus.share): the Doppler one in column chunks of at least
+    # cpus.PIECE_VALUES cells, the real one in its row blocks. Each column
+    # and row is transformed on its own, so no split changes a bit.
+    cols = min(-(-cpus.PIECE_VALUES // m), half)
+    cpus.share((partial(np.fft.ifft, grid[:, lo:lo + cols], axis=0, norm="forward",
+                        out=grid[:, lo:lo + cols]) for lo in range(0, half, cols)), m * cols)
     # The real transform writes over the grid's own buffer, viewed as (M, N)
     # floats, a block of rows at a time from a copy of the block: an output
     # row (8N bytes) is shorter than an input row (16(N//2 + 1) bytes), so a
-    # block never overwrites a row not yet read.
+    # block's output overwrites only rows of its own and earlier blocks.
+    # A block is copied when it is claimed, in row order, so every earlier
+    # block was copied already.
     power = grid.view(float).ravel()[:m * n].reshape(m, n)
-    for lo in range(0, m, _FA_ROWS):
-        np.fft.irfft(grid[lo:lo + _FA_ROWS].copy(), n=n, axis=1, norm="forward",
-                     out=power[lo:lo + _FA_ROWS])
+    blocks = (slice(lo, lo + _FA_ROWS) for lo in range(0, m, _FA_ROWS))
+    cpus.share((partial(np.fft.irfft, grid[rows].copy(), n=n, axis=1, norm="forward",
+                        out=power[rows]) for rows in blocks), min(m, _FA_ROWS) * half)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
 

@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import cpus
 from .channel import (
     DropDraws,
     check_if_range,
     chirp_noise_key,
-    draw_on_calling_thread,
     synthesize_fa_measurements,
     synthesize_if_cube,
 )
@@ -432,9 +432,9 @@ _POOL_STATE: dict = {}
 
 def _pool_init(scene, plan, clutter):
     # Ships the heavy read-only inputs to each worker once, not per drop.
-    # The workers keep the CPUs busy, so none starts a draw thread.
+    # The workers keep the CPUs busy, so none starts a helper thread.
     _POOL_STATE["args"] = (scene, plan, clutter)
-    draw_on_calling_thread()
+    cpus.work_on_calling_thread()
 
 
 def _timed_drop(task, args=None):

@@ -14,7 +14,7 @@ from scipy.constants import c as C0
 
 import oracles
 from conftest import WAVELENGTH, make_array, make_radio, make_scene
-from mars_jcas import clutter
+from mars_jcas import clutter, cpus
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import (
     ClutterMap,
@@ -223,9 +223,9 @@ class TestClutterMap:
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         maps = []
-        for cpus in (1, 3):
+        for count in (1, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(clutter, "build_cpus", lambda: cpus)
+                mp.setattr(cpus, "count", lambda: count)
                 maps.append(build_clutter_map(scene))
         assert_same_map(*maps)
 
@@ -250,8 +250,8 @@ class TestClutterMap:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", chunk)
             mp.setattr(clutter, "ThreadPoolExecutor", CountingPool)
-            for cpus in (1, 3):
-                mp.setattr(clutter, "build_cpus", lambda: cpus)
+            for count in (1, 3):
+                mp.setattr(cpus, "count", lambda: count)
                 submitted.append(0)
                 maps.append(build_clutter_map(scene))
             assert_same_map(maps[0], oracles.build_clutter_map_full_grid(scene))
@@ -268,15 +268,16 @@ class TestClutterMap:
                                                station_height_m=5.0, gtri_a=-1.0))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", 8)
-            for cpus in (1, 3):
-                mp.setattr(clutter, "build_cpus", lambda: cpus)
+            for count in (1, 3):
+                mp.setattr(cpus, "count", lambda: count)
                 with pytest.raises(ValueError, match="A must be >= 0"):
                     build_clutter_map(scene)
 
     def test_desk_build_peak_below_22_bytes_per_patch(self, desk):
-        # Only the 32-bit patch order, the 16-bit keys and the float64 phases
-        # (14 bytes a patch) are held for the whole grid, plus one chunk's
-        # temporaries; an intp order alone would add 4 bytes a patch.
+        # Only the 32-bit patch order and the float64 phases (12 bytes a
+        # patch) are held for the whole grid, plus one chunk's temporaries:
+        # the 16-bit sort keys are freed before the phases are drawn. An intp
+        # order alone would add 4 bytes a patch.
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         tracemalloc.start()
@@ -292,15 +293,15 @@ class TestClutterMap:
     def test_desk_build_peak_independent_of_cpu_set(self, desk):
         # Each build thread holds one chunk's operands, so the thread count
         # is capped: a 64-CPU set, with or without sched_getaffinity, runs
-        # the build on BUILD_CPUS_MAX threads and keeps the peak bound above.
+        # the build on cpus.MAX threads and keeps the peak bound above.
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "cpu_count", lambda: 64)
             mp.delattr(os, "sched_getaffinity", raising=False)
-            assert clutter.build_cpus() == clutter.BUILD_CPUS_MAX == 2
+            assert cpus.count() == cpus.MAX == 2
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-            assert clutter.build_cpus() == 2
+            assert cpus.count() == 2
             tracemalloc.start()
             try:
                 cmap = build_clutter_map(scene)

@@ -27,7 +27,7 @@ from conftest import (
     make_scene,
     on_grid_target,
 )
-from mars_jcas import channel, clutter, estimator, harness, pipeline, seeding
+from mars_jcas import channel, clutter, cpus, estimator, harness, pipeline, seeding
 from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_for, build_clutter_map
@@ -71,12 +71,28 @@ DESK_MC = (
 )
 
 
+def threads_running_pieces(pieces=8):
+    """The threads that ran each of ``pieces`` shared pieces, each long
+    enough for a helper thread to claim some."""
+    ran = []
+
+    def piece():
+        time.sleep(0.002)
+        ran.append(threading.get_ident())
+
+    cpus.share((piece for _ in range(pieces)), cpus.PIECE_VALUES)
+    assert len(ran) == pieces
+    return set(ran)
+
+
 def draw_threads_after_a_drop():
-    """In a pool worker: whether its chirp draws run on the calling thread,
-    and the names of its draw threads, after one drop."""
+    """In a pool worker, after one drop: whether its chirp draws run on the
+    calling thread, the names of its helper threads, and whether every
+    shared piece runs on the calling thread."""
     harness._timed_drop((0, None))
-    return (channel._SIDE is channel._Inline,
-            [t.name for t in threading.enumerate() if t.name.startswith("mars-jcas-draws")])
+    return (cpus._HELPER is cpus._Inline,
+            [t.name for t in threading.enumerate() if t.name.startswith("mars-jcas-helper")],
+            threads_running_pieces() == {threading.get_ident()})
 
 
 def quiet_plan(**kw):
@@ -835,13 +851,13 @@ class TestDrawThread:
         return scene, replace(plan, pipelines=(DESK_MC[2], DESK_MC[3]))
 
     @staticmethod
-    def drop_outputs(scene, plan, clutter_map, cpus, drops=2):
+    def drop_outputs(scene, plan, clutter_map, count, drops=2):
         """(records, cube and FA arrays) of ``drops`` drops at each sweep
-        point, with the draws run as on ``cpus`` CPUs."""
+        point, with the draws and pieces run as on ``count`` CPUs."""
         records, arrays = [], []
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mp.setattr(clutter, "build_cpus", lambda: cpus)
+            mp.setattr(cpus, "count", lambda: count)
             for value in plan.sweep_values or (None,):
                 for i in range(drops):
                     records += run_drop(scene, plan, i, clutter_map, value)
@@ -860,22 +876,23 @@ class TestDrawThread:
             plan = replace(plan, pipelines=DESK_MC, sweep_values=(0.1, 1.0))
         else:
             (scene, plan), clutter_map = self.car(), None
-        one, two = (self.drop_outputs(scene, plan, clutter_map, cpus) for cpus in (1, 2))
+        one, two = (self.drop_outputs(scene, plan, clutter_map, count) for count in (1, 2))
         assert one[0] == two[0] and len(one[1]) == len(two[1])
         for a, b in zip(one[1], two[1]):
             assert np.array_equal(a.view(float), b.view(float))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpu_count", [1, 2])
     @pytest.mark.parametrize("reads,counts,louder", [
         ([3, 12], [3, 12], False), ([12, 4, 3], [12, 4, 3], False),
         ([4, 4], [4, 4], True),
         # Blocks 1-3 are drawn ahead into the ring for the second cube, but
         # the first cube reads them and the second reads them again.
         ([1, 4], [4, 8], False)])
-    def test_chirp_blocks_equal_unshared_draws(self, monkeypatch, cpus, reads, counts, louder):
+    def test_chirp_blocks_equal_unshared_draws(self, monkeypatch, cpu_count, reads, counts,
+                                                louder):
         # Each cube's blocks are what its own fresh noise-chirp generator
         # gives: kept blocks, ring blocks drawn ahead, and after a key change.
-        monkeypatch.setattr(clutter, "build_cpus", lambda: cpus)
+        monkeypatch.setattr(cpus, "count", lambda: cpu_count)
         key = (0.5, (3, 8))
         draws = DropDraws(11, reads, key)
         for j, count in enumerate(counts):
@@ -888,23 +905,24 @@ class TestDrawThread:
         draws.settle()
 
     def test_one_cpu_starts_no_thread(self, desk, monkeypatch):
-        monkeypatch.setattr(channel, "_SIDE", None)
-        monkeypatch.setattr(clutter, "build_cpus", lambda: 1)
+        monkeypatch.setattr(cpus, "_HELPER", None)
+        monkeypatch.setattr(cpus, "count", lambda: 1)
         scene, plan = desk
         scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
         threads = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_drop(scene, replace(plan, pipelines=DESK_MC), 0)
-        assert channel._SIDE is None and threading.active_count() == threads
-        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        assert threads_running_pieces() == {threading.get_ident()}
+        assert cpus._HELPER is None and threading.active_count() == threads
+        monkeypatch.setattr(cpus, "count", lambda: 2)
         DropDraws(1, [1], (1.0, (2, 4))).settle()
-        assert channel._SIDE is not None
-        channel._SIDE.shutdown()
+        assert cpus._HELPER is not None
+        cpus._HELPER.shutdown()
 
     @pytest.mark.parametrize("stop", ["cube_raises", "closed_early"])
     def test_no_draw_outlives_its_drop(self, monkeypatch, stop):
-        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        monkeypatch.setattr(cpus, "count", lambda: 2)
         draws_made = {"started": 0, "running": 0}
         noise_parts = channel._noise_parts
 
@@ -943,7 +961,7 @@ class TestDrawThread:
     def test_forked_workers_after_the_draw_thread(self, desk, monkeypatch):
         # A serial drop starts this process's draw thread; the --workers pool
         # forks after it, and its workers draw on their calling threads.
-        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        monkeypatch.setattr(cpus, "count", lambda: 2)
         scene, plan = desk
         scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
         plan = replace(plan, pipelines=DESK_MC, num_drops=4)
@@ -957,7 +975,7 @@ class TestDrawThread:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 serial = monte_carlo(plan, scene)[1].records
-                assert channel._SIDE is not None
+                assert cpus._HELPER is not None
                 pooled = monte_carlo(replace(plan, workers=2), scene)[1].records
         finally:
             signal.alarm(0)
@@ -966,15 +984,16 @@ class TestDrawThread:
 
     def test_pool_workers_start_no_draw_thread(self, desk, monkeypatch):
         # With --workers the pool keeps the CPUs busy: a worker's drop draws
-        # its chirp noise on the calling thread, as at one CPU.
-        monkeypatch.setattr(clutter, "build_cpus", lambda: 2)
+        # its chirp noise, and runs every shared piece, on the calling
+        # thread, as at one CPU.
+        monkeypatch.setattr(cpus, "count", lambda: 2)
         scene, plan = desk
         scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
         plan = replace(plan, pipelines=DESK_MC)
         with ProcessPoolExecutor(1, initializer=harness._pool_init,
                                  initargs=(scene, plan, None)) as pool:
-            inline, threads = pool.submit(draw_threads_after_a_drop).result(timeout=60)
-        assert inline and threads == []
+            inline, threads, calling = pool.submit(draw_threads_after_a_drop).result(timeout=60)
+        assert inline and threads == [] and calling
 
 
 class TestDropMemory:
