@@ -12,7 +12,6 @@ subcarrier offsets.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -67,9 +66,8 @@ def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
     return 1.0 / (1.0 + np.abs(np.asarray(freq_hz, dtype=float) / cutoff_hz) ** (2 * order))
 
 
-# Ring buffers a drop's chirp noise is drawn into ahead of the cube: the
-# block the symbol being built reads and the next two.
-RING_SLOTS = 3
+# Chirp noise blocks a drop may have queued on the helper thread at once.
+AHEAD = 3
 
 
 def chirp_noise_key(scene: ValidatedScene) -> tuple:
@@ -82,27 +80,25 @@ def chirp_noise_key(scene: ValidatedScene) -> tuple:
 class DropDraws:
     """The labelled random draws one drop's cubes and FA measurements share.
 
-    Every cube of a drop reads the same streams of ``rng_for(seed, label)``,
+    Every cube of a drop reads the same draws of ``rng_for(seed, label)``,
     so each is drawn once here: the ``si`` phases, one ``target-phase`` per
-    target, the ``uplink-direction``, and the ``noise-chirp`` blocks, where
-    block k holds the real and imaginary parts of the k-th
-    :func:`_complex_noise` draw of the stream at one noise scale and block
-    shape. ``chirp_reads`` gives the number of chirp blocks each IF cube of
-    the drop reads, in the order they are synthesized; a block is kept only
-    while a later cube will read it. Without it no block is kept, and a
-    block read again is drawn again from a fresh generator.
+    target, the ``uplink-direction``, and the chirp noise blocks, where
+    block k holds the real and imaginary parts of one :func:`_complex_noise`
+    draw of its own generator ``rng_for(seed, "noise-chirp", k)`` at one
+    noise scale and block shape. ``chirp_reads`` gives the number of chirp
+    blocks each IF cube of the drop reads, in the order they are
+    synthesized; a block is kept only while a later cube will read it.
+    Without it no block is kept, and a block read again is drawn again.
 
-    The chirp blocks are drawn on the process's helper thread
-    (:func:`~mars_jcas.cpus.helper`), one at a time and in stream order,
-    ahead of the cube that reads them: a kept block into
-    its own array, any other into one of :data:`RING_SLOTS` ring buffers,
-    which is drawn into again once the cube has asked for the block after
-    the one it holds. ``chirp_key``, the blocks' (scale, shape)
-    (:func:`chirp_noise_key`), starts the draws when the drop's draws are
-    made; without it they start with the first cube. At one CPU, and in a
-    pool worker, the same draws run in the same order on the calling
-    thread, so the blocks do not depend on the CPU count. :meth:`settle`
-    waits for the draws in flight.
+    A block is drawn when a cube asks for it. Where the process has a
+    helper thread (:func:`~mars_jcas.cpus.helper`), up to :data:`AHEAD` of
+    the cube's next blocks are queued on it ahead of the cube; a block the
+    helper has not started when the cube asks for it is drawn by the cube.
+    ``chirp_key``, the blocks' (scale, shape) (:func:`chirp_noise_key`),
+    queues the first cube's blocks when the drop's draws are made. Each
+    block has its own generator, so the blocks do not depend on which
+    thread draws them, in what order, or on the CPU count. :meth:`settle`
+    waits for the draw in flight and drops the queued ones.
     """
 
     def __init__(self, seed: int, chirp_reads: Sequence[int] = (),
@@ -113,13 +109,9 @@ class DropDraws:
         self._phases = {}
         self._uplink_sin = None
         self._side = cpus.helper()
-        self._count = 0             # blocks the cube being built reads
-        self._noise_key, self._noise_rng, self._next, self._kept = None, None, 0, []
-        self._ahead = deque()       # (block, future, own array) of drawn blocks, in order
-        self._slots, self._free, self._held = 0, [], None
+        self._key, self._kept, self._ahead = chirp_key, {}, {}   # kept blocks, queued draws by k
         if chirp_key is not None and self._reads:
-            self._start(chirp_key)
-            self._fill()
+            self._queue(range(self._reads[0]))
 
     def si_phases(self, num_elements: int) -> np.ndarray:
         """Unit self-interference phasors, one per receive element."""
@@ -152,113 +144,52 @@ class DropDraws:
                                      a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
 
     def chirp_noise(self, scale: float, shape: tuple, count: int):
-        """The next IF cube's ``count`` chirp noise blocks, in stream order,
-        each a (2, *shape) float array of real and imaginary parts. A block
-        no later cube reads lives in a ring buffer, drawn into again once
-        the next block is asked for. Once the last is handed out, only the
-        blocks a later cube reads stay."""
-        self._release_held()
-        self._count, self._reads = count, self._reads[1:]
-        if self._noise_key != (scale, shape):
-            self._start((scale, shape))
-        keep = max(self._reads, default=0)
-        self._fill()
-        return (self._chirp_block(k, keep, k == count - 1) for k in range(count))
+        """The next IF cube's ``count`` chirp noise blocks, in block order,
+        each a (2, *shape) float array of real and imaginary parts. Once
+        the last is handed out, only the blocks a later cube reads stay."""
+        self._reads = self._reads[1:]
+        if self._key != (scale, shape):
+            self.settle()
+            self._key, self._kept = (scale, shape), {}
+        return self._blocks(count, max(self._reads, default=0))
 
     def settle(self) -> None:
-        """Wait for the chirp draw in flight and drop the queued ones; a
-        block asked for later replays the stream."""
-        for _, future, _ in self._ahead:
+        """Wait for the chirp draw in flight and drop the queued ones."""
+        for future in self._ahead.values():
             future.cancel()
-        wait([future for _, future, _ in self._ahead])
-        self._free += [block for block, _, own in self._ahead if not own]
+        wait(self._ahead.values())
         self._ahead.clear()
-        self._noise_rng = None
 
-    def _start(self, key: tuple) -> None:
-        """The stream of blocks of ``key`` = (scale, shape), from its start."""
-        self.settle()
-        self._noise_key, self._kept, self._slots, self._free, self._held = key, [], 0, [], None
-        self._noise_rng, self._next = rng_for(self.seed, "noise-chirp"), 0
+    def _draw(self, k: int, key: tuple) -> np.ndarray:
+        scale, shape = key
+        return _noise_parts(rng_for(self.seed, "noise-chirp", k), scale, np.empty((2,) + shape))
 
-    def _planned(self, j: int) -> Optional[bool]:
-        """Whether the cube being built or a later one reads stream block j
-        (None if none does), and if so whether a cube after the first to
-        read it reads it again."""
-        reads = [self._count] + self._reads
-        for i, r in enumerate(reads):
-            if r > j:
-                return j < max(reads[i + 1:], default=0)
-        return None
-
-    def _fill(self) -> None:
-        """Start the draws of the next stream blocks the cubes read, each
-        into its own array if it is kept, else into a free ring buffer."""
-        while self._noise_rng is not None:
-            own = self._planned(self._next)
-            if own is None:
+    def _queue(self, blocks: range) -> None:
+        """Queue the draws of the first of ``blocks`` not yet kept or
+        queued on the helper thread, up to :data:`AHEAD` queued in all."""
+        if self._side is cpus._Inline:
+            return
+        for k in blocks:
+            if len(self._ahead) == AHEAD:
                 return
-            block = np.empty((2,) + self._noise_key[1]) if own else self._slot()
+            if k not in self._kept and k not in self._ahead:
+                self._ahead[k] = self._side.submit(self._draw, k, self._key)
+
+    def _blocks(self, count: int, keep: int):
+        for k in range(count):
+            future = self._ahead.pop(k, None)
+            self._queue(range(k + 1, count))
+            block = self._kept.get(k)
             if block is None:
-                return
-            self._submit(block, own)
-
-    def _slot(self) -> Optional[np.ndarray]:
-        """A free ring buffer, or None while all are in use."""
-        if self._free:
-            return self._free.pop()
-        if self._slots == RING_SLOTS:
-            return None
-        self._slots += 1
-        return np.empty((2,) + self._noise_key[1])
-
-    def _submit(self, block: np.ndarray, own: bool) -> None:
-        future = self._side.submit(_noise_parts, self._noise_rng, self._noise_key[0], block)
-        self._ahead.append((block, future, own))
-        self._next += 1
-
-    def _release_held(self) -> None:
-        # The cube is done with the ring block it read last.
-        if self._held is not None:
-            self._free.append(self._held)
-            self._held = None
-
-    def _take(self, k: int) -> tuple:
-        """(block, own array) of stream block k, once drawn."""
-        if self._noise_rng is None or self._next - len(self._ahead) > k:
-            # Block k was drawn and let go, or the draws were settled: replay.
-            self.settle()
-            self._noise_rng, self._next = rng_for(self.seed, "noise-chirp"), 0
-        while True:
-            if not self._ahead:
-                self._submit(self._slot(), False)
-            index = self._next - len(self._ahead)
-            block, future, own = self._ahead.popleft()
-            future.result()
-            if index == k:
-                return block, own
-            if not own:
-                self._free.append(block)
-
-    def _chirp_block(self, k, keep, last):
-        self._release_held()
-        if k < len(self._kept):
-            block = self._kept[k]
-        else:
-            block, own = self._take(k)
-            if k < keep:
-                if not own:
-                    # Drawn into the ring for a plan that did not keep it:
-                    # the buffer leaves the ring.
-                    self._slots -= 1
-                block.flags.writeable = False
-                self._kept.append(block)
-            elif not own:
-                self._held = block
-        if last:
-            del self._kept[keep:]
-        self._fill()
-        return block
+                # A draw the helper has not started is the cube's own.
+                drawn = future is not None and not future.cancel()
+                block = future.result() if drawn else self._draw(k, self._key)
+                if k < keep:
+                    block.flags.writeable = False
+                    self._kept[k] = block
+            if k == count - 1:
+                self._kept = {j: kept for j, kept in self._kept.items() if j < keep}
+            yield block
 
     @property
     def held_chirp_blocks(self) -> int:
@@ -453,10 +384,11 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
     # Clutter: per-bin beat tones collapse to an inverse DFT per chirp slot,
     # and the zero-Doppler field to one constant per tone PRI; the map holds
-    # both products. They are taken after the drop's noise buffers and
-    # before the cube's: taken per block among the cube's buffers, or before
-    # the noise buffers, they left no hole in the heap that the next drop's
-    # FA map fits in, and car_fa's peak RSS rose by 4.6 and 11.8 MB.
+    # both products. They are taken after the drop's first noise blocks and
+    # before the cube's buffers: taken per block among the cube's buffers,
+    # or before the noise blocks, they left no hole in the heap that the
+    # next drop's FA map fits in, and car_fa's peak RSS rose by 4.6 and
+    # 11.8 MB.
     grounds, tone_ground = [None] * len(flat_slots), None
     if clutter is not None:
         grounds = [clutter.chirp_clutter(n, e, math.sqrt(schedule.per_symbol_power_w[pri]),
@@ -465,9 +397,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             tone_ground = clutter.tone_clutter(n, sqrt_p, schedule.avg_power_w)
     # Each symbol is built in place in its own contiguous (L, N) block
     # (:func:`_build_rows`), as two row halves shared with the helper thread
-    # when a half holds at least cpus.PIECE_VALUES samples. The symbol's
-    # noise block is taken before its first row, so the ring buffer of the
-    # block before it is free again as soon as that block's noise is in.
+    # when a half holds at least cpus.PIECE_VALUES samples.
     chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
     spare = np.empty((n_el, n), dtype=complex)
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)

@@ -375,16 +375,21 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
-    out = _outdir(args)
-    cfg_path = out / "_effective_config.yaml"
-    cfg_path.write_text(yaml.safe_dump(manifest.effective_config, sort_keys=True))
-
     if args.drop is not None:
         scene_cfg, plan = config_from_dict(manifest.effective_config, source="manifest")
         scene = validate_scene(scene_cfg)
         if plan is None:
             print("manifest has no experiment plan to replay a drop from", file=sys.stderr)
             return EXIT_CONFIG
+        if not 0 <= args.drop < plan.num_drops:
+            raise ConfigError(f"command-line override: --drop {args.drop} is not a drop of "
+                              f"this run, which has {plan.num_drops} drops (0 to "
+                              f"{plan.num_drops - 1})")
+    out = _outdir(args)
+    cfg_path = out / "_effective_config.yaml"
+    cfg_path.write_text(yaml.safe_dump(manifest.effective_config, sort_keys=True))
+
+    if args.drop is not None:
         clutter = build_clutter_for(scene, plan.pipelines) if scene.clutter.enabled else None
         # The drop seed and its targets depend on the sweep point: replay each.
         records = [r for value in plan.sweep_values or (None,)

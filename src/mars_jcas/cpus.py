@@ -6,19 +6,20 @@ over, and the one helper thread that takes a share of a drop's work.
   the helper: each thread holds a chunk's operands (about 5 MB), memory
   its malloc arena keeps, so the build's threads end with the build.
 - With two or more CPUs the process has one helper thread, made on first
-  use. It draws each drop's chirp noise ahead of the cube that reads it
-  (:class:`~mars_jcas.channel.DropDraws`), and it takes its share of the
-  pieces handed to :func:`share`: the FA map's Doppler and range
-  transforms (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the
-  row halves of each IF cube symbol
-  (:func:`~mars_jcas.channel.synthesize_if_cube`), where a piece holds at
-  least :data:`PIECE_VALUES` values.
+  use. It draws chirp noise blocks queued ahead of the cube that reads
+  them (:class:`~mars_jcas.channel.DropDraws`), each block from its own
+  generator, and it takes its share of the pieces handed to
+  :func:`share`: the FA map's Doppler and range transforms
+  (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the row halves
+  of each IF cube symbol (:func:`~mars_jcas.channel.synthesize_if_cube`),
+  where a piece holds at least :data:`PIECE_VALUES` values. A queued
+  block the helper has not started is drawn by the cube that asks for it.
 - A ``--workers`` pool process, whose siblings keep the other CPUs busy,
   calls :func:`work_on_calling_thread` and runs all of it on its calling
   thread, as at one CPU.
 
-Who runs a piece never changes what it computes, so results do not
-depend on the CPU count.
+Who runs a piece or draws a block never changes what it computes, so
+results do not depend on the CPU count.
 """
 
 from __future__ import annotations

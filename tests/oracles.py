@@ -534,8 +534,8 @@ def compensated_space_time(cube, scene, doppler_hz):
 class FreshDraws:
     """``DropDraws`` without sharing: each call draws from a fresh
     ``rng_for(seed, label)``, and a cube's chirp noise block k holds the
-    real and imaginary parts of the k-th :func:`complex_noise` draw of its
-    own ``noise-chirp`` generator."""
+    real and imaginary parts of one :func:`complex_noise` draw of a fresh
+    ``rng_for(seed, "noise-chirp", k)``."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -560,15 +560,15 @@ class FreshDraws:
                                     a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
 
     def chirp_noise(self, scale, shape, count):
-        rng = rng_for(self.seed, "noise-chirp")
-        blocks = [complex_noise(rng, scale, shape) for _ in range(count)]
+        blocks = [complex_noise(rng_for(self.seed, "noise-chirp", k), scale, shape)
+                  for k in range(count)]
         return iter([np.stack([b.real, b.imag]) for b in blocks])
 
 
 def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
     """Chirp branch built one symbol at a time: a zeroed (L, N) block per
     symbol with every target's beat tone recomputed, the complex noise of
-    the cube's own ``noise-chirp`` generator added, and the blocks then
+    the symbol's own ``noise-chirp`` generator added, and the blocks then
     concatenated element-major into (L, symbols * N)."""
     radio, arr, rec = scene.radio, scene.array, scene.receiver
     n, n_el = radio.num_subcarriers, arr.num_rx
@@ -577,7 +577,6 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
     si_phases = draws.si_phases(n_el)
     coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]
     steers = [_rx_steering(scene, t) for t in scene.targets]
-    noise_rng = rng_for(draws.seed, "noise-chirp")
     samples = np.arange(n)
     blocks = []
     for occ in schedule.va_slots:
@@ -597,8 +596,8 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
                 block += math.sqrt(p_slot) * clutter.chirp_spectra(n)[slot_e]
             si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
             block += si_amp * si_phases[:, None]
-            block += complex_noise(noise_rng, math.sqrt(radio.noise_density_w_per_hz * bw),
-                                   (n_el, n))
+            block += complex_noise(rng_for(draws.seed, "noise-chirp", len(blocks)),
+                                   math.sqrt(radio.noise_density_w_per_hz * bw), (n_el, n))
             block -= block.mean(axis=1, keepdims=True)
             if rec.residual_dc_db is not None:
                 block += si_amp * si_phases[:, None] * 10.0 ** (-rec.residual_dc_db / 20.0)

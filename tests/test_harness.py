@@ -721,7 +721,7 @@ class TestDropDraws:
                        target_count=k, sweep_values=(sweep_value,))
         scene = self.drop_scene(scene, plan, drop_index, sweep_value)
         drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
-        counts = {"normals": 0}
+        counts, chirp_rngs = {"normals": 0}, {}
 
         class CountedRng:
             def __init__(self, rng):
@@ -732,9 +732,12 @@ class TestDropDraws:
                 return self.rng.standard_normal(out=out)
 
         def rng_for(seed, *labels):
-            counts[labels[0]] = counts.get(labels[0], 0) + 1
             rng = seeding.rng_for(seed, *labels)
-            return CountedRng(rng) if labels == ("noise-chirp",) else rng
+            if labels[0] == "noise-chirp":
+                chirp_rngs[labels[1:]] = chirp_rngs.get(labels[1:], 0) + 1
+                return CountedRng(rng)
+            counts[labels[0]] = counts.get(labels[0], 0) + 1
+            return rng
 
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -758,9 +761,10 @@ class TestDropDraws:
                                   want.tone_branch_compressed.view(float))
             chirp_symbols.append(schedule.num_chirp_symbols)
         # One generator per shared label and drop (one per target for the
-        # phases); each chirp noise block is drawn once, 2 x L x N normals.
-        for label, want in (("noise-chirp", max(chirp_symbols) > 0), ("si", 1),
-                            ("uplink-direction", 1), ("target-phase", k)):
+        # phases), and one per chirp noise block k read; each block is drawn
+        # once, 2 x L x N normals.
+        assert chirp_rngs == {(j,): 1 for j in range(max(chirp_symbols))}
+        for label, want in (("si", 1), ("uplink-direction", 1), ("target-phase", k)):
             assert counts.get(label, 0) == want, label
         assert counts["normals"] == block_size * max(chirp_symbols)
 
@@ -812,9 +816,9 @@ class TestDropDraws:
         assert held == [1, 2, 3, 4] + [4] * 8 + [4, 4, 4, 3] + [3, 3, 0]
         assert after == 0
 
-    def test_draws_reread_after_release_replay_the_stream(self):
+    def test_blocks_reread_after_release_are_drawn_again(self):
         # A DropDraws without a plan lets every block go; a second cube on it
-        # must still read blocks 0.. of the stream, not the blocks after them.
+        # draws blocks 0.. again, equal to the first cube's.
         t = Target(300.0, 18.0, 0.1, 0.0, 50.0)
         scene = make_scene(targets=[t])
         sched = schedule_for(scene, PipelineSpec(), 0)
@@ -835,6 +839,10 @@ class TestDropDraws:
         assert np.array_equal(want.chirp_branch.view(float), got.chirp_branch.view(float))
         with pytest.raises(ValueError, match="disagrees"):
             synthesize_if_cube(scene, sched, seed=41, draws=draws)
+
+
+class AtSubmission(cpus._Inline):
+    """A helper thread that runs each draw when it is queued."""
 
 
 class TestDrawThread:
@@ -881,28 +889,61 @@ class TestDrawThread:
         for a, b in zip(one[1], two[1]):
             assert np.array_equal(a.view(float), b.view(float))
 
-    @pytest.mark.parametrize("cpu_count", [1, 2])
+    @pytest.mark.parametrize("helper,shape", [
+        (1, (3, 8)), (2, (3, 8)),
+        # Blocks on each side of the size share's pieces need; draws of
+        # either size reach the helper thread.
+        (2, (1, cpus.PIECE_VALUES - 1)), (1, (1, cpus.PIECE_VALUES)),
+        (2, (1, cpus.PIECE_VALUES)),
+        # A helper held busy, so the calling thread draws every block, and
+        # one that runs each draw when it is queued.
+        ("busy", (1, cpus.PIECE_VALUES)), ("at-submission", (1, cpus.PIECE_VALUES))],
+        ids=["1", "2", "2-below-piece", "1-piece", "2-piece", "busy-piece",
+             "at-submission-piece"])
     @pytest.mark.parametrize("reads,counts,louder", [
         ([3, 12], [3, 12], False), ([12, 4, 3], [12, 4, 3], False),
         ([4, 4], [4, 4], True),
-        # Blocks 1-3 are drawn ahead into the ring for the second cube, but
-        # the first cube reads them and the second reads them again.
+        # The first cube reads more blocks than its plan says, and the
+        # second reads them again.
         ([1, 4], [4, 8], False)])
-    def test_chirp_blocks_equal_unshared_draws(self, monkeypatch, cpu_count, reads, counts,
+    def test_chirp_blocks_equal_unshared_draws(self, monkeypatch, helper, shape, reads, counts,
                                                 louder):
-        # Each cube's blocks are what its own fresh noise-chirp generator
-        # gives: kept blocks, ring blocks drawn ahead, and after a key change.
-        monkeypatch.setattr(cpus, "count", lambda: cpu_count)
-        key = (0.5, (3, 8))
-        draws = DropDraws(11, reads, key)
-        for j, count in enumerate(counts):
-            scale = 2.0 if louder and j else key[0]
-            got = [block.copy() for block in draws.chirp_noise(scale, key[1], count)]
-            want = list(oracles.FreshDraws(11).chirp_noise(scale, key[1], count))
-            assert len(got) == count
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-        draws.settle()
+        # Each cube's blocks are what fresh noise-chirp generators give:
+        # kept blocks, blocks drawn ahead, and after a key change, whichever
+        # thread draws them and in whatever order.
+        monkeypatch.setattr(cpus, "count", lambda: 1 if helper == 1 else 2)
+        if helper == "at-submission":
+            monkeypatch.setattr(cpus, "helper", lambda: AtSubmission)
+        drawn_on, noise_parts = set(), channel._noise_parts
+
+        def watched_noise_parts(*args):
+            drawn_on.add(threading.get_ident())
+            return noise_parts(*args)
+
+        monkeypatch.setattr(channel, "_noise_parts", watched_noise_parts)
+        release = threading.Event()
+        if helper == "busy":
+            cpus.helper().submit(release.wait, 10.0)
+        try:
+            key = (0.5, shape)
+            draws = DropDraws(11, reads, key)
+            if helper == 2:
+                # The helper has drawn the first cube's queued blocks.
+                cpus.helper().submit(lambda: None).result()
+            for j, count in enumerate(counts):
+                scale = 2.0 if louder and j else key[0]
+                got = [block.copy() for block in draws.chirp_noise(scale, key[1], count)]
+                want = list(oracles.FreshDraws(11).chirp_noise(scale, key[1], count))
+                assert len(got) == count
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            draws.settle()
+        finally:
+            release.set()
+        if helper == 2:
+            assert len(drawn_on - {threading.get_ident()}) == 1
+        else:
+            assert drawn_on == {threading.get_ident()}
 
     def test_one_cpu_starts_no_thread(self, desk, monkeypatch):
         monkeypatch.setattr(cpus, "_HELPER", None)

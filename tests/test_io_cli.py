@@ -889,6 +889,20 @@ class TestCli:
         assert code == 0
         assert (out2 / "drop_1_records.csv").exists()
 
+    def test_replay_drop_outside_the_run_fails_before_output_dir(self, tmp_path, capsys):
+        cfg = self._fast_config(tmp_path)
+        out1 = tmp_path / "run1"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(out1)]) == 0
+        capsys.readouterr()
+        for drop in ("-1", "2"):
+            out2 = tmp_path / f"drop{drop}"
+            code = main(["replay", "--manifest", str(out1 / "manifest.json"),
+                         "--out", str(out2), "--drop", drop])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"--drop {drop}" in err and "has 2 drops" in err
+            assert not out2.exists()
+
     def test_replay_single_drop_runs_every_sweep_point(self, tmp_path, capsys):
         # The drop seed and the fixed target range both depend on the sweep
         # value, so drop K is replayed at each point, as montecarlo ran it.
