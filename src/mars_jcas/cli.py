@@ -28,6 +28,7 @@ from .harness import (
     check_target_count,
     drop_estimates,
     drop_scene,
+    fa_schedule_seed,
     monte_carlo,
     plan_groups,
     run_drop,
@@ -61,13 +62,15 @@ def preset_path(name: str) -> Path:
     return Path(str(path))
 
 
-def _scene_schedule(scene):
-    """The schedule of the scene's own waveform section."""
+def _scene_schedule(scene, plan):
+    """The schedule of the scene's own waveform section; an FA one hops as
+    every FA pipeline of the run does."""
     w = scene.waveform
     return build_schedule(scene.radio, scene.array, w.structure,
                           chirp_pri_indices=w.chirp_pri_indices,
                           tone_subcarrier_index=w.tone_subcarrier_index,
-                          guard_subcarriers=w.guard_subcarriers, fa_seed=scene.seed)
+                          guard_subcarriers=w.guard_subcarriers,
+                          fa_seed=fa_schedule_seed(scene.seed if plan is None else plan.seed))
 
 
 def _source(args):
@@ -91,7 +94,7 @@ def _load(args, default_plan=False):
         plan = ExperimentPlan(seed=scene_cfg.seed)
     scene = validate_scene(scene_cfg)
     try:
-        _scene_schedule(scene)
+        _scene_schedule(scene, plan)
         if plan is not None:
             plan_groups(scene, plan)
     except ValueError as exc:
@@ -142,7 +145,7 @@ def cmd_resolution(args) -> int:
 
 def cmd_waveform(args) -> int:
     scene_cfg, scene, plan = _load(args)
-    schedule = _scene_schedule(scene)
+    schedule = _scene_schedule(scene, plan)
     overhead = overhead_fraction(schedule, scene.radio)
     print(f"structure            {schedule.structure}")
     print(f"num_pri              {schedule.num_pri}")

@@ -16,7 +16,8 @@ over, and the one helper thread that takes a share of a drop's work.
   block the helper has not started is drawn by the cube that asks for it.
 - A ``--workers`` pool process, whose siblings keep the other CPUs busy,
   calls :func:`work_on_calling_thread` and runs all of it on its calling
-  thread, as at one CPU.
+  thread, as at one CPU, with one BLAS thread. A serial run keeps numpy's
+  default BLAS threads.
 
 Who runs a piece or draws a block never changes what it computes, so
 results do not depend on the CPU count.
@@ -24,11 +25,15 @@ results do not depend on the CPU count.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
-from typing import Callable, Iterable
+from pathlib import Path
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 # Most CPUs one process's work spreads over. Each build thread holds a
 # chunk's operands, and the speed-ups were measured at two.
@@ -87,12 +92,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS, ``numpy.libs/libscipy_openblas64_*`` as
+    numpy's Linux wheels ship it, or None where numpy has none."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"):
+        try:
+            return ctypes.CDLL(str(lib))
+        except OSError:
+            pass
+    return None
+
+
 def work_on_calling_thread() -> None:
     """Run this process's draws and pieces on the calling thread from now
-    on, as at one CPU. For a pool worker, whose siblings keep the other
-    CPUs busy: with two workers on two CPUs the helper gained nothing."""
+    on, as at one CPU, and its BLAS calls on one thread. For a pool worker,
+    whose siblings keep the other CPUs busy: with two workers on two CPUs
+    the helper gained nothing, and BLAS threads of their own made each
+    worker several times slower. Where numpy has no bundled OpenBLAS, or
+    it has no thread setter, BLAS keeps its threads."""
     global _HELPER
     _HELPER = _Inline
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(ctypes.c_int(1))
 
 
 def _run(take: Callable[[], object]) -> None:

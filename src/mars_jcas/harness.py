@@ -141,7 +141,6 @@ class TrialReport:
     """Scored records plus per-drop bookkeeping for one experiment run."""
 
     records: list = field(default_factory=list)
-    drop_seeds: dict = field(default_factory=dict)
     drop_runtimes_s: dict = field(default_factory=dict)
 
 
@@ -239,6 +238,12 @@ def score_estimates(truths: Sequence[Target], estimates: Sequence[TargetEstimate
     return records
 
 
+def fa_schedule_seed(plan_seed: int) -> int:
+    """Seed of the FA hopping pattern of every FA schedule of a run whose
+    master seed is ``plan_seed``."""
+    return derive_seed(plan_seed, "fa")
+
+
 def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
                  plan_seed: int) -> MarsSchedule:
     """Schedule for one pipeline's structure/VA choice over this scene."""
@@ -247,7 +252,7 @@ def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
     if pipe.structure == "fa":
         return build_schedule(scene.radio, arr, "fa",
                               guard_subcarriers=w.guard_subcarriers,
-                              fa_seed=derive_seed(plan_seed, "fa"))
+                              fa_seed=fa_schedule_seed(plan_seed))
     indices = w.chirp_pri_indices if pipe.structure == "comb" else w.chirp_pri_indices[:1]
     return build_schedule(scene.radio, arr, pipe.structure,
                           chirp_pri_indices=indices,
@@ -472,7 +477,6 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
         results = [_timed_drop(task, (scene, plan, clutter)) for task in tasks]
     for (i, value), (recs, seconds) in zip(tasks, results):
         report.records.extend(recs)
-        report.drop_seeds[(str(value), i)] = derive_seed(plan.seed, "drop", i, str(value))
         report.drop_runtimes_s[(str(value), i)] = seconds
 
     rows = []

@@ -25,8 +25,8 @@ chirp branch synthesized one symbol at a time with complex noise and a
 final concatenation into that layout. Scoring is kept as it was with the
 grid wrap written twice: the matching distance from numpy bin differences,
 and the matched pair's offsets computed again for its record.
-``complex_noise`` draws the real and imaginary parts by two ``normal``
-calls, and MUSIC's forward-backward average is kept with its dense
+``complex_noise`` states the receiver noise draw whole, by Box–Muller on
+the full arrays, and MUSIC's forward-backward average is kept with its dense
 exchange-matrix products. The loaded range-stage solve is kept as the
 Cholesky factor and solve it was before the library dropped scipy.
 ``FreshDraws`` makes every random draw of a cube afresh, as each cube did
@@ -86,10 +86,15 @@ def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m
 
 
 def complex_noise(rng, scale, shape):
-    """Complex Gaussian noise of power ``scale**2``: one ``normal`` call for
-    the real parts, then one for the imaginary parts."""
-    return (rng.normal(scale=scale / math.sqrt(2.0), size=shape)
-            + 1j * rng.normal(scale=scale / math.sqrt(2.0), size=shape))
+    """Complex Gaussian noise of power ``scale**2`` by Box–Muller: one
+    ``random`` call gives the uniforms u0, then u1, each of ``shape``; the
+    radius scale·sqrt(-ln(1 - u0)) is float64 and the angle 2π·u1 is
+    rounded to float32, whose cosine is the real part's factor and whose
+    sine is the imaginary part's."""
+    u0, u1 = rng.random((2,) + tuple(shape))
+    radius = scale * np.sqrt(-np.log(1.0 - u0))
+    theta = (2.0 * np.pi * u1).astype(np.float32)
+    return radius * np.cos(theta) + 1j * (radius * np.sin(theta))
 
 
 def forward_backward_dense(r):

@@ -97,9 +97,9 @@ class TestChirpBranch:
 
     @given(uplink=st.sampled_from([0.0, 0.2]), fa=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_tone_and_fa_noise_equal_two_normal_draws(self, uplink, fa, seed):
-        # The tone, uplink and FA noise are one standard_normal draw per
-        # stream; with the two-normal draw patched in, every sample is equal.
+    def test_tone_and_fa_noise_equal_box_muller_draws(self, uplink, fa, seed):
+        # The tone, uplink and FA noise are one Box–Muller draw per stream;
+        # with the oracle's whole-array draw patched in, every sample is equal.
         scene = make_scene(uplink_power_w=uplink, uplink_cfo_fraction=0.3,
                            targets=[Target(300.0, 18.0, 0.1, 0.0, 50.0)])
         if fa:

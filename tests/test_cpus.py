@@ -1,7 +1,8 @@
 """The CPU budget's helper thread and the pieces it shares with the calling
 thread: every piece runs once, the FA map and IF cube are the one-CPU
 result bit for bit under any schedule of the pieces, and no piece, error or
-reference outlives the call that shared it."""
+reference outlives the call that shared it. A pool worker runs its BLAS
+calls on one thread."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -259,3 +260,37 @@ class TestShare:
         finally:
             release.set()
             busy.result(timeout=10)
+
+
+def blas_threads():
+    """The threads of numpy's bundled OpenBLAS in this process."""
+    return cpus._openblas().scipy_openblas_get_num_threads64_()
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(cpus._openblas() is None, reason="numpy has no bundled OpenBLAS")
+    def test_pool_worker_runs_one_blas_thread(self, desk):
+        scene, plan = desk
+        with ProcessPoolExecutor(1, initializer=harness._pool_init,
+                                 initargs=(scene, plan, None)) as pool:
+            assert pool.submit(blas_threads).result(timeout=60) == 1
+
+    def test_missing_library_or_setter_is_safe(self, monkeypatch, tmp_path):
+        # No library beside numpy, a file that is no library, and a library
+        # without the setter: the worker switch still runs on the calling
+        # thread and changes no BLAS setting.
+        monkeypatch.setattr(cpus.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert cpus._openblas() is None
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_text("not a library")
+        assert cpus._openblas() is None
+        monkeypatch.undo()
+        before = blas_threads() if cpus._openblas() is not None else None
+        for lib in (None, object()):
+            monkeypatch.setattr(cpus, "_HELPER", None)
+            monkeypatch.setattr(cpus, "_openblas", lambda: lib)
+            cpus.work_on_calling_thread()
+            assert cpus._HELPER is cpus._Inline
+        monkeypatch.undo()
+        if before is not None:
+            assert blas_threads() == before

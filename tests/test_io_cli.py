@@ -49,7 +49,9 @@ from mars_jcas.scene import (
     ReceiverConfig,
     Target,
     WaveformConfig,
+    validate_scene,
 )
+from mars_jcas.waveform import symbol_time_samples
 
 # Every optional key set, each None-default optional included, and at least
 # one unit variant in each section that has them.
@@ -645,6 +647,24 @@ class TestCli:
         assert len(sym) == 1 + 512
         sched = yaml.safe_load((tmp_path / "schedule.yaml").read_text())
         assert sched["chirp_pri_indices"] == [1, 6, 15]
+
+    def test_waveform_fa_hops_as_the_run_does(self, tmp_path):
+        # The FA schedule `waveform` writes is the one every FA pipeline of
+        # the run uses: the same subcarriers, from the same seed.
+        cfg = tmp_path / "fa.yaml"
+        cfg.write_text(yaml.safe_dump(desk_raw(structure="fa")))
+        assert main(["waveform", "--config", str(cfg), "--out", str(tmp_path / "w"),
+                     "--symbol", "3"]) == 0
+        written = yaml.safe_load((tmp_path / "w" / "schedule.yaml").read_text())
+        scene_cfg, plan = parse_config(cfg)
+        scene = validate_scene(scene_cfg)
+        used = schedule_for(scene, PipelineSpec(structure="fa", suppressor="mf"), plan.seed)
+        assert written["fa_seed"] == used.fa_seed
+        assert written["fa_subcarrier_indices"] == used.fa_subcarrier_indices.tolist()
+        samples = symbol_time_samples(used, scene.radio, 3)
+        rows = (tmp_path / "w" / "symbol_3.csv").read_text().splitlines()[1:]
+        assert [tuple(map(float, row.split(",")[1:])) for row in rows] == \
+            [(s.real, s.imag) for s in samples]
 
     def test_clutter_map_prints_build_cpus(self, tmp_path, capsys, monkeypatch):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
