@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +23,8 @@ from . import __version__, cpus
 from .channel import check_if_range
 from .clutter import build_clutter_for, build_clutter_map
 from .harness import (
+    CURVE_COLUMNS,
+    RECORD_COLUMNS,
     DropError,
     ExperimentPlan,
     check_target_count,
@@ -31,7 +33,7 @@ from .harness import (
     fa_schedule_seed,
     monte_carlo,
     plan_groups,
-    run_drop,
+    record_rows,
 )
 from .io import (
     ConfigError,
@@ -102,12 +104,28 @@ def _load(args, default_plan=False):
     return scene_cfg, scene, plan
 
 
-def _manifest_for(args, scene_cfg, plan, command_tokens) -> RunManifest:
+def _command(args) -> list:
+    """The subcommand and each option (``--`` and its dest, dashed) whose
+    parsed value differs from its default, as replay passes them back. The
+    config, seed and output directory are left out: replay takes them from
+    the effective config."""
+    defaults = vars(build_parser().parse_args([args.command, "--preset", "_", "--out", "_"]))
+    tokens = [args.command]
+    for dest, value in vars(args).items():
+        if dest in ("preset", "config", "out", "seed") or value == defaults[dest]:
+            continue
+        tokens.append("--" + dest.replace("_", "-"))
+        if value is not True:
+            tokens.append(str(value))
+    return tokens
+
+
+def _manifest_for(args, scene_cfg, plan) -> RunManifest:
     effective = to_dict(scene_cfg)
     if plan is not None:
         effective["experiment"] = to_dict(plan)
     return RunManifest(
-        tool="mars-jcas", version=__version__, command=command_tokens,
+        tool="mars-jcas", version=__version__, command=_command(args),
         master_seed=plan.seed if plan is not None else scene_cfg.seed,
         config_hash=config_hash(effective), effective_config=effective,
     )
@@ -123,21 +141,14 @@ def cmd_resolution(args) -> int:
     scene_cfg, scene, plan = _load(args)
     rep_off = resolution_report(scene.radio, scene.array.with_va(False))
     rep_on = resolution_report(scene.radio, scene.array.with_va(True))
-    rows = [
-        ("range_res_m", rep_off.range_res_m, rep_on.range_res_m),
-        ("velocity_res_mps", rep_off.velocity_res_mps, rep_on.velocity_res_mps),
-        ("sin_angle_res_x", rep_off.sin_angle_res_x, rep_on.sin_angle_res_x),
-        ("sin_angle_res_y", rep_off.sin_angle_res_y, rep_on.sin_angle_res_y),
-        ("max_unambiguous_speed_mps", rep_off.max_unambiguous_speed_mps,
-         rep_on.max_unambiguous_speed_mps),
-    ]
+    rows = [(f.name, getattr(rep_off, f.name), getattr(rep_on, f.name)) for f in fields(rep_off)]
     print(f"{'quantity':<28}{'no_va':>14}{'va':>14}")
     for name, off, on in rows:
         print(f"{name:<28}{off:>14.6g}{on:>14.6g}")
     if args.out:
         out = _outdir(args)
         write_csv(out / "resolution.csv", ["quantity", "no_va", "va"], rows)
-        manifest = _manifest_for(args, scene_cfg, plan, ["resolution"])
+        manifest = _manifest_for(args, scene_cfg, plan)
         manifest.add_output(out / "resolution.csv")
         manifest.write(out / "manifest.json")
     return EXIT_OK
@@ -170,18 +181,10 @@ def cmd_waveform(args) -> int:
             sym_path = out / f"symbol_{args.symbol}.csv"
             write_csv(sym_path, ["index", "re", "im"], rows)
             outputs.append(sym_path)
-        manifest = _manifest_for(args, scene_cfg, plan, _waveform_tokens(args))
-        for p in outputs:
-            manifest.add_output(p)
+        manifest = _manifest_for(args, scene_cfg, plan)
+        manifest.add_output(*outputs)
         manifest.write(out / "manifest.json")
     return EXIT_OK
-
-
-def _waveform_tokens(args):
-    tokens = ["waveform"]
-    if args.symbol is not None:
-        tokens += ["--symbol", str(args.symbol)]
-    return tokens
 
 
 def cmd_clutter_map(args) -> int:
@@ -203,22 +206,11 @@ def cmd_clutter_map(args) -> int:
         out = _outdir(args)
         rows = [(r, r * cmap.range_res_m, power[r]) for r in range(cmap.num_range_bins)]
         write_csv(out / "clutter_profile.csv", ["range_bin", "range_m", "power"], rows)
-        manifest = _manifest_for(args, scene_cfg, plan, ["clutter-map"])
+        manifest = _manifest_for(args, scene_cfg, plan)
         manifest.add_stage("build_clutter_map", seconds)
         manifest.add_output(out / "clutter_profile.csv")
         manifest.write(out / "manifest.json")
     return EXIT_OK
-
-
-def _simulate_tokens(args):
-    tokens = ["simulate", "--drop", str(args.drop)]
-    if args.targets is not None:
-        tokens += ["--targets", str(args.targets)]
-    if args.dump_cube:
-        tokens.append("--dump-cube")
-    if args.dump_spectra:
-        tokens.append("--dump-spectra")
-    return tokens
 
 
 def cmd_simulate(args) -> int:
@@ -247,7 +239,7 @@ def cmd_simulate(args) -> int:
         print("no targets: give a targets section or --targets K", file=sys.stderr)
         return EXIT_CONFIG
     out = _outdir(args)
-    manifest = _manifest_for(args, scene_cfg, plan, _simulate_tokens(args))
+    manifest = _manifest_for(args, scene_cfg, plan)
 
     cmap = None
     if scene.clutter.enabled:
@@ -295,22 +287,10 @@ def cmd_simulate(args) -> int:
                "range_m", "amplitude", "velocity_bin", "angle_x_bin", "angle_y_bin",
                "range_bin", "refinement", "method", "eps_mode"], est_rows)
     outputs += [out / "truth.csv", out / "estimates.csv"]
-    for p in outputs:
-        manifest.add_output(p)
+    manifest.add_output(*outputs)
     manifest.write(out / "manifest.json")
     print(f"wrote {len(outputs)} artifacts to {out}")
     return EXIT_OK
-
-
-def _montecarlo_tokens(args):
-    tokens = ["montecarlo"]
-    if args.scale != "desk":
-        tokens += ["--scale", args.scale]
-    if args.drops is not None:
-        tokens += ["--drops", str(args.drops)]
-    if args.workers is not None:
-        tokens += ["--workers", str(args.workers)]
-    return tokens
 
 
 def cmd_montecarlo(args) -> int:
@@ -334,34 +314,15 @@ def cmd_montecarlo(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"command-line override: {exc}") from exc
     out = _outdir(args)
-    manifest = _manifest_for(args, scene_cfg, plan, _montecarlo_tokens(args))
+    manifest = _manifest_for(args, scene_cfg, plan)
 
     started = time.perf_counter()
     rows, report = monte_carlo(plan, scene)
     manifest.add_stage("monte_carlo", time.perf_counter() - started)
 
-    write_csv(out / "curves.csv",
-              ["sweep_axis", "sweep_value", "pipeline", "metric", "value",
-               "ci_low", "ci_high", "n"], rows)
-    rec_rows = []
-    for r in report.records:
-        rec_rows.append({
-            "pipeline": r.pipeline, "drop": r.drop_index, "sweep_value": r.sweep_value,
-            "truth_range_m": r.truth.range_m,
-            "truth_velocity_mps": r.truth.radial_velocity_mps,
-            "truth_psi_x_rad": r.truth.psi_x_rad, "truth_psi_y_rad": r.truth.psi_y_rad,
-            "est_range_m": None if r.estimate is None else r.estimate.range_m,
-            "est_velocity_mps": None if r.estimate is None else r.estimate.velocity_mps,
-            "est_psi_x_rad": None if r.estimate is None else r.estimate.psi_x_rad,
-            "est_psi_y_rad": None if r.estimate is None else r.estimate.psi_y_rad,
-            "off_range": r.offsets_bins[0], "off_velocity": r.offsets_bins[1],
-            "off_sin_x": r.offsets_bins[2], "off_sin_y": r.offsets_bins[3],
-            "hit": r.hit,
-        })
-    write_csv(out / "records.csv", list(rec_rows[0].keys()) if rec_rows else
-              ["pipeline", "drop", "sweep_value", "hit"], rec_rows)
-    for name in ("curves.csv", "records.csv"):
-        manifest.add_output(out / name)
+    write_csv(out / "curves.csv", CURVE_COLUMNS, rows)
+    write_csv(out / "records.csv", RECORD_COLUMNS, record_rows(report.records))
+    manifest.add_output(out / "curves.csv", out / "records.csv")
     # Per-drop runtimes vary run to run, so they stay out of the hashed outputs.
     sweep = {str(v): v for v in (plan.sweep_values or (None,))}
     write_csv(out / "timings.csv", ["sweep_value", "drop", "seconds"],
@@ -379,50 +340,36 @@ def cmd_montecarlo(args) -> int:
 def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
     if args.drop is not None:
+        # The run's drop K at every sweep point, as its records.csv holds it.
         scene_cfg, plan = config_from_dict(manifest.effective_config, source="manifest")
-        scene = validate_scene(scene_cfg)
         if plan is None:
             print("manifest has no experiment plan to replay a drop from", file=sys.stderr)
             return EXIT_CONFIG
-        if not 0 <= args.drop < plan.num_drops:
-            raise ConfigError(f"command-line override: --drop {args.drop} is not a drop of "
-                              f"this run, which has {plan.num_drops} drops (0 to "
-                              f"{plan.num_drops - 1})")
+        try:
+            _, report = monte_carlo(replace(plan, workers=1), validate_scene(scene_cfg),
+                                    drops=(args.drop,))
+        except ValueError as exc:
+            raise ConfigError(f"manifest, --drop {args.drop}: {exc}") from exc
+        records = report.records
+        write_csv(_outdir(args) / f"drop_{args.drop}_records.csv", RECORD_COLUMNS,
+                  record_rows(records))
+        print(f"replayed drop {args.drop}: {sum(r.hit for r in records)}/{len(records)} hits")
+        return EXIT_OK
     out = _outdir(args)
     cfg_path = out / "_effective_config.yaml"
     cfg_path.write_text(yaml.safe_dump(manifest.effective_config, sort_keys=True))
-
-    if args.drop is not None:
-        clutter = build_clutter_for(scene, plan.pipelines) if scene.clutter.enabled else None
-        # The drop seed and its targets depend on the sweep point: replay each.
-        records = [r for value in plan.sweep_values or (None,)
-                   for r in run_drop(scene, plan, args.drop, clutter, value)]
-        rows = [{"pipeline": r.pipeline, "sweep_value": r.sweep_value, "hit": r.hit,
-                 "truth_range_m": r.truth.range_m,
-                 "est_range_m": None if r.estimate is None else r.estimate.range_m}
-                for r in records]
-        write_csv(out / f"drop_{args.drop}_records.csv",
-                  ["pipeline", "sweep_value", "hit", "truth_range_m", "est_range_m"], rows)
-        print(f"replayed drop {args.drop}: {sum(r.hit for r in records)}/{len(records)} hits")
-        return EXIT_OK
-
-    argv = list(manifest.command) + ["--config", str(cfg_path), "--out", str(out)]
-    code = main(argv)
+    code = main([*manifest.command, "--config", str(cfg_path), "--out", str(out)])
     if code != EXIT_OK:
         return code
-    mismatches = []
+    mismatches = 0
     for entry in manifest.outputs:
         path = out / entry["path"]
-        if not path.exists():
-            mismatches.append((entry["path"], "missing"))
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        status = "ok" if digest == entry["sha256"] else "mismatch"
+        digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        status = "ok" if digest == entry["sha256"] else "mismatch" if digest else "missing"
         print(f"{entry['path']:<40} {status}")
-        if status != "ok":
-            mismatches.append((entry["path"], digest))
+        mismatches += status != "ok"
     if mismatches:
-        print(f"{len(mismatches)} outputs differ from the manifest", file=sys.stderr)
+        print(f"{mismatches} outputs differ from the manifest", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -455,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize one drop and run the estimators")
     common(p, out_required=True)
-    p.add_argument("--targets", type=int, help="draw K random targets instead of config targets")
     p.add_argument("--drop", type=int, default=0, help="drop index for seeding")
+    p.add_argument("--targets", type=int, help="draw K random targets instead of config targets")
     p.add_argument("--dump-cube", action="store_true", help="write the binary IF cube")
     p.add_argument("--dump-spectra", action="store_true",
                    help="write the angle-velocity map and range spectra as CSV")
@@ -464,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="run the experiment plan and write curves")
     common(p, out_required=True)
-    p.add_argument("--drops", type=int, help="override the plan's drop count")
-    p.add_argument("--workers", type=int, help="parallel drop workers")
     p.add_argument("--scale", choices=("desk", "full"), default="desk",
                    help="'full' raises the drop count to benchmark scale (>= 500)")
+    p.add_argument("--drops", type=int, help="override the plan's drop count")
+    p.add_argument("--workers", type=int, help="parallel drop workers")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify outputs")

@@ -136,6 +136,27 @@ class TargetRecord:
     hit: bool
 
 
+# The columns of a run's records.csv and curves.csv, in file order.
+RECORD_COLUMNS = ["pipeline", "drop", "sweep_value", "truth_range_m", "truth_velocity_mps",
+                  "truth_psi_x_rad", "truth_psi_y_rad", "est_range_m", "est_velocity_mps",
+                  "est_psi_x_rad", "est_psi_y_rad", "off_range", "off_velocity", "off_sin_x",
+                  "off_sin_y", "hit"]
+CURVE_COLUMNS = ["sweep_axis", "sweep_value", "pipeline", "metric", "value", "ci_low",
+                 "ci_high", "n"]
+
+
+def record_rows(records: Sequence[TargetRecord]) -> list:
+    """One records.csv row per record, in :data:`RECORD_COLUMNS` order; an
+    unmatched truth has empty estimate cells."""
+    rows = []
+    for r in records:
+        t, e = r.truth, r.estimate
+        est = (None,) * 4 if e is None else (e.range_m, e.velocity_mps, e.psi_x_rad, e.psi_y_rad)
+        rows.append((r.pipeline, r.drop_index, r.sweep_value, t.range_m, t.radial_velocity_mps,
+                     t.psi_x_rad, t.psi_y_rad, *est, *r.offsets_bins, r.hit))
+    return rows
+
+
 @dataclass
 class TrialReport:
     """Scored records plus per-drop bookkeeping for one experiment run."""
@@ -453,12 +474,19 @@ def _timed_drop(task, args=None):
 
 
 def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
-                clutter: Optional[ClutterMap] = None) -> tuple:
-    """Run the full sweep; returns (curve_rows, TrialReport).
+                clutter: Optional[ClutterMap] = None, *,
+                drops: Optional[Sequence[int]] = None) -> tuple:
+    """Run the full sweep over ``drops`` (default: every drop of the plan; a
+    drop outside it is a ValueError); returns (curve_rows, TrialReport).
 
     Curve rows: one dict per (sweep value, pipeline, metric) with value and
     Wilson interval bounds (rates only).
     """
+    drops = range(plan.num_drops) if drops is None else drops
+    outside = sorted(set(drops) - set(range(plan.num_drops)))
+    if outside:
+        raise ValueError(f"drop {outside[0]} is not a drop of this run, which has "
+                         f"{plan.num_drops} drops (0 to {plan.num_drops - 1})")
     # A bad schedule, target count or clutter map fails before any drop.
     check_target_count(scene, plan, plan.target_count, "experiment.target_count")
     if clutter is not None:
@@ -468,7 +496,7 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]
 
     report = TrialReport()
-    tasks = [(i, value) for value in sweep for i in range(plan.num_drops)]
+    tasks = [(i, value) for value in sweep for i in drops]
     if plan.workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=plan.workers, initializer=_pool_init,
                                  initargs=(scene, plan, clutter)) as pool:
@@ -487,16 +515,11 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
             if not recs:
                 continue
             hits = sum(r.hit for r in recs)
-            lo, hi = wilson_interval(hits, len(recs))
-            rows.append({"sweep_axis": plan.sweep_axis, "sweep_value": value,
-                         "pipeline": pipe.tag, "metric": "hit_rate",
-                         "value": hits / len(recs), "ci_low": lo, "ci_high": hi,
-                         "n": len(recs)})
-            rmse = rmse_normalized(recs)
-            if rmse:
-                for dim, val in rmse.items():
-                    rows.append({"sweep_axis": plan.sweep_axis, "sweep_value": value,
-                                 "pipeline": pipe.tag, "metric": f"rmse_{dim}",
-                                 "value": val, "ci_low": None, "ci_high": None,
-                                 "n": hits})
+            point = (plan.sweep_axis, value, pipe.tag)
+            rows.append(dict(zip(CURVE_COLUMNS, (*point, "hit_rate", hits / len(recs),
+                                                 *wilson_interval(hits, len(recs)),
+                                                 len(recs)))))
+            for dim, val in (rmse_normalized(recs) or {}).items():
+                rows.append(dict(zip(CURVE_COLUMNS,
+                                     (*point, f"rmse_{dim}", val, None, None, hits))))
     return rows, report

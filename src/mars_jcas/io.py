@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -350,14 +351,42 @@ class RunManifest:
     def add_stage(self, name: str, seconds: float) -> None:
         self.stages.append({"name": name, "seconds": seconds})
 
-    def add_output(self, path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.outputs.append({"path": Path(path).name, "sha256": digest})
+    def add_output(self, *paths) -> None:
+        for path in paths:
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            self.outputs.append({"path": Path(path).name, "sha256": digest})
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
+def _is_output(entry) -> bool:
+    """An ``outputs`` entry as :meth:`RunManifest.add_output` writes it."""
+    return (isinstance(entry, dict) and set(entry) == {"path", "sha256"}
+            and isinstance(entry["path"], str) and entry["path"] not in ("", "..")
+            and Path(entry["path"]).name == entry["path"]
+            and isinstance(entry["sha256"], str)
+            and re.fullmatch("[0-9a-f]{64}", entry["sha256"]) is not None)
+
+
 def read_manifest(path) -> RunManifest:
-    raw = json.loads(Path(path).read_text())
+    """The manifest at ``path``. Fails closed: anything
+    :meth:`RunManifest.write` would not have written is a ConfigError."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON manifest: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a manifest is a JSON object, got {type(raw).__name__}")
+    names = [f.name for f in fields(RunManifest)]
+    missing, unknown = [n for n in names if n not in raw], sorted(set(raw) - set(names))
+    if missing or unknown:
+        raise ConfigError(f"{path}: missing fields {missing}, unknown fields {unknown}")
+    command, outputs = raw["command"], raw["outputs"]
+    if not (isinstance(command, list) and command and all(isinstance(t, str) for t in command)):
+        raise ConfigError(f"{path}: command must be a non-empty list of strings, got {command!r}")
+    if not isinstance(raw["effective_config"], dict):
+        raise ConfigError(f"{path}: effective_config must be an object")
+    if not (isinstance(outputs, list) and all(map(_is_output, outputs))):
+        raise ConfigError(f"{path}: outputs must list each output's bare file name and sha256")
     return RunManifest(**raw)

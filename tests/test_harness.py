@@ -608,6 +608,21 @@ class TestMonteCarlo:
         assert list(rep_serial.drop_runtimes_s) == list(rep_par.drop_runtimes_s)
         assert rows_serial == rows_par
 
+    def test_drops_runs_those_drops_at_every_sweep_point(self):
+        # replay --drop K runs monte_carlo over drop K alone: the records of
+        # that drop in the full run, at each sweep point.
+        scene = make_scene(radio=make_radio(power_w=10.0))
+        plan = quiet_plan(num_drops=3, sweep_values=(1e-3, 10.0))
+        _, full = monte_carlo(plan, scene)
+        _, one = monte_carlo(plan, scene, drops=(1,))
+        assert one.records == [r for r in full.records if r.drop_index == 1]
+        assert [r.sweep_value for r in one.records] == [1e-3, 10.0]
+        assert list(one.drop_runtimes_s) == [("0.001", 1), ("10.0", 1)]
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"drop {bad} is not a drop of this run, which has 3 drops (0 to 2)")):
+                monte_carlo(plan, scene, drops=(bad,))
+
     def test_worker_drop_error_keeps_drop_seed(self):
         # The drop seed depends on the sweep point, so the error names it too,
         # and every replay field survives the trip back from a worker.

@@ -899,6 +899,12 @@ class TestCli:
         records = (out / "records.csv").read_text().splitlines()
         assert len(records) == 1 + 2
 
+    @staticmethod
+    def _records_of_drop(run, drop):
+        """records.csv's header and its lines of this drop, as one text."""
+        lines = (run / "records.csv").read_text().splitlines(keepends=True)
+        return [lines[0]] + [line for line in lines[1:] if line.split(",")[1] == str(drop)]
+
     def test_replay_single_drop(self, tmp_path, capsys):
         cfg = self._fast_config(tmp_path)
         out1 = tmp_path / "run1"
@@ -907,7 +913,9 @@ class TestCli:
         code = main(["replay", "--manifest", str(out1 / "manifest.json"),
                      "--out", str(out2), "--drop", "1"])
         assert code == 0
-        assert (out2 / "drop_1_records.csv").exists()
+        want = self._records_of_drop(out1, 1)
+        assert len(want) == 2
+        assert (out2 / "drop_1_records.csv").read_text() == "".join(want)
 
     def test_replay_drop_outside_the_run_fails_before_output_dir(self, tmp_path, capsys):
         cfg = self._fast_config(tmp_path)
@@ -936,16 +944,81 @@ class TestCli:
         code = main(["replay", "--manifest", str(out1 / "manifest.json"),
                      "--out", str(out2), "--drop", "1"])
         assert code == 0
-        keys = ("pipeline", "sweep_value", "truth_range_m", "est_range_m", "hit")
+        want = self._records_of_drop(out1, 1)
+        assert len(want) == 1 + 2
+        assert (out2 / "drop_1_records.csv").read_text() == "".join(want)
 
-        def cells(path, **where):
-            with path.open(newline="") as f:
-                return [tuple(row[k] for k in keys) for row in csv.DictReader(f)
-                        if all(row[k] == v for k, v in where.items())]
+    def test_montecarlo_zero_drops_writes_the_records_header(self, tmp_path, capsys):
+        cfg = self._fast_config(tmp_path)
+        none, one = tmp_path / "none", tmp_path / "one"
+        for out, drops in ((none, "0"), (one, "1")):
+            assert main(["montecarlo", "--config", str(cfg), "--out", str(out),
+                         "--drops", drops]) == 0
+        header = (one / "records.csv").read_text().splitlines(keepends=True)[0]
+        assert len(header.split(",")) == 16
+        assert (none / "records.csv").read_text() == header
 
-        want = cells(out1 / "records.csv", drop="1")
-        assert len(want) == 2
-        assert cells(out2 / "drop_1_records.csv") == want
+    @pytest.mark.parametrize("argv, legacy", [
+        (["resolution"], []),
+        (["waveform", "--symbol", "3"], []),
+        (["clutter-map"], []),
+        (["simulate", "--drop", "2", "--targets", "1", "--dump-cube", "--dump-spectra"], []),
+        # simulate once recorded its default --drop 0; such manifests replay.
+        (["simulate", "--targets", "1"], ["--drop", "0"]),
+        (["montecarlo", "--scale", "full", "--drops", "2", "--workers", "1"], []),
+    ], ids=["resolution", "waveform", "clutter-map", "simulate", "simulate-drop-0",
+            "montecarlo"])
+    def test_manifest_command_round_trip(self, tmp_path, capsys, argv, legacy):
+        # The manifest records each option given, and a valid manifest of
+        # each command replays every output.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(area_x_m=60.0, area_y_m=30.0)
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        run = tmp_path / "run"
+        assert main(argv + ["--config", str(cfg), "--out", str(run)]) == 0
+        path = run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == argv
+        manifest["command"][1:1] = legacy
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "again")]) == 0
+        report = capsys.readouterr().out
+        assert manifest["outputs"]
+        for entry in manifest["outputs"]:
+            assert re.search(rf"^{re.escape(entry['path'])}\s+ok$", report, re.MULTILINE)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: "{not json", "not a JSON manifest"),
+        (lambda m: [1, 2], "a manifest is a JSON object, got list"),
+        (lambda m: {"tool": "x"}, "missing fields ['version', 'command', 'master_seed'"),
+        (lambda m: {k: v for k, v in m.items() if k != "config_hash"},
+         "missing fields ['config_hash']"),
+        (lambda m: {**m, "note": 1}, "unknown fields ['note']"),
+        (lambda m: {**m, "command": "resolution"}, "command must be a non-empty list of strings"),
+        (lambda m: {**m, "command": ["resolution", 3]}, "command must be a non-empty list"),
+        (lambda m: {**m, "effective_config": [1]}, "effective_config must be an object"),
+        (lambda m: {**m, "outputs": m["outputs"][0]}, "outputs must list"),
+        (lambda m: {**m, "outputs": [{**m["outputs"][0], "path": "../resolution.csv"}]},
+         "outputs must list each output's bare file name and sha256"),
+        (lambda m: {**m, "outputs": [{"path": "resolution.csv"}]}, "outputs must list"),
+        (lambda m: {**m, "outputs": [{**m["outputs"][0], "sha256": "0"}]}, "outputs must list"),
+    ], ids=["invalid-json", "not-an-object", "fields-missing", "field-missing",
+            "field-unknown", "command-string", "command-token", "effective-config",
+            "outputs-object", "output-path", "output-no-sha256", "output-bad-sha256"])
+    def test_malformed_manifest_fails_before_output_dir(self, tmp_path, capsys, edit, message):
+        run = tmp_path / "run"
+        assert main(["resolution", "--preset", "desk_small", "--out", str(run)]) == 0
+        edited = edit(json.loads((run / "manifest.json").read_text()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        capsys.readouterr()
+        out = tmp_path / "again"
+        for drop in ([], ["--drop", "0"]):
+            assert main(["replay", "--manifest", str(bad), "--out", str(out), *drop]) == 3
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_detects_tampering(self, tmp_path, capsys):
         cfg = self._fast_config(tmp_path)
@@ -958,3 +1031,17 @@ class TestCli:
         code = main(["replay", "--manifest", str(out1 / "manifest.json"),
                      "--out", str(out2)])
         assert code == 4
+
+    def test_replay_reports_a_missing_output(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["resolution", "--preset", "desk_small", "--out", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["outputs"].append({"path": "extra.csv", "sha256": "0" * 64})
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(run / "manifest.json"),
+                     "--out", str(tmp_path / "again")]) == 4
+        captured = capsys.readouterr()
+        assert re.search(r"^resolution\.csv\s+ok$", captured.out, re.MULTILINE)
+        assert re.search(r"^extra\.csv\s+missing$", captured.out, re.MULTILINE)
+        assert "1 outputs differ from the manifest" in captured.err
