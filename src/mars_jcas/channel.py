@@ -197,15 +197,6 @@ class DropDraws:
         return len(self._kept)
 
 
-def _draws_for(seed: Optional[int], draws: Optional[DropDraws],
-               scene: ValidatedScene) -> DropDraws:
-    if draws is None:
-        return DropDraws(scene.seed if seed is None else seed)
-    if seed is not None and seed != draws.seed:
-        raise ValueError(f"seed {seed} disagrees with the draws' seed {draws.seed}")
-    return draws
-
-
 def _target_coeff(scene: ValidatedScene, t: Target, draws: DropDraws) -> complex:
     """Round-trip channel coefficient at unit transmit power."""
     p = received_power("radar", 1.0, scene.radio.gain_tx, scene.radio.gain_rx,
@@ -220,10 +211,10 @@ def _rx_steering(scene: ValidatedScene, t: Target) -> np.ndarray:
 
 
 def _tx_slot_phase(scene: ValidatedScene, t: Target, tx_col: int, tx_row: int) -> complex:
-    """Phase picked up from the active transmit element's position."""
+    """Phase picked up from the active transmit element's position: the
+    schedule's slot (``tx_col``, ``tx_row``); slot (0, 0), the only one
+    without VA, is the reference element."""
     a = scene.array
-    if not a.va_enabled:
-        return 1.0
     xpos = tx_col * a.rx_cols * a.rx_spacing_x_m
     ypos = tx_row * a.rx_rows * a.rx_spacing_y_m
     k = 2.0 * np.pi / scene.wavelength_m
@@ -358,23 +349,23 @@ def _build_rows(block, spare, mean, terms, ground, si, noise, dc, rows) -> None:
 
 
 def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
-                       clutter: Optional[ClutterMap] = None,
-                       seed: Optional[int] = None, *,
+                       clutter: Optional[ClutterMap] = None, *,
                        draws: Optional[DropDraws] = None) -> IfCube:
     """Generate both receiver branches for one CPI of the given schedule.
 
     ``draws`` holds the drop's shared draws (:class:`DropDraws`); without it
-    the cube makes its own from ``seed`` (default the scene's).
+    the cube makes its own from the scene's seed. The schedule's VA slots
+    say which transmit element fires in each chirp symbol.
 
     Raises ``ValueError`` when a target's round-trip delay exceeds the OFDM
     symbol (its beat frequency would alias out of the receive window), or
-    when ``clutter`` does not fit the scene or schedule
+    when ``clutter`` does not fit the scene or the schedule's slots
     (:meth:`~mars_jcas.clutter.ClutterMap.check_fits`).
     """
     if schedule.structure == "fa":
         raise ValueError("FA structures produce per-subcarrier measurements; "
                          "use synthesize_fa_measurements")
-    draws = _draws_for(seed, draws, scene)
+    draws = DropDraws(scene.seed) if draws is None else draws
     radio, arr, rec = scene.radio, scene.array, scene.receiver
     n = radio.num_subcarriers
     n_el = arr.num_rx
@@ -395,10 +386,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     p_tone = schedule.per_symbol_power_w[tone_pris]
     sqrt_p = np.sqrt(p_tone)
     if clutter is not None:
-        clutter.check_fits(scene)
-        if clutter.num_tx_slots < schedule.slots_per_chirp:
-            raise ValueError(f"clutter map has {clutter.num_tx_slots} tx slot tables, "
-                             f"schedule needs {schedule.slots_per_chirp}")
+        clutter.check_fits(scene, schedule.slots_per_chirp)
 
     samples = np.arange(n)
     beats = []
@@ -417,10 +405,10 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     # 11.8 MB.
     grounds, tone_ground = [None] * len(flat_slots), None
     if clutter is not None:
-        grounds = [clutter.chirp_clutter(n, e, math.sqrt(schedule.per_symbol_power_w[pri]),
+        grounds = [clutter.chirp_clutter(e, math.sqrt(schedule.per_symbol_power_w[pri]),
                                          schedule.avg_power_w) for e, pri, _, _ in flat_slots]
         if m_tone:
-            tone_ground = clutter.tone_clutter(n, sqrt_p, schedule.avg_power_w)
+            tone_ground = clutter.tone_clutter(sqrt_p, schedule.avg_power_w)
     # Each symbol is built in place in its own contiguous (L, N) block
     # (:func:`_build_rows`), as two row halves shared with the helper thread
     # when a half holds at least cpus.PIECE_VALUES samples.
@@ -488,21 +476,20 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
 
 
 def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
-                               clutter: Optional[ClutterMap] = None,
-                               seed: Optional[int] = None, *,
+                               clutter: Optional[ClutterMap] = None, *,
                                draws: Optional[DropDraws] = None) -> np.ndarray:
     """Per-PRI single-subcarrier measurements (L x M) for an FA schedule.
 
     Measurement m is the demodulated coefficient of subcarrier n_m: target
     phase ramps exp(-j*2*pi*n_m*df*tau) * exp(j*2*pi*f_d*t_m), static
     clutter via the aggregated table, plus self-interference, a flat share
-    of the uplink, and per-subcarrier thermal noise. ``draws`` and ``seed``
-    are as for :func:`synthesize_if_cube`; ``clutter`` must fit the scene
-    (:meth:`~mars_jcas.clutter.ClutterMap.check_fits`, FA rules).
+    of the uplink, and per-subcarrier thermal noise. ``draws`` is as for
+    :func:`synthesize_if_cube`; ``clutter`` must fit the scene
+    (:meth:`~mars_jcas.clutter.ClutterMap.check_fits`).
     """
     if schedule.structure != "fa":
         raise ValueError("synthesize_fa_measurements requires an FA schedule")
-    draws = _draws_for(seed, draws, scene)
+    draws = DropDraws(scene.seed) if draws is None else draws
     radio, arr = scene.radio, scene.array
     n = radio.num_subcarriers
     n_el = arr.num_rx
@@ -521,8 +508,8 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
         out += np.outer(a2d, ramp) * (h * np.sqrt(schedule.per_symbol_power_w))
 
     if clutter is not None:
-        clutter.check_fits(scene, chirp=False)
-        out += clutter.fa_clutter(n, sub, np.sqrt(schedule.per_symbol_power_w),
+        clutter.check_fits(scene)
+        out += clutter.fa_clutter(sub, np.sqrt(schedule.per_symbol_power_w),
                                   schedule.avg_power_w)
 
     si_amp = np.sqrt(schedule.per_symbol_power_w * 10.0 ** (-radio.si_attenuation_db / 10.0))

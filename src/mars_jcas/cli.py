@@ -340,7 +340,12 @@ def cmd_montecarlo(args) -> int:
 def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
     if args.drop is not None:
-        # The run's drop K at every sweep point, as its records.csv holds it.
+        # The run's drop K at every sweep point, as its records.csv holds it:
+        # only a montecarlo run has drops and a records.csv.
+        if manifest.command[0] != "montecarlo":
+            print(f"--drop replays a drop of a montecarlo run; the manifest is of a "
+                  f"{manifest.command[0]} run", file=sys.stderr)
+            return EXIT_CONFIG
         scene_cfg, plan = config_from_dict(manifest.effective_config, source="manifest")
         if plan is None:
             print("manifest has no experiment plan to replay a drop from", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -88,61 +88,50 @@ class ClutterMap:
     cell_m: float
     station_height_m: float
     seed: int
-    # Derived spectra, built on first use and held with the map.
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Products of the spectra and a transmit amplitude, by the average power
     # they were made at, least recently used first (see _held).
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def chirp_spectra(self, n: int) -> np.ndarray:
+    @cached_property
+    def chirp_spectra(self) -> np.ndarray:
         """(slots, L, N) chirp-branch clutter per transmit slot, C-contiguous
         and read-only: the bins' beat tones over the N samples collapse to
         ``N * ifft`` of the table."""
-        key = ("chirp", n)
-        if key not in self._spectra:
-            slots, bins, elements = self.chirp_tables.shape
-            spectra = np.empty((slots, elements, bins), dtype=complex)
-            # The transform writes each slot's bins down the columns of its
-            # (L, N) block, so there is no transposed copy to make.
-            np.fft.ifft(self.chirp_tables, axis=1, out=spectra.transpose(0, 2, 1))
-            spectra *= n
-            spectra.flags.writeable = False
-            self._spectra[key] = spectra
-        return self._spectra[key]
+        slots, bins, elements = self.chirp_tables.shape
+        spectra = np.empty((slots, elements, bins), dtype=complex)
+        # The transform writes each slot's bins down the columns of its
+        # (L, N) block, so there is no transposed copy to make.
+        np.fft.ifft(self.chirp_tables, axis=1, out=spectra.transpose(0, 2, 1))
+        spectra *= bins
+        spectra.flags.writeable = False
+        return spectra
 
-    def fa_spectrum(self, n: int) -> np.ndarray:
+    @cached_property
+    def fa_spectrum(self) -> np.ndarray:
         """(N, L) FA clutter per subcarrier, read-only: bin delays land
-        exactly on DFT phases, so it is slot 0's table zero-padded to N bins
-        and FFT'd."""
-        if self.num_range_bins > n:
-            raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
-                             f"more than the {n} subcarriers")
-        key = ("fa", n)
-        if key not in self._spectra:
-            spectrum = np.fft.fft(self.chirp_tables[0], n=n, axis=0)
-            spectrum.flags.writeable = False
-            self._spectra[key] = spectrum
-        return self._spectra[key]
+        exactly on DFT phases, so it is slot 0's table FFT'd over its bins."""
+        spectrum = np.fft.fft(self.chirp_tables[0], axis=0)
+        spectrum.flags.writeable = False
+        return spectrum
 
-    def chirp_clutter(self, n: int, slot: int, amplitude: float, power_w: float) -> np.ndarray:
-        """``amplitude * chirp_spectra(n)[slot]``: one (L, N) chirp symbol's
+    def chirp_clutter(self, slot: int, amplitude: float, power_w: float) -> np.ndarray:
+        """``amplitude * chirp_spectra[slot]``: one (L, N) chirp symbol's
         clutter from transmit slot ``slot`` (see :meth:`_held`)."""
-        return self._held(("chirp", n, slot, amplitude), power_w,
-                          lambda: amplitude * self.chirp_spectra(n)[slot])
+        return self._held(("chirp", slot, amplitude), power_w,
+                          lambda: amplitude * self.chirp_spectra[slot])
 
-    def tone_clutter(self, n: int, amplitudes: np.ndarray, power_w: float) -> np.ndarray:
+    def tone_clutter(self, amplitudes: np.ndarray, power_w: float) -> np.ndarray:
         """(L, T) tone-branch clutter of T tone symbols of the given
         amplitudes, each summed over its N samples (see :meth:`_held`)."""
-        return self._held(("tone", n, amplitudes.tobytes()), power_w,
-                          lambda: np.outer(self.tone_vec, amplitudes) * n)
+        return self._held(("tone", amplitudes.tobytes()), power_w,
+                          lambda: np.outer(self.tone_vec, amplitudes) * self.num_range_bins)
 
-    def fa_clutter(self, n: int, subcarriers: np.ndarray, amplitudes: np.ndarray,
+    def fa_clutter(self, subcarriers: np.ndarray, amplitudes: np.ndarray,
                    power_w: float) -> np.ndarray:
         """(L, M) FA clutter of M symbols on the given subcarriers at the
         given amplitudes (see :meth:`_held`)."""
-        key = ("fa", n, np.asarray(subcarriers, dtype=np.intp).tobytes(), amplitudes.tobytes())
-        return self._held(key, power_w,
-                          lambda: self.fa_spectrum(n)[subcarriers].T * amplitudes)
+        key = ("fa", np.asarray(subcarriers, dtype=np.intp).tobytes(), amplitudes.tobytes())
+        return self._held(key, power_w, lambda: self.fa_spectrum[subcarriers].T * amplitudes)
 
     def _held(self, key: tuple, power_w: float, make) -> np.ndarray:
         """The read-only product ``make()`` under ``key``, made once and
@@ -166,20 +155,22 @@ class ClutterMap:
         held[key] = product
         return product
 
-    def check_fits(self, scene: ValidatedScene, *, chirp: bool = True) -> None:
+    def check_fits(self, scene: ValidatedScene, slots: int = 1) -> None:
         """Raise ``ValueError``, naming both sides, unless the map was built
         for ``scene``'s receive elements and range resolution, with one range
-        bin per subcarrier. With ``chirp=False`` (FA only) fewer bins fit:
-        the FA spectrum zero-pads them."""
+        bin per subcarrier (as :func:`build_clutter_map` makes it), and holds
+        at least ``slots`` transmit slot tables (a schedule's
+        ``slots_per_chirp``)."""
         n = scene.radio.num_subcarriers
-        bins_fit = self.num_range_bins == n if chirp else self.num_range_bins <= n
-        if (bins_fit and self.num_elements == scene.array.num_rx
-                and self.range_res_m == scene.range_res_m):
-            return
-        raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
-                         f"{self.num_elements} elements and range_res_m {self.range_res_m}; "
-                         f"the scene has {n} subcarriers, {scene.array.num_rx} elements and "
-                         f"range_res_m {scene.range_res_m}")
+        if (self.num_range_bins != n or self.num_elements != scene.array.num_rx
+                or self.range_res_m != scene.range_res_m):
+            raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
+                             f"{self.num_elements} elements and range_res_m {self.range_res_m}; "
+                             f"the scene has {n} subcarriers, {scene.array.num_rx} elements and "
+                             f"range_res_m {scene.range_res_m}")
+        if self.num_tx_slots < slots:
+            raise ValueError(f"clutter map has {self.num_tx_slots} tx slot tables, "
+                             f"schedule needs {slots}")
 
     @property
     def held_products(self) -> int:

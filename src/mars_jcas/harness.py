@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -393,17 +394,15 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
                 if schedule.structure == "fa":
                     data = synthesize_fa_measurements(scene, schedule, clutter, draws=draws)
                 else:
-                    va_scene = replace(scene, array=scene.array.with_va(pipe.va))
-                    data = synthesize_if_cube(va_scene, schedule, clutter, draws=draws)
-                    front = front_end(data, va_scene)
+                    data = synthesize_if_cube(scene, schedule, clutter, draws=draws)
+                    front = front_end(data, scene)
                 for pipe in pipes:
                     info = {} if debug else None
                     if schedule.structure == "fa":
                         ests = run_fa_pipeline(data, scene, schedule, len(scene.targets),
                                                guard=pipe.stte_guard)
                     else:
-                        ests = run_pipeline(front, va_scene, pipe, len(scene.targets),
-                                            debug=info)
+                        ests = run_pipeline(front, scene, pipe, len(scene.targets), debug=info)
                     yield pipe, data, ests, info
             except Exception as exc:
                 raise DropError(drop_index, drop_seed, pipe.tag, exc, sweep_value) from exc
@@ -487,10 +486,16 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     if outside:
         raise ValueError(f"drop {outside[0]} is not a drop of this run, which has "
                          f"{plan.num_drops} drops (0 to {plan.num_drops - 1})")
-    # A bad schedule, target count or clutter map fails before any drop.
+    repeated = [i for i, count in Counter(drops).items() if count > 1]
+    if repeated:
+        raise ValueError(f"drop {repeated[0]} is repeated: each drop is scored once")
+    # A bad schedule, target count or clutter map fails before any drop; the
+    # map must hold the slot tables of the plan's widest schedule (each
+    # schedule takes its slots_per_chirp from the pipeline's array).
     check_target_count(scene, plan, plan.target_count, "experiment.target_count")
     if clutter is not None:
-        clutter.check_fits(scene, chirp=any(p.structure != "fa" for p in plan.pipelines))
+        clutter.check_fits(scene, max(scene.array.with_va(p.va).slots_per_chirp
+                                      for p in plan.pipelines))
     elif scene.clutter.enabled:
         clutter = build_clutter_for(scene, plan.pipelines)
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]

@@ -598,7 +598,7 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
                        * np.exp(2j * np.pi * fd * (pri * radio.pri_s - tau)))
                 block += np.outer(a2d * amp, beat)
             if clutter is not None:
-                block += math.sqrt(p_slot) * clutter.chirp_spectra(n)[slot_e]
+                block += math.sqrt(p_slot) * clutter.chirp_spectra[slot_e]
             si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
             block += si_amp * si_phases[:, None]
             block += complex_noise(rng_for(draws.seed, "noise-chirp", len(blocks)),

@@ -322,20 +322,18 @@ class TestDerivedSpectra:
                           area_y_m=0.0, cell_m=1.0, station_height_m=1.0, seed=0)
 
     @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4), l=st.integers(1, 8),
-           n=st.integers(4, 64), short=st.booleans())
+           n=st.integers(4, 64))
     @settings(max_examples=40, deadline=None)
-    def test_cached_spectra_equal_per_call_ffts(self, seed, slots, l, n, short):
-        # short: fewer range bins than subcarriers, so the FA FFT zero-pads.
-        cmap = self._map(np.random.default_rng(seed), slots, n // 2 if short else n, l)
-        fa = cmap.fa_spectrum(n)
+    def test_cached_spectra_equal_per_call_ffts(self, seed, slots, l, n):
+        cmap = self._map(np.random.default_rng(seed), slots, n, l)
+        fa = cmap.fa_spectrum
         assert np.array_equal(fa, np.fft.fft(cmap.chirp_tables[0], n=n, axis=0))
-        assert cmap.fa_spectrum(n) is fa
-        if not short:
-            chirp = cmap.chirp_spectra(n)
-            assert chirp.flags.c_contiguous
-            for s, table in enumerate(cmap.chirp_tables):
-                assert np.array_equal(chirp[s], n * np.fft.ifft(table, axis=0).T)
-            assert cmap.chirp_spectra(n) is chirp
+        assert cmap.fa_spectrum is fa
+        chirp = cmap.chirp_spectra
+        assert chirp.flags.c_contiguous
+        for s, table in enumerate(cmap.chirp_tables):
+            assert np.array_equal(chirp[s], n * np.fft.ifft(table, axis=0).T)
+        assert cmap.chirp_spectra is chirp
 
     @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4), l=st.integers(1, 8),
            n=st.integers(4, 64), m=st.integers(1, 40))
@@ -349,20 +347,20 @@ class TestDerivedSpectra:
         amp = float(rng.uniform(0.01, 10.0))
         for s, table in enumerate(cmap.chirp_tables):
             want = amp * (n * np.fft.ifft(table, axis=0).T)
-            assert np.array_equal(cmap.chirp_clutter(n, s, amp, 1.0), want)
+            assert np.array_equal(cmap.chirp_clutter(s, amp, 1.0), want)
         amps = rng.uniform(0.01, 10.0, size=m)
-        assert np.array_equal(cmap.tone_clutter(n, amps, 1.0), np.outer(cmap.tone_vec, amps) * n)
+        assert np.array_equal(cmap.tone_clutter(amps, 1.0), np.outer(cmap.tone_vec, amps) * n)
         sub = rng.integers(0, n, size=m)
         want = np.fft.fft(cmap.chirp_tables[0], n=n, axis=0)[sub].T * amps
-        assert np.array_equal(cmap.fa_clutter(n, sub, amps, 1.0), want)
+        assert np.array_equal(cmap.fa_clutter(sub, amps, 1.0), want)
 
     def test_held_arrays_are_read_only(self):
         # Every later cube reads them: a stray write must fail, not change them.
         cmap = self._map(np.random.default_rng(2), 2, 8, 3)
         amps = np.array([0.5, 2.0])
-        for held in (cmap.chirp_spectra(8), cmap.fa_spectrum(8),
-                     cmap.chirp_clutter(8, 1, 2.0, 1.0), cmap.tone_clutter(8, amps, 1.0),
-                     cmap.fa_clutter(8, np.array([3, 5]), amps, 1.0)):
+        for held in (cmap.chirp_spectra, cmap.fa_spectrum,
+                     cmap.chirp_clutter(1, 2.0, 1.0), cmap.tone_clutter(amps, 1.0),
+                     cmap.fa_clutter(np.array([3, 5]), amps, 1.0)):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
@@ -371,20 +369,20 @@ class TestDerivedSpectra:
     def test_scaled_products_held_for_one_power_within_bound(self):
         cmap = self._map(np.random.default_rng(3), 4, 8, 2)
         bound = clutter.SCALED_ENTRIES
-        first = cmap.chirp_clutter(8, 0, 1.5, 1.0)
-        assert cmap.chirp_clutter(8, 0, 1.5, 1.0) is first and cmap.held_products == 1
-        second = cmap.chirp_clutter(8, 1, 1.5, 1.0)
+        first = cmap.chirp_clutter(0, 1.5, 1.0)
+        assert cmap.chirp_clutter(0, 1.5, 1.0) is first and cmap.held_products == 1
+        second = cmap.chirp_clutter(1, 1.5, 1.0)
         for k in range(bound - 2):
-            cmap.chirp_clutter(8, k % 4, 2.0 + k, 1.0)
+            cmap.chirp_clutter(k % 4, 2.0 + k, 1.0)
         assert cmap.held_products == bound
         # At the bound the least recently used product goes first.
-        assert cmap.chirp_clutter(8, 0, 1.5, 1.0) is first
-        cmap.tone_clutter(8, np.ones(3), 1.0)
+        assert cmap.chirp_clutter(0, 1.5, 1.0) is first
+        cmap.tone_clutter(np.ones(3), 1.0)
         assert cmap.held_products == bound
-        assert cmap.chirp_clutter(8, 0, 1.5, 1.0) is first
-        assert cmap.chirp_clutter(8, 1, 1.5, 1.0) is not second
+        assert cmap.chirp_clutter(0, 1.5, 1.0) is first
+        assert cmap.chirp_clutter(1, 1.5, 1.0) is not second
         # Another average power (the next sweep point) drops them all.
-        again = cmap.chirp_clutter(8, 0, 1.5, 2.0)
+        again = cmap.chirp_clutter(0, 1.5, 2.0)
         assert again is not first and np.array_equal(again, first)
         assert cmap.held_products == 1
         # A replaced map starts with none: it may hold other tables.
@@ -392,10 +390,6 @@ class TestDerivedSpectra:
 
     def test_replaced_map_starts_without_spectra(self):
         cmap = self._map(np.random.default_rng(1), 2, 8, 3)
-        held = cmap.fa_spectrum(8)
-        assert replace(cmap).fa_spectrum(8) is not held
-
-    def test_table_longer_than_symbol_rejected(self):
-        with pytest.raises(ValueError, match="17 range bins"):
-            self._map(np.random.default_rng(0), 1, 17, 2).fa_spectrum(16)
+        held = cmap.fa_spectrum
+        assert replace(cmap).fa_spectrum is not held
 

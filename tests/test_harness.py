@@ -107,7 +107,8 @@ def quiet_plan(**kw):
 def va_clutter_mismatch(**plan_kw):
     """A scene, its no-VA clutter map and a plan with one VA pipeline: the
     map has one transmit slot table and the VA schedule needs four, so
-    every drop fails inside synthesis."""
+    every drop run alone fails inside synthesis, and monte_carlo refuses
+    the map before any drop."""
     scene = make_scene(arr=make_array(tx=2), radio=make_radio(power_w=10.0))
     scene = replace(scene, clutter=ClutterConfig(enabled=True, station_height_m=10.0,
                                                  area_x_m=60.0, area_y_m=30.0))
@@ -623,17 +624,42 @@ class TestMonteCarlo:
                     f"drop {bad} is not a drop of this run, which has 3 drops (0 to 2)")):
                 monte_carlo(plan, scene, drops=(bad,))
 
+    def test_repeated_drop_fails_before_any_drop(self, monkeypatch):
+        # Each drop is scored once: a repeated index would count its records
+        # twice in the curves and keep one runtime.
+        scene = make_scene(radio=make_radio(power_w=10.0))
+        plan = quiet_plan(num_drops=3)
+        monkeypatch.setattr(harness, "_timed_drop", lambda *args: pytest.fail("a drop ran"))
+        for drops in ((1, 1), (0, 2, 0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"drop {drops[0]} is repeated: each drop is scored once")):
+                monte_carlo(plan, scene, drops=drops)
+
+    def test_va_plan_on_one_slot_map_fails_before_any_drop(self, monkeypatch):
+        # The map must hold the slot tables of the plan's VA schedule: a
+        # ValueError before any drop, not a DropError at drop 0.
+        scene, cmap, plan = va_clutter_mismatch(num_drops=2)
+        monkeypatch.setattr(harness, "_timed_drop", lambda *args: pytest.fail("a drop ran"))
+        with pytest.raises(ValueError) as err:
+            monte_carlo(plan, scene, cmap)
+        assert not isinstance(err.value, DropError)
+        assert str(err.value) == "clutter map has 1 tx slot tables, schedule needs 4"
+
     def test_worker_drop_error_keeps_drop_seed(self):
         # The drop seed depends on the sweep point, so the error names it too,
-        # and every replay field survives the trip back from a worker.
+        # and every replay field survives the trip back from a worker. A NaN
+        # tone term fits the scene, so the map passes the pre-check and every
+        # cube of every drop is refused.
         scene, cmap, plan = va_clutter_mismatch(num_drops=2, workers=2,
                                                 sweep_values=(5.0, 10.0))
+        plan = replace(plan, pipelines=(PipelineSpec(structure="comb", suppressor="sthp"),))
+        cmap = replace(cmap, tone_vec=np.full_like(cmap.tone_vec, np.nan))
         with pytest.raises(DropError) as err:
             monte_carlo(plan, scene, cmap)
         assert err.value.drop_index == 0
         assert err.value.sweep_value == 5.0
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 0, "5.0")
-        assert "tx slot" in str(err.value) and "sweep value 5.0" in str(err.value)
+        assert "non-finite" in str(err.value) and "sweep value 5.0" in str(err.value)
         again = pickle.loads(pickle.dumps(err.value))
         fields = ("drop_index", "drop_seed", "pipeline", "sweep_value", "args")
         assert [getattr(again, k) for k in fields] == [getattr(err.value, k) for k in fields]
@@ -840,7 +866,7 @@ class TestDropDraws:
         again = synthesize_if_cube(scene, sched, draws=draws)
         assert draws.held_chirp_blocks == 0
         assert np.array_equal(first.chirp_branch.view(float), again.chirp_branch.view(float))
-        want = synthesize_if_cube(scene, sched, seed=42)
+        want = synthesize_if_cube(scene, sched, draws=DropDraws(42))
         assert np.array_equal(want.chirp_branch.view(float), again.chirp_branch.view(float))
         # Blocks kept for a later cube serve only cubes of the same noise scale.
         draws = DropDraws(42, [sched.num_chirp_symbols] * 2)
@@ -848,10 +874,8 @@ class TestDropDraws:
         assert draws.held_chirp_blocks == sched.num_chirp_symbols
         louder = replace(scene, radio=replace(scene.radio, noise_density_w_per_hz=1e-17))
         got = synthesize_if_cube(louder, sched, draws=draws)
-        want = synthesize_if_cube(louder, sched, seed=42)
+        want = synthesize_if_cube(louder, sched, draws=DropDraws(42))
         assert np.array_equal(want.chirp_branch.view(float), got.chirp_branch.view(float))
-        with pytest.raises(ValueError, match="disagrees"):
-            synthesize_if_cube(scene, sched, seed=41, draws=draws)
 
 
 class AtSubmission(cpus._Inline):

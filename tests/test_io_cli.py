@@ -22,7 +22,7 @@ from conftest import (
     make_scene,
     on_grid_target,
 )
-from mars_jcas.channel import synthesize_if_cube
+from mars_jcas.channel import DropDraws, synthesize_if_cube
 from mars_jcas.cli import main, preset_path
 from mars_jcas.harness import CustomRanges, ExperimentPlan, schedule_for
 from mars_jcas.io import (
@@ -584,7 +584,7 @@ class TestCubeFormat:
                            indices=(1, 5) if va else (1, 6, 15))
         scene = replace(scene, targets=(on_grid_target(scene),))
         sched = schedule_for(scene, PipelineSpec(structure="comb", va=va), 1)
-        cube = synthesize_if_cube(scene, sched, seed=9)
+        cube = synthesize_if_cube(scene, sched, draws=DropDraws(9))
         path = tmp_path / "c.bin"
         write_cube(path, cube)
         chirp = oracles.chirp_branch_per_symbol(scene, sched, seed=9)
@@ -930,6 +930,28 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"--drop {drop}" in err and "has 2 drops" in err
             assert not out2.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["resolution"], ["waveform"], ["clutter-map"],
+        ["simulate", "--targets", "1", "--dump-cube", "--dump-spectra"],
+    ], ids=["resolution", "waveform", "clutter-map", "simulate"])
+    def test_replay_drop_of_a_run_without_drops_fails_before_output_dir(self, tmp_path,
+                                                                       capsys, argv):
+        # Only a montecarlo run has drops and a records.csv: --drop of any
+        # other manifest, even one whose config has an experiment section,
+        # is a config error before the output directory is made.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(area_x_m=60.0, area_y_m=30.0)
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        run = tmp_path / "run"
+        assert main(argv + ["--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "drop"
+        assert main(["replay", "--manifest", str(run / "manifest.json"), "--out", str(out),
+                     "--drop", "3"]) == 3
+        assert f"the manifest is of a {argv[0]} run" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_single_drop_runs_every_sweep_point(self, tmp_path, capsys):
         # The drop seed and the fixed target range both depend on the sweep

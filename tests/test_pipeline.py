@@ -14,7 +14,12 @@ from scipy.constants import c as C0
 import oracles
 from conftest import WAVELENGTH, make_array, make_radio, make_scene, on_grid_target
 from mars_jcas import pipeline
-from mars_jcas.channel import IfCube, synthesize_fa_measurements, synthesize_if_cube
+from mars_jcas.channel import (
+    DropDraws,
+    IfCube,
+    synthesize_fa_measurements,
+    synthesize_if_cube,
+)
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.estimator import (
@@ -365,7 +370,7 @@ class TestFaPipeline:
         scene_cfg, plan = parse_config(preset_path("table1_car"))
         scene = validate_scene(scene_cfg)
         fa = schedule_for(scene, PipelineSpec(structure="fa", suppressor="mf"), plan.seed)
-        meas = synthesize_fa_measurements(scene, fa, seed=1)
+        meas = synthesize_fa_measurements(scene, fa, draws=DropDraws(1))
         run_fa_pipeline(meas, scene, fa, 1)    # the lag cells are cached from here on
         tracemalloc.start()
         try:
@@ -391,13 +396,13 @@ class TestArrayHoldingEquality:
             return [build_clutter_map(replace(scene, clutter=replace(
                 scene.clutter, enabled=True, area_x_m=60.0, area_y_m=30.0))) for _ in "ab"]
         if name == "FaMap":
-            meas = synthesize_fa_measurements(scene, fa, seed=1)
+            meas = synthesize_fa_measurements(scene, fa, draws=DropDraws(1))
             return [pipeline.fa_range_doppler_map(meas, fa, scene.radio, scene.range_res_m)
                     for _ in "ab"]
         sched = schedule_of(scene)
         if name == "IfCube":
-            return [synthesize_if_cube(scene, sched, seed=1) for _ in "ab"]
-        cube = synthesize_if_cube(scene, sched, seed=1)
+            return [synthesize_if_cube(scene, sched, draws=DropDraws(1)) for _ in "ab"]
+        cube = synthesize_if_cube(scene, sched, draws=DropDraws(1))
         fronts = [front_end(cube, scene) for _ in "ab"]
         return fronts if name == "FrontEnd" else [f.avmap for f in fronts]
 
