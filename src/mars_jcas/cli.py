@@ -21,7 +21,7 @@ import yaml
 
 from . import __version__, cpus
 from .channel import check_if_range
-from .clutter import build_clutter_for, build_clutter_map
+from .clutter import build_clutter_for, build_clutter_map, gtri_reflectivity, terrain_params
 from .harness import (
     CURVE_COLUMNS,
     RECORD_COLUMNS,
@@ -36,6 +36,7 @@ from .harness import (
     record_rows,
 )
 from .io import (
+    LARGEST,
     ConfigError,
     RunManifest,
     config_from_dict,
@@ -99,6 +100,13 @@ def _load(args, default_plan=False):
         _scene_schedule(scene, plan)
         if plan is not None:
             plan_groups(scene, plan)
+        if scene.clutter.enabled:
+            # The terrain model's rules and bound at both ends of the grazing angles.
+            sigma0 = gtri_reflectivity(np.array([0.0, np.pi / 2]), terrain_params(scene),
+                                       scene.wavelength_m)
+            if not np.all(sigma0 <= LARGEST):
+                raise ValueError(f"clutter: reflectivity {sigma0.tolist()} at grazing 0 and "
+                                 f"90 degrees; it must be at most {LARGEST:g}")
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     return scene_cfg, scene, plan
@@ -168,7 +176,7 @@ def cmd_waveform(args) -> int:
     print(f"overhead_fraction    {overhead:.6g} ({100 * overhead:.4g}%)")
     if args.out:
         out = _outdir(args)
-        (out / "schedule.yaml").write_text(yaml.safe_dump(schedule.to_dict(), sort_keys=True))
+        (out / "schedule.yaml").write_text(yaml.safe_dump(to_dict(schedule), sort_keys=True))
         (out / "overhead.txt").write_text(
             f"overhead_fraction {overhead:.17e}\n"
             f"chirp_symbols {schedule.num_chirp_symbols}\n"
@@ -196,7 +204,7 @@ def cmd_clutter_map(args) -> int:
     cmap = build_clutter_map(scene)
     seconds = time.perf_counter() - started
     power = np.sum(np.abs(cmap.chirp_tables[0]) ** 2, axis=1)
-    print(f"terrain              {cmap.terrain}")
+    print(f"terrain              {scene.clutter.terrain}")
     print(f"patches              {cmap.patch_count}")
     print(f"tx_slots             {cmap.num_tx_slots}")
     print(f"total_power_unit_tx  {power.sum():.6g}")

@@ -44,9 +44,7 @@ def terrain_preset(name: str) -> GtriParams:
     table = _terrain_table()
     if name not in table:
         raise KeyError(f"unknown terrain preset {name!r}; available: {sorted(table)}")
-    row = table[name]
-    return GtriParams(a=row["a"], b=row["b"], c=row["c"], d=row["d"],
-                      sigma_h_m=row["sigma_h_m"])
+    return GtriParams(**table[name])
 
 
 def gtri_reflectivity(grazing_rad, params: GtriParams, wavelength_m: float):
@@ -57,6 +55,8 @@ def gtri_reflectivity(grazing_rad, params: GtriParams, wavelength_m: float):
         raise ValueError("gtri_reflectivity: grazing angle must be >= 0")
     if params.a < 0:
         raise ValueError("gtri_reflectivity: A must be >= 0")
+    if params.d < 0 or params.sigma_h_m < 0:
+        raise ValueError("gtri_reflectivity: D and sigma_h must be >= 0")
     base = delta + params.c
     if np.any(base < 0) and params.b != int(params.b):
         raise ValueError("gtri_reflectivity: (delta + C) < 0 with non-integer B")
@@ -80,14 +80,7 @@ class ClutterMap:
     chirp_tables: np.ndarray   # (num_tx_slots, num_range_bins, L)
     tone_vec: np.ndarray       # (L,)
     range_res_m: float
-    terrain: str
-    params: GtriParams
-    patch_count: int
-    area_x_m: float
-    area_y_m: float
-    cell_m: float
-    station_height_m: float
-    seed: int
+    patch_count: int           # patches inside the last range bin
     # Products of the spectra and a transmit amplitude, by the average power
     # they were made at, least recently used first (see _held).
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -190,16 +183,14 @@ class ClutterMap:
         return self.chirp_tables.shape[0]
 
 
-def _resolve_params(scene: ValidatedScene) -> GtriParams:
-    base = terrain_preset(scene.clutter.terrain)
+def terrain_params(scene: ValidatedScene) -> GtriParams:
+    """The scene's terrain preset with its ``gtri_*`` and surface height
+    overrides applied."""
     cl = scene.clutter
-    return GtriParams(
-        a=base.a if cl.gtri_a is None else cl.gtri_a,
-        b=base.b if cl.gtri_b is None else cl.gtri_b,
-        c=base.c if cl.gtri_c is None else cl.gtri_c,
-        d=base.d if cl.gtri_d is None else cl.gtri_d,
-        sigma_h_m=base.sigma_h_m if cl.surface_rms_height_m is None else cl.surface_rms_height_m,
-    )
+    overrides = {"a": cl.gtri_a, "b": cl.gtri_b, "c": cl.gtri_c, "d": cl.gtri_d,
+                 "sigma_h_m": cl.surface_rms_height_m}
+    return replace(terrain_preset(cl.terrain),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def patch_grid(clutter_cfg) -> tuple:
@@ -260,7 +251,7 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     cl = scene.clutter
     if cl.station_height_m <= 0:
         raise ValueError("build_clutter_map: station height must be > 0")
-    params = _resolve_params(scene)
+    params = terrain_params(scene)
     radio, arr = scene.radio, scene.array
     lam = scene.wavelength_m
     n_bins = radio.num_subcarriers
@@ -331,12 +322,8 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
-    return ClutterMap(
-        chirp_tables=tables, tone_vec=tone.ravel(),
-        range_res_m=scene.range_res_m, terrain=cl.terrain, params=params,
-        patch_count=kept, area_x_m=cl.area_x_m, area_y_m=cl.area_y_m,
-        cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
-    )
+    return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(),
+                      range_res_m=scene.range_res_m, patch_count=kept)
 
 
 def build_clutter_for(scene: ValidatedScene, pipelines) -> ClutterMap:

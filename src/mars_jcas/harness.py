@@ -86,14 +86,24 @@ class ExperimentPlan:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         c = self.custom
+        bounds = {"range_bounds_m": self.range_bounds_m,
+                  **{f"custom.{k}": v for k, v in vars(c).items() if k != "rcs_m2"}}
+        for key, (low, high) in bounds.items():
+            # high - low < 0, or -0.0 as numpy's uniform refuses for [0.0, -0.0]
+            if math.copysign(1.0, high - low) < 0:
+                raise ValueError(f"{key}: [low, high] needs low <= high, got {[low, high]}")
+        if self.azimuth_max_rad < 0:
+            raise ValueError(f"azimuth_max_rad: must be >= 0, got {self.azimuth_max_rad}")
         if c.rcs_m2 <= 0:
             raise ValueError(f"custom.rcs_m2: must be > 0, got {c.rcs_m2}")
-        # draw_targets redraws until a direction falls in the unit disk: the
-        # box's point nearest broadside must lie strictly inside it.
-        near = [min(max(0.0, min(box)), max(box)) for box in (c.sin_psi_x, c.sin_psi_y)]
-        if math.hypot(*near) >= 1.0:
+        # draw_targets redraws until a direction falls in the unit disk: a
+        # thousandth of the box (on a 64 x 64 grid of cell centres) must lie in it.
+        u = (np.arange(64) + 0.5) / 64
+        x, y = np.meshgrid(*[low + (high - low) * u for low, high in (c.sin_psi_x, c.sin_psi_y)])
+        if not np.mean(np.hypot(x, y) <= 1.0) >= 1e-3:
             raise ValueError(f"custom.sin_psi_x, custom.sin_psi_y: the box {list(c.sin_psi_x)} "
-                             f"x {list(c.sin_psi_y)} has no point inside the unit disk")
+                             f"x {list(c.sin_psi_y)} has less than a thousandth of its area "
+                             "inside the unit disk")
         if not self.pipelines:
             raise ValueError("pipelines: must list at least one pipeline")
         first = {}
@@ -284,14 +294,14 @@ def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
 
 def _drawn_ranges(plan: ExperimentPlan) -> list:
     """(key, range) of each bound on the ranges the plan draws into a
-    cube: a range sweep's values or, when the ranges are drawn, the draw's
-    upper bound. A config's own targets go into a cube only under
-    ``simulate`` without ``--targets``, which checks them itself."""
+    drop, nearest first: a range sweep's values or, when the ranges are
+    drawn, the draw's bounds. A config's own targets go into a drop only
+    under ``simulate`` without ``--targets``, which checks them itself."""
     if plan.sweep_axis == "range" and plan.sweep_values:
         return [(f"sweep_values[{k}]", v) for k, v in enumerate(plan.sweep_values)]
     if plan.scenario == "custom":
-        return [("custom.range_m", max(plan.custom.range_m))]
-    return [("range_bounds_m", max(plan.range_bounds_m))]
+        return [("custom.range_m", r) for r in plan.custom.range_m]
+    return [("range_bounds_m", r) for r in plan.range_bounds_m]
 
 
 def _check_target_count(scene: ValidatedScene, schedule: MarsSchedule, k: int, i: int,
@@ -339,9 +349,11 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     cannot be built (its first pipeline), an STHP pipeline's schedule
     has fewer than two chirp occasions, or a pipeline's ``stte_guard``
     masks every velocity bin of its map (num_pri bins, FA included).
-    With an IF cube among the groups, it also raises naming the key of a
-    drawn range (:func:`_drawn_ranges`) whose round trip outlasts the
-    symbol (:func:`~mars_jcas.channel.check_if_range`).
+    It also raises naming the key of a drawn range (:func:`_drawn_ranges`)
+    that lies nearer than one wavelength, for car and uav nearer than the
+    farthest height from the station (:func:`draw_targets` takes
+    asin(z / r)), or, with an IF cube among the groups, whose round trip
+    outlasts the symbol (:func:`~mars_jcas.channel.check_if_range`).
     """
     members = {}
     for i, pipe in enumerate(plan.pipelines):
@@ -362,9 +374,16 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
                                  f"every velocity bin of M = {schedule.num_pri}; it must be "
                                  f"< {schedule.num_pri // 2}")
         groups.append((tuple(pipe for _, pipe in group), schedule))
+    ranges = _drawn_ranges(plan)
     if any(schedule.structure != "fa" for _, schedule in groups):
-        for key, r in _drawn_ranges(plan):
+        for key, r in ranges:
             check_if_range(key, r, scene.symbol_duration_s)
+    key, nearest = ranges[0]
+    heights = _SCENARIOS[plan.scenario][2] if plan.scenario != "custom" else ()
+    floor = max([scene.wavelength_m] + [abs(z - scene.clutter.station_height_m) for z in heights])
+    if nearest < floor:
+        raise ValueError(f"{key}: {nearest} m is nearer than {floor} m, one wavelength or, "
+                         f"for car and uav, the farthest target height from the station")
     return groups
 
 

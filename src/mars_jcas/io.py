@@ -1,13 +1,13 @@
-"""Config parsing, serialization, and run manifests.
+"""Config parsing, serialization (configs, schedules, cubes), run manifests.
 
 Configs are YAML with nested sections. Each section's keys, types and
 defaults are the fields of its dataclass; a field may also be given in
 another unit (``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``, ...), converted
 to SI at parse time. Parsing fails closed: unknown keys, duplicate unit
-variants, type mismatches (an integer key given 2.7 or true, say) and
-non-finite floats all raise :class:`ConfigError` with path-qualified
-messages. CSV output uses locale-independent full-precision scientific
-notation so replays are byte-identical.
+variants, type mismatches (an integer key given 2.7 or true, say) and floats
+not finite or past :data:`LARGEST` raise :class:`ConfigError` with
+path-qualified messages, as in a cube's schedule. CSV output uses
+locale-independent full-precision scientific notation so replays are exact.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ def dbm_to_watts(v: float) -> float:
 
 _REQUIRED = object()
 
+# Largest config float in SI units: a drop squares products of four in float64.
+LARGEST = 1e30
+
 
 class _Section:
     """One config mapping with fail-closed key accounting."""
@@ -82,10 +85,11 @@ class _Section:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}.{key}: bad value {raw!r} ({exc})") from exc
-        # Every float a key yields, unit-converted or a tuple item, is finite.
-        if any(isinstance(v, float) and not math.isfinite(v)
+        # Every float a key yields, unit-converted or a tuple item, is finite
+        # and at most LARGEST in magnitude.
+        if any(isinstance(v, float) and not abs(v) <= LARGEST
                for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{self.path}.{key}: bad value {raw!r} (not finite)")
+            raise ConfigError(f"{self.path}.{key}: bad value {raw!r} (not within ±{LARGEST:g})")
         return value
 
     def finish(self):
@@ -106,7 +110,14 @@ def _bool(v):
     raise ValueError("expected true/false")
 
 
-_SCALARS = {int: _int, float: float, bool: _bool, str: str}
+def _array(v):
+    a = np.array(v)
+    if a.ndim != 1 or a.dtype.kind not in "if" or not np.all(np.isfinite(a)):
+        raise ValueError("expected a list of finite numbers")
+    return a
+
+
+_SCALARS = {int: _int, float: float, bool: _bool, str: str, np.ndarray: _array}
 
 
 def _converter(tp, path):
@@ -127,7 +138,7 @@ def _converter(tp, path):
         def items(v):
             v = tuple(item(x) for x in v)
             if size is not None and len(v) != size:
-                raise ValueError("expected [low, high]")
+                raise ValueError(f"expected {size} items")
             return v
         return items
     return _SCALARS[tp]
@@ -248,14 +259,16 @@ def parse_config(path):
 
 
 def to_dict(value):
-    """Canonical SI form of a config dataclass, all defaults resolved, that
-    round-trips through :func:`config_from_dict`: each dataclass becomes a
-    dict without its None fields, each tuple a list."""
+    """Canonical SI form of a config dataclass or schedule, defaults resolved,
+    that :func:`config_from_dict` or :func:`read_cube` reads back: each
+    dataclass a dict without its None fields, each tuple or array a list."""
     if is_dataclass(value):
         return {f.name: to_dict(getattr(value, f.name)) for f in fields(value)
                 if getattr(value, f.name) is not None}
     if isinstance(value, tuple):
         return [to_dict(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     return value
 
 
@@ -280,7 +293,7 @@ def write_cube(path, cube: IfCube) -> None:
     tone = np.ascontiguousarray(cube.tone_branch_compressed, dtype="<c16")
     n_sym = cube.schedule.num_chirp_symbols
     n = chirp.shape[2] if n_sym else 0
-    meta = json.dumps({"schedule": cube.schedule.to_dict()}).encode("utf-8")
+    meta = json.dumps({"schedule": to_dict(cube.schedule)}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CUBE_MAGIC)
         fh.write(struct.pack("<IIIII", 1, chirp.shape[0], n_sym, n, tone.shape[1]))
@@ -292,6 +305,8 @@ def write_cube(path, cube: IfCube) -> None:
 
 
 def read_cube(path) -> IfCube:
+    """The cube :func:`write_cube` wrote at ``path``. A header or schedule
+    key that is unknown, missing or mistyped is a ConfigError naming it."""
     with open(path, "rb") as fh:
         if fh.read(8) != _CUBE_MAGIC:
             raise ValueError(f"{path}: not a cube file (bad magic)")
@@ -300,10 +315,14 @@ def read_cube(path) -> IfCube:
             raise ValueError(f"{path}: unsupported cube version {version}")
         (sample_rate,) = struct.unpack("<d", fh.read(8))
         (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+        header = _Section(json.loads(fh.read(meta_len).decode("utf-8")), f"{path}: header")
         chirp = np.frombuffer(fh.read(16 * l * n_sym * n), dtype="<c16").reshape(l, n_sym, n)
         tone = np.frombuffer(fh.read(16 * l * m_tone), dtype="<c16").reshape(l, m_tone)
-    schedule = MarsSchedule.from_dict(meta["schedule"])
+    raw = header.take(("schedule", dict))
+    header.finish()
+    # Files written before to_dict left None fields out carry "fa_seed": null.
+    schedule = _read(MarsSchedule, {k: v for k, v in raw.items() if v is not None},
+                     f"{path}: schedule")
     return IfCube(chirp_branch=np.ascontiguousarray(chirp.transpose(1, 0, 2), dtype=complex),
                   tone_branch_compressed=tone.astype(complex),
                   schedule=schedule, sample_rate_hz=sample_rate)

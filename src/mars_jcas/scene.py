@@ -51,6 +51,11 @@ class RadioParams:
     bandwidth_hz: Optional[float] = None       # optional explicit cross-check
     symbol_duration_s: Optional[float] = None  # optional explicit cross-check
 
+    def __post_init__(self):
+        # Parsing derives the wavelength, and the spacings given in wavelengths.
+        if not self.carrier_freq_hz > 0:
+            raise ValueError(f"carrier_freq_hz must be > 0, got {self.carrier_freq_hz}")
+
     @property
     def derived_bandwidth_hz(self) -> float:
         return self.num_subcarriers * self.subcarrier_spacing_hz
@@ -315,8 +320,8 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
     v: list[str] = []
     r, a, w = config.radio, config.array, config.waveform
 
-    if r.carrier_freq_hz <= 0:
-        v.append("radio.carrier_freq_hz must be > 0")
+    # Echoes and the uplink follow far-field equations: none nearer than this.
+    far = f"at least one wavelength ({r.wavelength_m} m)"
     if r.subcarrier_spacing_hz <= 0:
         v.append("radio.subcarrier_spacing_hz must be > 0")
     if r.num_subcarriers < 2:
@@ -326,6 +331,8 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
             v.append(f"radio.{name} must be > 0")
     if r.uplink_power_w < 0:
         v.append("radio.uplink_power_w must be >= 0")
+    if not r.uplink_distance_m >= r.wavelength_m:
+        v.append(f"radio.uplink_distance_m must be {far}")
     if r.si_attenuation_db < 0:
         v.append("radio.si_attenuation_db must be >= 0")
     if r.gain_tx <= 0 or r.gain_rx <= 0:
@@ -367,8 +374,8 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
                  f"symbols_per_pri={r.symbols_per_pri} (expected {1.0 / r.symbols_per_pri})")
 
     for k, t in enumerate(config.targets):
-        if t.range_m <= 0:
-            v.append(f"targets[{k}].range_m must be > 0")
+        if not t.range_m >= r.wavelength_m:
+            v.append(f"targets[{k}].range_m must be {far}")
         if t.rcs_m2 <= 0:
             v.append(f"targets[{k}].rcs_m2 must be > 0")
         s2 = math.sin(t.psi_x_rad) ** 2 + math.sin(t.psi_y_rad) ** 2
@@ -388,6 +395,10 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
     rec = config.receiver
     if rec.butterworth_order < 1:
         v.append("receiver.butterworth_order must be >= 1")
+    if rec.butterworth_cutoff_hz is not None and rec.butterworth_cutoff_hz <= 0:
+        v.append("receiver.butterworth_cutoff_hz must be > 0")
+    if rec.residual_dc_db is not None and rec.residual_dc_db < 0:
+        v.append("receiver.residual_dc_db must be >= 0 (the leak lies below the SI)")
     if rec.tone_noise_bandwidth not in ("pri", "symbol"):
         v.append("receiver.tone_noise_bandwidth must be 'pri' or 'symbol'")
 

@@ -33,10 +33,6 @@ class ChirpSpec:
     def symbol_duration_s(self) -> float:
         return math.sqrt(self.num_samples / self.chirp_rate_hz_per_s)
 
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.chirp_rate_hz_per_s * self.symbol_duration_s
-
 
 def chirp_time_samples(spec: ChirpSpec) -> np.ndarray:
     """Discrete-time chirp x[k] = exp(j*pi*mu*(k*T_sym/N)^2), k = 0..N-1.
@@ -63,12 +59,12 @@ class MarsSchedule:
 
     num_pri: int
     structure: str
-    chirp_pri_indices: tuple
+    chirp_pri_indices: tuple[int, ...]
     tone_subcarrier_index: int
     symbols_per_pri: int
     guard_subcarriers: int
     slots_per_chirp: int
-    va_slots: tuple            # per occasion: tuple of (pri, tx_col, tx_row)
+    va_slots: tuple[tuple[tuple[int, int, int], ...], ...]  # per occasion: (pri, tx_col, tx_row)
     per_symbol_power_w: np.ndarray
     avg_power_w: float
     fa_subcarrier_indices: Optional[np.ndarray] = None
@@ -101,43 +97,6 @@ class MarsSchedule:
     @property
     def num_tone_pris(self) -> int:
         return self.tone_pri_indices().size
-
-    def to_dict(self) -> dict:
-        d = {
-            "num_pri": self.num_pri,
-            "structure": self.structure,
-            "chirp_pri_indices": [int(i) for i in self.chirp_pri_indices],
-            "tone_subcarrier_index": int(self.tone_subcarrier_index),
-            "symbols_per_pri": int(self.symbols_per_pri),
-            "guard_subcarriers": int(self.guard_subcarriers),
-            "slots_per_chirp": int(self.slots_per_chirp),
-            "va_slots": [[[int(p), int(a), int(b)] for (p, a, b) in occ] for occ in self.va_slots],
-            "per_symbol_power_w": [float(p) for p in self.per_symbol_power_w],
-            "avg_power_w": float(self.avg_power_w),
-            "fa_seed": self.fa_seed,
-        }
-        if self.fa_subcarrier_indices is not None:
-            d["fa_subcarrier_indices"] = [int(n) for n in self.fa_subcarrier_indices]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarsSchedule":
-        fa = d.get("fa_subcarrier_indices")
-        return cls(
-            num_pri=int(d["num_pri"]),
-            structure=d["structure"],
-            chirp_pri_indices=tuple(int(i) for i in d["chirp_pri_indices"]),
-            tone_subcarrier_index=int(d["tone_subcarrier_index"]),
-            symbols_per_pri=int(d["symbols_per_pri"]),
-            guard_subcarriers=int(d["guard_subcarriers"]),
-            slots_per_chirp=int(d["slots_per_chirp"]),
-            va_slots=tuple(tuple((int(p), int(a), int(b)) for (p, a, b) in occ)
-                           for occ in d["va_slots"]),
-            per_symbol_power_w=np.array(d["per_symbol_power_w"], dtype=float),
-            avg_power_w=float(d["avg_power_w"]),
-            fa_subcarrier_indices=None if fa is None else np.array(fa, dtype=int),
-            fa_seed=d.get("fa_seed"),
-        )
 
 
 def build_schedule(radio: RadioParams, arr: ArrayGeometry, structure: str, *,
@@ -197,13 +156,9 @@ def build_schedule(radio: RadioParams, arr: ArrayGeometry, structure: str, *,
     if 10 * w >= m_total:
         raise ValueError(f"power allocation requires 10*W < M (W={w}, M={m_total})")
 
-    va_slots = []
-    for i in occasions:
-        occ = []
-        for b in range(arr.tx_rows if arr.va_enabled else 1):
-            for a in range(arr.tx_cols if arr.va_enabled else 1):
-                occ.append((i + b * (arr.tx_cols if arr.va_enabled else 1) + a, a, b))
-        va_slots.append(tuple(occ))
+    cols, rows = (arr.tx_cols, arr.tx_rows) if arr.va_enabled else (1, 1)
+    va_slots = tuple(tuple((i + b * cols + a, a, b) for b in range(rows) for a in range(cols))
+                     for i in occasions)
     flat = [p for occ in va_slots for (p, _, _) in occ]
     if max(flat) >= m_total:
         raise ValueError(f"chirp PRI slots {flat} exceed num_pri={m_total}")
@@ -216,7 +171,7 @@ def build_schedule(radio: RadioParams, arr: ArrayGeometry, structure: str, *,
     power = np.full(m_total, p_tone)
     power[flat] = p_chirp_slot
     return MarsSchedule(m_total, structure, occasions, tone_idx, radio.symbols_per_pri,
-                        guard_subcarriers, slots, tuple(va_slots), power, p_avg)
+                        guard_subcarriers, slots, va_slots, power, p_avg)
 
 
 def symbol_time_samples(schedule: MarsSchedule, radio: RadioParams, pri_index: int) -> np.ndarray:

@@ -55,9 +55,9 @@ from mars_jcas.channel import _rx_steering, _target_coeff, _tx_slot_phase
 from mars_jcas.clutter import (
     ClutterMap,
     _phase_powers,
-    _resolve_params,
     gtri_reflectivity,
     patch_grid,
+    terrain_params,
 )
 from mars_jcas.estimator import (
     FaMap,
@@ -377,7 +377,7 @@ def build_clutter_map(scene):
     """Clutter tables by a transmit-slot x receive-element loop: one complex
     exp over every patch and two ``bincount`` scatters per (slot, element)."""
     cl = scene.clutter
-    params = _resolve_params(scene)
+    params = terrain_params(scene)
     radio, arr = scene.radio, scene.array
     lam = scene.wavelength_m
     n_bins = radio.num_subcarriers
@@ -431,11 +431,8 @@ def build_clutter_map(scene):
             if s == 0:
                 tone[l] = np.sum(w * tone_carrier)
 
-    return ClutterMap(
-        chirp_tables=tables, tone_vec=tone, range_res_m=dr, terrain=cl.terrain,
-        params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
-        area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
-    )
+    return ClutterMap(chirp_tables=tables, tone_vec=tone, range_res_m=dr,
+                      patch_count=int(r.size))
 
 
 def build_clutter_map_full_grid(scene):
@@ -444,7 +441,7 @@ def build_clutter_map_full_grid(scene):
     sorted by an int64 bin key, then every per-patch quantity at full size
     before the chunked virtual-array accumulation."""
     cl, radio, arr = scene.clutter, scene.radio, scene.array
-    params = _resolve_params(scene)
+    params = terrain_params(scene)
     lam = scene.wavelength_m
     n_bins = radio.num_subcarriers
     xs, ys = patch_grid(cl)
@@ -483,11 +480,8 @@ def build_clutter_map_full_grid(scene):
     slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
-    return ClutterMap(
-        chirp_tables=tables, tone_vec=tone.ravel(), range_res_m=scene.range_res_m,
-        terrain=cl.terrain, params=params, patch_count=int(r.size), area_x_m=cl.area_x_m,
-        area_y_m=cl.area_y_m, cell_m=cl.cell_m, station_height_m=h, seed=scene.seed,
-    )
+    return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(),
+                      range_res_m=scene.range_res_m, patch_count=int(r.size))
 
 
 def va_assemble_scatter(per_slot, arr):
@@ -775,12 +769,31 @@ def validate_plan(plan):
     if plan.workers < 1:
         raise ValueError("workers must be >= 1")
     c = plan.custom
+    for key, (low, high) in (("range_bounds_m", plan.range_bounds_m),
+                             ("custom.range_m", c.range_m), ("custom.speed_mps", c.speed_mps),
+                             ("custom.sin_psi_x", c.sin_psi_x),
+                             ("custom.sin_psi_y", c.sin_psi_y)):
+        # [0.0, -0.0] is reversed too: -0.0 sorts below 0.0.
+        if low > high or (repr(low), repr(high)) == ("0.0", "-0.0"):
+            raise ValueError(f"{key}: [low, high] needs low <= high, got {[low, high]}")
+    if plan.azimuth_max_rad < 0:
+        raise ValueError(f"azimuth_max_rad: must be >= 0, got {plan.azimuth_max_rad}")
     if c.rcs_m2 <= 0:
         raise ValueError(f"custom.rcs_m2: must be > 0, got {c.rcs_m2}")
-    near = [min(max(0.0, min(box)), max(box)) for box in (c.sin_psi_x, c.sin_psi_y)]
-    if math.hypot(*near) >= 1.0:
+    # The share of the box inside the disk, by the midpoint rule over 1024
+    # columns of the chord each cuts from the disk (a side of zero length
+    # is a line).
+    (a, b), (lo, hi) = c.sin_psi_x, c.sin_psi_y
+    x = a + (b - a) * (np.arange(1024) + 0.5) / 1024
+    half = np.sqrt(1.0 - np.clip(x, -1.0, 1.0) ** 2)
+    if hi > lo:
+        cut = np.clip(np.minimum(hi, half) - np.maximum(lo, -half), 0.0, None) / (hi - lo)
+    else:
+        cut = np.abs(lo) <= half
+    if np.mean(np.where(np.abs(x) <= 1.0, cut, 0.0)) < 1e-3:
         raise ValueError(f"custom.sin_psi_x, custom.sin_psi_y: the box {list(c.sin_psi_x)} "
-                         f"x {list(c.sin_psi_y)} has no point inside the unit disk")
+                         f"x {list(c.sin_psi_y)} has less than a thousandth of its area "
+                         "inside the unit disk")
     if not plan.pipelines:
         raise ValueError("pipelines: must list at least one pipeline")
     first = {}

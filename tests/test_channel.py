@@ -373,8 +373,7 @@ class TestFaMeasurements:
         shape = (1, r_bins, l)
         cmap = ClutterMap(chirp_tables=rng.normal(size=shape) + 1j * rng.normal(size=shape),
                           tone_vec=np.zeros(l, dtype=complex), range_res_m=scene.range_res_m,
-                          terrain="synthetic", params=None, patch_count=0, area_x_m=0.0,
-                          area_y_m=0.0, cell_m=1.0, station_height_m=1.0, seed=seed)
+                          patch_count=0)
         return scene, sched, cmap
 
     @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),

@@ -21,6 +21,7 @@ from mars_jcas.clutter import (
     GtriParams,
     build_clutter_map,
     gtri_reflectivity,
+    terrain_params,
     terrain_preset,
 )
 from mars_jcas.io import parse_config
@@ -86,7 +87,7 @@ class TestClutterMap:
         scene = replace(scene, clutter=replace(scene.clutter, area_x_m=20.0, area_y_m=10.0,
                                                station_height_m=5.0))
         cmap = build_clutter_map(scene)
-        params = cmap.params
+        params = terrain_params(scene)
         lam = scene.wavelength_m
         arr = scene.array
 
@@ -317,9 +318,7 @@ class TestDerivedSpectra:
     def _map(rng, slots, bins, l):
         shape = (slots, bins, l)
         return ClutterMap(chirp_tables=rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                          tone_vec=np.zeros(l, dtype=complex), range_res_m=1.0,
-                          terrain="synthetic", params=None, patch_count=0, area_x_m=0.0,
-                          area_y_m=0.0, cell_m=1.0, station_height_m=1.0, seed=0)
+                          tone_vec=np.zeros(l, dtype=complex), range_res_m=1.0, patch_count=0)
 
     @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4), l=st.integers(1, 8),
            n=st.integers(4, 64))

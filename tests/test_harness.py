@@ -437,7 +437,10 @@ class TestPlanRules:
             "sweep_axis": ("tx_power", "speed"),
             "sweep_values": ((), (0.5, 1.0), (1.0, 0.5), (0.0, 1.0)), "workers": (1, 0),
             "custom": (CustomRanges(), CustomRanges(rcs_m2=0.0),
-                       CustomRanges(sin_psi_x=(0.8, 0.9), sin_psi_y=(0.8, 0.9))),
+                       CustomRanges(sin_psi_x=(0.8, 0.9), sin_psi_y=(0.8, 0.9)),
+                       CustomRanges(speed_mps=(50.0, 7.0)), CustomRanges(speed_mps=(0.0, -0.0))),
+            "range_bounds_m": ((100.0, 1000.0), (900.0, 200.0)),
+            "azimuth_max_rad": (1.0, -0.1),
             "pipelines": ((spec,), (), (spec, fa1, replace(fa1, stte_guard=3))),
         }
         base = {f.name: getattr(ExperimentPlan(), f.name) for f in fields(ExperimentPlan)}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -51,7 +52,23 @@ from mars_jcas.scene import (
     WaveformConfig,
     validate_scene,
 )
-from mars_jcas.waveform import symbol_time_samples
+from mars_jcas.waveform import MarsSchedule, symbol_time_samples
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Every optional key set, each None-default optional included, and at least
 # one unit variant in each section that has them.
@@ -465,6 +482,110 @@ class TestConfigParsing:
             assert out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("experiment,message", [
+        ({"custom": {"range_m": [0.0, 0.0]}},
+         ": custom.range_m: 0.0 m is nearer than 0.0599584916 m, one wavelength or, for car "
+         "and uav, the farthest target height from the station"),
+        ({"custom": {"range_m": [300.0, 100.0]}},
+         ".experiment.custom.range_m: [low, high] needs low <= high, got [300.0, 100.0]"),
+        ({"custom": {"speed_mps": [50.0, 7.0]}}, ".experiment.custom.speed_mps: [low, high]"),
+        ({"custom": {"sin_psi_x": [0.5, -0.5]}}, ".experiment.custom.sin_psi_x: [low, high]"),
+        ({"scenario": "car", "range_bounds_m": [900.0, 200.0]},
+         ".experiment.range_bounds_m: [low, high]"),
+        ({"scenario": "car", "azimuth_max_deg": -10.0}, ".experiment.azimuth_max_rad: must be >= 0"),
+        ({"scenario": "car", "range_bounds_m": [0.0, 0.0]},
+         ": range_bounds_m: 0.0 m is nearer than 10.0 m"),
+        # Car targets sit on the ground, 10 m below the station; uav targets
+        # up to 90 m above it.
+        ({"scenario": "car", "range_bounds_m": [5.0, 5.0]},
+         ": range_bounds_m: 5.0 m is nearer than 10.0 m"),
+        ({"scenario": "uav", "range_bounds_m": [50.0, 60.0]},
+         ": range_bounds_m: 50.0 m is nearer than 90.0 m"),
+        ({"scenario": "car", "sweep_axis": "range", "sweep_values_m": [5.0, 200.0]},
+         ": sweep_values[0]: 5.0 m is nearer than 10.0 m"),
+        # The echoes follow the far-field radar equation.
+        ({"custom": {"range_m": [1e-300, 1e-300]}},
+         ": custom.range_m: 1e-300 m is nearer than 0.0599584916 m"),
+        ({"custom": {"speed_mps": [0.0, -0.0]}},
+         ".experiment.custom.speed_mps: [low, high] needs low <= high, got [0.0, -0.0]"),
+        # A box whose corner barely reaches into the unit disk: each draw
+        # took about 10^15 tries.
+        ({"custom": {"sin_psi_x": [0.70710678, 1.0], "sin_psi_y": [0.70710677, 1.0]}},
+         ".experiment.custom.sin_psi_x, custom.sin_psi_y: the box [0.70710678, 1.0] x "
+         "[0.70710677, 1.0] has less than a thousandth of its area inside the unit disk"),
+    ], ids=["custom_range_zero", "custom_range_reversed", "speed_reversed", "sin_x_reversed",
+            "car_range_reversed", "car_azimuth_negative", "car_range_zero", "car_below_station",
+            "uav_below_heights", "car_range_sweep_below_station", "custom_range_tiny",
+            "speed_zero_reversed", "sin_box_sliver"])
+    def test_undrawable_targets_fail_before_output_dir(self, tmp_path, capsys, experiment,
+                                                       message):
+        # Each exited 4 at drop 0, most after the output directory was made
+        # (car at [0, 0] with a ZeroDivisionError traceback, exit 1), or
+        # hung (the sliver); an alarm in this process bounds a hang.
+        cfg = self._desk_without_clutter(tmp_path, "draw", experiment)
+        for command, *flags in (("montecarlo", "--drops", "1"), ("simulate", "--targets", "1")):
+            out = tmp_path / command
+            with _alarm(30):
+                code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+            assert code == 3
+            assert f"{cfg}{message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", [
+        {"scenario": "car", "range_bounds_m": [10.0, 10.0]},
+        {"scenario": "uav", "range_bounds_m": [90.0, 90.0]},
+        {"scenario": "car", "sweep_axis": "range", "sweep_values_m": [10.0, 200.0]},
+    ], ids=["car", "uav", "car_range_sweep"])
+    def test_nearest_range_at_the_height_reach_runs(self, tmp_path, capsys, experiment):
+        cfg = self._desk_without_clutter(tmp_path, "reach", experiment)
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "mc"),
+                     "--drops", "2"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("section,edit,message", [
+        ("radio", {"uplink_distance_m": 0.0},
+         "radio.uplink_distance_m must be at least one wavelength (0.0599584916 m)"),
+        ("radio", {"uplink_distance_m": 1e-300}, "radio.uplink_distance_m must be at least"),
+        ("receiver", {"residual_dc_db": -6166.0}, "receiver.residual_dc_db must be >= 0"),
+        # A zero carrier had no wavelength to parse the spacings with (a
+        # ZeroDivisionError traceback); 400 dBm is 1e37 W.
+        ("radio", {"carrier_freq_ghz": 0.0}, ".radio.carrier_freq_hz must be > 0, got 0.0"),
+        ("radio", {"avg_tx_power_dbm": 400.0},
+         ".radio.avg_tx_power_dbm: bad value 400.0 (not within ±1e+30)"),
+        ("receiver", {"butterworth_cutoff_hz": 0.0}, "receiver.butterworth_cutoff_hz must be > 0"),
+        ("receiver", {"butterworth_cutoff_hz": -5.0}, "receiver.butterworth_cutoff_hz must be > 0"),
+        ("clutter", {"terrain": "mars_dust"}, "unknown terrain preset 'mars_dust'"),
+        ("clutter", {"gtri_a": -1.0}, ": gtri_reflectivity: A must be >= 0"),
+        ("clutter", {"gtri_b": 0.5, "gtri_c": -1.0},
+         ": gtri_reflectivity: (delta + C) < 0 with non-integer B"),
+        ("clutter", {"gtri_d": -1075.0}, ": gtri_reflectivity: D and sigma_h must be >= 0"),
+        ("clutter", {"gtri_b": 100.0, "gtri_c": 2.0},
+         "at grazing 0 and 90 degrees; it must be at most 1e+30"),
+    ], ids=["uplink_distance_zero", "uplink_distance_tiny", "residual_dc_negative",
+            "carrier_zero", "power_past_largest", "cutoff_zero", "cutoff_negative",
+            "unknown_terrain", "gtri_a_negative", "gtri_fractional_b_negative_c",
+            "gtri_d_negative", "reflectivity_past_largest"])
+    def test_scene_value_the_run_needs_fails_before_output_dir(self, tmp_path, capsys, section,
+                                                               edit, message):
+        # The uplink distance, the residual DC and the clutter values failed
+        # at drop 0 (the unknown terrain exit 3, the rest exit 4), after the
+        # output directory was made; a zero cutoff divided by zero in every
+        # cube, and a negative one ran as its magnitude.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(enabled=section == "clutter", area_x_m=60.0, area_y_m=60.0,
+                              cell_m=50.0)
+        raw.setdefault(section, {}).update(edit)
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        runs = [("montecarlo", "--drops", "1"), ("simulate", "--targets", "1")]
+        if section == "clutter":
+            runs.append(("clutter-map",))
+        for command, *flags in runs:
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 3
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_custom_box_partly_outside_disk_parses(self):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
         raw["experiment"]["custom"].update(sin_psi_x=[0.5, 2.0], sin_psi_y=[0.8, 0.9])
@@ -479,7 +600,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("cls", [RadioParams, ArrayGeometry, WaveformConfig, ClutterConfig,
                                      ReceiverConfig, Target, CustomRanges, PipelineSpec,
-                                     ExperimentPlan])
+                                     ExperimentPlan, MarsSchedule])
     def test_every_config_field_has_a_converter(self, cls):
         # An annotation the reader cannot convert would otherwise surface as
         # a KeyError at a user's load, reported as a config error.
@@ -561,7 +682,7 @@ class TestCubeFormat:
         np.testing.assert_array_equal(back.tone_branch_compressed,
                                       cube.tone_branch_compressed)
         assert back.sample_rate_hz == cube.sample_rate_hz
-        assert back.schedule.to_dict() == cube.schedule.to_dict()
+        assert to_dict(back.schedule) == to_dict(cube.schedule)
 
     def test_estimator_accepts_file_cube(self, tmp_path):
         scene, cube = self._cube()
@@ -588,7 +709,7 @@ class TestCubeFormat:
         path = tmp_path / "c.bin"
         write_cube(path, cube)
         chirp = oracles.chirp_branch_per_symbol(scene, sched, seed=9)
-        meta = json.dumps({"schedule": sched.to_dict()}).encode("utf-8")
+        meta = json.dumps({"schedule": to_dict(sched)}).encode("utf-8")
         want = (b"MARSCUB1"
                 + struct.pack("<IIIII", 1, 6, sched.num_chirp_symbols, 64, sched.num_tone_pris)
                 + struct.pack("<d", cube.sample_rate_hz) + struct.pack("<I", len(meta)) + meta
@@ -598,6 +719,50 @@ class TestCubeFormat:
         back = read_cube(path)
         assert back.chirp_branch.flags.c_contiguous
         assert np.array_equal(back.chirp_branch.view(float), cube.chirp_branch.view(float))
+
+    @staticmethod
+    def _with_header(path, header):
+        """The cube file at ``path`` with its JSON header replaced."""
+        data = path.read_bytes()
+        (old,) = struct.unpack("<I", data[36:40])
+        meta = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:36] + struct.pack("<I", len(meta)) + meta + data[40 + old:])
+
+    def test_reads_a_cube_whose_schedule_has_a_null_fa_seed(self, tmp_path):
+        # Cubes written while the schedule serialized itself carry
+        # "fa_seed": null; they read back as written.
+        scene, cube = self._cube()
+        path = tmp_path / "c.bin"
+        write_cube(path, cube)
+        self._with_header(path, {"schedule": {**to_dict(cube.schedule), "fa_seed": None}})
+        back = read_cube(path)
+        np.testing.assert_array_equal(back.chirp_branch, cube.chirp_branch)
+        np.testing.assert_array_equal(back.tone_branch_compressed,
+                                      cube.tone_branch_compressed)
+        assert back.schedule.fa_seed is None
+        assert to_dict(back.schedule) == to_dict(cube.schedule)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: {"schedule": {**s, "fa_sed": 3}}, "schedule: unknown keys ['fa_sed']"),
+        (lambda s: {"schedule": {k: v for k, v in s.items() if k != "va_slots"}},
+         "schedule: missing required key va_slots"),
+        (lambda s: {"schedule": {**s, "num_pri": 64.5}}, "schedule.num_pri: bad value 64.5"),
+        (lambda s: {"schedule": {**s, "va_slots": [[[1, 0]]]}},
+         "schedule.va_slots: bad value [[[1, 0]]] (expected 3 items)"),
+        (lambda s: {"schedule": {**s, "per_symbol_power_w": "high"}},
+         "schedule.per_symbol_power_w: bad value 'high'"),
+        (lambda s: {"schedule": s, "version": 2}, "header: unknown keys ['version']"),
+        (lambda s: {}, "header: missing required key schedule"),
+    ], ids=["unknown", "missing", "fraction", "pair", "string", "header-unknown",
+            "header-missing"])
+    def test_schedule_fails_closed(self, tmp_path, edit, message):
+        # An unknown key was ignored and a missing one raised KeyError.
+        _, cube = self._cube()
+        path = tmp_path / "c.bin"
+        write_cube(path, cube)
+        self._with_header(path, edit(to_dict(cube.schedule)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_cube(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_array, make_radio
+from mars_jcas.io import _read, to_dict
 from mars_jcas.waveform import (
     ChirpSpec,
     MarsSchedule,
@@ -196,8 +197,8 @@ class TestScheduleSerialization:
         kw = {"fa_seed": 5} if structure == "fa" else {"chirp_pri_indices": (1,)}
         sched = build_schedule(radio, make_array(tx=2, va=structure == "comb"),
                                structure, **kw)
-        text = yaml.safe_dump(sched.to_dict())
-        back = MarsSchedule.from_dict(yaml.safe_load(text))
+        text = yaml.safe_dump(to_dict(sched))
+        back = _read(MarsSchedule, yaml.safe_load(text), "schedule")
         assert back.chirp_pri_indices == sched.chirp_pri_indices
         assert back.va_slots == sched.va_slots
         assert back.structure == sched.structure
