@@ -27,7 +27,6 @@ from .harness import (
     RECORD_COLUMNS,
     DropError,
     ExperimentPlan,
-    check_target_count,
     drop_estimates,
     drop_scene,
     fa_schedule_seed,
@@ -227,7 +226,7 @@ def cmd_simulate(args) -> int:
     if args.targets is not None:
         try:
             plan = replace(plan, target_count=args.targets)
-            check_target_count(scene, plan, args.targets, "experiment.target_count")
+            plan_groups(scene, plan, ("experiment.target_count", args.targets))
         except ValueError as exc:
             raise ConfigError(f"command-line override: {exc}") from exc
         # The drop at every sweep point, as montecarlo scores it.
@@ -237,8 +236,8 @@ def cmd_simulate(args) -> int:
         # The config's own targets are scored, and go into the IF cubes:
         # check them before anything is written.
         try:
-            check_target_count(scene, plan, len(scene.targets), "len(targets)")
-            if any(schedule.structure != "fa" for _, schedule in plan_groups(scene, plan)):
+            groups = plan_groups(scene, plan, ("len(targets)", len(scene.targets)))
+            if any(schedule.structure != "fa" for _, schedule in groups):
                 for j, t in enumerate(scene.targets):
                     check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
         except ValueError as exc:
@@ -307,7 +306,7 @@ def cmd_montecarlo(args) -> int:
         print("config has no experiment section", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        check_target_count(scene, plan, plan.target_count, "experiment.target_count")
+        plan_groups(scene, plan, ("experiment.target_count", plan.target_count))
     except ValueError as exc:
         raise ConfigError(f"{_source(args)}: {exc}") from exc
     try:

@@ -38,10 +38,6 @@ class AngleVelocityMap:
     sin_res_y: float
     velocity_res_mps: float
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def sin_x(self, bin_x: int) -> float:
         return float(signed_bin(bin_x, self.values.shape[0]) * self.sin_res_x)
 

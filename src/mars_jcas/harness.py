@@ -304,44 +304,8 @@ def _drawn_ranges(plan: ExperimentPlan) -> list:
     return [("range_bounds_m", r) for r in plan.range_bounds_m]
 
 
-def _check_target_count(scene: ValidatedScene, schedule: MarsSchedule, k: int, i: int,
-                        pipe: PipelineSpec, what: str) -> None:
-    """Raise ValueError when pipeline ``i`` cannot return ``k`` targets on
-    every drop: more peaks than its map always holds, or (MUSIC) a signal
-    subspace of K in its num_rx x num_rx spatial and M x M temporal
-    covariances, which needs K + 1 <= min(num_rx, M)."""
-    if pipe.structure == "fa":
-        name, cells, claim = "FA", scene.radio.num_subcarriers, 9
-    else:
-        name, cells, claim = "STTE", scene.array.num_rx, 27
-    # The guard masks 2g + 1 velocity bins (g < M/2). Each peak the greedy
-    # search takes claims at most its 3 x 3 (x 3) neighbourhood, so it
-    # always finds ceil(F / claim) peaks among the F unmasked cells.
-    cells *= schedule.num_pri - 2 * pipe.stte_guard - 1
-    most = -(-cells // claim)
-    if k > most:
-        raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} exceeds the {most} peaks "
-                         f"its {name} map of {cells} unmasked cells always holds")
-    rank = min(scene.array.num_rx, schedule.num_pri)
-    if pipe.refinement == "music" and k + 1 > rank:
-        raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} needs K + 1 <= "
-                         f"min(num_rx, M) = {rank} for MUSIC")
-
-
-def check_target_count(scene: ValidatedScene, plan: ExperimentPlan, k: int,
-                       what: str) -> None:
-    """Raise ValueError naming the first pipeline of ``plan`` that cannot
-    return ``k`` targets on every drop (``what`` names the count in the
-    message), and whatever :func:`plan_groups` raises. A drop scores as
-    many targets as its scene holds: ``plan.target_count`` for drawn
-    targets, a config's own targets under ``simulate``."""
-    schedules = {(pipes[0].structure, pipes[0].va): schedule
-                 for pipes, schedule in plan_groups(scene, plan)}
-    for i, pipe in enumerate(plan.pipelines):
-        _check_target_count(scene, schedules[pipe.structure, pipe.va], k, i, pipe, what)
-
-
-def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
+def plan_groups(scene: ValidatedScene, plan: ExperimentPlan,
+                count: Optional[tuple[str, int]] = None) -> list:
     """The plan's pipelines grouped by (structure, va), in plan order, as
     (pipelines, schedule) pairs; each group shares one schedule and cube.
 
@@ -354,6 +318,12 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     farthest height from the station (:func:`draw_targets` takes
     asin(z / r)), or, with an IF cube among the groups, whose round trip
     outlasts the symbol (:func:`~mars_jcas.channel.check_if_range`).
+
+    With ``count``, the (name, k) of the target count a command scores, it
+    then raises naming the first pipeline that cannot return k targets on
+    every drop: more peaks than its map always holds, or (MUSIC) a signal
+    subspace of K in its num_rx x num_rx spatial and M x M temporal
+    covariances, which needs K + 1 <= min(num_rx, M).
     """
     members = {}
     for i, pipe in enumerate(plan.pipelines):
@@ -384,6 +354,26 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan) -> list:
     if nearest < floor:
         raise ValueError(f"{key}: {nearest} m is nearer than {floor} m, one wavelength or, "
                          f"for car and uav, the farthest target height from the station")
+    if count is None:
+        return groups
+    what, k = count
+    schedules = dict(zip(members, (schedule for _, schedule in groups)))
+    for i, pipe in enumerate(plan.pipelines):
+        schedule = schedules[pipe.structure, pipe.va]
+        name, cells, claim = (("FA", scene.radio.num_subcarriers, 9) if pipe.structure == "fa"
+                              else ("STTE", scene.array.num_rx, 27))
+        # The guard masks 2g + 1 velocity bins (g < M/2). Each peak the greedy
+        # search takes claims at most its 3 x 3 (x 3) neighbourhood, so it
+        # always finds ceil(F / claim) peaks among the F unmasked cells.
+        cells *= schedule.num_pri - 2 * pipe.stte_guard - 1
+        most = -(-cells // claim)
+        if k > most:
+            raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} exceeds the {most} peaks "
+                             f"its {name} map of {cells} unmasked cells always holds")
+        rank = min(scene.array.num_rx, schedule.num_pri)
+        if pipe.refinement == "music" and k + 1 > rank:
+            raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} needs K + 1 <= "
+                             f"min(num_rx, M) = {rank} for MUSIC")
     return groups
 
 
@@ -509,12 +499,10 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     if repeated:
         raise ValueError(f"drop {repeated[0]} is repeated: each drop is scored once")
     # A bad schedule, target count or clutter map fails before any drop; the
-    # map must hold the slot tables of the plan's widest schedule (each
-    # schedule takes its slots_per_chirp from the pipeline's array).
-    check_target_count(scene, plan, plan.target_count, "experiment.target_count")
+    # map must hold the slot tables of the plan's widest schedule.
+    groups = plan_groups(scene, plan, ("experiment.target_count", plan.target_count))
     if clutter is not None:
-        clutter.check_fits(scene, max(scene.array.with_va(p.va).slots_per_chirp
-                                      for p in plan.pipelines))
+        clutter.check_fits(scene, max(schedule.slots_per_chirp for _, schedule in groups))
     elif scene.clutter.enabled:
         clutter = build_clutter_for(scene, plan.pipelines)
     sweep = list(plan.sweep_values) if plan.sweep_values else [None]

@@ -4,7 +4,7 @@ Configs are YAML with nested sections. Each section's keys, types and
 defaults are the fields of its dataclass; a field may also be given in
 another unit (``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``, ...), converted
 to SI at parse time. Parsing fails closed: unknown keys, duplicate unit
-variants, type mismatches (an integer key given 2.7 or true, say) and floats
+variants, type mismatches (2.7, true or "7" for an integer key) and floats
 not finite or past :data:`LARGEST` raise :class:`ConfigError` with
 path-qualified messages, as in a cube's schedule. CSV output uses
 locale-independent full-precision scientific notation so replays are exact.
@@ -98,16 +98,26 @@ class _Section:
             raise ConfigError(f"{self.path}: unknown keys {sorted(unknown)}")
 
 
+def _expect(ok: bool, value, what: str):
+    """``value`` when ``ok``, else a ValueError. A reader passes its own
+    conversion as ``value``: what that refuses keeps its message, and what it
+    reads but the key's type is not (int("7"), a dict of pairs) is refused."""
+    if not ok:
+        raise ValueError(f"expected {what}")
+    return value
+
+
 def _int(v):
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError("expected an integer")
-    return int(v)
+    return _expect(not isinstance(v, str), int(v), "an integer")
 
 
-def _bool(v):
-    if isinstance(v, bool):
-        return v
-    raise ValueError("expected true/false")
+_float = lambda v: float(_expect(not isinstance(v, bool), v, "a number"))
+_str = lambda v: _expect(isinstance(v, str), v, "a string")
+_bool = lambda v: _expect(isinstance(v, bool), v, "true/false")
+_mapping = lambda v: _expect(isinstance(v, dict), dict(v), "a mapping")
+_list = lambda read: lambda v: _expect(not isinstance(v, (str, dict)), read(v), "a list")
 
 
 def _array(v):
@@ -117,7 +127,7 @@ def _array(v):
     return a
 
 
-_SCALARS = {int: _int, float: float, bool: _bool, str: str, np.ndarray: _array}
+_SCALARS = {int: _int, float: _float, bool: _bool, str: _str, np.ndarray: _array}
 
 
 def _converter(tp, path):
@@ -126,11 +136,12 @@ def _converter(tp, path):
     only ever a default."""
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
-        return lambda v: _read(tp, dict(v), path)
+        return lambda v: _read(tp, _mapping(v), path)
     if origin is Union:
         return _converter(args[0], path)
     if origin is tuple and is_dataclass(args[0]):
-        return lambda v: tuple(_read(args[0], x, f"{path}[{i}]") for i, x in enumerate(v))
+        return _list(lambda v: tuple(_read(args[0], x, f"{path}[{i}]")
+                                     for i, x in enumerate(v)))
     if origin is tuple:
         item = _converter(args[0], path)
         size = None if args[-1] is Ellipsis else len(args)
@@ -140,19 +151,20 @@ def _converter(tp, path):
             if size is not None and len(v) != size:
                 raise ValueError(f"expected {size} items")
             return v
-        return items
+        return _list(items)
     return _SCALARS[tp]
 
 
 def _scaled(k):
-    return lambda v, got: float(v) * k
+    return lambda v, got: _float(v) * k
 
 
-_dbm = lambda v, got: dbm_to_watts(v)
-_dbi = lambda v, got: 10.0 ** (float(v) / 10.0)
-_deg = lambda v, got: math.radians(float(v))
-_sin = lambda v, got: math.asin(float(v))
-_wavelengths = lambda v, got: float(v) * got["wavelength_m"]
+_dbm = lambda v, got: dbm_to_watts(_float(v))
+_dbi = lambda v, got: 10.0 ** (_float(v) / 10.0)
+_deg = lambda v, got: math.radians(_float(v))
+_sin = lambda v, got: math.asin(_float(v))
+_wavelengths = lambda v, got: _float(v) * got["wavelength_m"]
+_floats = _list(lambda v: tuple(_float(x) for x in v))
 
 # Unit variants of a field's own SI key: (key, to_SI(value, fields read so far)).
 _UNITS = {
@@ -175,13 +187,13 @@ _UNITS = {
     },
     Target: {
         "range_m": [("range_km", _scaled(1e3))],
-        "radial_velocity_mps": [("speed_kmh", lambda v, got: float(v) / 3.6)],
+        "radial_velocity_mps": [("speed_kmh", lambda v, got: _float(v) / 3.6)],
         "psi_x_rad": [("psi_x_deg", _deg), ("sin_psi_x", _sin)],
         "psi_y_rad": [("psi_y_deg", _deg), ("sin_psi_y", _sin)],
     },
     ExperimentPlan: {
-        "sweep_values": [("sweep_values_dbm", lambda v, got: tuple(dbm_to_watts(x) for x in v)),
-                         ("sweep_values_m", lambda v, got: tuple(float(x) for x in v))],
+        "sweep_values": [("sweep_values_dbm", lambda v, got: tuple(map(dbm_to_watts, _floats(v)))),
+                         ("sweep_values_m", lambda v, got: _floats(v))],
         "azimuth_max_rad": [("azimuth_max_deg", _deg)],
     },
 }
@@ -228,17 +240,18 @@ def config_from_dict(raw: dict, source: str = "config"):
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"{source}: empty config; required sections: radio, array")
     top = _Section(raw, source)
-    radio = _read(RadioParams, top.take(("radio", dict)), f"{source}.radio")
+    radio = _read(RadioParams, top.take(("radio", _mapping)), f"{source}.radio")
     lam = radio.wavelength_m
-    arr = _read(ArrayGeometry, top.take(("array", dict)), f"{source}.array",
+    arr = _read(ArrayGeometry, top.take(("array", _mapping)), f"{source}.array",
                 wavelength_m=lam, rx_spacing_x_m=lam / 2.0, rx_spacing_y_m=lam / 2.0)
-    sections = {name: _read(cls, top.take((name, dict), default={}), f"{source}.{name}")
+    sections = {name: _read(cls, top.take((name, _mapping), default={}), f"{source}.{name}")
                 for name, cls in (("waveform", WaveformConfig), ("clutter", ClutterConfig),
                                   ("receiver", ReceiverConfig))}
-    targets = tuple(_read(Target, t, f"{source}.targets[{i}]", psi_x_rad=0.0, psi_y_rad=0.0)
-                    for i, t in enumerate(top.take(("targets", list), default=[])))
+    targets = top.take(("targets", _list(lambda v: tuple(
+        _read(Target, t, f"{source}.targets[{i}]", psi_x_rad=0.0, psi_y_rad=0.0)
+        for i, t in enumerate(v)))), default=())
     seed = top.take(("seed", _int), default=SceneConfig.seed)
-    experiment_raw = top.take(("experiment", dict), default=None)
+    experiment_raw = top.take(("experiment", _mapping), default=None)
     top.finish()
     scene = SceneConfig(radio=radio, array=arr, targets=targets, seed=seed, **sections)
     plan = (_read(ExperimentPlan, experiment_raw, f"{source}.experiment", seed=seed)
@@ -318,7 +331,7 @@ def read_cube(path) -> IfCube:
         header = _Section(json.loads(fh.read(meta_len).decode("utf-8")), f"{path}: header")
         chirp = np.frombuffer(fh.read(16 * l * n_sym * n), dtype="<c16").reshape(l, n_sym, n)
         tone = np.frombuffer(fh.read(16 * l * m_tone), dtype="<c16").reshape(l, m_tone)
-    raw = header.take(("schedule", dict))
+    raw = header.take(("schedule", _mapping))
     header.finish()
     # Files written before to_dict left None fields out carry "fa_seed": null.
     schedule = _read(MarsSchedule, {k: v for k, v in raw.items() if v is not None},

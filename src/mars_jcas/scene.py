@@ -338,21 +338,23 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
     if r.gain_tx <= 0 or r.gain_rx <= 0:
         v.append("radio antenna gains must be > 0 (linear)")
 
+    # A rule on a derived value runs only when the value it divides by is
+    # not zero; that key's own rule has reported it.
     bandwidth = r.derived_bandwidth_hz
-    t_sym = r.derived_symbol_duration_s
+    t_sym = r.derived_symbol_duration_s if r.subcarrier_spacing_hz else None
     if r.bandwidth_hz is not None and not _close(r.bandwidth_hz, bandwidth):
         v.append(f"radio.bandwidth_hz={r.bandwidth_hz} inconsistent with "
                  f"num_subcarriers*subcarrier_spacing_hz={bandwidth}")
-    if r.symbol_duration_s is not None and not _close(r.symbol_duration_s, t_sym):
+    if None not in (t_sym, r.symbol_duration_s) and not _close(r.symbol_duration_s, t_sym):
         v.append(f"radio.symbol_duration_s={r.symbol_duration_s} inconsistent with "
                  f"1/subcarrier_spacing_hz={t_sym}")
 
-    num_pri = int(round(r.cpi_s / r.pri_s))
-    if num_pri < 1 or not _close(num_pri * r.pri_s, r.cpi_s):
+    num_pri = int(round(r.cpi_s / r.pri_s)) if r.pri_s else None
+    if num_pri is not None and (num_pri < 1 or not _close(num_pri * r.pri_s, r.cpi_s)):
         v.append(f"radio.cpi_s={r.cpi_s} is not an integer multiple of pri_s={r.pri_s}")
     if r.symbols_per_pri < 1:
         v.append("radio.symbols_per_pri must be >= 1")
-    elif not _close(r.symbols_per_pri * t_sym, r.pri_s):
+    elif t_sym is not None and not _close(r.symbols_per_pri * t_sym, r.pri_s):
         v.append(f"radio.pri_s={r.pri_s} does not equal symbols_per_pri*symbol_duration "
                  f"({r.symbols_per_pri}*{t_sym})")
 
@@ -369,7 +371,8 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
         v.append("waveform.guard_subcarriers must be >= 0")
     if w.tone_subcarrier_index is not None and not (0 <= w.tone_subcarrier_index < r.num_subcarriers):
         v.append("waveform.tone_subcarrier_index out of subcarrier range")
-    if w.duty_ratio is not None and not _close(w.duty_ratio, 1.0 / r.symbols_per_pri):
+    if (w.duty_ratio is not None and r.symbols_per_pri
+            and not _close(w.duty_ratio, 1.0 / r.symbols_per_pri)):
         v.append(f"waveform.duty_ratio={w.duty_ratio} incompatible with "
                  f"symbols_per_pri={r.symbols_per_pri} (expected {1.0 / r.symbols_per_pri})")
 

@@ -187,6 +187,24 @@ class TestToneBranch:
         spread = np.max(np.abs(tone - tone[:, :1]))
         assert spread < 1e-9 * np.max(np.abs(tone))
 
+    def test_symbol_noise_bandwidth_scales_only_the_tone_noise(self):
+        # receiver.tone_noise_bandwidth: symbol integrates the tone noise
+        # over 1/T_sym, symbols_per_pri times the PRI's 1/pri_s; echo, SI,
+        # uplink and every chirp sample stay as they were on the same seed.
+        t = Target(range_m=150.0, radial_velocity_mps=13.0, psi_x_rad=0.2,
+                   psi_y_rad=-0.1, rcs_m2=30.0)
+        cubes = {}
+        for bandwidth, radio in (("pri", make_radio()), ("symbol", make_radio()),
+                                 ("quiet", quiet_radio())):
+            scene = make_scene(radio=radio, targets=[t], uplink_power_w=0.1, dc_removal=False,
+                               tone_noise_bandwidth="pri" if bandwidth == "quiet" else bandwidth)
+            cubes[bandwidth] = synthesize_if_cube(scene, schedule_of(scene))
+        np.testing.assert_array_equal(cubes["symbol"].chirp_branch, cubes["pri"].chirp_branch)
+        rest = cubes["quiet"].tone_branch_compressed
+        noise = {k: cubes[k].tone_branch_compressed - rest for k in ("pri", "symbol")}
+        assert np.min(np.abs(noise["pri"])) > 1e-9 * np.max(np.abs(rest))
+        np.testing.assert_allclose(noise["symbol"], math.sqrt(15) * noise["pri"], rtol=1e-6)
+
     def test_dc_removal_nulls_static_field(self, desk, desk_clutter):
         scene, _ = desk
         scene = replace(scene, radio=replace(scene.radio, noise_density_w_per_hz=1e-60,

@@ -43,7 +43,6 @@ from mars_jcas.harness import (
     DropError,
     ExperimentPlan,
     TargetRecord,
-    check_target_count,
     draw_targets,
     drop_estimates,
     hit_rate,
@@ -58,7 +57,6 @@ from mars_jcas.harness import (
 from mars_jcas.io import config_from_dict, parse_config
 from mars_jcas.pipeline import PipelineSpec, run_fa_pipeline
 from mars_jcas.scene import ClutterConfig, Target, validate_scene
-from mars_jcas.waveform import build_schedule
 from mars_jcas.seeding import derive_seed
 
 # The five pipelines the desk_mc acceptance run compares.
@@ -458,25 +456,25 @@ class TestPlanRules:
                 ExperimentPlan(**kw)
 
     @given(structure=st.sampled_from(["comb", "fa"]), cols=st.integers(1, 3),
-           rows=st.integers(1, 3), n=st.integers(2, 12), m=st.integers(3, 12),
+           rows=st.integers(1, 3), n=st.integers(2, 12), m=st.integers(3, 16),
            guard=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_every_accepted_target_count_is_returned(self, structure, cols, rows, n, m,
                                                      guard, seed):
-        # The greedy peak search returns the largest target_count the
-        # check accepts on any map, ties included: each peak claims at
-        # most a 3 x 3 (x 3) neighbourhood of the unmasked cells.
-        assume(guard < m // 2)
+        # The greedy peak search returns the largest target_count
+        # plan_groups accepts on any map, ties included: each peak claims at
+        # most a 3 x 3 (x 3) neighbourhood of the unmasked cells. A comb
+        # schedule of W = 1 chirp occasion needs 10W < M.
+        assume(guard < m // 2 and (structure == "fa" or m > 10))
         scene = make_scene(radio=make_radio(n=n, num_pri=m), arr=make_array(cols=cols, rows=rows),
                            indices=(1,))
-        schedule = build_schedule(scene.radio, scene.array, "fa", fa_seed=0)
-        pipe = PipelineSpec(structure=structure, suppressor="mf" if structure == "fa" else "sthp",
-                            stte_guard=guard)
+        plan = ExperimentPlan(pipelines=(PipelineSpec(structure=structure, suppressor="mf",
+                                                      stte_guard=guard),))
+        [(_, schedule)] = plan_groups(scene, plan)
         most = 1
         while True:
             try:
-                harness._check_target_count(scene, schedule, most + 1, 0, pipe,
-                                            "experiment.target_count")
+                plan_groups(scene, plan, ("experiment.target_count", most + 1))
             except ValueError as exc:
                 assert f"experiment.target_count {most + 1} exceeds" in str(exc)
                 break
@@ -504,22 +502,22 @@ class TestPlanRules:
         # M x M temporal covariances.
         scene, plan = desk
         music = PipelineSpec(refinement="music")
-        check_target_count(scene, replace(plan, pipelines=(music,)), 15, "experiment.target_count")
+        plan_groups(scene, replace(plan, pipelines=(music,)), ("experiment.target_count", 15))
         with pytest.raises(ValueError, match=re.escape(
                 "pipelines[1] comb-sthp-inf-music: experiment.target_count 16 needs "
                 "K + 1 <= min(num_rx, M) = 16 for MUSIC")):
-            check_target_count(scene, replace(plan, pipelines=(PipelineSpec(), music)), 16,
-                               "experiment.target_count")
+            plan_groups(scene, replace(plan, pipelines=(PipelineSpec(), music)),
+                        ("experiment.target_count", 16))
         # A 6 x 5 array over M = 16 PRIs: the temporal covariance binds,
         # and 16 targets fit the map's ceil(30 * 15 / 27) = 17 peaks.
         scene = make_scene(radio=make_radio(num_pri=16, power_w=10.0),
                            arr=make_array(cols=6, rows=5), indices=(1,))
         music = PipelineSpec(suppressor="mf", refinement="music", stte_guard=0)
         plan = quiet_plan(pipelines=(music,), num_drops=1)
-        check_target_count(scene, plan, 15, "experiment.target_count")
+        plan_groups(scene, plan, ("experiment.target_count", 15))
         assert len(run_drop(scene, replace(plan, target_count=15), 0)) == 15
         with pytest.raises(ValueError, match=re.escape("needs K + 1 <= min(num_rx, M) = 16")):
-            check_target_count(scene, plan, 16, "experiment.target_count")
+            plan_groups(scene, plan, ("experiment.target_count", 16))
         with pytest.raises(DropError, match=re.escape("covariance rank 16 < K+1 = 17")):
             run_drop(scene, replace(plan, target_count=16), 0)
 

@@ -23,6 +23,7 @@ from conftest import (
     make_scene,
     on_grid_target,
 )
+from mars_jcas import harness
 from mars_jcas.channel import DropDraws, synthesize_if_cube
 from mars_jcas.cli import main, preset_path
 from mars_jcas.harness import CustomRanges, ExperimentPlan, schedule_for
@@ -52,6 +53,7 @@ from mars_jcas.scene import (
     WaveformConfig,
     validate_scene,
 )
+from mars_jcas.seeding import derive_seed
 from mars_jcas.waveform import MarsSchedule, symbol_time_samples
 
 
@@ -322,25 +324,35 @@ class TestConfigParsing:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    # A value of another type than its key's: a callable value maps the
+    # preset's own value to the bad one.
     @pytest.mark.parametrize("section,key,value", [
         ("waveform", "chirp_pri_indices", [1.5, 6]),
         ("experiment", "num_drops", 2.7),
         ("radio", "num_subcarriers", 2048.5),
         ("array", "rx_cols", True),
         (None, "seed", 3.9),
+        ("waveform", "chirp_pri_indices", "16"),     # read as (1, 6)
+        ("experiment", "sweep_values_dbm", "25"),    # read as 2 and 5 dBm
+        ("experiment", "num_drops", "7"),
+        ("radio", "avg_tx_power_dbm", True),         # read as 1 dBm
+        ("clutter", "terrain", 5),                   # read as "5"
+        (None, "radio", lambda radio: [list(pair) for pair in radio.items()]),
     ])
-    def test_integer_key_rejects_fraction_and_bool(self, tmp_path, capsys, section, key, value):
+    def test_key_rejects_value_of_another_type(self, tmp_path, capsys, section, key, value):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
-        (raw[section] if section else raw)[key] = value
-        cfg = tmp_path / "int.yaml"
+        mapping = raw[section] if section else raw
+        mapping[key] = value(mapping[key]) if callable(value) else value
+        cfg = tmp_path / "typed.yaml"
         cfg.write_text(yaml.safe_dump(raw))
         where = f"{cfg}.{section}.{key}" if section else f"{cfg}.{key}"
         with pytest.raises(ConfigError, match=re.escape(where) + ": bad value"):
             parse_config(cfg)
-        out = tmp_path / "mc"
-        assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == 3
-        assert where in capsys.readouterr().err
-        assert not out.exists()
+        for command in ("montecarlo", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            assert where in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value", [
         ("radio", "avg_tx_power_dbm", float("inf")),
@@ -753,8 +765,10 @@ class TestCubeFormat:
          "schedule.per_symbol_power_w: bad value 'high'"),
         (lambda s: {"schedule": s, "version": 2}, "header: unknown keys ['version']"),
         (lambda s: {}, "header: missing required key schedule"),
+        (lambda s: {"schedule": [list(pair) for pair in s.items()]},
+         "header.schedule: bad value [['num_pri', "),
     ], ids=["unknown", "missing", "fraction", "pair", "string", "header-unknown",
-            "header-missing"])
+            "header-missing", "header-pairs"])
     def test_schedule_fails_closed(self, tmp_path, edit, message):
         # An unknown key was ignored and a missing one raised KeyError.
         _, cube = self._cube()
@@ -791,6 +805,34 @@ class TestCsv:
 
 
 class TestCli:
+    def test_drop_failure_names_what_replays_it(self, tmp_path, capsys, monkeypatch):
+        # A pipeline that raises inside a drop is a runtime error (exit 4)
+        # naming the drop, its sweep value, its seed and the pipeline.
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected failure")
+        monkeypatch.setattr(harness, "run_pipeline", broken)
+        raw = desk_raw()
+        raw["clutter"]["enabled"] = False
+        cfg = tmp_path / "desk.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        _, plan = parse_config(cfg)
+        code = main(["montecarlo", "--config", str(cfg), "--drops", "2",
+                     "--out", str(tmp_path / "mc")])
+        assert code == 4
+        seed = derive_seed(plan.seed, "drop", 0, "None")
+        assert capsys.readouterr().err == (
+            f"runtime error: drop 0 (sweep value None, seed {seed}, pipeline "
+            f"{plan.pipelines[0].tag}): injected failure\n")
+
+    def test_seed_override_reaches_scene_and_plan(self, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--preset", "desk_small", "--drops", "1", "--seed", "5",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest.master_seed == 5
+        assert manifest.effective_config["seed"] == 5
+        assert manifest.effective_config["experiment"]["seed"] == 5
+
     def test_resolution_prints_and_writes(self, tmp_path, capsys):
         code = main(["resolution", "--preset", "table1_car", "--out", str(tmp_path)])
         assert code == 0

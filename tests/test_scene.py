@@ -5,17 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
-from conftest import make_array, make_radio, make_scene
-from mars_jcas.cli import preset_path
+from conftest import desk_raw, make_array, make_radio, make_scene
+from mars_jcas.cli import main, preset_path
 from mars_jcas.io import parse_config
 from oracles import psi_from_spherical, spherical_from_psi
 from mars_jcas.scene import (
+    SceneConfig,
     SceneValidationError,
     Target,
+    WaveformConfig,
     received_power,
     resolution_report,
     steering_ula,
@@ -62,8 +65,6 @@ class TestValidation:
                            chirp_pri_indices=scene.waveform.chirp_pri_indices)
 
     def test_duty_ratio_incompatible(self):
-        from mars_jcas.scene import SceneConfig, WaveformConfig
-
         cfg = SceneConfig(radio=make_radio(spp=15), array=make_array(),
                           waveform=WaveformConfig(duty_ratio=0.5))
         with pytest.raises(SceneValidationError, match="duty"):
@@ -74,6 +75,65 @@ class TestValidation:
         with pytest.raises(SceneValidationError) as err:
             make_scene(targets=[bad])
         assert len(err.value.violations) >= 3
+
+    def test_zero_divisors_list_every_violation(self):
+        # No value is derived by dividing by a zero key; the rest of the
+        # scene is still checked.
+        radio = replace(make_radio(), subcarrier_spacing_hz=0.0, pri_s=0.0, symbols_per_pri=0)
+        cfg = SceneConfig(radio=radio, array=make_array(cols=0),
+                          waveform=WaveformConfig(duty_ratio=0.5))
+        with pytest.raises(SceneValidationError) as err:
+            validate_scene(cfg)
+        assert err.value.violations == [
+            "radio.subcarrier_spacing_hz must be > 0", "radio.pri_s must be > 0",
+            "radio.symbols_per_pri must be >= 1", "array.rx_cols and array.rx_rows must be >= 1"]
+
+    # desk_small with one quantity changed ("section.key": value; None
+    # removes the key, so its SI form can replace a unit variant), and the
+    # rule of validate_scene it breaks. The first three divided by zero.
+    @pytest.mark.parametrize("edits,message", [
+        ({"radio.subcarrier_spacing_khz": 0}, "radio.subcarrier_spacing_hz must be > 0"),
+        ({"radio.pri_ms": 0}, "radio.pri_s must be > 0"),
+        ({"radio.symbols_per_pri": 0, "waveform.duty_ratio": 0.5},
+         "radio.symbols_per_pri must be >= 1"),
+        ({"radio.num_subcarriers": 1}, "radio.num_subcarriers must be >= 2"),
+        ({"radio.avg_tx_power_dbm": None, "radio.avg_tx_power_w": 0.0},
+         "radio.avg_tx_power_w must be > 0"),
+        ({"radio.noise_density_dbm_per_hz": None, "radio.noise_density_w_per_hz": -1e-21},
+         "radio.noise_density_w_per_hz must be > 0"),
+        ({"radio.cpi_ms": 0}, "radio.cpi_s must be > 0"),
+        ({"radio.uplink_power_dbm": None, "radio.uplink_power_w": -1.0},
+         "radio.uplink_power_w must be >= 0"),
+        ({"radio.si_attenuation_db": -1.0}, "radio.si_attenuation_db must be >= 0"),
+        ({"radio.symbol_duration_us": 10.0}, "inconsistent with 1/subcarrier_spacing_hz="),
+        ({"radio.cpi_ms": 16.1}, "is not an integer multiple of pri_s="),
+        ({"radio.symbols_per_pri": 14}, "does not equal symbols_per_pri*symbol_duration (14*"),
+        ({"array.rx_rows": 0}, "array.rx_cols and array.rx_rows must be >= 1"),
+        ({"array.tx_cols": 0}, "array.tx_cols and array.tx_rows must be >= 1"),
+        ({"array.rx_spacing_y_wavelengths": 0.0}, "array element spacings must be > 0"),
+        ({"waveform.structure": "zigzag"}, "waveform.structure must be one of"),
+        ({"waveform.guard_subcarriers": -1}, "waveform.guard_subcarriers must be >= 0"),
+        ({"clutter.station_height_m": 0.0}, "clutter.station_height_m must be > 0"),
+        ({"clutter.cell_m": 0.0}, "clutter area and cell size must be > 0"),
+        ({"clutter.area_standoff_m": -1.0}, "clutter.area_standoff_m must be >= 0"),
+        ({"receiver.butterworth_order": 0}, "receiver.butterworth_order must be >= 1"),
+        ({"receiver.tone_noise_bandwidth": "cpi"},
+         "receiver.tone_noise_bandwidth must be 'pri' or 'symbol'"),
+    ])
+    def test_every_rule_is_a_config_error(self, tmp_path, capsys, edits, message):
+        raw = desk_raw()
+        for where, value in edits.items():
+            section, key = where.split(".")
+            raw.setdefault(section, {}).pop(key, None)
+            if value is not None:
+                raw[section][key] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        for command in ("montecarlo", "simulate", "resolution"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestResolution:
