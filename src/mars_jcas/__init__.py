@@ -18,8 +18,6 @@ from .scene import (
     ValidatedScene,
     received_power,
     resolution_report,
-    steering_ula,
-    steering_ura,
     validate_scene,
 )
 from .waveform import (
@@ -53,7 +51,6 @@ from .harness import (
     DropError,
     ExperimentPlan,
     TrialReport,
-    hit_rate,
     monte_carlo,
     rmse_normalized,
     run_drop,

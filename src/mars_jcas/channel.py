@@ -56,10 +56,6 @@ class IfCube:
     def num_elements(self) -> int:
         return self.chirp_branch.shape[1]
 
-    def chirp_symbol(self, index: int) -> np.ndarray:
-        """One chirp symbol's (L, N) sample block."""
-        return self.chirp_branch[index]
-
 
 def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
     """|H(f)|^2 = 1 / (1 + (f/f_cut)^(2a)) low-pass power response."""

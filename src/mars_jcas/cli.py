@@ -111,7 +111,7 @@ def _load(args, default_plan=False):
     return scene_cfg, scene, plan
 
 
-def _command(args) -> list:
+def _command(args) -> tuple:
     """The subcommand and each option (``--`` and its dest, dashed) whose
     parsed value differs from its default, as replay passes them back. The
     config, seed and output directory are left out: replay takes them from
@@ -124,7 +124,7 @@ def _command(args) -> list:
         tokens.append("--" + dest.replace("_", "-"))
         if value is not True:
             tokens.append(str(value))
-    return tokens
+    return tuple(tokens)
 
 
 def _manifest_for(args, scene_cfg, plan) -> RunManifest:
@@ -134,7 +134,7 @@ def _manifest_for(args, scene_cfg, plan) -> RunManifest:
     return RunManifest(
         tool="mars-jcas", version=__version__, command=_command(args),
         master_seed=plan.seed if plan is not None else scene_cfg.seed,
-        config_hash=config_hash(effective), effective_config=effective,
+        config_hash=config_hash(effective), effective_config=effective, stages=(), outputs=(),
     )
 
 
@@ -306,10 +306,6 @@ def cmd_montecarlo(args) -> int:
         print("config has no experiment section", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        plan_groups(scene, plan, ("experiment.target_count", plan.target_count))
-    except ValueError as exc:
-        raise ConfigError(f"{_source(args)}: {exc}") from exc
-    try:
         if args.scale == "full":
             # Benchmark-scale statistics; pair with the table1_* presets to
             # reproduce the published curve structure (long runtime).
@@ -320,13 +316,17 @@ def cmd_montecarlo(args) -> int:
             plan = replace(plan, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(f"command-line override: {exc}") from exc
-    out = _outdir(args)
     manifest = _manifest_for(args, scene_cfg, plan)
-
     started = time.perf_counter()
-    rows, report = monte_carlo(plan, scene)
+    try:
+        # monte_carlo checks the plan's schedules, target count and clutter
+        # map before its first drop; the output directory comes after it.
+        rows, report = monte_carlo(plan, scene)
+    except ValueError as exc:
+        raise ConfigError(f"{_source(args)}: {exc}") from exc
     manifest.add_stage("monte_carlo", time.perf_counter() - started)
 
+    out = _outdir(args)
     write_csv(out / "curves.csv", CURVE_COLUMNS, rows)
     write_csv(out / "records.csv", RECORD_COLUMNS, record_rows(report.records))
     manifest.add_output(out / "curves.csv", out / "records.csv")
@@ -448,10 +448,7 @@ def main(argv=None) -> int:
     except (ConfigError, SceneValidationError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DropError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, OSError) as exc:
+    except (DropError, ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -444,12 +444,6 @@ def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
     return records
 
 
-def hit_rate(records: Sequence[TargetRecord]) -> float:
-    if not records:
-        raise ValueError("hit_rate: no records")
-    return sum(r.hit for r in records) / len(records)
-
-
 def rmse_normalized(records: Sequence[TargetRecord]) -> Optional[dict]:
     """Per-dimension RMSE of (estimate - truth)/resolution over hits only;
     None when there are no hits. Records already carry normalized errors."""

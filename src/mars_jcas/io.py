@@ -6,8 +6,9 @@ another unit (``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``, ...), converted
 to SI at parse time. Parsing fails closed: unknown keys, duplicate unit
 variants, type mismatches (2.7, true or "7" for an integer key) and floats
 not finite or past :data:`LARGEST` raise :class:`ConfigError` with
-path-qualified messages, as in a cube's schedule. CSV output uses
-locale-independent full-precision scientific notation so replays are exact.
+path-qualified messages, as in a cube's schedule and a run manifest. CSV
+output uses locale-independent full-precision scientific notation so replays
+are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -57,8 +58,6 @@ class _Section:
     """One config mapping with fail-closed key accounting."""
 
     def __init__(self, data: dict, path: str):
-        if data is None:
-            data = {}
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
         self.data = data
@@ -116,7 +115,7 @@ def _int(v):
 _float = lambda v: float(_expect(not isinstance(v, bool), v, "a number"))
 _str = lambda v: _expect(isinstance(v, str), v, "a string")
 _bool = lambda v: _expect(isinstance(v, bool), v, "true/false")
-_mapping = lambda v: _expect(isinstance(v, dict), dict(v), "a mapping")
+_mapping = lambda v: dict(_expect(isinstance(v, dict), v, "a mapping"))
 _list = lambda read: lambda v: _expect(not isinstance(v, (str, dict)), read(v), "a list")
 
 
@@ -127,7 +126,8 @@ def _array(v):
     return a
 
 
-_SCALARS = {int: _int, float: _float, bool: _bool, str: _str, np.ndarray: _array}
+_SCALARS = {int: _int, float: _float, bool: _bool, str: _str, dict: _mapping,
+            np.ndarray: _array}
 
 
 def _converter(tp, path):
@@ -367,58 +367,58 @@ def write_csv(path, fieldnames, rows) -> None:
 
 # --- run manifest -------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Stage:
+    """One timed stage of a run; timings stay out of the hashed outputs."""
+
+    name: str
+    seconds: float
+
+
 @dataclass
 class RunManifest:
     """Everything needed to replay a run and check it reproduced."""
 
     tool: str
     version: str
-    command: list
+    command: tuple[str, ...]
     master_seed: int
     config_hash: str
     effective_config: dict
-    stages: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
+    stages: tuple[Stage, ...]
+    outputs: tuple[dict, ...]
+
+    def __post_init__(self):
+        # The rules a field's type cannot state; the message names the field.
+        if not self.command:
+            raise ValueError("command: must name the subcommand, got none")
+        for i, entry in enumerate(self.outputs):
+            name = entry.get("path")
+            if not (set(entry) == {"path", "sha256"} and isinstance(name, str)
+                    and name not in ("", "..") and Path(name).name == name
+                    and isinstance(entry["sha256"], str)
+                    and re.fullmatch("[0-9a-f]{64}", entry["sha256"])):
+                raise ValueError(f"outputs[{i}]: {entry!r} is not a bare file name and "
+                                 "its sha256")
 
     def add_stage(self, name: str, seconds: float) -> None:
-        self.stages.append({"name": name, "seconds": seconds})
+        self.stages += (Stage(name, seconds),)
 
     def add_output(self, *paths) -> None:
         for path in paths:
             digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            self.outputs.append({"path": Path(path).name, "sha256": digest})
+            self.outputs += ({"path": Path(path).name, "sha256": digest},)
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-def _is_output(entry) -> bool:
-    """An ``outputs`` entry as :meth:`RunManifest.add_output` writes it."""
-    return (isinstance(entry, dict) and set(entry) == {"path", "sha256"}
-            and isinstance(entry["path"], str) and entry["path"] not in ("", "..")
-            and Path(entry["path"]).name == entry["path"]
-            and isinstance(entry["sha256"], str)
-            and re.fullmatch("[0-9a-f]{64}", entry["sha256"]) is not None)
-
-
 def read_manifest(path) -> RunManifest:
-    """The manifest at ``path``. Fails closed: anything
-    :meth:`RunManifest.write` would not have written is a ConfigError."""
+    """The manifest at ``path``, read as a config section is: anything
+    :meth:`RunManifest.write` would not have written is a ConfigError
+    naming the field at fault."""
     try:
         raw = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise ConfigError(f"{path}: not a JSON manifest: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: a manifest is a JSON object, got {type(raw).__name__}")
-    names = [f.name for f in fields(RunManifest)]
-    missing, unknown = [n for n in names if n not in raw], sorted(set(raw) - set(names))
-    if missing or unknown:
-        raise ConfigError(f"{path}: missing fields {missing}, unknown fields {unknown}")
-    command, outputs = raw["command"], raw["outputs"]
-    if not (isinstance(command, list) and command and all(isinstance(t, str) for t in command)):
-        raise ConfigError(f"{path}: command must be a non-empty list of strings, got {command!r}")
-    if not isinstance(raw["effective_config"], dict):
-        raise ConfigError(f"{path}: effective_config must be an object")
-    if not (isinstance(outputs, list) and all(map(_is_output, outputs))):
-        raise ConfigError(f"{path}: outputs must list each output's bare file name and sha256")
-    return RunManifest(**raw)
+    return _read(RunManifest, raw, str(path))

@@ -239,16 +239,6 @@ def steering_from_sin(sin_psi, count: int, spacing_m: float, wavelength_m: float
     return np.exp(2j * np.pi * n * spacing_m * sin_psi / wavelength_m)
 
 
-def steering_ula(psi_rad: float, count: int, spacing_m: float, wavelength_m: float) -> np.ndarray:
-    """Steering vector of a uniform linear array; element l carries
-    exp(j*2*pi*l*d*sin(psi)/lambda)."""
-    if count < 1:
-        raise ValueError("steering_ula: count must be >= 1")
-    if spacing_m <= 0:
-        raise ValueError("steering_ula: spacing must be > 0")
-    return steering_from_sin(math.sin(psi_rad), count, spacing_m, wavelength_m)
-
-
 def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m) -> np.ndarray:
     """URA steering vector on sin-angle coordinates, y-axis factor on the
     left of the Kronecker product (x index runs fastest). Equal-length
@@ -256,15 +246,6 @@ def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m
     ax = steering_from_sin(sin_psi_x, cols, dx, wavelength_m)
     ay = steering_from_sin(sin_psi_y, rows, dy, wavelength_m)
     return (ay[:, None] * ax[None]).reshape((rows * cols,) + ax.shape[1:])
-
-
-def steering_ura(psi_x_rad, psi_y_rad, cols, rows, dx, dy, wavelength_m) -> np.ndarray:
-    """2D steering vector of a uniform rectangular array."""
-    if cols < 1 or rows < 1:
-        raise ValueError("steering_ura: cols and rows must be >= 1")
-    return steering_ura_from_sin(
-        math.sin(psi_x_rad), math.sin(psi_y_rad), cols, rows, dx, dy, wavelength_m
-    )
 
 
 def received_power(kind: str, p_tx_w: float, gain_tx: float, gain_rx: float,

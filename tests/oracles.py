@@ -520,7 +520,7 @@ def compensated_space_time(cube, scene, doppler_hz):
     for w in range(schedule.num_chirp_occasions):
         mats = []
         for e in range(slots):
-            block = cube.chirp_symbol(w * slots + e)
+            block = cube.chirp_branch[w * slots + e]
             if slots > 1 and e:
                 block = block * np.exp(-2j * np.pi * doppler_hz * e * scene.radio.pri_s)
             mats.append(block)

@@ -44,7 +44,7 @@ class TestChirpBranch:
                    psi_y_rad=0.0, rcs_m2=100.0)
         scene = make_scene(radio=radio, targets=[t], si_attenuation_db=300.0)
         cube = synthesize_if_cube(scene, schedule_of(scene))
-        symbol = cube.chirp_symbol(0)
+        symbol = cube.chirp_branch[0]
         spectrum = np.abs(np.fft.fft(symbol[0]))
         expected_bin = round(300.0 / scene.range_res_m)
         assert int(np.argmax(spectrum)) == expected_bin
@@ -296,8 +296,8 @@ class TestDopplerModes:
         ce = synthesize_if_cube(exact, sched)
         for cube in (cf, ce):
             assert cube.chirp_branch.shape == cf.chirp_branch.shape
-        pf = np.max(np.abs(np.fft.fft(cf.chirp_symbol(0)[0]))) ** 2
-        pe = np.max(np.abs(np.fft.fft(ce.chirp_symbol(0)[0]))) ** 2
+        pf = np.max(np.abs(np.fft.fft(cf.chirp_branch[0][0]))) ** 2
+        pe = np.max(np.abs(np.fft.fft(ce.chirp_branch[0][0]))) ** 2
         assert abs(10 * math.log10(pf / pe)) < 0.1
         tf = np.max(np.abs(cf.tone_branch_compressed))
         te = np.max(np.abs(ce.tone_branch_compressed))

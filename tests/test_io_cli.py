@@ -338,6 +338,11 @@ class TestConfigParsing:
         ("radio", "avg_tx_power_dbm", True),         # read as 1 dBm
         ("clutter", "terrain", 5),                   # read as "5"
         (None, "radio", lambda radio: [list(pair) for pair in radio.items()]),
+        (None, "radio", [1]),
+        # A null list item once read as a section of defaults: one default
+        # pipeline, or a target missing its range_m.
+        ("experiment", "pipelines", [None]),
+        (None, "targets", [None]),
     ])
     def test_key_rejects_value_of_another_type(self, tmp_path, capsys, section, key, value):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
@@ -346,7 +351,10 @@ class TestConfigParsing:
         cfg = tmp_path / "typed.yaml"
         cfg.write_text(yaml.safe_dump(raw))
         where = f"{cfg}.{section}.{key}" if section else f"{cfg}.{key}"
-        with pytest.raises(ConfigError, match=re.escape(where) + ": bad value"):
+        # Where a section goes, a list or a null list item says so.
+        said = {"[1]": ": bad value [1] (expected a mapping)",
+                "[None]": "[0]: expected a mapping, got NoneType"}.get(repr(value), ": bad value")
+        with pytest.raises(ConfigError, match=re.escape(where + said)):
             parse_config(cfg)
         for command in ("montecarlo", "simulate"):
             out = tmp_path / command
@@ -1218,24 +1226,45 @@ class TestCli:
         for entry in manifest["outputs"]:
             assert re.search(rf"^{re.escape(entry['path'])}\s+ok$", report, re.MULTILINE)
 
+    # Each message names the field at fault; the manifest is at bad.json.
     @pytest.mark.parametrize("edit, message", [
         (lambda m: "{not json", "not a JSON manifest"),
-        (lambda m: [1, 2], "a manifest is a JSON object, got list"),
-        (lambda m: {"tool": "x"}, "missing fields ['version', 'command', 'master_seed'"),
+        (lambda m: [1, 2], "bad.json: expected a mapping, got list"),
+        (lambda m: {"tool": "x"}, "bad.json: missing required key version"),
         (lambda m: {k: v for k, v in m.items() if k != "config_hash"},
-         "missing fields ['config_hash']"),
-        (lambda m: {**m, "note": 1}, "unknown fields ['note']"),
-        (lambda m: {**m, "command": "resolution"}, "command must be a non-empty list of strings"),
-        (lambda m: {**m, "command": ["resolution", 3]}, "command must be a non-empty list"),
-        (lambda m: {**m, "effective_config": [1]}, "effective_config must be an object"),
-        (lambda m: {**m, "outputs": m["outputs"][0]}, "outputs must list"),
+         "bad.json: missing required key config_hash"),
+        (lambda m: {**m, "note": 1}, "bad.json: unknown keys ['note']"),
+        (lambda m: {**m, "command": "resolution"},
+         "bad.json.command: bad value 'resolution' (expected a list)"),
+        (lambda m: {**m, "command": ["resolution", 3]},
+         "bad.json.command: bad value ['resolution', 3] (expected a string)"),
+        (lambda m: {**m, "command": []}, "bad.json.command: must name the subcommand"),
+        (lambda m: {**m, "effective_config": [1]},
+         "bad.json.effective_config: bad value [1] (expected a mapping)"),
+        (lambda m: {**m, "outputs": m["outputs"][0]},
+         "bad.json.outputs: bad value {'path': 'resolution.csv'"),
         (lambda m: {**m, "outputs": [{**m["outputs"][0], "path": "../resolution.csv"}]},
-         "outputs must list each output's bare file name and sha256"),
-        (lambda m: {**m, "outputs": [{"path": "resolution.csv"}]}, "outputs must list"),
-        (lambda m: {**m, "outputs": [{**m["outputs"][0], "sha256": "0"}]}, "outputs must list"),
+         "bad.json.outputs[0]: {'path': '../resolution.csv'"),
+        (lambda m: {**m, "outputs": [{"path": "resolution.csv"}]},
+         "bad.json.outputs[0]: {'path': 'resolution.csv'} is not a bare file name and its sha256"),
+        (lambda m: {**m, "outputs": [{**m["outputs"][0], "sha256": "0"}]},
+         "bad.json.outputs[0]: {'path': 'resolution.csv', 'sha256': '0'}"),
+        (lambda m: {**m, "outputs": [1]}, "bad.json.outputs: bad value [1] (expected a mapping)"),
+        (lambda m: {**m, "tool": 3}, "bad.json.tool: bad value 3 (expected a string)"),
+        (lambda m: {**m, "version": [1]}, "bad.json.version: bad value [1] (expected a string)"),
+        (lambda m: {**m, "master_seed": "abc"}, "bad.json.master_seed: bad value 'abc'"),
+        (lambda m: {**m, "config_hash": None},
+         "bad.json.config_hash: bad value None (expected a string)"),
+        (lambda m: {**m, "stages": 5}, "bad.json.stages: bad value 5"),
+        (lambda m: {**m, "stages": [{"name": "monte_carlo"}]},
+         "bad.json.stages[0]: missing required key seconds"),
+        (lambda m: {**m, "stages": [{"name": 1, "seconds": 0.5}]},
+         "bad.json.stages[0].name: bad value 1 (expected a string)"),
     ], ids=["invalid-json", "not-an-object", "fields-missing", "field-missing",
-            "field-unknown", "command-string", "command-token", "effective-config",
-            "outputs-object", "output-path", "output-no-sha256", "output-bad-sha256"])
+            "field-unknown", "command-string", "command-token", "command-empty",
+            "effective-config", "outputs-object", "output-path", "output-no-sha256",
+            "output-bad-sha256", "output-number", "tool", "version", "master-seed",
+            "config-hash", "stages-number", "stage-no-seconds", "stage-name"])
     def test_malformed_manifest_fails_before_output_dir(self, tmp_path, capsys, edit, message):
         run = tmp_path / "run"
         assert main(["resolution", "--preset", "desk_small", "--out", str(run)]) == 0

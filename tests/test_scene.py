@@ -21,8 +21,8 @@ from mars_jcas.scene import (
     WaveformConfig,
     received_power,
     resolution_report,
-    steering_ula,
-    steering_ura,
+    steering_from_sin,
+    steering_ura_from_sin,
     validate_scene,
 )
 from mars_jcas.waveform import build_schedule
@@ -171,15 +171,15 @@ class TestResolution:
 
 class TestSteering:
     def test_boresight_is_ones(self):
-        np.testing.assert_allclose(steering_ula(0.0, 8, 0.03, 0.06), np.ones(8))
+        np.testing.assert_allclose(steering_from_sin(math.sin(0.0), 8, 0.03, 0.06), np.ones(8))
 
     def test_two_element_endfire(self):
-        got = steering_ula(math.pi / 2, 2, 0.03, 0.06)
+        got = steering_from_sin(math.sin(math.pi / 2), 2, 0.03, 0.06)
         np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-12)
 
     def test_eight_element_oracle(self):
         # Independent element-wise evaluation of exp(j*pi*l*sin(30deg)).
-        got = steering_ula(math.pi / 6, 8, 0.03, 0.06)
+        got = steering_from_sin(math.sin(math.pi / 6), 8, 0.03, 0.06)
         want = [complex(math.cos(math.pi * l * 0.5), math.sin(math.pi * l * 0.5))
                 for l in range(8)]
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -188,34 +188,36 @@ class TestSteering:
            spacing=st.floats(0.005, 0.1))
     @settings(max_examples=50, deadline=None)
     def test_unit_modulus_and_self_product(self, psi, count, spacing):
-        a = steering_ula(psi, count, spacing, 0.06)
+        a = steering_from_sin(math.sin(psi), count, spacing, 0.06)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
         assert np.vdot(a, a).real == pytest.approx(count)
 
     def test_ura_boresight(self):
-        np.testing.assert_allclose(steering_ura(0.0, 0.0, 3, 2, 0.03, 0.03, 0.06),
-                                   np.ones(6))
+        got = steering_ura_from_sin(math.sin(0.0), math.sin(0.0), 3, 2, 0.03, 0.03, 0.06)
+        np.testing.assert_allclose(got, np.ones(6))
 
     def test_ura_2x2_kron_order(self):
-        got = steering_ura(math.pi / 2, 0.0, 2, 2, 0.03, 0.03, 0.06)
+        got = steering_ura_from_sin(math.sin(math.pi / 2), math.sin(0.0), 2, 2, 0.03, 0.03, 0.06)
         np.testing.assert_allclose(got, [1, -1, 1, -1], atol=1e-12)
 
     @given(psi=st.floats(-1.2, 1.2), count=st.integers(1, 9))
     @settings(max_examples=30, deadline=None)
     def test_ura_degenerates_to_ula(self, psi, count):
-        ula = steering_ula(psi, count, 0.03, 0.06)
-        np.testing.assert_allclose(steering_ura(psi, 0.0, count, 1, 0.03, 0.03, 0.06), ula)
-        np.testing.assert_allclose(steering_ura(0.0, psi, 1, count, 0.03, 0.03, 0.06), ula)
+        ula = steering_from_sin(math.sin(psi), count, 0.03, 0.06)
+        s, zero = math.sin(psi), math.sin(0.0)
+        np.testing.assert_allclose(steering_ura_from_sin(s, zero, count, 1, 0.03, 0.03, 0.06), ula)
+        np.testing.assert_allclose(steering_ura_from_sin(zero, s, 1, count, 0.03, 0.03, 0.06), ula)
 
     def test_va_aperture_identity(self):
         # Kronecker of small-array (spacing L*d) and large-array steering
         # equals the uniform (eta*L)-element steering, eta=2, L=4.
         lam, d, psi = 0.06, 0.03, 0.41
         eta, count = 2, 4
-        small = steering_ula(psi, eta, count * d, lam)
-        large = steering_ula(psi, count, d, lam)
+        small = steering_from_sin(math.sin(psi), eta, count * d, lam)
+        large = steering_from_sin(math.sin(psi), count, d, lam)
         np.testing.assert_allclose(np.kron(small, large),
-                                   steering_ula(psi, eta * count, d, lam), atol=1e-12)
+                                   steering_from_sin(math.sin(psi), eta * count, d, lam),
+                                   atol=1e-12)
 
 
 class TestLinkBudget:
