@@ -394,17 +394,16 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
     # Clutter: per-bin beat tones collapse to an inverse DFT per chirp slot,
     # and the zero-Doppler field to one constant per tone PRI; the map holds
-    # both products. They are taken after the drop's first noise blocks and
-    # before the cube's buffers: taken per block among the cube's buffers,
-    # or before the noise blocks, they left no hole in the heap that the
-    # next drop's FA map fits in, and car_fa's peak RSS rose by 4.6 and
-    # 11.8 MB.
-    grounds, tone_ground = [None] * len(flat_slots), None
+    # the chirp products. They are taken after the drop's first noise blocks
+    # and before the cube's buffers: taken per block among the cube's
+    # buffers, or before the noise blocks, they left no hole in the heap that
+    # the next drop's FA map fits in, and car_fa's peak RSS rose by 4.6 and
+    # 11.8 MB. The tone product is made where it is added: made here, it
+    # raised desk_mix's peak RSS from 119 to 130 MB.
+    grounds = [None] * len(flat_slots)
     if clutter is not None:
         grounds = [clutter.chirp_clutter(e, math.sqrt(schedule.per_symbol_power_w[pri]),
                                          schedule.avg_power_w) for e, pri, _, _ in flat_slots]
-        if m_tone:
-            tone_ground = clutter.tone_clutter(sqrt_p, schedule.avg_power_w)
     # Each symbol is built in place in its own contiguous (L, N) block
     # (:func:`_build_rows`), as two row halves shared with the helper thread
     # when a half holds at least cpus.PIECE_VALUES samples.
@@ -442,8 +441,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         phases = np.exp(2j * np.pi * fd * (t_m - tau)) * sqrt_p
         tone += np.outer(a2d, phases) * (h * gain
                                          * np.exp(2j * np.pi * radio.carrier_freq_hz * tau))
-    if tone_ground is not None:
-        tone += tone_ground
+    if clutter is not None:
+        tone += clutter.tone_clutter(sqrt_p)
     if m_tone:
         si_amp = np.sqrt(p_tone * 10.0 ** (-radio.si_attenuation_db / 10.0))
         tone += np.outer(si_phases, si_amp) * n
@@ -505,8 +504,7 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
 
     if clutter is not None:
         clutter.check_fits(scene)
-        out += clutter.fa_clutter(sub, np.sqrt(schedule.per_symbol_power_w),
-                                  schedule.avg_power_w)
+        out += clutter.fa_clutter(sub, np.sqrt(schedule.per_symbol_power_w))
 
     si_amp = np.sqrt(schedule.per_symbol_power_w * 10.0 ** (-radio.si_attenuation_db / 10.0))
     out += np.outer(draws.si_phases(n_el), si_amp)

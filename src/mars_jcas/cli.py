@@ -38,6 +38,7 @@ from .io import (
     LARGEST,
     ConfigError,
     RunManifest,
+    Stage,
     config_from_dict,
     config_hash,
     parse_config,
@@ -127,15 +128,20 @@ def _command(args) -> tuple:
     return tuple(tokens)
 
 
-def _manifest_for(args, scene_cfg, plan) -> RunManifest:
+def _record(args, scene_cfg, plan, out: Path, outputs, stages=()) -> None:
+    """Write the run's ``out/manifest.json``: its command, effective config,
+    ``(name, seconds)`` stages and the sha256 of each output file."""
     effective = to_dict(scene_cfg)
     if plan is not None:
         effective["experiment"] = to_dict(plan)
-    return RunManifest(
+    RunManifest(
         tool="mars-jcas", version=__version__, command=_command(args),
         master_seed=plan.seed if plan is not None else scene_cfg.seed,
-        config_hash=config_hash(effective), effective_config=effective, stages=(), outputs=(),
-    )
+        config_hash=config_hash(effective), effective_config=effective,
+        stages=tuple(Stage(name, seconds) for name, seconds in stages),
+        outputs=tuple({"path": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                      for path in outputs),
+    ).write(out / "manifest.json")
 
 
 def _outdir(args) -> Path:
@@ -155,9 +161,7 @@ def cmd_resolution(args) -> int:
     if args.out:
         out = _outdir(args)
         write_csv(out / "resolution.csv", ["quantity", "no_va", "va"], rows)
-        manifest = _manifest_for(args, scene_cfg, plan)
-        manifest.add_output(out / "resolution.csv")
-        manifest.write(out / "manifest.json")
+        _record(args, scene_cfg, plan, out, [out / "resolution.csv"])
     return EXIT_OK
 
 
@@ -188,17 +192,14 @@ def cmd_waveform(args) -> int:
             sym_path = out / f"symbol_{args.symbol}.csv"
             write_csv(sym_path, ["index", "re", "im"], rows)
             outputs.append(sym_path)
-        manifest = _manifest_for(args, scene_cfg, plan)
-        manifest.add_output(*outputs)
-        manifest.write(out / "manifest.json")
+        _record(args, scene_cfg, plan, out, outputs)
     return EXIT_OK
 
 
 def cmd_clutter_map(args) -> int:
     scene_cfg, scene, plan = _load(args)
     if not scene.clutter.enabled:
-        print("clutter disabled in config; nothing to build", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("clutter disabled in config; nothing to build")
     started = time.perf_counter()
     cmap = build_clutter_map(scene)
     seconds = time.perf_counter() - started
@@ -213,10 +214,8 @@ def cmd_clutter_map(args) -> int:
         out = _outdir(args)
         rows = [(r, r * cmap.range_res_m, power[r]) for r in range(cmap.num_range_bins)]
         write_csv(out / "clutter_profile.csv", ["range_bin", "range_m", "power"], rows)
-        manifest = _manifest_for(args, scene_cfg, plan)
-        manifest.add_stage("build_clutter_map", seconds)
-        manifest.add_output(out / "clutter_profile.csv")
-        manifest.write(out / "manifest.json")
+        _record(args, scene_cfg, plan, out, [out / "clutter_profile.csv"],
+                [("build_clutter_map", seconds)])
     return EXIT_OK
 
 
@@ -243,16 +242,14 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"{_source(args)}: {exc}") from exc
     if not points[0][1].targets:
-        print("no targets: give a targets section or --targets K", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no targets: give a targets section or --targets K")
     out = _outdir(args)
-    manifest = _manifest_for(args, scene_cfg, plan)
 
-    cmap = None
+    cmap, stages = None, []
     if scene.clutter.enabled:
         started = time.perf_counter()
         cmap = build_clutter_for(scene, plan.pipelines)
-        manifest.add_stage("build_clutter_map", time.perf_counter() - started)
+        stages.append(("build_clutter_map", time.perf_counter() - started))
 
     outputs, est_rows, truth_rows = [], [], []
     tags = [p.tag for p in plan.pipelines]
@@ -263,7 +260,7 @@ def cmd_simulate(args) -> int:
         for pipe, data, ests, debug in drop_estimates(drop, plan, args.drop, cmap, value,
                                                       debug=args.dump_spectra):
             name = pipe.tag + sweep
-            manifest.add_stage(f"simulate_{name}", time.perf_counter() - started)
+            stages.append((f"simulate_{name}", time.perf_counter() - started))
             if args.dump_cube and pipe.structure != "fa":
                 cube_path = out / f"cube_{name}.bin"
                 write_cube(cube_path, data)
@@ -294,8 +291,7 @@ def cmd_simulate(args) -> int:
                "range_m", "amplitude", "velocity_bin", "angle_x_bin", "angle_y_bin",
                "range_bin", "refinement", "method", "eps_mode"], est_rows)
     outputs += [out / "truth.csv", out / "estimates.csv"]
-    manifest.add_output(*outputs)
-    manifest.write(out / "manifest.json")
+    _record(args, scene_cfg, plan, out, outputs, stages)
     print(f"wrote {len(outputs)} artifacts to {out}")
     return EXIT_OK
 
@@ -303,8 +299,7 @@ def cmd_simulate(args) -> int:
 def cmd_montecarlo(args) -> int:
     scene_cfg, scene, plan = _load(args)
     if plan is None:
-        print("config has no experiment section", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("config has no experiment section")
     try:
         if args.scale == "full":
             # Benchmark-scale statistics; pair with the table1_* presets to
@@ -316,7 +311,6 @@ def cmd_montecarlo(args) -> int:
             plan = replace(plan, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(f"command-line override: {exc}") from exc
-    manifest = _manifest_for(args, scene_cfg, plan)
     started = time.perf_counter()
     try:
         # monte_carlo checks the plan's schedules, target count and clutter
@@ -324,18 +318,17 @@ def cmd_montecarlo(args) -> int:
         rows, report = monte_carlo(plan, scene)
     except ValueError as exc:
         raise ConfigError(f"{_source(args)}: {exc}") from exc
-    manifest.add_stage("monte_carlo", time.perf_counter() - started)
+    stages = [("monte_carlo", time.perf_counter() - started)]
 
     out = _outdir(args)
     write_csv(out / "curves.csv", CURVE_COLUMNS, rows)
     write_csv(out / "records.csv", RECORD_COLUMNS, record_rows(report.records))
-    manifest.add_output(out / "curves.csv", out / "records.csv")
     # Per-drop runtimes vary run to run, so they stay out of the hashed outputs.
     sweep = {str(v): v for v in (plan.sweep_values or (None,))}
     write_csv(out / "timings.csv", ["sweep_value", "drop", "seconds"],
               [(sweep[value], drop, seconds)
                for (value, drop), seconds in report.drop_runtimes_s.items()])
-    manifest.write(out / "manifest.json")
+    _record(args, scene_cfg, plan, out, [out / "curves.csv", out / "records.csv"], stages)
     for row in rows:
         if row["metric"] == "hit_rate":
             print(f"{row['pipeline']:<28} sweep={row['sweep_value']} "
@@ -350,13 +343,11 @@ def cmd_replay(args) -> int:
         # The run's drop K at every sweep point, as its records.csv holds it:
         # only a montecarlo run has drops and a records.csv.
         if manifest.command[0] != "montecarlo":
-            print(f"--drop replays a drop of a montecarlo run; the manifest is of a "
-                  f"{manifest.command[0]} run", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"--drop replays a drop of a montecarlo run; the manifest is of "
+                              f"a {manifest.command[0]} run")
         scene_cfg, plan = config_from_dict(manifest.effective_config, source="manifest")
         if plan is None:
-            print("manifest has no experiment plan to replay a drop from", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("manifest has no experiment plan to replay a drop from")
         try:
             _, report = monte_carlo(replace(plan, workers=1), validate_scene(scene_cfg),
                                     drops=(args.drop,))

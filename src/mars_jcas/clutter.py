@@ -81,8 +81,8 @@ class ClutterMap:
     tone_vec: np.ndarray       # (L,)
     range_res_m: float
     patch_count: int           # patches inside the last range bin
-    # Products of the spectra and a transmit amplitude, by the average power
-    # they were made at, least recently used first (see _held).
+    # Chirp products of the spectra and a transmit amplitude, by the average
+    # power they were made at, least recently used first (see chirp_clutter).
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -109,27 +109,9 @@ class ClutterMap:
 
     def chirp_clutter(self, slot: int, amplitude: float, power_w: float) -> np.ndarray:
         """``amplitude * chirp_spectra[slot]``: one (L, N) chirp symbol's
-        clutter from transmit slot ``slot`` (see :meth:`_held`)."""
-        return self._held(("chirp", slot, amplitude), power_w,
-                          lambda: amplitude * self.chirp_spectra[slot])
-
-    def tone_clutter(self, amplitudes: np.ndarray, power_w: float) -> np.ndarray:
-        """(L, T) tone-branch clutter of T tone symbols of the given
-        amplitudes, each summed over its N samples (see :meth:`_held`)."""
-        return self._held(("tone", amplitudes.tobytes()), power_w,
-                          lambda: np.outer(self.tone_vec, amplitudes) * self.num_range_bins)
-
-    def fa_clutter(self, subcarriers: np.ndarray, amplitudes: np.ndarray,
-                   power_w: float) -> np.ndarray:
-        """(L, M) FA clutter of M symbols on the given subcarriers at the
-        given amplitudes (see :meth:`_held`)."""
-        key = ("fa", np.asarray(subcarriers, dtype=np.intp).tobytes(), amplitudes.tobytes())
-        return self._held(key, power_w, lambda: self.fa_spectrum[subcarriers].T * amplitudes)
-
-    def _held(self, key: tuple, power_w: float, make) -> np.ndarray:
-        """The read-only product ``make()`` under ``key``, made once and
-        shared by every later cube that asks for it. The map holds products
-        of one average transmit power ``power_w`` (a sweep point), at most
+        clutter from transmit slot ``slot``, read-only, made once and shared
+        by every later cube that asks for it. The map holds products of one
+        average transmit power ``power_w`` (a sweep point), at most
         :data:`SCALED_ENTRIES` of them: asking at another power drops them
         all, and past the bound the least recently used goes, each before
         the new product is made."""
@@ -137,16 +119,24 @@ class ClutterMap:
         if held is None:
             self._scaled.clear()
             held = self._scaled[power_w] = {}
-        product = held.pop(key, None)
-        if product is not None:
-            held[key] = product
-            return product
-        if len(held) == SCALED_ENTRIES:
-            del held[next(iter(held))]
-        product = make()
-        product.flags.writeable = False
-        held[key] = product
+        product = held.pop((slot, amplitude), None)
+        if product is None:
+            if len(held) == SCALED_ENTRIES:
+                del held[next(iter(held))]
+            product = amplitude * self.chirp_spectra[slot]
+            product.flags.writeable = False
+        held[slot, amplitude] = product
         return product
+
+    def tone_clutter(self, amplitudes: np.ndarray) -> np.ndarray:
+        """(L, T) tone-branch clutter of T tone symbols of the given
+        amplitudes, each summed over its N samples."""
+        return np.outer(self.tone_vec, amplitudes) * self.num_range_bins
+
+    def fa_clutter(self, subcarriers: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+        """(L, M) FA clutter of M symbols on the given subcarriers at the
+        given amplitudes."""
+        return self.fa_spectrum[subcarriers].T * amplitudes
 
     def check_fits(self, scene: ValidatedScene, slots: int = 1) -> None:
         """Raise ``ValueError``, naming both sides, unless the map was built
@@ -167,7 +157,7 @@ class ClutterMap:
 
     @property
     def held_products(self) -> int:
-        """Scaled clutter products the map holds (see :meth:`_held`)."""
+        """Chirp clutter products the map holds (see :meth:`chirp_clutter`)."""
         return sum(map(len, self._scaled.values()))
 
     @property
@@ -205,7 +195,7 @@ def patch_grid(clutter_cfg) -> tuple:
     return x, y
 
 
-# Most scaled clutter products a map holds: a drop of every structure, VA
+# Most chirp clutter products a map holds: a drop of every structure, VA
 # on and off, asks for fewer at the presets' sizes.
 SCALED_ENTRIES = 16
 

@@ -98,9 +98,9 @@ class _Section:
 
 
 def _expect(ok: bool, value, what: str):
-    """``value`` when ``ok``, else a ValueError. A reader passes its own
+    """``value`` when ``ok``, else a ValueError. A reader may pass its own
     conversion as ``value``: what that refuses keeps its message, and what it
-    reads but the key's type is not (int("7"), a dict of pairs) is refused."""
+    reads but the key's type is not (int("7")) is refused."""
     if not ok:
         raise ValueError(f"expected {what}")
     return value
@@ -116,7 +116,7 @@ _float = lambda v: float(_expect(not isinstance(v, bool), v, "a number"))
 _str = lambda v: _expect(isinstance(v, str), v, "a string")
 _bool = lambda v: _expect(isinstance(v, bool), v, "true/false")
 _mapping = lambda v: dict(_expect(isinstance(v, dict), v, "a mapping"))
-_list = lambda read: lambda v: _expect(not isinstance(v, (str, dict)), read(v), "a list")
+_list = lambda read: lambda v: read(_expect(isinstance(v, (list, tuple)), v, "a list"))
 
 
 def _array(v):
@@ -375,7 +375,7 @@ class Stage:
     seconds: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunManifest:
     """Everything needed to replay a run and check it reproduced."""
 
@@ -400,14 +400,6 @@ class RunManifest:
                     and re.fullmatch("[0-9a-f]{64}", entry["sha256"])):
                 raise ValueError(f"outputs[{i}]: {entry!r} is not a bare file name and "
                                  "its sha256")
-
-    def add_stage(self, name: str, seconds: float) -> None:
-        self.stages += (Stage(name, seconds),)
-
-    def add_output(self, *paths) -> None:
-        for path in paths:
-            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            self.outputs += ({"path": Path(path).name, "sha256": digest},)
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

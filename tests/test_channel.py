@@ -473,7 +473,7 @@ class TestHeldClutter:
     def test_held_products_change_no_bit(self, desk, desk_clutter, monkeypatch):
         # Both branches and the FA measurements over a sweep equal those of
         # cubes that make every clutter product afresh, as each did before
-        # the map held them; a drop's products are made once per point.
+        # the map held them; a drop's chirp products are made once per point.
         scene, plan = desk
         cmap = replace(desk_clutter)
         got = []
@@ -481,10 +481,10 @@ class TestHeldClutter:
             got += self._cubes(scene, plan, cmap, power_w, seed=4)
             held = cmap.held_products
             got += self._cubes(scene, plan, cmap, power_w, seed=5)
-            # Four VA slots and the plain comb's slot 0, three tone branches
-            # and the FA measurements.
-            assert cmap.held_products == held == 4 + 1 + 3 + 1
-        monkeypatch.setattr(ClutterMap, "_held", lambda self, key, power_w, make: make())
+            # Four VA slots and the plain comb's slot 0.
+            assert cmap.held_products == held == 4 + 1
+        monkeypatch.setattr(ClutterMap, "chirp_clutter", lambda self, slot, amplitude, power_w:
+                            amplitude * self.chirp_spectra[slot])
         want = []
         for power_w in (0.5, 2.0):
             for seed in (4, 5):

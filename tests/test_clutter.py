@@ -338,9 +338,9 @@ class TestDerivedSpectra:
            n=st.integers(4, 64), m=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
     def test_scaled_products_equal_per_call_products(self, seed, slots, l, n, m):
-        # Each held product equals the one a cube made for itself: sqrt(p)
-        # times the slot's transposed ifft, the tone outer product and the
-        # FA spectrum's rows, bit for bit.
+        # Each held chirp product equals the one a cube made for itself:
+        # sqrt(p) times the slot's transposed ifft, bit for bit; so do the
+        # per-call tone outer product and the FA spectrum's rows.
         rng = np.random.default_rng(seed)
         cmap = replace(self._map(rng, slots, n, l), tone_vec=rng.normal(size=l) + 1j)
         amp = float(rng.uniform(0.01, 10.0))
@@ -348,18 +348,15 @@ class TestDerivedSpectra:
             want = amp * (n * np.fft.ifft(table, axis=0).T)
             assert np.array_equal(cmap.chirp_clutter(s, amp, 1.0), want)
         amps = rng.uniform(0.01, 10.0, size=m)
-        assert np.array_equal(cmap.tone_clutter(amps, 1.0), np.outer(cmap.tone_vec, amps) * n)
+        assert np.array_equal(cmap.tone_clutter(amps), np.outer(cmap.tone_vec, amps) * n)
         sub = rng.integers(0, n, size=m)
         want = np.fft.fft(cmap.chirp_tables[0], n=n, axis=0)[sub].T * amps
-        assert np.array_equal(cmap.fa_clutter(sub, amps, 1.0), want)
+        assert np.array_equal(cmap.fa_clutter(sub, amps), want)
 
     def test_held_arrays_are_read_only(self):
         # Every later cube reads them: a stray write must fail, not change them.
         cmap = self._map(np.random.default_rng(2), 2, 8, 3)
-        amps = np.array([0.5, 2.0])
-        for held in (cmap.chirp_spectra, cmap.fa_spectrum,
-                     cmap.chirp_clutter(1, 2.0, 1.0), cmap.tone_clutter(amps, 1.0),
-                     cmap.fa_clutter(np.array([3, 5]), amps, 1.0)):
+        for held in (cmap.chirp_spectra, cmap.fa_spectrum, cmap.chirp_clutter(1, 2.0, 1.0)):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
@@ -376,7 +373,7 @@ class TestDerivedSpectra:
         assert cmap.held_products == bound
         # At the bound the least recently used product goes first.
         assert cmap.chirp_clutter(0, 1.5, 1.0) is first
-        cmap.tone_clutter(np.ones(3), 1.0)
+        cmap.chirp_clutter(3, 0.5, 1.0)
         assert cmap.held_products == bound
         assert cmap.chirp_clutter(0, 1.5, 1.0) is first
         assert cmap.chirp_clutter(1, 1.5, 1.0) is not second

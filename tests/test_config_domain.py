@@ -8,10 +8,12 @@ cannot use is a config error at load, not a failure at drop 0. Any
 exception that escapes ``main`` fails the test, and so does an exit 4,
 except for the data-dependent failures in :data:`ALLOWED_RUNTIME_ERRORS`.
 
-Keys that size the run's arrays (subcarriers, PRIs, elements, the clutter
-grid, the MUSIC grid, the drop and worker counts) keep desk_small's values,
-with clutter off unless a draw turns it on over a 60 m x 60 m grid of
-50 m cells.
+Keys that size the run's arrays (subcarriers, PRIs and symbols per PRI,
+elements and VA, the clutter grid, the MUSIC factor, the STTE guard and the
+target count) are drawn too, at most a few times desk_small's sizes, so a
+run takes a fraction of a second. Clutter is off unless a draw turns it on,
+over a 60 m x 60 m grid of 50 m cells unless a draw resizes it. The drop
+and worker counts are the commands' own.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ FLOATS = st.one_of(
 )
 INTS = st.one_of(st.integers(), st.integers(-3, 70))
 PAIRS = st.lists(FLOATS, min_size=2, max_size=2)
+# symbols_per_pri S at desk_small's symbol time (1/60 ms), its PRI, and a CPI
+# of P PRIs: (symbols_per_pri, pri_ms, cpi_ms).
+FRAMES = st.tuples(st.integers(-1, 20), st.integers(-1, 80)).map(
+    lambda sp: (sp[0], sp[0] / 60.0, sp[0] * sp[1] / 60.0))
+# Clutter grid lengths, and cells of at least 0.5 m besides the bad ones.
+LENGTHS = st.one_of(st.floats(-10.0, 300.0), st.sampled_from([0.0, 60.0]))
+CELLS = st.one_of(st.floats(0.5, 60.0), st.sampled_from([0.0, -1.0, 50.0]))
 
 
 def _strings(*known):
@@ -64,6 +73,14 @@ KEYS = [
     (("radio",), "uplink_distance_m", FLOATS),
     (("radio",), "gain_tx_dbi", FLOATS),
     (("radio",), "gain_rx_dbi", FLOATS),
+    (("radio",), "num_subcarriers", st.integers(-1, 1024)),
+    (("radio",), "symbols_per_pri", st.integers(-1, 20)),
+    (("radio",), ("symbols_per_pri", "pri_ms", "cpi_ms"), FRAMES),
+    (("array",), "rx_cols", st.integers(-1, 6)),
+    (("array",), "rx_rows", st.integers(-1, 6)),
+    (("array",), "tx_cols", st.integers(-1, 3)),
+    (("array",), "tx_rows", st.integers(-1, 3)),
+    (("array",), "va_enabled", st.booleans()),
     (("waveform",), "structure", _strings("fa", "lshape", "comb", "conventional_chirp")),
     (("waveform",), "chirp_pri_indices", st.lists(INTS, max_size=4)),
     (("waveform",), "tone_subcarrier_index", INTS),
@@ -85,6 +102,9 @@ KEYS = [
     (("clutter",), "gtri_c", FLOATS),
     (("clutter",), "gtri_d", FLOATS),
     (("clutter",), "surface_rms_height_m", FLOATS),
+    (("clutter",), "area_x_m", LENGTHS),
+    (("clutter",), "area_y_m", LENGTHS),
+    (("clutter",), "cell_m", CELLS),
     ((), "seed", INTS),
     (("experiment",), "scenario", _strings("car", "uav", "custom")),
     (("experiment",), "target_count", INTS),
@@ -103,9 +123,11 @@ KEYS = [
     (("experiment", "pipeline"), "refinement", _strings("fft", "music")),
     (("experiment", "pipeline"), "va", st.booleans()),
     (("experiment", "pipeline"), "stte_guard", INTS),
+    (("experiment", "pipeline"), "music_factor", st.integers(-1, 16)),
 ]
 
-# One to four keys of KEYS, each with a value from its domain.
+# One to four keys of KEYS, each with a value from its domain; a tuple of
+# keys takes a tuple of values.
 EDITS = st.lists(st.sampled_from(KEYS), min_size=1, max_size=4, unique=True).flatmap(
     lambda keys: st.tuples(*[st.tuples(st.just((path, key)), domain)
                              for path, key, domain in keys]))
@@ -119,7 +141,7 @@ def _config(edits) -> dict:
         section = raw
         for name in path:
             section = section.setdefault(name, {})
-        section[key] = value
+        section.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
     raw["experiment"]["pipelines"] = [raw["experiment"].pop("pipeline")]
     return raw
 

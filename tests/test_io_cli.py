@@ -343,17 +343,29 @@ class TestConfigParsing:
         # pipeline, or a target missing its range_m.
         ("experiment", "pipelines", [None]),
         (None, "targets", [None]),
+        # Not a list where a list goes: each once read its items first.
+        ("waveform", "chirp_pri_indices", 5),
+        ("waveform", "chirp_pri_indices", {"a": 1}),
+        ("experiment", "pipelines", 5),
+        (None, "targets", 5),
+        ("experiment.custom", "range_m", 5),
     ])
     def test_key_rejects_value_of_another_type(self, tmp_path, capsys, section, key, value):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
-        mapping = raw[section] if section else raw
+        mapping = raw
+        for name in section.split(".") if section else ():
+            mapping = mapping[name]
         mapping[key] = value(mapping[key]) if callable(value) else value
         cfg = tmp_path / "typed.yaml"
         cfg.write_text(yaml.safe_dump(raw))
         where = f"{cfg}.{section}.{key}" if section else f"{cfg}.{key}"
-        # Where a section goes, a list or a null list item says so.
+        # Where a section goes, a list or a null list item says so; where a
+        # list goes, any other value says so.
         said = {"[1]": ": bad value [1] (expected a mapping)",
                 "[None]": "[0]: expected a mapping, got NoneType"}.get(repr(value), ": bad value")
+        if key in ("chirp_pri_indices", "sweep_values_dbm", "pipelines", "targets", "range_m") \
+                and not isinstance(value, list):
+            said = f": bad value {value!r} (expected a list)"
         with pytest.raises(ConfigError, match=re.escape(where + said)):
             parse_config(cfg)
         for command in ("montecarlo", "simulate"):
@@ -1168,6 +1180,40 @@ class TestCli:
         assert f"the manifest is of a {argv[0]} run" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("clutter-map", "clutter disabled in config; nothing to build"),
+        ("simulate", "no targets: give a targets section or --targets K"),
+        ("montecarlo", "config has no experiment section"),
+        ("replay-resolution",
+         "--drop replays a drop of a montecarlo run; the manifest is of a resolution run"),
+        ("replay-no-plan", "manifest has no experiment plan to replay a drop from"),
+    ])
+    def test_every_refusal_goes_through_main(self, tmp_path, capsys, case, message):
+        # A command's own refusal is a ConfigError that main prints with its
+        # prefix: exit 3, before the output directory is made.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(area_x_m=60.0, area_y_m=30.0, enabled=case != "clutter-map")
+        if case == "montecarlo":
+            del raw["experiment"]
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        argv = [case, "--config", str(cfg)]
+        if case.startswith("replay"):
+            run, path = tmp_path / "run", tmp_path / "run" / "manifest.json"
+            command = ["resolution"] if case == "replay-resolution" else ["montecarlo",
+                                                                          "--drops", "0"]
+            assert main([*command, "--config", str(cfg), "--out", str(run)]) == 0
+            if case == "replay-no-plan":
+                manifest = json.loads(path.read_text())
+                del manifest["effective_config"]["experiment"]
+                path.write_text(json.dumps(manifest))
+            argv = ["replay", "--manifest", str(path), "--drop", "0"]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_replay_single_drop_runs_every_sweep_point(self, tmp_path, capsys):
         # The drop seed and the fixed target range both depend on the sweep
         # value, so drop K is replayed at each point, as montecarlo ran it.
@@ -1255,7 +1301,7 @@ class TestCli:
         (lambda m: {**m, "master_seed": "abc"}, "bad.json.master_seed: bad value 'abc'"),
         (lambda m: {**m, "config_hash": None},
          "bad.json.config_hash: bad value None (expected a string)"),
-        (lambda m: {**m, "stages": 5}, "bad.json.stages: bad value 5"),
+        (lambda m: {**m, "stages": 5}, "bad.json.stages: bad value 5 (expected a list)"),
         (lambda m: {**m, "stages": [{"name": "monte_carlo"}]},
          "bad.json.stages[0]: missing required key seconds"),
         (lambda m: {**m, "stages": [{"name": 1, "seconds": 0.5}]},
