@@ -58,8 +58,9 @@ class IfCube:
 
 
 def butterworth_power_gain(freq_hz, cutoff_hz: float, order: int):
-    """|H(f)|^2 = 1 / (1 + (f/f_cut)^(2a)) low-pass power response."""
-    return 1.0 / (1.0 + np.abs(np.asarray(freq_hz, dtype=float) / cutoff_hz) ** (2 * order))
+    """|H(f)|^2 = 1 / (1 + (f/f_cut)^(2a)) low-pass power response (0 where it overflows)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.abs(np.asarray(freq_hz, dtype=float) / cutoff_hz) ** (2 * order))
 
 
 # Chirp noise blocks a drop may have queued on the helper thread at once.

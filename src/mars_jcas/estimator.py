@@ -181,20 +181,16 @@ def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
     return peaks
 
 
-def _forward_backward(r: np.ndarray) -> np.ndarray:
-    # J conj(R) J with the exchange matrix J is conj(R) with both axes reversed.
-    return 0.5 * (r + r.conj()[::-1, ::-1])
-
-
-def _noise_projector(r: np.ndarray, num_sources: int) -> np.ndarray:
-    """Signal-subspace basis E_s; the pseudo-spectrum uses I - E_s E_s^H."""
-    vals, vecs = np.linalg.eigh(r)
-    tol = max(r.shape[0], 8) * np.finfo(float).eps * max(vals[-1], 0.0)
-    rank = int(np.sum(vals > tol))
+def _signal_subspace(y: np.ndarray, num_sources: int) -> np.ndarray:
+    """Signal-subspace basis E_s of the snapshots (columns) of ``y``: the leading
+    left singular vectors of the forward-backward data matrix B = [Y, J conj(Y)],
+    the eigenvectors of B B^H. The pseudo-spectrum uses I - E_s E_s^H."""
+    u, s, _ = np.linalg.svd(np.concatenate((y, y.conj()[::-1]), axis=1), full_matrices=False)
+    rank = int(np.sum(s ** 2 > max(y.shape[0], 8) * np.finfo(float).eps * s[0] ** 2))
     if rank < num_sources + 1:
         raise ValueError(f"music_refine: covariance rank {rank} < K+1 = {num_sources + 1} "
                          "(degenerate snapshot set)")
-    return vecs[:, -num_sources:]
+    return u[:, :num_sources]
 
 
 def _music_scan(e_s: np.ndarray, candidates: np.ndarray) -> int:
@@ -213,16 +209,16 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     Spatial MUSIC over the element dimension (columns as snapshots) scans a
     ``factor``-times-finer (sin psi_x, sin psi_y) grid within +-1 coarse bin;
     temporal MUSIC over the PRI dimension (element rows as snapshots) scans
-    velocity the same way. Forward-backward averaging keeps the covariance
-    usable with few effective snapshots. Returns (velocity, psi_x, psi_y).
+    velocity the same way. Each signal subspace comes from one SVD of the
+    forward-backward data matrix [Y, J conj(Y)], which doubles the snapshots
+    and forms no covariance. Returns (velocity, psi_x, psi_y).
     """
     if factor < 1:
         raise ValueError("music_refine: factor must be >= 1")
-    l, m = y_e2.shape
+    m = y_e2.shape[1]
     lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
 
-    r_sp = _forward_backward(y_e2 @ y_e2.conj().T / m)
-    e_s = _noise_projector(r_sp, num_sources)
+    e_s = _signal_subspace(y_e2, num_sources)
     avm_res_x = lam / (arr.rx_cols * arr.rx_spacing_x_m)
     avm_res_y = lam / (arr.rx_rows * arr.rx_spacing_y_m)
     steps = np.linspace(-1.0, 1.0, 2 * factor + 1)
@@ -235,8 +231,7 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     sin_x = float(gx.ravel()[best])
     sin_y = float(gy.ravel()[best])
 
-    r_t = _forward_backward(y_e2.T @ y_e2.conj() / l)
-    e_st = _noise_projector(r_t, num_sources)
+    e_st = _signal_subspace(y_e2.T, num_sources)
     vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
     vels = coarse.velocity_mps + steps * vel_res
     t_m = np.arange(m) * radio.pri_s

@@ -26,9 +26,11 @@ final concatenation into that layout. Scoring is kept as it was with the
 grid wrap written twice: the matching distance from numpy bin differences,
 and the matched pair's offsets computed again for its record.
 ``complex_noise`` states the receiver noise draw whole, by Box–Muller on
-the full arrays, and MUSIC's forward-backward average is kept with its dense
-exchange-matrix products. The loaded range-stage solve is kept as the
-Cholesky factor and solve it was before the library dropped scipy.
+the full arrays, and MUSIC is kept as it was before it took each signal
+subspace from one SVD of the forward-backward data matrix: the covariance
+averaged with its dense exchange-matrix products, and a full ``eigh``. The
+loaded range-stage solve is kept as the Cholesky factor and solve it was
+before the library dropped scipy.
 ``FreshDraws`` makes every random draw of a cube afresh, as each cube did
 before a drop's cubes shared one ``DropDraws``.
 The last section holds forms that only tests use: the sample-level tone
@@ -65,7 +67,6 @@ from mars_jcas.estimator import (
     _lag_cells,
     _loaded_solve,
     _music_scan,
-    _noise_projector,
     _quadratic_norms,
     epsilon_m,
     fa_angle_snapshot,
@@ -102,6 +103,18 @@ def forward_backward_dense(r):
     matrix J applied by two dense matmuls."""
     j = np.eye(r.shape[0])[::-1]
     return 0.5 * (r + j @ r.conj() @ j)
+
+
+def _noise_projector(r, num_sources):
+    """Signal-subspace basis E_s from a full ``eigh`` of the covariance ``r``,
+    with the rank rule max(dim, 8) eps lambda_max."""
+    vals, vecs = np.linalg.eigh(r)
+    tol = max(r.shape[0], 8) * np.finfo(float).eps * max(vals[-1], 0.0)
+    rank = int(np.sum(vals > tol))
+    if rank < num_sources + 1:
+        raise ValueError(f"music_refine: covariance rank {rank} < K+1 = {num_sources + 1} "
+                         "(degenerate snapshot set)")
+    return vecs[:, -num_sources:]
 
 
 def _loaded_inverse(s_i, eps_mode, epsilon):
@@ -208,7 +221,7 @@ def sthp_range_spectrum_batched(y_st, a_t, a, eps_mode):
 
 def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):
     """MUSIC refinement with the spatial candidates built one point at a time
-    and the dense forward-backward average."""
+    and the dense forward-backward covariance with its full ``eigh``."""
     l, m = y_e2.shape
     lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
     e_s = _noise_projector(forward_backward_dense(y_e2 @ y_e2.conj().T / m), num_sources)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -324,6 +325,12 @@ class TestUplinkAndFilters:
         assert butterworth_power_gain(0.0, 1000.0, 5) == pytest.approx(1.0)
         # Order-5 rolloff: one octave above cutoff is ~30 dB down.
         assert butterworth_power_gain(2000.0, 1000.0, 5) == pytest.approx(1 / 1025)
+        # (f/f_cut)^400 overflows to inf far above the cutoff: the gain is 0,
+        # with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = butterworth_power_gain(np.array([1e3, 1e6]), 1.0, 200)
+        assert far[0] == 0.0 and far[1] == 0.0
 
     def test_uplink_reaches_tone_branch_only(self):
         radio = replace(quiet_radio(), uplink_power_w=0.2)

@@ -2,11 +2,13 @@
 
 A hypothesis test edits desk_small key by key, each key drawn from its
 typed domain (boundary and non-finite values included), and runs
-``montecarlo --drops 1`` and ``simulate --targets 1`` on it. Each run must
-exit 0, or exit 3 before its output directory exists: a value the run
-cannot use is a config error at load, not a failure at drop 0. Any
-exception that escapes ``main`` fails the test, and so does an exit 4,
-except for the data-dependent failures in :data:`ALLOWED_RUNTIME_ERRORS`.
+``montecarlo --drops 1``, ``simulate --targets 1`` and ``simulate`` on it;
+the last puts the config's own targets (none unless a draw gives some) into
+its cubes. Each run must exit 0, or exit 3 before its output directory
+exists: a value the run cannot use is a config error at load, not a
+failure at drop 0. Any exception that escapes ``main`` fails the test, and
+so does an exit 4, except for the data-dependent failures in
+:data:`ALLOWED_RUNTIME_ERRORS`.
 
 Keys that size the run's arrays (subcarriers, PRIs and symbols per PRI,
 elements and VA, the clutter grid, the MUSIC factor, the STTE guard and the
@@ -57,6 +59,10 @@ FRAMES = st.tuples(st.integers(-1, 20), st.integers(-1, 80)).map(
 # Clutter grid lengths, and cells of at least 0.5 m besides the bad ones.
 LENGTHS = st.one_of(st.floats(-10.0, 300.0), st.sampled_from([0.0, 60.0]))
 CELLS = st.one_of(st.floats(0.5, 60.0), st.sampled_from([0.0, -1.0, 50.0]))
+# A config's own targets: zero to two, every field a float.
+TARGETS = st.lists(st.fixed_dictionaries({
+    name: FLOATS for name in ("range_m", "radial_velocity_mps", "sin_psi_x", "sin_psi_y",
+                              "rcs_m2")}), max_size=2)
 
 
 def _strings(*known):
@@ -106,6 +112,7 @@ KEYS = [
     (("clutter",), "area_y_m", LENGTHS),
     (("clutter",), "cell_m", CELLS),
     ((), "seed", INTS),
+    ((), "targets", TARGETS),
     (("experiment",), "scenario", _strings("car", "uav", "custom")),
     (("experiment",), "target_count", INTS),
     (("experiment",), "sweep_axis", _strings("range", "tx_power")),
@@ -179,12 +186,23 @@ def _run(argv) -> int:
 @example(edits=(((("receiver",), "residual_dc_db"), -6166.0),))
 @example(edits=(((("clutter",), "enabled"), True), ((("clutter",), "gtri_a"), -1.0)))
 @example(edits=(((("clutter",), "enabled"), True), ((("clutter",), "gtri_d"), -1075.0)))
+# The config's own targets in simulate's cubes: two under MUSIC (K = 2), and
+# one of the largest RCS, whose echo leaves MUSIC's snapshots rank 1.
+@example(edits=((((), "targets"), [
+    {"range_m": 200.0, "radial_velocity_mps": 20.0, "sin_psi_x": 0.1, "sin_psi_y": -0.2,
+     "rcs_m2": 100.0},
+    {"range_m": 450.0, "radial_velocity_mps": -30.0, "sin_psi_x": -0.4, "sin_psi_y": 0.3,
+     "rcs_m2": 10.0}]), ((("experiment", "pipeline"), "refinement"), "music")))
+@example(edits=((((), "targets"), [
+    {"range_m": 100.0, "radial_velocity_mps": 20.0, "sin_psi_x": 1.0, "sin_psi_y": 0.0,
+     "rcs_m2": LARGEST}]), ((("experiment", "pipeline"), "refinement"), "music")))
 def test_every_config_that_loads_runs_its_drops(tmp_path_factory, capsys, edits):
     tmp = tmp_path_factory.mktemp("domain")
     cfg = tmp / "edited.yaml"
     cfg.write_text(yaml.safe_dump(_config(edits)))
-    for command, *flags in (("montecarlo", "--drops", "1"), ("simulate", "--targets", "1")):
-        out = tmp / command
+    for command, *flags in (("montecarlo", "--drops", "1"), ("simulate", "--targets", "1"),
+                            ("simulate",)):
+        out = tmp / "-".join([command, *flags])
         code = _run([command, "--config", str(cfg), "--out", str(out), *flags])
         err = capsys.readouterr().err
         if code == 4:

@@ -288,18 +288,53 @@ class TestMusicRefine:
         assert (music_refine(y, peak, arr, radio, factor=factor)
                 == oracles.music_refine(y, peak, arr, radio, factor=factor))
 
-    @given(l=st.integers(1, 70), m=st.integers(1, 520), seed=st.integers(0, 1000))
-    @example(l=16, m=64, seed=0)     # desk size
-    @example(l=64, m=500, seed=1)    # table1_uav size
-    @example(l=7, m=13, seed=2)
+    @staticmethod
+    def _dense_fb_stages(y):
+        """(snapshots, dense forward-backward covariance) of both MUSIC
+        stages: spatial (L x L) and temporal (M x M)."""
+        return [(z, oracles.forward_backward_dense(z @ z.conj().T / z.shape[1]))
+                for z in (y, y.T)]
+
+    @given(l=st.integers(1, 70), m=st.integers(1, 520), k=st.integers(1, 4),
+           seed=st.integers(0, 1000))
+    @example(l=16, m=64, k=1, seed=0)     # desk size
+    @example(l=64, m=500, k=1, seed=1)    # table1_uav size
+    @example(l=7, m=13, k=2, seed=2)
     @settings(max_examples=40, deadline=None)
-    def test_forward_backward_reversal_equals_dense_exchange(self, l, m, seed):
-        # Both covariances MUSIC averages: spatial (L x L) and temporal (M x M).
+    def test_signal_subspace_matches_dense_fb_eigh(self, l, m, k, seed):
+        # 2L < M and 2L >= M both occur: one SVD path serves every shape.
         rng = RNG(seed)
         y = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
-        for r in (y @ y.conj().T / m, y.T @ y.conj() / l):
-            got = estimator._forward_backward(r)
-            assert np.array_equal(got.view(float), oracles.forward_backward_dense(r).view(float))
+        for z, r in self._dense_fb_stages(y):
+            try:
+                want = oracles._noise_projector(r, k)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    estimator._signal_subspace(z, k)
+                assert str(got.value) == str(exc)
+                continue
+            got = estimator._signal_subspace(z, k)
+            vals = np.linalg.eigvalsh(r)[::-1]
+            if vals[k - 1] - vals[k] > 1e-6 * vals[0]:
+                p_want = want @ want.conj().T
+                assert (np.linalg.norm(got @ got.conj().T - p_want)
+                        <= 1e-10 * np.linalg.norm(p_want))
+
+    @pytest.mark.parametrize("l, m", [(16, 64), (64, 500), (7, 13), (6, 8)])
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_noiseless_sources_raise_the_oracles_rank(self, l, m, sources):
+        # A noiseless ULA-by-PRI source a s^T has J conj(a) parallel to a, so
+        # forward-backward averaging adds no rank: K sources give rank K < K+1.
+        phases = [(0.7, 0.3), (-1.9, 2.4)][:sources]
+        y = sum(np.outer(np.exp(1j * px * np.arange(l)), np.exp(1j * pt * np.arange(m)))
+                for px, pt in phases)
+        for z, r in self._dense_fb_stages(y):
+            with pytest.raises(ValueError) as want:
+                oracles._noise_projector(r, sources)
+            with pytest.raises(ValueError) as got:
+                estimator._signal_subspace(z, sources)
+            assert str(got.value) == str(want.value)
+            assert f"covariance rank {sources} <" in str(got.value)
 
 
 class TestSpaceTime:
