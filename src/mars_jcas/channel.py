@@ -94,8 +94,9 @@ class DropDraws:
     ``chirp_key``, the blocks' (scale, shape) (:func:`chirp_noise_key`),
     queues the first cube's blocks when the drop's draws are made. Each
     block has its own generator, so the blocks do not depend on which
-    thread draws them, in what order, or on the CPU count. :meth:`settle`
-    waits for the draw in flight and drops the queued ones.
+    thread draws them, in what order, or on the CPU count. A cube's
+    ``noise-tone`` draw (:meth:`tone_noise`) may be queued the same way.
+    :meth:`settle` waits for the draw in flight and drops the queued ones.
     """
 
     def __init__(self, seed: int, chirp_reads: Sequence[int] = (),
@@ -150,8 +151,21 @@ class DropDraws:
             self._key, self._kept = (scale, shape), {}
         return self._blocks(count, max(self._reads, default=0))
 
+    def tone_noise(self, scale: float, shape: tuple, queue: bool = False):
+        """One IF cube's tone-branch noise, a :func:`_complex_noise` draw of
+        ``rng_for(seed, "noise-tone")``. With ``queue`` the draw is queued
+        on the helper thread and None returned; the next call takes it, or
+        draws it if the helper has not started it."""
+        draw = partial(_complex_noise, rng_for(self.seed, "noise-tone"), scale, shape)
+        if queue:
+            if self._side is not cpus._Inline:
+                self._ahead["tone"] = self._side.submit(draw)
+            return None
+        future = self._ahead.pop("tone", None)
+        return future.result() if future is not None and not future.cancel() else draw()
+
     def settle(self) -> None:
-        """Wait for the chirp draw in flight and drop the queued ones."""
+        """Wait for the draw in flight and drop the queued ones."""
         for future in self._ahead.values():
             future.cancel()
         wait(self._ahead.values())
@@ -384,6 +398,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     sqrt_p = np.sqrt(p_tone)
     if clutter is not None:
         clutter.check_fits(scene, schedule.slots_per_chirp)
+    eff_bw = 1.0 / t_sym if rec.tone_noise_bandwidth == "symbol" else 1.0 / radio.pri_s
+    tone_key = (n * math.sqrt(radio.noise_density_w_per_hz * eff_bw), (n_el, m_tone))
 
     samples = np.arange(n)
     beats = []
@@ -407,13 +423,16 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                                          schedule.avg_power_w) for e, pri, _, _ in flat_slots]
     # Each symbol is built in place in its own contiguous (L, N) block
     # (:func:`_build_rows`), as two row halves shared with the helper thread
-    # when a half holds at least cpus.PIECE_VALUES samples.
+    # when a half holds at least cpus.PIECE_VALUES samples; the helper then
+    # draws the tone noise as the last symbol starts.
     chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
     spare = np.empty((n_el, n), dtype=complex)
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
     half = n_el // 2
     halves = (slice(0, half), slice(half, n_el)) if half * n >= cpus.PIECE_VALUES else None
     for block, mean, ground, (_, pri, tx_a, tx_b) in zip(chirp, means, grounds, flat_slots):
+        if halves and m_tone and pri == flat_slots[-1][1]:
+            draws.tone_noise(*tone_key, queue=True)
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
         terms = []
@@ -454,13 +473,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
                                      math.sqrt(p_up), (m_tone,))
             tone += np.outer(a_up, symbols) * n
-        if rec.tone_noise_bandwidth == "symbol":
-            eff_bw = 1.0 / t_sym
-        else:
-            eff_bw = 1.0 / radio.pri_s
-        tone += _complex_noise(rng_for(draws.seed, "noise-tone"),
-                               n * math.sqrt(radio.noise_density_w_per_hz * eff_bw),
-                               (n_el, m_tone))
+        tone += draws.tone_noise(*tone_key)
         if rec.dc_removal:
             tone -= tone.mean(axis=1, keepdims=True)
 

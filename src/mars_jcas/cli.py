@@ -20,13 +20,14 @@ import numpy as np
 import yaml
 
 from . import __version__, cpus
-from .channel import check_if_range
-from .clutter import build_clutter_for, build_clutter_map, gtri_reflectivity, terrain_params
+from .clutter import build_clutter_map, gtri_reflectivity, terrain_params
 from .harness import (
     CURVE_COLUMNS,
     RECORD_COLUMNS,
     DropError,
     ExperimentPlan,
+    TargetCountError,
+    compile_run,
     drop_estimates,
     drop_scene,
     fa_schedule_seed,
@@ -81,12 +82,12 @@ def _source(args):
     return args.config or preset_path(args.preset)
 
 
-def _load(args, default_plan=False):
-    """(scene config, scene, plan) of the command's config, with every
-    schedule the run will use built once (the scene's own and each
-    pipeline group's), so a bad one is a config error before anything is
-    written or drawn. With ``default_plan`` a config without an
-    experiment section gets the one-pipeline default plan."""
+def _load(args, default_plan=False, compiles=False):
+    """(scene config, scene, plan) of the command's config, with the
+    waveform section's schedule built and, unless the command ``compiles``
+    its run after its overrides, every plan rule applied: a bad one is a
+    config error before anything is written or drawn. With ``default_plan``
+    a config without an experiment section gets the default plan."""
     source = _source(args)
     scene_cfg, plan = parse_config(source)
     if getattr(args, "seed", None) is not None:
@@ -98,7 +99,7 @@ def _load(args, default_plan=False):
     scene = validate_scene(scene_cfg)
     try:
         _scene_schedule(scene, plan)
-        if plan is not None:
+        if plan is not None and not compiles:
             plan_groups(scene, plan)
         if scene.clutter.enabled:
             # The terrain model's rules and bound at both ends of the grazing angles.
@@ -220,44 +221,30 @@ def cmd_clutter_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scene_cfg, scene, plan = _load(args, default_plan=True)
-    points = [(None, scene)]   # (sweep value, scene): the config's own targets
-    if args.targets is not None:
-        try:
-            plan = replace(plan, target_count=args.targets)
-            plan_groups(scene, plan, ("experiment.target_count", args.targets))
-        except ValueError as exc:
-            raise ConfigError(f"command-line override: {exc}") from exc
-        # The drop at every sweep point, as montecarlo scores it.
-        points = [(value, drop_scene(scene, plan, args.drop, value))
-                  for value in plan.sweep_values or (None,)]
-    else:
-        # The config's own targets are scored, and go into the IF cubes:
-        # check them before anything is written.
-        try:
-            groups = plan_groups(scene, plan, ("len(targets)", len(scene.targets)))
-            if any(schedule.structure != "fa" for _, schedule in groups):
-                for j, t in enumerate(scene.targets):
-                    check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
-        except ValueError as exc:
-            raise ConfigError(f"{_source(args)}: {exc}") from exc
-    if not points[0][1].targets:
+    scene_cfg, scene, plan = _load(args, default_plan=True, compiles=True)
+    if args.targets is None and not scene.targets:
         raise ConfigError("no targets: give a targets section or --targets K")
+    started = time.perf_counter()
+    try:
+        if args.targets is not None:
+            plan = replace(plan, target_count=args.targets)
+        run = compile_run(scene, plan, own_targets=args.targets is None)
+    except ValueError as exc:
+        override = args.targets is not None and isinstance(exc, TargetCountError)
+        raise ConfigError(f"{'command-line override' if override else _source(args)}: "
+                          f"{exc}") from exc
+    stages = [("compile_run", time.perf_counter() - started)]
     out = _outdir(args)
-
-    cmap, stages = None, []
-    if scene.clutter.enabled:
-        started = time.perf_counter()
-        cmap = build_clutter_for(scene, plan.pipelines)
-        stages.append(("build_clutter_map", time.perf_counter() - started))
 
     outputs, est_rows, truth_rows = [], [], []
     tags = [p.tag for p in plan.pipelines]
-    for k, (value, drop) in enumerate(points):
+    for k, (value, drop, groups) in enumerate(run.points):
         sweep = "" if value is None else f"_sweep{k}"
+        # With --targets, the drop at every sweep point as montecarlo scores it.
+        drop = drop if args.targets is None else drop_scene(drop, plan, args.drop, value)
         rows_k = []
         started = time.perf_counter()
-        for pipe, data, ests, debug in drop_estimates(drop, plan, args.drop, cmap, value,
+        for pipe, data, ests, debug in drop_estimates(drop, run, args.drop, groups, value,
                                                       debug=args.dump_spectra):
             name = pipe.tag + sweep
             stages.append((f"simulate_{name}", time.perf_counter() - started))
@@ -297,7 +284,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    scene_cfg, scene, plan = _load(args)
+    scene_cfg, scene, plan = _load(args, compiles=True)
     if plan is None:
         raise ConfigError("config has no experiment section")
     try:
@@ -313,8 +300,7 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError(f"command-line override: {exc}") from exc
     started = time.perf_counter()
     try:
-        # monte_carlo checks the plan's schedules, target count and clutter
-        # map before its first drop; the output directory comes after it.
+        # The run is compiled before the first drop and the output directory.
         rows, report = monte_carlo(plan, scene)
     except ValueError as exc:
         raise ConfigError(f"{_source(args)}: {exc}") from exc

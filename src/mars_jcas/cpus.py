@@ -6,9 +6,9 @@ over, and the one helper thread that takes a share of a drop's work.
   the helper: each thread holds a chunk's operands (about 5 MB), memory
   its malloc arena keeps, so the build's threads end with the build.
 - With two or more CPUs the process has one helper thread, made on first
-  use. It draws chirp noise blocks queued ahead of the cube that reads
-  them (:class:`~mars_jcas.channel.DropDraws`), each block from its own
-  generator, and it takes its share of the pieces handed to
+  use. It draws chirp noise blocks (and tone noise) queued ahead of the
+  cube that reads them (:class:`~mars_jcas.channel.DropDraws`), each from
+  its own generator, and it takes its share of the pieces handed to
   :func:`share`: the FA map's Doppler and range transforms
   (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the row halves
   of each IF cube symbol (:func:`~mars_jcas.channel.synthesize_if_cube`),

@@ -55,6 +55,10 @@ class CustomRanges:
     rcs_m2: float = 100.0
 
 
+class TargetCountError(ValueError):
+    """A target count the plan or a pipeline cannot score."""
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     scenario: str = "custom"          # car | uav | custom
@@ -76,7 +80,7 @@ class ExperimentPlan:
         if self.num_drops < 0:
             raise ValueError("num_drops must be >= 0")
         if self.target_count < 1:
-            raise ValueError("target_count must be >= 1")
+            raise TargetCountError("target_count must be >= 1")
         if self.sweep_axis not in ("range", "tx_power"):
             raise ValueError("sweep_axis must be 'range' or 'tx_power'")
         if list(self.sweep_values) != sorted(self.sweep_values):
@@ -198,33 +202,26 @@ def draw_targets(plan: ExperimentPlan, scene: ValidatedScene, drop_index: int,
     """Seeded target draw for one drop; identical across pipelines and
     power-sweep points so comparisons are paired."""
     rng = rng_for(plan.seed, "targets", drop_index)
+    c = plan.custom
+    speeds, rcs, heights = ((c.speed_mps, c.rcs_m2, None) if plan.scenario == "custom"
+                            else _SCENARIOS[plan.scenario])
+    bounds = c.range_m if heights is None else plan.range_bounds_m
     out = []
     for _ in range(plan.target_count):
-        if plan.scenario == "custom":
-            c = plan.custom
-            rng_m = fixed_range_m if fixed_range_m is not None else rng.uniform(*c.range_m)
-            speed = rng.uniform(*c.speed_mps) * rng.choice((-1.0, 1.0))
+        rng_m = fixed_range_m if fixed_range_m is not None else rng.uniform(*bounds)
+        speed = rng.uniform(*speeds) * rng.choice((-1.0, 1.0))
+        if heights is None:
             while True:
-                sx = rng.uniform(*c.sin_psi_x)
-                sy = rng.uniform(*c.sin_psi_y)
+                sx, sy = rng.uniform(*c.sin_psi_x), rng.uniform(*c.sin_psi_y)
                 if sx * sx + sy * sy <= 1.0:
                     break
-            out.append(Target(range_m=rng_m, radial_velocity_mps=speed,
-                              psi_x_rad=math.asin(sx), psi_y_rad=math.asin(sy),
-                              rcs_m2=c.rcs_m2))
-            continue
-        speed_bounds, rcs, height_bounds = _SCENARIOS[plan.scenario]
-        rng_m = fixed_range_m if fixed_range_m is not None else rng.uniform(*plan.range_bounds_m)
-        speed = rng.uniform(*speed_bounds) * rng.choice((-1.0, 1.0))
-        azimuth = rng.uniform(-plan.azimuth_max_rad, plan.azimuth_max_rad)
-        height = rng.uniform(*height_bounds)
-        z = height - scene.clutter.station_height_m
-        ground = math.sqrt(max(rng_m**2 - z**2, 1e-6))
-        sx = math.sin(azimuth) * ground / rng_m
-        sy = z / rng_m
+        else:
+            azimuth = rng.uniform(-plan.azimuth_max_rad, plan.azimuth_max_rad)
+            z = rng.uniform(*heights) - scene.clutter.station_height_m
+            ground = math.sqrt(max(rng_m**2 - z**2, 1e-6))
+            sx, sy = math.sin(azimuth) * ground / rng_m, z / rng_m
         out.append(Target(range_m=rng_m, radial_velocity_mps=speed,
-                          psi_x_rad=math.asin(sx), psi_y_rad=math.asin(sy),
-                          rcs_m2=rcs))
+                          psi_x_rad=math.asin(sx), psi_y_rad=math.asin(sy), rcs_m2=rcs))
     return tuple(out)
 
 
@@ -246,13 +243,10 @@ def score_estimates(truths: Sequence[Target], estimates: Sequence[TargetEstimate
     offsets = {(i, j): _wrapped([b - a for a, b in zip(tb, eb)], periods)
                for i, tb in enumerate(truth_bins) for j, eb in enumerate(est_bins)}
     pairs = sorted((sum(map(abs, offs)), i, j) for (i, j), offs in offsets.items())
-    used_t, used_e, match = set(), set(), {}
+    match = {}
     for dist, i, j in pairs:
-        if i in used_t or j in used_e:
-            continue
-        used_t.add(i)
-        used_e.add(j)
-        match[i] = j
+        if i not in match and j not in match.values():
+            match[i] = j
 
     value_periods = [None if p is None else p * u for p, u in zip(periods, units)]
     records = []
@@ -295,8 +289,7 @@ def schedule_for(scene: ValidatedScene, pipe: PipelineSpec,
 def _drawn_ranges(plan: ExperimentPlan) -> list:
     """(key, range) of each bound on the ranges the plan draws into a
     drop, nearest first: a range sweep's values or, when the ranges are
-    drawn, the draw's bounds. A config's own targets go into a drop only
-    under ``simulate`` without ``--targets``, which checks them itself."""
+    drawn, the draw's bounds (a config's own targets: :func:`compile_run`)."""
     if plan.sweep_axis == "range" and plan.sweep_values:
         return [(f"sweep_values[{k}]", v) for k, v in enumerate(plan.sweep_values)]
     if plan.scenario == "custom":
@@ -310,20 +303,18 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan,
     (pipelines, schedule) pairs; each group shares one schedule and cube.
 
     Raises ValueError naming the pipeline at fault when a group's schedule
-    cannot be built (its first pipeline), an STHP pipeline's schedule
-    has fewer than two chirp occasions, or a pipeline's ``stte_guard``
-    masks every velocity bin of its map (num_pri bins, FA included).
-    It also raises naming the key of a drawn range (:func:`_drawn_ranges`)
-    that lies nearer than one wavelength, for car and uav nearer than the
-    farthest height from the station (:func:`draw_targets` takes
-    asin(z / r)), or, with an IF cube among the groups, whose round trip
-    outlasts the symbol (:func:`~mars_jcas.channel.check_if_range`).
-
-    With ``count``, the (name, k) of the target count a command scores, it
-    then raises naming the first pipeline that cannot return k targets on
-    every drop: more peaks than its map always holds, or (MUSIC) a signal
-    subspace of K in its num_rx x num_rx spatial and M x M temporal
-    covariances, which needs K + 1 <= min(num_rx, M).
+    cannot be built (its first pipeline), an STHP pipeline's schedule has
+    fewer than two chirp occasions, or a pipeline's ``stte_guard`` masks
+    every velocity bin of its map (num_pri bins, FA included); or naming
+    the key of a drawn range (:func:`_drawn_ranges`) nearer than one
+    wavelength, for car and uav nearer than the farthest height from the
+    station (:func:`draw_targets` takes asin(z / r)), or, with an IF cube
+    among the groups, whose round trip outlasts the symbol
+    (:func:`~mars_jcas.channel.check_if_range`). With ``count``, the (name,
+    k) of the target count a command scores, it then raises
+    TargetCountError naming the first pipeline that cannot return k
+    targets on every drop: more peaks than its map always holds, or (MUSIC)
+    a signal subspace of K, which needs K + 1 <= min(num_rx, M).
     """
     members = {}
     for i, pipe in enumerate(plan.pipelines):
@@ -368,32 +359,66 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan,
         cells *= schedule.num_pri - 2 * pipe.stte_guard - 1
         most = -(-cells // claim)
         if k > most:
-            raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} exceeds the {most} peaks "
-                             f"its {name} map of {cells} unmasked cells always holds")
+            raise TargetCountError(f"pipelines[{i}] {pipe.tag}: {what} {k} exceeds the {most} "
+                                   f"peaks its {name} map of {cells} unmasked cells always holds")
         rank = min(scene.array.num_rx, schedule.num_pri)
         if pipe.refinement == "music" and k + 1 > rank:
-            raise ValueError(f"pipelines[{i}] {pipe.tag}: {what} {k} needs K + 1 <= "
-                             f"min(num_rx, M) = {rank} for MUSIC")
+            raise TargetCountError(f"pipelines[{i}] {pipe.tag}: {what} {k} needs K + 1 <= "
+                                   f"min(num_rx, M) = {rank} for MUSIC")
     return groups
 
 
-def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
-                   clutter: Optional[ClutterMap] = None,
-                   sweep_value: Optional[float] = None, debug: bool = False):
-    """Run every pipeline of the plan on one drop of ``scene`` (targets
-    set), yielding (pipe, cube or FA measurements, estimates, debug dict).
+@dataclass(frozen=True, eq=False)
+class Run:
+    """A command's run (:func:`compile_run`): per sweep point, (sweep value,
+    scene at its transmit power, pipeline groups with schedules built on
+    that scene), and the map every drop reads, or None."""
 
-    Pipelines sharing (structure, va) share one synthesized cube and its
-    :func:`~mars_jcas.pipeline.front_end`, built once, so suppressor and
-    refinement comparisons are paired sample-for-sample. All cubes and FA
-    measurements of the drop share one :class:`~mars_jcas.channel.DropDraws`,
-    so structures are compared on the same noise, SI and uplink draws.
-    A plan whose schedules :func:`plan_groups` rejects raises its
-    ValueError before any cube; failures inside the drop are raised as
-    DropError, tagged with the drop seed and sweep value.
-    """
-    drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
-    groups = plan_groups(scene, plan)
+    plan: ExperimentPlan
+    points: tuple
+    clutter: Optional[ClutterMap]
+
+
+def compile_run(scene: ValidatedScene, plan: ExperimentPlan,
+                clutter: Optional[ClutterMap] = None, *, own_targets: bool = False) -> Run:
+    """The run scoring ``plan``'s target count at its sweep points or, with
+    ``own_targets``, the scene's own targets at its own values, each rule
+    applied once: :func:`plan_groups` at the first point (no rule reads the
+    power), :func:`~mars_jcas.channel.check_if_range` on own targets an IF
+    cube holds, and ``clutter``'s fit (:meth:`~mars_jcas.clutter.ClutterMap.check_fits`),
+    or for a scene with clutter :func:`~mars_jcas.clutter.build_clutter_for`'s map."""
+    values, count = (((None,), ("len(targets)", len(scene.targets))) if own_targets else
+                     (plan.sweep_values or (None,), ("experiment.target_count",
+                                                     plan.target_count)))
+    scenes = [replace(scene, radio=replace(scene.radio, avg_tx_power_w=float(value)))
+              if plan.sweep_axis == "tx_power" and value is not None else scene
+              for value in values]
+    groups = plan_groups(scenes[0], plan, count)
+    if own_targets and any(schedule.structure != "fa" for _, schedule in groups):
+        for j, t in enumerate(scene.targets):
+            check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
+    # Points on the first point's scene (a range sweep, or none) share its groups.
+    points = tuple((value, at, groups if at is scenes[0] else
+                    [(pipes, schedule_for(at, pipes[0], plan.seed)) for pipes, _ in groups])
+                   for value, at in zip(values, scenes))
+    if clutter is not None:
+        clutter.check_fits(scene, max(schedule.slots_per_chirp for _, schedule in groups))
+    elif scene.clutter.enabled:
+        clutter = build_clutter_for(scene, plan.pipelines)
+    return Run(plan, points, clutter)
+
+
+def drop_estimates(scene: ValidatedScene, run: Run, drop_index: int, groups: Sequence,
+                   sweep_value: Optional[float] = None, debug: bool = False):
+    """Run ``groups``, the run's pipeline groups at this sweep point, on one
+    drop of ``scene`` (targets set), yielding (pipe, cube or FA
+    measurements, estimates, debug dict). Pipelines sharing (structure, va)
+    share one cube and its :func:`~mars_jcas.pipeline.front_end`, and every
+    cube and FA measurement of the drop one
+    :class:`~mars_jcas.channel.DropDraws`, so comparisons are paired sample
+    for sample. Failures are raised as DropError, tagged with the drop seed
+    and sweep value."""
+    drop_seed = derive_seed(run.plan.seed, "drop", drop_index, str(sweep_value))
     draws = DropDraws(drop_seed, [s.num_chirp_symbols for _, s in groups if s.structure != "fa"],
                       chirp_noise_key(scene))
     try:
@@ -401,9 +426,9 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
             pipe = pipes[0]
             try:
                 if schedule.structure == "fa":
-                    data = synthesize_fa_measurements(scene, schedule, clutter, draws=draws)
+                    data = synthesize_fa_measurements(scene, schedule, run.clutter, draws=draws)
                 else:
-                    data = synthesize_if_cube(scene, schedule, clutter, draws=draws)
+                    data = synthesize_if_cube(scene, schedule, run.clutter, draws=draws)
                     front = front_end(data, scene)
                 for pipe in pipes:
                     info = {} if debug else None
@@ -416,29 +441,25 @@ def drop_estimates(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
             except Exception as exc:
                 raise DropError(drop_index, drop_seed, pipe.tag, exc, sweep_value) from exc
     finally:
-        # No chirp draw outlives the drop, when a cube raises or the caller
-        # stops early.
+        # No draw outlives the drop, when a cube raises or the caller stops early.
         draws.settle()
 
 
 def drop_scene(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
                sweep_value: Optional[float]) -> ValidatedScene:
-    """``scene`` at this sweep point (None: the scene's own values), with
-    the drop's targets drawn."""
-    if plan.sweep_axis == "tx_power" and sweep_value is not None:
-        scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=float(sweep_value)))
+    """``scene``, a run's scene at this sweep point (:attr:`Run.points`),
+    with the drop's targets drawn."""
     fixed_range = sweep_value if plan.sweep_axis == "range" else None
     return replace(scene, targets=draw_targets(plan, scene, drop_index, fixed_range))
 
 
-def run_drop(scene: ValidatedScene, plan: ExperimentPlan, drop_index: int,
-             clutter: Optional[ClutterMap] = None,
+def run_drop(scene: ValidatedScene, run: Run, drop_index: int, groups: Sequence,
              sweep_value: Optional[float] = None) -> list:
-    """Run every pipeline on the drop's scene at this sweep point
-    (:func:`drop_scene`, :func:`drop_estimates`) and score the estimates."""
-    scene = drop_scene(scene, plan, drop_index, sweep_value)
+    """Run one drop at a sweep point of ``run`` (:attr:`Run.points`: its
+    ``scene`` and ``groups``) and score the estimates."""
+    scene = drop_scene(scene, run.plan, drop_index, sweep_value)
     records = []
-    for pipe, _, ests, _ in drop_estimates(scene, plan, drop_index, clutter, sweep_value):
+    for pipe, _, ests, _ in drop_estimates(scene, run, drop_index, groups, sweep_value):
         records += score_estimates(scene.targets, ests, scene, pipe.tag,
                                    drop_index, sweep_value)
     return records
@@ -458,20 +479,20 @@ def rmse_normalized(records: Sequence[TargetRecord]) -> Optional[dict]:
 _POOL_STATE: dict = {}
 
 
-def _pool_init(scene, plan, clutter):
-    # Ships the heavy read-only inputs to each worker once, not per drop.
+def _pool_init(run):
     # The workers keep the CPUs busy, so none starts a helper thread.
-    _POOL_STATE["args"] = (scene, plan, clutter)
+    _POOL_STATE["run"] = run
     cpus.work_on_calling_thread()
 
 
-def _timed_drop(task, args=None):
-    """One drop and its wall time; ``args`` is (scene, plan, clutter), or
-    in a pool worker what :func:`_pool_init` stored."""
-    drop_index, sweep_value = task
-    scene, plan, clutter = args or _POOL_STATE["args"]
+def _timed_drop(task, run=None):
+    """One drop, (drop index, index in ``run.points``), and its wall time;
+    in a pool worker ``run`` is what :func:`_pool_init` stored."""
+    drop_index, point = task
+    run = run or _POOL_STATE["run"]
+    sweep_value, scene, groups = run.points[point]
     started = time.perf_counter()
-    records = run_drop(scene, plan, drop_index, clutter, sweep_value)
+    records = run_drop(scene, run, drop_index, groups, sweep_value)
     return records, time.perf_counter() - started
 
 
@@ -479,11 +500,10 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
                 clutter: Optional[ClutterMap] = None, *,
                 drops: Optional[Sequence[int]] = None) -> tuple:
     """Run the full sweep over ``drops`` (default: every drop of the plan; a
-    drop outside it is a ValueError); returns (curve_rows, TrialReport).
-
-    Curve rows: one dict per (sweep value, pipeline, metric) with value and
-    Wilson interval bounds (rates only).
-    """
+    drop outside it is a ValueError) of the run :func:`compile_run` makes
+    before any drop; returns (curve_rows, TrialReport). Curve rows: one dict
+    per (sweep value, pipeline, metric) with value and Wilson interval
+    bounds (rates only)."""
     drops = range(plan.num_drops) if drops is None else drops
     outside = sorted(set(drops) - set(range(plan.num_drops)))
     if outside:
@@ -492,26 +512,20 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     repeated = [i for i, count in Counter(drops).items() if count > 1]
     if repeated:
         raise ValueError(f"drop {repeated[0]} is repeated: each drop is scored once")
-    # A bad schedule, target count or clutter map fails before any drop; the
-    # map must hold the slot tables of the plan's widest schedule.
-    groups = plan_groups(scene, plan, ("experiment.target_count", plan.target_count))
-    if clutter is not None:
-        clutter.check_fits(scene, max(schedule.slots_per_chirp for _, schedule in groups))
-    elif scene.clutter.enabled:
-        clutter = build_clutter_for(scene, plan.pipelines)
-    sweep = list(plan.sweep_values) if plan.sweep_values else [None]
+    run = compile_run(scene, plan, clutter)
+    sweep = [value for value, _, _ in run.points]
 
     report = TrialReport()
-    tasks = [(i, value) for value in sweep for i in drops]
+    tasks = [(i, k) for k in range(len(sweep)) for i in drops]
     if plan.workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=plan.workers, initializer=_pool_init,
-                                 initargs=(scene, plan, clutter)) as pool:
+                                 initargs=(run,)) as pool:
             results = list(pool.map(_timed_drop, tasks))
     else:
-        results = [_timed_drop(task, (scene, plan, clutter)) for task in tasks]
-    for (i, value), (recs, seconds) in zip(tasks, results):
+        results = [_timed_drop(task, run) for task in tasks]
+    for (i, k), (recs, seconds) in zip(tasks, results):
         report.records.extend(recs)
-        report.drop_runtimes_s[(str(value), i)] = seconds
+        report.drop_runtimes_s[(str(sweep[k]), i)] = seconds
 
     rows = []
     for value in sweep:

@@ -8,6 +8,7 @@ import yaml
 
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
+from mars_jcas.harness import compile_run, drop_scene, run_drop
 from mars_jcas.io import parse_config
 from mars_jcas.scene import (
     ArrayGeometry,
@@ -95,3 +96,26 @@ def desk():
 def desk_clutter(desk):
     scene, _ = desk
     return build_clutter_map(replace(scene, array=scene.array.with_va(True)))
+
+
+def compiled(scene, plan, clutter=None):
+    """The run of ``plan`` over ``scene`` (``harness.compile_run``) with
+    ``clutter``, or without a map whatever the scene's clutter section says."""
+    if clutter is None:
+        scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
+    return compile_run(scene, plan, clutter)
+
+
+def drop_at(run, drop_index, point=0):
+    """(scene with the drop's targets, groups, sweep value) of drop
+    ``drop_index`` at ``run``'s sweep point ``point``."""
+    value, scene, groups = run.points[point]
+    return drop_scene(scene, run.plan, drop_index, value), groups, value
+
+
+def drop_records(scene, plan, drop_index, clutter=None, point=0):
+    """``run_drop`` of drop ``drop_index`` at sweep point ``point`` of the
+    :func:`compiled` run."""
+    run = compiled(scene, plan, clutter)
+    value, at, groups = run.points[point]
+    return run_drop(at, run, drop_index, groups, value)

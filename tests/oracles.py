@@ -544,10 +544,10 @@ def compensated_space_time(cube, scene, doppler_hz):
 
 
 class FreshDraws:
-    """``DropDraws`` without sharing: each call draws from a fresh
-    ``rng_for(seed, label)``, and a cube's chirp noise block k holds the
-    real and imaginary parts of one :func:`complex_noise` draw of a fresh
-    ``rng_for(seed, "noise-chirp", k)``."""
+    """``DropDraws`` without sharing or a helper thread: each call draws
+    from a fresh ``rng_for(seed, label)``, and a cube's chirp noise block k
+    holds the real and imaginary parts of one :func:`complex_noise` draw of
+    a fresh ``rng_for(seed, "noise-chirp", k)``."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -575,6 +575,10 @@ class FreshDraws:
         blocks = [complex_noise(rng_for(self.seed, "noise-chirp", k), scale, shape)
                   for k in range(count)]
         return iter([np.stack([b.real, b.imag]) for b in blocks])
+
+    def tone_noise(self, scale, shape, queue=False):
+        # Nothing is queued: every call but a queuing one draws.
+        return None if queue else complex_noise(rng_for(self.seed, "noise-tone"), scale, shape)
 
 
 def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):

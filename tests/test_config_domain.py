@@ -3,8 +3,8 @@
 A hypothesis test edits desk_small key by key, each key drawn from its
 typed domain (boundary and non-finite values included), and runs
 ``montecarlo --drops 1``, ``simulate --targets 1`` and ``simulate`` on it;
-the last puts the config's own targets (none unless a draw gives some) into
-its cubes. Each run must exit 0, or exit 3 before its output directory
+the last puts the config's own targets, which about half the draws give,
+into its cubes. Each run must exit 0, or exit 3 before its output directory
 exists: a value the run cannot use is a config error at load, not a
 failure at drop 0. Any exception that escapes ``main`` fails the test, and
 so does an exit 4, except for the data-dependent failures in
@@ -60,9 +60,10 @@ FRAMES = st.tuples(st.integers(-1, 20), st.integers(-1, 80)).map(
 LENGTHS = st.one_of(st.floats(-10.0, 300.0), st.sampled_from([0.0, 60.0]))
 CELLS = st.one_of(st.floats(0.5, 60.0), st.sampled_from([0.0, -1.0, 50.0]))
 # A config's own targets: zero to two, every field a float.
-TARGETS = st.lists(st.fixed_dictionaries({
+TARGET = st.fixed_dictionaries({
     name: FLOATS for name in ("range_m", "radial_velocity_mps", "sin_psi_x", "sin_psi_y",
-                              "rcs_m2")}), max_size=2)
+                              "rcs_m2")})
+TARGETS = st.lists(TARGET, max_size=2)
 
 
 def _strings(*known):
@@ -138,6 +139,17 @@ KEYS = [
 EDITS = st.lists(st.sampled_from(KEYS), min_size=1, max_size=4, unique=True).flatmap(
     lambda keys: st.tuples(*[st.tuples(st.just((path, key)), domain)
                              for path, key, domain in keys]))
+# About half the draws also give the config one or two targets of their own,
+# as the last edit, for simulate without --targets to put into its cubes:
+# each inside desk_small's IF window and the unit disk or, like TARGETS',
+# of any float (few of those load).
+DESK_TARGET = st.fixed_dictionaries({
+    "range_m": st.floats(1.0, 2400.0), "radial_velocity_mps": st.floats(-60.0, 60.0),
+    "sin_psi_x": st.floats(-0.7, 0.7), "sin_psi_y": st.floats(-0.7, 0.7),
+    "rcs_m2": st.floats(1e-3, 1e3)})
+DRAWS = st.one_of(EDITS, st.tuples(
+    EDITS, st.lists(st.one_of(DESK_TARGET, TARGET), min_size=1, max_size=2)).map(
+        lambda drawn: (*drawn[0], (((), "targets"), drawn[1]))))
 
 
 def _config(edits) -> dict:
@@ -172,7 +184,7 @@ def _run(argv) -> int:
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(edits=EDITS)
+@given(edits=DRAWS)
 # Each of these failed at drop 0 (exit 4, or a traceback), hung, or
 # crashed at parse (the zero carrier).
 @example(edits=(((("radio",), "carrier_freq_ghz"), 0.0),))

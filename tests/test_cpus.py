@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_array, make_radio, make_scene
+from conftest import compiled, drop_at, make_array, make_radio, make_scene
 from mars_jcas import cpus, harness
 from mars_jcas.channel import DropDraws, synthesize_if_cube
 from mars_jcas.cli import preset_path
@@ -232,12 +232,13 @@ class TestShare:
         scene = validate_scene(scene_cfg)
         scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
         plan = replace(plan, pipelines=(PipelineSpec(structure="fa", suppressor="mf"),))
-        drop = harness.drop_scene(scene, plan, 0, plan.sweep_values[0])
+        run = compiled(scene, plan)
+        drop, groups, value = drop_at(run, 0)
         monkeypatch.setattr(np.fft, "irfft", helper_fails)
         with pytest.raises(DropError, match="helper piece failed") as exc, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            list(drop_estimates(drop, plan, 0, None, plan.sweep_values[0]))
+            list(drop_estimates(drop, run, 0, groups, value))
         assert exc.value.cause is raised[0] and running == []
 
     def test_queued_loop_keeps_no_reference(self, two_cpus):
@@ -272,7 +273,7 @@ class TestBlasThreads:
     def test_pool_worker_runs_one_blas_thread(self, desk):
         scene, plan = desk
         with ProcessPoolExecutor(1, initializer=harness._pool_init,
-                                 initargs=(scene, plan, None)) as pool:
+                                 initargs=(compiled(scene, plan),)) as pool:
             assert pool.submit(blas_threads).result(timeout=60) == 1
 
     def test_missing_library_or_setter_is_safe(self, monkeypatch, tmp_path):

@@ -21,13 +21,16 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     BAD_DESK_WAVEFORMS,
+    compiled,
     desk_raw,
+    drop_at,
+    drop_records,
     make_array,
     make_radio,
     make_scene,
     on_grid_target,
 )
-from mars_jcas import channel, clutter, cpus, estimator, harness, pipeline, seeding
+from mars_jcas import channel, cpus, estimator, harness, pipeline, seeding
 from mars_jcas.channel import DropDraws, synthesize_fa_measurements, synthesize_if_cube
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_for, build_clutter_map
@@ -86,7 +89,7 @@ def draw_threads_after_a_drop():
     """In a pool worker, after one drop: whether its chirp draws run on the
     calling thread, the names of its helper threads, and whether every
     shared piece runs on the calling thread."""
-    harness._timed_drop((0, None))
+    harness._timed_drop((0, 0))
     return (cpus._HELPER is cpus._Inline,
             [t.name for t in threading.enumerate() if t.name.startswith("mars-jcas-helper")],
             threads_running_pieces() == {threading.get_ident()})
@@ -112,6 +115,14 @@ def va_clutter_mismatch(**plan_kw):
     plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp",
                                               va=True),), **plan_kw)
     return scene, build_clutter_map(scene), plan
+
+
+def mismatched_drop(scene, cmap, plan, drop_index):
+    """run_drop of a run given a map that compile_run refuses: the drop
+    meets the synthesizers' own check."""
+    run = replace(compiled(scene, plan), clutter=cmap)
+    value, at, groups = run.points[0]
+    return run_drop(at, run, drop_index, groups, value)
 
 
 def estimate_like(t: Target, scene, **overrides) -> TargetEstimate:
@@ -272,27 +283,27 @@ class TestRunDrop:
     def test_clean_single_target_hits_with_zero_offsets(self):
         scene = make_scene(radio=make_radio(power_w=10.0))
         plan = quiet_plan()
-        recs = run_drop(scene, plan, 0)
+        recs = drop_records(scene, plan, 0)
         assert len(recs) == 1
         assert recs[0].hit
 
     def test_same_seed_identical_report(self):
         scene = make_scene(radio=make_radio(power_w=10.0))
         plan = quiet_plan()
-        a = run_drop(scene, plan, 2)
-        b = run_drop(scene, plan, 2)
+        a = drop_records(scene, plan, 2)
+        b = drop_records(scene, plan, 2)
         assert a == b
 
     def test_k5_yields_five_records(self):
         scene = make_scene(radio=make_radio(power_w=10.0))
         plan = quiet_plan(target_count=5)
-        recs = run_drop(scene, plan, 0)
+        recs = drop_records(scene, plan, 0)
         assert len(recs) == 5
 
     def test_pipeline_error_carries_drop_seed(self):
         scene, cmap, plan = va_clutter_mismatch()
         with pytest.raises(DropError) as err:
-            run_drop(scene, plan, 7, cmap)
+            mismatched_drop(scene, cmap, plan, 7)
         assert err.value.drop_index == 7
         assert err.value.drop_seed > 0
         assert "seed" in str(err.value)
@@ -300,7 +311,7 @@ class TestRunDrop:
     def test_va_pipeline_on_non_va_clutter_map_is_drop_error(self):
         scene, cmap, plan = va_clutter_mismatch()
         with pytest.raises(DropError, match="tx slot") as err:
-            run_drop(scene, plan, 3, cmap)
+            mismatched_drop(scene, cmap, plan, 3)
         assert err.value.drop_index == 3
         assert err.value.drop_seed == derive_seed(plan.seed, "drop", 3, "None")
         assert f"seed {err.value.drop_seed}" in str(err.value)
@@ -326,14 +337,13 @@ class TestRunDrop:
         scene = make_scene(arr=make_array(tx=2), indices=(1, 3, 15))  # VA slots overlap
         plan = quiet_plan(pipelines=(PipelineSpec(structure="comb", suppressor="sthp"),
                                      PipelineSpec(structure="comb", suppressor="sthp", va=True)))
-        scene = replace(scene, targets=draw_targets(plan, scene, 0))
 
         def no_cube(*args, **kwargs):
             raise AssertionError("a cube was synthesised")
 
         monkeypatch.setattr(harness, "synthesize_if_cube", no_cube)
         with pytest.raises(ValueError, match="overlaps") as err:
-            next(drop_estimates(scene, plan, 0))
+            compiled(scene, plan)
         assert not isinstance(err.value, DropError)
         assert f"pipelines[1] {plan.pipelines[1].tag}:" in str(err.value)
 
@@ -356,7 +366,7 @@ class TestRunDrop:
         counts = []
         for pipes, k in (((sthp,), 1), ((sthp, replace(sthp, refinement="music")), 2)):
             calls.update(dict.fromkeys(names, 0))
-            recs = run_drop(scene, replace(plan, pipelines=pipes, target_count=k), 0)
+            recs = drop_records(scene, replace(plan, pipelines=pipes, target_count=k), 0)
             assert len(recs) == len(pipes) * k
             counts.append(dict(calls))
         one, two = counts
@@ -508,11 +518,15 @@ class TestPlanRules:
         music = PipelineSpec(suppressor="mf", refinement="music", stte_guard=0)
         plan = quiet_plan(pipelines=(music,), num_drops=1)
         plan_groups(scene, plan, ("experiment.target_count", 15))
-        assert len(run_drop(scene, replace(plan, target_count=15), 0)) == 15
+        run = compiled(scene, replace(plan, target_count=15))
+        value, at, groups = run.points[0]
+        assert len(run_drop(at, run, 0, groups, value)) == 15
         with pytest.raises(ValueError, match=re.escape("needs K + 1 <= min(num_rx, M) = 16")):
             plan_groups(scene, plan, ("experiment.target_count", 16))
+        # The count the rule refuses, in a run built by hand, fails its drop.
+        run = replace(run, plan=replace(run.plan, target_count=16))
         with pytest.raises(DropError, match=re.escape("covariance rank 16 < K+1 = 17")):
-            run_drop(scene, replace(plan, target_count=16), 0)
+            run_drop(at, run, 0, groups, value)
 
 
 class TestMonteCarlo:
@@ -585,6 +599,34 @@ class TestMonteCarlo:
             per_drop[r.drop_index] = per_drop.get(r.drop_index, 0) + 1
         assert set(per_drop.values()) == {3}
         assert sum(r.hit for r in report.records) / len(report.records) >= 0.4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_drop_applies_a_rule_or_builds_a_schedule(self, monkeypatch, workers):
+        # Two tx_power points and two groups: the run is compiled once, and
+        # every drop, in this process or a forked worker, reads its groups.
+        scene = make_scene(radio=make_radio(power_w=10.0))
+        plan = quiet_plan(num_drops=2, sweep_values=(1e-3, 10.0), workers=workers, pipelines=(
+            PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf"),
+            PipelineSpec(structure="fa", suppressor="mf")))
+        compile_run, compiled_runs = harness.compile_run, []
+
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"a drop called {name}")
+            return call
+
+        def compile_once(*args, **kwargs):
+            compiled_runs.append(compile_run(*args, **kwargs))
+            for name in ("plan_groups", "schedule_for", "build_schedule"):
+                monkeypatch.setattr(harness, name, refused(name))
+            return compiled_runs[-1]
+
+        monkeypatch.setattr(harness, "compile_run", compile_once)
+        _, report = monte_carlo(plan, scene)
+        assert len(compiled_runs) == 1 and len(report.records) == 2 * 2 * 2
+        [[(_, power_low), _], [(_, power_high), _]] = [groups for _, _, groups
+                                                       in compiled_runs[0].points]
+        assert (power_low.avg_power_w, power_high.avg_power_w) == (1e-3, 10.0)
 
     def test_workers_match_serial(self):
         scene = make_scene(radio=make_radio(power_w=10.0))
@@ -688,10 +730,10 @@ class TestMonteCarlo:
                 with pytest.raises(ValueError) as err:
                     monte_carlo(replace(plan, pipelines=pipes), car, desk_clutter)
                 assert str(err.value) == message
-        # A direct caller of run_drop meets the synthesizers' own check.
+        # A run given the map by hand meets the synthesizers' own check.
         for pipes in ((PipelineSpec(),), (fa,)):
             with pytest.raises(DropError) as err:
-                run_drop(car, replace(plan, pipelines=pipes), 0, desk_clutter)
+                mismatched_drop(car, desk_clutter, replace(plan, pipelines=pipes), 0)
             assert str(err.value.cause) == message
 
     def test_drop_invariants_built_once_per_run(self, desk, desk_clutter, monkeypatch):
@@ -737,12 +779,6 @@ class TestDropDraws:
     equal the one its own fresh draws give, and no chirp noise block is drawn
     twice or held longer than a later cube of the drop needs it."""
 
-    @staticmethod
-    def drop_scene(scene, plan, drop_index, sweep_value):
-        # The scene run_drop hands to drop_estimates.
-        scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=sweep_value))
-        return replace(scene, targets=draw_targets(plan, scene, drop_index))
-
     @given(order=st.permutations(range(len(DESK_MC))), size=st.integers(1, len(DESK_MC)),
            k=st.integers(1, 3), drop_index=st.integers(0, 50),
            sweep_value=st.sampled_from((0.1, 1.0)))
@@ -752,7 +788,8 @@ class TestDropDraws:
         scene, plan = desk
         plan = replace(plan, pipelines=tuple(DESK_MC[i] for i in order[:size]),
                        target_count=k, sweep_values=(sweep_value,))
-        scene = self.drop_scene(scene, plan, drop_index, sweep_value)
+        run = compiled(scene, plan, desk_clutter)
+        scene, groups, _ = drop_at(run, drop_index)
         drop_seed = derive_seed(plan.seed, "drop", drop_index, str(sweep_value))
         counts, chirp_rngs = {"uniforms": 0}, {}
 
@@ -776,7 +813,7 @@ class TestDropDraws:
             warnings.simplefilter("ignore")
             mp.setattr(channel, "rng_for", rng_for)
             yielded = [(pipe, data) for pipe, data, _, _ in
-                       drop_estimates(scene, plan, drop_index, desk_clutter, sweep_value)]
+                       drop_estimates(scene, run, drop_index, groups, sweep_value)]
         assert sorted(pipe.tag for pipe, _ in yielded) == sorted(p.tag for p in plan.pipelines)
 
         chirp_symbols, block_size = [0], 2 * scene.array.num_rx * scene.radio.num_subcarriers
@@ -802,9 +839,10 @@ class TestDropDraws:
         assert counts["uniforms"] == block_size * max(chirp_symbols)
 
     @staticmethod
-    def held_blocks(monkeypatch, scene, plan, clutter, sweep_value=None):
-        """Chirp noise blocks the drop's DropDraws holds after each block it
-        hands out, and once the drop is done."""
+    def held_blocks(monkeypatch, run):
+        """Chirp noise blocks the DropDraws of drop 0 at ``run``'s first
+        sweep point holds after each block it hands out, and once the drop
+        is done."""
         held, made = [], []
 
         class Watched(DropDraws):
@@ -822,9 +860,10 @@ class TestDropDraws:
                 return watched()
 
         monkeypatch.setattr(harness, "DropDraws", Watched)
+        drop, groups, value = drop_at(run, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            list(drop_estimates(scene, plan, 0, clutter, sweep_value))
+            list(drop_estimates(drop, run, 0, groups, value))
         assert len(made) == 1
         return held, made[0].held_chirp_blocks
 
@@ -834,8 +873,7 @@ class TestDropDraws:
         scene = validate_scene(scene_cfg)
         scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
         plan = replace(plan, pipelines=(DESK_MC[2], DESK_MC[3]))
-        scene = self.drop_scene(scene, plan, 0, plan.sweep_values[0])
-        held, after = self.held_blocks(monkeypatch, scene, plan, None, plan.sweep_values[0])
+        held, after = self.held_blocks(monkeypatch, compiled(scene, plan))
         assert len(held) == len(plan.pipelines[1:]) * 4     # 4 comb occasions, 1 slot
         assert max(held) == after == 0
 
@@ -844,8 +882,7 @@ class TestDropDraws:
         # so at most 4 are held, 3 while lshape-VA reads, none at the end.
         scene, plan = desk
         plan = replace(plan, pipelines=DESK_MC)
-        scene = self.drop_scene(scene, plan, 0, scene.radio.avg_tx_power_w)
-        held, after = self.held_blocks(monkeypatch, scene, plan, desk_clutter)
+        held, after = self.held_blocks(monkeypatch, compiled(scene, plan, desk_clutter))
         assert held == [1, 2, 3, 4] + [4] * 8 + [4, 4, 4, 3] + [3, 3, 0]
         assert after == 0
 
@@ -894,14 +931,15 @@ class TestDrawThread:
         """(records, cube and FA arrays) of ``drops`` drops at each sweep
         point, with the draws and pieces run as on ``count`` CPUs."""
         records, arrays = [], []
+        run = compiled(scene, plan, clutter_map)
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mp.setattr(cpus, "count", lambda: count)
-            for value in plan.sweep_values or (None,):
+            for k, (value, at, groups) in enumerate(run.points):
                 for i in range(drops):
-                    records += run_drop(scene, plan, i, clutter_map, value)
-                    drop = harness.drop_scene(scene, plan, i, value)
-                    for pipe, data, _, _ in drop_estimates(drop, plan, i, clutter_map, value):
+                    records += run_drop(at, run, i, groups, value)
+                    drop, _, _ = drop_at(run, i, k)
+                    for pipe, data, _, _ in drop_estimates(drop, run, i, groups, value):
                         arrays += ([data] if pipe.structure == "fa" else
                                    [data.chirp_branch, data.tone_branch_compressed])
         return records, arrays
@@ -984,7 +1022,7 @@ class TestDrawThread:
         threads = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_drop(scene, replace(plan, pipelines=DESK_MC), 0)
+            drop_records(scene, replace(plan, pipelines=DESK_MC), 0)
         assert threads_running_pieces() == {threading.get_ident()}
         assert cpus._HELPER is None and threading.active_count() == threads
         monkeypatch.setattr(cpus, "count", lambda: 2)
@@ -1008,8 +1046,8 @@ class TestDrawThread:
                 draws_made["running"] -= 1
 
         monkeypatch.setattr(channel, "_noise_parts", slow_noise_parts)
-        scene, plan = self.car()
-        drop = harness.drop_scene(scene, plan, 0, plan.sweep_values[0])
+        run = compiled(*self.car())
+        drop, groups, value = drop_at(run, 0)
         if stop == "cube_raises":
             # The cube asks for its first block, with more drawn ahead.
             def failing_cube(scene, schedule, clutter_map, *, draws):
@@ -1019,10 +1057,10 @@ class TestDrawThread:
 
             monkeypatch.setattr(harness, "synthesize_if_cube", failing_cube)
             with pytest.raises(DropError, match="cube failed"):
-                list(drop_estimates(drop, plan, 0, None, plan.sweep_values[0]))
+                list(drop_estimates(drop, run, 0, groups, value))
         else:
             # FA runs first; the cube's blocks are drawn meanwhile.
-            estimates = drop_estimates(drop, plan, 0, None, plan.sweep_values[0])
+            estimates = drop_estimates(drop, run, 0, groups, value)
             assert next(estimates)[0].structure == "fa"
             estimates.close()
         started = draws_made["started"]
@@ -1054,6 +1092,48 @@ class TestDrawThread:
             signal.signal(signal.SIGALRM, previous)
         assert pooled == serial and len(serial) == 4 * len(DESK_MC)
 
+    @pytest.mark.parametrize("preset,queued", [("desk_small", False), ("table1_car", True)])
+    def test_tone_noise_queued_where_symbol_halves_are_shared(self, monkeypatch, preset,
+                                                              queued):
+        # A cube queues its tone noise on the helper thread as its last chirp
+        # symbol starts only where it shares its symbol halves (table1_car's
+        # 32 x 2048 halves, not desk_small's 8 x 512), and takes it after.
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        scene_cfg, plan = parse_config(preset_path(preset))
+        scene = validate_scene(scene_cfg)
+        sched = schedule_for(scene, DESK_MC[3], plan.seed)
+        calls, tone_noise = [], DropDraws.tone_noise
+
+        def watched(draws, scale, shape, queue=False):
+            calls.append(queue)
+            return tone_noise(draws, scale, shape, queue)
+
+        monkeypatch.setattr(DropDraws, "tone_noise", watched)
+        draws = DropDraws(5, [sched.num_chirp_symbols], channel.chirp_noise_key(scene))
+        got = synthesize_if_cube(scene, sched, draws=draws).tone_branch_compressed
+        want = synthesize_if_cube(scene, sched, draws=oracles.FreshDraws(5))
+        assert calls == ([True, False] if queued else [False])
+        assert np.array_equal(got.view(float), want.tone_branch_compressed.view(float))
+
+    @pytest.mark.parametrize("helper", [1, 2])
+    def test_queued_tone_noise_equals_an_unshared_draw(self, monkeypatch, helper):
+        # Queued, it is drawn on the helper thread; at one CPU nothing is
+        # queued and the take draws it on the calling thread.
+        monkeypatch.setattr(cpus, "count", lambda: helper)
+        threads, complex_noise = [], channel._complex_noise
+
+        def watched(*args):
+            threads.append(threading.get_ident())
+            return complex_noise(*args)
+
+        monkeypatch.setattr(channel, "_complex_noise", watched)
+        draws = DropDraws(5)
+        assert draws.tone_noise(0.5, (4, 8), queue=True) is None
+        cpus.helper().submit(lambda: None).result()
+        got = draws.tone_noise(0.5, (4, 8))
+        assert np.array_equal(got, oracles.FreshDraws(5).tone_noise(0.5, (4, 8)))
+        assert len(threads) == 1 and (threads[0] == threading.get_ident()) == (helper == 1)
+
     def test_pool_workers_start_no_draw_thread(self, desk, monkeypatch):
         # With --workers the pool keeps the CPUs busy: a worker's drop draws
         # its chirp noise, and runs every shared piece, on the calling
@@ -1063,7 +1143,7 @@ class TestDrawThread:
         scene = replace(scene, clutter=replace(scene.clutter, enabled=False))
         plan = replace(plan, pipelines=DESK_MC)
         with ProcessPoolExecutor(1, initializer=harness._pool_init,
-                                 initargs=(scene, plan, None)) as pool:
+                                 initargs=(compiled(scene, plan),)) as pool:
             inline, threads, calling = pool.submit(draw_threads_after_a_drop).result(timeout=60)
         assert inline and threads == [] and calling
 
@@ -1083,8 +1163,8 @@ class TestDropMemory:
         scene_cfg, plan = parse_config(preset_path(preset))
         scene = validate_scene(scene_cfg)
         plan = replace(plan, pipelines=pipes)
-        clutter = build_clutter_for(scene, pipes)
-        sweep_value = plan.sweep_values[0]
+        run = compiled(scene, plan, build_clutter_for(scene, pipes))
+        sweep_value, at, groups = run.points[0]
         sched = schedule_for(scene, pipes[-1], plan.seed)
         branch = scene.array.num_rx * sched.num_chirp_symbols * scene.radio.num_subcarriers * 16
         assert branch == branch_mib * 2**20
@@ -1092,10 +1172,10 @@ class TestDropMemory:
             warnings.simplefilter("ignore")
             # The first drop builds what every later drop shares: the map's
             # spectra and the FA lag cells.
-            run_drop(scene, plan, 0, clutter, sweep_value)
+            run_drop(at, run, 0, groups, sweep_value)
             tracemalloc.start()
             try:
-                run_drop(scene, plan, 1, clutter, sweep_value)
+                run_drop(at, run, 1, groups, sweep_value)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -23,7 +23,7 @@ from conftest import (
     make_scene,
     on_grid_target,
 )
-from mars_jcas import harness
+from mars_jcas import cli, harness
 from mars_jcas.channel import DropDraws, synthesize_if_cube
 from mars_jcas.cli import main, preset_path
 from mars_jcas.harness import CustomRanges, ExperimentPlan, schedule_for
@@ -279,6 +279,10 @@ class TestConfigParsing:
             assert out.exists() == (code == 0)
         tag = PipelineSpec(**pipe).tag
         assert f"{cfg}: pipelines[0] {tag}: stte_guard 32 masks every velocity bin" in err
+        # Under simulate --targets too, a rule of the config names the config.
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--targets", "1"]) == 3
+        assert f"{cfg}: pipelines[0] {tag}: stte_guard 32" in capsys.readouterr().err
 
     @pytest.mark.parametrize("refinement,fits,over,reason", [
         # 16 elements x (64 - 3 masked) bins = 976 STTE cells: each peak
@@ -306,7 +310,10 @@ class TestConfigParsing:
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--targets", str(over)]) == 3
-        assert f"experiment.target_count {over} {reason}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"experiment.target_count {over} {reason}" in err
+        # The count is the command line's.
+        assert err.startswith(f"config error: command-line override: pipelines[0] {tag}:")
         assert not out.exists()
         # simulate scores the count it is given, or the config's targets,
         # never the config's target_count.
@@ -843,6 +850,26 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"runtime error: drop 0 (sweep value None, seed {seed}, pipeline "
             f"{plan.pipelines[0].tag}): injected failure\n")
+
+    @pytest.mark.parametrize("argv,schedules", [
+        (["montecarlo", "--preset", "desk_small", "--drops", "3"], 2),
+        (["montecarlo", "--preset", "table1_car", "--drops", "1"], 5),
+        (["simulate", "--preset", "desk_small", "--targets", "1"], 2),
+        (["simulate", "--preset", "table1_car", "--targets", "1"], 5),
+    ], ids=["montecarlo-desk", "montecarlo-car", "simulate-desk", "simulate-car"])
+    def test_rules_applied_once_and_schedules_built_once_per_point(self, tmp_path, monkeypatch,
+                                                                   argv, schedules):
+        # The waveform section's schedule, and one per pipeline group and
+        # sweep point (one group; desk_small has one point, table1_car four).
+        calls = {"plan_groups": 0, "build_schedule": 0}
+        for module in (cli, harness):
+            for name in calls:
+                def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"plan_groups": 1, "build_schedule": schedules}
 
     def test_seed_override_reaches_scene_and_plan(self, tmp_path):
         out = tmp_path / "mc"

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import compiled
 from mars_jcas.harness import run_drop
 from mars_jcas.pipeline import PipelineSpec
 
@@ -42,6 +43,15 @@ def test_range_stage_keeps_eps_mode_parameter(name):
     assert "eps_mode" in inspect.signature(getattr(pipeline, name)).parameters
 
 
+def test_drop_and_pipeline_keep_the_parameters_the_tracer_binds():
+    # Tracer._on_drop reads drop_index and sweep_value, DropProbe passes
+    # run_drop's five arguments by position, and _on_pipeline reads pipe.
+    pipeline = importlib.import_module("mars_jcas.pipeline")
+    names = list(inspect.signature(run_drop).parameters)
+    assert len(names) == 5 and names[2] == "drop_index" and names[4] == "sweep_value"
+    assert "pipe" in inspect.signature(pipeline.run_pipeline).parameters
+
+
 @pytest.mark.parametrize("pipe", [
     PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", va=True),
     PipelineSpec(structure="lshape", suppressor="stap", eps_mode="zero", va=True),
@@ -52,11 +62,13 @@ def test_range_stage_keeps_eps_mode_parameter(name):
 def test_traced_drop_records_every_expected_span(tracer, desk, pipe):
     scene, plan = desk
     plan = replace(plan, pipelines=(pipe,))
+    run = compiled(scene, plan)
+    sweep_value, scene, groups = run.points[0]
     with tracer.WarningLog() as log:
         trace = tracer.Tracer(log)
         trace.install()
         try:
-            run_drop(scene, plan, 0)
+            run_drop(scene, run, 0, groups, sweep_value)
         finally:
             trace.remove()
     recorded = {name for name, *_ in trace.spans}
