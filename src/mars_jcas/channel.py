@@ -406,7 +406,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     for t in scene.targets:
         beat = np.exp(2j * np.pi * (bw / t_sym) * t.delay_s() * samples / bw)
         if rec.exact_within_symbol_doppler:
-            beat = beat * np.exp(2j * np.pi * t.doppler_hz(radio.carrier_freq_hz) * samples / bw)
+            beat = beat * np.exp(2j * np.pi * radio.doppler_hz(t.radial_velocity_mps)
+                                 * samples / bw)
         beats.append(beat)
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
     # Clutter: per-bin beat tones collapse to an inverse DFT per chirp slot,
@@ -438,7 +439,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         terms = []
         for t, h, a2d, beat in zip(scene.targets, coeffs, steers, beats):
             tau = t.delay_s()
-            fd = t.doppler_hz(radio.carrier_freq_hz)
+            fd = radio.doppler_hz(t.radial_velocity_mps)
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
             terms.append(((a2d * amp)[:, None], beat))
@@ -456,7 +457,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     t_m = tone_pris * radio.pri_s
     for t, h, a2d in zip(scene.targets, coeffs, steers):
         tau = t.delay_s()
-        fd = t.doppler_hz(radio.carrier_freq_hz)
+        fd = radio.doppler_hz(t.radial_velocity_mps)
         gain = _integration_factor(fd, n, bw, rec.exact_within_symbol_doppler)
         phases = np.exp(2j * np.pi * fd * (t_m - tau)) * sqrt_p
         tone += np.outer(a2d, phases) * (h * gain
@@ -509,7 +510,7 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
 
     for t in scene.targets:
         tau = t.delay_s()
-        fd = t.doppler_hz(radio.carrier_freq_hz)
+        fd = radio.doppler_hz(t.radial_velocity_mps)
         a2d = _rx_steering(scene, t)
         h = _target_coeff(scene, t, draws)
         ramp = np.exp(-2j * np.pi * sub * radio.subcarrier_spacing_hz * tau) \

@@ -83,11 +83,11 @@ def _source(args):
 
 
 def _load(args, default_plan=False, compiles=False):
-    """(scene config, scene, plan) of the command's config, with the
-    waveform section's schedule built and, unless the command ``compiles``
-    its run after its overrides, every plan rule applied: a bad one is a
-    config error before anything is written or drawn. With ``default_plan``
-    a config without an experiment section gets the default plan."""
+    """(scene config, scene, plan, the waveform section's schedule) of the
+    command's config with, unless the command ``compiles`` its run after its
+    overrides, every plan rule applied: a bad one is a config error before
+    anything is written or drawn. With ``default_plan`` a config without an
+    experiment section gets the default plan."""
     source = _source(args)
     scene_cfg, plan = parse_config(source)
     if getattr(args, "seed", None) is not None:
@@ -98,7 +98,7 @@ def _load(args, default_plan=False, compiles=False):
         plan = ExperimentPlan(seed=scene_cfg.seed)
     scene = validate_scene(scene_cfg)
     try:
-        _scene_schedule(scene, plan)
+        schedule = _scene_schedule(scene, plan)
         if plan is not None and not compiles:
             plan_groups(scene, plan)
         if scene.clutter.enabled:
@@ -110,7 +110,7 @@ def _load(args, default_plan=False, compiles=False):
                                  f"90 degrees; it must be at most {LARGEST:g}")
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return scene_cfg, scene, plan
+    return scene_cfg, scene, plan, schedule
 
 
 def _command(args) -> tuple:
@@ -152,7 +152,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_resolution(args) -> int:
-    scene_cfg, scene, plan = _load(args)
+    scene_cfg, scene, plan, _ = _load(args)
     rep_off = resolution_report(scene.radio, scene.array.with_va(False))
     rep_on = resolution_report(scene.radio, scene.array.with_va(True))
     rows = [(f.name, getattr(rep_off, f.name), getattr(rep_on, f.name)) for f in fields(rep_off)]
@@ -167,8 +167,7 @@ def cmd_resolution(args) -> int:
 
 
 def cmd_waveform(args) -> int:
-    scene_cfg, scene, plan = _load(args)
-    schedule = _scene_schedule(scene, plan)
+    scene_cfg, scene, plan, schedule = _load(args)
     overhead = overhead_fraction(schedule, scene.radio)
     print(f"structure            {schedule.structure}")
     print(f"num_pri              {schedule.num_pri}")
@@ -198,7 +197,7 @@ def cmd_waveform(args) -> int:
 
 
 def cmd_clutter_map(args) -> int:
-    scene_cfg, scene, plan = _load(args)
+    scene_cfg, scene, plan, _ = _load(args)
     if not scene.clutter.enabled:
         raise ConfigError("clutter disabled in config; nothing to build")
     started = time.perf_counter()
@@ -221,7 +220,7 @@ def cmd_clutter_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scene_cfg, scene, plan = _load(args, default_plan=True, compiles=True)
+    scene_cfg, scene, plan, _ = _load(args, default_plan=True, compiles=True)
     if args.targets is None and not scene.targets:
         raise ConfigError("no targets: give a targets section or --targets K")
     started = time.perf_counter()
@@ -284,7 +283,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    scene_cfg, scene, plan = _load(args, compiles=True)
+    scene_cfg, scene, plan, _ = _load(args, compiles=True)
     if plan is None:
         raise ConfigError("config has no experiment section")
     try:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cpus
-from .scene import SPEED_OF_LIGHT, ArrayGeometry, RadioParams, steering_ura_from_sin
+from .scene import ArrayGeometry, RadioParams, resolution_report, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 
@@ -143,13 +143,10 @@ def angle_velocity_map(y_e2: np.ndarray, arr: ArrayGeometry,
     m = y_e2.shape[1]
     cube = y_e2.reshape(rows, cols, m)
     spectrum = np.fft.fft(np.fft.fft2(cube, axes=(0, 1)), axis=2)
-    lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
-    return AngleVelocityMap(
-        values=np.abs(spectrum).transpose(1, 0, 2),
-        sin_res_x=lam / (cols * arr.rx_spacing_x_m),
-        sin_res_y=lam / (rows * arr.rx_spacing_y_m),
-        velocity_res_mps=SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz),
-    )
+    res = resolution_report(radio, arr)
+    return AngleVelocityMap(values=np.abs(spectrum).transpose(1, 0, 2),
+                            sin_res_x=res.sin_angle_res_x, sin_res_y=res.sin_angle_res_y,
+                            velocity_res_mps=radio.velocity_res_mps)
 
 
 def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
@@ -216,27 +213,23 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     if factor < 1:
         raise ValueError("music_refine: factor must be >= 1")
     m = y_e2.shape[1]
-    lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
+    res = resolution_report(radio, arr)
 
     e_s = _signal_subspace(y_e2, num_sources)
-    avm_res_x = lam / (arr.rx_cols * arr.rx_spacing_x_m)
-    avm_res_y = lam / (arr.rx_rows * arr.rx_spacing_y_m)
     steps = np.linspace(-1.0, 1.0, 2 * factor + 1)
-    sx = np.clip(coarse.sin_psi_x + steps * avm_res_x, -1.0, 1.0)
-    sy = np.clip(coarse.sin_psi_y + steps * avm_res_y, -1.0, 1.0)
+    sx = np.clip(coarse.sin_psi_x + steps * res.sin_angle_res_x, -1.0, 1.0)
+    sy = np.clip(coarse.sin_psi_y + steps * res.sin_angle_res_y, -1.0, 1.0)
     gx, gy = np.meshgrid(sx, sy, indexing="ij")
     cand = steering_ura_from_sin(gx.ravel(), gy.ravel(), arr.rx_cols, arr.rx_rows,
-                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, lam)
+                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, radio.wavelength_m)
     best = _music_scan(e_s, cand)
     sin_x = float(gx.ravel()[best])
     sin_y = float(gy.ravel()[best])
 
     e_st = _signal_subspace(y_e2.T, num_sources)
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    vels = coarse.velocity_mps + steps * vel_res
+    vels = coarse.velocity_mps + steps * res.velocity_res_mps
     t_m = np.arange(m) * radio.pri_s
-    cand_t = np.exp(2j * np.pi * (2.0 * vels[None, :] * radio.carrier_freq_hz
-                                  / SPEED_OF_LIGHT) * t_m[:, None])
+    cand_t = np.exp(2j * np.pi * radio.doppler_hz(vels[None, :]) * t_m[:, None])
     vel = float(vels[_music_scan(e_st, cand_t)])
     return vel, math.asin(sin_x), math.asin(sin_y)
 
@@ -262,8 +255,7 @@ def temporal_steering(velocity_mps: float, schedule: MarsSchedule,
     """
     indices = np.array(schedule.chirp_pri_indices, dtype=float)
     t_w = (indices - indices[0]) * radio.pri_s
-    fd = 2.0 * velocity_mps * radio.carrier_freq_hz / SPEED_OF_LIGHT
-    return np.exp(2j * np.pi * fd * t_w)
+    return np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * t_w)
 
 
 def space_time_steering(velocity_mps: float, sin_psi_x, sin_psi_y,
@@ -272,9 +264,8 @@ def space_time_steering(velocity_mps: float, sin_psi_x, sin_psi_y,
     """Temporal Doppler factor Kronecker-left of the spatial URA steering.
     ``arr`` must match the data rows (virtual geometry for assembled data).
     Arrays of C sin-angle pairs give one column per pair, (W*L, C)."""
-    lam = SPEED_OF_LIGHT / radio.carrier_freq_hz
     a_2d = steering_ura_from_sin(sin_psi_x, sin_psi_y, arr.rx_cols, arr.rx_rows,
-                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, lam)
+                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, radio.wavelength_m)
     a_t = temporal_steering(velocity_mps, schedule, radio)
     return (a_t.reshape(a_t.shape + (1,) * a_2d.ndim) * a_2d).reshape((-1,) + a_2d.shape[1:])
 
@@ -377,6 +368,14 @@ def _zero_forcing_weights(a_t: np.ndarray) -> np.ndarray:
     return diff.sum(axis=1).conj() / (0.5 * np.sum(np.abs(diff) ** 2))
 
 
+def at_blind_speed(a_t: np.ndarray) -> bool:
+    """Whether temporal steering ``a_t`` over W >= 2 occasions is collinear with the
+    static-clutter signature (all ones), which STHP's zero-forcing nulls with it."""
+    w_dim = len(a_t)
+    corr = abs(np.vdot(a_t, np.ones(w_dim))) / (np.linalg.norm(a_t) * math.sqrt(w_dim))
+    return w_dim >= 2 and corr > 1.0 - 1e-9
+
+
 def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
                         eps_mode: str = "em", *, range_res_m: float = 1.0,
                         epsilon: Optional[float] = None,
@@ -394,8 +393,7 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
         raise ValueError("sthp_range_spectrum: needs W >= 2 chirp occasions")
     if y_st.shape[0] != w_dim * l_dim:
         raise ValueError("sthp_range_spectrum: row count does not match W*L")
-    corr = abs(np.vdot(a_t, np.ones(w_dim))) / (np.linalg.norm(a_t) * math.sqrt(w_dim))
-    if corr > 1.0 - 1e-9:
+    if at_blind_speed(a_t):
         vel = "" if velocity_mps is None else f" (velocity {velocity_mps} m/s)"
         raise ValueError("sthp_range_spectrum: temporal steering is collinear with "
                          f"the static-clutter signature{vel}; zero-forcing undefined")
@@ -410,7 +408,6 @@ class FaMap:
     correlator powers, and their magnitudes on first read."""
 
     power: np.ndarray   # (M velocity bins, N range bins); rounding may leave p < 0
-    range_res_m: float
     velocity_res_mps: float
 
     @cached_property
@@ -452,7 +449,7 @@ _FA_ROWS = 64
 
 
 def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
-                         radio: RadioParams, range_res_m: float) -> FaMap:
+                         radio: RadioParams) -> FaMap:
     """Correlate per-symbol subcarrier measurements against delay/Doppler
     hypotheses on the main pipeline's (range bin, velocity bin) grid;
     element powers combine noncoherently.
@@ -502,8 +499,7 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     blocks = (slice(lo, lo + _FA_ROWS) for lo in range(0, m, _FA_ROWS))
     cpus.share((partial(np.fft.irfft, grid[rows].copy(), n=n, axis=1, norm="forward",
                         out=power[rows]) for rows in blocks), min(m, _FA_ROWS) * half)
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    return FaMap(power=power, velocity_res_mps=radio.velocity_res_mps)
 
 
 def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,

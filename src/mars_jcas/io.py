@@ -162,7 +162,7 @@ def _scaled(k):
 _dbm = lambda v, got: dbm_to_watts(_float(v))
 _dbi = lambda v, got: 10.0 ** (_float(v) / 10.0)
 _deg = lambda v, got: math.radians(_float(v))
-_sin = lambda v, got: math.asin(_float(v))
+_sin = lambda v, got: math.asin(_expect(abs(s := _float(v)) <= 1.0, s, "|sin ψ| ≤ 1"))
 _wavelengths = lambda v, got: _float(v) * got["wavelength_m"]
 _floats = _list(lambda v: tuple(_float(x) for x in v))
 

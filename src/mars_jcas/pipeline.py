@@ -23,6 +23,7 @@ from .estimator import (
     AngleVelocityMap,
     TargetEstimate,
     angle_velocity_map,
+    at_blind_speed,
     expand_nn,
     fa_angle_snapshot,
     fa_range_doppler_map,
@@ -36,7 +37,7 @@ from .estimator import (
     temporal_steering,
     va_assemble,
 )
-from .scene import SPEED_OF_LIGHT, ArrayGeometry, ValidatedScene, steering_ura_from_sin
+from .scene import ArrayGeometry, ValidatedScene, resolution_report, steering_ura_from_sin
 from .waveform import MarsSchedule
 
 
@@ -123,9 +124,8 @@ def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
     (or refined) angle alone, or the virtual array's FFT bins within +-1 coarse bin."""
     if pipe.refinement == "music" or not pipe.va:
         return np.array([peak_sin_x]), np.array([peak_sin_y])
-    lam = scene.wavelength_m
-    res_x = lam / (geom.rx_cols * geom.rx_spacing_x_m)
-    res_y = lam / (geom.rx_rows * geom.rx_spacing_y_m)
+    res = resolution_report(scene.radio, geom)
+    res_x, res_y = res.sin_angle_res_x, res.sin_angle_res_y
     eta_x = max(1, scene.array.tx_cols)
     eta_y = max(1, scene.array.tx_rows)
     kx = int(round(peak_sin_x / res_x))
@@ -141,17 +141,20 @@ def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
 def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                  velocity_mps: float, sin_x, sin_y):
     """Score all angle candidates in one suppressor call; returns (d, range_m, bin,
-    peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties).
-    The steering follows the snapshot rows: URA rows permuted (no quadratic form
-    changes) times each row's VA slot Doppler D. STAP on D Y with steering a is STAP
-    on Y with D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
+    peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties),
+    or None for STHP at a blind speed, which its zero-forcing nulls. The steering
+    follows the snapshot rows: URA rows permuted (no quadratic form changes) times
+    each row's VA slot Doppler D. STAP on D Y with steering a is STAP on Y with
+    D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
     radio, geom, dr = scene.radio, front.geom, scene.range_res_m
     rows = front.virtual_row
-    fd = 2.0 * velocity_mps * radio.carrier_freq_hz / SPEED_OF_LIGHT
     row_slot = np.arange(rows.size) // scene.array.num_rx
-    slot_phase = np.exp(2j * np.pi * fd * row_slot * radio.pri_s)[:, None]
+    slot_phase = np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * row_slot
+                        * radio.pri_s)[:, None]
     if pipe.suppressor == "sthp":
         a_t = temporal_steering(velocity_mps, front.schedule, radio)
+        if at_blind_speed(a_t):
+            return None
         a_s = steering_ura_from_sin(sin_x, sin_y, geom.rx_cols, geom.rx_rows,
                                     geom.rx_spacing_x_m, geom.rx_spacing_y_m,
                                     scene.wavelength_m)[rows] * slot_phase
@@ -170,17 +173,17 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
 def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                  num_targets: int, debug: dict = None) -> list:
     """Detection chain on one cube's :func:`front_end`; returns one
-    TargetEstimate per extracted peak, strongest first. ``debug``, when given,
-    collects the angle-velocity map and each target's range spectrum."""
+    TargetEstimate per extracted peak the range stage scores (:func:`_range_stage`),
+    strongest first. ``debug``, when given, collects the angle-velocity map and
+    each estimate's range spectrum."""
     if pipe.structure == "fa":
         raise ValueError("FA pipelines take measurements, not IF cubes; "
                          "use run_fa_pipeline")
-    radio = scene.radio
+    radio, avm = scene.radio, front.avmap
     if debug is not None:
-        debug["avmap"] = front.avmap
-    peaks = stte_peaks(front.avmap, num_targets, pipe.stte_guard)
+        debug["avmap"] = avm
+    peaks = stte_peaks(avm, num_targets, pipe.stte_guard)
 
-    dv = scene.velocity_res_mps
     estimates = []
     for peak in peaks:
         vel = peak.velocity_mps
@@ -191,8 +194,10 @@ def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                                              factor=pipe.music_factor)
             sin_x, sin_y = math.sin(psi_x), math.sin(psi_y)
         cand_x, cand_y = _angle_candidates(sin_x, sin_y, pipe, scene, front.geom)
-        d, rng_m, rng_bin, peak_mag, win_x, win_y = _range_stage(
-            front, scene, pipe, vel, cand_x, cand_y)
+        stage = _range_stage(front, scene, pipe, vel, cand_x, cand_y)
+        if stage is None:
+            continue
+        d, rng_m, rng_bin, peak_mag, win_x, win_y = stage
         if debug is not None:
             debug.setdefault("spectra", []).append(d)
 
@@ -202,9 +207,9 @@ def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
             psi_y_rad=math.asin(max(-1.0, min(1.0, win_y))),
             range_m=rng_m,
             amplitude=peak_mag,
-            velocity_bin=int(round(vel / dv)),
-            angle_x_bin=int(round(win_x / front.avmap.sin_res_x)),
-            angle_y_bin=int(round(win_y / front.avmap.sin_res_y)),
+            velocity_bin=int(round(vel / avm.velocity_res_mps)),
+            angle_x_bin=int(round(win_x / avm.sin_res_x)),
+            angle_y_bin=int(round(win_y / avm.sin_res_y)),
             range_bin=rng_bin,
             refinement=pipe.refinement,
             method=pipe.suppressor,
@@ -219,7 +224,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     spatial FFT of the correlation snapshot at each peak for the angles.
     The same zero-velocity guard as STTE keeps the static ridge out."""
     radio = scene.radio
-    famap = fa_range_doppler_map(fa_meas, schedule, radio, scene.range_res_m)
+    famap = fa_range_doppler_map(fa_meas, schedule, radio)
     # The map never leaves this function, so its power grid is masked in
     # place. Search it in its (velocity, range) memory order; the first
     # maximum in (range, velocity) order is the first range column holding
@@ -233,6 +238,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     power[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
 
     arr = scene.array
+    res = resolution_report(radio, arr.with_va(False))
     estimates = []
     for _ in range(num_targets):
         r_bin = int(np.argmax(_magnitudes(power.max(axis=0))))
@@ -243,11 +249,8 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
-        lam = scene.wavelength_m
-        res_x = lam / (arr.rx_cols * arr.rx_spacing_x_m)
-        res_y = lam / (arr.rx_rows * arr.rx_spacing_y_m)
-        sin_x = float(signed_bin(bx, arr.rx_cols)) * res_x
-        sin_y = float(signed_bin(by, arr.rx_rows)) * res_y
+        sin_x = float(signed_bin(bx, arr.rx_cols)) * res.sin_angle_res_x
+        sin_y = float(signed_bin(by, arr.rx_rows)) * res.sin_angle_res_y
         vel = famap.velocity(v_bin)
         estimates.append(TargetEstimate(
             velocity_mps=vel,

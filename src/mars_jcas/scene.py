@@ -72,6 +72,15 @@ class RadioParams:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
+    @property
+    def velocity_res_mps(self) -> float:
+        """Velocity bin size c / (2 f_c T_CPI) of every map and of scoring."""
+        return SPEED_OF_LIGHT / (2.0 * self.cpi_s * self.carrier_freq_hz)
+
+    def doppler_hz(self, velocity_mps):
+        """Two-way Doppler shift 2 v f_c / c of a radial velocity (or an array)."""
+        return 2.0 * velocity_mps * self.carrier_freq_hz / SPEED_OF_LIGHT
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -138,9 +147,6 @@ class Target:
 
     def delay_s(self) -> float:
         return 2.0 * self.range_m / SPEED_OF_LIGHT
-
-    def doppler_hz(self, carrier_freq_hz: float) -> float:
-        return 2.0 * self.radial_velocity_mps * carrier_freq_hz / SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -219,10 +225,6 @@ class ValidatedScene:
     def range_res_m(self) -> float:
         return SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
 
-    @property
-    def velocity_res_mps(self) -> float:
-        return SPEED_OF_LIGHT / (2.0 * self.radio.cpi_s * self.radio.carrier_freq_hz)
-
 
 @dataclass(frozen=True)
 class ResolutionReport:
@@ -274,7 +276,7 @@ def resolution_report(radio: RadioParams, arr: ArrayGeometry) -> ResolutionRepor
     lam = radio.wavelength_m
     return ResolutionReport(
         range_res_m=SPEED_OF_LIGHT / (2.0 * radio.derived_bandwidth_hz),
-        velocity_res_mps=SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz),
+        velocity_res_mps=radio.velocity_res_mps,
         sin_angle_res_x=lam / (arr.va_cols * arr.rx_spacing_x_m),
         sin_angle_res_y=lam / (arr.va_rows * arr.rx_spacing_y_m),
         max_unambiguous_speed_mps=SPEED_OF_LIGHT / (4.0 * radio.carrier_freq_hz * radio.pri_s),

@@ -63,7 +63,7 @@ def on_grid_target(scene, *, range_bin=60, vel_bin=10, x_bin=1, y_bin=-1, rcs=10
     res_sin_y = scene.wavelength_m / (scene.array.rx_rows * scene.array.rx_spacing_y_m)
     return Target(
         range_m=range_bin * scene.range_res_m,
-        radial_velocity_mps=vel_bin * scene.velocity_res_mps,
+        radial_velocity_mps=vel_bin * scene.radio.velocity_res_mps,
         psi_x_rad=math.asin(x_bin * res_sin_x),
         psi_y_rad=math.asin(y_bin * res_sin_y),
         rcs_m2=rcs,

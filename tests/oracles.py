@@ -238,7 +238,7 @@ def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):
     ], axis=1)
     best = _music_scan(e_s, cand)
     e_st = _noise_projector(forward_backward_dense(y_e2.T @ y_e2.conj() / l), num_sources)
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
+    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
     vels = coarse.velocity_mps + steps * vel_res
     t_m = np.arange(m) * radio.pri_s
     cand_t = np.exp(2j * np.pi * (2.0 * vels[None, :] * radio.carrier_freq_hz
@@ -247,7 +247,7 @@ def music_refine(y_e2, coarse, arr, radio, num_sources=1, factor=10):
     return vel, math.asin(float(gx.ravel()[best])), math.asin(float(gy.ravel()[best]))
 
 
-def fa_range_doppler_map(fa_meas, schedule, radio, range_res_m):
+def fa_range_doppler_map(fa_meas, schedule, radio):
     """Per-element correlator map: an (M, N) ramp multiply and a length-M
     FFT for each element, powers summed over elements."""
     sub = schedule.fa_subcarrier_indices
@@ -258,11 +258,11 @@ def fa_range_doppler_map(fa_meas, schedule, radio, range_res_m):
     for row in fa_meas:
         z = np.fft.fft(row[:, None] * ramps, axis=0)                # (M_vel, N)
         power += np.abs(z) ** 2
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
+    return FaMap(power=power, velocity_res_mps=vel_res)
 
 
-def fa_range_doppler_map_full_grid(fa_meas, schedule, radio, range_res_m):
+def fa_range_doppler_map_full_grid(fa_meas, schedule, radio):
     """Gram form on the full (M, N) lag grid: every pair's lag cell rebuilt
     on each call and scattered, then the non-negative subcarrier lags
     transformed."""
@@ -280,11 +280,11 @@ def fa_range_doppler_map_full_grid(fa_meas, schedule, radio, range_res_m):
         lags.imag += np.bincount(idx, weights=gram.imag.ravel(), minlength=m * n)
     half = np.fft.fft(lags.reshape(m, n)[:, :n // 2 + 1], axis=0)
     power = np.fft.hfft(half, n=n, axis=1)
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
+    return FaMap(power=power, velocity_res_mps=vel_res)
 
 
-def fa_range_doppler_map_half_grid(fa_meas, schedule, radio, range_res_m):
+def fa_range_doppler_map_half_grid(fa_meas, schedule, radio):
     """Gram form on the (M, N//2 + 1) half lag grid: a zeroed complex grid,
     one ``bincount`` each for the real and imaginary parts of G's kept
     pairs, a forward Doppler FFT and numpy's ``hfft``."""
@@ -304,11 +304,11 @@ def fa_range_doppler_map_half_grid(fa_meas, schedule, radio, range_res_m):
         lags.real += np.bincount(idx, weights=gram.real, minlength=m * half)
         lags.imag += np.bincount(idx, weights=gram.imag, minlength=m * half)
     power = np.fft.hfft(np.fft.fft(lags.reshape(m, half), axis=0), n=n, axis=1)
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
+    return FaMap(power=power, velocity_res_mps=vel_res)
 
 
-def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio, range_res_m):
+def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio):
     """The library's FA map before its real transform wrote over the lag
     grid: the conjugate Gram scattered block by block onto the cached lag
     cells, the Doppler transform in place, then one ``irfft`` of the whole
@@ -325,8 +325,8 @@ def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio, range_res_m):
     grid = grid.view(complex).reshape(m, -1)
     np.fft.ifft(grid, axis=0, norm="forward", out=grid)
     power = np.fft.irfft(grid, n=n, axis=1, norm="forward")
-    vel_res = SPEED_OF_LIGHT / (2.0 * m * radio.pri_s * radio.carrier_freq_hz)
-    return FaMap(power=power, range_res_m=range_res_m, velocity_res_mps=vel_res)
+    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
+    return FaMap(power=power, velocity_res_mps=vel_res)
 
 
 def fa_peak_search(values, num_targets, guard=1):
@@ -354,7 +354,7 @@ def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
     """FA pipeline on the full-grid map, searching its magnitudes
     (:func:`fa_peak_search`)."""
     radio = scene.radio
-    famap = fa_range_doppler_map_full_grid(fa_meas, schedule, radio, scene.range_res_m)
+    famap = fa_range_doppler_map_full_grid(fa_meas, schedule, radio)
     m = famap.values.shape[1]
     arr = scene.array
     estimates = []
@@ -601,7 +601,7 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
             block = np.zeros((n_el, n), dtype=complex)
             for t, h, a2d in zip(scene.targets, coeffs, steers):
                 tau = t.delay_s()
-                fd = t.doppler_hz(radio.carrier_freq_hz)
+                fd = radio.doppler_hz(t.radial_velocity_mps)
                 beat = np.exp(2j * np.pi * (bw / t_sym) * tau * samples / bw)
                 if rec.exact_within_symbol_doppler:
                     beat = beat * np.exp(2j * np.pi * fd * samples / bw)
@@ -637,7 +637,7 @@ def tone_branch_unfused(scene, schedule, clutter=None):
         cell = np.zeros((n_el, n), dtype=complex)
         for t in scene.targets:
             tau = t.delay_s()
-            fd = t.doppler_hz(radio.carrier_freq_hz)
+            fd = radio.doppler_hz(t.radial_velocity_mps)
             a2d = _rx_steering(scene, t)
             h = _target_coeff(scene, t, FreshDraws(seed))
             phase = np.exp(2j * np.pi * radio.carrier_freq_hz * tau) \

@@ -157,7 +157,7 @@ class TestToneBranch:
         # Brute-force DFT over the tone PRI sequence, evaluated on the PRI grid.
         m = sched.num_pri
         pris = sched.tone_pri_indices()
-        fd = t.doppler_hz(radio.carrier_freq_hz)
+        fd = radio.doppler_hz(t.radial_velocity_mps)
         row = cube.tone_branch_compressed[0]
         mags = [abs(np.sum(row * np.exp(-2j * np.pi * f * pris / m)))
                 for f in range(m)]
@@ -380,7 +380,7 @@ class TestFaMeasurements:
         meas = synthesize_fa_measurements(scene, sched)
         # Independent reconstruction of the expected per-symbol phases.
         tau = 2 * 240.0 / C0
-        fd = t.doppler_hz(radio.carrier_freq_hz)
+        fd = radio.doppler_hz(t.radial_velocity_mps)
         m = sched.num_pri
         ramp = (np.exp(-2j * np.pi * sched.fa_subcarrier_indices
                        * radio.subcarrier_spacing_hz * tau)

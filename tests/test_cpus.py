@@ -97,7 +97,7 @@ class TestShareSchedules:
     @staticmethod
     def outputs(draws, scene, sched, cmap, meas, fa_radio, fa_sched):
         cube = synthesize_if_cube(scene, sched, cmap, draws=draws)
-        famap = fa_range_doppler_map(meas, fa_sched, fa_radio, 1.0)
+        famap = fa_range_doppler_map(meas, fa_sched, fa_radio)
         return [cube.chirp_branch, cube.tone_branch_compressed, famap.power, famap.values]
 
     @given(l=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]), n=st.integers(2, 48),
@@ -253,7 +253,7 @@ class TestShare:
         release = threading.Event()
         busy = cpus.helper().submit(release.wait, 10)
         try:
-            famap = fa_range_doppler_map(meas, sched, radio, 1.0)
+            famap = fa_range_doppler_map(meas, sched, radio)
             grid = weakref.ref(famap.power.base)
             assert grid() is not None and not busy.done()
             del famap

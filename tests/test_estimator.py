@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
@@ -14,8 +15,10 @@ from scipy.constants import c as C0
 import oracles
 from conftest import make_array, make_radio
 from mars_jcas import estimator
+from mars_jcas.cli import preset_path
 from mars_jcas.estimator import (
     AngleVelocityMap,
+    CoarsePeak,
     angle_velocity_map,
     column_compress,
     epsilon_m,
@@ -33,7 +36,13 @@ from mars_jcas.estimator import (
     temporal_steering,
     va_assemble,
 )
-from mars_jcas.scene import steering_from_sin, steering_ura_from_sin
+from mars_jcas.io import config_from_dict
+from mars_jcas.scene import (
+    resolution_report,
+    steering_from_sin,
+    steering_ura_from_sin,
+    validate_scene,
+)
 from mars_jcas.waveform import build_schedule
 from oracles import unshape_space_time
 
@@ -761,7 +770,7 @@ class TestFaMap:
     def test_zero_measurements_zero_map(self):
         radio = make_radio(num_pri=16)
         sched = build_schedule(radio, make_array(), "fa", fa_seed=3)
-        famap = fa_range_doppler_map(np.zeros((16, 16), dtype=complex), sched, radio, 1.0)
+        famap = fa_range_doppler_map(np.zeros((16, 16), dtype=complex), sched, radio)
         assert np.all(famap.values == 0)
 
     def test_single_target_peak_on_grid(self):
@@ -773,7 +782,7 @@ class TestFaMap:
         ramp = (np.exp(-2j * np.pi * sched.fa_subcarrier_indices * r_bin / n)
                 * np.exp(2j * np.pi * v_bin * np.arange(32) / 32))
         meas = np.outer(np.ones(16), ramp)
-        famap = fa_range_doppler_map(meas, sched, radio, 1.0)
+        famap = fa_range_doppler_map(meas, sched, radio)
         got = np.unravel_index(np.argmax(famap.values), famap.values.shape)
         assert got == (r_bin, v_bin)
 
@@ -781,7 +790,7 @@ class TestFaMap:
         radio = make_radio(num_pri=16)
         sched = build_schedule(radio, make_array(), "comb", chirp_pri_indices=(1,))
         with pytest.raises(ValueError, match="FA"):
-            fa_range_doppler_map(np.zeros((16, 16)), sched, radio, 1.0)
+            fa_range_doppler_map(np.zeros((16, 16)), sched, radio)
 
     @staticmethod
     def _fa_case(m, n, sub):
@@ -806,8 +815,8 @@ class TestFaMap:
                 + 1j * rng.normal(size=(l, m)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fa_range_doppler_map(meas, sched, radio, 1.0).values
-        want = oracles.fa_range_doppler_map(meas, sched, radio, 1.0).values
+            got = fa_range_doppler_map(meas, sched, radio).values
+        want = oracles.fa_range_doppler_map(meas, sched, radio).values
         assert got.shape == want.shape == (n, m)
         assert np.all(np.isfinite(got)) and np.all(got >= 0)
         assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
@@ -826,8 +835,8 @@ class TestFaMap:
         sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
         radio, sched = self._fa_case(m, n, sub)
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
-        got = fa_range_doppler_map(meas, sched, radio, 1.0)
-        want = oracles.fa_range_doppler_map_full_grid(meas, sched, radio, 1.0)
+        got = fa_range_doppler_map(meas, sched, radio)
+        want = oracles.fa_range_doppler_map_full_grid(meas, sched, radio)
         assert np.array_equal(got.values, want.values)
         assert got.velocity_res_mps == want.velocity_res_mps
 
@@ -845,8 +854,8 @@ class TestFaMap:
         sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
         radio, sched = self._fa_case(m, n, sub)
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
-        got = fa_range_doppler_map(meas, sched, radio, 1.0)
-        want = oracles.fa_range_doppler_map_half_grid(meas, sched, radio, 1.0)
+        got = fa_range_doppler_map(meas, sched, radio)
+        want = oracles.fa_range_doppler_map_half_grid(meas, sched, radio)
         assert np.array_equal(got.values, want.values)
         assert got.velocity_res_mps == want.velocity_res_mps
 
@@ -865,8 +874,8 @@ class TestFaMap:
         sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
         radio, sched = self._fa_case(m, n, sub)
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
-        got = fa_range_doppler_map(meas, sched, radio, 1.0)
-        want = oracles.fa_range_doppler_map_out_of_place(meas, sched, radio, 1.0)
+        got = fa_range_doppler_map(meas, sched, radio)
+        want = oracles.fa_range_doppler_map_out_of_place(meas, sched, radio)
         assert np.array_equal(got.values, want.values)
         assert got.velocity_res_mps == want.velocity_res_mps
 
@@ -880,9 +889,9 @@ class TestFaMap:
         maps = []
         for draw in (rng.integers(0, n, size=m), rng.permutation(np.arange(m) % n)):
             radio, sched = self._fa_case(m, n, draw)
-            got = fa_range_doppler_map(meas, sched, radio, 1.0).values
+            got = fa_range_doppler_map(meas, sched, radio).values
             assert np.array_equal(
-                got, oracles.fa_range_doppler_map_full_grid(meas, sched, radio, 1.0).values)
+                got, oracles.fa_range_doppler_map_full_grid(meas, sched, radio).values)
             maps.append(got)
         assert not np.array_equal(*maps)
         assert estimator._lag_cells.cache_info().misses == 2
@@ -898,8 +907,8 @@ class TestFaMap:
         meas = np.outer(np.ones(4), ramp)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fa_range_doppler_map(meas, sched, radio, 1.0).values
-        want = oracles.fa_range_doppler_map(meas, sched, radio, 1.0).values
+            got = fa_range_doppler_map(meas, sched, radio).values
+        want = oracles.fa_range_doppler_map(meas, sched, radio).values
         assert np.all(np.isfinite(got)) and np.all(got >= 0)
         assert np.unravel_index(np.argmax(got), got.shape) == (11, 5)
         np.testing.assert_allclose(got**2, want**2, rtol=0, atol=1e-12 * want.max() ** 2)
@@ -987,3 +996,24 @@ def test_signed_bin_convention():
     np.testing.assert_array_equal(signed_bin(np.arange(8), 8),
                                   [0, 1, 2, 3, -4, -3, -2, -1])
     np.testing.assert_array_equal(signed_bin(np.arange(5), 5), [0, 1, 2, -2, -1])
+
+
+def test_maps_music_and_scoring_share_one_velocity_grid(monkeypatch):
+    # 70 PRIs of 0.3 ms make 0.020999999999999998 s, not the 21 ms CPI: the
+    # maps and MUSIC stepped c / (2 f_c M T_PRI), resolution_report and the
+    # scorer c / (2 f_c T_CPI).
+    raw = yaml.safe_load(preset_path("desk_small").read_text())
+    raw["radio"].update(pri_ms=0.3, symbols_per_pri=18, cpi_ms=21.0)
+    scene = validate_scene(config_from_dict(raw)[0])
+    radio, arr = scene.radio, scene.array.with_va(False)
+    assert radio.num_pri * radio.pri_s != radio.cpi_s
+    grid = resolution_report(radio, arr).velocity_res_mps
+    y = RNG(3).normal(size=(arr.num_rx, radio.num_pri)) + 0j
+    assert angle_velocity_map(y, arr, radio).velocity_res_mps == grid
+    fa = build_schedule(radio, arr, "fa", fa_seed=1)
+    assert fa_range_doppler_map(y, fa, radio).velocity_res_mps == grid
+    # MUSIC scans coarse + {-1, 0, 1} steps (factor 1); take the last candidate.
+    monkeypatch.setattr(estimator, "_music_scan", lambda e_s, cand: cand.shape[1] - 1)
+    peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,
+                      velocity_mps=0.0, magnitude=1.0)
+    assert music_refine(y, peak, arr, radio, factor=1)[0] == grid

@@ -157,7 +157,7 @@ class TestScoring:
         t = on_grid_target(scene, range_bin=60, vel_bin=10)
         est = estimate_like(t, scene,
                             range_m=61 * scene.range_res_m,
-                            velocity_mps=9 * scene.velocity_res_mps)
+                            velocity_mps=9 * scene.radio.velocity_res_mps)
         rec = score_estimates([t], [est], scene, "p", 0, None)[0]
         assert rec.hit
         assert rec.offsets_bins[:2] == (1, -1)
@@ -167,7 +167,7 @@ class TestScoring:
         m = scene.num_pri
         t = on_grid_target(scene, vel_bin=m // 2 - 1)
         est = estimate_like(t, scene,
-                            velocity_mps=-(m // 2) * scene.velocity_res_mps)
+                            velocity_mps=-(m // 2) * scene.radio.velocity_res_mps)
         rec = score_estimates([t], [est], scene, "p", 0, None)[0]
         assert rec.offsets_bins[1] == 1  # wrapped distance, not m-1
 
@@ -177,7 +177,7 @@ class TestScoring:
         # Offsets computed once per pair give the same records, types
         # included (records.csv prints them), as the form that wrapped twice.
         scene = make_scene()
-        vmax = (scene.num_pri // 2 + 2) * scene.velocity_res_mps
+        vmax = (scene.num_pri // 2 + 2) * scene.radio.velocity_res_mps
         point = st.tuples(st.floats(1.0, 400.0), st.floats(-vmax, vmax),
                           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
         truths = [Target(r, v, math.asin(x), math.asin(y), 1.0)
@@ -486,7 +486,7 @@ class TestPlanRules:
         if structure == "fa":
             values = rng.integers(0, 3, size=(n, m)).astype(float)
             # Squared magnitudes keep their order and ties.
-            famap = FaMap(power=values.T**2, range_res_m=1.0, velocity_res_mps=1.0)
+            famap = FaMap(power=values.T**2, velocity_res_mps=1.0)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: famap)
                 got = run_fa_pipeline(np.ones((cols * rows, m), dtype=complex), scene,
@@ -761,7 +761,8 @@ class TestMonteCarlo:
         # Targets two velocity bins from zero, SI out of the way: guard 1
         # finds them, guard 3 masks bins -3..3 and must land elsewhere.
         scene = make_scene(radio=make_radio(power_w=10.0), si_attenuation_db=300.0)
-        assert 3.5 / scene.velocity_res_mps > 1.5 and 4.5 / scene.velocity_res_mps < 2.5
+        dv = scene.radio.velocity_res_mps
+        assert 3.5 / dv > 1.5 and 4.5 / dv < 2.5
         custom = CustomRanges(range_m=(100.0, 450.0), speed_mps=(3.5, 4.5))
 
         def fa_records(guard):

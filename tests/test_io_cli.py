@@ -625,6 +625,18 @@ class TestConfigParsing:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("value", [10.0, float("nan")], ids=["ten", "nan"])
+    def test_target_sin_psi_past_one_names_the_bound(self, tmp_path, capsys, value):
+        # asin refused 10.0 as a "math domain error", and NaN read as "not within ±1e+30".
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["targets"] = [{"range_m": 200.0, "radial_velocity_mps": 10.0, "sin_psi_x": value,
+                           "psi_y_rad": 0.0, "rcs_m2": 1.0}]
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["resolution", "--config", str(cfg)]) == 3
+        assert (f"targets[0].sin_psi_x: bad value {value!r} (expected |sin ψ| ≤ 1)"
+                in capsys.readouterr().err)
+
     def test_custom_box_partly_outside_disk_parses(self):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
         raw["experiment"]["custom"].update(sin_psi_x=[0.5, 2.0], sin_psi_y=[0.8, 0.9])
@@ -851,16 +863,40 @@ class TestCli:
             f"runtime error: drop 0 (sweep value None, seed {seed}, pipeline "
             f"{plan.pipelines[0].tag}): injected failure\n")
 
+    def test_target_at_a_blind_speed_is_a_miss(self, tmp_path):
+        # Occasions 5 PRIs apart make the temporal steering the static-clutter
+        # signature at multiples of 2/5 of v_max = 60 m/s. MUSIC refines drop
+        # 6's target onto 47.97 m/s, which STHP's zero-forcing nulls: the run
+        # ended there in exit 4, with no output directory.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["waveform"]["chirp_pri_indices"] = [1, 6]
+        raw["clutter"]["enabled"] = False
+        raw["experiment"]["pipelines"] = [{"structure": "comb", "suppressor": "sthp",
+                                           "eps_mode": "inf", "refinement": "music"}]
+        cfg = tmp_path / "blind.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--drops", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
+        with open(out / "records.csv", newline="") as f:
+            rows = {int(row["drop"]): row for row in csv.DictReader(f)}
+        assert sorted(rows) == list(range(10))
+        assert (rows[6]["est_velocity_mps"], rows[6]["hit"]) == ("", "0")
+        assert abs(float(rows[6]["truth_velocity_mps"]) - 48.0) < 0.1
+
     @pytest.mark.parametrize("argv,schedules", [
         (["montecarlo", "--preset", "desk_small", "--drops", "3"], 2),
         (["montecarlo", "--preset", "table1_car", "--drops", "1"], 5),
         (["simulate", "--preset", "desk_small", "--targets", "1"], 2),
         (["simulate", "--preset", "table1_car", "--targets", "1"], 5),
-    ], ids=["montecarlo-desk", "montecarlo-car", "simulate-desk", "simulate-car"])
+        (["waveform", "--preset", "table1_car"], 2),
+    ], ids=["montecarlo-desk", "montecarlo-car", "simulate-desk", "simulate-car", "waveform"])
     def test_rules_applied_once_and_schedules_built_once_per_point(self, tmp_path, monkeypatch,
                                                                    argv, schedules):
         # The waveform section's schedule, and one per pipeline group and
-        # sweep point (one group; desk_small has one point, table1_car four).
+        # sweep point (one group; desk_small has one point, table1_car four);
+        # waveform applies the plan's rules, which build each group's at the
+        # first point, and prints the section's schedule it loaded.
         calls = {"plan_groups": 0, "build_schedule": 0}
         for module in (cli, harness):
             for name in calls:

@@ -86,7 +86,7 @@ class TestMainPipeline:
         scene = make_scene(radio=make_radio(), si_attenuation_db=300.0)
         res_x = scene.wavelength_m / (4 * scene.array.rx_spacing_x_m)
         t = Target(range_m=60 * scene.range_res_m,
-                   radial_velocity_mps=10.3 * scene.velocity_res_mps,
+                   radial_velocity_mps=10.3 * scene.radio.velocity_res_mps,
                    psi_x_rad=math.asin(0.5 * res_x + 0.37 * res_x),
                    psi_y_rad=0.0, rcs_m2=100.0)
         scene = replace(scene, targets=(t,))
@@ -95,7 +95,8 @@ class TestMainPipeline:
                                                      refinement="music"), 1)[0]
         assert est.refinement == "music"
         assert abs(est.sin_psi_x - t.sin_psi_x) < 0.1 * res_x
-        assert abs(est.velocity_mps - t.radial_velocity_mps) < 0.15 * scene.velocity_res_mps
+        dv = scene.radio.velocity_res_mps
+        assert abs(est.velocity_mps - t.radial_velocity_mps) < 0.15 * dv
 
     def test_va_pipeline_refines_angle_on_virtual_grid(self):
         arr = make_array(tx=2, va=True)
@@ -103,7 +104,7 @@ class TestMainPipeline:
         res_x = scene.wavelength_m / (4 * scene.array.rx_spacing_x_m)
         # Half a coarse bin off-grid: exactly a virtual-array bin.
         t = Target(range_m=60 * scene.range_res_m,
-                   radial_velocity_mps=10 * scene.velocity_res_mps,
+                   radial_velocity_mps=10 * scene.radio.velocity_res_mps,
                    psi_x_rad=math.asin(0.5 * res_x), psi_y_rad=0.0, rcs_m2=100.0)
         scene = replace(scene, targets=(t,))
         cube = synthesize_if_cube(scene, schedule_of(scene))
@@ -233,17 +234,15 @@ class TestFrontEnd:
             mp.setattr(pipeline, "stte_peaks", lambda *args: peaks)
             for name in ("stap_range_spectrum", "sthp_range_spectrum"):
                 mp.setattr(pipeline, name, spy(getattr(pipeline, name)))
-            # Near zero velocity a_T is the static-clutter signature itself.
-            if suppressor == "sthp" and any(
+            # Near zero velocity a_T is the static-clutter signature itself:
+            # STHP's zero-forcing nulls such a peak, which gets no estimate.
+            kept = [p for p in peaks if suppressor != "sthp" or
                     abs(np.mean(temporal_steering(p.velocity_mps, sched, scene.radio)))
-                    > 1.0 - 1e-9 for p in peaks):
-                with pytest.raises(ValueError, match="collinear"):
-                    run_pipeline(front, scene, pipe, 2)
-                return
+                    <= 1.0 - 1e-9]
             ests = run_pipeline(front, scene, pipe, 2, debug=debug)
-            want = [self._oracle_range_stage(cube, scene, pipe, front, p) for p in peaks]
-        assert len(seen) == 2 and all(y is front.y_st for y in seen)
-        for est, got_d, peak, (d, bins, mags, cand) in zip(ests, debug["spectra"], peaks, want):
+            want = [self._oracle_range_stage(cube, scene, pipe, front, p) for p in kept]
+        assert len(seen) == len(ests) == len(kept) and all(y is front.y_st for y in seen)
+        for est, got_d, (d, bins, mags, cand) in zip(ests, debug.get("spectra", []), want):
             top = np.sort(mags)[::-1]
             if top.size > 1 and top[0] - top[1] <= 1e-9 * top[0]:
                 continue                     # a near tie may pick either candidate
@@ -313,7 +312,7 @@ class TestFaPipeline:
         if isinstance(got, list):
             # The map is masked in place: each amplitude is still the unmasked
             # map's value at the peak, read before the peak's exclusion.
-            famap = pipeline.fa_range_doppler_map(meas, sched, scene.radio, 1.0).values
+            famap = pipeline.fa_range_doppler_map(meas, sched, scene.radio).values
             assert [e.amplitude for e in got] == [e.amplitude for e in want] == [
                 famap[e.range_bin, e.velocity_bin] for e in got]
 
@@ -336,12 +335,11 @@ class TestFaPipeline:
         # ties included, that the oracle's search of every magnitude picks.
         assert math.sqrt(self.UP) == 2.0 and math.sqrt(self.POWERS[4]) == 1.0
         power = np.resize(np.array(cells), (m, n))
-        values = FaMap(power=power.copy(), range_res_m=1.0, velocity_res_mps=1.0).values
+        values = FaMap(power=power.copy(), velocity_res_mps=1.0).values
         scene, sched = self._fa_case(2, m, n, np.arange(m) % n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "fa_range_doppler_map",
-                       lambda *args: FaMap(power=power.copy(), range_res_m=1.0,
-                                           velocity_res_mps=1.0))
+                       lambda *args: FaMap(power=power.copy(), velocity_res_mps=1.0))
             got = self._outcome(run_fa_pipeline, np.ones((2, m), dtype=complex), scene,
                                 sched, k, guard)
         want = self._outcome(oracles.fa_peak_search, values, k, guard)
@@ -397,7 +395,7 @@ class TestArrayHoldingEquality:
                 scene.clutter, enabled=True, area_x_m=60.0, area_y_m=30.0))) for _ in "ab"]
         if name == "FaMap":
             meas = synthesize_fa_measurements(scene, fa, draws=DropDraws(1))
-            return [pipeline.fa_range_doppler_map(meas, fa, scene.radio, scene.range_res_m)
+            return [pipeline.fa_range_doppler_map(meas, fa, scene.radio)
                     for _ in "ab"]
         sched = schedule_of(scene)
         if name == "IfCube":
