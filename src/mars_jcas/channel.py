@@ -70,7 +70,7 @@ AHEAD = 3
 def chirp_noise_key(scene: ValidatedScene) -> tuple:
     """(scale, shape) of the chirp noise blocks of every IF cube of ``scene``:
     noise of power N0*B over one symbol's (num_rx, N) samples."""
-    return (math.sqrt(scene.radio.noise_density_w_per_hz * scene.bandwidth_hz),
+    return (math.sqrt(scene.radio.noise_density_w_per_hz * scene.radio.derived_bandwidth_hz),
             (scene.array.num_rx, scene.radio.num_subcarriers))
 
 
@@ -137,9 +137,7 @@ class DropDraws:
                 if sx * sx + sy * sy <= 1.0:
                     break
             self._uplink_sin = (sx, sy)
-        a = scene.array
-        return steering_ura_from_sin(*self._uplink_sin, a.rx_cols, a.rx_rows,
-                                     a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
+        return steering_ura_from_sin(*self._uplink_sin, scene.array, scene.radio.wavelength_m)
 
     def chirp_noise(self, scale: float, shape: tuple, count: int):
         """The next IF cube's ``count`` chirp noise blocks, in block order,
@@ -211,14 +209,12 @@ class DropDraws:
 def _target_coeff(scene: ValidatedScene, t: Target, draws: DropDraws) -> complex:
     """Round-trip channel coefficient at unit transmit power."""
     p = received_power("radar", 1.0, scene.radio.gain_tx, scene.radio.gain_rx,
-                       scene.wavelength_m, t.range_m, t.rcs_m2)
+                       scene.radio.wavelength_m, t.range_m, t.rcs_m2)
     return math.sqrt(p) * np.exp(1j * draws.target_phase(t))
 
 
 def _rx_steering(scene: ValidatedScene, t: Target) -> np.ndarray:
-    a = scene.array
-    return steering_ura_from_sin(t.sin_psi_x, t.sin_psi_y, a.rx_cols, a.rx_rows,
-                                 a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
+    return steering_ura_from_sin(t.sin_psi_x, t.sin_psi_y, scene.array, scene.radio.wavelength_m)
 
 
 def _tx_slot_phase(scene: ValidatedScene, t: Target, tx_col: int, tx_row: int) -> complex:
@@ -228,7 +224,7 @@ def _tx_slot_phase(scene: ValidatedScene, t: Target, tx_col: int, tx_row: int) -
     a = scene.array
     xpos = tx_col * a.rx_cols * a.rx_spacing_x_m
     ypos = tx_row * a.rx_rows * a.rx_spacing_y_m
-    k = 2.0 * np.pi / scene.wavelength_m
+    k = 2.0 * np.pi / scene.radio.wavelength_m
     return np.exp(1j * k * (t.sin_psi_x * xpos + t.sin_psi_y * ypos))
 
 
@@ -380,8 +376,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     radio, arr, rec = scene.radio, scene.array, scene.receiver
     n = radio.num_subcarriers
     n_el = arr.num_rx
-    bw = scene.bandwidth_hz
-    t_sym = scene.symbol_duration_s
+    bw = radio.derived_bandwidth_hz
+    t_sym = radio.derived_symbol_duration_s
 
     for j, t in enumerate(scene.targets):
         check_if_range(f"target {j}", t.range_m, t_sym)
@@ -526,7 +522,7 @@ def synthesize_fa_measurements(scene: ValidatedScene, schedule: MarsSchedule,
 
     if radio.uplink_power_w > 0:
         p_rx = received_power("comm", radio.uplink_power_w, 1.0, 1.0,
-                              scene.wavelength_m, radio.uplink_distance_m)
+                              radio.wavelength_m, radio.uplink_distance_m)
         a_up = draws.uplink_direction(scene)
         symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
                                  math.sqrt(p_rx / n), (m,))

@@ -104,7 +104,7 @@ def _load(args, default_plan=False, compiles=False):
         if scene.clutter.enabled:
             # The terrain model's rules and bound at both ends of the grazing angles.
             sigma0 = gtri_reflectivity(np.array([0.0, np.pi / 2]), terrain_params(scene),
-                                       scene.wavelength_m)
+                                       scene.radio.wavelength_m)
             if not np.all(sigma0 <= LARGEST):
                 raise ValueError(f"clutter: reflectivity {sigma0.tolist()} at grazing 0 and "
                                  f"90 degrees; it must be at most {LARGEST:g}")
@@ -264,7 +264,7 @@ def cmd_simulate(args) -> int:
                 for j, d in enumerate(debug.get("spectra", [])):
                     sp_path = out / f"range_spectrum_{name}_{j}.csv"
                     write_csv(sp_path, ["range_m", "magnitude"],
-                              [(i * scene.range_res_m, abs(v)) for i, v in enumerate(d)])
+                              [(i * scene.radio.range_res_m, abs(v)) for i, v in enumerate(d)])
                     outputs.append(sp_path)
             started = time.perf_counter()
         # Pipelines run grouped by shared cube; list their estimates in plan order.

@@ -144,13 +144,13 @@ class ClutterMap:
         bin per subcarrier (as :func:`build_clutter_map` makes it), and holds
         at least ``slots`` transmit slot tables (a schedule's
         ``slots_per_chirp``)."""
-        n = scene.radio.num_subcarriers
+        n, dr = scene.radio.num_subcarriers, scene.radio.range_res_m
         if (self.num_range_bins != n or self.num_elements != scene.array.num_rx
-                or self.range_res_m != scene.range_res_m):
+                or self.range_res_m != dr):
             raise ValueError(f"clutter map has {self.num_range_bins} range bins, "
                              f"{self.num_elements} elements and range_res_m {self.range_res_m}; "
                              f"the scene has {n} subcarriers, {scene.array.num_rx} elements and "
-                             f"range_res_m {scene.range_res_m}")
+                             f"range_res_m {dr}")
         if self.num_tx_slots < slots:
             raise ValueError(f"clutter map has {self.num_tx_slots} tx slot tables, "
                              f"schedule needs {slots}")
@@ -243,11 +243,11 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
         raise ValueError("build_clutter_map: station height must be > 0")
     params = terrain_params(scene)
     radio, arr = scene.radio, scene.array
-    lam = scene.wavelength_m
+    lam = radio.wavelength_m
     n_bins = radio.num_subcarriers
     h = cl.station_height_m
     xs, ys = patch_grid(cl)
-    bins = np.rint(np.sqrt(np.add.outer(xs * xs, ys * ys).ravel() + h * h) / scene.range_res_m)
+    bins = np.rint(np.sqrt(np.add.outer(xs * xs, ys * ys).ravel() + h * h) / radio.range_res_m)
     # Sort keys of 16 bits or fewer take numpy's radix sort; key n_bins
     # marks a patch past the last bin.
     keys = np.minimum(bins, n_bins, out=bins).astype(np.uint16 if n_bins < 2**16 else np.intp)
@@ -313,7 +313,7 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
     return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(),
-                      range_res_m=scene.range_res_m, patch_count=kept)
+                      range_res_m=radio.range_res_m, patch_count=kept)
 
 
 def build_clutter_for(scene: ValidatedScene, pipelines) -> ClutterMap:

@@ -220,8 +220,7 @@ def music_refine(y_e2: np.ndarray, coarse: CoarsePeak, arr: ArrayGeometry,
     sx = np.clip(coarse.sin_psi_x + steps * res.sin_angle_res_x, -1.0, 1.0)
     sy = np.clip(coarse.sin_psi_y + steps * res.sin_angle_res_y, -1.0, 1.0)
     gx, gy = np.meshgrid(sx, sy, indexing="ij")
-    cand = steering_ura_from_sin(gx.ravel(), gy.ravel(), arr.rx_cols, arr.rx_rows,
-                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, radio.wavelength_m)
+    cand = steering_ura_from_sin(gx.ravel(), gy.ravel(), arr, radio.wavelength_m)
     best = _music_scan(e_s, cand)
     sin_x = float(gx.ravel()[best])
     sin_y = float(gy.ravel()[best])
@@ -264,8 +263,7 @@ def space_time_steering(velocity_mps: float, sin_psi_x, sin_psi_y,
     """Temporal Doppler factor Kronecker-left of the spatial URA steering.
     ``arr`` must match the data rows (virtual geometry for assembled data).
     Arrays of C sin-angle pairs give one column per pair, (W*L, C)."""
-    a_2d = steering_ura_from_sin(sin_psi_x, sin_psi_y, arr.rx_cols, arr.rx_rows,
-                                 arr.rx_spacing_x_m, arr.rx_spacing_y_m, radio.wavelength_m)
+    a_2d = steering_ura_from_sin(sin_psi_x, sin_psi_y, arr, radio.wavelength_m)
     a_t = temporal_steering(velocity_mps, schedule, radio)
     return (a_t.reshape(a_t.shape + (1,) * a_2d.ndim) * a_2d).reshape((-1,) + a_2d.shape[1:])
 

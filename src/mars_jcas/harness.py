@@ -83,8 +83,8 @@ class ExperimentPlan:
             raise TargetCountError("target_count must be >= 1")
         if self.sweep_axis not in ("range", "tx_power"):
             raise ValueError("sweep_axis must be 'range' or 'tx_power'")
-        if list(self.sweep_values) != sorted(self.sweep_values):
-            raise ValueError("sweep_values must be sorted")
+        if list(self.sweep_values) != sorted(set(self.sweep_values)):
+            raise ValueError("sweep_values must be sorted, each value once")
         if any(v <= 0 for v in self.sweep_values):
             raise ValueError("sweep_values must be positive (watts or meters)")
         if self.workers < 1:
@@ -233,7 +233,7 @@ def score_estimates(truths: Sequence[Target], estimates: Sequence[TargetEstimate
     truth bin)."""
     res = resolution_report(scene.radio, scene.array.with_va(False))
     units = (res.range_res_m, res.velocity_res_mps, res.sin_angle_res_x, res.sin_angle_res_y)
-    periods = (None, scene.num_pri, scene.array.rx_cols, scene.array.rx_rows)
+    periods = (None, scene.radio.num_pri, scene.array.rx_cols, scene.array.rx_rows)
     truth_vals = [(t.range_m, t.radial_velocity_mps, t.sin_psi_x, t.sin_psi_y) for t in truths]
     est_vals = [(e.range_m, e.velocity_mps, e.sin_psi_x, e.sin_psi_y) for e in estimates]
     truth_bins = [tuple(round(v / u) for v, u in zip(vals, units)) for vals in truth_vals]
@@ -338,10 +338,11 @@ def plan_groups(scene: ValidatedScene, plan: ExperimentPlan,
     ranges = _drawn_ranges(plan)
     if any(schedule.structure != "fa" for _, schedule in groups):
         for key, r in ranges:
-            check_if_range(key, r, scene.symbol_duration_s)
+            check_if_range(key, r, scene.radio.derived_symbol_duration_s)
     key, nearest = ranges[0]
     heights = _SCENARIOS[plan.scenario][2] if plan.scenario != "custom" else ()
-    floor = max([scene.wavelength_m] + [abs(z - scene.clutter.station_height_m) for z in heights])
+    floor = max([scene.radio.wavelength_m]
+                + [abs(z - scene.clutter.station_height_m) for z in heights])
     if nearest < floor:
         raise ValueError(f"{key}: {nearest} m is nearer than {floor} m, one wavelength or, "
                          f"for car and uav, the farthest target height from the station")
@@ -396,7 +397,8 @@ def compile_run(scene: ValidatedScene, plan: ExperimentPlan,
     groups = plan_groups(scenes[0], plan, count)
     if own_targets and any(schedule.structure != "fa" for _, schedule in groups):
         for j, t in enumerate(scene.targets):
-            check_if_range(f"targets[{j}].range_m", t.range_m, scene.symbol_duration_s)
+            check_if_range(f"targets[{j}].range_m", t.range_m,
+                           scene.radio.derived_symbol_duration_s)
     # Points on the first point's scene (a range sweep, or none) share its groups.
     points = tuple((value, at, groups if at is scenes[0] else
                     [(pipes, schedule_for(at, pipes[0], plan.seed)) for pipes, _ in groups])

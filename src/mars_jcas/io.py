@@ -4,11 +4,11 @@ Configs are YAML with nested sections. Each section's keys, types and
 defaults are the fields of its dataclass; a field may also be given in
 another unit (``_dbm``, ``_ghz``, ``_deg``, ``_wavelengths``, ...), converted
 to SI at parse time. Parsing fails closed: unknown keys, duplicate unit
-variants, type mismatches (2.7, true or "7" for an integer key) and floats
-not finite or past :data:`LARGEST` raise :class:`ConfigError` with
-path-qualified messages, as in a cube's schedule and a run manifest. CSV
-output uses locale-independent full-precision scientific notation so replays
-are exact.
+variants, type mismatches (2.7, true or "7" for an integer key, "0.25" for a
+float key) and floats not finite or past :data:`LARGEST` raise
+:class:`ConfigError` with path-qualified messages, as in a cube's schedule
+and a run manifest. CSV output uses locale-independent full-precision
+scientific notation so replays are exact.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _int(v):
     return _expect(not isinstance(v, str), int(v), "an integer")
 
 
-_float = lambda v: float(_expect(not isinstance(v, bool), v, "a number"))
+_float = lambda v: float(_expect(not isinstance(v, (bool, str)), v, "a number"))
 _str = lambda v: _expect(isinstance(v, str), v, "a string")
 _bool = lambda v: _expect(isinstance(v, bool), v, "true/false")
 _mapping = lambda v: dict(_expect(isinstance(v, dict), v, "a mapping"))
@@ -259,11 +259,22 @@ def config_from_dict(raw: dict, source: str = "config"):
     return scene, plan
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe loader that reads a plain 60.0e3 or 1e-3 as a float, as YAML 1.2
+    does (YAML 1.1 reads a string); a quoted number stays a string."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def parse_config(path):
     """Load a YAML config file into (SceneConfig, ExperimentPlan or None)."""
     text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     if raw is None:

@@ -146,7 +146,7 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
     follows the snapshot rows: URA rows permuted (no quadratic form changes) times
     each row's VA slot Doppler D. STAP on D Y with steering a is STAP on Y with
     D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
-    radio, geom, dr = scene.radio, front.geom, scene.range_res_m
+    radio, geom, dr = scene.radio, front.geom, scene.radio.range_res_m
     rows = front.virtual_row
     row_slot = np.arange(rows.size) // scene.array.num_rx
     slot_phase = np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * row_slot
@@ -155,9 +155,7 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
         a_t = temporal_steering(velocity_mps, front.schedule, radio)
         if at_blind_speed(a_t):
             return None
-        a_s = steering_ura_from_sin(sin_x, sin_y, geom.rx_cols, geom.rx_rows,
-                                    geom.rx_spacing_x_m, geom.rx_spacing_y_m,
-                                    scene.wavelength_m)[rows] * slot_phase
+        a_s = steering_ura_from_sin(sin_x, sin_y, geom, radio.wavelength_m)[rows] * slot_phase
         d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s, pipe.eps_mode,
                                              range_res_m=dr, velocity_mps=velocity_mps)
     else:
@@ -256,7 +254,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             velocity_mps=vel,
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
-            range_m=float(r_bin) * scene.range_res_m,
+            range_m=float(r_bin) * radio.range_res_m,
             amplitude=float(column[v_bin]),     # before the exclusion below
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),

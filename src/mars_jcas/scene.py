@@ -73,6 +73,11 @@ class RadioParams:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
     @property
+    def range_res_m(self) -> float:
+        """Range bin size c / (2 N df) of every range grid."""
+        return SPEED_OF_LIGHT / (2.0 * self.derived_bandwidth_hz)
+
+    @property
     def velocity_res_mps(self) -> float:
         """Velocity bin size c / (2 f_c T_CPI) of every map and of scoring."""
         return SPEED_OF_LIGHT / (2.0 * self.cpi_s * self.carrier_freq_hz)
@@ -206,24 +211,10 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class ValidatedScene:
-    """A :class:`SceneConfig` that passed validation, plus derived quantities."""
-
-    radio: RadioParams
-    array: ArrayGeometry
-    waveform: WaveformConfig
-    clutter: ClutterConfig
-    receiver: ReceiverConfig
-    targets: tuple
-    seed: int
-    bandwidth_hz: float
-    symbol_duration_s: float
-    wavelength_m: float
-    num_pri: int
-
-    @property
-    def range_res_m(self) -> float:
-        return SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
+class ValidatedScene(SceneConfig):
+    """A :class:`SceneConfig` that passed validation. It holds no derived
+    copy: bin sizes, bandwidth, symbol time, wavelength and M are read
+    from its radio."""
 
 
 @dataclass(frozen=True)
@@ -241,13 +232,14 @@ def steering_from_sin(sin_psi, count: int, spacing_m: float, wavelength_m: float
     return np.exp(2j * np.pi * n * spacing_m * sin_psi / wavelength_m)
 
 
-def steering_ura_from_sin(sin_psi_x, sin_psi_y, cols, rows, dx, dy, wavelength_m) -> np.ndarray:
-    """URA steering vector on sin-angle coordinates, y-axis factor on the
-    left of the Kronecker product (x index runs fastest). Equal-length
-    arrays of C sin-angle pairs give one column per pair, (rows*cols, C)."""
-    ax = steering_from_sin(sin_psi_x, cols, dx, wavelength_m)
-    ay = steering_from_sin(sin_psi_y, rows, dy, wavelength_m)
-    return (ay[:, None] * ax[None]).reshape((rows * cols,) + ax.shape[1:])
+def steering_ura_from_sin(sin_psi_x, sin_psi_y, arr: ArrayGeometry, wavelength_m) -> np.ndarray:
+    """Receive URA steering vector of ``arr`` on sin-angle coordinates,
+    y-axis factor on the left of the Kronecker product (x index runs
+    fastest). Equal-length arrays of C sin-angle pairs give one column per
+    pair, (num_rx, C)."""
+    ax = steering_from_sin(sin_psi_x, arr.rx_cols, arr.rx_spacing_x_m, wavelength_m)
+    ay = steering_from_sin(sin_psi_y, arr.rx_rows, arr.rx_spacing_y_m, wavelength_m)
+    return (ay[:, None] * ax[None]).reshape((arr.num_rx,) + ax.shape[1:])
 
 
 def received_power(kind: str, p_tx_w: float, gain_tx: float, gain_rx: float,
@@ -275,7 +267,7 @@ def resolution_report(radio: RadioParams, arr: ArrayGeometry) -> ResolutionRepor
     """
     lam = radio.wavelength_m
     return ResolutionReport(
-        range_res_m=SPEED_OF_LIGHT / (2.0 * radio.derived_bandwidth_hz),
+        range_res_m=radio.range_res_m,
         velocity_res_mps=radio.velocity_res_mps,
         sin_angle_res_x=lam / (arr.va_cols * arr.rx_spacing_x_m),
         sin_angle_res_y=lam / (arr.va_rows * arr.rx_spacing_y_m),
@@ -332,7 +324,7 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
         v.append(f"radio.symbol_duration_s={r.symbol_duration_s} inconsistent with "
                  f"1/subcarrier_spacing_hz={t_sym}")
 
-    num_pri = int(round(r.cpi_s / r.pri_s)) if r.pri_s else None
+    num_pri = r.num_pri if r.pri_s else None
     if num_pri is not None and (num_pri < 1 or not _close(num_pri * r.pri_s, r.cpi_s)):
         v.append(f"radio.cpi_s={r.cpi_s} is not an integer multiple of pri_s={r.pri_s}")
     if r.symbols_per_pri < 1:
@@ -394,6 +386,4 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
     return ValidatedScene(
         radio=r, array=a, waveform=w, clutter=cl, receiver=rec,
         targets=tuple(config.targets), seed=config.seed,
-        bandwidth_hz=bandwidth, symbol_duration_s=t_sym,
-        wavelength_m=r.wavelength_m, num_pri=num_pri,
     )

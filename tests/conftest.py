@@ -40,6 +40,11 @@ def make_array(*, cols=4, rows=4, wavelength=WAVELENGTH, tx=1, va=False) -> Arra
                          tx_cols=tx, tx_rows=tx, va_enabled=va)
 
 
+def ura(cols, rows, dx, dy) -> ArrayGeometry:
+    """A receive URA of ``cols`` x ``rows`` elements at spacings ``dx``, ``dy``."""
+    return ArrayGeometry(rx_cols=cols, rx_rows=rows, rx_spacing_x_m=dx, rx_spacing_y_m=dy)
+
+
 def make_scene(radio=None, arr=None, targets=(), *, indices=(1, 6, 15),
                clutter_enabled=False, seed=3, **receiver_kw):
     from mars_jcas.scene import ReceiverConfig
@@ -59,10 +64,10 @@ def make_scene(radio=None, arr=None, targets=(), *, indices=(1, 6, 15),
 
 
 def on_grid_target(scene, *, range_bin=60, vel_bin=10, x_bin=1, y_bin=-1, rcs=100.0) -> Target:
-    res_sin_x = scene.wavelength_m / (scene.array.rx_cols * scene.array.rx_spacing_x_m)
-    res_sin_y = scene.wavelength_m / (scene.array.rx_rows * scene.array.rx_spacing_y_m)
+    res_sin_x = scene.radio.wavelength_m / (scene.array.rx_cols * scene.array.rx_spacing_x_m)
+    res_sin_y = scene.radio.wavelength_m / (scene.array.rx_rows * scene.array.rx_spacing_y_m)
     return Target(
-        range_m=range_bin * scene.range_res_m,
+        range_m=range_bin * scene.radio.range_res_m,
         radial_velocity_mps=vel_bin * scene.radio.velocity_res_mps,
         psi_x_rad=math.asin(x_bin * res_sin_x),
         psi_y_rad=math.asin(y_bin * res_sin_y),

@@ -362,14 +362,14 @@ def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
-        lam = scene.wavelength_m
+        lam = scene.radio.wavelength_m
         sin_x = float(signed_bin(bx, arr.rx_cols)) * lam / (arr.rx_cols * arr.rx_spacing_x_m)
         sin_y = float(signed_bin(by, arr.rx_rows)) * lam / (arr.rx_rows * arr.rx_spacing_y_m)
         estimates.append(TargetEstimate(
             velocity_mps=famap.velocity(v_bin),
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
-            range_m=float(r_bin) * scene.range_res_m,
+            range_m=float(r_bin) * scene.radio.range_res_m,
             amplitude=amplitude,
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
@@ -392,9 +392,9 @@ def build_clutter_map(scene):
     cl = scene.clutter
     params = terrain_params(scene)
     radio, arr = scene.radio, scene.array
-    lam = scene.wavelength_m
+    lam = scene.radio.wavelength_m
     n_bins = radio.num_subcarriers
-    dr = scene.range_res_m
+    dr = scene.radio.range_res_m
 
     xs, ys = patch_grid(cl)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -455,14 +455,14 @@ def build_clutter_map_full_grid(scene):
     before the chunked virtual-array accumulation."""
     cl, radio, arr = scene.clutter, scene.radio, scene.array
     params = terrain_params(scene)
-    lam = scene.wavelength_m
+    lam = scene.radio.wavelength_m
     n_bins = radio.num_subcarriers
     xs, ys = patch_grid(cl)
     x, y = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
     h = cl.station_height_m
     r = np.sqrt(x * x + y * y + h * h)
     phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=r.size)
-    bins = np.rint(r / scene.range_res_m).astype(int)
+    bins = np.rint(r / scene.radio.range_res_m).astype(int)
     kept = np.flatnonzero(bins < n_bins)
     kept = kept[np.argsort(bins[kept], kind="stable")]
     x, r, phase, bins = x[kept], r[kept], phase[kept], bins[kept]
@@ -494,7 +494,7 @@ def build_clutter_map_full_grid(scene):
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
     return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(),
-                      range_res_m=scene.range_res_m, patch_count=int(r.size))
+                      range_res_m=scene.radio.range_res_m, patch_count=int(r.size))
 
 
 def va_assemble_scatter(per_slot, arr):
@@ -568,8 +568,7 @@ class FreshDraws:
             if sx * sx + sy * sy <= 1.0:
                 break
         a = scene.array
-        return library_ura_steering(sx, sy, a.rx_cols, a.rx_rows,
-                                    a.rx_spacing_x_m, a.rx_spacing_y_m, scene.wavelength_m)
+        return library_ura_steering(sx, sy, a, scene.radio.wavelength_m)
 
     def chirp_noise(self, scale, shape, count):
         blocks = [complex_noise(rng_for(self.seed, "noise-chirp", k), scale, shape)
@@ -588,7 +587,7 @@ def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
     concatenated element-major into (L, symbols * N)."""
     radio, arr, rec = scene.radio, scene.array, scene.receiver
     n, n_el = radio.num_subcarriers, arr.num_rx
-    bw, t_sym = scene.bandwidth_hz, scene.symbol_duration_s
+    bw, t_sym = scene.radio.derived_bandwidth_hz, scene.radio.derived_symbol_duration_s
     draws = FreshDraws(scene.seed if seed is None else seed)
     si_phases = draws.si_phases(n_el)
     coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]
@@ -642,7 +641,7 @@ def tone_branch_unfused(scene, schedule, clutter=None):
             h = _target_coeff(scene, t, FreshDraws(seed))
             phase = np.exp(2j * np.pi * radio.carrier_freq_hz * tau) \
                 * np.exp(2j * np.pi * fd * (t_ref - tau))
-            within = (np.exp(2j * np.pi * fd * samples / scene.bandwidth_hz)
+            within = (np.exp(2j * np.pi * fd * samples / scene.radio.derived_bandwidth_hz)
                       if rec.exact_within_symbol_doppler else np.ones(n))
             cell += np.outer(a2d * (h * math.sqrt(p) * phase), within)
         if clutter is not None:
@@ -662,7 +661,7 @@ def _bins(range_m, velocity_mps, sin_x, sin_y, res):
 
 def score_estimates(truths, estimates, scene, pipeline_tag, drop_index, sweep_value):
     res = resolution_report(scene.radio, scene.array.with_va(False))
-    m, nx, ny = scene.num_pri, scene.array.rx_cols, scene.array.rx_rows
+    m, nx, ny = scene.radio.num_pri, scene.array.rx_cols, scene.array.rx_rows
     periods = (None, m, nx, ny)
     truth_bins = [_bins(t.range_m, t.radial_velocity_mps, t.sin_psi_x, t.sin_psi_y, res)
                   for t in truths]
@@ -779,8 +778,9 @@ def validate_plan(plan):
         raise ValueError("target_count must be >= 1")
     if plan.sweep_axis not in ("range", "tx_power"):
         raise ValueError("sweep_axis must be 'range' or 'tx_power'")
-    if list(plan.sweep_values) != sorted(plan.sweep_values):
-        raise ValueError("sweep_values must be sorted")
+    values = plan.sweep_values
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("sweep_values must be sorted, each value once")
     if any(v <= 0 for v in plan.sweep_values):
         raise ValueError("sweep_values must be positive (watts or meters)")
     if plan.workers < 1:

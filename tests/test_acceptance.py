@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import make_array, make_radio
+from conftest import make_array, make_radio, ura
 from mars_jcas.channel import synthesize_if_cube
 from mars_jcas.cli import main, preset_path
 from mars_jcas.estimator import (
@@ -153,7 +153,7 @@ def test_criterion_4_algebraic_identities():
 
     # Virtual-aperture steering identity on a 2x2 tx / 2x2 rx toy.
     sx, sy = 0.37, -0.18
-    a_big = steering_ura_from_sin(sx, sy, 4, 4, LAM / 2, LAM / 2, LAM)
+    a_big = steering_ura_from_sin(sx, sy, ura(4, 4, LAM / 2, LAM / 2), LAM)
     a_ty = steering_from_sin(sy, 2, LAM, LAM)  # tx spacing L*d = lambda
     a_ry = steering_from_sin(sy, 2, LAM / 2, LAM)
     a_tx = steering_from_sin(sx, 2, LAM, LAM)

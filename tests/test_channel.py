@@ -47,7 +47,7 @@ class TestChirpBranch:
         cube = synthesize_if_cube(scene, schedule_of(scene))
         symbol = cube.chirp_branch[0]
         spectrum = np.abs(np.fft.fft(symbol[0]))
-        expected_bin = round(300.0 / scene.range_res_m)
+        expected_bin = round(300.0 / scene.radio.range_res_m)
         assert int(np.argmax(spectrum)) == expected_bin
 
     def test_si_removed_by_dcoc(self):
@@ -392,13 +392,12 @@ class TestFaMeasurements:
     def _table_case(seed, l, m, n, r_bins):
         rng = np.random.default_rng(seed)
         base = make_scene()
-        scene = replace(base, radio=make_radio(n=n, num_pri=m),
-                        array=make_array(cols=l, rows=1), num_pri=m)
+        scene = replace(base, radio=make_radio(n=n, num_pri=m), array=make_array(cols=l, rows=1))
         sched = build_schedule(scene.radio, scene.array, "fa", fa_seed=seed)
         shape = (1, r_bins, l)
         cmap = ClutterMap(chirp_tables=rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                          tone_vec=np.zeros(l, dtype=complex), range_res_m=scene.range_res_m,
-                          patch_count=0)
+                          tone_vec=np.zeros(l, dtype=complex),
+                          range_res_m=scene.radio.range_res_m, patch_count=0)
         return scene, sched, cmap
 
     @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
@@ -545,7 +544,7 @@ class TestClutterFit:
                "range_res": replace(cmap, range_res_m=2.0 * cmap.range_res_m)}[misfit]
         message = (f"clutter map has {bad.num_range_bins} range bins, {bad.num_elements} "
                    f"elements and range_res_m {bad.range_res_m}; the scene has 64 "
-                   f"subcarriers, 16 elements and range_res_m {scene.range_res_m}")
+                   f"subcarriers, 16 elements and range_res_m {scene.radio.range_res_m}")
         with pytest.raises(ValueError) as err:
             synthesize_if_cube(scene, schedule_of(scene), bad)
         assert str(err.value) == message

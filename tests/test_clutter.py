@@ -88,7 +88,7 @@ class TestClutterMap:
                                                station_height_m=5.0))
         cmap = build_clutter_map(scene)
         params = terrain_params(scene)
-        lam = scene.wavelength_m
+        lam = scene.radio.wavelength_m
         arr = scene.array
 
         # Per-patch python loop, no aggregation machinery.
@@ -112,8 +112,7 @@ class TestClutterMap:
                                                rcs_m2=max(sigma0, 1e-300)))
                 coeff = amp * np.exp(1j * phases[idx])
                 idx += 1
-                steer = steering_ura_from_sin(x / r, -h / r, arr.rx_cols, arr.rx_rows,
-                                              arr.rx_spacing_x_m, arr.rx_spacing_y_m, lam)
+                steer = steering_ura_from_sin(x / r, -h / r, arr, lam)
                 b = round(r / cmap.range_res_m)
                 tables[b] += coeff * steer
                 tone += coeff * steer * np.exp(2j * np.pi * scene.radio.carrier_freq_hz
@@ -206,7 +205,7 @@ class TestClutterMap:
     def test_sort_key_width_boundary(self, n):
         scene = make_scene(radio=make_radio(n=n), arr=make_array(cols=2, rows=1, tx=2, va=True),
                            clutter_enabled=True, seed=n)
-        res = scene.range_res_m
+        res = scene.radio.range_res_m
         scene = replace(scene, clutter=ClutterConfig(
             enabled=True, area_x_m=3 * res, area_y_m=20 * res, cell_m=res,
             station_height_m=1.0, area_standoff_m=(2**16 - 11) * res))
@@ -240,7 +239,8 @@ class TestClutterMap:
                                                      station_height_m=10.0))
         xs, ys = clutter.patch_grid(scene.clutter)
         r = np.sqrt(np.add.outer(xs * xs, ys * ys) + 100.0)
-        assert np.bincount(np.rint(r / scene.range_res_m).astype(int).ravel()).max() > 10 * chunk
+        bins = np.rint(r / scene.radio.range_res_m).astype(int)
+        assert np.bincount(bins.ravel()).max() > 10 * chunk
         maps, submitted = [], []
 
         class CountingPool(ThreadPoolExecutor):

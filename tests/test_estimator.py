@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 import oracles
-from conftest import make_array, make_radio
+from conftest import make_array, make_radio, ura
 from mars_jcas import estimator
 from mars_jcas.cli import preset_path
 from mars_jcas.estimator import (
@@ -150,7 +150,7 @@ class TestAngleVelocityMap:
         arr = make_array()
         radio = make_radio()
         m = 32
-        a = steering_ura_from_sin(0.5, -0.5, 4, 4, LAM / 2, LAM / 2, LAM)
+        a = steering_ura_from_sin(0.5, -0.5, ura(4, 4, LAM / 2, LAM / 2), LAM)
         dop = np.exp(2j * np.pi * 5 * np.arange(m) / m)
         avm = _map_from(np.outer(a, dop), arr, radio)
         peak = np.unravel_index(np.argmax(avm.values), avm.values.shape)
@@ -252,7 +252,7 @@ class TestMusicRefine:
     def _fixture(self, sin_x, sin_y, velocity, m=64, snr_db=40.0, seed=0):
         arr = make_array()
         radio = make_radio(num_pri=m)
-        a = steering_ura_from_sin(sin_x, sin_y, 4, 4, LAM / 2, LAM / 2, LAM)
+        a = steering_ura_from_sin(sin_x, sin_y, ura(4, 4, LAM / 2, LAM / 2), LAM)
         fd = 2 * velocity * radio.carrier_freq_hz / C0
         s = np.exp(2j * np.pi * fd * np.arange(m) * radio.pri_s)
         rng = RNG(seed)
@@ -382,7 +382,7 @@ class TestSpaceTimeSteering:
         arr = make_array()
         sched = build_schedule(radio, arr, "comb", chirp_pri_indices=(1, 6, 15))
         a = space_time_steering(0.0, 0.3, -0.2, arr, sched, radio)
-        a2d = steering_ura_from_sin(0.3, -0.2, 4, 4, LAM / 2, LAM / 2, radio.wavelength_m)
+        a2d = steering_ura_from_sin(0.3, -0.2, ura(4, 4, LAM / 2, LAM / 2), radio.wavelength_m)
         np.testing.assert_allclose(a, np.tile(a2d, 3))
 
     def test_w1_is_spatial_only(self):
@@ -390,7 +390,7 @@ class TestSpaceTimeSteering:
         arr = make_array()
         sched = build_schedule(radio, arr, "lshape", chirp_pri_indices=(1,))
         a = space_time_steering(25.0, 0.1, 0.0, arr, sched, radio)
-        a2d = steering_ura_from_sin(0.1, 0.0, 4, 4, LAM / 2, LAM / 2, radio.wavelength_m)
+        a2d = steering_ura_from_sin(0.1, 0.0, ura(4, 4, LAM / 2, LAM / 2), radio.wavelength_m)
         np.testing.assert_allclose(a, a2d)
 
     def test_table1_car_oracle(self):
@@ -406,7 +406,7 @@ class TestSpaceTimeSteering:
                            math.sin(2 * math.pi * fd * (i - 1) * 0.25e-3))
             assert a_t[w] == pytest.approx(want, rel=1e-12)
         full = space_time_steering(v, 0.25, -0.125, arr, sched, radio)
-        a2d = steering_ura_from_sin(0.25, -0.125, 8, 8, LAM / 2, LAM / 2,
+        a2d = steering_ura_from_sin(0.25, -0.125, ura(8, 8, LAM / 2, LAM / 2),
                                     radio.wavelength_m)
         np.testing.assert_allclose(full, np.kron(a_t, a2d))
 
@@ -701,8 +701,8 @@ class TestBatchedAgainstOracles:
     @settings(max_examples=40, deadline=None)
     def test_array_steering_is_stacked_scalar_steering(self, sx, cols, rows, data):
         sy = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(sx), max_size=len(sx)))
-        got = steering_ura_from_sin(np.array(sx), np.array(sy), cols, rows,
-                                    LAM / 2, 0.6 * LAM, LAM)
+        got = steering_ura_from_sin(np.array(sx), np.array(sy),
+                                    ura(cols, rows, LAM / 2, 0.6 * LAM), LAM)
         want = np.stack([oracles.steering_ura_from_sin(x, y, cols, rows, LAM / 2,
                                                        0.6 * LAM, LAM)
                          for x, y in zip(sx, sy)], axis=1)
@@ -943,12 +943,12 @@ class TestVaAssemble:
     def test_steering_stack_matches_big_ura(self):
         arr = make_array(cols=2, rows=2, tx=2, va=True)
         sx, sy = 0.31, -0.22
-        a_r = steering_ura_from_sin(sx, sy, 2, 2, LAM / 2, LAM / 2, LAM)
+        a_r = steering_ura_from_sin(sx, sy, ura(2, 2, LAM / 2, LAM / 2), LAM)
         # Transmit factor: small array spaced at Lx*dx = lambda.
-        a_tx = steering_ura_from_sin(sx, sy, 2, 2, LAM, LAM, LAM)
+        a_tx = steering_ura_from_sin(sx, sy, ura(2, 2, LAM, LAM), LAM)
         slots = [np.outer(a_tx[e] * a_r, np.ones(3)) for e in range(4)]
         out, geom = va_assemble(slots, arr)
-        big = steering_ura_from_sin(sx, sy, 4, 4, LAM / 2, LAM / 2, LAM)
+        big = steering_ura_from_sin(sx, sy, ura(4, 4, LAM / 2, LAM / 2), LAM)
         ratio = out[:, 0] / big
         np.testing.assert_allclose(ratio, ratio[0], atol=1e-12)
         assert geom.rx_cols == 4 and geom.rx_rows == 4
@@ -966,8 +966,8 @@ class TestVaAssemble:
         arr = make_array(cols=2, rows=2, tx=2, va=True)
         # On the 4x4 virtual grid (step 0.5) but off the 2x2 coarse grid (step 1).
         sx, sy = 0.5, -0.5
-        a_r = steering_ura_from_sin(sx, sy, 2, 2, LAM / 2, LAM / 2, LAM)
-        a_tx = steering_ura_from_sin(sx, sy, 2, 2, LAM, LAM, LAM)
+        a_r = steering_ura_from_sin(sx, sy, ura(2, 2, LAM / 2, LAM / 2), LAM)
+        a_tx = steering_ura_from_sin(sx, sy, ura(2, 2, LAM, LAM), LAM)
         slots = [np.outer(a_tx[e] * a_r, np.ones(4)) for e in range(4)]
         out, geom = va_assemble(slots, arr)
         avm = angle_velocity_map(out, geom, make_radio(num_pri=4))

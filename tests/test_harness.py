@@ -147,7 +147,7 @@ class TestScoring:
     def test_two_bin_range_offset_misses(self):
         scene = make_scene()
         t = on_grid_target(scene, range_bin=60)
-        est = estimate_like(t, scene, range_m=62 * scene.range_res_m)
+        est = estimate_like(t, scene, range_m=62 * scene.radio.range_res_m)
         rec = score_estimates([t], [est], scene, "p", 0, None)[0]
         assert not rec.hit
         assert rec.offsets_bins[0] == 2
@@ -156,7 +156,7 @@ class TestScoring:
         scene = make_scene()
         t = on_grid_target(scene, range_bin=60, vel_bin=10)
         est = estimate_like(t, scene,
-                            range_m=61 * scene.range_res_m,
+                            range_m=61 * scene.radio.range_res_m,
                             velocity_mps=9 * scene.radio.velocity_res_mps)
         rec = score_estimates([t], [est], scene, "p", 0, None)[0]
         assert rec.hit
@@ -164,7 +164,7 @@ class TestScoring:
 
     def test_velocity_wraps_modulo_grid(self):
         scene = make_scene()
-        m = scene.num_pri
+        m = scene.radio.num_pri
         t = on_grid_target(scene, vel_bin=m // 2 - 1)
         est = estimate_like(t, scene,
                             velocity_mps=-(m // 2) * scene.radio.velocity_res_mps)
@@ -177,7 +177,7 @@ class TestScoring:
         # Offsets computed once per pair give the same records, types
         # included (records.csv prints them), as the form that wrapped twice.
         scene = make_scene()
-        vmax = (scene.num_pri // 2 + 2) * scene.radio.velocity_res_mps
+        vmax = (scene.radio.num_pri // 2 + 2) * scene.radio.velocity_res_mps
         point = st.tuples(st.floats(1.0, 400.0), st.floats(-vmax, vmax),
                           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
         truths = [Target(r, v, math.asin(x), math.asin(y), 1.0)
@@ -378,6 +378,8 @@ class TestRunDrop:
             quiet_plan(pipelines=(PipelineSpec(structure="lshape", suppressor="sthp"),))
         with pytest.raises(ValueError, match="sorted"):
             quiet_plan(sweep_values=(3.0, 1.0))
+        with pytest.raises(ValueError, match="sorted"):
+            quiet_plan(sweep_values=(1.0, 3.0, 3.0))
         with pytest.raises(ValueError, match="scenario"):
             quiet_plan(scenario="boat")
 
@@ -436,7 +438,8 @@ class TestPlanRules:
         options = {
             "scenario": ("custom", "boat"), "num_drops": (0, -1), "target_count": (1, 0),
             "sweep_axis": ("tx_power", "speed"),
-            "sweep_values": ((), (0.5, 1.0), (1.0, 0.5), (0.0, 1.0)), "workers": (1, 0),
+            "sweep_values": ((), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (0.0, 1.0)),
+            "workers": (1, 0),
             "custom": (CustomRanges(), CustomRanges(rcs_m2=0.0),
                        CustomRanges(sin_psi_x=(0.8, 0.9), sin_psi_y=(0.8, 0.9)),
                        CustomRanges(speed_mps=(50.0, 7.0)), CustomRanges(speed_mps=(0.0, -0.0))),
@@ -722,7 +725,7 @@ class TestMonteCarlo:
         plan = replace(plan, num_drops=2, workers=1)
         message = (f"clutter map has 512 range bins, 16 elements and range_res_m "
                    f"{desk_clutter.range_res_m}; the scene has 2048 subcarriers, 64 elements "
-                   f"and range_res_m {car.range_res_m}")
+                   f"and range_res_m {car.radio.range_res_m}")
         fa = PipelineSpec(structure="fa", suppressor="mf")
         with monkeypatch.context() as mp:
             mp.setattr(harness, "_timed_drop", lambda *args: pytest.fail("a drop ran"))

@@ -29,6 +29,7 @@ from mars_jcas.cli import main, preset_path
 from mars_jcas.harness import CustomRanges, ExperimentPlan, schedule_for
 from mars_jcas.io import (
     ConfigError,
+    _ConfigLoader,
     _converter,
     _fields,
     config_from_dict,
@@ -209,6 +210,7 @@ class TestConfigParsing:
         ({"sweep_axis": "speed"}, "sweep_axis"),
         ({"workers": 0}, "workers"),
         ({"stte_guard": 1}, "stte_guard"),   # a per-pipeline key only
+        ({"sweep_values_dbm": [30.0, 30.0]}, "sweep_values"),   # each drop scored twice
     ])
     def test_bad_plan_value_fails_closed(self, tmp_path, capsys, override, key):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
@@ -356,6 +358,8 @@ class TestConfigParsing:
         ("experiment", "pipelines", 5),
         (None, "targets", 5),
         ("experiment.custom", "range_m", 5),
+        # A quoted number where a float goes: once read as 0.25 ms.
+        ("radio", "pri_ms", "0.25"),
     ])
     def test_key_rejects_value_of_another_type(self, tmp_path, capsys, section, key, value):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
@@ -669,7 +673,8 @@ class TestConfigParsing:
             "every_key": "9b5ad26d8c9b6288844f67552d66459724ce5acf8536e0e383aae9d4ad9ce697",
         }
         configs = {name: parse_config(preset_path(name)) for name in pinned if name != "every_key"}
-        configs["every_key"] = config_from_dict(yaml.safe_load(EVERY_KEY_CONFIG), source="every")
+        configs["every_key"] = config_from_dict(yaml.load(EVERY_KEY_CONFIG, _ConfigLoader),
+                                                source="every")
         scene_cfg = configs["every_key"][0]
         sections = (scene_cfg.radio, scene_cfg.array, scene_cfg.waveform, scene_cfg.clutter,
                     scene_cfg.receiver, *scene_cfg.targets)
@@ -688,7 +693,7 @@ class TestConfigParsing:
         # "required", it gives the same scene and plan.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = re.search(r"## Config schema \(YAML\).*?```yaml\n(.*?)```", readme, re.S)[1]
-        raw = yaml.safe_load(block)
+        raw = yaml.load(block, _ConfigLoader)    # as parse_config reads it
         required = set(re.findall(r"^  (\w+):.*#\s*required\b", block, re.M))
         reduced = {section: {k: v for k, v in body.items() if k in required}
                    for section, body in raw.items() if isinstance(body, dict)}

@@ -84,8 +84,8 @@ class TestMainPipeline:
     def test_music_refinement_tagged_and_tighter(self):
         # MUSIC needs a noise subspace: keep the thermal floor.
         scene = make_scene(radio=make_radio(), si_attenuation_db=300.0)
-        res_x = scene.wavelength_m / (4 * scene.array.rx_spacing_x_m)
-        t = Target(range_m=60 * scene.range_res_m,
+        res_x = scene.radio.wavelength_m / (4 * scene.array.rx_spacing_x_m)
+        t = Target(range_m=60 * scene.radio.range_res_m,
                    radial_velocity_mps=10.3 * scene.radio.velocity_res_mps,
                    psi_x_rad=math.asin(0.5 * res_x + 0.37 * res_x),
                    psi_y_rad=0.0, rcs_m2=100.0)
@@ -101,9 +101,9 @@ class TestMainPipeline:
     def test_va_pipeline_refines_angle_on_virtual_grid(self):
         arr = make_array(tx=2, va=True)
         scene = clean_scene([], arr=arr)
-        res_x = scene.wavelength_m / (4 * scene.array.rx_spacing_x_m)
+        res_x = scene.radio.wavelength_m / (4 * scene.array.rx_spacing_x_m)
         # Half a coarse bin off-grid: exactly a virtual-array bin.
-        t = Target(range_m=60 * scene.range_res_m,
+        t = Target(range_m=60 * scene.radio.range_res_m,
                    radial_velocity_mps=10 * scene.radio.velocity_res_mps,
                    psi_x_rad=math.asin(0.5 * res_x), psi_y_rad=0.0, rcs_m2=100.0)
         scene = replace(scene, targets=(t,))
@@ -284,7 +284,7 @@ class TestFaPipeline:
     @staticmethod
     def _fa_case(l, m, n, sub):
         scene = replace(clean_scene([]), radio=make_radio(n=n, num_pri=m),
-                        array=make_array(cols=l, rows=1), num_pri=m)
+                        array=make_array(cols=l, rows=1))
         sched = build_schedule(scene.radio, scene.array, "fa", fa_seed=0)
         return scene, replace(sched, fa_subcarrier_indices=np.asarray(sub))
 
@@ -315,6 +315,8 @@ class TestFaPipeline:
             famap = pipeline.fa_range_doppler_map(meas, sched, scene.radio).values
             assert [e.amplitude for e in got] == [e.amplitude for e in want] == [
                 famap[e.range_bin, e.velocity_bin] for e in got]
+            # The range grid is the replaced radio's, c / 2 N df, not the base scene's.
+            assert all(e.range_m == e.range_bin * scene.radio.range_res_m for e in got)
 
     # Powers whose magnitudes tie exactly, an ulp apart with equal square
     # roots (sqrt(4 + ulp) rounds to 2), and rounding below zero, which the

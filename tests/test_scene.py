@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
-from conftest import desk_raw, make_array, make_radio, make_scene
+from conftest import desk_raw, make_array, make_radio, make_scene, ura
 from mars_jcas.cli import main, preset_path
 from mars_jcas.io import parse_config
 from oracles import psi_from_spherical, spherical_from_psi
@@ -33,8 +33,8 @@ class TestValidation:
         scene_cfg, _ = parse_config(preset_path("table1_car"))
         scene = validate_scene(scene_cfg)
         assert scene.array.num_rx == 64
-        assert scene.num_pri == 500
-        assert scene.bandwidth_hz == pytest.approx(122.88e6)
+        assert scene.radio.num_pri == 500
+        assert scene.radio.derived_bandwidth_hz == pytest.approx(122.88e6)
 
     def test_boresight_target_valid(self):
         scene = make_scene(targets=[Target(300.0, 10.0, 0.0, 0.0, 1.0)])
@@ -193,11 +193,12 @@ class TestSteering:
         assert np.vdot(a, a).real == pytest.approx(count)
 
     def test_ura_boresight(self):
-        got = steering_ura_from_sin(math.sin(0.0), math.sin(0.0), 3, 2, 0.03, 0.03, 0.06)
+        got = steering_ura_from_sin(math.sin(0.0), math.sin(0.0), ura(3, 2, 0.03, 0.03), 0.06)
         np.testing.assert_allclose(got, np.ones(6))
 
     def test_ura_2x2_kron_order(self):
-        got = steering_ura_from_sin(math.sin(math.pi / 2), math.sin(0.0), 2, 2, 0.03, 0.03, 0.06)
+        got = steering_ura_from_sin(math.sin(math.pi / 2), math.sin(0.0),
+                                    ura(2, 2, 0.03, 0.03), 0.06)
         np.testing.assert_allclose(got, [1, -1, 1, -1], atol=1e-12)
 
     @given(psi=st.floats(-1.2, 1.2), count=st.integers(1, 9))
@@ -205,8 +206,9 @@ class TestSteering:
     def test_ura_degenerates_to_ula(self, psi, count):
         ula = steering_from_sin(math.sin(psi), count, 0.03, 0.06)
         s, zero = math.sin(psi), math.sin(0.0)
-        np.testing.assert_allclose(steering_ura_from_sin(s, zero, count, 1, 0.03, 0.03, 0.06), ula)
-        np.testing.assert_allclose(steering_ura_from_sin(zero, s, 1, count, 0.03, 0.03, 0.06), ula)
+        for cols, rows, sx, sy in ((count, 1, s, zero), (1, count, zero, s)):
+            np.testing.assert_allclose(
+                steering_ura_from_sin(sx, sy, ura(cols, rows, 0.03, 0.03), 0.06), ula)
 
     def test_va_aperture_identity(self):
         # Kronecker of small-array (spacing L*d) and large-array steering
