@@ -84,10 +84,9 @@ def _source(args):
 
 def _load(args, default_plan=False, compiles=False):
     """(scene config, scene, plan, the waveform section's schedule) of the
-    command's config with, unless the command ``compiles`` its run after its
-    overrides, every plan rule applied: a bad one is a config error before
-    anything is written or drawn. With ``default_plan`` a config without an
-    experiment section gets the default plan."""
+    command's config with :func:`_checked`'s rules applied. With
+    ``default_plan`` a config without an experiment section gets the default
+    plan."""
     source = _source(args)
     scene_cfg, plan = parse_config(source)
     if getattr(args, "seed", None) is not None:
@@ -96,6 +95,15 @@ def _load(args, default_plan=False, compiles=False):
             plan = replace(plan, seed=args.seed)
     if plan is None and default_plan:
         plan = ExperimentPlan(seed=scene_cfg.seed)
+    scene, schedule = _checked(source, scene_cfg, plan, compiles)
+    return scene_cfg, scene, plan, schedule
+
+
+def _checked(source, scene_cfg, plan, compiles):
+    """(scene, the waveform section's schedule) of a parsed config with every
+    load rule and, unless the command ``compiles`` its run after its
+    overrides, every plan rule applied: a bad one is a config error at
+    ``source`` before anything is written or drawn."""
     scene = validate_scene(scene_cfg)
     try:
         schedule = _scene_schedule(scene, plan)
@@ -110,7 +118,7 @@ def _load(args, default_plan=False, compiles=False):
                                  f"90 degrees; it must be at most {LARGEST:g}")
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return scene_cfg, scene, plan, schedule
+    return scene, schedule
 
 
 def _command(args) -> tuple:
@@ -251,8 +259,9 @@ def cmd_simulate(args) -> int:
                 cube_path = out / f"cube_{name}.bin"
                 write_cube(cube_path, data)
                 outputs.append(cube_path)
-            rows_k += [{"pipeline": pipe.tag, "sweep_value": value, "target": j, **vars(e)}
-                       for j, e in enumerate(ests)]
+            rows_k += [{"pipeline": pipe.tag, "sweep_value": value, "target": j, **vars(e),
+                        "refinement": pipe.refinement, "method": pipe.suppressor,
+                        "eps_mode": pipe.eps_mode} for j, e in enumerate(ests)]
             if debug:
                 avm = debug["avmap"]
                 rows = [(avm.sin_x(bx), avm.sin_y(by), avm.velocity(bv), avm.values[bx, by, bv])
@@ -333,9 +342,9 @@ def cmd_replay(args) -> int:
         scene_cfg, plan = config_from_dict(manifest.effective_config, source="manifest")
         if plan is None:
             raise ConfigError("manifest has no experiment plan to replay a drop from")
+        scene, _ = _checked("manifest", scene_cfg, plan, compiles=True)
         try:
-            _, report = monte_carlo(replace(plan, workers=1), validate_scene(scene_cfg),
-                                    drops=(args.drop,))
+            _, report = monte_carlo(replace(plan, workers=1), scene, drops=(args.drop,))
         except ValueError as exc:
             raise ConfigError(f"manifest, --drop {args.drop}: {exc}") from exc
         records = report.records
@@ -421,7 +430,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, SceneValidationError, KeyError) as exc:
+    except (ConfigError, SceneValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DropError, ValueError, OSError) as exc:

@@ -43,7 +43,7 @@ def _terrain_table() -> dict:
 def terrain_preset(name: str) -> GtriParams:
     table = _terrain_table()
     if name not in table:
-        raise KeyError(f"unknown terrain preset {name!r}; available: {sorted(table)}")
+        raise ValueError(f"unknown terrain preset {name!r}; available: {sorted(table)}")
     return GtriParams(**table[name])
 
 

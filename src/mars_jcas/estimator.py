@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,9 +72,6 @@ class TargetEstimate:
     angle_x_bin: int
     angle_y_bin: int
     range_bin: int
-    refinement: str = "fft"   # fft | music
-    method: str = "stap"      # stap | sthp | mf
-    eps_mode: str = "em"      # zero | em | inf
 
     @property
     def sin_psi_x(self) -> float:
@@ -400,24 +397,6 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
                           "sthp_range_spectrum", root_norm=True)
 
 
-@dataclass(frozen=True, eq=False)
-class FaMap:
-    """FA nonuniform matched-filter output on the shared bin grid: the
-    correlator powers, and their magnitudes on first read."""
-
-    power: np.ndarray   # (M velocity bins, N range bins); rounding may leave p < 0
-    velocity_res_mps: float
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """(N range bins, M velocity bins) magnitudes sqrt(max(p, 0))."""
-        magnitudes = np.maximum(self.power, 0.0)
-        return np.sqrt(magnitudes, out=magnitudes).T
-
-    def velocity(self, bin_v: int) -> float:
-        return float(signed_bin(bin_v, self.power.shape[0]) * self.velocity_res_mps)
-
-
 @lru_cache(maxsize=8)
 def _lag_cells(m: int, n: int, sub_bytes: bytes) -> tuple:
     """Per block of at most N rows of G: the block, the float positions in
@@ -447,10 +426,11 @@ _FA_ROWS = 64
 
 
 def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
-                         radio: RadioParams) -> FaMap:
+                         radio: RadioParams) -> np.ndarray:
     """Correlate per-symbol subcarrier measurements against delay/Doppler
     hypotheses on the main pipeline's (range bin, velocity bin) grid;
-    element powers combine noncoherently.
+    element powers combine noncoherently. Returns the (M velocity bins,
+    N range bins) float power grid; rounding may leave p < 0.
 
     The power at velocity bin k and range bin r is
     sum_l |sum_m x_l[m] e^{j2pi n_m r/N} e^{-j2pi k m/M}|^2. Expanding the
@@ -497,7 +477,7 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     blocks = (slice(lo, lo + _FA_ROWS) for lo in range(0, m, _FA_ROWS))
     cpus.share((partial(np.fft.irfft, grid[rows].copy(), n=n, axis=1, norm="forward",
                         out=power[rows]) for rows in blocks), min(m, _FA_ROWS) * half)
-    return FaMap(power=power, velocity_res_mps=radio.velocity_res_mps)
+    return power
 
 
 def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,

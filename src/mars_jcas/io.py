@@ -166,6 +166,15 @@ _sin = lambda v, got: math.asin(_expect(abs(s := _float(v)) <= 1.0, s, "|sin ψ|
 _wavelengths = lambda v, got: _float(v) * got["wavelength_m"]
 _floats = _list(lambda v: tuple(_float(x) for x in v))
 
+
+def _on_axis(axis, to_si):
+    """A ``sweep_values`` unit variant, which only a sweep along ``axis`` takes."""
+    def read(v, got):
+        _expect(got["sweep_axis"] == axis, None, f"sweep_axis {axis}, got {got['sweep_axis']!r}")
+        return tuple(map(to_si, _floats(v)))
+    return read
+
+
 # Unit variants of a field's own SI key: (key, to_SI(value, fields read so far)).
 _UNITS = {
     RadioParams: {
@@ -192,8 +201,8 @@ _UNITS = {
         "psi_y_rad": [("psi_y_deg", _deg), ("sin_psi_y", _sin)],
     },
     ExperimentPlan: {
-        "sweep_values": [("sweep_values_dbm", lambda v, got: tuple(map(dbm_to_watts, _floats(v)))),
-                         ("sweep_values_m", lambda v, got: _floats(v))],
+        "sweep_values": [("sweep_values_dbm", _on_axis("tx_power", dbm_to_watts)),
+                         ("sweep_values_m", _on_axis("range", float))],
         "azimuth_max_rad": [("azimuth_max_deg", _deg)],
     },
 }

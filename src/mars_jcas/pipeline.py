@@ -209,9 +209,6 @@ def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
             angle_x_bin=int(round(win_x / avm.sin_res_x)),
             angle_y_bin=int(round(win_y / avm.sin_res_y)),
             range_bin=rng_bin,
-            refinement=pipe.refinement,
-            method=pipe.suppressor,
-            eps_mode=pipe.eps_mode,
         ))
     return estimates
 
@@ -222,7 +219,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     spatial FFT of the correlation snapshot at each peak for the angles.
     The same zero-velocity guard as STTE keeps the static ridge out."""
     radio = scene.radio
-    famap = fa_range_doppler_map(fa_meas, schedule, radio)
+    power = fa_range_doppler_map(fa_meas, schedule, radio)
     # The map never leaves this function, so its power grid is masked in
     # place. Search it in its (velocity, range) memory order; the first
     # maximum in (range, velocity) order is the first range column holding
@@ -231,7 +228,6 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     # them only at the column maxima and in the chosen column: the
     # magnitude never decreases with the power, so a column's largest
     # magnitude is the magnitude of its largest power.
-    power = famap.power
     m, n_rng = power.shape
     power[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
 
@@ -249,20 +245,17 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
         sin_x = float(signed_bin(bx, arr.rx_cols)) * res.sin_angle_res_x
         sin_y = float(signed_bin(by, arr.rx_rows)) * res.sin_angle_res_y
-        vel = famap.velocity(v_bin)
+        v_signed = int(signed_bin(v_bin, m))
         estimates.append(TargetEstimate(
-            velocity_mps=vel,
+            velocity_mps=v_signed * radio.velocity_res_mps,
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
             range_m=float(r_bin) * radio.range_res_m,
             amplitude=float(column[v_bin]),     # before the exclusion below
-            velocity_bin=int(signed_bin(v_bin, m)),
+            velocity_bin=v_signed,
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
             angle_y_bin=int(signed_bin(by, arr.rx_rows)),
             range_bin=r_bin,
-            refinement="fft",
-            method="mf",
-            eps_mode="inf",
         ))
         for dr in (-1, 0, 1):
             for dv in (-1, 0, 1):
@@ -273,6 +266,6 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
 
 
 def _magnitudes(power: np.ndarray) -> np.ndarray:
-    """:attr:`~mars_jcas.estimator.FaMap.values` of FA map powers,
-    sqrt(max(p, 0)), with a masked cell's -inf kept."""
+    """Magnitudes of FA map powers, sqrt(max(p, 0)), with a masked cell's
+    -inf kept: the one magnitude rule of :func:`fa_range_doppler_map`'s grid."""
     return np.where(power == -np.inf, -np.inf, np.sqrt(np.maximum(power, 0.0)))

@@ -324,8 +324,10 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
         v.append(f"radio.symbol_duration_s={r.symbol_duration_s} inconsistent with "
                  f"1/subcarrier_spacing_hz={t_sym}")
 
-    num_pri = r.num_pri if r.pri_s else None
-    if num_pri is not None and (num_pri < 1 or not _close(num_pri * r.pri_s, r.cpi_s)):
+    # A ratio past the float range is no integer count either.
+    ratio = r.cpi_s / r.pri_s if r.pri_s else None
+    num_pri = r.num_pri if ratio is not None and math.isfinite(ratio) else 0
+    if ratio is not None and (num_pri < 1 or not _close(num_pri * r.pri_s, r.cpi_s)):
         v.append(f"radio.cpi_s={r.cpi_s} is not an integer multiple of pri_s={r.pri_s}")
     if r.symbols_per_pri < 1:
         v.append("radio.symbols_per_pri must be >= 1")

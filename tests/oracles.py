@@ -62,7 +62,6 @@ from mars_jcas.clutter import (
     terrain_params,
 )
 from mars_jcas.estimator import (
-    FaMap,
     TargetEstimate,
     _lag_cells,
     _loaded_solve,
@@ -258,8 +257,7 @@ def fa_range_doppler_map(fa_meas, schedule, radio):
     for row in fa_meas:
         z = np.fft.fft(row[:, None] * ramps, axis=0)                # (M_vel, N)
         power += np.abs(z) ** 2
-    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
-    return FaMap(power=power, velocity_res_mps=vel_res)
+    return power
 
 
 def fa_range_doppler_map_full_grid(fa_meas, schedule, radio):
@@ -280,8 +278,7 @@ def fa_range_doppler_map_full_grid(fa_meas, schedule, radio):
         lags.imag += np.bincount(idx, weights=gram.imag.ravel(), minlength=m * n)
     half = np.fft.fft(lags.reshape(m, n)[:, :n // 2 + 1], axis=0)
     power = np.fft.hfft(half, n=n, axis=1)
-    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
-    return FaMap(power=power, velocity_res_mps=vel_res)
+    return power
 
 
 def fa_range_doppler_map_half_grid(fa_meas, schedule, radio):
@@ -304,8 +301,7 @@ def fa_range_doppler_map_half_grid(fa_meas, schedule, radio):
         lags.real += np.bincount(idx, weights=gram.real, minlength=m * half)
         lags.imag += np.bincount(idx, weights=gram.imag, minlength=m * half)
     power = np.fft.hfft(np.fft.fft(lags.reshape(m, half), axis=0), n=n, axis=1)
-    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
-    return FaMap(power=power, velocity_res_mps=vel_res)
+    return power
 
 
 def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio):
@@ -325,8 +321,13 @@ def fa_range_doppler_map_out_of_place(fa_meas, schedule, radio):
     grid = grid.view(complex).reshape(m, -1)
     np.fft.ifft(grid, axis=0, norm="forward", out=grid)
     power = np.fft.irfft(grid, n=n, axis=1, norm="forward")
-    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
-    return FaMap(power=power, velocity_res_mps=vel_res)
+    return power
+
+
+def fa_magnitudes(power):
+    """(N range, M velocity) magnitudes sqrt(max(p, 0)) of an (M, N) FA
+    power grid."""
+    return np.sqrt(np.maximum(power, 0.0)).T
 
 
 def fa_peak_search(values, num_targets, guard=1):
@@ -354,11 +355,12 @@ def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
     """FA pipeline on the full-grid map, searching its magnitudes
     (:func:`fa_peak_search`)."""
     radio = scene.radio
-    famap = fa_range_doppler_map_full_grid(fa_meas, schedule, radio)
-    m = famap.values.shape[1]
+    values = fa_magnitudes(fa_range_doppler_map_full_grid(fa_meas, schedule, radio))
+    m = values.shape[1]
+    vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
     arr = scene.array
     estimates = []
-    for r_bin, v_bin, amplitude in fa_peak_search(famap.values, num_targets, guard):
+    for r_bin, v_bin, amplitude in fa_peak_search(values, num_targets, guard):
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
@@ -366,7 +368,7 @@ def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
         sin_x = float(signed_bin(bx, arr.rx_cols)) * lam / (arr.rx_cols * arr.rx_spacing_x_m)
         sin_y = float(signed_bin(by, arr.rx_rows)) * lam / (arr.rx_rows * arr.rx_spacing_y_m)
         estimates.append(TargetEstimate(
-            velocity_mps=famap.velocity(v_bin),
+            velocity_mps=float(signed_bin(v_bin, m) * vel_res),
             psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
             psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
             range_m=float(r_bin) * scene.radio.range_res_m,
@@ -374,7 +376,7 @@ def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
             velocity_bin=int(signed_bin(v_bin, m)),
             angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
             angle_y_bin=int(signed_bin(by, arr.rx_rows)),
-            range_bin=r_bin, refinement="fft", method="mf", eps_mode="inf",
+            range_bin=r_bin,
         ))
     return estimates
 

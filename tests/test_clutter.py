@@ -67,7 +67,7 @@ class TestGtri:
             gtri_reflectivity(-0.1, params, 0.06)
 
     def test_unknown_terrain(self):
-        with pytest.raises(KeyError, match="unknown terrain"):
+        with pytest.raises(ValueError, match="unknown terrain"):
             terrain_preset("lava_5ghz")
 
 

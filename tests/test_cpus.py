@@ -97,8 +97,8 @@ class TestShareSchedules:
     @staticmethod
     def outputs(draws, scene, sched, cmap, meas, fa_radio, fa_sched):
         cube = synthesize_if_cube(scene, sched, cmap, draws=draws)
-        famap = fa_range_doppler_map(meas, fa_sched, fa_radio)
-        return [cube.chirp_branch, cube.tone_branch_compressed, famap.power, famap.values]
+        return [cube.chirp_branch, cube.tone_branch_compressed,
+                fa_range_doppler_map(meas, fa_sched, fa_radio)]
 
     @given(l=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]), n=st.integers(2, 48),
            m=st.integers(1, 200), targets=st.integers(0, 2), clutter=st.booleans(),
@@ -253,10 +253,10 @@ class TestShare:
         release = threading.Event()
         busy = cpus.helper().submit(release.wait, 10)
         try:
-            famap = fa_range_doppler_map(meas, sched, radio)
-            grid = weakref.ref(famap.power.base)
+            power = fa_range_doppler_map(meas, sched, radio)
+            grid = weakref.ref(power.base)
             assert grid() is not None and not busy.done()
-            del famap
+            del power
             assert grid() is None
         finally:
             release.set()

@@ -37,6 +37,7 @@ from mars_jcas.estimator import (
     va_assemble,
 )
 from mars_jcas.io import config_from_dict
+from mars_jcas.pipeline import _magnitudes, run_fa_pipeline
 from mars_jcas.scene import (
     resolution_report,
     steering_from_sin,
@@ -770,8 +771,8 @@ class TestFaMap:
     def test_zero_measurements_zero_map(self):
         radio = make_radio(num_pri=16)
         sched = build_schedule(radio, make_array(), "fa", fa_seed=3)
-        famap = fa_range_doppler_map(np.zeros((16, 16), dtype=complex), sched, radio)
-        assert np.all(famap.values == 0)
+        power = fa_range_doppler_map(np.zeros((16, 16), dtype=complex), sched, radio)
+        assert power.shape == (16, radio.num_subcarriers) and np.all(power == 0)
 
     def test_single_target_peak_on_grid(self):
         radio = make_radio(num_pri=32)
@@ -782,9 +783,8 @@ class TestFaMap:
         ramp = (np.exp(-2j * np.pi * sched.fa_subcarrier_indices * r_bin / n)
                 * np.exp(2j * np.pi * v_bin * np.arange(32) / 32))
         meas = np.outer(np.ones(16), ramp)
-        famap = fa_range_doppler_map(meas, sched, radio)
-        got = np.unravel_index(np.argmax(famap.values), famap.values.shape)
-        assert got == (r_bin, v_bin)
+        power = fa_range_doppler_map(meas, sched, radio)
+        assert np.unravel_index(np.argmax(power), power.shape) == (v_bin, r_bin)
 
     def test_requires_fa_schedule(self):
         radio = make_radio(num_pri=16)
@@ -815,9 +815,10 @@ class TestFaMap:
                 + 1j * rng.normal(size=(l, m)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fa_range_doppler_map(meas, sched, radio).values
-        want = oracles.fa_range_doppler_map(meas, sched, radio).values
-        assert got.shape == want.shape == (n, m)
+            power = fa_range_doppler_map(meas, sched, radio)
+        assert power.dtype == float and power.shape == (m, n)
+        got = oracles.fa_magnitudes(power)
+        want = oracles.fa_magnitudes(oracles.fa_range_doppler_map(meas, sched, radio))
         assert np.all(np.isfinite(got)) and np.all(got >= 0)
         assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
         top = np.sort(want.ravel())[-2:]
@@ -837,8 +838,7 @@ class TestFaMap:
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
         got = fa_range_doppler_map(meas, sched, radio)
         want = oracles.fa_range_doppler_map_full_grid(meas, sched, radio)
-        assert np.array_equal(got.values, want.values)
-        assert got.velocity_res_mps == want.velocity_res_mps
+        assert np.array_equal(got, want)
 
     @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 8), m=st.integers(2, 40),
            n=st.integers(4, 64), pool=st.sampled_from([None, 1, 3]))
@@ -856,8 +856,7 @@ class TestFaMap:
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
         got = fa_range_doppler_map(meas, sched, radio)
         want = oracles.fa_range_doppler_map_half_grid(meas, sched, radio)
-        assert np.array_equal(got.values, want.values)
-        assert got.velocity_res_mps == want.velocity_res_mps
+        assert np.array_equal(got, want)
 
     @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 4), m=st.integers(2, 160),
            n=st.integers(1, 40), pool=st.sampled_from([None, 1, 3]))
@@ -876,8 +875,7 @@ class TestFaMap:
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
         got = fa_range_doppler_map(meas, sched, radio)
         want = oracles.fa_range_doppler_map_out_of_place(meas, sched, radio)
-        assert np.array_equal(got.values, want.values)
-        assert got.velocity_res_mps == want.velocity_res_mps
+        assert np.array_equal(got, want)
 
     def test_lag_cells_keyed_on_subcarriers_not_shape(self):
         # Two draws with the same (M, N) in one process: a cache keyed on the
@@ -889,16 +887,17 @@ class TestFaMap:
         maps = []
         for draw in (rng.integers(0, n, size=m), rng.permutation(np.arange(m) % n)):
             radio, sched = self._fa_case(m, n, draw)
-            got = fa_range_doppler_map(meas, sched, radio).values
+            got = fa_range_doppler_map(meas, sched, radio)
             assert np.array_equal(
-                got, oracles.fa_range_doppler_map_full_grid(meas, sched, radio).values)
+                got, oracles.fa_range_doppler_map_full_grid(meas, sched, radio))
             maps.append(got)
         assert not np.array_equal(*maps)
         assert estimator._lag_cells.cache_info().misses == 2
 
     def test_exact_nulls_clip_to_zero_without_warning(self):
         # A noiseless on-grid target with distinct subcarriers: every cell but
-        # one is an exact null, which the Gram form reaches only to rounding.
+        # one is an exact null, which the Gram form reaches only to rounding;
+        # the pipeline's magnitude rule clips the rounding below zero.
         m = n = 32
         radio, sched = self._fa_case(m, n, RNG(7).permutation(n))
         sub = sched.fa_subcarrier_indices
@@ -907,8 +906,8 @@ class TestFaMap:
         meas = np.outer(np.ones(4), ramp)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fa_range_doppler_map(meas, sched, radio).values
-        want = oracles.fa_range_doppler_map(meas, sched, radio).values
+            got = _magnitudes(fa_range_doppler_map(meas, sched, radio)).T
+        want = oracles.fa_magnitudes(oracles.fa_range_doppler_map(meas, sched, radio))
         assert np.all(np.isfinite(got)) and np.all(got >= 0)
         assert np.unravel_index(np.argmax(got), got.shape) == (11, 5)
         np.testing.assert_allclose(got**2, want**2, rtol=0, atol=1e-12 * want.max() ** 2)
@@ -1011,7 +1010,8 @@ def test_maps_music_and_scoring_share_one_velocity_grid(monkeypatch):
     y = RNG(3).normal(size=(arr.num_rx, radio.num_pri)) + 0j
     assert angle_velocity_map(y, arr, radio).velocity_res_mps == grid
     fa = build_schedule(radio, arr, "fa", fa_seed=1)
-    assert fa_range_doppler_map(y, fa, radio).velocity_res_mps == grid
+    est = run_fa_pipeline(y, scene, fa, 1)[0]
+    assert est.velocity_bin != 0 and est.velocity_mps == est.velocity_bin * grid
     # MUSIC scans coarse + {-1, 0, 1} steps (factor 1); take the last candidate.
     monkeypatch.setattr(estimator, "_music_scan", lambda e_s, cand: cand.shape[1] - 1)
     peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,

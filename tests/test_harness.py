@@ -36,7 +36,6 @@ from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_for, build_clutter_map
 from mars_jcas.estimator import (
     AngleVelocityMap,
-    FaMap,
     TargetEstimate,
     signed_bin,
     stte_peaks,
@@ -489,9 +488,9 @@ class TestPlanRules:
         if structure == "fa":
             values = rng.integers(0, 3, size=(n, m)).astype(float)
             # Squared magnitudes keep their order and ties.
-            famap = FaMap(power=values.T**2, velocity_res_mps=1.0)
+            power = values.T**2
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: famap)
+                mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: power)
                 got = run_fa_pipeline(np.ones((cols * rows, m), dtype=complex), scene,
                                       schedule, most, guard)
             # The peaks are the injected map's.

@@ -211,6 +211,11 @@ class TestConfigParsing:
         ({"workers": 0}, "workers"),
         ({"stte_guard": 1}, "stte_guard"),   # a per-pipeline key only
         ({"sweep_values_dbm": [30.0, 30.0]}, "sweep_values"),   # each drop scored twice
+        # A unit against the axis: 150 m would run as 150 W, 50 dBm as 100 m.
+        ({"sweep_values_m": [150.0, 400.0]}, "sweep_values_m: bad value [150.0, 400.0] "
+                                             "(expected sweep_axis range, got 'tx_power')"),
+        ({"sweep_axis": "range", "sweep_values_dbm": [50.0, 54.0]},
+         "sweep_values_dbm: bad value [50.0, 54.0] (expected sweep_axis tx_power, got 'range')"),
     ])
     def test_bad_plan_value_fails_closed(self, tmp_path, capsys, override, key):
         raw = yaml.safe_load(preset_path("desk_small").read_text())
@@ -1091,6 +1096,11 @@ class TestCli:
                   for r in rows(mc / "records.csv") if r["drop"] == "2"]
         assert len(simulated) == 4
         assert sorted(simulated) == sorted(scored)
+        # Each row's tags are its pipeline's: structure-method-eps_mode-refinement[-va].
+        tags = [(r["pipeline"], r["method"], r["eps_mode"], r["refinement"])
+                for r in rows(sim / "estimates.csv")]
+        assert all(p.split("-")[1:4] == [m, e, f] for p, m, e, f in tags)
+        assert {t[1] for t in tags} == {"sthp", "mf"} and {t[3] for t in tags} == {"fft", "music"}
 
     def test_simulate_runs_the_scored_drop_at_every_sweep_point(self, tmp_path, capsys):
         # With --targets on a swept plan, simulate draws drop d at each sweep
@@ -1225,6 +1235,36 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"--drop {drop}" in err and "has 2 drops" in err
             assert not out2.exists()
+
+    @pytest.mark.parametrize("section,edit,message", [
+        ("waveform", {"structure": "lshape"}, "lshape requires exactly one chirp occasion"),
+        ("clutter", {"gtri_b": 100.0, "gtri_c": 2.0},
+         "at grazing 0 and 90 degrees; it must be at most 1e+30"),
+    ], ids=["lshape_three_occasions", "reflectivity_past_largest"])
+    def test_replay_drop_applies_the_load_rules(self, tmp_path, capsys, section, edit,
+                                                message):
+        # A manifest's config meets every rule a config file meets: replay
+        # --drop ran both edits, which montecarlo refuses at load.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(area_x_m=60.0, area_y_m=30.0)
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        run = tmp_path / "run"
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(run), "--drops", "1"]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["effective_config"][section].update(edit)
+        bad = tmp_path / "edited.json"
+        bad.write_text(json.dumps(manifest))
+        (tmp_path / "edited.yaml").write_text(yaml.safe_dump(manifest["effective_config"]))
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(tmp_path / "edited.yaml"),
+                     "--out", str(tmp_path / "mc")]) == 3
+        assert message in capsys.readouterr().err
+        out = tmp_path / "drop"
+        assert main(["replay", "--manifest", str(bad), "--out", str(out), "--drop", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: manifest: ") and message in err
+        assert not out.exists() and not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize("argv", [
         ["resolution"], ["waveform"], ["clutter-map"],

@@ -119,6 +119,8 @@ class TestValidation:
         ({"receiver.butterworth_order": 0}, "receiver.butterworth_order must be >= 1"),
         ({"receiver.tone_noise_bandwidth": "cpi"},
          "receiver.tone_noise_bandwidth must be 'pri' or 'symbol'"),
+        # cpi_s / pri_s overflows to inf: no integer count, and no int(round(inf)).
+        ({"radio.pri_ms": 1e-300, "radio.cpi_ms": 1e29}, "is not an integer multiple of pri_s="),
     ])
     def test_every_rule_is_a_config_error(self, tmp_path, capsys, edits, message):
         raw = desk_raw()
