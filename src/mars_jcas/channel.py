@@ -137,7 +137,8 @@ class DropDraws:
                 if sx * sx + sy * sy <= 1.0:
                     break
             self._uplink_sin = (sx, sy)
-        return steering_ura_from_sin(*self._uplink_sin, scene.array, scene.radio.wavelength_m)
+        return steering_ura_from_sin(*self._uplink_sin, scene.array.with_va(False),
+                                     scene.radio.wavelength_m)
 
     def chirp_noise(self, scale: float, shape: tuple, count: int):
         """The next IF cube's ``count`` chirp noise blocks, in block order,
@@ -214,7 +215,8 @@ def _target_coeff(scene: ValidatedScene, t: Target, draws: DropDraws) -> complex
 
 
 def _rx_steering(scene: ValidatedScene, t: Target) -> np.ndarray:
-    return steering_ura_from_sin(t.sin_psi_x, t.sin_psi_y, scene.array, scene.radio.wavelength_m)
+    return steering_ura_from_sin(t.sin_psi_x, t.sin_psi_y, scene.array.with_va(False),
+                                 scene.radio.wavelength_m)
 
 
 def _tx_slot_phase(scene: ValidatedScene, t: Target, tx_col: int, tx_row: int) -> complex:

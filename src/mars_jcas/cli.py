@@ -176,6 +176,8 @@ def cmd_resolution(args) -> int:
 
 def cmd_waveform(args) -> int:
     scene_cfg, scene, plan, schedule = _load(args)
+    if args.symbol is not None and not 0 <= args.symbol < schedule.num_pri:
+        raise ConfigError(f"--symbol {args.symbol} is outside the PRIs 0..{schedule.num_pri - 1}")
     overhead = overhead_fraction(schedule, scene.radio)
     print(f"structure            {schedule.structure}")
     print(f"num_pri              {schedule.num_pri}")
@@ -229,6 +231,8 @@ def cmd_clutter_map(args) -> int:
 
 def cmd_simulate(args) -> int:
     scene_cfg, scene, plan, _ = _load(args, default_plan=True, compiles=True)
+    if args.drop < 0:
+        raise ConfigError(f"--drop {args.drop}: a drop index is at least 0")
     if args.targets is None and not scene.targets:
         raise ConfigError("no targets: give a targets section or --targets K")
     started = time.perf_counter()

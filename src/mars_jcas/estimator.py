@@ -119,21 +119,14 @@ def expand_nn(y_s2: np.ndarray, schedule: MarsSchedule) -> np.ndarray:
     return expand_nn_indices(y_s2, schedule.num_pri, schedule.chirp_slot_pris())
 
 
-def va_receive_geometry(arr: ArrayGeometry) -> ArrayGeometry:
-    """Geometry of the assembled virtual receive array."""
-    return ArrayGeometry(rx_cols=arr.va_cols, rx_rows=arr.va_rows,
-                         rx_spacing_x_m=arr.rx_spacing_x_m,
-                         rx_spacing_y_m=arr.rx_spacing_y_m)
-
-
 def angle_velocity_map(y_e2: np.ndarray, arr: ArrayGeometry,
                        radio: RadioParams) -> AngleVelocityMap:
     """Space-domain 2D-FFT (equivalent to the Kronecker DFT synthesis
-    matrix) plus a PRI-axis FFT. ``arr`` must describe the array the rows
-    actually live on (pass :func:`va_receive_geometry` for assembled data).
+    matrix) plus a PRI-axis FFT. ``arr``'s aperture (``va_cols x va_rows``)
+    must be the array the rows live on.
     """
-    rows = arr.rx_rows
-    cols = arr.rx_cols
+    rows = arr.va_rows
+    cols = arr.va_cols
     if y_e2.shape[0] != rows * cols:
         raise ValueError(f"angle_velocity_map: {y_e2.shape[0]} rows not factorable "
                          f"as {cols} x {rows}")
@@ -258,7 +251,7 @@ def space_time_steering(velocity_mps: float, sin_psi_x, sin_psi_y,
                         arr: ArrayGeometry, schedule: MarsSchedule,
                         radio: RadioParams) -> np.ndarray:
     """Temporal Doppler factor Kronecker-left of the spatial URA steering.
-    ``arr`` must match the data rows (virtual geometry for assembled data).
+    ``arr``'s aperture must match the data rows (a VA geometry for assembled data).
     Arrays of C sin-angle pairs give one column per pair, (W*L, C)."""
     a_2d = steering_ura_from_sin(sin_psi_x, sin_psi_y, arr, radio.wavelength_m)
     a_t = temporal_steering(velocity_mps, schedule, radio)
@@ -373,8 +366,7 @@ def at_blind_speed(a_t: np.ndarray) -> bool:
 
 def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
                         eps_mode: str = "em", *, range_res_m: float = 1.0,
-                        epsilon: Optional[float] = None,
-                        velocity_mps: Optional[float] = None) -> tuple:
+                        epsilon: Optional[float] = None) -> tuple:
     """Hierarchical processing: temporal zero-forcing of the static-clutter
     signature, then an L-dimension spatial stage.
 
@@ -389,9 +381,8 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
     if y_st.shape[0] != w_dim * l_dim:
         raise ValueError("sthp_range_spectrum: row count does not match W*L")
     if at_blind_speed(a_t):
-        vel = "" if velocity_mps is None else f" (velocity {velocity_mps} m/s)"
         raise ValueError("sthp_range_spectrum: temporal steering is collinear with "
-                         f"the static-clutter signature{vel}; zero-forcing undefined")
+                         "the static-clutter signature; zero-forcing undefined")
     y_s = np.tensordot(_zero_forcing_weights(a_t), y_st.reshape(w_dim, l_dim, -1), axes=1)
     return _range_spectra(y_s, a_s, eps_mode, epsilon, range_res_m,
                           "sthp_range_spectrum", root_norm=True)
@@ -491,13 +482,10 @@ def fa_angle_snapshot(fa_meas: np.ndarray, schedule: MarsSchedule,
     return fa_meas @ template.conj()
 
 
-def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
+def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> np.ndarray:
     """Stack the per-transmit-element (L, N) chirp matrices (x-fastest slot
-    order) into the virtual-array snapshot whose rows follow the URA steering
-    of the (tx_cols*rx_cols) x (tx_rows*rx_rows) array.
-
-    Returns (assembled array, virtual receive geometry).
-    """
+    order) into the virtual-array snapshot whose rows follow the steering of
+    ``arr``'s (va_cols*va_rows) aperture."""
     eta_x = arr.tx_cols if arr.va_enabled else 1
     eta_y = arr.tx_rows if arr.va_enabled else 1
     if len(per_slot) != eta_x * eta_y:
@@ -509,4 +497,4 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> tuple:
     # Row (slot = b*eta_x + a, element = ly*Lx + lx) belongs at URA index
     # ((b*Ly + ly) * eta_x + a) * Lx + lx.
     out = np.reshape(per_slot, (eta_y, eta_x, ly, lx, -1)).transpose(0, 2, 1, 3, 4)
-    return out.reshape(eta_y * ly * eta_x * lx, -1), va_receive_geometry(arr)
+    return out.reshape(eta_y * ly * eta_x * lx, -1)

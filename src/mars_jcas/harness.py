@@ -509,8 +509,9 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
     drops = range(plan.num_drops) if drops is None else drops
     outside = sorted(set(drops) - set(range(plan.num_drops)))
     if outside:
+        span = f" (0 to {plan.num_drops - 1})" if plan.num_drops else ""
         raise ValueError(f"drop {outside[0]} is not a drop of this run, which has "
-                         f"{plan.num_drops} drops (0 to {plan.num_drops - 1})")
+                         f"{plan.num_drops} drops{span}")
     repeated = [i for i, count in Counter(drops).items() if count > 1]
     if repeated:
         raise ValueError(f"drop {repeated[0]} is repeated: each drop is scored once")

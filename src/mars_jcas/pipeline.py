@@ -97,7 +97,7 @@ class FrontEnd:
     avmap: AngleVelocityMap
     y_st: np.ndarray          # (W*L', N) view of the chirp branch; never written
     virtual_row: np.ndarray   # (L',) virtual-URA row of each (slot, element) row
-    geom: ArrayGeometry       # virtual receive geometry the steering follows
+    geom: ArrayGeometry       # geometry whose aperture the steering follows
 
 
 def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
@@ -111,8 +111,8 @@ def front_end(cube: IfCube, scene: ValidatedScene) -> FrontEnd:
     w, slots = cube.schedule.num_chirp_occasions, cube.schedule.slots_per_chirp
     # Each occasion's rows run (slot, element). Assembling the row indices
     # gives the cube row at each URA row; argsort inverts that.
-    cube_row, geom = va_assemble(list(np.arange(slots * l).reshape(slots, l, 1)),
-                                 scene.array.with_va(slots > 1))
+    geom = scene.array.with_va(slots > 1)
+    cube_row = va_assemble(list(np.arange(slots * l).reshape(slots, l, 1)), geom)
     return FrontEnd(schedule=cube.schedule, y_e2=y_e2, avmap=avm,
                     y_st=reshape_space_time(cube.chirp_branch.reshape(w, slots * l, n), n),
                     virtual_row=np.argsort(cube_row.ravel()), geom=geom)
@@ -157,7 +157,7 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
             return None
         a_s = steering_ura_from_sin(sin_x, sin_y, geom, radio.wavelength_m)[rows] * slot_phase
         d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s, pipe.eps_mode,
-                                             range_res_m=dr, velocity_mps=velocity_mps)
+                                             range_res_m=dr)
     else:
         a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, front.schedule, radio)
         a_st = (a_st.reshape(-1, rows.size, sin_x.size)[:, rows] * slot_phase).reshape(a_st.shape)

@@ -233,13 +233,14 @@ def steering_from_sin(sin_psi, count: int, spacing_m: float, wavelength_m: float
 
 
 def steering_ura_from_sin(sin_psi_x, sin_psi_y, arr: ArrayGeometry, wavelength_m) -> np.ndarray:
-    """Receive URA steering vector of ``arr`` on sin-angle coordinates,
-    y-axis factor on the left of the Kronecker product (x index runs
-    fastest). Equal-length arrays of C sin-angle pairs give one column per
-    pair, (num_rx, C)."""
-    ax = steering_from_sin(sin_psi_x, arr.rx_cols, arr.rx_spacing_x_m, wavelength_m)
-    ay = steering_from_sin(sin_psi_y, arr.rx_rows, arr.rx_spacing_y_m, wavelength_m)
-    return (ay[:, None] * ax[None]).reshape((arr.num_rx,) + ax.shape[1:])
+    """Steering vector of ``arr``'s aperture, ``va_cols x va_rows`` elements at
+    the receive spacing, on sin-angle coordinates: the receive URA without VA,
+    the virtual URA with it. The y-axis factor is on the left of the Kronecker
+    product (x index runs fastest). Equal-length arrays of C sin-angle pairs
+    give one column per pair, (va_cols*va_rows, C)."""
+    ax = steering_from_sin(sin_psi_x, arr.va_cols, arr.rx_spacing_x_m, wavelength_m)
+    ay = steering_from_sin(sin_psi_y, arr.va_rows, arr.rx_spacing_y_m, wavelength_m)
+    return (ay[:, None] * ax[None]).reshape((-1,) + ax.shape[1:])
 
 
 def received_power(kind: str, p_tx_w: float, gain_tx: float, gain_rx: float,

@@ -527,7 +527,8 @@ def compensated_space_time(cube, scene, doppler_hz):
     """Chirp-branch space-time snapshot assembled per target: per occasion,
     each VA slot e > 0 rotated by exp(-j 2 pi f_d e PRI), one ``va_assemble``
     of (L, N) blocks per occasion, then the occasions concatenated
-    element-major and interleaved. Returns (y_st, virtual receive geometry)."""
+    element-major and interleaved. Returns (y_st, the geometry whose aperture
+    the rows follow)."""
     schedule = cube.schedule
     slots = schedule.slots_per_chirp
     arr = scene.array.with_va(slots > 1)
@@ -539,10 +540,9 @@ def compensated_space_time(cube, scene, doppler_hz):
             if slots > 1 and e:
                 block = block * np.exp(-2j * np.pi * doppler_hz * e * scene.radio.pri_s)
             mats.append(block)
-        assembled, geom = va_assemble(mats, arr)
-        occasions.append(assembled)
+        occasions.append(va_assemble(mats, arr))
     chirp = np.concatenate(occasions, axis=1)
-    return interleave_space_time(chirp, scene.radio.num_subcarriers), geom
+    return interleave_space_time(chirp, scene.radio.num_subcarriers), arr
 
 
 class FreshDraws:
@@ -569,8 +569,8 @@ class FreshDraws:
             sx, sy = rng.uniform(-0.7, 0.7, size=2)
             if sx * sx + sy * sy <= 1.0:
                 break
-        a = scene.array
-        return library_ura_steering(sx, sy, a, scene.radio.wavelength_m)
+        return library_ura_steering(sx, sy, scene.array.with_va(False),
+                                    scene.radio.wavelength_m)
 
     def chirp_noise(self, scale, shape, count):
         blocks = [complex_noise(rng_for(self.seed, "noise-chirp", k), scale, shape)

@@ -948,6 +948,17 @@ class TestCli:
         sched = yaml.safe_load((tmp_path / "schedule.yaml").read_text())
         assert sched["chirp_pri_indices"] == [1, 6, 15]
 
+    @pytest.mark.parametrize("symbol", ["999", "-1"])
+    def test_waveform_symbol_outside_the_cpi_fails_before_output_dir(self, tmp_path, capsys,
+                                                                    symbol):
+        # With --out each used to exit 4 after writing schedule.yaml and
+        # overhead.txt, and without it exit 0.
+        out = tmp_path / "w"
+        for flags in (["--out", str(out)], []):
+            assert main(["waveform", "--preset", "desk_small", "--symbol", symbol, *flags]) == 3
+            assert f"--symbol {symbol} is outside the PRIs 0..63" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_waveform_fa_hops_as_the_run_does(self, tmp_path):
         # The FA schedule `waveform` writes is the one every FA pipeline of
         # the run uses: the same subcarriers, from the same seed.
@@ -1235,6 +1246,38 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"--drop {drop}" in err and "has 2 drops" in err
             assert not out2.exists()
+
+    def test_replay_drop_of_a_zero_drop_run_names_no_range(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["montecarlo", "--config", str(self._fast_config(tmp_path)),
+                     "--out", str(run), "--drops", "0"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "drop"
+        assert main(["replay", "--manifest", str(run / "manifest.json"), "--out", str(out),
+                     "--drop", "0"]) == 3
+        assert capsys.readouterr().err.endswith("which has 0 drops\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("own_targets", [False, True])
+    def test_simulate_negative_drop_fails_before_output_dir(self, tmp_path, capsys,
+                                                            own_targets):
+        # Each used to exit 0 and write a drop no run has; an index past the
+        # plan's drops stays allowed, since montecarlo --drops reaches it.
+        raw = yaml.safe_load(self._fast_config(tmp_path).read_text())
+        flags = ["--targets", "1"]
+        if own_targets:
+            raw["targets"] = [{"range_m": 200.0, "radial_velocity_mps": 10.0,
+                               "psi_x_rad": 0.1, "psi_y_rad": 0.0, "rcs_m2": 1.0}]
+            flags = []
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--drop", "-3",
+                     *flags]) == 3
+        assert "--drop -3: a drop index is at least 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--drop", "5",
+                     *flags]) == 0
 
     @pytest.mark.parametrize("section,edit,message", [
         ("waveform", {"structure": "lshape"}, "lshape requires exactly one chirp occasion"),

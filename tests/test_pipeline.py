@@ -159,7 +159,7 @@ class TestFrontEnd:
         cand = pipeline._angle_candidates(peak.sin_psi_x, peak.sin_psi_y, pipe, scene, geom)
         sched, radio = cube.schedule, scene.radio
         if pipe.suppressor == "sthp":
-            a_s = np.stack([oracles.steering_ura_from_sin(x, y, geom.rx_cols, geom.rx_rows,
+            a_s = np.stack([oracles.steering_ura_from_sin(x, y, geom.va_cols, geom.va_rows,
                                                           geom.rx_spacing_x_m,
                                                           geom.rx_spacing_y_m, WAVELENGTH)
                             for x, y in zip(*cand)], axis=1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
-from conftest import desk_raw, make_array, make_radio, make_scene, ura
+from conftest import WAVELENGTH, desk_raw, make_array, make_radio, make_scene, ura
 from mars_jcas.cli import main, preset_path
 from mars_jcas.io import parse_config
 from oracles import psi_from_spherical, spherical_from_psi
@@ -222,6 +222,21 @@ class TestSteering:
         np.testing.assert_allclose(np.kron(small, large),
                                    steering_from_sin(math.sin(psi), eta * count, d, lam),
                                    atol=1e-12)
+
+    def test_va_geometry_steers_its_aperture(self):
+        # A VA geometry steers the va_cols x va_rows aperture the angle grid
+        # reads: the plain receive URA of that size at the receive spacing.
+        arr = make_array(tx=2, va=True)
+        res = resolution_report(make_radio(), arr)
+        kx, ky = 3, -2
+        sx, sy = kx * res.sin_angle_res_x, ky * res.sin_angle_res_y
+        got = steering_ura_from_sin(sx, sy, arr, WAVELENGTH)
+        plain = ura(arr.va_cols, arr.va_rows, arr.rx_spacing_x_m, arr.rx_spacing_y_m)
+        assert got.shape == (arr.va_cols * arr.va_rows,) == (64,)
+        assert np.array_equal(got, steering_ura_from_sin(sx, sy, plain, WAVELENGTH))
+        spec = np.abs(np.fft.fft2(got.reshape(arr.va_rows, arr.va_cols)))
+        by, bx = np.unravel_index(int(np.argmax(spec)), spec.shape)
+        assert (bx, by) == (kx % arr.va_cols, ky % arr.va_rows)
 
 
 class TestLinkBudget:
