@@ -12,7 +12,6 @@ subcarrier offsets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -87,16 +86,15 @@ class DropDraws:
     synthesized; a block is kept only while a later cube will read it.
     Without it no block is kept, and a block read again is drawn again.
 
-    A block is drawn when a cube asks for it. Where the process has a
-    helper thread (:func:`~mars_jcas.cpus.helper`), up to :data:`AHEAD` of
-    the cube's next blocks are queued on it ahead of the cube; a block the
-    helper has not started when the cube asks for it is drawn by the cube.
-    ``chirp_key``, the blocks' (scale, shape) (:func:`chirp_noise_key`),
-    queues the first cube's blocks when the drop's draws are made. Each
-    block has its own generator, so the blocks do not depend on which
-    thread draws them, in what order, or on the CPU count. A cube's
-    ``noise-tone`` draw (:meth:`tone_noise`) may be queued the same way.
-    :meth:`settle` waits for the draw in flight and drops the queued ones.
+    Up to :data:`AHEAD` of the cube's next blocks are queued ahead of the
+    cube (:class:`~mars_jcas.cpus.Queued`), and the cube takes each block
+    it asks for: drawn on the helper thread where the process has one and
+    the helper has started it, else drawn by the cube. ``chirp_key``, the
+    blocks' (scale, shape) (:func:`chirp_noise_key`), queues the first
+    cube's blocks when the drop's draws are made. Each block has its own
+    generator, so the blocks do not depend on which thread draws them, in
+    what order, or on the CPU count. :meth:`settle` drops the queued draws
+    and waits for the one in flight.
     """
 
     def __init__(self, seed: int, chirp_reads: Sequence[int] = (),
@@ -106,7 +104,6 @@ class DropDraws:
         self._si = {}
         self._phases = {}
         self._uplink_sin = None
-        self._side = cpus.helper()
         self._key, self._kept, self._ahead = chirp_key, {}, {}   # kept blocks, queued draws by k
         if chirp_key is not None and self._reads:
             self._queue(range(self._reads[0]))
@@ -150,24 +147,12 @@ class DropDraws:
             self._key, self._kept = (scale, shape), {}
         return self._blocks(count, max(self._reads, default=0))
 
-    def tone_noise(self, scale: float, shape: tuple, queue: bool = False):
-        """One IF cube's tone-branch noise, a :func:`_complex_noise` draw of
-        ``rng_for(seed, "noise-tone")``. With ``queue`` the draw is queued
-        on the helper thread and None returned; the next call takes it, or
-        draws it if the helper has not started it."""
-        draw = partial(_complex_noise, rng_for(self.seed, "noise-tone"), scale, shape)
-        if queue:
-            if self._side is not cpus._Inline:
-                self._ahead["tone"] = self._side.submit(draw)
-            return None
-        future = self._ahead.pop("tone", None)
-        return future.result() if future is not None and not future.cancel() else draw()
-
     def settle(self) -> None:
-        """Wait for the draw in flight and drop the queued ones."""
-        for future in self._ahead.values():
-            future.cancel()
-        wait(self._ahead.values())
+        """Drop the queued draws, newest first: the helper runs them in
+        order, so each it has not started is unqueued before the wait for
+        the one in flight."""
+        for queued in reversed(self._ahead.values()):
+            queued.drop()
         self._ahead.clear()
 
     def _draw(self, k: int, key: tuple) -> np.ndarray:
@@ -176,24 +161,20 @@ class DropDraws:
 
     def _queue(self, blocks: range) -> None:
         """Queue the draws of the first of ``blocks`` not yet kept or
-        queued on the helper thread, up to :data:`AHEAD` queued in all."""
-        if self._side is cpus._Inline:
-            return
+        queued, up to :data:`AHEAD` queued in all."""
         for k in blocks:
             if len(self._ahead) == AHEAD:
                 return
             if k not in self._kept and k not in self._ahead:
-                self._ahead[k] = self._side.submit(self._draw, k, self._key)
+                self._ahead[k] = cpus.Queued(self._draw, k, self._key)
 
     def _blocks(self, count: int, keep: int):
         for k in range(count):
-            future = self._ahead.pop(k, None)
+            queued = self._ahead.pop(k, None)
             self._queue(range(k + 1, count))
             block = self._kept.get(k)
             if block is None:
-                # A draw the helper has not started is the cube's own.
-                drawn = future is not None and not future.cancel()
-                block = future.result() if drawn else self._draw(k, self._key)
+                block = self._draw(k, self._key) if queued is None else queued.take()
                 if k < keep:
                     block.flags.writeable = False
                     self._kept[k] = block
@@ -396,8 +377,6 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     sqrt_p = np.sqrt(p_tone)
     if clutter is not None:
         clutter.check_fits(scene, schedule.slots_per_chirp)
-    eff_bw = 1.0 / t_sym if rec.tone_noise_bandwidth == "symbol" else 1.0 / radio.pri_s
-    tone_key = (n * math.sqrt(radio.noise_density_w_per_hz * eff_bw), (n_el, m_tone))
 
     samples = np.arange(n)
     beats = []
@@ -422,16 +401,13 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                                          schedule.avg_power_w) for e, pri, _, _ in flat_slots]
     # Each symbol is built in place in its own contiguous (L, N) block
     # (:func:`_build_rows`), as two row halves shared with the helper thread
-    # when a half holds at least cpus.PIECE_VALUES samples; the helper then
-    # draws the tone noise as the last symbol starts.
+    # when a half holds at least cpus.PIECE_VALUES samples.
     chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
     spare = np.empty((n_el, n), dtype=complex)
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
     half = n_el // 2
     halves = (slice(0, half), slice(half, n_el)) if half * n >= cpus.PIECE_VALUES else None
     for block, mean, ground, (_, pri, tx_a, tx_b) in zip(chirp, means, grounds, flat_slots):
-        if halves and m_tone and pri == flat_slots[-1][1]:
-            draws.tone_noise(*tone_key, queue=True)
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
         terms = []
@@ -472,7 +448,10 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             symbols = _complex_noise(rng_for(draws.seed, "uplink-symbols"),
                                      math.sqrt(p_up), (m_tone,))
             tone += np.outer(a_up, symbols) * n
-        tone += draws.tone_noise(*tone_key)
+        eff_bw = 1.0 / t_sym if rec.tone_noise_bandwidth == "symbol" else 1.0 / radio.pri_s
+        tone += _complex_noise(rng_for(draws.seed, "noise-tone"),
+                               n * math.sqrt(radio.noise_density_w_per_hz * eff_bw),
+                               (n_el, m_tone))
         if rec.dc_removal:
             tone -= tone.mean(axis=1, keepdims=True)
 

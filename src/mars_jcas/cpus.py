@@ -6,14 +6,15 @@ over, and the one helper thread that takes a share of a drop's work.
   the helper: each thread holds a chunk's operands (about 5 MB), memory
   its malloc arena keeps, so the build's threads end with the build.
 - With two or more CPUs the process has one helper thread, made on first
-  use. It draws chirp noise blocks (and tone noise) queued ahead of the
-  cube that reads them (:class:`~mars_jcas.channel.DropDraws`), each from
-  its own generator, and it takes its share of the pieces handed to
-  :func:`share`: the FA map's Doppler and range transforms
-  (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the row halves
-  of each IF cube symbol (:func:`~mars_jcas.channel.synthesize_if_cube`),
-  where a piece holds at least :data:`PIECE_VALUES` values. A queued
-  block the helper has not started is drawn by the cube that asks for it.
+  use, and work reaches it one way, as a :class:`Queued` call: the chirp
+  noise blocks queued ahead of the cube that reads them
+  (:class:`~mars_jcas.channel.DropDraws`), each from its own generator,
+  and the claim loops of :func:`share`, whose pieces are the FA map's
+  transforms (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the
+  row halves of each IF cube symbol
+  (:func:`~mars_jcas.channel.synthesize_if_cube`) of at least
+  :data:`PIECE_VALUES` values. A call the helper has not started when it
+  is taken runs on the thread that takes it.
 - A ``--workers`` pool process, whose siblings keep the other CPUs busy,
   calls :func:`work_on_calling_thread` and runs all of it on its calling
   thread, as at one CPU, with one BLAS thread. A serial run keeps numpy's
@@ -28,7 +29,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -56,30 +57,42 @@ def count() -> int:
     return min(cpus, MAX)
 
 
-class _Inline:
-    """The helper at one CPU: each call runs on the calling thread when it
-    is submitted."""
-
-    @staticmethod
-    def submit(fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+_HELPER = None  # the helper thread's executor, made on first use
+_CALLING_THREAD_ONLY = False  # set in a pool worker
 
 
-_HELPER = None  # the helper thread, made on first use; _Inline in a pool worker
-
-
-def helper():
-    """The executor of the process's helper thread: a single thread, or
-    at one CPU and in a pool worker one that runs each call when it is
-    submitted."""
+def helper() -> Optional[ThreadPoolExecutor]:
+    """The executor of the process's helper thread, a single thread; None
+    at one CPU and in a pool worker."""
     global _HELPER
-    if count() < 2:
-        return _Inline
+    if _CALLING_THREAD_ONLY or count() < 2:
+        return None
     if _HELPER is None:
         _HELPER = ThreadPoolExecutor(1, thread_name_prefix="mars-jcas-helper")
     return _HELPER
+
+
+class Queued:
+    """``fn(*args)``, queued on the helper thread where the process has one
+    (:func:`helper`); at one CPU and in a pool worker it runs when taken."""
+
+    def __init__(self, fn: Callable, *args):
+        side = helper()
+        self._call = partial(fn, *args)
+        self._future = None if side is None else side.submit(fn, *args)
+
+    def take(self):
+        """The call's result, or its exception, once the call has finished:
+        waited for where the helper has started it, else run here."""
+        if self._future is not None and not self._future.cancel():
+            return self._future.result()
+        return self._call()
+
+    def drop(self) -> None:
+        """Unqueue the call if the helper has not started it, else wait for
+        it to finish; its result or exception is not read."""
+        if self._future is not None and not self._future.cancel():
+            wait((self._future,))
 
 
 def _forget_helper() -> None:
@@ -110,8 +123,8 @@ def work_on_calling_thread() -> None:
     the helper gained nothing, and BLAS threads of their own made each
     worker several times slower. Where numpy has no bundled OpenBLAS, or
     it has no thread setter, BLAS keeps its threads."""
-    global _HELPER
-    _HELPER = _Inline
+    global _CALLING_THREAD_ONLY
+    _CALLING_THREAD_ONLY = True
     set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
     if set_threads is not None:
         set_threads(ctypes.c_int(1))
@@ -153,29 +166,25 @@ def share(pieces: Iterable[Callable[[], object]], values: int) -> None:
     """Run every piece of ``pieces`` once and return when all are done.
 
     ``values`` is the number of complex values a piece holds. From
-    :data:`PIECE_VALUES` on, one claim loop is queued on the helper thread,
+    :data:`PIECE_VALUES` on, one claim loop is queued (:class:`Queued`),
     behind the draws queued before it, and the calling thread runs every
     piece the helper has not claimed, so a busy helper costs one queued
-    loop that finds nothing left. Below it, at one CPU and in a pool
-    worker, the pieces run in order on the calling thread.
+    loop that finds nothing left. Below it the pieces run in order on the
+    calling thread, as they do at one CPU and in a pool worker.
 
     ``pieces`` may be a generator: each piece is made under its claim, in
     order. An exception a piece raises is raised here once every claimed
     piece has finished, and the queued loop keeps no piece once this
     returns.
     """
-    side = helper()
-    if side is _Inline or values < PIECE_VALUES:
+    if values < PIECE_VALUES:
         _run(partial(next, iter(pieces), None))
         return
     claims = _Claims(pieces)
-    loop = side.submit(claims.run)
+    loop = Queued(claims.run)
     try:
         claims.run()
     finally:
         claims.close()
-        helped = not loop.cancel()
-        if helped:
-            wait((loop,))
-    if helped:
-        loop.result()
+        loop.drop()
+    loop.take()

@@ -314,6 +314,8 @@ def config_hash(effective: dict) -> str:
 # --- binary cube format -----------------------------------------------------
 
 _CUBE_MAGIC = b"MARSCUB1"
+# Magic, version, L, chirp symbols, N, tone PRIs, sample rate, header length.
+_CUBE_HEADER = struct.Struct("<8sIIIIIdI")
 
 
 def write_cube(path, cube: IfCube) -> None:
@@ -328,10 +330,8 @@ def write_cube(path, cube: IfCube) -> None:
     n = chirp.shape[2] if n_sym else 0
     meta = json.dumps({"schedule": to_dict(cube.schedule)}).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_CUBE_MAGIC)
-        fh.write(struct.pack("<IIIII", 1, chirp.shape[0], n_sym, n, tone.shape[1]))
-        fh.write(struct.pack("<d", cube.sample_rate_hz))
-        fh.write(struct.pack("<I", len(meta)))
+        fh.write(_CUBE_HEADER.pack(_CUBE_MAGIC, 1, chirp.shape[0], n_sym, n, tone.shape[1],
+                                   cube.sample_rate_hz, len(meta)))
         fh.write(meta)
         fh.write(chirp.tobytes())
         fh.write(tone.tobytes())
@@ -339,23 +339,32 @@ def write_cube(path, cube: IfCube) -> None:
 
 def read_cube(path) -> IfCube:
     """The cube :func:`write_cube` wrote at ``path``. A header or schedule
-    key that is unknown, missing or mistyped is a ConfigError naming it."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _CUBE_MAGIC:
-            raise ValueError(f"{path}: not a cube file (bad magic)")
-        version, l, n_sym, n, m_tone = struct.unpack("<IIIII", fh.read(20))
-        if version != 1:
-            raise ValueError(f"{path}: unsupported cube version {version}")
-        (sample_rate,) = struct.unpack("<d", fh.read(8))
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        header = _Section(json.loads(fh.read(meta_len).decode("utf-8")), f"{path}: header")
-        chirp = np.frombuffer(fh.read(16 * l * n_sym * n), dtype="<c16").reshape(l, n_sym, n)
-        tone = np.frombuffer(fh.read(16 * l * m_tone), dtype="<c16").reshape(l, m_tone)
+    key that is unknown, missing or mistyped is a ConfigError naming it; a
+    length, or a chirp symbol or tone-PRI count, that disagrees with the
+    header is a ValueError naming ``path``."""
+    data = Path(path).read_bytes()
+    if data[:8] != _CUBE_MAGIC or len(data) < _CUBE_HEADER.size:
+        raise ValueError(f"{path}: not a cube file ({len(data)} bytes, magic {data[:8]!r})")
+    _, version, l, n_sym, n, m_tone, sample_rate, meta_len = _CUBE_HEADER.unpack_from(data)
+    if version != 1:
+        raise ValueError(f"{path}: unsupported cube version {version}")
+    chirp_at = _CUBE_HEADER.size + meta_len
+    tone_at = chirp_at + 16 * l * n_sym * n
+    size = tone_at + 16 * l * m_tone
+    if len(data) != size:
+        raise ValueError(f"{path}: {len(data)} bytes, but its header gives {size}")
+    header = _Section(json.loads(data[_CUBE_HEADER.size:chirp_at].decode("utf-8")),
+                      f"{path}: header")
     raw = header.take(("schedule", _mapping))
     header.finish()
     # Files written before to_dict left None fields out carry "fa_seed": null.
     schedule = _read(MarsSchedule, {k: v for k, v in raw.items() if v is not None},
                      f"{path}: schedule")
+    if (n_sym, m_tone) != (schedule.num_chirp_symbols, schedule.num_tone_pris):
+        raise ValueError(f"{path}: header counts {n_sym} chirp symbols and {m_tone} tone PRIs, "
+                         f"its schedule {schedule.num_chirp_symbols} and {schedule.num_tone_pris}")
+    chirp = np.frombuffer(data, "<c16", l * n_sym * n, chirp_at).reshape(l, n_sym, n)
+    tone = np.frombuffer(data, "<c16", l * m_tone, tone_at).reshape(l, m_tone)
     return IfCube(chirp_branch=np.ascontiguousarray(chirp.transpose(1, 0, 2), dtype=complex),
                   tone_branch_compressed=tone.astype(complex),
                   schedule=schedule, sample_rate_hz=sample_rate)

@@ -577,10 +577,6 @@ class FreshDraws:
                   for k in range(count)]
         return iter([np.stack([b.real, b.imag]) for b in blocks])
 
-    def tone_noise(self, scale, shape, queue=False):
-        # Nothing is queued: every call but a queuing one draws.
-        return None if queue else complex_noise(rng_for(self.seed, "noise-tone"), scale, shape)
-
 
 def chirp_branch_per_symbol(scene, schedule, clutter=None, seed=None):
     """Chirp branch built one symbol at a time: a zeroed (L, N) block per

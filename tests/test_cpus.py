@@ -35,44 +35,46 @@ RNG = np.random.default_rng
 
 
 class AtSubmission:
-    """A helper that runs each claim loop when it is submitted."""
+    """A helper that runs each call when it is submitted."""
 
     @staticmethod
-    def submit(loop):
+    def submit(fn, *args):
         future = Future()
         try:
-            future.set_result(loop())
+            future.set_result(fn(*args))
         except Exception as exc:
             future.set_exception(exc)
         return future
 
 
 class Never:
-    """A helper that never runs its claim loop."""
+    """A helper that never runs a call."""
 
     @staticmethod
-    def submit(loop):
+    def submit(fn, *args):
         return Future()
 
 
 class Stepped:
     """A helper stepped one piece at a time, alternating with the caller:
     each time the caller claims a piece, the helper claims the next and
-    runs it before the caller runs its own."""
+    runs it before the caller runs its own. It never runs any other call,
+    such as a chirp noise draw."""
 
     @staticmethod
-    def submit(loop):
-        claims = loop.__self__
-        take = claims.take
+    def submit(fn, *args):
+        claims = getattr(fn, "__self__", None)
+        if isinstance(claims, cpus._Claims):
+            take = claims.take
 
-        def caller_take():
-            piece = take()
-            mine = take()
-            if mine is not None:
-                mine()
-            return piece
+            def caller_take():
+                piece = take()
+                mine = take()
+                if mine is not None:
+                    mine()
+                return piece
 
-        claims.take = caller_take
+            claims.take = caller_take
         return Future()
 
 
@@ -81,16 +83,14 @@ HELPERS = [None, AtSubmission, Never, Stepped]
 
 
 def run_under(helper, piece_values, fn, *args):
-    """``fn(draws, *args)`` with pieces of ``piece_values`` values shared
-    under ``helper``; the ``draws`` it is given draw on the calling
-    thread."""
+    """``fn(draws, *args)`` with pieces of ``piece_values`` values shared,
+    and chirp noise blocks queued, under ``helper``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cpus, "count", lambda: 1)
         mp.setattr(cpus, "PIECE_VALUES", piece_values)
-        draws = DropDraws(7)
         if helper is not None:
             mp.setattr(cpus, "helper", lambda: helper)
-        return fn(draws, *args)
+        return fn(DropDraws(7), *args)
 
 
 class TestShareSchedules:
@@ -136,6 +136,64 @@ class TestShareSchedules:
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.array_equal(a.view(float), b.view(float)), helper
+
+
+class TestQueued:
+    @pytest.mark.parametrize("where", ["one-cpu", "pool-worker"])
+    def test_submits_nothing_and_starts_no_thread(self, monkeypatch, where):
+        # At one CPU, and in a pool worker on two, a call runs when taken,
+        # on the calling thread, and a dropped one never runs.
+        monkeypatch.setattr(cpus, "_HELPER", None)
+        monkeypatch.setattr(cpus, "count", lambda: 1 if where == "one-cpu" else 2)
+        monkeypatch.setattr(cpus, "_CALLING_THREAD_ONLY", where == "pool-worker")
+        threads, ran = threading.active_count(), []
+        queued = cpus.Queued(lambda x: ran.append((x, threading.get_ident())) or x, 4)
+        assert ran == []
+        assert queued.take() == 4 and ran == [(4, threading.get_ident())]
+        cpus.Queued(ran.append, 5).drop()
+        assert len(ran) == 1
+        assert cpus.helper() is None and cpus._HELPER is None
+        assert threading.active_count() == threads
+
+    def test_unstarted_call_runs_on_the_caller_and_drop_unqueues(self, monkeypatch):
+        # The helper is held busy: a taken call runs on the calling thread,
+        # and a dropped one never runs.
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        release, ran = threading.Event(), []
+        busy = cpus.helper().submit(release.wait, 10)
+        try:
+            taken = cpus.Queued(lambda: ran.append(("taken", threading.get_ident())))
+            dropped = cpus.Queued(lambda: ran.append(("dropped", threading.get_ident())))
+            taken.take()
+            dropped.drop()
+            assert not busy.done()
+        finally:
+            release.set()
+            busy.result(timeout=10)
+        cpus.helper().submit(lambda: None).result(timeout=10)
+        assert ran == [("taken", threading.get_ident())]
+
+    @pytest.mark.parametrize("end", ["take", "drop"])
+    def test_started_call_is_waited_for(self, monkeypatch, end):
+        # take raises the helper's exception, and drop returns, only once
+        # the started call has finished.
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        started, log = threading.Event(), []
+
+        def call():
+            started.set()
+            time.sleep(0.05)
+            log.append("finished")
+            raise ValueError("call failed")
+
+        queued = cpus.Queued(call)
+        assert started.wait(10)
+        if end == "take":
+            with pytest.raises(ValueError, match="call failed"):
+                queued.take()
+        else:
+            queued.drop()
+        assert log == ["finished"]
 
 
 class TestShare:
@@ -288,10 +346,10 @@ class TestBlasThreads:
         monkeypatch.undo()
         before = blas_threads() if cpus._openblas() is not None else None
         for lib in (None, object()):
-            monkeypatch.setattr(cpus, "_HELPER", None)
+            monkeypatch.setattr(cpus, "_CALLING_THREAD_ONLY", False)
             monkeypatch.setattr(cpus, "_openblas", lambda: lib)
             cpus.work_on_calling_thread()
-            assert cpus._HELPER is cpus._Inline
+            assert cpus.helper() is None
         monkeypatch.undo()
         if before is not None:
             assert blas_threads() == before

@@ -9,7 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -89,7 +89,7 @@ def draw_threads_after_a_drop():
     calling thread, the names of its helper threads, and whether every
     shared piece runs on the calling thread."""
     harness._timed_drop((0, 0))
-    return (cpus._HELPER is cpus._Inline,
+    return (cpus.helper() is None,
             [t.name for t in threading.enumerate() if t.name.startswith("mars-jcas-helper")],
             threads_running_pieces() == {threading.get_ident()})
 
@@ -953,8 +953,14 @@ class TestDropDraws:
         assert np.array_equal(want.chirp_branch.view(float), got.chirp_branch.view(float))
 
 
-class AtSubmission(cpus._Inline):
+class AtSubmission:
     """A helper thread that runs each draw when it is queued."""
+
+    @staticmethod
+    def submit(fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestDrawThread:
@@ -1136,47 +1142,25 @@ class TestDrawThread:
             signal.signal(signal.SIGALRM, previous)
         assert pooled == serial and len(serial) == 4 * len(DESK_MC)
 
-    @pytest.mark.parametrize("preset,queued", [("desk_small", False), ("table1_car", True)])
-    def test_tone_noise_queued_where_symbol_halves_are_shared(self, monkeypatch, preset,
-                                                              queued):
-        # A cube queues its tone noise on the helper thread as its last chirp
-        # symbol starts only where it shares its symbol halves (table1_car's
-        # 32 x 2048 halves, not desk_small's 8 x 512), and takes it after.
+    def test_settle_starts_no_queued_draw(self, monkeypatch):
+        # One slow chirp draw in flight on the helper and two queued behind
+        # it: settle unqueues both before it waits, so neither starts.
         monkeypatch.setattr(cpus, "count", lambda: 2)
-        scene_cfg, plan = parse_config(preset_path(preset))
-        scene = validate_scene(scene_cfg)
-        sched = schedule_for(scene, DESK_MC[3], plan.seed)
-        calls, tone_noise = [], DropDraws.tone_noise
+        started, noise_parts = [], channel._noise_parts
+        first = threading.Event()
 
-        def watched(draws, scale, shape, queue=False):
-            calls.append(queue)
-            return tone_noise(draws, scale, shape, queue)
+        def slow_noise_parts(rng, scale, out):
+            started.append(threading.get_ident())
+            first.set()
+            time.sleep(0.1)
+            return noise_parts(rng, scale, out)
 
-        monkeypatch.setattr(DropDraws, "tone_noise", watched)
-        draws = DropDraws(5, [sched.num_chirp_symbols], channel.chirp_noise_key(scene))
-        got = synthesize_if_cube(scene, sched, draws=draws).tone_branch_compressed
-        want = synthesize_if_cube(scene, sched, draws=oracles.FreshDraws(5))
-        assert calls == ([True, False] if queued else [False])
-        assert np.array_equal(got.view(float), want.tone_branch_compressed.view(float))
-
-    @pytest.mark.parametrize("helper", [1, 2])
-    def test_queued_tone_noise_equals_an_unshared_draw(self, monkeypatch, helper):
-        # Queued, it is drawn on the helper thread; at one CPU nothing is
-        # queued and the take draws it on the calling thread.
-        monkeypatch.setattr(cpus, "count", lambda: helper)
-        threads, complex_noise = [], channel._complex_noise
-
-        def watched(*args):
-            threads.append(threading.get_ident())
-            return complex_noise(*args)
-
-        monkeypatch.setattr(channel, "_complex_noise", watched)
-        draws = DropDraws(5)
-        assert draws.tone_noise(0.5, (4, 8), queue=True) is None
-        cpus.helper().submit(lambda: None).result()
-        got = draws.tone_noise(0.5, (4, 8))
-        assert np.array_equal(got, oracles.FreshDraws(5).tone_noise(0.5, (4, 8)))
-        assert len(threads) == 1 and (threads[0] == threading.get_ident()) == (helper == 1)
+        monkeypatch.setattr(channel, "_noise_parts", slow_noise_parts)
+        draws = DropDraws(3, [channel.AHEAD + 1], (1.0, (2, 4)))
+        assert first.wait(10)
+        draws.settle()
+        cpus.helper().submit(lambda: None).result(timeout=10)
+        assert started == [started[0]] and started[0] != threading.get_ident()
 
     def test_pool_workers_start_no_draw_thread(self, desk, monkeypatch):
         # With --workers the pool keeps the CPUs busy: a worker's drop draws

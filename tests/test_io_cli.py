@@ -833,6 +833,39 @@ class TestCubeFormat:
         with pytest.raises(ValueError, match="magic"):
             read_cube(path)
 
+    @pytest.mark.parametrize("damage,message", [
+        # Cut inside the fixed header: struct.error, not a ValueError.
+        (lambda data: data[:20], "not a cube file (20 bytes"),
+        # Cut inside the payload: numpy's buffer error, naming no file.
+        (lambda data: data[:len(data) // 2], "bytes, but its header gives"),
+        # Trailing bytes were read past silently.
+        (lambda data: data + b"\0\0", "bytes, but its header gives"),
+    ], ids=["header-cut", "payload-cut", "trailing"])
+    def test_damaged_file_fails_closed(self, tmp_path, damage, message):
+        _, cube = self._cube()
+        path = tmp_path / "c.bin"
+        write_cube(path, cube)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            read_cube(path)
+
+    @pytest.mark.parametrize("field", ["symbols", "tone"])
+    def test_header_counts_must_match_the_schedule(self, tmp_path, field):
+        # A file of consistent length whose header counts one chirp symbol
+        # of symbols * N samples, or one tone PRI fewer, than its schedule.
+        _, cube = self._cube()
+        path = tmp_path / "c.bin"
+        write_cube(path, cube)
+        data = path.read_bytes()
+        l, n_sym, n, m_tone = struct.unpack("<IIII", data[12:28])
+        if field == "symbols":
+            counts = (l, 1, n_sym * n, m_tone)
+        else:
+            counts, data = (l, n_sym, n, m_tone - 1), data[:-16 * l]
+        path.write_bytes(data[:12] + struct.pack("<IIII", *counts) + data[28:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header counts ")):
+            read_cube(path)
+
 
 class TestCsv:
     def test_cell_formats(self):
