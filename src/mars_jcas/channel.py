@@ -87,9 +87,10 @@ class DropDraws:
     Without it no block is kept, and a block read again is drawn again.
 
     Up to :data:`AHEAD` of the cube's next blocks are queued ahead of the
-    cube (:class:`~mars_jcas.cpus.Queued`), and the cube takes each block
-    it asks for: drawn on the helper thread where the process has one and
-    the helper has started it, else drawn by the cube. ``chirp_key``, the
+    cube (:class:`~mars_jcas.cpus.Queued` on a block's values), and the
+    cube takes each block it asks for: drawn on the helper thread where the
+    helper has started it, else drawn by the cube, as is every block below
+    ``cpus.PIECE_VALUES`` values, such as desk_small's. ``chirp_key``, the
     blocks' (scale, shape) (:func:`chirp_noise_key`), queues the first
     cube's blocks when the drop's draws are made. Each block has its own
     generator, so the blocks do not depend on which thread draws them, in
@@ -166,7 +167,8 @@ class DropDraws:
             if len(self._ahead) == AHEAD:
                 return
             if k not in self._kept and k not in self._ahead:
-                self._ahead[k] = cpus.Queued(self._draw, k, self._key)
+                self._ahead[k] = cpus.Queued(self._draw, k, self._key,
+                                             values=math.prod(self._key[1]))
 
     def _blocks(self, count: int, keep: int):
         for k in range(count):

@@ -12,9 +12,10 @@ over, and the one helper thread that takes a share of a drop's work.
   and the claim loops of :func:`share`, whose pieces are the FA map's
   transforms (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the
   row halves of each IF cube symbol
-  (:func:`~mars_jcas.channel.synthesize_if_cube`) of at least
-  :data:`PIECE_VALUES` values. A call the helper has not started when it
-  is taken runs on the thread that takes it.
+  (:func:`~mars_jcas.channel.synthesize_if_cube`). A call on fewer than
+  :data:`PIECE_VALUES` values, or one the helper has not started, runs on
+  the thread that takes it, so a process whose calls are all smaller,
+  such as a desk_small run, starts no helper.
 - A ``--workers`` pool process, whose siblings keep the other CPUs busy,
   calls :func:`work_on_calling_thread` and runs all of it on its calling
   thread, as at one CPU, with one BLAS thread. A serial run keeps numpy's
@@ -40,9 +41,10 @@ import numpy as np
 # chunk's operands, and the speed-ups were measured at two.
 MAX = 2
 
-# Fewest complex values a piece must hold to be shared: smaller pieces
-# cost more to hand over than the helper saves (desk-sized pieces made
-# desk drops 11% slower).
+# Fewest complex values a call must hold to be queued on the helper:
+# smaller calls cost more to hand over than the helper saves. Queued,
+# desk-sized pieces made desk drops 11% slower, and desk-sized chirp
+# noise blocks (8192 values) made desk_mix drop_s_p50 9-16% slower.
 PIECE_VALUES = 2**16
 
 
@@ -73,11 +75,12 @@ def helper() -> Optional[ThreadPoolExecutor]:
 
 
 class Queued:
-    """``fn(*args)``, queued on the helper thread where the process has one
-    (:func:`helper`); at one CPU and in a pool worker it runs when taken."""
+    """``fn(*args)`` on ``values`` complex values, queued on the helper
+    thread where the process has one (:func:`helper`) and ``values`` is at
+    least :data:`PIECE_VALUES`; otherwise it runs when taken."""
 
-    def __init__(self, fn: Callable, *args):
-        side = helper()
+    def __init__(self, fn: Callable, *args, values: int):
+        side = helper() if values >= PIECE_VALUES else None
         self._call = partial(fn, *args)
         self._future = None if side is None else side.submit(fn, *args)
 
@@ -130,15 +133,6 @@ def work_on_calling_thread() -> None:
         set_threads(ctypes.c_int(1))
 
 
-def _run(take: Callable[[], object]) -> None:
-    """Run the pieces ``take()`` hands out until it hands out None, letting
-    go of each before taking the next: a piece may hold a copy of its
-    input."""
-    while (piece := take()) is not None:
-        piece()
-        del piece
-
-
 class _Claims:
     """Pieces handed out one at a time, in order, to whichever thread asks
     first. A piece is made under the claim, so whatever making it does
@@ -154,7 +148,10 @@ class _Claims:
             return next(self._pieces, None)
 
     def run(self) -> None:
-        _run(self.take)
+        """Run the pieces handed out until none is left."""
+        while (piece := self.take()) is not None:
+            piece()
+            del piece   # before the next: a piece may hold a copy of its input
 
     def close(self) -> None:
         """Hand out nothing more, and let go of the pieces."""
@@ -165,23 +162,20 @@ class _Claims:
 def share(pieces: Iterable[Callable[[], object]], values: int) -> None:
     """Run every piece of ``pieces`` once and return when all are done.
 
-    ``values`` is the number of complex values a piece holds. From
-    :data:`PIECE_VALUES` on, one claim loop is queued (:class:`Queued`),
-    behind the draws queued before it, and the calling thread runs every
-    piece the helper has not claimed, so a busy helper costs one queued
-    loop that finds nothing left. Below it the pieces run in order on the
-    calling thread, as they do at one CPU and in a pool worker.
+    ``values`` is the number of complex values a piece holds. One claim
+    loop is a :class:`Queued` call on ``values``, and the calling thread
+    runs every piece the helper has not claimed, so a busy helper costs one
+    queued loop that finds nothing left. Below :data:`PIECE_VALUES` the
+    pieces run in order on the calling thread, as they do at one CPU and
+    in a pool worker.
 
     ``pieces`` may be a generator: each piece is made under its claim, in
     order. An exception a piece raises is raised here once every claimed
     piece has finished, and the queued loop keeps no piece once this
     returns.
     """
-    if values < PIECE_VALUES:
-        _run(partial(next, iter(pieces), None))
-        return
     claims = _Claims(pieces)
-    loop = Queued(claims.run)
+    loop = Queued(claims.run, values=values)
     try:
         claims.run()
     finally:

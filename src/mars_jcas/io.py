@@ -340,8 +340,8 @@ def write_cube(path, cube: IfCube) -> None:
 def read_cube(path) -> IfCube:
     """The cube :func:`write_cube` wrote at ``path``. A header or schedule
     key that is unknown, missing or mistyped is a ConfigError naming it; a
-    length, or a chirp symbol or tone-PRI count, that disagrees with the
-    header is a ValueError naming ``path``."""
+    header that is not UTF-8 JSON, or a length or count at odds with the
+    header, is a ValueError naming ``path``."""
     data = Path(path).read_bytes()
     if data[:8] != _CUBE_MAGIC or len(data) < _CUBE_HEADER.size:
         raise ValueError(f"{path}: not a cube file ({len(data)} bytes, magic {data[:8]!r})")
@@ -353,8 +353,11 @@ def read_cube(path) -> IfCube:
     size = tone_at + 16 * l * m_tone
     if len(data) != size:
         raise ValueError(f"{path}: {len(data)} bytes, but its header gives {size}")
-    header = _Section(json.loads(data[_CUBE_HEADER.size:chirp_at].decode("utf-8")),
-                      f"{path}: header")
+    try:
+        meta = json.loads(data[_CUBE_HEADER.size:chirp_at].decode("utf-8"))
+    except ValueError as exc:   # bytes that are not UTF-8, or not JSON
+        raise ValueError(f"{path}: damaged header: {exc}") from exc
+    header = _Section(meta, f"{path}: header")
     raw = header.take(("schedule", _mapping))
     header.finish()
     # Files written before to_dict left None fields out carry "fa_seed": null.

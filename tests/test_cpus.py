@@ -147,10 +147,11 @@ class TestQueued:
         monkeypatch.setattr(cpus, "count", lambda: 1 if where == "one-cpu" else 2)
         monkeypatch.setattr(cpus, "_CALLING_THREAD_ONLY", where == "pool-worker")
         threads, ran = threading.active_count(), []
-        queued = cpus.Queued(lambda x: ran.append((x, threading.get_ident())) or x, 4)
+        queued = cpus.Queued(lambda x: ran.append((x, threading.get_ident())) or x, 4,
+                             values=cpus.PIECE_VALUES)
         assert ran == []
         assert queued.take() == 4 and ran == [(4, threading.get_ident())]
-        cpus.Queued(ran.append, 5).drop()
+        cpus.Queued(ran.append, 5, values=cpus.PIECE_VALUES).drop()
         assert len(ran) == 1
         assert cpus.helper() is None and cpus._HELPER is None
         assert threading.active_count() == threads
@@ -162,8 +163,10 @@ class TestQueued:
         release, ran = threading.Event(), []
         busy = cpus.helper().submit(release.wait, 10)
         try:
-            taken = cpus.Queued(lambda: ran.append(("taken", threading.get_ident())))
-            dropped = cpus.Queued(lambda: ran.append(("dropped", threading.get_ident())))
+            taken = cpus.Queued(lambda: ran.append(("taken", threading.get_ident())),
+                                values=cpus.PIECE_VALUES)
+            dropped = cpus.Queued(lambda: ran.append(("dropped", threading.get_ident())),
+                                  values=cpus.PIECE_VALUES)
             taken.take()
             dropped.drop()
             assert not busy.done()
@@ -186,7 +189,7 @@ class TestQueued:
             log.append("finished")
             raise ValueError("call failed")
 
-        queued = cpus.Queued(call)
+        queued = cpus.Queued(call, values=cpus.PIECE_VALUES)
         assert started.wait(10)
         if end == "take":
             with pytest.raises(ValueError, match="call failed"):
@@ -194,6 +197,22 @@ class TestQueued:
         else:
             queued.drop()
         assert log == ["finished"]
+
+    def test_small_call_never_asks_for_the_helper(self, monkeypatch):
+        # Below cpus.PIECE_VALUES a call runs when taken, on the calling
+        # thread, and a dropped one never runs, at any CPU count.
+        def no_helper():
+            raise AssertionError("a small call asked for the helper")
+
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        monkeypatch.setattr(cpus, "helper", no_helper)
+        ran = []
+        queued = cpus.Queued(lambda x: ran.append((x, threading.get_ident())) or x, 4,
+                             values=cpus.PIECE_VALUES - 1)
+        assert ran == []
+        assert queued.take() == 4 and ran == [(4, threading.get_ident())]
+        cpus.Queued(ran.append, 5, values=cpus.PIECE_VALUES - 1).drop()
+        assert len(ran) == 1
 
 
 class TestShare:

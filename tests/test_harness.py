@@ -1010,8 +1010,8 @@ class TestDrawThread:
 
     @pytest.mark.parametrize("helper,shape", [
         (1, (3, 8)), (2, (3, 8)),
-        # Blocks on each side of the size share's pieces need; draws of
-        # either size reach the helper thread.
+        # Blocks on each side of cpus.PIECE_VALUES: only draws of at least
+        # that many values reach the helper thread.
         (2, (1, cpus.PIECE_VALUES - 1)), (1, (1, cpus.PIECE_VALUES)),
         (2, (1, cpus.PIECE_VALUES)),
         # A helper held busy, so the calling thread draws every block, and
@@ -1059,7 +1059,7 @@ class TestDrawThread:
             draws.settle()
         finally:
             release.set()
-        if helper == 2:
+        if helper == 2 and math.prod(shape) >= cpus.PIECE_VALUES:
             assert len(drawn_on - {threading.get_ident()}) == 1
         else:
             assert drawn_on == {threading.get_ident()}
@@ -1076,9 +1076,37 @@ class TestDrawThread:
         assert threads_running_pieces() == {threading.get_ident()}
         assert cpus._HELPER is None and threading.active_count() == threads
         monkeypatch.setattr(cpus, "count", lambda: 2)
-        DropDraws(1, [1], (1.0, (2, 4))).settle()
+        DropDraws(1, [1], (1.0, (1, cpus.PIECE_VALUES))).settle()
         assert cpus._HELPER is not None
         cpus._HELPER.shutdown()
+
+    def test_desk_drop_asks_nothing_of_the_helper(self, desk, desk_clutter, monkeypatch):
+        # At two CPUs a desk_small drop's chirp blocks and shared pieces are
+        # all below cpus.PIECE_VALUES: the drop never asks for the helper,
+        # starts no helper thread and draws every block on the calling thread.
+        def helper_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("mars-jcas-helper")]
+
+        scene, plan = desk
+        plan = replace(plan, pipelines=DESK_MC)
+        helper, asked, drawn_on, noise_parts = cpus.helper, [], set(), channel._noise_parts
+
+        def watched_noise_parts(*args):
+            drawn_on.add(threading.get_ident())
+            return noise_parts(*args)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            monkeypatch.setattr(cpus, "count", lambda: 1)
+            want = drop_records(scene, plan, 0, desk_clutter)
+            monkeypatch.setattr(cpus, "_HELPER", None)
+            monkeypatch.setattr(cpus, "count", lambda: 2)
+            monkeypatch.setattr(cpus, "helper", lambda: asked.append(1) or helper())
+            monkeypatch.setattr(channel, "_noise_parts", watched_noise_parts)
+            threads = helper_threads()
+            got = drop_records(scene, plan, 0, desk_clutter)
+        assert got == want and asked == [] and drawn_on == {threading.get_ident()}
+        assert cpus._HELPER is None and helper_threads() == threads
 
     @pytest.mark.parametrize("stop", ["cube_raises", "closed_early"])
     def test_no_draw_outlives_its_drop(self, monkeypatch, stop):
@@ -1156,7 +1184,7 @@ class TestDrawThread:
             return noise_parts(rng, scale, out)
 
         monkeypatch.setattr(channel, "_noise_parts", slow_noise_parts)
-        draws = DropDraws(3, [channel.AHEAD + 1], (1.0, (2, 4)))
+        draws = DropDraws(3, [channel.AHEAD + 1], (1.0, (1, cpus.PIECE_VALUES)))
         assert first.wait(10)
         draws.settle()
         cpus.helper().submit(lambda: None).result(timeout=10)

@@ -840,7 +840,11 @@ class TestCubeFormat:
         (lambda data: data[:len(data) // 2], "bytes, but its header gives"),
         # Trailing bytes were read past silently.
         (lambda data: data + b"\0\0", "bytes, but its header gives"),
-    ], ids=["header-cut", "payload-cut", "trailing"])
+        # One JSON header byte edited in place, the length unchanged: a
+        # UnicodeDecodeError and a JSONDecodeError, naming no file.
+        (lambda data: data[:41] + b"\xff" + data[42:], "damaged header: 'utf-8' codec"),
+        (lambda data: data[:41] + b"x" + data[42:], "damaged header: Expecting property name"),
+    ], ids=["header-cut", "payload-cut", "trailing", "header-not-utf8", "header-not-json"])
     def test_damaged_file_fails_closed(self, tmp_path, damage, message):
         _, cube = self._cube()
         path = tmp_path / "c.bin"
