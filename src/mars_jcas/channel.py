@@ -309,26 +309,24 @@ def check_if_range(key: str, range_m: float, t_sym: float) -> None:
                          f"to {SPEED_OF_LIGHT * t_sym / 2.0} m")
 
 
-def _build_rows(block, spare, mean, terms, ground, si, noise, dc, rows) -> None:
+def _build_rows(block, spare, mean, terms, si, noise, dc, rows) -> None:
     """Build rows ``rows`` of one chirp symbol in place in ``block``, in
     the order a zero-filled block would sum its terms: the first product
-    of ``terms`` (steering column, beat) is written, later ones are added
-    through the same rows of ``spare``, and the clutter ``ground``, a
-    product the map holds per slot and amplitude, comes last. Then the
-    self interference ``si``, the ``noise`` block's real and imaginary
-    parts, minus each row's mean (into ``mean``), plus the residual DC
-    ``dc``. Noise is added to every sample, so dropping the zero fill's
-    0 + x (which only turns -0.0 into 0.0) changes no bit of the branch.
-    Every operation is row by row, so the rows can be built in any split."""
+    of ``terms`` (a target's steering column and beat, or the clutter's
+    slot spectrum and amplitude, always last) is written, later ones are
+    added through the same rows of ``spare``. Then the self interference
+    ``si``, the ``noise`` block's real and imaginary parts, minus each
+    row's mean (into ``mean``), plus the residual DC ``dc``. Noise is
+    added to every sample, so dropping the zero fill's 0 + x (which only
+    turns -0.0 into 0.0) changes no bit of the branch. Every operation is
+    row by row, so the rows can be built in any split."""
     block, spare, mean = block[rows], spare[rows], mean[rows]
     for k, (a, b) in enumerate(terms):
         np.multiply(a[rows], b, out=spare if k else block)
         if k:
             block += spare
     if not terms:
-        block[...] = 0.0 if ground is None else ground[rows]
-    elif ground is not None:
-        block += ground[rows]
+        block[...] = 0.0
     block += si[rows]
     re, im = noise
     block.real += re[rows]
@@ -389,18 +387,6 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
                                  * samples / bw)
         beats.append(beat)
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
-    # Clutter: per-bin beat tones collapse to an inverse DFT per chirp slot,
-    # and the zero-Doppler field to one constant per tone PRI; the map holds
-    # the chirp products. They are taken after the drop's first noise blocks
-    # and before the cube's buffers: taken per block among the cube's
-    # buffers, or before the noise blocks, they left no hole in the heap that
-    # the next drop's FA map fits in, and car_fa's peak RSS rose by 4.6 and
-    # 11.8 MB. The tone product is made where it is added: made here, it
-    # raised desk_mix's peak RSS from 119 to 130 MB.
-    grounds = [None] * len(flat_slots)
-    if clutter is not None:
-        grounds = [clutter.chirp_clutter(e, math.sqrt(schedule.per_symbol_power_w[pri]),
-                                         schedule.avg_power_w) for e, pri, _, _ in flat_slots]
     # Each symbol is built in place in its own contiguous (L, N) block
     # (:func:`_build_rows`), as two row halves shared with the helper thread
     # when a half holds at least cpus.PIECE_VALUES samples.
@@ -409,7 +395,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
     half = n_el // 2
     halves = (slice(0, half), slice(half, n_el)) if half * n >= cpus.PIECE_VALUES else None
-    for block, mean, ground, (_, pri, tx_a, tx_b) in zip(chirp, means, grounds, flat_slots):
+    for block, mean, (e, pri, tx_a, tx_b) in zip(chirp, means, flat_slots):
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
         terms = []
@@ -419,10 +405,13 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
             terms.append(((a2d * amp)[:, None], beat))
+        if clutter is not None:
+            # Per-bin beat tones collapse to the slot's inverse DFT.
+            terms.append((clutter.chirp_spectra[e], math.sqrt(p_slot)))
         si_amp = math.sqrt(p_slot * 10.0 ** (-radio.si_attenuation_db / 10.0))
         si = si_amp * si_phases[:, None]
         dc = None if rec.residual_dc_db is None else si * 10.0 ** (-rec.residual_dc_db / 20.0)
-        build = partial(_build_rows, block, spare, mean, terms, ground, si, next(noise), dc)
+        build = partial(_build_rows, block, spare, mean, terms, si, next(noise), dc)
         if halves:
             cpus.share((partial(build, rows) for rows in halves), half * n)
         else:

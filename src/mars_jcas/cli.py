@@ -9,7 +9,9 @@ sufficient to replay it byte-identically. Exit codes: 0 ok, 2 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import time
 from dataclasses import fields, replace
@@ -135,6 +137,40 @@ def _command(args) -> tuple:
         if value is not True:
             tokens.append(str(value))
     return tuple(tokens)
+
+
+# The subcommands whose runs write a manifest.
+RECORDED = ("resolution", "waveform", "clutter-map", "simulate", "montecarlo")
+
+
+def _check_command(command, path) -> None:
+    """Raise ``ConfigError`` naming the manifest at ``path`` unless a run
+    could have recorded ``command`` (:func:`_command`): a subcommand of
+    :data:`RECORDED`, then options its parser takes, none of them one that
+    replay supplies (``--config``, ``--out``), takes from the effective
+    config (``--seed``) or that excludes ``--config`` (``--preset``)."""
+    where = f"{path}.command: {list(command)!r}"
+    if command[0] not in RECORDED:
+        raise ConfigError(f"{where}: no run records {command[0]!r}; the subcommands that "
+                          f"write a manifest are {', '.join(RECORDED)}")
+    # Replay's own --config and --out go first: a recorded one would replace them.
+    mark = "\0"
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            args = build_parser().parse_args([command[0], "--config", mark, "--out", mark,
+                                              *command[1:]])
+    except SystemExit:
+        # The parser's last line, after its "prog: error: " prefix.
+        reason = (err.getvalue().strip().splitlines() or ["it asks for help"])[-1]
+        reason = reason.split(" error: ", 1)[-1]
+        raise ConfigError(f"{where}: no run records it: {reason}") from None
+    given = [opt for opt, recorded in (("--config", args.config != mark),
+                                       ("--out", args.out != mark),
+                                       ("--seed", args.seed is not None)) if recorded]
+    if given:
+        raise ConfigError(f"{where}: no run records {', '.join(given)}; replay takes the "
+                          f"config, seed and output directory from the manifest and --out")
 
 
 def _record(args, scene_cfg, plan, out: Path, outputs, stages=()) -> None:
@@ -337,6 +373,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
+    _check_command(manifest.command, args.manifest)
     if args.drop is not None:
         # The run's drop K at every sweep point, as its records.csv holds it:
         # only a montecarlo run has drops and a records.csv.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -74,22 +74,22 @@ class ClutterMap:
     transmit slot ``s`` is active (slot 0 is the reference element; without
     VA there is exactly one slot). ``tone_vec[l]`` is the per-PRI constant
     the zero-Doppler field contributes to the tone branch, tone-frequency
-    carrier phase included.
+    carrier phase included. The map holds these unit-power arrays and their
+    spectra only: each branch multiplies in its symbols' amplitudes.
     """
 
     chirp_tables: np.ndarray   # (num_tx_slots, num_range_bins, L)
     tone_vec: np.ndarray       # (L,)
     range_res_m: float
     patch_count: int           # patches inside the last range bin
-    # Chirp products of the spectra and a transmit amplitude, by the average
-    # power they were made at, least recently used first (see chirp_clutter).
-    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def chirp_spectra(self) -> np.ndarray:
         """(slots, L, N) chirp-branch clutter per transmit slot, C-contiguous
         and read-only: the bins' beat tones over the N samples collapse to
-        ``N * ifft`` of the table."""
+        ``N * ifft`` of the table. A chirp symbol's clutter is its slot's
+        spectrum times the symbol's amplitude, the last term the cube
+        multiplies into the symbol's block."""
         slots, bins, elements = self.chirp_tables.shape
         spectra = np.empty((slots, elements, bins), dtype=complex)
         # The transform writes each slot's bins down the columns of its
@@ -106,27 +106,6 @@ class ClutterMap:
         spectrum = np.fft.fft(self.chirp_tables[0], axis=0)
         spectrum.flags.writeable = False
         return spectrum
-
-    def chirp_clutter(self, slot: int, amplitude: float, power_w: float) -> np.ndarray:
-        """``amplitude * chirp_spectra[slot]``: one (L, N) chirp symbol's
-        clutter from transmit slot ``slot``, read-only, made once and shared
-        by every later cube that asks for it. The map holds products of one
-        average transmit power ``power_w`` (a sweep point), at most
-        :data:`SCALED_ENTRIES` of them: asking at another power drops them
-        all, and past the bound the least recently used goes, each before
-        the new product is made."""
-        held = self._scaled.get(power_w)
-        if held is None:
-            self._scaled.clear()
-            held = self._scaled[power_w] = {}
-        product = held.pop((slot, amplitude), None)
-        if product is None:
-            if len(held) == SCALED_ENTRIES:
-                del held[next(iter(held))]
-            product = amplitude * self.chirp_spectra[slot]
-            product.flags.writeable = False
-        held[slot, amplitude] = product
-        return product
 
     def tone_clutter(self, amplitudes: np.ndarray) -> np.ndarray:
         """(L, T) tone-branch clutter of T tone symbols of the given
@@ -154,11 +133,6 @@ class ClutterMap:
         if self.num_tx_slots < slots:
             raise ValueError(f"clutter map has {self.num_tx_slots} tx slot tables, "
                              f"schedule needs {slots}")
-
-    @property
-    def held_products(self) -> int:
-        """Chirp clutter products the map holds (see :meth:`chirp_clutter`)."""
-        return sum(map(len, self._scaled.values()))
 
     @property
     def num_range_bins(self) -> int:
@@ -193,11 +167,6 @@ def patch_grid(clutter_cfg) -> tuple:
     x = (np.arange(nx) - (nx - 1) / 2.0) * cell
     y = clutter_cfg.area_standoff_m + (np.arange(ny) + 0.5) * cell
     return x, y
-
-
-# Most chirp clutter products a map holds: a drop of every structure, VA
-# on and off, asks for fewer at the presets' sizes.
-SCALED_ENTRIES = 16
 
 
 # Patches per chunk of the virtual-array pass: a chunk's phase powers are

@@ -155,7 +155,7 @@ def _converter(tp, path):
     return _SCALARS[tp]
 
 
-def _scaled(k):
+def _times(k):
     return lambda v, got: _float(v) * k
 
 
@@ -178,24 +178,24 @@ def _on_axis(axis, to_si):
 # Unit variants of a field's own SI key: (key, to_SI(value, fields read so far)).
 _UNITS = {
     RadioParams: {
-        "carrier_freq_hz": [("carrier_freq_ghz", _scaled(1e9))],
-        "subcarrier_spacing_hz": [("subcarrier_spacing_khz", _scaled(1e3))],
-        "pri_s": [("pri_ms", _scaled(1e-3))],
-        "cpi_s": [("cpi_ms", _scaled(1e-3)), ("num_pri", lambda v, got: _int(v) * got["pri_s"])],
+        "carrier_freq_hz": [("carrier_freq_ghz", _times(1e9))],
+        "subcarrier_spacing_hz": [("subcarrier_spacing_khz", _times(1e3))],
+        "pri_s": [("pri_ms", _times(1e-3))],
+        "cpi_s": [("cpi_ms", _times(1e-3)), ("num_pri", lambda v, got: _int(v) * got["pri_s"])],
         "avg_tx_power_w": [("avg_tx_power_dbm", _dbm)],
         "noise_density_w_per_hz": [("noise_density_dbm_per_hz", _dbm)],
         "uplink_power_w": [("uplink_power_dbm", _dbm)],
         "gain_tx": [("gain_tx_dbi", _dbi)],
         "gain_rx": [("gain_rx_dbi", _dbi)],
-        "bandwidth_hz": [("bandwidth_mhz", _scaled(1e6))],
-        "symbol_duration_s": [("symbol_duration_us", _scaled(1e-6))],
+        "bandwidth_hz": [("bandwidth_mhz", _times(1e6))],
+        "symbol_duration_s": [("symbol_duration_us", _times(1e-6))],
     },
     ArrayGeometry: {
         "rx_spacing_x_m": [("rx_spacing_x_wavelengths", _wavelengths)],
         "rx_spacing_y_m": [("rx_spacing_y_wavelengths", _wavelengths)],
     },
     Target: {
-        "range_m": [("range_km", _scaled(1e3))],
+        "range_m": [("range_km", _times(1e3))],
         "radial_velocity_mps": [("speed_kmh", lambda v, got: _float(v) / 3.6)],
         "psi_x_rad": [("psi_x_deg", _deg), ("sin_psi_x", _sin)],
         "psi_y_rad": [("psi_y_deg", _deg), ("sin_psi_y", _sin)],

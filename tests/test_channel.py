@@ -12,7 +12,7 @@ from scipy.constants import c as C0
 
 import oracles
 from conftest import make_array, make_radio, make_scene
-from mars_jcas import channel, clutter
+from mars_jcas import channel
 from mars_jcas.channel import (
     DropDraws,
     butterworth_power_gain,
@@ -73,6 +73,7 @@ class TestChirpBranch:
     @example(targets=[(300.0, 18.0, 0.1, 0.0)], va=True, w=3, clutter=True, exact=True,
              residual=40.0, seed=1)
     @example(targets=[], va=False, w=1, clutter=False, exact=False, residual=None, seed=2)
+    @example(targets=[], va=True, w=2, clutter=True, exact=False, residual=None, seed=4)
     @example(targets=[(300.0, 18.0, 0.1, 0.0), (800.0, -7.0, -0.3, 0.2)], va=True, w=4,
              clutter=False, exact=False, residual=None, seed=3)
     @settings(max_examples=40, deadline=None)
@@ -434,16 +435,16 @@ DESK_GROUPS = (PipelineSpec(structure="comb", suppressor="sthp", va=True),
 
 
 class TestHeldClutter:
-    """Cubes read the clutter products the map holds per sweep point."""
+    """Cubes read the clutter spectra one map holds over a power sweep."""
 
     @staticmethod
-    def _cubes(scene, plan, cmap, power_w, seed):
-        """Each desk group's (schedule, cube or FA measurements) at ``power_w``."""
+    def _cubes(scene, plan, cmap, power_w, seed, groups=DESK_GROUPS):
+        """Each group's (scene, schedule, cube or FA measurements) at ``power_w``."""
         scene = replace(scene, radio=replace(scene.radio, avg_tx_power_w=power_w),
                         targets=(Target(300.0, 18.0, 0.1, 0.0, 50.0),
                                  Target(420.0, -7.0, -0.3, 0.2, 50.0)))
         out = []
-        for pipe in DESK_GROUPS:
+        for pipe in groups:
             sched = schedule_for(scene, pipe, plan.seed)
             if pipe.structure == "fa":
                 out.append((scene, sched, synthesize_fa_measurements(scene, sched, cmap,
@@ -457,7 +458,7 @@ class TestHeldClutter:
     def test_chirp_branches_over_power_sweep_equal_per_block_oracle(self, desk, desk_clutter):
         # A tx_power sweep, back to its first point, each point read twice:
         # every chirp symbol equals the oracle's per-block sqrt(p) * spectra
-        # product, VA slots included, whether its product was just made or
+        # product, VA slots included, whether the spectra were just made or
         # held since an earlier cube.
         scene, plan = desk
         cmap = replace(desk_clutter)
@@ -472,29 +473,23 @@ class TestHeldClutter:
                     n_el, n = va_scene.array.num_rx, va_scene.radio.num_subcarriers
                     want = want.reshape(n_el, -1, n).transpose(1, 0, 2)
                     assert np.array_equal(cube.chirp_branch.view(float), want.view(float))
-                assert 0 < cmap.held_products <= clutter.SCALED_ENTRIES
         # Two chirp powers per sweep point: 10 p_avg and 10 p_avg / 4.
         assert len(powers) == 4 and desk_clutter.num_tx_slots == 4
 
-    def test_held_products_change_no_bit(self, desk, desk_clutter, monkeypatch):
-        # Both branches and the FA measurements over a sweep equal those of
-        # cubes that make every clutter product afresh, as each did before
-        # the map held them; a drop's chirp products are made once per point.
+    def test_reused_map_changes_no_bit(self, desk, desk_clutter):
+        # Both branches and the FA measurements over a sweep, all read from
+        # one map, equal those of cubes each given a fresh map, which makes
+        # its spectra for that cube alone.
         scene, plan = desk
         cmap = replace(desk_clutter)
-        got = []
-        for power_w in (0.5, 2.0):
-            got += self._cubes(scene, plan, cmap, power_w, seed=4)
-            held = cmap.held_products
-            got += self._cubes(scene, plan, cmap, power_w, seed=5)
-            # Four VA slots and the plain comb's slot 0.
-            assert cmap.held_products == held == 4 + 1
-        monkeypatch.setattr(ClutterMap, "chirp_clutter", lambda self, slot, amplitude, power_w:
-                            amplitude * self.chirp_spectra[slot])
-        want = []
+        got, want = [], []
         for power_w in (0.5, 2.0):
             for seed in (4, 5):
-                want += self._cubes(scene, plan, cmap, power_w, seed=seed)
+                got += self._cubes(scene, plan, cmap, power_w, seed=seed)
+                for pipe in DESK_GROUPS:
+                    want += self._cubes(scene, plan, replace(desk_clutter), power_w, seed=seed,
+                                        groups=(pipe,))
+        assert len(got) == len(want) == 4 * len(DESK_GROUPS)
         for (_, _, a), (_, _, b) in zip(got, want):
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a.view(float), b.view(float))

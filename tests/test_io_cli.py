@@ -1494,11 +1494,29 @@ class TestCli:
          "bad.json.stages[0]: missing required key seconds"),
         (lambda m: {**m, "stages": [{"name": 1, "seconds": 0.5}]},
          "bad.json.stages[0].name: bad value 1 (expected a string)"),
+        # Commands no run records: a subcommand that writes no manifest, one
+        # the parser refuses, or an option replay supplies itself.
+        (lambda m: {**m, "command": ["replay", "--manifest", "x.json", "--out", "y"]},
+         "bad.json.command: ['replay', '--manifest', 'x.json', '--out', 'y']: "
+         "no run records 'replay'"),
+        (lambda m: {**m, "command": ["bogus"]}, "bad.json.command: ['bogus']: no run records"),
+        (lambda m: {**m, "command": ["resolution", "--symbol", "3"]},
+         "no run records it: unrecognized arguments: --symbol 3"),
+        (lambda m: {**m, "command": ["montecarlo", "--drops", "2", "--seed", "9"]},
+         "no run records --seed; replay takes"),
+        (lambda m: {**m, "command": ["resolution", "--preset", "desk_small"]},
+         "no run records it: argument --preset: not allowed with argument --config"),
+        (lambda m: {**m, "command": ["resolution", "--config", "other.yaml"]},
+         "no run records --config; replay takes"),
+        (lambda m: {**m, "command": ["resolution", "--out", "elsewhere"]},
+         "no run records --out; replay takes"),
     ], ids=["invalid-json", "not-an-object", "fields-missing", "field-missing",
             "field-unknown", "command-string", "command-token", "command-empty",
             "effective-config", "outputs-object", "output-path", "output-no-sha256",
             "output-bad-sha256", "output-number", "tool", "version", "master-seed",
-            "config-hash", "stages-number", "stage-no-seconds", "stage-name"])
+            "config-hash", "stages-number", "stage-no-seconds", "stage-name",
+            "command-replay", "command-unknown", "command-refused", "command-seed",
+            "command-preset", "command-config", "command-out"])
     def test_malformed_manifest_fails_before_output_dir(self, tmp_path, capsys, edit, message):
         run = tmp_path / "run"
         assert main(["resolution", "--preset", "desk_small", "--out", str(run)]) == 0
