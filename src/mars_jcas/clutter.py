@@ -81,7 +81,7 @@ class ClutterMap:
     chirp_tables: np.ndarray   # (num_tx_slots, num_range_bins, L)
     tone_vec: np.ndarray       # (L,)
     range_res_m: float
-    patch_count: int           # patches inside the last range bin
+    patch_count: int           # patches inside the last range bin, both of a mirror pair
 
     @cached_property
     def chirp_spectra(self) -> np.ndarray:
@@ -169,8 +169,8 @@ def patch_grid(clutter_cfg) -> tuple:
     return x, y
 
 
-# Patches per chunk of the virtual-array pass: a chunk's phase powers are
-# (va_cols + va_rows) x CHUNK_PATCHES complex values.
+# Mirror pairs per chunk of the virtual-array pass: a chunk's pair columns
+# and y phase powers are (va_cols + va_rows) x CHUNK_PATCHES complex values.
 CHUNK_PATCHES = 16384
 
 
@@ -190,17 +190,25 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     Every slot table is a slice of one table on the uniform virtual URA
     (``va_rows x va_cols`` at the receive spacing; slot 0 is its first
     ``rx_rows x rx_cols`` corner). A patch's steering there is the outer
-    product of its per-axis phase powers, so with the patches sorted by
-    range bin, a bin's entry is one (rows x patches) @ (patches x cols)
-    product over the bin's patches, scaled by their coefficients.
+    product of its per-axis phase powers ``py`` and ``px``.
 
-    Per patch: flat-earth grazing angle, reflectivity, RCS = sigma0 * cell
-    area, radar-equation amplitude at unit power, one seeded uniform phase
-    (drawn for every patch of the grid, in grid order). Only the patch
-    order (stable by range bin, patches past the last bin at its end), the
-    bins' edges in that order and the phases are held for the whole grid.
+    The grid's x coordinates are exact negatives under mirroring, so the
+    patches at (x, y) and (-x, y) share range, bin, reflectivity, amplitude,
+    ``py`` and tone carrier; the twin's ``px`` is ``conj(px)``. The build
+    sweeps the x >= 0 half of the grid, each patch p paired with its twin q
+    (the centre column of an odd nx with itself, its twin's coefficient 0),
+    and folds a pair into one column ``u = c_p px + c_q conj(px)``. With the
+    pairs sorted by range bin, a bin's entry is one (rows x pairs) @
+    (pairs x cols) product of ``py`` and ``u`` over the bin's pairs.
 
-    The rest is computed a chunk of patches at a time, each chunk a pure
+    Per pair: flat-earth grazing angle, reflectivity, RCS = sigma0 * cell
+    area, radar-equation amplitude at unit power, and each patch's seeded
+    uniform phase (drawn for every patch of the grid, in grid order, so the
+    realization is the full grid's). Only the pair order (stable by range
+    bin, pairs past the last bin at its end), the bins' edges in that order
+    and the phases are held for the whole grid.
+
+    The rest is computed a chunk of pairs at a time, each chunk a pure
     function of its start giving its tone term and one product per range
     bin it meets. The chunks run on :func:`~mars_jcas.cpus.count` threads
     (the calling thread takes every count-th chunk), in a pool of this
@@ -216,21 +224,25 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     n_bins = radio.num_subcarriers
     h = cl.station_height_m
     xs, ys = patch_grid(cl)
-    bins = np.rint(np.sqrt(np.add.outer(xs * xs, ys * ys).ravel() + h * h) / radio.range_res_m)
+    nx, ny = xs.size, ys.size
+    # Column nx // 2 + i is the mirror of column (nx - 1) // 2 - i.
+    half = xs[nx // 2:]
+    bins = np.rint(np.sqrt(np.add.outer(half * half, ys * ys).ravel() + h * h)
+                   / radio.range_res_m)
     # Sort keys of 16 bits or fewer take numpy's radix sort; key n_bins
-    # marks a patch past the last bin.
+    # marks a pair past the last bin.
     keys = np.minimum(bins, n_bins, out=bins).astype(np.uint16 if n_bins < 2**16 else np.intp)
     del bins
-    # Patches of bin b sit at edges[b]:edges[b + 1] of the sorted order.
+    # Pairs of bin b sit at edges[b]:edges[b + 1] of the sorted order.
     edges = np.zeros(n_bins + 2, dtype=np.intp)
     np.cumsum(np.bincount(keys, minlength=n_bins + 1), out=edges[1:])
     order = np.argsort(keys, kind="stable")
     del keys
-    # Hold the patch order in 32 bits while the grid index fits; the intp
+    # Hold the pair order in 32 bits while every grid index fits; the intp
     # sort result is freed before the phase draw.
-    order = order.astype(np.int32 if order.size < 2**31 else np.intp)
+    order = order.astype(np.int32 if nx * ny < 2**31 else np.intp)
     kept = int(edges[n_bins])
-    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=order.size)
+    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=nx * ny)
 
     wavenum = 2.0 * np.pi / lam
     cols, rows = arr.va_cols, arr.va_rows
@@ -238,28 +250,36 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     def chunk(lo):
         hi = min(lo + CHUNK_PATCHES, kept)
         idx = order[lo:hi]
-        ix, iy = np.divmod(idx, ys.size)
-        x, y = xs[ix], ys[iy]
+        ix, iy = np.divmod(idx, ny)
+        x, y = half[ix], ys[iy]
         r = np.sqrt(x * x + y * y + h * h)
         sigma0 = gtri_reflectivity(np.arcsin(h / r), params, lam)
         # Radar-equation amplitude at unit transmit power.
         amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * (sigma0 * cl.cell_m**2)
                       / ((4.0 * np.pi) ** 3 * r**4))
-        coeff = amp * np.exp(1j * phase[idx])
+        # Grid indices of the patch and of its twin.
+        c_p = amp * np.exp(1j * phase[idx + nx // 2 * ny])
+        c_q = amp * np.exp(1j * phase[((nx - 1) // 2 - ix) * ny + iy])
+        if nx % 2:
+            c_q[ix == 0] = 0.0
         # Each thread holds its chunk's operands: free what the rest skips.
         del ix, iy, y, sigma0, amp
         px = _phase_powers(wavenum * arr.rx_spacing_x_m * x / r, cols)
+        u = px * c_p
+        px = np.conjugate(px, out=px)
+        px *= c_q
+        u += px
+        del c_p, c_q, px
         # Patches sit below the array plane: sin_y = -h / r.
         py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r, rows)
-        py *= coeff
-        # Bin b's patches in this chunk: cuts[b]:cuts[b + 1].
+        # Bin b's pairs in this chunk: cuts[b]:cuts[b + 1].
         cuts = np.clip(edges[:n_bins + 1], lo, hi) - lo
-        products = [(b, py[:, cuts[b]:cuts[b + 1]] @ px[:, cuts[b]:cuts[b + 1]].T)
+        products = [(b, py[:, cuts[b]:cuts[b + 1]] @ u[:, cuts[b]:cuts[b + 1]].T)
                     for b in np.flatnonzero(np.diff(cuts))]
         # With the bin products taken, the tone carrier scales py in place.
         tau = 2.0 * r / SPEED_OF_LIGHT
         py[:arr.rx_rows] *= np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
-        return py[:arr.rx_rows] @ px[:arr.rx_cols].T, products
+        return py[:arr.rx_rows] @ u[:arr.rx_cols].T, products
 
     virtual = np.zeros((n_bins, rows, cols), dtype=complex)
     tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
@@ -281,8 +301,10 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
+    # Both patches of every kept pair, one of a centre column's.
+    centre = int(np.count_nonzero(order[:kept] < ny)) if nx % 2 else 0
     return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(),
-                      range_res_m=radio.range_res_m, patch_count=kept)
+                      range_res_m=radio.range_res_m, patch_count=2 * kept - centre)
 
 
 def build_clutter_for(scene: ValidatedScene, pipelines) -> ClutterMap:

@@ -3,8 +3,9 @@ over, and the one helper thread that takes a share of a drop's work.
 
 - :func:`~mars_jcas.clutter.build_clutter_map` runs its chunks on
   :func:`count` threads, in a pool of its own per build rather than on
-  the helper: each thread holds a chunk's operands (about 5 MB), memory
-  its malloc arena keeps, so the build's threads end with the build.
+  the helper: each thread holds a chunk's operands (about 5 MB on
+  desk_small with VA, 10 MB on table1_uav with VA), memory its malloc
+  arena keeps, so the build's threads end with the build.
 - With two or more CPUs the process has one helper thread, made on first
   use, and work reaches it one way, as a :class:`Queued` call: the chirp
   noise blocks queued ahead of the cube that reads them

@@ -370,6 +370,13 @@ def validate_scene(config: SceneConfig) -> ValidatedScene:
             v.append("clutter.station_height_m must be > 0 (grazing-angle model)")
         if cl.cell_m <= 0 or cl.area_x_m <= 0 or cl.area_y_m <= 0:
             v.append("clutter area and cell size must be > 0")
+        else:
+            # The grid has round(area / cell_m) patches a side; round()
+            # halves to even, so a ratio of at most 0.5 gives none.
+            for key in ("area_x_m", "area_y_m"):
+                if getattr(cl, key) / cl.cell_m <= 0.5:
+                    v.append(f"clutter.{key}={getattr(cl, key)} holds no patch of "
+                             f"cell_m={cl.cell_m}: round({key} / cell_m) is 0")
         if cl.area_standoff_m < 0:
             v.append("clutter.area_standoff_m must be >= 0")
 

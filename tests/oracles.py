@@ -451,7 +451,8 @@ def build_clutter_map(scene):
 
 
 def build_clutter_map_full_grid(scene):
-    """Clutter tables as the library built them before the streamed pass:
+    """Clutter tables as the library built them before the streamed pass and
+    before mirror pairs (one product column per patch, not per pair):
     meshgrid, range, phase and bins for the whole grid, the kept patches
     sorted by an int64 bin key, then every per-patch quantity at full size
     before the chunked virtual-array accumulation."""
@@ -497,6 +498,65 @@ def build_clutter_map_full_grid(scene):
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
     return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(),
                       range_res_m=scene.radio.range_res_m, patch_count=int(r.size))
+
+
+def build_clutter_map_pairs(scene):
+    """Clutter tables as the library sums them, on one thread and with every
+    per-pair array held for the whole grid at once: the x >= 0 half of the
+    grid, each patch paired with its mirror at -x (the centre column of an
+    odd nx with itself, its twin's coefficient 0), the kept pairs sorted by
+    an int64 bin key, then windows of CHUNK_PATCHES pairs adding each bin's
+    ``py @ u.T`` over its pairs, ``u = c_p px + c_q conj(px)``."""
+    cl, radio, arr = scene.clutter, scene.radio, scene.array
+    params = terrain_params(scene)
+    lam = radio.wavelength_m
+    n_bins = radio.num_subcarriers
+    xs, ys = patch_grid(cl)
+    nx, ny = xs.size, ys.size
+    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=nx * ny)
+    phase = phase.reshape(nx, ny)
+    column = np.arange(nx // 2, nx)
+    mirror = nx - 1 - column
+    x, y = (g.ravel() for g in np.meshgrid(xs[column], ys, indexing="ij"))
+    h = cl.station_height_m
+    r = np.sqrt(x * x + y * y + h * h)
+    bins = np.rint(r / radio.range_res_m).astype(int)
+    kept = np.flatnonzero(bins < n_bins)
+    kept = kept[np.argsort(bins[kept], kind="stable")]
+    x, r, bins = x[kept], r[kept], bins[kept]
+    phase_p, phase_q = phase[column].ravel()[kept], phase[mirror].ravel()[kept]
+    alone = np.repeat(column == mirror, ny)[kept]
+    grazing = np.arcsin(h / r)
+    sigma0 = gtri_reflectivity(grazing, params, lam)
+    rcs = sigma0 * cl.cell_m**2
+    amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
+                  / ((4.0 * np.pi) ** 3 * r**4))
+    c_p = amp * np.exp(1j * phase_p)
+    c_q = np.where(alone, 0.0, amp * np.exp(1j * phase_q))
+
+    wavenum = 2.0 * np.pi / lam
+    cols, rows = arr.va_cols, arr.va_rows
+    virtual = np.zeros((n_bins, rows, cols), dtype=complex)
+    tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
+    chunk = library_clutter.CHUNK_PATCHES
+    for lo in range(0, r.size, chunk):
+        part = slice(lo, lo + chunk)
+        px = _phase_powers(wavenum * arr.rx_spacing_x_m * x[part] / r[part], cols)
+        u = px * c_p[part] + np.conj(px) * c_q[part]
+        py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r[part], rows)
+        tau = 2.0 * r[part] / SPEED_OF_LIGHT
+        tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+        tone += (py[:arr.rx_rows] * tone_carrier) @ u[:arr.rx_cols].T
+        b = bins[part]
+        starts = np.flatnonzero(np.diff(b, prepend=-1))
+        for s, e in zip(starts, np.append(starts[1:], b.size)):
+            virtual[b[s]] += py[:, s:e] @ u[:, s:e].T
+
+    slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
+    tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
+              .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
+    return ClutterMap(chirp_tables=tables, tone_vec=tone.ravel(), range_res_m=radio.range_res_m,
+                      patch_count=2 * r.size - int(np.count_nonzero(alone)))
 
 
 def va_assemble_scatter(per_slot, arr):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
@@ -38,6 +38,16 @@ def assert_same_map(got, want):
     assert np.array_equal(got.chirp_tables, want.chirp_tables)
     assert np.array_equal(got.tone_vec, want.tone_vec)
     assert got.patch_count == want.patch_count
+
+
+def assert_near_map(got, want, rel):
+    """Tables and tone vector within ``rel`` of their largest magnitude,
+    with the same zero entries and patch count."""
+    assert got.chirp_tables.shape == want.chirp_tables.shape
+    assert got.patch_count == want.patch_count
+    for a, b in ((got.chirp_tables, want.chirp_tables), (got.tone_vec, want.tone_vec)):
+        assert np.abs(a - b).max() <= rel * np.abs(b).max()
+        assert np.array_equal(a == 0, b == 0)
 
 
 class TestGtri:
@@ -75,6 +85,18 @@ class TestClutterMap:
     def test_default_grid_is_two_million_patches(self, desk_clutter):
         assert desk_clutter.patch_count == 2_000_000
         assert desk_clutter.num_tx_slots == 4
+
+    # The pair build rests on it: the patch at column i and its mirror at
+    # nx - 1 - i lie at exactly opposite x.
+    @given(area=st.floats(0.51, 5000.0), cell=st.floats(0.01, 50.0))
+    @example(area=4000.0, cell=1.0)
+    @example(area=0.9, cell=0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_patch_grid_x_mirrors_exactly(self, area, cell):
+        assume(area / cell <= 2e5)
+        xs, _ = clutter.patch_grid(ClutterConfig(area_x_m=area, area_y_m=1.0, cell_m=cell))
+        assert xs.size == round(area / cell)
+        assert np.array_equal(xs[::-1], -xs)
 
     def test_station_height_required(self):
         scene = make_scene(clutter_enabled=True)
@@ -164,12 +186,22 @@ class TestClutterMap:
              standoff=2460.0, height=10.0, chunk=7, seed=5)
     @example(rx=(2, 3), tx=(2, 1), va=False, spacing=(0.4, 0.9), n=16, grid=(9, 5),
              standoff=40.0, height=3.0, chunk=60, seed=6)
+    # An odd nx, whose centre column pairs with itself; one column; one pair
+    # of columns; and a grid whose patches all lie past the last bin.
+    @example(rx=(3, 2), tx=(2, 2), va=True, spacing=(0.5, 0.5), n=32, grid=(7, 4),
+             standoff=0.0, height=20.0, chunk=3, seed=8)
+    @example(rx=(2, 2), tx=(2, 1), va=True, spacing=(0.5, 0.5), n=32, grid=(1, 6),
+             standoff=40.0, height=10.0, chunk=2, seed=9)
+    @example(rx=(2, 2), tx=(1, 2), va=True, spacing=(0.5, 0.5), n=32, grid=(2, 6),
+             standoff=40.0, height=10.0, chunk=2, seed=10)
+    @example(rx=(2, 2), tx=(2, 2), va=True, spacing=(0.5, 0.5), n=64, grid=(6, 3),
+             standoff=2520.0, height=10.0, chunk=5, seed=11)
     @settings(max_examples=60, deadline=None)
     def test_virtual_array_pass_matches_slot_element_loop(self, rx, tx, va, spacing, n, grid,
                                                           standoff, height, chunk, seed):
         # Standoffs near 2.5 km put far patches past the last range bin
-        # (c / (2 * 60 kHz)); chunks of 1..60 patches split every grid of
-        # more than one chunk, mostly not into equal parts.
+        # (c / (2 * 60 kHz)); chunks of 1..60 mirror pairs split every grid
+        # of more than one chunk, mostly not into equal parts.
         cell = 5.0
         scene = make_scene(radio=make_radio(n=n), clutter_enabled=True, seed=seed)
         arr = ArrayGeometry(rx_cols=rx[0], rx_rows=rx[1],
@@ -182,8 +214,11 @@ class TestClutterMap:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", chunk)
             got = build_clutter_map(scene)
-            # Bit for bit the build that held every per-patch array at once.
-            assert_same_map(got, oracles.build_clutter_map_full_grid(scene))
+            # Bit for bit the paired build that held every per-pair array at
+            # once, and at rounding level the one column per patch it
+            # replaced.
+            assert_same_map(got, oracles.build_clutter_map_pairs(scene))
+            assert_near_map(got, oracles.build_clutter_map_full_grid(scene), 1e-13)
         want = oracles.build_clutter_map(scene)
         assert got.chirp_tables.shape == want.chirp_tables.shape
         assert got.patch_count == want.patch_count
@@ -196,7 +231,9 @@ class TestClutterMap:
     def test_preset_map_equals_full_grid_build(self, preset, va):
         scene = validate_scene(parse_config(preset_path(preset))[0])
         scene = replace(scene, array=scene.array.with_va(va))
-        assert_same_map(build_clutter_map(scene), oracles.build_clutter_map_full_grid(scene))
+        got = build_clutter_map(scene)
+        assert_same_map(got, oracles.build_clutter_map_pairs(scene))
+        assert_near_map(got, oracles.build_clutter_map_full_grid(scene), 1e-13)
 
     # Below 2**16 subcarriers the sort keys are uint16 (the key
     # num_subcarriers marks a patch past the last bin); from 2**16 on they
@@ -212,7 +249,7 @@ class TestClutterMap:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", 7)
             got = build_clutter_map(scene)
-            assert_same_map(got, oracles.build_clutter_map_full_grid(scene))
+            assert_same_map(got, oracles.build_clutter_map_pairs(scene))
         bins = np.flatnonzero(np.abs(got.chirp_tables[0]).sum(axis=1))
         assert bins.min() < 2**16 - 1 and bins.max() == min(n, 2**16 + 10) - 1
 
@@ -230,7 +267,7 @@ class TestClutterMap:
         assert_same_map(*maps)
 
     def test_same_small_map_at_any_cpu_count(self):
-        # Chunks of 4 patches: most bins straddle many chunks, so an entry's
+        # Chunks of 4 pairs: most bins straddle many chunks, so an entry's
         # terms come from chunks that different threads computed.
         chunk = 4
         scene = make_scene(arr=make_array(tx=2, va=True), clutter_enabled=True, seed=19)
@@ -238,7 +275,7 @@ class TestClutterMap:
                                                      area_y_m=40.0, cell_m=1.0,
                                                      station_height_m=10.0))
         xs, ys = clutter.patch_grid(scene.clutter)
-        r = np.sqrt(np.add.outer(xs * xs, ys * ys) + 100.0)
+        r = np.sqrt(np.add.outer(xs[30:] ** 2, ys * ys) + 100.0)
         bins = np.rint(r / scene.radio.range_res_m).astype(int)
         assert np.bincount(bins.ravel()).max() > 10 * chunk
         maps, submitted = [], []
@@ -255,11 +292,11 @@ class TestClutterMap:
                 mp.setattr(cpus, "count", lambda: count)
                 submitted.append(0)
                 maps.append(build_clutter_map(scene))
-            assert_same_map(maps[0], oracles.build_clutter_map_full_grid(scene))
+            assert_same_map(maps[0], oracles.build_clutter_map_pairs(scene))
         assert_same_map(*maps)
         # One CPU runs every chunk on the calling thread; three hand two of
-        # every three chunks to the pool.
-        chunks = math.ceil(maps[0].patch_count / chunk)
+        # every three chunks to the pool. The 60 columns make 30 pairs.
+        chunks = math.ceil(maps[0].patch_count / 2 / chunk)
         assert submitted == [0, chunks - math.ceil(chunks / 3)]
 
     def test_chunk_error_surfaces_at_any_cpu_count(self):
@@ -274,11 +311,14 @@ class TestClutterMap:
                 with pytest.raises(ValueError, match="A must be >= 0"):
                     build_clutter_map(scene)
 
-    def test_desk_build_peak_below_22_bytes_per_patch(self, desk):
-        # Only the 32-bit patch order and the float64 phases (12 bytes a
-        # patch) are held for the whole grid, plus one chunk's temporaries:
-        # the 16-bit sort keys are freed before the phases are drawn. An intp
-        # order alone would add 4 bytes a patch.
+    def test_desk_build_peak_below_18_bytes_per_patch(self, desk):
+        # Only the 32-bit pair order over the half grid and the float64
+        # phases (10 bytes a patch) are held for the whole grid, plus one
+        # chunk's operands a build thread (about 5 MB, 2.6 bytes a patch):
+        # the 16-bit sort keys are freed before the phases are drawn. The
+        # peak read 13.2 bytes a patch at one CPU and 15.5 at two; the bound
+        # leaves 2.5 bytes a patch (5 MB) above that. An intp order alone
+        # would add 2 bytes a patch.
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         tracemalloc.start()
@@ -288,7 +328,7 @@ class TestClutterMap:
         finally:
             tracemalloc.stop()
         assert cmap.patch_count == 2_000_000
-        assert peak < 22 * cmap.patch_count
+        assert peak < 18 * cmap.patch_count
 
 
     def test_desk_build_peak_independent_of_cpu_set(self, desk):
@@ -310,7 +350,7 @@ class TestClutterMap:
             finally:
                 tracemalloc.stop()
         assert cmap.patch_count == 2_000_000
-        assert peak < 22 * cmap.patch_count
+        assert peak < 18 * cmap.patch_count
 
 
 class TestDerivedSpectra:

@@ -121,6 +121,9 @@ class TestValidation:
          "receiver.tone_noise_bandwidth must be 'pri' or 'symbol'"),
         # cpi_s / pri_s overflows to inf: no integer count, and no int(round(inf)).
         ({"radio.pri_ms": 1e-300, "radio.cpi_ms": 1e29}, "is not an integer multiple of pri_s="),
+        # round(0.4) and round(0.5) are 0: a grid with no patch.
+        ({"clutter.area_x_m": 0.4}, "clutter.area_x_m=0.4 holds no patch of cell_m=1.0"),
+        ({"clutter.area_y_m": 0.5}, "clutter.area_y_m=0.5 holds no patch of cell_m=1.0"),
     ])
     def test_every_rule_is_a_config_error(self, tmp_path, capsys, edits, message):
         raw = desk_raw()
@@ -136,6 +139,24 @@ class TestValidation:
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    # clutter-map refuses a grid with no patch instead of writing a map of
+    # none; just above half a cell, the side holds one patch.
+    def test_clutter_grid_with_no_patch_refused(self, tmp_path, capsys):
+        # The other side is 4 m by 3 m of 1 m cells.
+        for key, patches in (("area_x_m", 3), ("area_y_m", 4)):
+            raw = desk_raw()
+            raw["clutter"].update({"area_x_m": 4.0, "area_y_m": 3.0, key: 0.5})
+            cfg = tmp_path / f"{key}.yaml"
+            cfg.write_text(yaml.safe_dump(raw))
+            out = tmp_path / key
+            assert main(["clutter-map", "--config", str(cfg), "--out", str(out)]) == 3
+            assert f"clutter.{key}=0.5 holds no patch" in capsys.readouterr().err
+            assert not out.exists()
+            raw["clutter"][key] = 0.5000001
+            cfg.write_text(yaml.safe_dump(raw))
+            assert main(["clutter-map", "--config", str(cfg), "--out", str(out)]) == 0
+            assert f"patches              {patches}\n" in capsys.readouterr().out
 
 
 class TestResolution:
