@@ -89,8 +89,8 @@ class DropDraws:
     Up to :data:`AHEAD` of the cube's next blocks are queued ahead of the
     cube (:class:`~mars_jcas.cpus.Queued` on a block's values), and the
     cube takes each block it asks for: drawn on the helper thread where the
-    helper has started it, else drawn by the cube, as is every block below
-    ``cpus.PIECE_VALUES`` values, such as desk_small's. ``chirp_key``, the
+    helper has started it, else drawn by the cube, as is every block too
+    small for ``Queued`` to queue, such as desk_small's. ``chirp_key``, the
     blocks' (scale, shape) (:func:`chirp_noise_key`), queues the first
     cube's blocks when the drop's draws are made. Each block has its own
     generator, so the blocks do not depend on which thread draws them, in
@@ -388,13 +388,10 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         beats.append(beat)
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
     # Each symbol is built in place in its own contiguous (L, N) block
-    # (:func:`_build_rows`), as two row halves shared with the helper thread
-    # when a half holds at least cpus.PIECE_VALUES samples.
+    # (:func:`_build_rows`), its rows shared with the helper thread.
     chirp = np.empty((len(flat_slots), n_el, n), dtype=complex)
     spare = np.empty((n_el, n), dtype=complex)
     means = np.empty((len(flat_slots), n_el, 1), dtype=complex)
-    half = n_el // 2
-    halves = (slice(0, half), slice(half, n_el)) if half * n >= cpus.PIECE_VALUES else None
     for block, mean, (e, pri, tx_a, tx_b) in zip(chirp, means, flat_slots):
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
@@ -412,10 +409,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         si = si_amp * si_phases[:, None]
         dc = None if rec.residual_dc_db is None else si * 10.0 ** (-rec.residual_dc_db / 20.0)
         build = partial(_build_rows, block, spare, mean, terms, si, next(noise), dc)
-        if halves:
-            cpus.share((partial(build, rows) for rows in halves), half * n)
-        else:
-            build(slice(None))
+        cpus.share(lambda rows: partial(build, rows), n_el, n)
 
     # Tone branch, already integrated per PRI (sum over the symbol's N samples).
     tone = np.zeros((n_el, m_tone), dtype=complex)

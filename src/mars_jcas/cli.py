@@ -174,11 +174,13 @@ def _check_command(command, path) -> None:
 
 
 def _record(args, scene_cfg, plan, out: Path, outputs, stages=()) -> None:
-    """Write the run's ``out/manifest.json``: its command, effective config,
-    ``(name, seconds)`` stages and the sha256 of each output file."""
+    """Write the run's ``out/manifest.json``: its command, effective config
+    (without ``workers``, which sets how the drops run, not what they
+    compute), ``(name, seconds)`` stages and the sha256 of each output file."""
     effective = to_dict(scene_cfg)
     if plan is not None:
         effective["experiment"] = to_dict(plan)
+        del effective["experiment"]["workers"]
     RunManifest(
         tool="mars-jcas", version=__version__, command=_command(args),
         master_seed=plan.seed if plan is not None else scene_cfg.seed,

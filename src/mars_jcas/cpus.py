@@ -10,13 +10,13 @@ over, and the one helper thread that takes a share of a drop's work.
   use, and work reaches it one way, as a :class:`Queued` call: the chirp
   noise blocks queued ahead of the cube that reads them
   (:class:`~mars_jcas.channel.DropDraws`), each from its own generator,
-  and the claim loops of :func:`share`, whose pieces are the FA map's
-  transforms (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the
-  row halves of each IF cube symbol
-  (:func:`~mars_jcas.channel.synthesize_if_cube`). A call on fewer than
-  :data:`PIECE_VALUES` values, or one the helper has not started, runs on
-  the thread that takes it, so a process whose calls are all smaller,
-  such as a desk_small run, starts no helper.
+  and the claim loops of :func:`share`, the one owner of how work is
+  split, whose slices are the FA map's transforms
+  (:func:`~mars_jcas.estimator.fa_range_doppler_map`) and the rows of
+  each IF cube symbol (:func:`~mars_jcas.channel.synthesize_if_cube`). A
+  call on fewer than :data:`PIECE_VALUES` values, or one the helper has
+  not started, runs on the thread that takes it, so a process whose calls
+  are all smaller, such as a desk_small run, starts no helper.
 - A ``--workers`` pool process, whose siblings keep the other CPUs busy,
   calls :func:`work_on_calling_thread` and runs all of it on its calling
   thread, as at one CPU, with one BLAS thread. A serial run keeps numpy's
@@ -42,10 +42,11 @@ import numpy as np
 # chunk's operands, and the speed-ups were measured at two.
 MAX = 2
 
-# Fewest complex values a call must hold to be queued on the helper:
-# smaller calls cost more to hand over than the helper saves. Queued,
-# desk-sized pieces made desk drops 11% slower, and desk-sized chirp
-# noise blocks (8192 values) made desk_mix drop_s_p50 9-16% slower.
+# Fewest complex values a call must hold to be queued on the helper, and
+# fewest a slice of :func:`share` holds: smaller calls cost more to hand
+# over than the helper saves. Queued, desk-sized pieces made desk drops
+# 11% slower, and desk-sized chirp noise blocks (8192 values) made
+# desk_mix drop_s_p50 9-16% slower.
 PIECE_VALUES = 2**16
 
 
@@ -160,23 +161,26 @@ class _Claims:
             self._pieces = iter(())
 
 
-def share(pieces: Iterable[Callable[[], object]], values: int) -> None:
-    """Run every piece of ``pieces`` once and return when all are done.
+def share(make: Callable[[slice], Callable[[], object]], extent: int, unit: int) -> None:
+    """Do the work over ``range(extent)``, shared with the helper thread,
+    in slices of ``ceil(PIECE_VALUES / unit)`` indices, ``unit`` being the
+    complex values one index holds; return when every slice is done.
 
-    ``values`` is the number of complex values a piece holds. One claim
-    loop is a :class:`Queued` call on ``values``, and the calling thread
-    runs every piece the helper has not claimed, so a busy helper costs one
-    queued loop that finds nothing left. Below :data:`PIECE_VALUES` the
-    pieces run in order on the calling thread, as they do at one CPU and
-    in a pool worker.
+    ``make(s)`` returns the callable that does slice ``s``. It is called
+    under the claim, in slice order, so it must stay a maker: the FA map's
+    real transform copies its rows there because a later block's output
+    overwrites earlier blocks' input, and a copy made by the work would race.
 
-    ``pieces`` may be a generator: each piece is made under its claim, in
-    order. An exception a piece raises is raised here once every claimed
-    piece has finished, and the queued loop keeps no piece once this
-    returns.
+    One claim loop is a :class:`Queued` call on the values past the first
+    slice, and the calling thread claims slices until none is left, so a
+    range of one slice, or one and a remainder under :data:`PIECE_VALUES`
+    values, runs in order on the calling thread. An exception a slice
+    raises is raised here once every claimed slice has finished, and the
+    queued loop keeps no slice once this returns.
     """
-    claims = _Claims(pieces)
-    loop = Queued(claims.run, values=values)
+    step = -(-PIECE_VALUES // unit)
+    claims = _Claims(make(slice(lo, min(lo + step, extent))) for lo in range(0, extent, step))
+    loop = Queued(claims.run, values=unit * (extent - step))
     try:
         claims.run()
     finally:

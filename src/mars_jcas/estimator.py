@@ -58,7 +58,6 @@ class CoarsePeak:
     sin_psi_x: float
     sin_psi_y: float
     velocity_mps: float
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
             bin_x=int(bx), bin_y=int(by), bin_v=int(bv),
             sin_psi_x=avmap.sin_x(bx), sin_psi_y=avmap.sin_y(by),
             velocity_mps=avmap.velocity(bv),
-            magnitude=float(avmap.values[bx, by, bv]),
         ))
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
@@ -412,10 +410,6 @@ def _lag_cells(m: int, n: int, sub_bytes: bytes) -> tuple:
     return tuple(blocks)
 
 
-# Rows of the FA lag grid one real-transform block copies out.
-_FA_ROWS = 64
-
-
 def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
                          radio: RadioParams) -> np.ndarray:
     """Correlate per-symbol subcarrier measurements against delay/Doppler
@@ -452,12 +446,11 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     # row is too: transform the non-negative subcarrier lags, then take the
     # real inverse FFT of the conjugate half spectrum (numpy's hfft, without
     # its conjugate copy). Both transforms are shared with the helper thread
-    # (cpus.share): the Doppler one in column chunks of at least
-    # cpus.PIECE_VALUES cells, the real one in its row blocks. Each column
-    # and row is transformed on its own, so no split changes a bit.
-    cols = min(-(-cpus.PIECE_VALUES // m), half)
-    cpus.share((partial(np.fft.ifft, grid[:, lo:lo + cols], axis=0, norm="forward",
-                        out=grid[:, lo:lo + cols]) for lo in range(0, half, cols)), m * cols)
+    # in the slices cpus.share cuts: the Doppler one by columns, the real
+    # one by rows. Each column and row is transformed on its own, so no
+    # split changes a bit.
+    cpus.share(lambda cols: partial(np.fft.ifft, grid[:, cols], axis=0, norm="forward",
+                                    out=grid[:, cols]), half, m)
     # The real transform writes over the grid's own buffer, viewed as (M, N)
     # floats, a block of rows at a time from a copy of the block: an output
     # row (8N bytes) is shorter than an input row (16(N//2 + 1) bytes), so a
@@ -465,9 +458,8 @@ def fa_range_doppler_map(fa_meas: np.ndarray, schedule: MarsSchedule,
     # A block is copied when it is claimed, in row order, so every earlier
     # block was copied already.
     power = grid.view(float).ravel()[:m * n].reshape(m, n)
-    blocks = (slice(lo, lo + _FA_ROWS) for lo in range(0, m, _FA_ROWS))
-    cpus.share((partial(np.fft.irfft, grid[rows].copy(), n=n, axis=1, norm="forward",
-                        out=power[rows]) for rows in blocks), min(m, _FA_ROWS) * half)
+    cpus.share(lambda rows: partial(np.fft.irfft, grid[rows].copy(), n=n, axis=1,
+                                    norm="forward", out=power[rows]), m, half)
     return power
 
 

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 import yaml
 
+from mars_jcas import cpus
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import build_clutter_map
 from mars_jcas.harness import compile_run, drop_scene, run_drop
 from mars_jcas.io import parse_config
+from mars_jcas.pipeline import PipelineSpec
 from mars_jcas.scene import (
     ArrayGeometry,
     ClutterConfig,
@@ -75,6 +78,16 @@ def on_grid_target(scene, *, range_bin=60, vel_bin=10, x_bin=1, y_bin=-1, rcs=10
     )
 
 
+# The five pipelines the desk_mc acceptance run compares.
+DESK_MC = (
+    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", va=True),
+    PipelineSpec(structure="lshape", suppressor="stap", eps_mode="zero", va=True),
+    PipelineSpec(structure="fa", suppressor="mf", eps_mode="inf"),
+    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf"),
+    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", refinement="music"),
+)
+
+
 # desk_small waveform changes that each break the schedule of its first
 # pipeline group (comb with VA), not the scene's own: (change, message).
 BAD_DESK_WAVEFORMS = [
@@ -124,3 +137,49 @@ def drop_records(scene, plan, drop_index, clutter=None, point=0):
     run = compiled(scene, plan, clutter)
     value, at, groups = run.points[point]
     return run_drop(at, run, drop_index, groups, value)
+
+
+# Helper-thread schedules: stand-ins for cpus.helper() that fix when the
+# helper runs what is queued on it.
+class AtSubmission:
+    """A helper that runs each call when it is submitted."""
+
+    @staticmethod
+    def submit(fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class Never:
+    """A helper that never runs a call."""
+
+    @staticmethod
+    def submit(fn, *args):
+        return Future()
+
+
+class Stepped:
+    """A helper stepped one piece at a time, alternating with the caller:
+    each time the caller claims a piece, the helper claims the next and
+    runs it before the caller runs its own. It never runs any other call,
+    such as a chirp noise draw."""
+
+    @staticmethod
+    def submit(fn, *args):
+        claims = getattr(fn, "__self__", None)
+        if isinstance(claims, cpus._Claims):
+            take = claims.take
+
+            def caller_take():
+                piece = take()
+                mine = take()
+                if mine is not None:
+                    mine()
+                return piece
+
+            claims.take = caller_take
+        return Future()

@@ -11,15 +11,17 @@ import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compiled, drop_at, make_array, make_radio, make_scene
+from conftest import (DESK_MC, AtSubmission, Never, Stepped, compiled, drop_at, drop_records,
+                      make_array, make_radio, make_scene)
 from mars_jcas import cpus, harness
 from mars_jcas.channel import DropDraws, synthesize_if_cube
 from mars_jcas.cli import preset_path
@@ -32,50 +34,6 @@ from mars_jcas.scene import Target, validate_scene
 from mars_jcas.waveform import build_schedule
 
 RNG = np.random.default_rng
-
-
-class AtSubmission:
-    """A helper that runs each call when it is submitted."""
-
-    @staticmethod
-    def submit(fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-class Never:
-    """A helper that never runs a call."""
-
-    @staticmethod
-    def submit(fn, *args):
-        return Future()
-
-
-class Stepped:
-    """A helper stepped one piece at a time, alternating with the caller:
-    each time the caller claims a piece, the helper claims the next and
-    runs it before the caller runs its own. It never runs any other call,
-    such as a chirp noise draw."""
-
-    @staticmethod
-    def submit(fn, *args):
-        claims = getattr(fn, "__self__", None)
-        if isinstance(claims, cpus._Claims):
-            take = claims.take
-
-            def caller_take():
-                piece = take()
-                mine = take()
-                if mine is not None:
-                    mine()
-                return piece
-
-            claims.take = caller_take
-        return Future()
 
 
 # The schedules the pieces run under. None: no helper, as at one CPU.
@@ -103,16 +61,17 @@ class TestShareSchedules:
     @given(l=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]), n=st.integers(2, 48),
            m=st.integers(1, 200), targets=st.integers(0, 2), clutter=st.booleans(),
            residual=st.sampled_from([None, 40.0]), seed=st.integers(0, 2**32 - 1))
-    @example(l=(3, 2), n=48, m=40, targets=1, clutter=True, residual=40.0, seed=1)   # M < 64
-    @example(l=(2, 2), n=32, m=129, targets=2, clutter=False, residual=None, seed=2)  # M % 64 == 1
+    @example(l=(3, 2), n=48, m=40, targets=1, clutter=True, residual=40.0, seed=1)   # cube shared
+    @example(l=(2, 2), n=32, m=129, targets=2, clutter=False, residual=None, seed=2)  # 1-row last
     @example(l=(3, 1), n=9, m=150, targets=0, clutter=True, residual=None, seed=3)   # M > N, odd N
     @example(l=(1, 1), n=4, m=65, targets=0, clutter=False, residual=None, seed=4)   # all below
     @settings(max_examples=40, deadline=None)
     def test_every_schedule_gives_the_one_cpu_result(self, l, n, m, targets, clutter, residual,
                                                      seed):
-        # Pieces of 128 values: a cube half of L/2 rows x N samples, a
-        # Doppler chunk of M rows and a 64-row real-transform block fall on
-        # either side of the rule as (L, M, N) vary.
+        # Slices of at least 128 values: the cube's rows of N samples, the
+        # Doppler transform's columns of M cells and the real transform's
+        # rows of N//2 + 1 cells are cut into one slice, one and a small
+        # remainder, or many as (L, M, N) vary.
         rng = RNG(seed)
         radio = make_radio(n=n)
         scene = make_scene(radio=radio, arr=make_array(cols=l[0], rows=l[1]),
@@ -222,12 +181,11 @@ class TestShare:
 
     def test_every_piece_runs_once(self, two_cpus):
         # The claim is the only shared state: with the interpreter switching
-        # threads every microsecond, also while a piece is being made, no
-        # piece may run twice or be skipped.
-        def pieces(ran):
-            for i in range(16):
-                sum(range(500))
-                yield lambda i=i: ran.append(i)
+        # threads every microsecond, also while a slice's work is being
+        # made, no slice may run twice or be skipped.
+        def make(ran, rows):
+            sum(range(500))
+            return lambda: ran.append(rows)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -235,45 +193,74 @@ class TestShare:
             deadline = time.monotonic() + 20.0
             for _ in range(200):
                 ran = []
-                cpus.share(pieces(ran), cpus.PIECE_VALUES)
-                assert sorted(ran) == list(range(16))
+                cpus.share(partial(make, ran), 16, cpus.PIECE_VALUES)
+                assert sorted(ran, key=lambda s: s.start) == [slice(i, i + 1) for i in range(16)]
                 assert time.monotonic() < deadline
         finally:
             sys.setswitchinterval(previous)
 
-    def test_small_pieces_run_in_order_on_the_calling_thread(self, two_cpus):
-        ran = []
-        cpus.share((lambda i=i: ran.append((i, threading.get_ident())) for i in range(8)),
-                   cpus.PIECE_VALUES - 1)
-        assert ran == [(i, threading.get_ident()) for i in range(8)]
+    @pytest.mark.parametrize("extent, unit, slices", [
+        (3, cpus.PIECE_VALUES, [(0, 1), (1, 2), (2, 3)]),
+        (9, cpus.PIECE_VALUES // 4, [(0, 4), (4, 8), (8, 9)]),
+        (5, cpus.PIECE_VALUES // 2 + 1, [(0, 2), (2, 4), (4, 5)]),
+        (cpus.PIECE_VALUES, 1, [(0, cpus.PIECE_VALUES)]),
+        (10, 7, [(0, 10)])])
+    def test_slices_of_at_least_piece_values(self, monkeypatch, extent, unit, slices):
+        # Each slice spans ceil(PIECE_VALUES / unit) indices, the last what
+        # is left, handed to the maker in order; a range of two full
+        # slices or more is queued on the helper.
+        made, asked = [], []
+        monkeypatch.setattr(cpus, "helper", lambda: asked.append(1) or AtSubmission)
+        cpus.share(lambda rows: partial(made.append, rows), extent, unit)
+        assert made == [slice(lo, hi) for lo, hi in slices]
+        assert len(asked) == (len(slices) > 1)
+
+    def test_small_pieces_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # One slice, or one and a remainder of fewer than cpus.PIECE_VALUES
+        # values, never asks for the helper: the slices run in order on the
+        # calling thread. Two full slices are queued.
+        def no_helper():
+            raise AssertionError("a small range asked for the helper")
+
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        monkeypatch.setattr(cpus, "helper", no_helper)
+        step = cpus.PIECE_VALUES
+        for extent in (1, step, 2 * step - 1):
+            ran = []
+            cpus.share(lambda rows: lambda: ran.append((rows, threading.get_ident())),
+                       extent, 1)
+            assert ran == [(slice(lo, min(lo + step, extent)), threading.get_ident())
+                           for lo in range(0, extent, step)]
+        with pytest.raises(AssertionError, match="asked for the helper"):
+            cpus.share(lambda rows: lambda: None, 2 * step, 1)
 
     def test_helper_error_surfaces_after_claimed_pieces(self, two_cpus):
-        # The caller's pieces wait until the helper has claimed one, which
+        # The caller's slices wait until the helper has claimed one, which
         # raises; the caller runs the rest, and only then does share raise.
         caller = threading.get_ident()
         claimed, done, raised = threading.Event(), [], []
 
-        def piece(i):
+        def work(rows):
             if threading.get_ident() != caller:
                 claimed.set()
-                raised.append(ValueError(f"piece {i} failed"))
+                raised.append(ValueError(f"slice {rows.start} failed"))
                 raise raised[-1]
             assert claimed.wait(10)
             time.sleep(0.002)
-            done.append(i)
+            done.append(rows.start)
 
         with pytest.raises(ValueError, match="failed") as exc:
-            cpus.share((lambda i=i: piece(i) for i in range(6)), cpus.PIECE_VALUES)
+            cpus.share(lambda rows: partial(work, rows), 6, cpus.PIECE_VALUES)
         assert exc.value is raised[0]
         assert len(done) == 5
 
     def test_caller_error_waits_for_helper_piece(self, two_cpus):
-        # The caller's first piece raises while the helper runs its first:
-        # share raises once that piece is done, and no further one starts.
+        # The caller's first slice raises while the helper runs its first:
+        # share raises once that slice is done, and no further one starts.
         caller = threading.get_ident()
         started, log = threading.Event(), []
 
-        def piece():
+        def work():
             if threading.get_ident() != caller:
                 started.set()
                 time.sleep(0.05)
@@ -283,7 +270,7 @@ class TestShare:
             raise KeyError("caller failed")
 
         with pytest.raises(KeyError, match="caller failed"):
-            cpus.share((piece for _ in range(20)), cpus.PIECE_VALUES)
+            cpus.share(lambda rows: work, 20, cpus.PIECE_VALUES)
         assert log == ["helper done"]
 
     def test_helper_error_in_a_drop_is_the_drop_error_cause(self, monkeypatch, two_cpus):
@@ -338,6 +325,57 @@ class TestShare:
         finally:
             release.set()
             busy.result(timeout=10)
+
+
+class TestSlicesAtPresetSizes:
+    @staticmethod
+    def slices_of_a_drop(preset, pipelines):
+        """Per cpus.share call of one drop of ``preset``, clutter off:
+        (extent, unit, the (start, stop) of each slice in the order made)."""
+        scene_cfg, plan = parse_config(preset_path(preset))
+        scene = validate_scene(scene_cfg)
+        calls, share = [], cpus.share
+
+        def counted(make, extent, unit):
+            made = []
+            calls.append((extent, unit, made))
+            share(lambda s: made.append((s.start, s.stop)) or make(s), extent, unit)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(cpus, "share", counted)
+            drop_records(scene, replace(plan, pipelines=pipelines), 0)
+        return calls
+
+    def test_table1_car_slices(self):
+        # Each cube symbol: two slices of 32 of its 64 rows of 2048 samples.
+        # The FA map (M = 500, N = 2048): the Doppler transform in 8 chunks
+        # of at most 132 of its 1025 columns, the real one in 8 blocks of at
+        # most 64 of its 500 rows.
+        calls = self.slices_of_a_drop("table1_car", (
+            PipelineSpec(structure="comb", suppressor="sthp"),
+            PipelineSpec(structure="fa", suppressor="mf")))
+        cube = [made for extent, unit, made in calls if (extent, unit) == (64, 2048)]
+        assert len(cube) == 4 and all(made == [(0, 32), (32, 64)] for made in cube)
+        cols = [(lo, min(lo + 132, 1025)) for lo in range(0, 1025, 132)]
+        rows = [(lo, min(lo + 64, 500)) for lo in range(0, 500, 64)]
+        assert len(cols) == len(rows) == 8
+        assert [c for c in calls if (c[0], c[1]) != (64, 2048)] == [
+            (1025, 500, cols), (500, 1025, rows)]
+
+    def test_desk_small_one_slice_and_no_helper(self, monkeypatch):
+        # desk_small's cube rows (16 x 512 samples, VA or not) and FA map
+        # (M = 64, N = 512) are one slice each, and at two CPUs the drop
+        # never asks for the helper.
+        def no_helper():
+            raise AssertionError("a desk_small drop asked for the helper")
+
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        monkeypatch.setattr(cpus, "helper", no_helper)
+        calls = self.slices_of_a_drop("desk_small", DESK_MC)
+        assert {(extent, unit) for extent, unit, _ in calls} == {(16, 512), (257, 64),
+                                                                 (64, 257)}
+        assert all(made == [(0, extent)] for extent, _, made in calls)
 
 
 def blas_threads():

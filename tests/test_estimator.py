@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 import oracles
-from conftest import make_array, make_radio, ura
-from mars_jcas import estimator
+from conftest import AtSubmission, Stepped, make_array, make_radio, ura
+from mars_jcas import cpus, estimator
 from mars_jcas.cli import preset_path
 from mars_jcas.estimator import (
     AngleVelocityMap,
@@ -859,22 +859,29 @@ class TestFaMap:
 
     @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 4), m=st.integers(2, 160),
            n=st.integers(1, 40), pool=st.sampled_from([None, 1, 3]))
-    @example(seed=7, l=2, m=150, n=9, pool=None)   # odd N, M > N, three transform blocks
-    @example(seed=8, l=3, m=64, n=64, pool=None)   # one full transform block
-    @example(seed=9, l=1, m=129, n=4, pool=3)      # a one-row last block, repeats
+    @example(seed=7, l=2, m=150, n=9, pool=None)   # odd N, M > N
+    @example(seed=8, l=3, m=64, n=64, pool=None)   # M = N, a one-row last block of three
+    @example(seed=9, l=1, m=129, n=4, pool=3)      # repeats
     @example(seed=10, l=2, m=70, n=1, pool=None)   # N = 1: 8-byte rows over 16-byte rows
     @settings(max_examples=60, deadline=None)
     def test_in_place_transform_equals_out_of_place_oracle(self, seed, l, m, n, pool):
-        # The real transform writes over the lag grid, estimator._FA_ROWS
-        # rows at a time; it must give the map the whole-grid irfft gave.
-        assert estimator._FA_ROWS == 64
+        # The real transform writes over the lag grid a block of rows at a
+        # time, in the slices cpus.share cuts: blocks of 1 row, 3 rows and
+        # the whole grid, each under a helper that runs its share when
+        # queued and one that runs the block after the caller's first, must
+        # give the map the whole-grid irfft gave.
         rng = RNG(seed)
         sub = rng.integers(0, n if pool is None else min(pool, n), size=m)
         radio, sched = self._fa_case(m, n, sub)
         meas = rng.normal(size=(l, m)) + 1j * rng.normal(size=(l, m))
-        got = fa_range_doppler_map(meas, sched, radio)
         want = oracles.fa_range_doppler_map_out_of_place(meas, sched, radio)
-        assert np.array_equal(got, want)
+        for rows in (1, 3, m):
+            for helper in (AtSubmission, Stepped):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(cpus, "PIECE_VALUES", rows * (n // 2 + 1))
+                    mp.setattr(cpus, "helper", lambda: helper)
+                    got = fa_range_doppler_map(meas, sched, radio)
+                assert np.array_equal(got, want), (rows, helper)
 
     def test_lag_cells_keyed_on_subcarriers_not_shape(self):
         # Two draws with the same (M, N) in one process: a cache keyed on the
@@ -1011,5 +1018,5 @@ def test_maps_music_and_scoring_share_one_velocity_grid(monkeypatch):
     # MUSIC scans coarse + {-1, 0, 1} steps (factor 1); take the last candidate.
     monkeypatch.setattr(estimator, "_music_scan", lambda e_s, cand: cand.shape[1] - 1)
     peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,
-                      velocity_mps=0.0, magnitude=1.0)
+                      velocity_mps=0.0)
     assert music_refine(y, peak, arr, radio, factor=1)[0] == grid

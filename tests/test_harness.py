@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     BAD_DESK_WAVEFORMS,
+    DESK_MC,
     compiled,
     desk_raw,
     drop_at,
@@ -60,16 +61,6 @@ from mars_jcas.pipeline import PipelineSpec, run_fa_pipeline
 from mars_jcas.scene import ClutterConfig, Target, validate_scene
 from mars_jcas.seeding import derive_seed
 
-# The five pipelines the desk_mc acceptance run compares.
-DESK_MC = (
-    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", va=True),
-    PipelineSpec(structure="lshape", suppressor="stap", eps_mode="zero", va=True),
-    PipelineSpec(structure="fa", suppressor="mf", eps_mode="inf"),
-    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf"),
-    PipelineSpec(structure="comb", suppressor="sthp", eps_mode="inf", refinement="music"),
-)
-
-
 def threads_running_pieces(pieces=8):
     """The threads that ran each of ``pieces`` shared pieces, each long
     enough for a helper thread to claim some."""
@@ -79,7 +70,7 @@ def threads_running_pieces(pieces=8):
         time.sleep(0.002)
         ran.append(threading.get_ident())
 
-    cpus.share((piece for _ in range(pieces)), cpus.PIECE_VALUES)
+    cpus.share(lambda rows: piece, pieces, cpus.PIECE_VALUES)
     assert len(ran) == pieces
     return set(ran)
 

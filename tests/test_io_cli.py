@@ -1215,6 +1215,33 @@ class TestCli:
         for name in ("curves.csv", "records.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_workers_stay_out_of_the_config_hash(self, tmp_path, capsys):
+        # --workers sets how the drops run, not what they compute: runs with
+        # one and two workers write the same outputs under the same config
+        # hash, and the command keeps the option. A manifest whose effective
+        # config still carries experiment.workers replays ok.
+        cfg = self._fast_config(tmp_path)
+        manifests = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            assert main(["montecarlo", "--config", str(cfg), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        one, two = manifests
+        assert "workers" not in one["effective_config"]["experiment"]
+        assert one["effective_config"] == two["effective_config"]
+        assert one["config_hash"] == two["config_hash"]
+        assert one["outputs"] == two["outputs"]
+        assert two["command"][-2:] == ["--workers", "2"]
+        two["effective_config"]["experiment"]["workers"] = 2
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(two))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(old), "--out", str(tmp_path / "again")]) == 0
+        report = capsys.readouterr().out
+        for name in ("curves.csv", "records.csv"):
+            assert re.search(rf"^{re.escape(name)}\s+ok$", report, re.MULTILINE)
+
     def test_montecarlo_timings_unhashed_and_replay_identical(self, tmp_path, capsys):
         cfg = self._fast_config(tmp_path, drops=3)
         raw = yaml.safe_load(cfg.read_text())

@@ -210,7 +210,7 @@ class TestFrontEnd:
                       schedule=sched, sample_rate_hz=1.0)
         # The second peak sits off the coarse grid, between candidate bins.
         peaks = [CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=sx, sin_psi_y=sy,
-                            velocity_mps=v, magnitude=1.0)
+                            velocity_mps=v)
                  for sx, sy, v in ((0.0, 0.0, velocity),
                                    (0.3 / rx[0], -0.1 / rx[1], velocity + 7.9))]
         pipe = PipelineSpec(suppressor=suppressor, eps_mode=eps, va=va)
