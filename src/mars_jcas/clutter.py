@@ -58,10 +58,11 @@ def gtri_reflectivity(grazing_rad, params: GtriParams, wavelength_m: float):
     if params.d < 0 or params.sigma_h_m < 0:
         raise ValueError("gtri_reflectivity: D and sigma_h must be >= 0")
     base = delta + params.c
-    if np.any(base < 0) and params.b != int(params.b):
-        raise ValueError("gtri_reflectivity: (delta + C) < 0 with non-integer B")
+    if np.any(base < 0):
+        raise ValueError("gtri_reflectivity: (delta + C) must be >= 0")
     rough = math.exp(-params.d / (1.0 + 0.1 * params.sigma_h_m / wavelength_m))
-    out = params.a * base**params.b * rough
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = params.a * base**params.b * rough
     return out if out.ndim else float(out)
 
 

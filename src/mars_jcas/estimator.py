@@ -52,9 +52,6 @@ class AngleVelocityMap:
 class CoarsePeak:
     """One STTE extraction from the angle-velocity map."""
 
-    bin_x: int
-    bin_y: int
-    bin_v: int
     sin_psi_x: float
     sin_psi_y: float
     velocity_mps: float
@@ -92,30 +89,17 @@ def column_compress(tone_raw: np.ndarray, n: int) -> np.ndarray:
     return tone_raw.reshape(l, cols // n, n).sum(axis=2)
 
 
-def expand_nn_indices(y_s2: np.ndarray, num_pri: int, chirp_pris: Sequence[int]) -> np.ndarray:
-    """Nearest-preceding-neighbour expansion of the compressed tone branch
-    to all ``num_pri`` columns; chirp PRIs copy the latest earlier tone PRI.
-
-    With g(m) = |{chirp PRIs < m}| the source column is m - g(m) for tone
-    PRIs and m - g(m) - 1 for chirp PRIs, which requires every chirp PRI
-    index to be >= 1.
-    """
-    chirp = np.zeros(num_pri, dtype=bool)
-    chirp_pris = np.asarray(list(chirp_pris), dtype=int)
-    if chirp_pris.size and chirp_pris.min() < 1:
-        raise ValueError("expand_nn: chirp PRI index 0 has no preceding neighbour")
-    chirp[chirp_pris] = True
-    expected = num_pri - int(chirp.sum())
-    if y_s2.shape[1] != expected:
-        raise ValueError(f"expand_nn: got {y_s2.shape[1]} compressed columns, "
-                         f"expected {expected}")
-    g = np.concatenate([[0], np.cumsum(chirp)[:-1]])
-    src = np.arange(num_pri) - g - chirp.astype(int)
-    return y_s2[:, src]
-
-
 def expand_nn(y_s2: np.ndarray, schedule: MarsSchedule) -> np.ndarray:
-    return expand_nn_indices(y_s2, schedule.num_pri, schedule.chirp_slot_pris())
+    """Nearest-preceding-neighbour expansion of the compressed tone branch,
+    one column per tone PRI of ``schedule``, to all its PRIs: a chirp PRI
+    copies the latest earlier tone PRI, so PRI 0 must carry a tone."""
+    tone = schedule.tone_pri_indices()
+    if not tone.size or tone[0] != 0:
+        raise ValueError("expand_nn: PRI 0 carries no tone, so it has no preceding neighbour")
+    if y_s2.shape[1] != tone.size:
+        raise ValueError(f"expand_nn: got {y_s2.shape[1]} compressed columns, "
+                         f"expected {tone.size}")
+    return y_s2[:, np.searchsorted(tone, np.arange(schedule.num_pri), side="right") - 1]
 
 
 def angle_velocity_map(y_e2: np.ndarray, arr: ArrayGeometry,
@@ -155,7 +139,6 @@ def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
             raise ValueError(f"stte_peaks: only {len(peaks)} extractable maxima, "
                              f"requested {k}")
         peaks.append(CoarsePeak(
-            bin_x=int(bx), bin_y=int(by), bin_v=int(bv),
             sin_psi_x=avmap.sin_x(bx), sin_psi_y=avmap.sin_y(by),
             velocity_mps=avmap.velocity(bv),
         ))
@@ -245,15 +228,10 @@ def temporal_steering(velocity_mps: float, schedule: MarsSchedule,
     return np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * t_w)
 
 
-def space_time_steering(velocity_mps: float, sin_psi_x, sin_psi_y,
-                        arr: ArrayGeometry, schedule: MarsSchedule,
-                        radio: RadioParams) -> np.ndarray:
-    """Temporal Doppler factor Kronecker-left of the spatial URA steering.
-    ``arr``'s aperture must match the data rows (a VA geometry for assembled data).
-    Arrays of C sin-angle pairs give one column per pair, (W*L, C)."""
-    a_2d = steering_ura_from_sin(sin_psi_x, sin_psi_y, arr, radio.wavelength_m)
-    a_t = temporal_steering(velocity_mps, schedule, radio)
-    return (a_t.reshape(a_t.shape + (1,) * a_2d.ndim) * a_2d).reshape((-1,) + a_2d.shape[1:])
+def space_time_steering(a_t: np.ndarray, a_s: np.ndarray) -> np.ndarray:
+    """Temporal steering (W,) Kronecker-left of the spatial steering (L,) or,
+    one column per angle pair, (L, C): the outer product, (W, L[, C])."""
+    return a_t.reshape(a_t.shape + (1,) * a_s.ndim) * a_s
 
 
 def interference_cov(y_st: np.ndarray) -> np.ndarray:

@@ -151,16 +151,15 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
     row_slot = np.arange(rows.size) // scene.array.num_rx
     slot_phase = np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * row_slot
                         * radio.pri_s)[:, None]
+    a_t = temporal_steering(velocity_mps, front.schedule, radio)
+    if pipe.suppressor == "sthp" and at_blind_speed(a_t):
+        return None
+    a_s = steering_ura_from_sin(sin_x, sin_y, geom, radio.wavelength_m)[rows]
     if pipe.suppressor == "sthp":
-        a_t = temporal_steering(velocity_mps, front.schedule, radio)
-        if at_blind_speed(a_t):
-            return None
-        a_s = steering_ura_from_sin(sin_x, sin_y, geom, radio.wavelength_m)[rows] * slot_phase
-        d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s, pipe.eps_mode,
+        d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s * slot_phase, pipe.eps_mode,
                                              range_res_m=dr)
     else:
-        a_st = space_time_steering(velocity_mps, sin_x, sin_y, geom, front.schedule, radio)
-        a_st = (a_st.reshape(-1, rows.size, sin_x.size)[:, rows] * slot_phase).reshape(a_st.shape)
+        a_st = (space_time_steering(a_t, a_s) * slot_phase).reshape(-1, sin_x.size)
         d, rng_m, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode, range_res_m=dr)
     peak_mag = np.abs(d[np.arange(bins.size), bins])
     k = int(np.argmax(peak_mag))

@@ -20,7 +20,10 @@ build before it streamed chunks over the patch order), the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
 pipeline front end replaced (on the element-major (L, W*N) chirp layout,
 with its occasion interleave, and each VA slot's rows rotated back by the
-target's Doppler, which the range stage's steering now carries), and the
+target's Doppler, which the range stage's steering now carries), the
+space-time steering built from the geometry, schedule and radio, with
+STAP's steering composed from it as the range stage first did (rows
+gathered into snapshot order, then each row's slot phase), and the
 chirp branch synthesized one symbol at a time with complex noise and a
 final concatenation into that layout. Scoring is kept as it was with the
 grid wrap written twice: the matching distance from numpy bin differences,
@@ -70,6 +73,7 @@ from mars_jcas.estimator import (
     epsilon_m,
     fa_angle_snapshot,
     signed_bin,
+    temporal_steering,
     va_assemble,
 )
 from mars_jcas.harness import TargetRecord
@@ -581,6 +585,28 @@ def interleave_space_time(chirp_branch, n):
     l, cols = chirp_branch.shape
     w = cols // n
     return chirp_branch.reshape(l, w, n).transpose(1, 0, 2).reshape(w * l, n)
+
+
+def space_time_steering(velocity_mps, sin_psi_x, sin_psi_y, arr, schedule, radio):
+    """Temporal Doppler factor Kronecker-left of the spatial URA steering on
+    ``arr``'s aperture: (W*L,), or one column per sin-angle pair, (W*L, C)."""
+    a_2d = library_ura_steering(sin_psi_x, sin_psi_y, arr, radio.wavelength_m)
+    a_t = temporal_steering(velocity_mps, schedule, radio)
+    return (a_t.reshape(a_t.shape + (1,) * a_2d.ndim) * a_2d).reshape((-1,) + a_2d.shape[1:])
+
+
+def stap_row_steering(velocity_mps, sin_psi_x, sin_psi_y, front, scene):
+    """STAP's steering of a front end's snapshot rows, composed from the
+    geometry: the space-time steering on ``front.geom``, its rows gathered
+    into snapshot order per occasion, then times each row's VA slot phase."""
+    radio, rows = scene.radio, front.virtual_row
+    a_st = space_time_steering(velocity_mps, sin_psi_x, sin_psi_y, front.geom,
+                               front.schedule, radio)
+    row_slot = np.arange(rows.size) // scene.array.num_rx
+    slot_phase = np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * row_slot
+                        * radio.pri_s)[:, None]
+    gathered = a_st.reshape(-1, rows.size, np.size(sin_psi_x))[:, rows]
+    return (gathered * slot_phase).reshape(a_st.shape)
 
 
 def compensated_space_time(cube, scene, doppler_hz):

@@ -68,7 +68,7 @@ class TestGtri:
 
     def test_negative_base_non_integer_exponent(self):
         params = GtriParams(a=1.0, b=0.5, c=-0.2, d=0.0, sigma_h_m=0.0)
-        with pytest.raises(ValueError, match="non-integer"):
+        with pytest.raises(ValueError, match=r"\(delta \+ C\) must be >= 0"):
             gtri_reflectivity(0.1, params, 0.06)
 
     def test_negative_grazing_rejected(self):

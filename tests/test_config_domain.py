@@ -198,6 +198,8 @@ def _run(argv) -> int:
 @example(edits=(((("receiver",), "residual_dc_db"), -6166.0),))
 @example(edits=(((("clutter",), "enabled"), True), ((("clutter",), "gtri_a"), -1.0)))
 @example(edits=(((("clutter",), "enabled"), True), ((("clutter",), "gtri_d"), -1075.0)))
+@example(edits=(((("clutter",), "enabled"), True), ((("clutter",), "gtri_c"), -0.5),
+                ((("clutter",), "gtri_b"), -3.0)))
 # The config's own targets in simulate's cubes: two under MUSIC (K = 2), and
 # one of the largest RCS, whose echo leaves MUSIC's snapshots rank 1.
 @example(edits=((((), "targets"), [

@@ -23,7 +23,6 @@ from mars_jcas.estimator import (
     column_compress,
     epsilon_m,
     expand_nn,
-    expand_nn_indices,
     fa_range_doppler_map,
     interference_cov,
     music_refine,
@@ -44,7 +43,7 @@ from mars_jcas.scene import (
     steering_ura_from_sin,
     validate_scene,
 )
-from mars_jcas.waveform import build_schedule
+from mars_jcas.waveform import MarsSchedule, build_schedule
 from oracles import unshape_space_time
 
 LAM = C0 / 5e9  # conftest radio wavelength
@@ -101,40 +100,60 @@ def brute_nearest_preceding(y, num_pri, chirp_pris):
     return out
 
 
+def chirp_schedule(num_pri, chirp_pris):
+    """A schedule of single-slot chirp occasions at ``chirp_pris``, free of
+    build_schedule's occasion and power rules (PRI 0 included)."""
+    occasions = tuple(int(p) for p in chirp_pris)
+    return MarsSchedule(num_pri, "comb", occasions, 0, 1, 0, 1,
+                        tuple(((p, 0, 0),) for p in occasions), np.ones(num_pri), 1.0)
+
+
 class TestExpandNn:
     def test_spec_worked_example(self):
         y = np.arange(3)[None, :].astype(complex)
-        out = expand_nn_indices(y, 5, [1, 3])
+        out = expand_nn(y, chirp_schedule(5, [1, 3]))
         np.testing.assert_allclose(out[0].real, [0, 0, 1, 1, 2])
 
     def test_no_chirps_is_identity(self):
         y = RNG(0).normal(size=(2, 6)) + 0j
-        np.testing.assert_allclose(expand_nn_indices(y, 6, []), y)
+        np.testing.assert_allclose(expand_nn(y, chirp_schedule(6, [])), y)
 
     def test_against_brute_force(self):
         rng = RNG(1)
         y = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
-        got = expand_nn_indices(y, 12, [2, 5, 9])
+        got = expand_nn(y, chirp_schedule(12, [2, 5, 9]))
         np.testing.assert_allclose(got, brute_nearest_preceding(y, 12, [2, 5, 9]))
 
     def test_chirp_at_zero_rejected(self):
+        # build_schedule refuses such a schedule; a cube file may still hold one.
         with pytest.raises(ValueError, match="preceding"):
-            expand_nn_indices(np.ones((1, 4)), 5, [0])
+            expand_nn(np.ones((1, 4)), chirp_schedule(5, [0]))
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="compressed columns"):
-            expand_nn_indices(np.ones((1, 4)), 5, [1, 2])
+            expand_nn(np.ones((1, 4)), chirp_schedule(5, [1, 2]))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_property_matches_brute_force(self, data):
-        num_pri = data.draw(st.integers(4, 24))
-        chirp = data.draw(st.sets(st.integers(1, num_pri - 1), max_size=num_pri - 2))
-        chirp = sorted(chirp)
-        rng = RNG(7)
-        y = rng.normal(size=(2, num_pri - len(chirp))) + 0j
-        got = expand_nn_indices(y, num_pri, chirp)
-        np.testing.assert_allclose(got, brute_nearest_preceding(y, num_pri, chirp))
+        if data.draw(st.booleans(), label="va"):
+            # 2 x 2 VA: each occasion start spans four consecutive chirp PRIs.
+            gaps = data.draw(st.lists(st.integers(4, 9), max_size=3), label="gaps")
+            starts = tuple(int(i) for i in data.draw(st.integers(1, 5), label="first")
+                           + np.cumsum([0] + gaps))
+            low = max(starts[-1] + 4, 10 * len(starts) + 1)
+            num_pri = data.draw(st.integers(low, low + 20), label="num_pri")
+            sched = build_schedule(make_radio(num_pri=num_pri), make_array(tx=2, va=True),
+                                   "comb", chirp_pri_indices=starts)
+        else:
+            num_pri = data.draw(st.integers(4, 24), label="num_pri")
+            chirp = data.draw(st.sets(st.integers(1, num_pri - 1), max_size=num_pri - 2),
+                              label="chirp")
+            sched = chirp_schedule(num_pri, sorted(chirp))
+        y = RNG(7).normal(size=(2, sched.num_tone_pris)) + 0j
+        got = expand_nn(y, sched)
+        np.testing.assert_array_equal(
+            got, brute_nearest_preceding(y, num_pri, sched.chirp_slot_pris()))
 
     def test_schedule_wrapper(self):
         radio = make_radio(num_pri=64)
@@ -216,31 +235,42 @@ class TestSttePeaks:
         return AngleVelocityMap(values=values, sin_res_x=0.5, sin_res_y=0.5,
                                 velocity_res_mps=1.875)
 
+    @staticmethod
+    def _values(peak):
+        return (peak.sin_psi_x, peak.sin_psi_y, peak.velocity_mps)
+
+    @staticmethod
+    def _cell(avmap, bx, by, bv):
+        """The physical values of map cell (bx, by, bv), one to one with the cell."""
+        return (avmap.sin_x(bx), avmap.sin_y(by), avmap.velocity(bv))
+
     def test_single_target_exact_bin(self):
         v = np.zeros((4, 4, 16))
         v[2, 1, 5] = 3.0
-        got = stte_peaks(self._map(v), 1)
-        assert (got[0].bin_x, got[0].bin_y, got[0].bin_v) == (2, 1, 5)
+        avmap = self._map(v)
+        got = stte_peaks(avmap, 1)
+        assert self._values(got[0]) == self._cell(avmap, 2, 1, 5)
         assert got[0].velocity_mps == pytest.approx(5 * 1.875)
 
     def test_two_separated_targets_recovered(self):
         v = np.zeros((4, 4, 16))
         v[1, 1, 4] = 3.0
         v[3, 3, 9] = 2.0
-        got = stte_peaks(self._map(v), 2)
-        bins = {(p.bin_x, p.bin_y, p.bin_v) for p in got}
+        avmap = self._map(v)
+        got = stte_peaks(avmap, 2)
         # Brute-force maxima scan oracle.
         flat = np.argsort(v, axis=None)[::-1][:2]
-        want = {tuple(int(i) for i in np.unravel_index(f, v.shape)) for f in flat}
-        assert bins == want
+        want = {self._cell(avmap, *np.unravel_index(f, v.shape)) for f in flat}
+        assert {self._values(p) for p in got} == want
 
     def test_zero_velocity_guard_masks_clutter(self):
         v = np.zeros((4, 4, 16))
         v[0, 0, 0] = 100.0   # static ridge
         v[2, 2, 15] = 1.0    # |signed bin| = 1: inside default guard
         v[1, 1, 6] = 0.5
-        got = stte_peaks(self._map(v), 1, guard=1)
-        assert (got[0].bin_x, got[0].bin_y, got[0].bin_v) == (1, 1, 6)
+        avmap = self._map(v)
+        got = stte_peaks(avmap, 1, guard=1)
+        assert self._values(got[0]) == self._cell(avmap, 1, 1, 6)
 
     def test_too_few_maxima(self):
         v = np.zeros((2, 2, 8))
@@ -378,11 +408,18 @@ class TestSpaceTime:
 
 
 class TestSpaceTimeSteering:
+    @staticmethod
+    def _steering(velocity_mps, sin_x, sin_y, arr, sched, radio):
+        """The (W*L[, C]) space-time steering on ``arr``'s aperture."""
+        a_s = steering_ura_from_sin(sin_x, sin_y, arr, radio.wavelength_m)
+        a = space_time_steering(temporal_steering(velocity_mps, sched, radio), a_s)
+        return a.reshape((-1,) + a_s.shape[1:])
+
     def test_zero_velocity_all_ones_temporal(self):
         radio = make_radio()
         arr = make_array()
         sched = build_schedule(radio, arr, "comb", chirp_pri_indices=(1, 6, 15))
-        a = space_time_steering(0.0, 0.3, -0.2, arr, sched, radio)
+        a = self._steering(0.0, 0.3, -0.2, arr, sched, radio)
         a2d = steering_ura_from_sin(0.3, -0.2, ura(4, 4, LAM / 2, LAM / 2), radio.wavelength_m)
         np.testing.assert_allclose(a, np.tile(a2d, 3))
 
@@ -390,7 +427,7 @@ class TestSpaceTimeSteering:
         radio = make_radio()
         arr = make_array()
         sched = build_schedule(radio, arr, "lshape", chirp_pri_indices=(1,))
-        a = space_time_steering(25.0, 0.1, 0.0, arr, sched, radio)
+        a = self._steering(25.0, 0.1, 0.0, arr, sched, radio)
         a2d = steering_ura_from_sin(0.1, 0.0, ura(4, 4, LAM / 2, LAM / 2), radio.wavelength_m)
         np.testing.assert_allclose(a, a2d)
 
@@ -406,7 +443,7 @@ class TestSpaceTimeSteering:
             want = complex(math.cos(2 * math.pi * fd * (i - 1) * 0.25e-3),
                            math.sin(2 * math.pi * fd * (i - 1) * 0.25e-3))
             assert a_t[w] == pytest.approx(want, rel=1e-12)
-        full = space_time_steering(v, 0.25, -0.125, arr, sched, radio)
+        full = self._steering(v, 0.25, -0.125, arr, sched, radio)
         a2d = steering_ura_from_sin(0.25, -0.125, ura(8, 8, LAM / 2, LAM / 2),
                                     radio.wavelength_m)
         np.testing.assert_allclose(full, np.kron(a_t, a2d))
@@ -711,7 +748,11 @@ class TestBatchedAgainstOracles:
         sched = build_schedule(radio, make_array(cols=cols, rows=rows), "comb",
                                chirp_pri_indices=(1, 6, 15))
         arr = make_array(cols=cols, rows=rows)
-        got_st = space_time_steering(3.0, np.array(sx), np.array(sy), arr, sched, radio)
+        got_st = space_time_steering(temporal_steering(3.0, sched, radio),
+                                     steering_ura_from_sin(np.array(sx), np.array(sy), arr,
+                                                           radio.wavelength_m))
+        assert got_st.shape == (3, cols * rows, len(sx))
+        got_st = got_st.reshape(-1, len(sx))
         want_st = np.stack([np.kron(temporal_steering(3.0, sched, radio),
                                     oracles.steering_ura_from_sin(x, y, cols, rows,
                                                                   arr.rx_spacing_x_m,
@@ -1017,6 +1058,5 @@ def test_maps_music_and_scoring_share_one_velocity_grid(monkeypatch):
     assert est.velocity_bin != 0 and est.velocity_mps == est.velocity_bin * grid
     # MUSIC scans coarse + {-1, 0, 1} steps (factor 1); take the last candidate.
     monkeypatch.setattr(estimator, "_music_scan", lambda e_s, cand: cand.shape[1] - 1)
-    peak = CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=0.0, sin_psi_y=0.0,
-                      velocity_mps=0.0)
+    peak = CoarsePeak(sin_psi_x=0.0, sin_psi_y=0.0, velocity_mps=0.0)
     assert music_refine(y, peak, arr, radio, factor=1)[0] == grid

@@ -7,6 +7,7 @@ import os
 import re
 import signal
 import struct
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -605,14 +606,18 @@ class TestConfigParsing:
         ("clutter", {"terrain": "mars_dust"}, "unknown terrain preset 'mars_dust'"),
         ("clutter", {"gtri_a": -1.0}, ": gtri_reflectivity: A must be >= 0"),
         ("clutter", {"gtri_b": 0.5, "gtri_c": -1.0},
-         ": gtri_reflectivity: (delta + C) < 0 with non-integer B"),
+         ": gtri_reflectivity: (delta + C) must be >= 0"),
+        # An integer B let a negative C load: sigma0 had no bound where
+        # delta + C crosses zero, and the run scored no hits (exit 0).
+        ("clutter", {"gtri_b": -20.0, "gtri_c": -0.3},
+         ": gtri_reflectivity: (delta + C) must be >= 0"),
         ("clutter", {"gtri_d": -1075.0}, ": gtri_reflectivity: D and sigma_h must be >= 0"),
         ("clutter", {"gtri_b": 100.0, "gtri_c": 2.0},
          "at grazing 0 and 90 degrees; it must be at most 1e+30"),
     ], ids=["uplink_distance_zero", "uplink_distance_tiny", "residual_dc_negative",
             "carrier_zero", "power_past_largest", "cutoff_zero", "cutoff_negative",
             "unknown_terrain", "gtri_a_negative", "gtri_fractional_b_negative_c",
-            "gtri_d_negative", "reflectivity_past_largest"])
+            "gtri_integer_b_negative_c", "gtri_d_negative", "reflectivity_past_largest"])
     def test_scene_value_the_run_needs_fails_before_output_dir(self, tmp_path, capsys, section,
                                                                edit, message):
         # The uplink distance, the residual DC and the clutter values failed
@@ -633,6 +638,25 @@ class TestConfigParsing:
             assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 3
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [{"gtri_b": 400.0, "gtri_c": 10.0},
+                                      {"gtri_b": -400.0, "gtri_c": 0.0},
+                                      {"gtri_a": 0.0, "gtri_b": -400.0, "gtri_c": 0.0}],
+                             ids=["overflow", "divide_by_zero", "zero_times_inf"])
+    def test_unbounded_reflectivity_is_refused_without_a_warning(self, tmp_path, capsys, edit):
+        # Each printed a RuntimeWarning (overflow, divide by zero, invalid
+        # value) before its config error.
+        raw = yaml.safe_load(preset_path("desk_small").read_text())
+        raw["clutter"].update(enabled=True, area_x_m=60.0, area_y_m=60.0, cell_m=50.0, **edit)
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "mc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["montecarlo", "--config", str(cfg), "--out", str(out),
+                         "--drops", "1"]) == 3
+        assert "at grazing 0 and 90 degrees; it must be at most 1e+30" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [10.0, float("nan")], ids=["ten", "nan"])
     def test_target_sin_psi_past_one_names_the_bound(self, tmp_path, capsys, value):

@@ -26,7 +26,6 @@ from mars_jcas.estimator import (
     CoarsePeak,
     expand_nn,
     signed_bin,
-    space_time_steering,
     temporal_steering,
 )
 from mars_jcas.pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
@@ -166,7 +165,7 @@ class TestFrontEnd:
             d, bins = oracles.sthp_range_spectrum_batched(
                 y_st, temporal_steering(peak.velocity_mps, sched, radio), a_s, pipe.eps_mode)
         else:
-            a_st = space_time_steering(peak.velocity_mps, *cand, geom, sched, radio)
+            a_st = oracles.space_time_steering(peak.velocity_mps, *cand, geom, sched, radio)
             d, bins = oracles.stap_range_spectrum_batched(y_st, a_st, pipe.eps_mode)
         return d, bins, np.abs(d[np.arange(bins.size), bins]), cand
 
@@ -209,8 +208,7 @@ class TestFrontEnd:
                       tone_branch_compressed=noise(sched.num_tone_pris),
                       schedule=sched, sample_rate_hz=1.0)
         # The second peak sits off the coarse grid, between candidate bins.
-        peaks = [CoarsePeak(bin_x=0, bin_y=0, bin_v=0, sin_psi_x=sx, sin_psi_y=sy,
-                            velocity_mps=v)
+        peaks = [CoarsePeak(sin_psi_x=sx, sin_psi_y=sy, velocity_mps=v)
                  for sx, sy, v in ((0.0, 0.0, velocity),
                                    (0.3 / rx[0], -0.1 / rx[1], velocity + 7.9))]
         pipe = PipelineSpec(suppressor=suppressor, eps_mode=eps, va=va)
@@ -220,7 +218,7 @@ class TestFrontEnd:
 
         def spy(original):
             def call(y, *args, **kwargs):
-                seen.append(y)
+                seen.append((y, args))
                 return original(y, *args, **kwargs)
             return call
 
@@ -237,7 +235,13 @@ class TestFrontEnd:
                     <= 1.0 - 1e-9]
             ests = run_pipeline(front, scene, pipe, 2, debug=debug)
             want = [self._oracle_range_stage(cube, scene, pipe, front, p) for p in kept]
-        assert len(seen) == len(ests) == len(kept) and all(y is front.y_st for y in seen)
+        assert len(seen) == len(ests) == len(kept) and all(y is front.y_st for y, _ in seen)
+        if suppressor != "sthp":
+            # STAP's steering, from the row-ordered spatial steering, is bit for
+            # bit the geometry's space-time steering gathered into the rows.
+            for (_, args), p, (*_, cand) in zip(seen, kept, want):
+                assert np.array_equal(args[0], oracles.stap_row_steering(
+                    p.velocity_mps, *cand, front, scene))
         for est, got_d, (d, bins, mags, cand) in zip(ests, debug.get("spectra", []), want):
             top = np.sort(mags)[::-1]
             if top.size > 1 and top[0] - top[1] <= 1e-9 * top[0]:
