@@ -23,6 +23,7 @@ import yaml
 
 from . import __version__, cpus
 from .clutter import build_clutter_map, gtri_reflectivity, terrain_params
+from .estimator import TargetEstimate
 from .harness import (
     CURVE_COLUMNS,
     RECORD_COLUMNS,
@@ -84,19 +85,15 @@ def _source(args):
     return args.config or preset_path(args.preset)
 
 
-def _load(args, default_plan=False, compiles=False):
+def _load(args, compiles=False):
     """(scene config, scene, plan, the waveform section's schedule) of the
-    command's config with :func:`_checked`'s rules applied. With
-    ``default_plan`` a config without an experiment section gets the default
-    plan."""
+    command's config with :func:`_checked`'s rules applied."""
     source = _source(args)
     scene_cfg, plan = parse_config(source)
     if getattr(args, "seed", None) is not None:
         scene_cfg = replace(scene_cfg, seed=args.seed)
         if plan is not None:
             plan = replace(plan, seed=args.seed)
-    if plan is None and default_plan:
-        plan = ExperimentPlan(seed=scene_cfg.seed)
     scene, schedule = _checked(source, scene_cfg, plan, compiles)
     return scene_cfg, scene, plan, schedule
 
@@ -268,7 +265,8 @@ def cmd_clutter_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scene_cfg, scene, plan, _ = _load(args, default_plan=True, compiles=True)
+    scene_cfg, scene, plan, _ = _load(args, compiles=True)
+    plan = plan or ExperimentPlan(seed=scene_cfg.seed)
     if args.drop < 0:
         raise ConfigError(f"--drop {args.drop}: a drop index is at least 0")
     if args.targets is None and not scene.targets:
@@ -324,9 +322,8 @@ def cmd_simulate(args) -> int:
                        for j, t in enumerate(drop.targets)]
     write_csv(out / "truth.csv", list(truth_rows[0].keys()), truth_rows)
     write_csv(out / "estimates.csv",
-              ["pipeline", "sweep_value", "target", "velocity_mps", "psi_x_rad", "psi_y_rad",
-               "range_m", "amplitude", "velocity_bin", "angle_x_bin", "angle_y_bin",
-               "range_bin", "refinement", "method", "eps_mode"], est_rows)
+              ["pipeline", "sweep_value", "target", *(f.name for f in fields(TargetEstimate)),
+               "refinement", "method", "eps_mode"], est_rows)
     outputs += [out / "truth.csv", out / "estimates.csv"]
     _record(args, scene_cfg, plan, out, outputs, stages)
     print(f"wrote {len(outputs)} artifacts to {out}")

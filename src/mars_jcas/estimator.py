@@ -276,8 +276,8 @@ def _loaded_solve(s_i: np.ndarray, a: np.ndarray, eps_mode: str,
 
 
 def _quadratic_norms(a: np.ndarray, wa: np.ndarray, caller: str) -> np.ndarray:
-    """Per-column a^H W a; columns the whitener annihilated get 1 (spectrum
-    left unnormalized) under one warning that counts them."""
+    """Per-column a^H W a; columns the whitener annihilated, or zero ones, get 1
+    (spectrum left unnormalized) under one warning that counts them."""
     den = np.einsum("ij,ij->j", a.conj(), wa).real
     dead = np.abs(den) < np.finfo(float).tiny
     if dead.any():
@@ -293,12 +293,8 @@ def _range_spectra(y: np.ndarray, steering: np.ndarray, eps_mode: str, epsilon,
     for each steering column a, and its peaks. W is the identity at eps_mode
     'inf', else the loaded or pseudo-inverse of y's covariance, by one solve."""
     a = steering.reshape(len(steering), -1)
-    if eps_mode == "inf":
-        wa = a
-        den = np.einsum("ij,ij->j", a.conj(), a).real
-    else:
-        wa = _loaded_solve(interference_cov(y), a, eps_mode, epsilon)
-        den = _quadratic_norms(a, wa, caller)
+    wa = a if eps_mode == "inf" else _loaded_solve(interference_cov(y), a, eps_mode, epsilon)
+    den = _quadratic_norms(a, wa, caller)
     if root_norm:
         den = np.sqrt(np.abs(den))
     d = np.fft.fft(wa.conj().T @ y, axis=1) / den[:, None]

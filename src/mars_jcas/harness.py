@@ -520,8 +520,10 @@ def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
 
     report = TrialReport()
     tasks = [(i, k) for k in range(len(sweep)) for i in drops]
-    if plan.workers > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=plan.workers, initializer=_pool_init,
+    # A pool starts all its processes at once, so it gets no more than there are tasks.
+    workers = min(plan.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(run,)) as pool:
             results = list(pool.map(_timed_drop, tasks))
     else:

@@ -140,13 +140,13 @@ def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
 
 def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
                  velocity_mps: float, sin_x, sin_y):
-    """Score all angle candidates in one suppressor call; returns (d, range_m, bin,
-    peak_mag, sin_x, sin_y) of the one with the largest range peak (first on ties),
-    or None for STHP at a blind speed, which its zero-forcing nulls. The steering
+    """Score all angle candidates in one suppressor call; returns (d, bin, peak_mag,
+    sin_x, sin_y) of the one with the largest range peak (first on ties), or None
+    for STHP at a blind speed, which its zero-forcing nulls. The steering
     follows the snapshot rows: URA rows permuted (no quadratic form changes) times
     each row's VA slot Doppler D. STAP on D Y with steering a is STAP on Y with
     D^H a (D diagonal, unitary), and STHP's temporal stage commutes with D."""
-    radio, geom, dr = scene.radio, front.geom, scene.radio.range_res_m
+    radio, geom = scene.radio, front.geom
     rows = front.virtual_row
     row_slot = np.arange(rows.size) // scene.array.num_rx
     slot_phase = np.exp(2j * np.pi * radio.doppler_hz(velocity_mps) * row_slot
@@ -156,15 +156,13 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
         return None
     a_s = steering_ura_from_sin(sin_x, sin_y, geom, radio.wavelength_m)[rows]
     if pipe.suppressor == "sthp":
-        d, rng_m, bins = sthp_range_spectrum(front.y_st, a_t, a_s * slot_phase, pipe.eps_mode,
-                                             range_res_m=dr)
+        d, _, bins = sthp_range_spectrum(front.y_st, a_t, a_s * slot_phase, pipe.eps_mode)
     else:
         a_st = (space_time_steering(a_t, a_s) * slot_phase).reshape(-1, sin_x.size)
-        d, rng_m, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode, range_res_m=dr)
+        d, _, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode)
     peak_mag = np.abs(d[np.arange(bins.size), bins])
     k = int(np.argmax(peak_mag))
-    return (d[k], float(rng_m[k]), int(bins[k]), float(peak_mag[k]),
-            float(sin_x[k]), float(sin_y[k]))
+    return d[k], int(bins[k]), float(peak_mag[k]), float(sin_x[k]), float(sin_y[k])
 
 
 def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
@@ -194,21 +192,10 @@ def run_pipeline(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
         stage = _range_stage(front, scene, pipe, vel, cand_x, cand_y)
         if stage is None:
             continue
-        d, rng_m, rng_bin, peak_mag, win_x, win_y = stage
+        d, rng_bin, peak_mag, win_x, win_y = stage
         if debug is not None:
             debug.setdefault("spectra", []).append(d)
-
-        estimates.append(TargetEstimate(
-            velocity_mps=vel,
-            psi_x_rad=math.asin(max(-1.0, min(1.0, win_x))),
-            psi_y_rad=math.asin(max(-1.0, min(1.0, win_y))),
-            range_m=rng_m,
-            amplitude=peak_mag,
-            velocity_bin=int(round(vel / avm.velocity_res_mps)),
-            angle_x_bin=int(round(win_x / avm.sin_res_x)),
-            angle_y_bin=int(round(win_y / avm.sin_res_y)),
-            range_bin=rng_bin,
-        ))
+        estimates.append(_estimate(vel, win_x, win_y, rng_bin, peak_mag, scene))
     return estimates
 
 
@@ -242,26 +229,31 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
-        sin_x = float(signed_bin(bx, arr.rx_cols)) * res.sin_angle_res_x
-        sin_y = float(signed_bin(by, arr.rx_rows)) * res.sin_angle_res_y
-        v_signed = int(signed_bin(v_bin, m))
-        estimates.append(TargetEstimate(
-            velocity_mps=v_signed * radio.velocity_res_mps,
-            psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
-            psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))),
-            range_m=float(r_bin) * radio.range_res_m,
-            amplitude=float(column[v_bin]),     # before the exclusion below
-            velocity_bin=v_signed,
-            angle_x_bin=int(signed_bin(bx, arr.rx_cols)),
-            angle_y_bin=int(signed_bin(by, arr.rx_rows)),
-            range_bin=r_bin,
-        ))
+        estimates.append(_estimate(
+            int(signed_bin(v_bin, m)) * res.velocity_res_mps,
+            float(signed_bin(bx, arr.rx_cols)) * res.sin_angle_res_x,
+            float(signed_bin(by, arr.rx_rows)) * res.sin_angle_res_y,
+            r_bin, float(column[v_bin]), scene))     # amplitude before the exclusion below
         for dr in (-1, 0, 1):
             for dv in (-1, 0, 1):
                 rr = r_bin + dr
                 if 0 <= rr < n_rng:
                     power[(v_bin + dv) % m, rr] = -np.inf
     return estimates
+
+
+def _estimate(velocity_mps: float, sin_x: float, sin_y: float, range_bin: int,
+              amplitude: float, scene: ValidatedScene) -> TargetEstimate:
+    """The one way a chain finishes an estimate: each angle from its clamped
+    sine, the range from its bin, and velocity and angle bins rounded on the
+    radio's no-VA grid, where the FA chain's signed bins round back exactly."""
+    res = resolution_report(scene.radio, scene.array.with_va(False))
+    return TargetEstimate(
+        velocity_mps=velocity_mps, psi_x_rad=math.asin(max(-1.0, min(1.0, sin_x))),
+        psi_y_rad=math.asin(max(-1.0, min(1.0, sin_y))), range_m=range_bin * res.range_res_m,
+        amplitude=amplitude, velocity_bin=round(velocity_mps / res.velocity_res_mps),
+        angle_x_bin=round(sin_x / res.sin_angle_res_x),
+        angle_y_bin=round(sin_y / res.sin_angle_res_y), range_bin=range_bin)
 
 
 def _magnitudes(power: np.ndarray) -> np.ndarray:

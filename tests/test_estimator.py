@@ -806,6 +806,24 @@ class TestRangeStageWarnings:
             "column(s); spectrum unnormalized"]
         assert np.all(np.isfinite(d)) and not np.any(d[1])
 
+    @pytest.mark.parametrize("caller", ["stap_range_spectrum", "sthp_range_spectrum"])
+    def test_zero_steering_at_inf_left_unnormalized(self, caller):
+        # At eps_mode 'inf' the whitener is the identity, and a zero steering
+        # column (a^H a = 0) takes the annihilated columns' rule: one warning
+        # and a finite, unnormalized spectrum, not 0 / 0.
+        y = RNG(7).normal(size=(4, 16)) + 1j * RNG(8).normal(size=(4, 16))
+        a = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            if caller == "stap_range_spectrum":
+                d, _, _ = stap_range_spectrum(y, np.vstack([a, a]), "inf")
+            else:
+                d, _, _ = sthp_range_spectrum(y, np.exp(1j * np.array([0.0, 2.0])), a, "inf")
+        assert [str(w.message) for w in rec] == [
+            f"{caller}: steering annihilated by the whitener in 1 of 2 column(s); "
+            "spectrum unnormalized"]
+        assert np.all(np.isfinite(d)) and not np.any(d[1]) and np.any(d[0])
+
 
 class TestFaMap:
     def test_zero_measurements_zero_map(self):

@@ -638,6 +638,35 @@ class TestMonteCarlo:
         assert list(rep_serial.drop_runtimes_s) == list(rep_par.drop_runtimes_s)
         assert rows_serial == rows_par
 
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
+        # A pool starts all its processes at once, so 3 tasks at --workers 8
+        # get 3 and a 1-task run gets no pool. The recorder runs each task in
+        # this process: no process starts.
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                (self.run,) = initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task, self.run) for task in tasks]
+
+        scene = make_scene(radio=make_radio(power_w=10.0))
+        plan = quiet_plan(num_drops=3)
+        _, serial = monte_carlo(plan, scene)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+        _, pooled = monte_carlo(replace(plan, workers=8), scene)
+        assert pools == [3] and pooled.records == serial.records
+        _, one = monte_carlo(replace(plan, workers=8), scene, drops=(1,))
+        assert pools == [3] and one.records == [r for r in serial.records if r.drop_index == 1]
+
     def test_drops_runs_those_drops_at_every_sweep_point(self):
         # replay --drop K runs monte_carlo over drop K alone: the records of
         # that drop in the full run, at each sweep point.

@@ -31,7 +31,7 @@ from mars_jcas.estimator import (
 from mars_jcas.pipeline import PipelineSpec, front_end, run_fa_pipeline, run_pipeline
 from mars_jcas.harness import schedule_for
 from mars_jcas.io import parse_config
-from mars_jcas.scene import ArrayGeometry, Target, validate_scene
+from mars_jcas.scene import ArrayGeometry, Target, resolution_report, validate_scene
 from mars_jcas.waveform import build_schedule
 
 
@@ -279,6 +279,25 @@ class TestFaPipeline:
         est = run_fa_pipeline(meas, scene, sched, 1)[0]
         # The static target is guard-masked; the peak lands elsewhere.
         assert abs(signed_bin(est.velocity_bin, sched.num_pri)) > 1
+
+    @given(m=st.integers(2, 1024), cols=st.integers(1, 16), rows=st.integers(1, 16),
+           dx=st.floats(0.05, 4.0), dy=st.floats(0.05, 4.0), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_estimate_rounds_fa_signed_bins_back_exactly(self, m, cols, rows, dx, dy, data):
+        # The FA chain hands the one estimate constructor its signed bins as
+        # values on the no-VA grid; rounding them back gives those bins.
+        scene = replace(clean_scene([]), radio=make_radio(num_pri=m),
+                        array=ArrayGeometry(rx_cols=cols, rx_rows=rows,
+                                            rx_spacing_x_m=dx * WAVELENGTH,
+                                            rx_spacing_y_m=dy * WAVELENGTH))
+        res = resolution_report(scene.radio, scene.array)
+        v, x, y = (data.draw(st.integers(-(size // 2), (size - 1) // 2))
+                   for size in (m, cols, rows))
+        r = data.draw(st.integers(0, scene.radio.num_subcarriers - 1))
+        est = pipeline._estimate(v * res.velocity_res_mps, float(x) * res.sin_angle_res_x,
+                                 float(y) * res.sin_angle_res_y, r, 1.0, scene)
+        assert (est.velocity_bin, est.angle_x_bin, est.angle_y_bin, est.range_bin) == (v, x, y, r)
+        assert est.range_m == r * scene.radio.range_res_m
 
     @staticmethod
     def _fa_case(l, m, n, sub):
