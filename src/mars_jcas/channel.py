@@ -368,6 +368,8 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     si_phases = draws.si_phases(n_el)
     coeffs = [_target_coeff(scene, t, draws) for t in scene.targets]
     steers = [_rx_steering(scene, t) for t in scene.targets]
+    taus = [t.delay_s() for t in scene.targets]
+    fds = [radio.doppler_hz(t.radial_velocity_mps) for t in scene.targets]
 
     flat_slots = [(e, p, a, b) for occ in schedule.va_slots
                   for e, (p, a, b) in enumerate(occ)]
@@ -380,11 +382,10 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
 
     samples = np.arange(n)
     beats = []
-    for t in scene.targets:
-        beat = np.exp(2j * np.pi * (bw / t_sym) * t.delay_s() * samples / bw)
+    for tau, fd in zip(taus, fds):
+        beat = np.exp(2j * np.pi * (bw / t_sym) * tau * samples / bw)
         if rec.exact_within_symbol_doppler:
-            beat = beat * np.exp(2j * np.pi * radio.doppler_hz(t.radial_velocity_mps)
-                                 * samples / bw)
+            beat = beat * np.exp(2j * np.pi * fd * samples / bw)
         beats.append(beat)
     noise = draws.chirp_noise(*chirp_noise_key(scene), len(flat_slots))
     # Each symbol is built in place in its own contiguous (L, N) block
@@ -396,9 +397,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
         p_slot = schedule.per_symbol_power_w[pri]
         t_ref = pri * radio.pri_s
         terms = []
-        for t, h, a2d, beat in zip(scene.targets, coeffs, steers, beats):
-            tau = t.delay_s()
-            fd = radio.doppler_hz(t.radial_velocity_mps)
+        for t, h, a2d, beat, tau, fd in zip(scene.targets, coeffs, steers, beats, taus, fds):
             amp = (h * math.sqrt(p_slot) * _tx_slot_phase(scene, t, tx_a, tx_b)
                    * np.exp(2j * np.pi * fd * (t_ref - tau)))
             terms.append(((a2d * amp)[:, None], beat))
@@ -414,9 +413,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     # Tone branch, already integrated per PRI (sum over the symbol's N samples).
     tone = np.zeros((n_el, m_tone), dtype=complex)
     t_m = tone_pris * radio.pri_s
-    for t, h, a2d in zip(scene.targets, coeffs, steers):
-        tau = t.delay_s()
-        fd = radio.doppler_hz(t.radial_velocity_mps)
+    for h, a2d, tau, fd in zip(coeffs, steers, taus, fds):
         gain = _integration_factor(fd, n, bw, rec.exact_within_symbol_doppler)
         phases = np.exp(2j * np.pi * fd * (t_m - tau)) * sqrt_p
         tone += np.outer(a2d, phases) * (h * gain

@@ -287,37 +287,31 @@ def _quadratic_norms(a: np.ndarray, wa: np.ndarray, caller: str) -> np.ndarray:
     return np.where(dead, 1.0, den)
 
 
-def _range_spectra(y: np.ndarray, steering: np.ndarray, eps_mode: str, epsilon,
-                   range_res_m: float, caller: str, root_norm: bool) -> tuple:
+def _range_spectra(y: np.ndarray, a: np.ndarray, eps_mode: str, epsilon,
+                   caller: str, root_norm: bool) -> tuple:
     """Range FFT of (W a)^H y over a^H W a (sqrt(|a^H W a|) with ``root_norm``)
     for each steering column a, and its peaks. W is the identity at eps_mode
     'inf', else the loaded or pseudo-inverse of y's covariance, by one solve."""
-    a = steering.reshape(len(steering), -1)
     wa = a if eps_mode == "inf" else _loaded_solve(interference_cov(y), a, eps_mode, epsilon)
     den = _quadratic_norms(a, wa, caller)
     if root_norm:
         den = np.sqrt(np.abs(den))
     d = np.fft.fft(wa.conj().T @ y, axis=1) / den[:, None]
-    bins = np.argmax(np.abs(d), axis=1)
-    if steering.ndim == 1:
-        return d[0], int(bins[0]) * range_res_m, int(bins[0])
-    return d, bins * range_res_m, bins
+    return d, np.argmax(np.abs(d), axis=1)
 
 
-def stap_range_spectrum(y_st: np.ndarray, a_st: np.ndarray, eps_mode: str = "em",
-                        *, range_res_m: float = 1.0,
+def stap_range_spectrum(y_st: np.ndarray, a_st: np.ndarray, eps_mode: str, *,
                         epsilon: Optional[float] = None) -> tuple:
     """Adaptive (or, for eps_mode='inf', matched-filter) range spectrum.
 
-    ``a_st`` is a (W*L,) steering vector or a (W*L, C) matrix of candidates
-    sharing one covariance and whitener. Returns (d, range_m, range_bin): the
-    N complex distance bins, the argmax converted through ``range_res_m``,
-    and the raw argmax bin; (C, N), (C,) and (C,) arrays for a matrix.
+    ``a_st`` is a (W*L, C) matrix of candidates sharing one covariance and
+    whitener. Returns (d, bins): the (C, N) complex distance bins and the
+    (C,) argmax bins.
     """
-    if len(a_st) != y_st.shape[0]:
-        raise ValueError("stap_range_spectrum: steering length does not match rows")
-    return _range_spectra(y_st, a_st, eps_mode, epsilon, range_res_m,
-                          "stap_range_spectrum", root_norm=False)
+    if np.ndim(a_st) != 2 or len(a_st) != y_st.shape[0]:
+        raise ValueError("stap_range_spectrum: steering must be a (rows, C) matrix")
+    return _range_spectra(y_st, a_st, eps_mode, epsilon, "stap_range_spectrum",
+                          root_norm=False)
 
 
 def _zero_forcing_weights(a_t: np.ndarray) -> np.ndarray:
@@ -337,16 +331,17 @@ def at_blind_speed(a_t: np.ndarray) -> bool:
 
 
 def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
-                        eps_mode: str = "em", *, range_res_m: float = 1.0,
-                        epsilon: Optional[float] = None) -> tuple:
+                        eps_mode: str, *, epsilon: Optional[float] = None) -> tuple:
     """Hierarchical processing: temporal zero-forcing of the static-clutter
     signature, then an L-dimension spatial stage.
 
     The time weights (:func:`_zero_forcing_weights`) give w a_T = 1 and
-    w 1 = 0. ``a_s`` is an (L,) vector or an (L, C) matrix of spatial
-    candidates sharing the temporal stage and the spatial whitener. Returns
-    (d, range_m, range_bin), shaped as in :func:`stap_range_spectrum`.
+    w 1 = 0. ``a_s`` is an (L, C) matrix of spatial candidates sharing the
+    temporal stage and the spatial whitener. Returns (d, bins) as
+    :func:`stap_range_spectrum` does.
     """
+    if np.ndim(a_s) != 2:
+        raise ValueError("sthp_range_spectrum: spatial steering must be an (L, C) matrix")
     w_dim, l_dim = len(a_t), len(a_s)
     if w_dim < 2:
         raise ValueError("sthp_range_spectrum: needs W >= 2 chirp occasions")
@@ -356,8 +351,8 @@ def sthp_range_spectrum(y_st: np.ndarray, a_t: np.ndarray, a_s: np.ndarray,
         raise ValueError("sthp_range_spectrum: temporal steering is collinear with "
                          "the static-clutter signature; zero-forcing undefined")
     y_s = np.tensordot(_zero_forcing_weights(a_t), y_st.reshape(w_dim, l_dim, -1), axes=1)
-    return _range_spectra(y_s, a_s, eps_mode, epsilon, range_res_m,
-                          "sthp_range_spectrum", root_norm=True)
+    return _range_spectra(y_s, a_s, eps_mode, epsilon, "sthp_range_spectrum",
+                          root_norm=True)
 
 
 @lru_cache(maxsize=8)

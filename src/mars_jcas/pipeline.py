@@ -156,10 +156,10 @@ def _range_stage(front: FrontEnd, scene: ValidatedScene, pipe: PipelineSpec,
         return None
     a_s = steering_ura_from_sin(sin_x, sin_y, geom, radio.wavelength_m)[rows]
     if pipe.suppressor == "sthp":
-        d, _, bins = sthp_range_spectrum(front.y_st, a_t, a_s * slot_phase, pipe.eps_mode)
+        d, bins = sthp_range_spectrum(front.y_st, a_t, a_s * slot_phase, pipe.eps_mode)
     else:
         a_st = (space_time_steering(a_t, a_s) * slot_phase).reshape(-1, sin_x.size)
-        d, _, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode)
+        d, bins = stap_range_spectrum(front.y_st, a_st, pipe.eps_mode)
     peak_mag = np.abs(d[np.arange(bins.size), bins])
     k = int(np.argmax(peak_mag))
     return d[k], int(bins[k]), float(peak_mag[k]), float(sin_x[k]), float(sin_y[k])

@@ -168,11 +168,11 @@ def test_criterion_4_algebraic_identities():
                    steering_from_sin(0.2, l, LAM / 2, LAM))
     yst = 0.05 * np.outer(a_st, np.exp(2j * np.pi * 1000 * np.arange(n) / n))
     yst = yst + (rng.normal(size=(w * l, n)) + 1j * rng.normal(size=(w * l, n)))
-    d_inf, _, _ = stap_range_spectrum(yst, a_st, "inf")
+    d_inf, _ = stap_range_spectrum(yst, a_st[:, None], "inf")
     eps0 = epsilon_m(interference_cov(yst))
     scale = np.max(np.abs(d_inf))
-    devs = [np.max(np.abs(stap_range_spectrum(yst, a_st, "em", epsilon=mult * eps0)[0]
-                          - d_inf)) / scale
+    devs = [np.max(np.abs(stap_range_spectrum(yst, a_st[:, None], "em",
+                                              epsilon=mult * eps0)[0] - d_inf)) / scale
             for mult in (1e2, 1e4, 1e6)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-6
@@ -184,8 +184,8 @@ def test_criterion_4_algebraic_identities():
     target = np.outer(np.kron(a_t, a_s),
                       np.exp(2j * np.pi * 30 * np.arange(n) / n))
     static = np.tile(rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n)), (w, 1))
-    d_clean, _, _ = sthp_range_spectrum(target, a_t, a_s, "inf")
-    d_dirty, _, _ = sthp_range_spectrum(target + 1e6 * static, a_t, a_s, "inf")
+    d_clean, _ = sthp_range_spectrum(target, a_t, a_s[:, None], "inf")
+    d_dirty, _ = sthp_range_spectrum(target + 1e6 * static, a_t, a_s[:, None], "inf")
     zf_err = float(np.max(np.abs(d_dirty - d_clean)) / np.max(np.abs(d_clean)))
     assert zf_err < 1e-10
 
@@ -261,11 +261,11 @@ def test_criterion_7_clutter_discipline(desk, desk_clutter):
                             amp * np.exp(2j * np.pi * clutter_bin * np.arange(n) / n))
     noise = 1e-8 * (rng.normal(size=(w * l, n)) + 1j * rng.normal(size=(w * l, n)))
     yst = target + clutter + noise
-    _, _, bin_mf = stap_range_spectrum(yst, np.kron(a_t, a_s), "inf")
+    _, (bin_mf,) = stap_range_spectrum(yst, np.kron(a_t, a_s)[:, None], "inf")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, _, bin_stap0 = stap_range_spectrum(yst, np.kron(a_t, a_s), "zero")
-    _, _, bin_sthp = sthp_range_spectrum(yst, a_t, a_s, "inf")
+        _, (bin_stap0,) = stap_range_spectrum(yst, np.kron(a_t, a_s)[:, None], "zero")
+    _, (bin_sthp,) = sthp_range_spectrum(yst, a_t, a_s[:, None], "inf")
     assert bin_mf == clutter_bin
     assert bin_stap0 == target_bin
     assert bin_sthp == target_bin

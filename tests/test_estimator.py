@@ -523,18 +523,17 @@ class TestStapSpectrum:
 
     def test_inf_mode_equals_explicit_matched_filter(self):
         y, a_st = self._target_fixture()
-        d, _, _ = stap_range_spectrum(y, a_st, "inf")
+        d, _ = stap_range_spectrum(y, a_st[:, None], "inf")
         n = y.shape[1]
         f = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
         want = (a_st.conj() @ y @ f).T / np.vdot(a_st, a_st).real
-        np.testing.assert_allclose(d, want, rtol=1e-9)
+        np.testing.assert_allclose(d[0], want, rtol=1e-9)
 
     @pytest.mark.parametrize("mode", ["zero", "em", "inf"])
     def test_single_target_argmax(self, mode):
         y, a_st = self._target_fixture()
-        _, rng_m, bin_ = stap_range_spectrum(y, a_st, mode, range_res_m=2.0)
-        assert bin_ == 40
-        assert rng_m == pytest.approx(80.0)
+        _, bins = stap_range_spectrum(y, a_st[:, None], mode)
+        assert bins[0] == 40
 
     def test_adaptive_beats_matched_under_clutter(self):
         # Strong static clutter at bin 20, weak moving target at bin 40.
@@ -551,12 +550,12 @@ class TestStapSpectrum:
             clutter += np.outer(np.kron(np.ones(w), spat), amp * beat_matrix([20], n)[0])
         y = target + clutter + 1e-7 * (rng.normal(size=(w * l, n))
                                        + 1j * rng.normal(size=(w * l, n)))
-        _, _, bin_mf = stap_range_spectrum(y, a_st, "inf")
+        _, bin_mf = stap_range_spectrum(y, a_st[:, None], "inf")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, _, bin_zero = stap_range_spectrum(y, a_st, "zero")
-        assert bin_mf == 20     # matched filter rides the clutter
-        assert bin_zero == 40   # whitened spectrum recovers the target
+            _, bin_zero = stap_range_spectrum(y, a_st[:, None], "zero")
+        assert bin_mf[0] == 20     # matched filter rides the clutter
+        assert bin_zero[0] == 40   # whitened spectrum recovers the target
 
     def test_em_converges_monotonically_to_matched_filter(self):
         rng = RNG(17)
@@ -565,26 +564,26 @@ class TestStapSpectrum:
                        steering_from_sin(0.2, l, LAM / 2, LAM))
         y = 0.05 * np.outer(a_st, beat_matrix([1000], n)[0])
         y = y + (rng.normal(size=(w * l, n)) + 1j * rng.normal(size=(w * l, n)))
-        d_inf, _, _ = stap_range_spectrum(y, a_st, "inf")
+        d_inf, _ = stap_range_spectrum(y, a_st[:, None], "inf")
         eps0 = epsilon_m(interference_cov(y))
         scale = np.max(np.abs(d_inf))
         devs = []
         for mult in (1e2, 1e4, 1e6):
-            d, _, _ = stap_range_spectrum(y, a_st, "em", epsilon=mult * eps0)
+            d, _ = stap_range_spectrum(y, a_st[:, None], "em", epsilon=mult * eps0)
             devs.append(np.max(np.abs(d - d_inf)) / scale)
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-6
 
     def test_argmax_invariant_under_scaling(self):
         y, a_st = self._target_fixture()
-        _, _, b1 = stap_range_spectrum(y, a_st, "em")
-        _, _, b2 = stap_range_spectrum(7.3 * y, a_st, "em")
-        assert b1 == b2
+        _, b1 = stap_range_spectrum(y, a_st[:, None], "em")
+        _, b2 = stap_range_spectrum(7.3 * y, a_st[:, None], "em")
+        assert b1[0] == b2[0]
 
     def test_rank_deficient_warns(self):
         y, a_st = self._target_fixture(noise=0.0)
         with pytest.warns(RuntimeWarning, match="pseudo-inverse"):
-            stap_range_spectrum(y, a_st, "zero")
+            stap_range_spectrum(y, a_st[:, None], "zero")
 
 
 class TestSthpSpectrum:
@@ -623,9 +622,9 @@ class TestSthpSpectrum:
         clutter_block = rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n))
         clutter = np.tile(clutter_block, (w, 1)) * 1e6
         target = np.outer(np.kron(a_t, a_s), beat_matrix([30], n)[0])
-        d_clean, _, bin_clean = sthp_range_spectrum(target, a_t, a_s, "inf")
-        d_dirty, _, bin_dirty = sthp_range_spectrum(target + clutter, a_t, a_s, "inf")
-        assert bin_clean == bin_dirty == 30
+        d_clean, bin_clean = sthp_range_spectrum(target, a_t, a_s[:, None], "inf")
+        d_dirty, bin_dirty = sthp_range_spectrum(target + clutter, a_t, a_s[:, None], "inf")
+        assert bin_clean[0] == bin_dirty[0] == 30
         assert np.max(np.abs(d_dirty - d_clean)) < 1e-10 * np.max(np.abs(d_clean))
 
     def test_weak_target_strong_clutter_beats_stap_em(self):
@@ -643,19 +642,20 @@ class TestSthpSpectrum:
             clutter += np.outer(np.kron(np.ones(w), spat), amp * beat_matrix([12], n)[0])
         noise = 1e-8 * (rng.normal(size=(w * l, n)) + 1j * rng.normal(size=(w * l, n)))
         y = target + clutter + noise
-        _, _, bin_em = stap_range_spectrum(y, np.kron(a_t, a_s), "em")
-        _, _, bin_sthp = sthp_range_spectrum(y, a_t, a_s, "em")
-        assert bin_em == 12
-        assert bin_sthp == 45
+        _, bin_em = stap_range_spectrum(y, np.kron(a_t, a_s)[:, None], "em")
+        _, bin_sthp = sthp_range_spectrum(y, a_t, a_s[:, None], "em")
+        assert bin_em[0] == 12
+        assert bin_sthp[0] == 45
 
     def test_collinear_velocity_rejected(self):
         y = np.zeros((8, 16), dtype=complex)
         with pytest.raises(ValueError, match="collinear"):
-            sthp_range_spectrum(y, np.ones(2, dtype=complex), np.ones(4, dtype=complex), "inf")
+            sthp_range_spectrum(y, np.ones(2, dtype=complex), np.ones((4, 1), dtype=complex),
+                                "inf")
 
     def test_needs_two_occasions(self):
         with pytest.raises(ValueError, match="W >= 2"):
-            sthp_range_spectrum(np.zeros((4, 8)), np.ones(1), np.ones(4), "inf")
+            sthp_range_spectrum(np.zeros((4, 8)), np.ones(1), np.ones((4, 1)), "inf")
 
 
 def _batched_case(seed, w, l, n, c, rank_deficient):
@@ -670,7 +670,7 @@ def _batched_case(seed, w, l, n, c, rank_deficient):
 
 
 def _assert_matches_oracle(got, want):
-    d, _, bins = got
+    d, bins = got
     for j, (d_ref, _, bin_ref) in enumerate(want):
         assert np.max(np.abs(d[j] - d_ref)) <= 1e-10 * np.max(np.abs(d_ref))
         assert bins[j] == bin_ref
@@ -690,10 +690,10 @@ class TestBatchedAgainstOracles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _assert_matches_oracle(
-                stap_range_spectrum(y, a_st, mode, range_res_m=0.5),
+                stap_range_spectrum(y, a_st, mode),
                 [oracles.stap_range_spectrum(y, a_st[:, j], mode) for j in range(c)])
             _assert_matches_oracle(
-                sthp_range_spectrum(y, a_t, a_s, mode, range_res_m=0.5),
+                sthp_range_spectrum(y, a_t, a_s, mode),
                 [oracles.sthp_range_spectrum(y, a_t, a_s[:, j], mode) for j in range(c)])
 
     @given(seed=st.integers(0, 2**32 - 1), w=st.integers(2, 4), l=st.integers(2, 64),
@@ -712,26 +712,22 @@ class TestBatchedAgainstOracles:
             eps = epsilon_m(cov) * (1.0 if scale is None else scale)
             vals = np.linalg.eigvalsh(cov)
             cond = (vals[-1] + eps) / (max(vals[0], 0.0) + eps)
-            d, _, bins = spectrum(*args, "em", epsilon=None if scale is None else eps)
+            d, bins = spectrum(*args, "em", epsilon=None if scale is None else eps)
             with mock.patch.object(estimator, "_loaded_solve", oracles.loaded_solve_cholesky):
-                d_ref, _, bins_ref = spectrum(*args, "em", epsilon=None if scale is None else eps)
+                d_ref, bins_ref = spectrum(*args, "em", epsilon=None if scale is None else eps)
             tol = 64 * np.finfo(float).eps * cond * np.max(np.abs(d_ref), axis=1)
             assert np.all(np.max(np.abs(d - d_ref), axis=1) <= tol)
             assert np.array_equal(bins, bins_ref)
 
-    @pytest.mark.parametrize("mode", ["zero", "em", "inf"])
-    def test_vector_input_keeps_scalar_contract(self, mode):
+    @pytest.mark.parametrize("caller", ["stap_range_spectrum", "sthp_range_spectrum"])
+    def test_vector_steering_refused(self, caller):
+        # Both spectra take only a (rows, C) steering matrix.
         y, a_st, a_t, a_s = _batched_case(7, 2, 4, 40, 1, False)
-        d, rng_m, bin_ = stap_range_spectrum(y, a_st[:, 0], mode, range_res_m=0.5)
-        d_ref, rng_ref, bin_ref = oracles.stap_range_spectrum(y, a_st[:, 0], mode,
-                                                              range_res_m=0.5)
-        assert d.shape == d_ref.shape and isinstance(bin_, int)
-        assert (rng_m, bin_) == (rng_ref, bin_ref)
-        d, rng_m, bin_ = sthp_range_spectrum(y, a_t, a_s[:, 0], mode, range_res_m=0.5)
-        d_ref, rng_ref, bin_ref = oracles.sthp_range_spectrum(y, a_t, a_s[:, 0], mode,
-                                                              range_res_m=0.5)
-        assert d.shape == d_ref.shape and isinstance(bin_, int)
-        assert (rng_m, bin_) == (rng_ref, bin_ref)
+        with pytest.raises(ValueError, match=f"^{caller}: .*matrix"):
+            if caller == "stap_range_spectrum":
+                stap_range_spectrum(y, a_st[:, 0], "inf")
+            else:
+                sthp_range_spectrum(y, a_t, a_s[:, 0], "inf")
 
     @given(sx=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12), cols=st.integers(1, 8),
            rows=st.integers(1, 8), data=st.data())
@@ -784,7 +780,7 @@ class TestRangeStageWarnings:
     def test_annihilated_warning_once_naming_columns(self):
         y, a = self._block_zero_case()
         with pytest.warns(RuntimeWarning) as rec:
-            d, _, _ = stap_range_spectrum(y, a, "zero")
+            d, _ = stap_range_spectrum(y, a, "zero")
         hits = [str(w.message) for w in rec if "annihilated" in str(w.message)]
         assert len(hits) == 1 and "1 of 3" in hits[0]
         # Denominator 1, not 0: the annihilated row stays finite (all zero).
@@ -798,7 +794,7 @@ class TestRangeStageWarnings:
         a_s = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
         a_t = np.exp(1j * np.array([0.0, 2.0]))
         with pytest.warns(RuntimeWarning) as rec:
-            d, _, _ = sthp_range_spectrum(y, a_t, a_s, "zero")
+            d, _ = sthp_range_spectrum(y, a_t, a_s, "zero")
         messages = [str(w.message) for w in rec]
         assert sum("pseudo-inverse" in m for m in messages) == 1
         assert [m for m in messages if "annihilated" in m] == [
@@ -816,9 +812,9 @@ class TestRangeStageWarnings:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             if caller == "stap_range_spectrum":
-                d, _, _ = stap_range_spectrum(y, np.vstack([a, a]), "inf")
+                d, _ = stap_range_spectrum(y, np.vstack([a, a]), "inf")
             else:
-                d, _, _ = sthp_range_spectrum(y, np.exp(1j * np.array([0.0, 2.0])), a, "inf")
+                d, _ = sthp_range_spectrum(y, np.exp(1j * np.array([0.0, 2.0])), a, "inf")
         assert [str(w.message) for w in rec] == [
             f"{caller}: steering annihilated by the whitener in 1 of 2 column(s); "
             "spectrum unnormalized"]
