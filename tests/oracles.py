@@ -16,7 +16,9 @@ than over the lag grid, the FA peak search on a transposed copy of the
 map, the clutter map, built by a transmit-slot x receive-element loop
 and, for exact
 comparison, with every per-patch array held for the whole grid (the
-build before it streamed chunks over the patch order), the general VA row
+build before it streamed chunks over the patch order), and once more with
+the float64 complex exponentials the build took for its patch phasors and
+tone carrier before it took them from float32 angles, the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
 pipeline front end replaced (on the element-major (L, W*N) chirp layout,
 with its occasion interleave, and each VA slot's rows rotated back by the
@@ -59,7 +61,9 @@ from mars_jcas import clutter as library_clutter
 from mars_jcas.channel import _rx_steering, _target_coeff, _tx_slot_phase
 from mars_jcas.clutter import (
     ClutterMap,
+    _carrier_cycles,
     _phase_powers,
+    _phasors,
     gtri_reflectivity,
     patch_grid,
     terrain_params,
@@ -415,7 +419,7 @@ def build_clutter_map(scene):
                   / ((4.0 * np.pi) ** 3 * r**4))
     rng = rng_for(scene.seed, "clutter")
     phase = rng.uniform(0.0, 2.0 * np.pi, size=r.size)
-    coeff = amp * np.exp(1j * phase)
+    coeff = amp * _phasors(phase)
 
     bins = np.rint(r / dr).astype(int)
     keep = bins < n_bins
@@ -440,8 +444,7 @@ def build_clutter_map(scene):
     n_el = arr.num_rx
     tables = np.zeros((len(tx_pos), n_bins, n_el), dtype=complex)
     tone = np.zeros(n_el, dtype=complex)
-    tau = 2.0 * r / SPEED_OF_LIGHT
-    tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+    tone_carrier = _phasors(2.0 * np.pi * _carrier_cycles(r, radio.carrier_freq_hz))
     for s, (txx, txy) in enumerate(tx_pos):
         for l in range(n_el):
             w = coeff * np.exp(1j * wavenum * (sin_x * (ex[l] + txx) + sin_y * (ey[l] + txy)))
@@ -478,7 +481,7 @@ def build_clutter_map_full_grid(scene):
     rcs = sigma0 * cl.cell_m**2
     amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
                   / ((4.0 * np.pi) ** 3 * r**4))
-    coeff = amp * np.exp(1j * phase)
+    coeff = amp * _phasors(phase)
 
     wavenum = 2.0 * np.pi / lam
     cols, rows = arr.va_cols, arr.va_rows
@@ -489,8 +492,7 @@ def build_clutter_map_full_grid(scene):
         part = slice(lo, lo + chunk)
         px = _phase_powers(wavenum * arr.rx_spacing_x_m * x[part] / r[part], cols)
         py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r[part], rows) * coeff[part]
-        tau = 2.0 * r[part] / SPEED_OF_LIGHT
-        tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
+        tone_carrier = _phasors(2.0 * np.pi * _carrier_cycles(r[part], radio.carrier_freq_hz))
         tone += (py[:arr.rx_rows] * tone_carrier) @ px[:arr.rx_cols].T
         b = bins[part]
         starts = np.flatnonzero(np.diff(b, prepend=-1))
@@ -510,7 +512,24 @@ def build_clutter_map_pairs(scene):
     grid, each patch paired with its mirror at -x (the centre column of an
     odd nx with itself, its twin's coefficient 0), the kept pairs sorted by
     an int64 bin key, then windows of CHUNK_PATCHES pairs adding each bin's
-    ``py @ u.T`` over its pairs, ``u = c_p px + c_q conj(px)``."""
+    ``py @ u.T`` over its pairs, ``u = c_p px + c_q conj(px)``. Each
+    patch's random phasor and each pair's tone carrier come from the
+    library's float32 ``_phasors``, the carrier's cycles reduced first."""
+    return _clutter_map_pairs(scene, _phasors, lambda r, f_c: _phasors(
+        2.0 * np.pi * _carrier_cycles(r, f_c)))
+
+
+def build_clutter_map_pairs_float64(scene):
+    """The pairs build of :func:`build_clutter_map_pairs` with every phasor
+    a float64 complex exponential, as the library made them before it took
+    the patch phasors and the tone carrier from float32 angles."""
+    return _clutter_map_pairs(scene, lambda phase: np.exp(1j * phase), lambda r, f_c: np.exp(
+        2j * np.pi * f_c * (2.0 * r / SPEED_OF_LIGHT)))
+
+
+def _clutter_map_pairs(scene, patch_phasor, tone_carrier):
+    """The pairs build with ``patch_phasor(phase)`` for each patch's random
+    phasor and ``tone_carrier(r, carrier_freq_hz)`` for each pair's."""
     cl, radio, arr = scene.clutter, scene.radio, scene.array
     params = terrain_params(scene)
     lam = radio.wavelength_m
@@ -535,8 +554,8 @@ def build_clutter_map_pairs(scene):
     rcs = sigma0 * cl.cell_m**2
     amp = np.sqrt(radio.gain_tx * radio.gain_rx * lam**2 * rcs
                   / ((4.0 * np.pi) ** 3 * r**4))
-    c_p = amp * np.exp(1j * phase_p)
-    c_q = np.where(alone, 0.0, amp * np.exp(1j * phase_q))
+    c_p = amp * patch_phasor(phase_p)
+    c_q = np.where(alone, 0.0, amp * patch_phasor(phase_q))
 
     wavenum = 2.0 * np.pi / lam
     cols, rows = arr.va_cols, arr.va_rows
@@ -548,9 +567,8 @@ def build_clutter_map_pairs(scene):
         px = _phase_powers(wavenum * arr.rx_spacing_x_m * x[part] / r[part], cols)
         u = px * c_p[part] + np.conj(px) * c_q[part]
         py = _phase_powers(-wavenum * arr.rx_spacing_y_m * h / r[part], rows)
-        tau = 2.0 * r[part] / SPEED_OF_LIGHT
-        tone_carrier = np.exp(2j * np.pi * radio.carrier_freq_hz * tau)
-        tone += (py[:arr.rx_rows] * tone_carrier) @ u[:arr.rx_cols].T
+        carrier = tone_carrier(r[part], radio.carrier_freq_hz)
+        tone += (py[:arr.rx_rows] * carrier) @ u[:arr.rx_cols].T
         b = bins[part]
         starts = np.flatnonzero(np.diff(b, prepend=-1))
         for s, e in zip(starts, np.append(starts[1:], b.size)):

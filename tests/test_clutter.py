@@ -3,8 +3,10 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 import oracles
-from conftest import WAVELENGTH, make_array, make_radio, make_scene
+from conftest import DESK_MC, WAVELENGTH, make_array, make_radio, make_scene
 from mars_jcas import clutter, cpus
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import (
@@ -24,6 +26,7 @@ from mars_jcas.clutter import (
     terrain_params,
     terrain_preset,
 )
+from mars_jcas.harness import monte_carlo, record_rows
 from mars_jcas.io import parse_config
 from mars_jcas.scene import (
     ArrayGeometry,
@@ -81,6 +84,58 @@ class TestGtri:
             terrain_preset("lava_5ghz")
 
 
+class TestPhasors:
+    """The float32-angle phasors the build takes for each patch's random
+    phase and each pair's tone carrier, against float64 ``np.exp``. The
+    bound is the one the receiver noise's float32 angle keeps
+    (test_noise.py): rounding the angle moves a phasor by at most about
+    3e-7."""
+
+    @staticmethod
+    def patch_phases():
+        # As the build draws them, with both ends of [0, 2 pi).
+        phase = np.random.default_rng(49).uniform(0.0, 2.0 * np.pi, size=10**6)
+        phase[:2] = 0.0, np.nextafter(2.0 * np.pi, 0.0)
+        return phase
+
+    def test_patch_phasors_within_1e_6_of_float64(self):
+        phase = self.patch_phases()
+        assert np.abs(clutter._phasors(phase) - np.exp(1j * phase)).max() <= 1e-6
+
+    # From the lowest station height the property test draws to past its
+    # 2.52 km standoff, at make_radio's and every preset's 5 GHz carrier:
+    # up to about 8.7e4 cycles.
+    RANGES_M = (1.0, 2600.0)
+
+    def test_carrier_phasors_within_1e_6_of_float64(self):
+        r = np.linspace(*self.RANGES_M, 10**6)
+        fc = make_radio().carrier_freq_hz
+        want = np.exp(2j * np.pi * fc * (2.0 * r / C0))
+        got = clutter._phasors(2.0 * np.pi * clutter._carrier_cycles(r, fc))
+        assert np.abs(got - want).max() <= 1e-6
+
+    def test_carrier_cycles_reduced_exactly(self):
+        r = np.random.default_rng(50).uniform(*self.RANGES_M, size=2000)
+        r[:2] = self.RANGES_M
+        fc = make_radio().carrier_freq_hz
+        cycles = clutter._carrier_cycles(r, fc)
+        assert np.all(np.abs(cycles) <= 0.5)
+        for ri, got in zip(r.tolist(), cycles.tolist()):
+            exact = 2 * Fraction(fc) * Fraction(ri) / Fraction(C0)
+            # got is 2 f_c r / c less an integer, so the difference is one.
+            off = Fraction(got) - exact
+            assert abs(off - round(off)) <= Fraction(1, 10**9)
+
+    def test_phasors_do_not_depend_on_slicing(self):
+        phase = self.patch_phases()
+        whole = clutter._phasors(phase)
+        for size in (7, 16384):
+            parts = [clutter._phasors(phase[lo:lo + size]) for lo in range(0, phase.size, size)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        order = np.random.default_rng(51).permutation(phase.size)
+        assert np.array_equal(clutter._phasors(phase[order]), whole[order])
+
+
 class TestClutterMap:
     def test_default_grid_is_two_million_patches(self, desk_clutter):
         assert desk_clutter.patch_count == 2_000_000
@@ -122,7 +177,8 @@ class TestClutterMap:
         tables = np.zeros((n_bins, arr.num_rx), dtype=complex)
         tone = np.zeros(arr.num_rx, dtype=complex)
         h = 5.0
-        phases = rng.uniform(0, 2 * np.pi, size=200)
+        # The library's float32 phasors for the random phases and the carrier.
+        phasors = clutter._phasors(rng.uniform(0, 2 * np.pi, size=200))
         idx = 0
         for x in xs:
             for y in ys:
@@ -132,13 +188,13 @@ class TestClutterMap:
                     -params.d / (1 + 0.1 * params.sigma_h_m / lam))
                 amp = math.sqrt(received_power("radar", 1.0, 1.0, 1.0, lam, r,
                                                rcs_m2=max(sigma0, 1e-300)))
-                coeff = amp * np.exp(1j * phases[idx])
+                coeff = amp * phasors[idx]
                 idx += 1
                 steer = steering_ura_from_sin(x / r, -h / r, arr, lam)
                 b = round(r / cmap.range_res_m)
                 tables[b] += coeff * steer
-                tone += coeff * steer * np.exp(2j * np.pi * scene.radio.carrier_freq_hz
-                                               * 2 * r / C0)
+                tone += coeff * steer * clutter._phasors(
+                    2 * np.pi * clutter._carrier_cycles(r, scene.radio.carrier_freq_hz))
         # The grid walks x-major in the implementation; phases must line up.
         np.testing.assert_allclose(cmap.chirp_tables[0], tables, rtol=1e-9, atol=1e-25)
         np.testing.assert_allclose(cmap.tone_vec, tone, rtol=1e-9, atol=1e-25)
@@ -234,6 +290,33 @@ class TestClutterMap:
         got = build_clutter_map(scene)
         assert_same_map(got, oracles.build_clutter_map_pairs(scene))
         assert_near_map(got, oracles.build_clutter_map_full_grid(scene), 1e-13)
+
+    # The float32-angle phasors against the float64 complex exponentials the
+    # build took before: the tables and tone vector move by at most 1e-6 of
+    # their largest entry (about 1.5e-7 read), and the desk_mc drops score
+    # the same records on either map.
+    @pytest.mark.parametrize("preset,va", [("desk_small", True), ("table1_car", False)])
+    def test_preset_map_within_1e_6_of_float64_phasors(self, preset, va):
+        scene = validate_scene(parse_config(preset_path(preset))[0])
+        scene = replace(scene, array=scene.array.with_va(va))
+        assert_near_map(build_clutter_map(scene),
+                        oracles.build_clutter_map_pairs_float64(scene), 1e-6)
+
+    def test_desk_mc_records_equal_on_float64_phasor_map(self, desk, desk_clutter):
+        scene, plan = desk
+        float64 = oracles.build_clutter_map_pairs_float64(
+            replace(scene, array=scene.array.with_va(True)))
+        assert not np.array_equal(float64.chirp_tables, desk_clutter.chirp_tables)
+        plan = replace(plan, pipelines=DESK_MC, num_drops=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got_curves, got = monte_carlo(plan, scene, desk_clutter)
+            want_curves, want = monte_carlo(plan, scene, float64)
+        # records.csv's rows and the curves; an estimate's amplitude, which
+        # neither holds, moves in its last digits.
+        assert len(got.records) == 20 * len(DESK_MC)
+        assert record_rows(got.records) == record_rows(want.records)
+        assert got_curves == want_curves
 
     # Below 2**16 subcarriers the sort keys are uint16 (the key
     # num_subcarriers marks a patch past the last bin); from 2**16 on they
