@@ -21,7 +21,6 @@ from .scene import (
     validate_scene,
 )
 from .waveform import (
-    ChirpSpec,
     MarsSchedule,
     build_schedule,
     chirp_time_samples,

@@ -383,7 +383,7 @@ def synthesize_if_cube(scene: ValidatedScene, schedule: MarsSchedule,
     samples = np.arange(n)
     beats = []
     for tau, fd in zip(taus, fds):
-        beat = np.exp(2j * np.pi * (bw / t_sym) * tau * samples / bw)
+        beat = np.exp(2j * np.pi * radio.chirp_rate_hz_per_s * tau * samples / bw)
         if rec.exact_within_symbol_doppler:
             beat = beat * np.exp(2j * np.pi * fd * samples / bw)
         beats.append(beat)

@@ -37,6 +37,7 @@ from .harness import (
     monte_carlo,
     plan_groups,
     record_rows,
+    run_drop,
 )
 from .io import (
     LARGEST,
@@ -384,10 +385,15 @@ def cmd_replay(args) -> int:
             raise ConfigError("manifest has no experiment plan to replay a drop from")
         scene, _ = _checked("manifest", scene_cfg, plan, compiles=True)
         try:
-            _, report = monte_carlo(replace(plan, workers=1), scene, drops=(args.drop,))
+            if not 0 <= args.drop < plan.num_drops:
+                span = f" (0 to {plan.num_drops - 1})" if plan.num_drops else ""
+                raise ValueError(f"drop {args.drop} is not a drop of this run, which has "
+                                 f"{plan.num_drops} drops{span}")
+            run = compile_run(scene, plan)
+            records = [r for value, at, groups in run.points
+                       for r in run_drop(at, run, args.drop, groups, value)]
         except ValueError as exc:
             raise ConfigError(f"manifest, --drop {args.drop}: {exc}") from exc
-        records = report.records
         write_csv(_outdir(args) / f"drop_{args.drop}_records.csv", RECORD_COLUMNS,
                   record_rows(records))
         print(f"replayed drop {args.drop}: {sum(r.hit for r in records)}/{len(records)} hits")

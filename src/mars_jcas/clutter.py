@@ -325,7 +325,7 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     finally:
         pool.shutdown(cancel_futures=True)
 
-    slot_rows, slot_cols = rows // arr.rx_rows, cols // arr.rx_cols
+    slot_rows, slot_cols = arr.slot_rows, arr.slot_cols
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)
               .transpose(1, 3, 0, 2, 4).reshape(slot_rows * slot_cols, n_bins, arr.num_rx))
     # Both patches of every kept pair, one of a centre column's.

@@ -447,8 +447,7 @@ def va_assemble(per_slot: Sequence[np.ndarray], arr: ArrayGeometry) -> np.ndarra
     """Stack the per-transmit-element (L, N) chirp matrices (x-fastest slot
     order) into the virtual-array snapshot whose rows follow the steering of
     ``arr``'s (va_cols*va_rows) aperture."""
-    eta_x = arr.tx_cols if arr.va_enabled else 1
-    eta_y = arr.tx_rows if arr.va_enabled else 1
+    eta_x, eta_y = arr.slot_cols, arr.slot_rows
     if len(per_slot) != eta_x * eta_y:
         raise ValueError(f"va_assemble: expected {eta_x * eta_y} slot matrices, "
                          f"got {len(per_slot)}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -499,27 +498,16 @@ def _timed_drop(task, run=None):
 
 
 def monte_carlo(plan: ExperimentPlan, scene: ValidatedScene,
-                clutter: Optional[ClutterMap] = None, *,
-                drops: Optional[Sequence[int]] = None) -> tuple:
-    """Run the full sweep over ``drops`` (default: every drop of the plan; a
-    drop outside it is a ValueError) of the run :func:`compile_run` makes
-    before any drop; returns (curve_rows, TrialReport). Curve rows: one dict
-    per (sweep value, pipeline, metric) with value and Wilson interval
-    bounds (rates only)."""
-    drops = range(plan.num_drops) if drops is None else drops
-    outside = sorted(set(drops) - set(range(plan.num_drops)))
-    if outside:
-        span = f" (0 to {plan.num_drops - 1})" if plan.num_drops else ""
-        raise ValueError(f"drop {outside[0]} is not a drop of this run, which has "
-                         f"{plan.num_drops} drops{span}")
-    repeated = [i for i, count in Counter(drops).items() if count > 1]
-    if repeated:
-        raise ValueError(f"drop {repeated[0]} is repeated: each drop is scored once")
+                clutter: Optional[ClutterMap] = None) -> tuple:
+    """Run every drop of the plan at every sweep point of the run
+    :func:`compile_run` makes before any drop; returns (curve_rows,
+    TrialReport). Curve rows: one dict per (sweep value, pipeline, metric)
+    with value and Wilson interval bounds (rates only)."""
     run = compile_run(scene, plan, clutter)
     sweep = [value for value, _, _ in run.points]
 
     report = TrialReport()
-    tasks = [(i, k) for k in range(len(sweep)) for i in drops]
+    tasks = [(i, k) for k in range(len(sweep)) for i in range(plan.num_drops)]
     # A pool starts all its processes at once, so it gets no more than there are tasks.
     workers = min(plan.workers, len(tasks))
     if workers > 1:

@@ -126,8 +126,7 @@ def _angle_candidates(peak_sin_x: float, peak_sin_y: float, pipe: PipelineSpec,
         return np.array([peak_sin_x]), np.array([peak_sin_y])
     res = resolution_report(scene.radio, geom)
     res_x, res_y = res.sin_angle_res_x, res.sin_angle_res_y
-    eta_x = max(1, scene.array.tx_cols)
-    eta_y = max(1, scene.array.tx_rows)
+    eta_x, eta_y = geom.slot_cols, geom.slot_rows
     kx = int(round(peak_sin_x / res_x))
     ky = int(round(peak_sin_y / res_y))
     sx, sy = np.meshgrid((kx + np.arange(-eta_x, eta_x + 1)) * res_x,

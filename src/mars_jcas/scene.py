@@ -65,6 +65,11 @@ class RadioParams:
         return 1.0 / self.subcarrier_spacing_hz
 
     @property
+    def chirp_rate_hz_per_s(self) -> float:
+        """Rate B / T_sym of the chirp one OFDM symbol carries (B T_sym = N)."""
+        return self.derived_bandwidth_hz / self.derived_symbol_duration_s
+
+    @property
     def num_pri(self) -> int:
         return int(round(self.cpi_s / self.pri_s))
 
@@ -110,21 +115,26 @@ class ArrayGeometry:
         return self.rx_cols * self.rx_rows
 
     @property
-    def num_tx(self) -> int:
-        return self.tx_cols * self.tx_rows
+    def slot_cols(self) -> int:
+        """Columns of the transmit-slot grid: every tx column with VA, else one."""
+        return self.tx_cols if self.va_enabled else 1
+
+    @property
+    def slot_rows(self) -> int:
+        return self.tx_rows if self.va_enabled else 1
 
     @property
     def slots_per_chirp(self) -> int:
         """Time-division slots one chirp occasion expands into."""
-        return self.num_tx if self.va_enabled else 1
+        return self.slot_cols * self.slot_rows
 
     @property
     def va_cols(self) -> int:
-        return self.tx_cols * self.rx_cols if self.va_enabled else self.rx_cols
+        return self.slot_cols * self.rx_cols
 
     @property
     def va_rows(self) -> int:
-        return self.tx_rows * self.rx_rows if self.va_enabled else self.rx_rows
+        return self.slot_rows * self.rx_rows
 
     def with_va(self, enabled: bool) -> "ArrayGeometry":
         if enabled == self.va_enabled:

@@ -4,7 +4,6 @@ power allocation, and time-frequency resource overhead accounting."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,38 +12,19 @@ import numpy as np
 from .scene import ArrayGeometry, RadioParams
 
 
-@dataclass(frozen=True)
-class ChirpSpec:
-    """Discrete chirp occupying one OFDM symbol.
-
-    The time-bandwidth product is pinned to the sample count (B*T_sym = N),
-    so the pair (chirp_rate, num_samples) fully determines the symbol.
-    """
-
-    chirp_rate_hz_per_s: float
-    num_samples: int
-
-    @classmethod
-    def from_radio(cls, radio: RadioParams) -> "ChirpSpec":
-        mu = radio.derived_bandwidth_hz / radio.derived_symbol_duration_s
-        return cls(chirp_rate_hz_per_s=mu, num_samples=radio.num_subcarriers)
-
-    @property
-    def symbol_duration_s(self) -> float:
-        return math.sqrt(self.num_samples / self.chirp_rate_hz_per_s)
-
-
-def chirp_time_samples(spec: ChirpSpec) -> np.ndarray:
-    """Discrete-time chirp x[k] = exp(j*pi*mu*(k*T_sym/N)^2), k = 0..N-1.
+def chirp_time_samples(radio: RadioParams) -> np.ndarray:
+    """Discrete-time chirp x[k] = exp(j*pi*mu*(k*T_sym/N)^2), k = 0..N-1, of
+    the radio's chirp rate mu over one OFDM symbol.
 
     With B*T_sym = N this reduces to exp(j*pi*k^2/N): constant modulus, and
     ideal (zero) periodic autocorrelation for even N.
     """
-    if spec.num_samples < 2:
-        raise ValueError("chirp_time_samples: num_samples must be >= 2")
-    k = np.arange(spec.num_samples, dtype=np.float64)
-    step = spec.symbol_duration_s / spec.num_samples
-    return np.exp(1j * np.pi * spec.chirp_rate_hz_per_s * (k * step) ** 2)
+    n = radio.num_subcarriers
+    if n < 2:
+        raise ValueError("chirp_time_samples: num_subcarriers must be >= 2")
+    k = np.arange(n, dtype=np.float64)
+    step = radio.derived_symbol_duration_s / n
+    return np.exp(1j * np.pi * radio.chirp_rate_hz_per_s * (k * step) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +136,7 @@ def build_schedule(radio: RadioParams, arr: ArrayGeometry, structure: str, *,
     if 10 * w >= m_total:
         raise ValueError(f"power allocation requires 10*W < M (W={w}, M={m_total})")
 
-    cols, rows = (arr.tx_cols, arr.tx_rows) if arr.va_enabled else (1, 1)
+    cols, rows = arr.slot_cols, arr.slot_rows
     va_slots = tuple(tuple((i + b * cols + a, a, b) for b in range(rows) for a in range(cols))
                      for i in occasions)
     flat = [p for occ in va_slots for (p, _, _) in occ]
@@ -185,7 +165,7 @@ def symbol_time_samples(schedule: MarsSchedule, radio: RadioParams, pri_index: i
         sub = int(schedule.fa_subcarrier_indices[pri_index])
         return np.exp(2j * np.pi * sub * k / n)
     if pri_index in set(schedule.chirp_slot_pris().tolist()):
-        return chirp_time_samples(ChirpSpec.from_radio(radio))
+        return chirp_time_samples(radio)
     return np.exp(2j * np.pi * schedule.tone_subcarrier_index * k / n)
 
 

@@ -39,8 +39,10 @@ before the library dropped scipy.
 ``FreshDraws`` makes every random draw of a cube afresh, as each cube did
 before a drop's cubes shared one ``DropDraws``.
 The last section holds forms that only tests use: the sample-level tone
-branch, the spherical angle conversions, the inverse space-time reshape
-and OFDM synthesis and analysis. ``pipeline_conflict`` and
+branch, the spherical angle conversions, the inverse space-time reshape,
+OFDM synthesis and analysis, and the chirp's samples with their time step
+derived from the chirp rate, sqrt(N / mu) / N, as the library stepped
+them before it took the radio's symbol time. ``pipeline_conflict`` and
 ``validate_plan`` are the pipeline and plan checks as they were before
 ``PipelineSpec`` and ``ExperimentPlan`` checked themselves when built:
 ``(key, reason)`` for a spec, and an explicit call on a plan that raises.
@@ -841,6 +843,16 @@ def chirp_freq_coeffs(samples: np.ndarray) -> np.ndarray:
     of :func:`ofdm_time_samples`: X[n] = (1/sqrt(N)) * sum_k x[k] exp(-j*2*pi*n*k/N)."""
     samples = np.asarray(samples)
     return np.fft.fft(samples) / math.sqrt(samples.size)
+
+
+def chirp_time_samples(radio) -> np.ndarray:
+    """exp(j*pi*mu*(k*T/N)^2), k = 0..N-1, with mu = B / T_sym and the
+    symbol time T recovered from the rate as sqrt(N / mu)."""
+    n = radio.num_subcarriers
+    mu = radio.derived_bandwidth_hz / radio.derived_symbol_duration_s
+    k = np.arange(n, dtype=np.float64)
+    step = math.sqrt(n / mu) / n
+    return np.exp(1j * np.pi * mu * (k * step) ** 2)
 
 
 # --- plan checks before construction-time validation --------------------------

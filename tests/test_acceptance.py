@@ -30,7 +30,6 @@ from mars_jcas.io import read_manifest
 from mars_jcas.pipeline import PipelineSpec
 from mars_jcas.scene import steering_from_sin, steering_ura_from_sin
 from mars_jcas.waveform import (
-    ChirpSpec,
     build_schedule,
     chirp_time_samples,
     overhead_fraction,
@@ -121,7 +120,7 @@ def test_criterion_3_waveform_properties():
     started = time.perf_counter()
     worst_mod, worst_side, worst_rt = 0.0, 0.0, 0.0
     for n in (256, 2048):
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=n)))
+        x = chirp_time_samples(make_radio(n=n))
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(x) - 1.0))))
         # Brute-force cyclic autocorrelation oracle (direct sums, no FFT).
         sidelobes = [abs(np.sum(x * np.conj(np.roll(x, lag)))) for lag in range(1, n)]

@@ -664,34 +664,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
         _, pooled = monte_carlo(replace(plan, workers=8), scene)
         assert pools == [3] and pooled.records == serial.records
-        _, one = monte_carlo(replace(plan, workers=8), scene, drops=(1,))
-        assert pools == [3] and one.records == [r for r in serial.records if r.drop_index == 1]
-
-    def test_drops_runs_those_drops_at_every_sweep_point(self):
-        # replay --drop K runs monte_carlo over drop K alone: the records of
-        # that drop in the full run, at each sweep point.
-        scene = make_scene(radio=make_radio(power_w=10.0))
-        plan = quiet_plan(num_drops=3, sweep_values=(1e-3, 10.0))
-        _, full = monte_carlo(plan, scene)
-        _, one = monte_carlo(plan, scene, drops=(1,))
-        assert one.records == [r for r in full.records if r.drop_index == 1]
-        assert [r.sweep_value for r in one.records] == [1e-3, 10.0]
-        assert list(one.drop_runtimes_s) == [("0.001", 1), ("10.0", 1)]
-        for bad in (-1, 3):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"drop {bad} is not a drop of this run, which has 3 drops (0 to 2)")):
-                monte_carlo(plan, scene, drops=(bad,))
-
-    def test_repeated_drop_fails_before_any_drop(self, monkeypatch):
-        # Each drop is scored once: a repeated index would count its records
-        # twice in the curves and keep one runtime.
-        scene = make_scene(radio=make_radio(power_w=10.0))
-        plan = quiet_plan(num_drops=3)
-        monkeypatch.setattr(harness, "_timed_drop", lambda *args: pytest.fail("a drop ran"))
-        for drops in ((1, 1), (0, 2, 0)):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"drop {drops[0]} is repeated: each drop is scored once")):
-                monte_carlo(plan, scene, drops=drops)
+        _, one = monte_carlo(replace(plan, workers=8, num_drops=1), scene)
+        assert pools == [3] and one.records == [r for r in serial.records if r.drop_index == 0]
 
     def test_va_plan_on_one_slot_map_fails_before_any_drop(self, monkeypatch):
         # The map must hold the slot tables of the plan's VA schedule: a
@@ -814,13 +788,20 @@ class TestMonteCarlo:
     # [2, 20, 41] puts STHP's blind speeds at +-40 m/s, 2 v_max / gcd(18, 39)
     # with v_max = 60 m/s, inside the drawn window; 40 m/s is 21.33 STTE bins
     # and 213.33 MUSIC steps, so neither velocity grid lands on it exactly.
-    @pytest.mark.parametrize("occasions", [[1, 6, 15], [1, 9, 30], [2, 20, 41]])
-    def test_clean_scene_every_target_is_hit(self, occasions):
+    # The transmit grids (tx_cols, tx_rows) past desk_small's 2 x 2 are
+    # asymmetric, so a VA chain that swaps the slot grid's axes misplaces
+    # its virtual rows.
+    @pytest.mark.parametrize("occasions, tx", [
+        ([1, 6, 15], (2, 2)), ([1, 9, 30], (2, 2)), ([2, 20, 41], (2, 2)),
+        ([1, 7, 15], (2, 1)), ([2, 20, 41], (1, 3)), ([1, 7, 15], (3, 2)),
+    ], ids=[f"occasions{i}" for i in range(6)])
+    def test_clean_scene_every_target_is_hit(self, occasions, tx):
         # desk_small without clutter, SI or uplink and with a strong echo:
         # every chain finds its one target within a bin on every axis. The
         # speed window stays two velocity bins (1.875 m/s each) clear of the
         # +-1-bin zero-velocity guard.
         raw = desk_raw(chirp_pri_indices=occasions)
+        raw["array"].update(tx_cols=tx[0], tx_rows=tx[1])
         raw["radio"].pop("uplink_power_dbm")
         raw["radio"].update(si_attenuation_db=300.0, uplink_power_w=0.0, avg_tx_power_dbm=40.0)
         raw["clutter"]["enabled"] = False
@@ -836,6 +817,18 @@ class TestMonteCarlo:
         for pipe in self.CLEAN_PIPELINES:
             offsets = [r.offsets_bins for r in report.records if r.pipeline == pipe.tag]
             assert np.median(offsets, axis=0).tolist() == [0, 0, 0, 0], pipe.tag
+        # The virtual aperture only sharpens the angle: on each angle axis a
+        # VA chain's RMS error is at most the no-VA comb STHP chain's on the
+        # same drops. Slot rows assembled with the grid's axes swapped land
+        # at the wrong virtual positions, which this catches on the
+        # asymmetric grids though every target is still hit.
+        rmse = {pipe.tag: rmse_normalized([r for r in report.records if r.pipeline == pipe.tag])
+                for pipe in self.CLEAN_PIPELINES}
+        plain = rmse[self.CLEAN_PIPELINES[0].tag]
+        for pipe in self.CLEAN_PIPELINES:
+            if pipe.va:
+                for axis in ("sin_psi_x", "sin_psi_y"):
+                    assert rmse[pipe.tag][axis] <= plain[axis] + 1e-12, (pipe.tag, axis)
 
 
 class TestDropDraws:

@@ -1310,7 +1310,12 @@ class TestCli:
         return [lines[0]] + [line for line in lines[1:] if line.split(",")[1] == str(drop)]
 
     def test_replay_single_drop(self, tmp_path, capsys):
+        # replay --drop K writes the run's records of drop K, one sweep point
+        # after another, in the order montecarlo wrote them.
         cfg = self._fast_config(tmp_path)
+        raw = yaml.safe_load(cfg.read_text())
+        raw["experiment"].update(sweep_axis="tx_power", sweep_values_dbm=[-30.0, 10.0])
+        cfg.write_text(yaml.safe_dump(raw))
         out1 = tmp_path / "run1"
         assert main(["montecarlo", "--config", str(cfg), "--out", str(out1)]) == 0
         out2 = tmp_path / "drop"
@@ -1318,7 +1323,8 @@ class TestCli:
                      "--out", str(out2), "--drop", "1"])
         assert code == 0
         want = self._records_of_drop(out1, 1)
-        assert len(want) == 2
+        assert len(want) == 1 + 2
+        assert [float(line.split(",")[2]) for line in want[1:]] == pytest.approx([1e-6, 1e-2])
         assert (out2 / "drop_1_records.csv").read_text() == "".join(want)
 
     def test_replay_drop_outside_the_run_fails_before_output_dir(self, tmp_path, capsys):
@@ -1332,7 +1338,8 @@ class TestCli:
                          "--out", str(out2), "--drop", drop])
             assert code == 3
             err = capsys.readouterr().err
-            assert f"--drop {drop}" in err and "has 2 drops" in err
+            assert f"manifest, --drop {drop}: drop {drop} is not a drop of this run, " \
+                "which has 2 drops (0 to 1)" in err
             assert not out2.exists()
 
     def test_replay_drop_of_a_zero_drop_run_names_no_range(self, tmp_path, capsys):

@@ -6,10 +6,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_array, make_radio
-from mars_jcas.io import _read, to_dict
+from mars_jcas.cli import preset_path
+from mars_jcas.io import _read, parse_config, to_dict
 from mars_jcas.waveform import (
-    ChirpSpec,
     MarsSchedule,
     build_schedule,
     chirp_time_samples,
@@ -27,17 +28,17 @@ def brute_cyclic_autocorr(x: np.ndarray) -> np.ndarray:
 
 class TestChirp:
     def test_first_sample_is_one(self):
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=64)))
+        x = chirp_time_samples(make_radio(n=64))
         assert x[0] == pytest.approx(1.0 + 0j)
 
     @pytest.mark.parametrize("n", [16, 63, 256, 2048])
     def test_constant_modulus(self, n):
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=n)))
+        x = chirp_time_samples(make_radio(n=n))
         assert np.max(np.abs(np.abs(x) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("n", [256, 2048])
     def test_ideal_cyclic_autocorrelation(self, n):
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=n)))
+        x = chirp_time_samples(make_radio(n=n))
         r = brute_cyclic_autocorr(x)
         assert r[0] == pytest.approx(n)
         assert np.max(np.abs(r[1:])) < 1e-9 * n
@@ -45,31 +46,39 @@ class TestChirp:
     def test_reduced_phase_form(self):
         # With B*T = N the sample phase collapses to pi*k^2/N.
         n = 128
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=n)))
+        x = chirp_time_samples(make_radio(n=n))
         k = np.arange(n)
         np.testing.assert_allclose(x, np.exp(1j * np.pi * k**2 / n), atol=1e-10)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            chirp_time_samples(ChirpSpec(chirp_rate_hz_per_s=1e12, num_samples=1))
+            chirp_time_samples(make_radio(n=1))
+
+    @pytest.mark.parametrize("preset", ["desk_small", "table1_car", "table1_uav"])
+    def test_preset_chirp_equals_rate_derived_step(self, preset):
+        # The radio's own T_sym / N steps the preset chirps bit for bit as the
+        # step sqrt(N / mu) / N recovered from the chirp rate did.
+        radio = parse_config(preset_path(preset))[0].radio
+        np.testing.assert_array_equal(chirp_time_samples(radio),
+                                      oracles.chirp_time_samples(radio))
 
 
 class TestFreqCoeffs:
     def test_round_trip(self):
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=512)))
+        x = chirp_time_samples(make_radio(n=512))
         coeffs = chirp_freq_coeffs(x)
         back = ofdm_time_samples(coeffs)
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_energy_preserved(self):
         n = 256
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=n)))
+        x = chirp_time_samples(make_radio(n=n))
         coeffs = chirp_freq_coeffs(x)
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(n)
 
     def test_flat_spectrum_against_brute_dft(self):
         n = 256
-        x = chirp_time_samples(ChirpSpec.from_radio(make_radio(n=n)))
+        x = chirp_time_samples(make_radio(n=n))
         # Brute-force DFT oracle, no FFT on this side.
         k = np.arange(n)
         oracle = np.array([np.sum(x * np.exp(-2j * np.pi * f * k / n)) for f in range(n)])
