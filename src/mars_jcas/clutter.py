@@ -175,13 +175,13 @@ def patch_grid(clutter_cfg) -> tuple:
 CHUNK_PATCHES = 16384
 
 
-def _phasors(angle) -> np.ndarray:
-    """``exp(1j * angle)`` from ``angle`` rounded to float32, whose ``cos``
-    and ``sin`` numpy runs in SIMD, an order of magnitude faster than its
-    complex ``exp``: within about 3e-7 of float64 for angles in [-2 pi,
-    2 pi], and elementwise, so a value does not depend on how the input
-    was sliced."""
-    theta = np.asarray(angle, dtype=np.float32)
+def _phasors(angle, dtype=np.float32) -> np.ndarray:
+    """``exp(1j * angle)`` as the ``cos`` and ``sin`` of ``angle`` rounded
+    to ``dtype``. In float32 numpy runs them in SIMD, an order of magnitude
+    faster than its complex ``exp``, within about 3e-7 of float64 for
+    angles in [-2 pi, 2 pi]; elementwise, so a value does not depend on how
+    the input was sliced."""
+    theta = np.asarray(angle, dtype=dtype)
     out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
@@ -198,11 +198,11 @@ def _carrier_cycles(r, carrier_freq_hz: float) -> np.ndarray:
 
 def _phase_powers(phase, n: int) -> np.ndarray:
     """``exp(1j * k * phase)`` for k = 0..n-1, one row per k. The step stays
-    float64: it sets the array geometry, and its error compounds over the
-    powers."""
+    float64, from float64 ``cos`` and ``sin``: it sets the array geometry,
+    and its error compounds over the powers."""
     powers = np.empty((n, phase.size), dtype=complex)
     powers[0] = 1.0
-    step = np.exp(1j * phase)
+    step = _phasors(phase, float)
     for k in range(1, n):
         np.multiply(powers[k - 1], step, out=powers[k])
     return powers
@@ -232,9 +232,11 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     tone carrier exp(j 2 pi f_c 2r / c) carry no geometry in their float64
     angle, so they come from float32 angles (:func:`_phasors`, the carrier's
     cycles reduced first by :func:`_carrier_cycles`); the steering steps
-    that ``px`` and ``py`` raise to powers stay float64. Only the pair
-    order (stable by range bin, pairs past the last bin at its end), the
-    bins' edges in that order and the phases are held for the whole grid.
+    that ``px`` and ``py`` raise to powers stay float64, from float64
+    ``cos`` and ``sin``. Only the pair order (stable by range bin, pairs
+    past the last bin at its end), the bins' edges in that order and the
+    float32 phases are held for the whole grid, and no float64 array of
+    the grid's size is made.
 
     The rest is computed a chunk of pairs at a time, each chunk a pure
     function of its start giving its tone term and one product per range
@@ -255,12 +257,15 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     nx, ny = xs.size, ys.size
     # Column nx // 2 + i is the mirror of column (nx - 1) // 2 - i.
     half = xs[nx // 2:]
-    bins = np.rint(np.sqrt(np.add.outer(half * half, ys * ys).ravel() + h * h)
-                   / radio.range_res_m)
     # Sort keys of 16 bits or fewer take numpy's radix sort; key n_bins
-    # marks a pair past the last bin.
-    keys = np.minimum(bins, n_bins, out=bins).astype(np.uint16 if n_bins < 2**16 else np.intp)
-    del bins
+    # marks a pair past the last bin. They are made a block of columns at a
+    # time, so no float64 temporary exceeds about CHUNK_PATCHES values.
+    keys = np.empty(half.size * ny, dtype=np.uint16 if n_bins < 2**16 else np.intp)
+    block = max(CHUNK_PATCHES // ny, 1)
+    for lo in range(0, half.size, block):
+        x = half[lo:lo + block, None]
+        bins = np.rint(np.sqrt((x * x + ys * ys) + h * h) / radio.range_res_m)
+        keys[lo * ny:(lo + block) * ny] = np.minimum(bins, n_bins, out=bins).ravel()
     # Pairs of bin b sit at edges[b]:edges[b + 1] of the sorted order.
     edges = np.zeros(n_bins + 2, dtype=np.intp)
     np.cumsum(np.bincount(keys, minlength=n_bins + 1), out=edges[1:])
@@ -270,7 +275,13 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
     # sort result is freed before the phase draw.
     order = order.astype(np.int32 if nx * ny < 2**31 else np.intp)
     kept = int(edges[n_bins])
-    phase = rng_for(scene.seed, "clutter").uniform(0.0, 2.0 * np.pi, size=nx * ny)
+    # Held as the float32 _phasors rounds them to; PCG64 spends one output
+    # a double, so the pieces of CHUNK_PATCHES are one draw.
+    rng = rng_for(scene.seed, "clutter")
+    phase = np.empty(nx * ny, dtype=np.float32)
+    for lo in range(0, phase.size, CHUNK_PATCHES):
+        piece = phase[lo:lo + CHUNK_PATCHES]
+        piece[:] = rng.uniform(0.0, 2.0 * np.pi, size=piece.size)
 
     wavenum = 2.0 * np.pi / lam
     cols, rows = arr.va_cols, arr.va_rows

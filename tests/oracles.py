@@ -18,7 +18,9 @@ and, for exact
 comparison, with every per-patch array held for the whole grid (the
 build before it streamed chunks over the patch order), and once more with
 the float64 complex exponentials the build took for its patch phasors and
-tone carrier before it took them from float32 angles, the general VA row
+tone carrier before it took them from float32 angles, the steering phase
+powers with their step a float64 complex ``exp`` (before the build wrote
+it from float64 ``cos`` and ``sin``), the general VA row
 scatter (one slot included), the per-target chirp-branch assembly that the
 pipeline front end replaced (on the element-major (L, W*N) chirp layout,
 with its occasion interleave, and each VA slot's rows rotated back by the
@@ -527,6 +529,18 @@ def build_clutter_map_pairs_float64(scene):
     the patch phasors and the tone carrier from float32 angles."""
     return _clutter_map_pairs(scene, lambda phase: np.exp(1j * phase), lambda r, f_c: np.exp(
         2j * np.pi * f_c * (2.0 * r / SPEED_OF_LIGHT)))
+
+
+def phase_powers_exp(phase, n):
+    """``exp(1j * k * phase)`` for k = 0..n-1, one row per k, each power the
+    last times the step ``np.exp(1j * phase)``, the library's step before
+    it wrote the step from float64 ``cos`` and ``sin``."""
+    powers = np.empty((n, phase.size), dtype=complex)
+    powers[0] = 1.0
+    step = np.exp(1j * phase)
+    for k in range(1, n):
+        np.multiply(powers[k - 1], step, out=powers[k])
+    return powers
 
 
 def _clutter_map_pairs(scene, patch_phasor, tone_carrier):
