@@ -32,7 +32,6 @@ from .estimator import (
     AngleVelocityMap,
     TargetEstimate,
     angle_velocity_map,
-    column_compress,
     epsilon_m,
     expand_nn,
     fa_range_doppler_map,

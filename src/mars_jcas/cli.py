@@ -91,7 +91,7 @@ def _load(args, compiles=False):
     command's config with :func:`_checked`'s rules applied."""
     source = _source(args)
     scene_cfg, plan = parse_config(source)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scene_cfg = replace(scene_cfg, seed=args.seed)
         if plan is not None:
             plan = replace(plan, seed=args.seed)

@@ -1,5 +1,5 @@
-"""Detection stack operations: tone-branch compression and expansion, the
-angle-velocity map, coarse peak extraction (STTE), MUSIC refinement,
+"""Detection stack operations: tone-branch expansion, the angle-velocity
+map, greedy peak extraction (STTE and the FA map), MUSIC refinement,
 space-time reshaping and steering, adaptive / hierarchical / matched-filter
 range spectra, the FA baseline correlator, and virtual-aperture assembly.
 
@@ -78,17 +78,6 @@ class TargetEstimate:
         return math.sin(self.psi_y_rad)
 
 
-def column_compress(tone_raw: np.ndarray, n: int) -> np.ndarray:
-    """Sum every block of ``n`` raw columns into one (the digital equivalent
-    of the analog integrate-and-hold)."""
-    tone_raw = np.asarray(tone_raw)
-    if tone_raw.ndim != 2 or tone_raw.shape[1] % n:
-        raise ValueError(f"column_compress: column count {tone_raw.shape} "
-                         f"not divisible by N={n}")
-    l, cols = tone_raw.shape
-    return tone_raw.reshape(l, cols // n, n).sum(axis=2)
-
-
 def expand_nn(y_s2: np.ndarray, schedule: MarsSchedule) -> np.ndarray:
     """Nearest-preceding-neighbour expansion of the compressed tone branch,
     one column per tone PRI of ``schedule``, to all its PRIs: a chirp PRI
@@ -122,31 +111,39 @@ def angle_velocity_map(y_e2: np.ndarray, arr: ArrayGeometry,
                             velocity_res_mps=radio.velocity_res_mps)
 
 
-def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
-    """Greedy extraction of the K largest map cells outside the +-guard
-    zero-velocity band, each claiming a +-1-bin exclusion neighbourhood."""
-    if k < 1:
-        raise ValueError("stte_peaks: k must be >= 1")
-    values = avmap.values.copy()
-    nx, ny, nv = values.shape
-    vel_signed = np.abs(signed_bin(np.arange(nv), nv))
-    values[:, :, vel_signed <= guard] = -np.inf
+def greedy_peaks(values: np.ndarray, k: int, guard: int, vel_axis: int,
+                 periodic: Sequence[bool], caller: str) -> list:
+    """K greedy maxima of ``values``, masked in place: the +-guard
+    zero-velocity band along ``vel_axis`` first, then each peak's +-1-bin
+    neighbourhood, wrapped on the ``periodic`` axes and clipped on the
+    others. Each peak is the first maximum in memory order; returns its
+    (index tuple, value) before its own exclusion."""
+    nv = values.shape[vel_axis]
+    band = [slice(None)] * values.ndim
+    band[vel_axis] = np.abs(signed_bin(np.arange(nv), nv)) <= guard
+    values[tuple(band)] = -np.inf
     peaks = []
     for _ in range(k):
-        flat = int(np.argmax(values))
-        bx, by, bv = np.unravel_index(flat, values.shape)
-        if not np.isfinite(values[bx, by, bv]):
-            raise ValueError(f"stte_peaks: only {len(peaks)} extractable maxima, "
-                             f"requested {k}")
-        peaks.append(CoarsePeak(
-            sin_psi_x=avmap.sin_x(bx), sin_psi_y=avmap.sin_y(by),
-            velocity_mps=avmap.velocity(bv),
-        ))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                values[(bx + dx) % nx, (by + dy) % ny,
-                       [(bv - 1) % nv, bv, (bv + 1) % nv]] = -np.inf
+        index = np.unravel_index(int(np.argmax(values)), values.shape)
+        value = float(values[index])
+        if not np.isfinite(value):
+            raise ValueError(f"{caller}: only {len(peaks)} extractable maxima, requested {k}")
+        peaks.append((tuple(int(i) for i in index), value))
+        near = [np.arange(i - 1, i + 2) % n if wrap else np.arange(max(i - 1, 0), min(i + 2, n))
+                for i, n, wrap in zip(index, values.shape, periodic)]
+        values[np.ix_(*near)] = -np.inf
     return peaks
+
+
+def stte_peaks(avmap: AngleVelocityMap, k: int, guard: int = 1) -> list:
+    """STTE's coarse peaks: :func:`greedy_peaks` on a copy of the map, every
+    axis periodic."""
+    if k < 1:
+        raise ValueError("stte_peaks: k must be >= 1")
+    return [CoarsePeak(sin_psi_x=avmap.sin_x(bx), sin_psi_y=avmap.sin_y(by),
+                       velocity_mps=avmap.velocity(bv))
+            for (bx, by, bv), _ in greedy_peaks(avmap.values.copy(), k, guard, 2,
+                                                (True, True, True), "stte_peaks")]
 
 
 def _signal_subspace(y: np.ndarray, num_sources: int) -> np.ndarray:

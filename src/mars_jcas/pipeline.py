@@ -27,6 +27,7 @@ from .estimator import (
     expand_nn,
     fa_angle_snapshot,
     fa_range_doppler_map,
+    greedy_peaks,
     music_refine,
     reshape_space_time,
     signed_bin,
@@ -205,26 +206,14 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
     The same zero-velocity guard as STTE keeps the static ridge out."""
     radio = scene.radio
     power = fa_range_doppler_map(fa_meas, schedule, radio)
-    # The map never leaves this function, so its power grid is masked in
-    # place. Search it in its (velocity, range) memory order; the first
-    # maximum in (range, velocity) order is the first range column holding
-    # the maximum, then the first velocity within that column. The search
-    # is on the magnitudes, where two powers an ulp apart may tie, but takes
-    # them only at the column maxima and in the chosen column: the
-    # magnitude never decreases with the power, so a column's largest
-    # magnitude is the magnitude of its largest power.
-    m, n_rng = power.shape
-    power[np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
-
+    m = power.shape[0]
     arr = scene.array
     res = resolution_report(radio, arr.with_va(False))
     estimates = []
-    for _ in range(num_targets):
-        r_bin = int(np.argmax(_magnitudes(power.max(axis=0))))
-        column = _magnitudes(power[:, r_bin])
-        v_bin = int(np.argmax(column))
-        if not np.isfinite(column[v_bin]):
-            raise ValueError("run_fa_pipeline: map exhausted before K peaks")
+    # The map never leaves this function, so its (velocity, range) power
+    # grid is searched and masked in place.
+    for (v_bin, r_bin), p in greedy_peaks(power, num_targets, guard, 0, (True, False),
+                                          "run_fa_pipeline"):
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
@@ -232,12 +221,7 @@ def run_fa_pipeline(fa_meas: np.ndarray, scene: ValidatedScene, schedule: MarsSc
             int(signed_bin(v_bin, m)) * res.velocity_res_mps,
             float(signed_bin(bx, arr.rx_cols)) * res.sin_angle_res_x,
             float(signed_bin(by, arr.rx_rows)) * res.sin_angle_res_y,
-            r_bin, float(column[v_bin]), scene))     # amplitude before the exclusion below
-        for dr in (-1, 0, 1):
-            for dv in (-1, 0, 1):
-                rr = r_bin + dr
-                if 0 <= rr < n_rng:
-                    power[(v_bin + dv) % m, rr] = -np.inf
+            r_bin, math.sqrt(max(0.0, p)), scene))     # 0.0, not -0.0, for p = -0.0
     return estimates
 
 
@@ -254,8 +238,3 @@ def _estimate(velocity_mps: float, sin_x: float, sin_y: float, range_bin: int,
         angle_x_bin=round(sin_x / res.sin_angle_res_x),
         angle_y_bin=round(sin_y / res.sin_angle_res_y), range_bin=range_bin)
 
-
-def _magnitudes(power: np.ndarray) -> np.ndarray:
-    """Magnitudes of FA map powers, sqrt(max(p, 0)), with a masked cell's
-    -inf kept: the one magnitude rule of :func:`fa_range_doppler_map`'s grid."""
-    return np.where(power == -np.inf, -np.inf, np.sqrt(np.maximum(power, 0.0)))

@@ -13,7 +13,8 @@ full-grid Gram form of the FA map with its per-call lag cells, the
 half-grid form with a zeroed grid, two ``bincount`` passes and numpy's
 ``hfft``, the Gram form with its real transform into a new array rather
 than over the lag grid, the FA peak search on a transposed copy of the
-map, the clutter map, built by a transmit-slot x receive-element loop
+map, STTE's peak loop as it was before both chains shared one greedy
+search, the clutter map, built by a transmit-slot x receive-element loop
 and, for exact
 comparison, with every per-patch array held for the whole grid (the
 build before it streamed chunks over the patch order), and once more with
@@ -41,7 +42,7 @@ before the library dropped scipy.
 ``FreshDraws`` makes every random draw of a cube afresh, as each cube did
 before a drop's cubes shared one ``DropDraws``.
 The last section holds forms that only tests use: the sample-level tone
-branch, the spherical angle conversions, the inverse space-time reshape,
+branch and its column compression, the spherical angle conversions, the inverse space-time reshape,
 OFDM synthesis and analysis, and the chirp's samples with their time step
 derived from the chirp rate, sqrt(N / mu) / N, as the library stepped
 them before it took the radio's symbol time. ``pipeline_conflict`` and
@@ -73,6 +74,7 @@ from mars_jcas.clutter import (
     terrain_params,
 )
 from mars_jcas.estimator import (
+    CoarsePeak,
     TargetEstimate,
     _lag_cells,
     _loaded_solve,
@@ -342,37 +344,66 @@ def fa_magnitudes(power):
     return np.sqrt(np.maximum(power, 0.0)).T
 
 
-def fa_peak_search(values, num_targets, guard=1):
-    """Greedy peaks of an (N range, M velocity) FA magnitude map, by flat
-    argmax of a C-order copy: (range bin, velocity bin, magnitude) each,
-    with the guard's velocity bins and each peak's 3 x 3 neighbourhood
-    masked to -inf."""
-    values = values.copy()
-    n_rng, m = values.shape
-    values[:, np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
+def fa_peak_search(power, num_targets, guard=1):
+    """Greedy peaks of an (N range, M velocity) copy of an FA power grid, by
+    argmax of the copy flattened column by column, so that of equal powers
+    the first in (velocity, range) order, the grid's memory order, wins:
+    (range bin, velocity bin, magnitude sqrt(max(p, 0))) each, with the
+    guard's velocity bins and each peak's 3 x 3 neighbourhood, wrapped in
+    velocity and clipped in range, masked to -inf."""
+    power = power.copy()
+    n_rng, m = power.shape
+    power[:, np.abs(signed_bin(np.arange(m), m)) <= guard] = -np.inf
     peaks = []
     for _ in range(num_targets):
-        r_bin, v_bin = np.unravel_index(int(np.argmax(values)), values.shape)
-        if not np.isfinite(values[r_bin, v_bin]):
-            raise ValueError("run_fa_pipeline: map exhausted before K peaks")
-        peaks.append((int(r_bin), int(v_bin), float(values[r_bin, v_bin])))
+        r_bin, v_bin = np.unravel_index(int(np.argmax(power.ravel(order="F"))), power.shape,
+                                        order="F")
+        if not np.isfinite(power[r_bin, v_bin]):
+            raise ValueError(f"run_fa_pipeline: only {len(peaks)} extractable maxima, "
+                             f"requested {num_targets}")
+        peaks.append((int(r_bin), int(v_bin), float(fa_magnitudes(power[r_bin, v_bin]))))
         for dr in (-1, 0, 1):
             for dv in (-1, 0, 1):
                 if 0 <= r_bin + dr < n_rng:
-                    values[r_bin + dr, (v_bin + dv) % m] = -np.inf
+                    power[r_bin + dr, (v_bin + dv) % m] = -np.inf
+    return peaks
+
+
+def stte_peaks(avmap, k, guard=1):
+    """STTE's greedy coarse peaks as a loop of their own: flat argmax of a
+    copy of the map, the +-guard zero-velocity band and each peak's 3 x 3 x 3
+    neighbourhood, wrapped on every axis, masked to -inf."""
+    if k < 1:
+        raise ValueError("stte_peaks: k must be >= 1")
+    values = avmap.values.copy()
+    nx, ny, nv = values.shape
+    vel_signed = np.abs(signed_bin(np.arange(nv), nv))
+    values[:, :, vel_signed <= guard] = -np.inf
+    peaks = []
+    for _ in range(k):
+        bx, by, bv = np.unravel_index(int(np.argmax(values)), values.shape)
+        if not np.isfinite(values[bx, by, bv]):
+            raise ValueError(f"stte_peaks: only {len(peaks)} extractable maxima, "
+                             f"requested {k}")
+        peaks.append(CoarsePeak(sin_psi_x=avmap.sin_x(bx), sin_psi_y=avmap.sin_y(by),
+                                velocity_mps=avmap.velocity(bv)))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                values[(bx + dx) % nx, (by + dy) % ny,
+                       [(bv - 1) % nv, bv, (bv + 1) % nv]] = -np.inf
     return peaks
 
 
 def run_fa_pipeline(fa_meas, scene, schedule, num_targets, guard=1):
-    """FA pipeline on the full-grid map, searching its magnitudes
-    (:func:`fa_peak_search`)."""
+    """FA pipeline on the full-grid map, searching a transposed copy of its
+    powers (:func:`fa_peak_search`)."""
     radio = scene.radio
-    values = fa_magnitudes(fa_range_doppler_map_full_grid(fa_meas, schedule, radio))
-    m = values.shape[1]
+    power = fa_range_doppler_map_full_grid(fa_meas, schedule, radio).T
+    m = power.shape[1]
     vel_res = SPEED_OF_LIGHT / (2.0 * radio.cpi_s * radio.carrier_freq_hz)
     arr = scene.array
     estimates = []
-    for r_bin, v_bin, amplitude in fa_peak_search(values, num_targets, guard):
+    for r_bin, v_bin, amplitude in fa_peak_search(power, num_targets, guard):
         snap = fa_angle_snapshot(fa_meas, schedule, radio, r_bin, v_bin)
         spat = np.abs(np.fft.fft2(snap.reshape(arr.rx_rows, arr.rx_cols)))
         by, bx = np.unravel_index(int(np.argmax(spat)), spat.shape)
@@ -820,6 +851,17 @@ def score_estimates(truths, estimates, scene, pipeline_tag, drop_index, sweep_va
         hit = all(abs(o) <= 1 for o in offs)
         records.append(TargetRecord(pipeline_tag, drop_index, sweep_value, t, e, offs, errs, hit))
     return records
+
+
+def column_compress(tone_raw, n):
+    """Sum every block of ``n`` raw columns into one (the digital equivalent
+    of the analog integrate-and-hold)."""
+    tone_raw = np.asarray(tone_raw)
+    if tone_raw.ndim != 2 or tone_raw.shape[1] % n:
+        raise ValueError(f"column_compress: column count {tone_raw.shape} "
+                         f"not divisible by N={n}")
+    l, cols = tone_raw.shape
+    return tone_raw.reshape(l, cols // n, n).sum(axis=2)
 
 
 def psi_from_spherical(theta_rad, phi_rad):

@@ -20,12 +20,11 @@ from mars_jcas.channel import (
     synthesize_if_cube,
 )
 from mars_jcas.clutter import ClutterMap, build_clutter_map
-from mars_jcas.estimator import column_compress
 from mars_jcas.harness import schedule_for
 from mars_jcas.pipeline import PipelineSpec
 from mars_jcas.scene import Target
 from mars_jcas.waveform import build_schedule
-from oracles import tone_branch_unfused
+from oracles import column_compress, tone_branch_unfused
 
 
 def quiet_radio(**kw):

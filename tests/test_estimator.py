@@ -20,10 +20,10 @@ from mars_jcas.estimator import (
     AngleVelocityMap,
     CoarsePeak,
     angle_velocity_map,
-    column_compress,
     epsilon_m,
     expand_nn,
     fa_range_doppler_map,
+    greedy_peaks,
     interference_cov,
     music_refine,
     reshape_space_time,
@@ -36,7 +36,7 @@ from mars_jcas.estimator import (
     va_assemble,
 )
 from mars_jcas.io import config_from_dict
-from mars_jcas.pipeline import _magnitudes, run_fa_pipeline
+from mars_jcas.pipeline import run_fa_pipeline
 from mars_jcas.scene import (
     resolution_report,
     steering_from_sin,
@@ -44,7 +44,7 @@ from mars_jcas.scene import (
     validate_scene,
 )
 from mars_jcas.waveform import MarsSchedule, build_schedule
-from oracles import unshape_space_time
+from oracles import column_compress, unshape_space_time
 
 LAM = C0 / 5e9  # conftest radio wavelength
 RNG = np.random.default_rng
@@ -277,6 +277,40 @@ class TestSttePeaks:
         v[0, 1, 3] = 1.0
         with pytest.raises(ValueError, match="extractable"):
             stte_peaks(self._map(v), 5)
+
+    def test_angle_edges_wrap(self):
+        # A peak at sin bin 0 in x and y claims the other ends' bins too: the
+        # next strongest cell, diagonal across both wraps, is never a peak.
+        v = np.zeros((4, 4, 16))
+        v[0, 0, 5] = 3.0
+        v[3, 3, 6] = 2.0
+        v[2, 2, 10] = 1.0
+        avmap = self._map(v)
+        got = stte_peaks(avmap, 2)
+        assert [self._values(p) for p in got] == [self._cell(avmap, 0, 0, 5),
+                                                  self._cell(avmap, 2, 2, 10)]
+
+
+class TestGreedyPeaks:
+    # One peak on a map of ones. Guard -1 masks no velocity band, so every
+    # masked cell is the peak's +-1-bin neighbourhood: wrapped on the
+    # periodic axes, clipped on the others. FA's (velocity, range) grid
+    # wraps in velocity only; STTE's map wraps on every axis.
+    @pytest.mark.parametrize("shape, vel_axis, periodic, index, near", [
+        ((8, 6), 0, (True, False), (3, 0), ([2, 3, 4], [0, 1])),
+        ((8, 6), 0, (True, False), (3, 5), ([2, 3, 4], [4, 5])),
+        ((8, 6), 0, (True, False), (0, 2), ([7, 0, 1], [1, 2, 3])),
+        ((8, 6), 0, (True, False), (7, 2), ([6, 7, 0], [1, 2, 3])),
+        ((4, 4, 16), 2, (True, True, True), (0, 3, 0), ([3, 0, 1], [2, 3, 0], [15, 0, 1])),
+        ((4, 4, 16), 2, (True, True, True), (3, 0, 15), ([2, 3, 0], [3, 0, 1], [14, 15, 0])),
+    ])
+    def test_edges_wrap_only_on_periodic_axes(self, shape, vel_axis, periodic, index, near):
+        values = np.ones(shape)
+        values[index] = 5.0
+        assert greedy_peaks(values, 1, -1, vel_axis, periodic, "test") == [(index, 5.0)]
+        want = np.zeros(shape, dtype=bool)
+        want[np.ix_(*near)] = True
+        assert np.array_equal(np.isneginf(values), want)
 
 
 class TestMusicRefine:
@@ -967,7 +1001,7 @@ class TestFaMap:
         meas = np.outer(np.ones(4), ramp)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _magnitudes(fa_range_doppler_map(meas, sched, radio)).T
+            got = oracles.fa_magnitudes(fa_range_doppler_map(meas, sched, radio))
         want = oracles.fa_magnitudes(oracles.fa_range_doppler_map(meas, sched, radio))
         assert np.all(np.isfinite(got)) and np.all(got >= 0)
         assert np.unravel_index(np.argmax(got), got.shape) == (11, 5)

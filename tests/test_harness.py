@@ -451,17 +451,10 @@ class TestPlanRules:
             else:
                 ExperimentPlan(**kw)
 
-    @given(structure=st.sampled_from(["comb", "fa"]), cols=st.integers(1, 3),
-           rows=st.integers(1, 3), n=st.integers(2, 12), m=st.integers(3, 16),
-           guard=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_every_accepted_target_count_is_returned(self, structure, cols, rows, n, m,
-                                                     guard, seed):
-        # The greedy peak search returns the largest target_count
-        # plan_groups accepts on any map, ties included: each peak claims at
-        # most a 3 x 3 (x 3) neighbourhood of the unmasked cells. A comb
-        # schedule of W = 1 chirp occasion needs 10W < M.
-        assume(guard < m // 2 and (structure == "fa" or m > 10))
+    @staticmethod
+    def _most_targets(structure, cols, rows, n, m, guard):
+        """(scene, plan, schedule, the largest target_count plan_groups
+        accepts) for one pipeline of ``structure`` on a cols x rows array."""
         scene = make_scene(radio=make_radio(n=n, num_pri=m), arr=make_array(cols=cols, rows=rows),
                            indices=(1,))
         plan = ExperimentPlan(pipelines=(PipelineSpec(structure=structure, suppressor="mf",
@@ -473,25 +466,50 @@ class TestPlanRules:
                 plan_groups(scene, plan, ("experiment.target_count", most + 1))
             except ValueError as exc:
                 assert f"experiment.target_count {most + 1} exceeds" in str(exc)
-                break
+                return scene, plan, schedule, most
             most += 1
+
+    @given(structure=st.sampled_from(["comb", "fa"]), cols=st.integers(1, 3),
+           rows=st.integers(1, 3), n=st.integers(2, 12), m=st.integers(3, 16),
+           guard=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_target_count_is_returned(self, structure, cols, rows, n, m,
+                                                     guard, seed):
+        # The greedy peak search returns the largest target_count
+        # plan_groups accepts on any map, ties included: each peak claims at
+        # most a 3 x 3 (x 3) neighbourhood of the unmasked cells. A comb
+        # schedule of W = 1 chirp occasion needs 10W < M.
+        assume(guard < m // 2 and (structure == "fa" or m > 10))
+        scene, plan, schedule, most = self._most_targets(structure, cols, rows, n, m, guard)
         rng = np.random.default_rng(seed)
         if structure == "fa":
-            values = rng.integers(0, 3, size=(n, m)).astype(float)
-            # Squared magnitudes keep their order and ties.
-            power = values.T**2
+            power = rng.integers(0, 3, size=(m, n)).astype(float)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: power)
+                mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: power.copy())
                 got = run_fa_pipeline(np.ones((cols * rows, m), dtype=complex), scene,
                                       schedule, most, guard)
-            # The peaks are the injected map's.
-            want = oracles.fa_peak_search(values, most, guard)
+            # The peaks are the injected map's, ties in its memory order.
+            want = oracles.fa_peak_search(power.T, most, guard)
             assert [(e.range_bin, e.velocity_bin, e.amplitude) for e in got] == [
                 (r, signed_bin(v, m), a) for r, v, a in want]
         else:
             values = rng.integers(0, 3, size=(cols, rows, m)).astype(float)
             got = stte_peaks(AngleVelocityMap(values, 1.0, 1.0, 1.0), most, guard)
         assert len(got) == most
+
+    @given(cols=st.integers(1, 3), rows=st.integers(1, 3), m=st.integers(11, 16),
+           guard=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stte_peaks_equal_retired_loop_on_tie_heavy_maps(self, cols, rows, m, guard,
+                                                            seed):
+        # Values 0-2 tie everywhere: the shared greedy search picks STTE's
+        # peaks, ties included, as its own loop did, at every accepted K.
+        assume(guard < m // 2)
+        *_, most = self._most_targets("comb", cols, rows, 4, m, guard)
+        values = np.random.default_rng(seed).integers(0, 3, size=(cols, rows, m)).astype(float)
+        avmap = AngleVelocityMap(values, 0.5, 0.25, 1.875)
+        for k in range(1, most + 1):
+            assert stte_peaks(avmap, k, guard) == oracles.stte_peaks(avmap, k, guard)
 
     def test_music_target_count_bounded_by_elements(self, desk):
         # MUSIC needs K + 1 <= the rank of its num_rx x num_rx spatial and

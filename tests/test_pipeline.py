@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -318,6 +319,7 @@ class TestFaPipeline:
            k=st.integers(1, 3), guard=st.integers(0, 2))
     @example(seed=1, l=3, m=40, n=5, pool=None, k=3, guard=1)   # odd N, M > N
     @example(seed=2, l=2, m=3, n=4, pool=1, k=3, guard=1)       # K past the free cells
+    @example(seed=1065078493, l=1, m=4, n=4, pool=None, k=1, guard=0)  # equal powers
     @settings(max_examples=60, deadline=None)
     def test_peaks_equal_transposed_copy_oracle(self, seed, l, m, n, pool, k, guard):
         rng = np.random.default_rng(seed)
@@ -337,50 +339,71 @@ class TestFaPipeline:
             # The range grid is the replaced radio's, c / 2 N df, not the base scene's.
             assert all(e.range_m == e.range_bin * scene.radio.range_res_m for e in got)
 
-    # Powers whose magnitudes tie exactly, an ulp apart with equal square
-    # roots (sqrt(4 + ulp) rounds to 2), and rounding below zero, which the
-    # magnitude clips to a tie with 0.
+    # Powers that tie exactly (0.0 and -0.0 too), sit an ulp apart, or round
+    # below zero, where the amplitude clips to 0.0.
     UP = float(np.nextafter(4.0, 5.0))
     POWERS = (0.0, -0.0, -2.0**-60, 1.0, float(np.nextafter(1.0, 2.0)), 4.0, UP)
 
-    @given(cells=st.lists(st.sampled_from(POWERS), min_size=1, max_size=64),
-           m=st.integers(2, 8), n=st.integers(1, 8), k=st.integers(1, 8),
-           guard=st.integers(0, 3))
-    @example(cells=[0.0, 4.0, UP], m=3, n=1, k=1, guard=0)          # a tie in the column
-    @example(cells=[0.0, 0.0, 4.0, UP, 0.0, 0.0], m=3, n=2, k=1, guard=0)  # across columns
-    @example(cells=POWERS, m=3, n=4, k=5, guard=0)   # each peak masks whole columns
-    @settings(max_examples=100, deadline=None)
-    def test_power_search_equals_magnitude_search_oracle(self, cells, m, n, k, guard):
-        # The search runs on the power grid and takes magnitudes only at the
-        # column maxima and in the chosen column; it must pick the peaks,
-        # ties included, that the oracle's search of every magnitude picks.
-        assert math.sqrt(self.UP) == 2.0 and math.sqrt(self.POWERS[4]) == 1.0
-        power = np.resize(np.array(cells), (m, n))
-        values = oracles.fa_magnitudes(power)
+    def _search(self, power, k, guard):
+        """run_fa_pipeline's outcome on an injected (M, N) power grid: its
+        (range bin, signed velocity bin, amplitude) peaks, or its error."""
+        m, n = power.shape
         scene, sched = self._fa_case(2, m, n, np.arange(m) % n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "fa_range_doppler_map", lambda *args: power.copy())
             got = self._outcome(run_fa_pipeline, np.ones((2, m), dtype=complex), scene,
                                 sched, k, guard)
-        want = self._outcome(oracles.fa_peak_search, values, k, guard)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert [(e.range_bin, e.velocity_bin, e.amplitude) for e in got] == [
-                (r, signed_bin(v, m), a) for r, v, a in want]
+        if isinstance(got, str):
+            return got
+        assert all(math.copysign(1.0, e.amplitude) == 1.0 for e in got)
+        return [(e.range_bin, e.velocity_bin, e.amplitude) for e in got]
+
+    @given(cells=st.lists(st.sampled_from(POWERS), min_size=1, max_size=64),
+           m=st.integers(2, 8), n=st.integers(1, 8), k=st.integers(1, 8),
+           guard=st.integers(0, 3))
+    @example(cells=[0.0, 4.0, UP], m=3, n=1, k=1, guard=0)          # an ulp apart
+    @example(cells=[0.0, 0.0, 4.0, 4.0, 0.0, 0.0], m=3, n=2, k=1, guard=0)  # a tie in a row
+    @example(cells=[0.0, -0.0], m=2, n=1, k=1, guard=-1)           # 0.0 ties -0.0
+    @example(cells=POWERS, m=3, n=4, k=5, guard=0)   # each peak masks whole rows
+    @settings(max_examples=100, deadline=None)
+    def test_power_search_equals_memory_order_scan_oracle(self, cells, m, n, k, guard):
+        # The search takes the first of equal powers in the grid's
+        # (velocity, range) memory order, as the oracle's column-major search
+        # of a transposed copy does, and each amplitude is sqrt(max(p, 0))
+        # of the peak's power.
+        power = np.resize(np.array(cells), (m, n))
+        want = self._outcome(oracles.fa_peak_search, power.T, k, guard)
+        if not isinstance(want, str):
+            want = [(r, signed_bin(v, m), a) for r, v, a in want]
+        assert self._search(power, k, guard) == want
 
     def test_all_zero_map_ties_resolve_like_oracle(self):
-        # Every cell ties at 0: the first free cell in (range, velocity) order wins.
+        # Every cell ties at 0: the first free cell in (velocity, range)
+        # memory order wins.
         l, m, n = 4, 8, 6
         scene, sched = self._fa_case(l, m, n, np.arange(m) % n)
         meas = np.zeros((l, m), dtype=complex)
         got = run_fa_pipeline(meas, scene, sched, 2)
-        assert got == oracles.run_fa_pipeline(meas, scene, sched, 2)
-        assert [(e.range_bin, e.velocity_bin) for e in got] == [(0, 2), (0, -4)]
-        # Guard 1 leaves 5 velocity bins x 6 ranges = 30 free cells.
-        for run in (run_fa_pipeline, oracles.run_fa_pipeline):
-            with pytest.raises(ValueError, match="map exhausted"):
-                run(meas, scene, sched, 31)
+        power = pipeline.fa_range_doppler_map(meas, sched, scene.radio)
+        assert [(e.range_bin, e.velocity_bin, e.amplitude) for e in got] == [
+            (r, signed_bin(v, m), a) for r, v, a in oracles.fa_peak_search(power.T, 2)]
+        assert [(e.range_bin, e.velocity_bin) for e in got] == [(0, 2), (2, 2)]
+        # Guard 1 leaves 5 velocity bins x 6 ranges = 30 free cells; the
+        # greedy search extracts 9 of them before the map runs out.
+        for run, args in ((run_fa_pipeline, (meas, scene, sched, 31)),
+                          (oracles.fa_peak_search, (power.T, 31))):
+            with pytest.raises(ValueError, match=re.escape(
+                    "run_fa_pipeline: only 9 extractable maxima, requested 31")):
+                run(*args)
+
+    @pytest.mark.parametrize("far", [0, 5])
+    def test_range_edges_do_not_wrap(self, far):
+        # Range is not periodic: a peak at range bin 0 or N - 1 leaves the
+        # other end's column free, so both ends' peaks at one velocity return.
+        power = np.zeros((8, 6))
+        power[3, far] = 9.0
+        power[3, 5 - far] = 4.0
+        assert self._search(power, 2, 1) == [(far, 3, 3.0), (5 - far, 3, 2.0)]
 
     def test_table1_car_pipeline_peak_below_13_mib(self):
         # The real transform writes over the lag grid: one (M, N) float map
