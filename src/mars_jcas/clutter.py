@@ -10,7 +10,6 @@ resolution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -240,9 +239,9 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
 
     The rest is computed a chunk of pairs at a time, each chunk a pure
     function of its start giving its tone term and one product per range
-    bin it meets. The chunks run on :func:`~mars_jcas.cpus.count` threads
-    (the calling thread takes every count-th chunk), in a pool of this
-    build's own, and are added in chunk order, so
+    bin it meets. :func:`~mars_jcas.cpus.spread` shares the chunks with
+    ``cpus.count() - 1`` forked children (the calling process takes every
+    count-th chunk) and hands back every chunk's terms in chunk order, so
     every entry sums the same terms in the same order at any CPU count.
     """
     cl = scene.clutter
@@ -301,7 +300,7 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
         c_q = amp * _phasors(phase[((nx - 1) // 2 - ix) * ny + iy])
         if nx % 2:
             c_q[ix == 0] = 0.0
-        # Each thread holds its chunk's operands: free what the rest skips.
+        # Free what the rest of the chunk skips.
         del ix, iy, y, sigma0, amp
         px = _phase_powers(wavenum * arr.rx_spacing_x_m * x / r, cols)
         u = px * c_p
@@ -321,20 +320,14 @@ def build_clutter_map(scene: ValidatedScene) -> ClutterMap:
 
     virtual = np.zeros((n_bins, rows, cols), dtype=complex)
     tone = np.zeros((arr.rx_rows, arr.rx_cols), dtype=complex)
-    starts = range(0, kept, CHUNK_PATCHES)
-    threads = cpus.count()
-    # The pool starts a thread only when a chunk is submitted: none at 1 CPU.
-    pool = ThreadPoolExecutor(max(threads - 1, 1))
-    try:
-        pending = [None if i % threads == 0 else pool.submit(chunk, lo)
-                   for i, lo in enumerate(starts)]
-        for lo, future in zip(starts, pending):
-            tone_term, products = chunk(lo) if future is None else future.result()
-            tone += tone_term
-            for b, product in products:
-                virtual[b] += product
-    finally:
-        pool.shutdown(cancel_futures=True)
+
+    def add(terms):
+        tone_term, products = terms
+        tone[...] += tone_term
+        for b, product in products:
+            virtual[b] += product
+
+    cpus.spread(chunk, range(0, kept, CHUNK_PATCHES), add)
 
     slot_rows, slot_cols = arr.slot_rows, arr.slot_cols
     tables = (virtual.reshape(n_bins, slot_rows, arr.rx_rows, slot_cols, arr.rx_cols)

@@ -1,11 +1,16 @@
 """The process's CPU budget: how many CPUs one process spreads its work
-over, and the one helper thread that takes a share of a drop's work.
+over, the forked children that take a share of the clutter build, and the
+one helper thread that takes a share of a drop's work.
 
-- :func:`~mars_jcas.clutter.build_clutter_map` runs its chunks on
-  :func:`count` threads, in a pool of its own per build rather than on
-  the helper: each thread holds a chunk's operands (about 5 MB on
-  desk_small with VA, 10 MB on table1_uav with VA), memory its malloc
-  arena keeps, so the build's threads end with the build.
+- :func:`~mars_jcas.clutter.build_clutter_map` hands its chunks to
+  :func:`spread`, which on Linux forks :func:`count` - 1 child processes
+  for the call: each child computes every count-th chunk on one BLAS
+  thread and sends each result back over a pipe, and none outlives the
+  call. Processes, not threads: two build threads of one process waited
+  on each other's numpy calls and OpenBLAS calls, while two processes side
+  by side each kept one process's speed. A child holds its chunks'
+  operands (about 5 MB on desk_small with VA, 10 MB on table1_uav with
+  VA), memory that ends with it.
 - With two or more CPUs the process has one helper thread, made on first
   use, and work reaches it one way, as a :class:`Queued` call: the chirp
   noise blocks queued ahead of the cube that reads them
@@ -19,8 +24,8 @@ over, and the one helper thread that takes a share of a drop's work.
   are all smaller, such as a desk_small run, starts no helper.
 - A ``--workers`` pool process, whose siblings keep the other CPUs busy,
   calls :func:`work_on_calling_thread` and runs all of it on its calling
-  thread, as at one CPU, with one BLAS thread. A serial run keeps numpy's
-  default BLAS threads.
+  thread, as at one CPU, with one BLAS thread; so does a child of
+  :func:`spread`. A serial run keeps numpy's default BLAS threads.
 
 Who runs a piece or draws a block never changes what it computes, so
 results do not depend on the CPU count.
@@ -30,15 +35,18 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import signal
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-# Most CPUs one process's work spreads over. Each build thread holds a
+# Most CPUs one process's work spreads over. Each build process holds a
 # chunk's operands, and the speed-ups were measured at two.
 MAX = 2
 
@@ -133,6 +141,106 @@ def work_on_calling_thread() -> None:
     set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
     if set_threads is not None:
         set_threads(ctypes.c_int(1))
+
+
+def spread(work: Callable, items: Sequence, take: Callable) -> None:
+    """``take(work(item))`` for each of ``items``, in order, on the calling
+    thread.
+
+    On Linux with :func:`count` CPUs, ``count() - 1`` children are forked
+    first: child k computes ``work(items[i])`` for every i = k (mod
+    count) and sends each result back as one pickled message over a pipe,
+    while the calling process computes the items with i = 0 (mod count)
+    and takes the children's results as it reaches them. Elsewhere, in a
+    pool worker (:func:`work_on_calling_thread`) and at one CPU, every item
+    runs on the calling thread. ``work`` must return what pickles.
+
+    An exception ``work`` raises in a child is raised here when its item
+    is reached; a child that ends without sending its result is a
+    ``RuntimeError`` naming its wait status. Whether this returns or
+    raises, every child has been killed and reaped by then.
+    """
+    n = count() if sys.platform.startswith("linux") and not _CALLING_THREAD_ONLY else 1
+    children = []
+    try:
+        for k in range(1, min(n, len(items))):
+            children.append(_Child(work, items[k::n]))
+        for i, item in enumerate(items):
+            take(work(item) if i % n == 0 else children[i % n - 1].result())
+    finally:
+        for child in children:
+            child.end()
+
+
+class _Child:
+    """A forked process that computes ``work(item)`` for each of ``items``
+    and sends each result, or the exception that stopped it, back as one
+    pickled message."""
+
+    def __init__(self, work: Callable, items: Sequence):
+        # A fork, not a spawned interpreter: the child reads the caller's
+        # arrays as they are, shared until written, and runs only ``work``
+        # on its one thread; the helper thread is not copied into it.
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read)
+            _serve(work, items, write)
+        os.close(write)
+        self._results = open(read, "rb")
+        self._status = None
+
+    def result(self):
+        """The next result, or the child's exception raised."""
+        try:
+            ok, value = pickle.load(self._results)
+        except (EOFError, pickle.UnpicklingError):
+            # The pipe closes only as the child ends.
+            self._results.close()
+            self._status = os.waitpid(self.pid, 0)[1]
+            raise RuntimeError(f"child process {self.pid} ended without its result: "
+                               f"wait status {self._status}") from None
+        if not ok:
+            raise value
+        return value
+
+    def end(self) -> None:
+        """Kill and reap the child, once."""
+        if self._status is None:
+            self._results.close()
+            os.kill(self.pid, signal.SIGKILL)
+            self._status = os.waitpid(self.pid, 0)[1]
+
+
+def _serve(work: Callable, items: Sequence, fd: int) -> None:
+    """A child's life: one message per item, up to the first error; it
+    leaves through ``os._exit``, so nothing of the parent's runs at exit."""
+    code = 1
+    try:
+        work_on_calling_thread()
+        with open(fd, "wb") as out:
+            for item in items:
+                try:
+                    message = pickle.dumps((True, work(item)), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    out.write(_error_message(exc))
+                    break
+                out.write(message)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _error_message(exc: Exception) -> bytes:
+    """``exc`` pickled, or a ``RuntimeError`` naming it where it does not
+    pickle and load back."""
+    try:
+        message = pickle.dumps((False, exc))
+        pickle.loads(message)
+        return message
+    except Exception:
+        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 class _Claims:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -137,6 +138,12 @@ def drop_records(scene, plan, drop_index, clutter=None, point=0):
     run = compiled(scene, plan, clutter)
     value, at, groups = run.points[point]
     return run_drop(at, run, drop_index, groups, value)
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Helper-thread schedules: stand-ins for cpus.helper() that fix when the

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 import oracles
-from conftest import DESK_MC, WAVELENGTH, make_array, make_radio, make_scene
+from conftest import (DESK_MC, WAVELENGTH, assert_no_child, make_array, make_radio,
+                      make_scene)
 from mars_jcas import clutter, cpus
 from mars_jcas.cli import preset_path
 from mars_jcas.clutter import (
@@ -356,22 +357,24 @@ class TestClutterMap:
         bins = np.flatnonzero(np.abs(got.chirp_tables[0]).sum(axis=1))
         assert bins.min() < 2**16 - 1 and bins.max() == min(n, 2**16 + 10) - 1
 
-    # The chunks' products are added in chunk order, whichever thread made
+    # The chunks' products are added in chunk order, whichever process made
     # them, so every table entry sums the same terms in the same order at
-    # any CPU count; 3 CPUs run two pool threads beside the calling one.
+    # any CPU count; 3 CPUs fork two children beside the calling process.
     def test_same_desk_map_at_any_cpu_count(self, desk):
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         maps = []
-        for count in (1, 3):
+        for count in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cpus, "count", lambda: count)
                 maps.append(build_clutter_map(scene))
-        assert_same_map(*maps)
+        assert_same_map(maps[0], maps[1])
+        assert_same_map(maps[0], maps[2])
+        assert_no_child()
 
-    def test_same_small_map_at_any_cpu_count(self):
+    def test_same_small_map_at_any_cpu_count(self, tmp_path):
         # Chunks of 4 pairs: most bins straddle many chunks, so an entry's
-        # terms come from chunks that different threads computed.
+        # terms come from chunks that different processes computed.
         chunk = 4
         scene = make_scene(arr=make_array(tx=2, va=True), clutter_enabled=True, seed=19)
         scene = replace(scene, clutter=ClutterConfig(enabled=True, area_x_m=60.0,
@@ -381,48 +384,93 @@ class TestClutterMap:
         r = np.sqrt(np.add.outer(xs[30:] ** 2, ys * ys) + 100.0)
         bins = np.rint(r / scene.radio.range_res_m).astype(int)
         assert np.bincount(bins.ravel()).max() > 10 * chunk
-        maps, submitted = [], []
+        reflectivity = clutter.gtri_reflectivity
+        maps, outside = [], []
 
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, *args):
-                submitted[-1] += 1
-                return super().submit(*args)
+        def logged(*args):
+            # Once a chunk: the pid of the process that computes it.
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return reflectivity(*args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", chunk)
-            mp.setattr(clutter, "ThreadPoolExecutor", CountingPool)
+            mp.setattr(clutter, "gtri_reflectivity", logged)
             for count in (1, 3):
                 mp.setattr(cpus, "count", lambda: count)
-                submitted.append(0)
+                log = tmp_path / f"pids{count}"
                 maps.append(build_clutter_map(scene))
+                pids = log.read_text().split()
+                outside.append((len(pids), sum(pid != str(os.getpid()) for pid in pids),
+                                len(set(pids))))
             assert_same_map(maps[0], oracles.build_clutter_map_pairs(scene))
         assert_same_map(*maps)
-        # One CPU runs every chunk on the calling thread; three hand two of
-        # every three chunks to the pool. The 60 columns make 30 pairs.
+        # One CPU computes every chunk in the calling process; three hand
+        # two of every three chunks to two children. The 60 columns make
+        # 30 pairs.
         chunks = math.ceil(maps[0].patch_count / 2 / chunk)
-        assert submitted == [0, chunks - math.ceil(chunks / 3)]
+        assert outside == [(chunks, 0, 1), (chunks, chunks - math.ceil(chunks / 3), 3)]
+        assert_no_child()
 
     def test_chunk_error_surfaces_at_any_cpu_count(self):
-        # gtri_reflectivity rejects a negative A inside every chunk.
-        scene = make_scene(clutter_enabled=True)
-        scene = replace(scene, clutter=replace(scene.clutter, area_x_m=40.0, area_y_m=20.0,
-                                               station_height_m=5.0, gtri_a=-1.0))
+        # gtri_reflectivity rejects a negative A inside every chunk, so the
+        # calling process's first chunk raises while the children compute.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clutter, "CHUNK_PATCHES", 8)
-            for count in (1, 3):
+            for count in (1, 2, 3):
                 mp.setattr(cpus, "count", lambda: count)
                 with pytest.raises(ValueError, match="A must be >= 0"):
-                    build_clutter_map(scene)
+                    build_clutter_map(small_scene(gtri_a=-1.0))
+                assert_no_child()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_child_error_surfaces_in_the_caller(self, count):
+        # Only the children's chunks raise: the build raises the child's
+        # exception, its type and message, when it reaches that chunk.
+        parent, reflectivity = os.getpid(), clutter.gtri_reflectivity
+
+        def child_fails(*args):
+            if os.getpid() != parent:
+                raise KeyError(f"chunk failed in a child {os.getpid()}")
+            return reflectivity(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clutter, "CHUNK_PATCHES", 8)
+            mp.setattr(clutter, "gtri_reflectivity", child_fails)
+            mp.setattr(cpus, "count", lambda: count)
+            with pytest.raises(KeyError, match="chunk failed in a child") as exc:
+                build_clutter_map(small_scene())
+        assert int(str(exc.value).strip("'").split()[-1]) != parent
+        assert_no_child()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_child_killed_by_a_signal_is_an_error(self, count):
+        # Each child's first chunk kills its process: the build raises once
+        # it reaches the first child's chunk, naming its wait status.
+        parent, reflectivity = os.getpid(), clutter.gtri_reflectivity
+
+        def child_killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return reflectivity(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clutter, "CHUNK_PATCHES", 8)
+            mp.setattr(clutter, "gtri_reflectivity", child_killed)
+            mp.setattr(cpus, "count", lambda: count)
+            with pytest.raises(RuntimeError, match=f"wait status {signal.SIGKILL}$"):
+                build_clutter_map(small_scene())
+        assert_no_child()
 
     def test_desk_build_peak_below_18_bytes_per_patch(self, desk):
         # Only the 32-bit pair order over the half grid (2 bytes a patch)
         # and the float32 phases (4) are held for the whole grid, plus one
-        # chunk's operands a build thread (about 5 MB, 2.6 bytes a patch):
-        # the 16-bit sort keys are made a block of columns at a time and
-        # freed before the phases are drawn, in pieces. On one thread the
-        # peak read 9.1 bytes a patch (13.2 with float64 phases and
-        # whole-grid keys); the bound of 11 leaves about 4 MB above it. An
-        # intp order alone would add 2 bytes a patch, float64 phases 4.
+        # chunk's operands (about 5 MB, 2.6 bytes a patch): the 16-bit sort
+        # keys are made a block of columns at a time and freed before the
+        # phases are drawn, in pieces. On one CPU the peak read 9.1 bytes a
+        # patch (13.2 with float64 phases and whole-grid keys); the bound of
+        # 11 leaves about 4 MB above it. An intp order alone would add 2
+        # bytes a patch, float64 phases 4.
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         with pytest.MonkeyPatch.context() as mp:
@@ -438,11 +486,11 @@ class TestClutterMap:
 
 
     def test_desk_build_peak_independent_of_cpu_set(self, desk):
-        # Each build thread holds one chunk's operands, so the thread count
-        # is capped: a 64-CPU set, with or without sched_getaffinity, runs
-        # the build on cpus.MAX threads, one chunk more than the bound
-        # above. The peak read 11.4 bytes a patch at two threads (15.5
-        # with float64 phases and whole-grid keys).
+        # The calling process holds one chunk's operands at any CPU count:
+        # the other chunks' operands are held in forked children. A 64-CPU
+        # set, with or without sched_getaffinity, runs the build on
+        # cpus.MAX processes, within the one-CPU bound above. The peak read
+        # 8.8 bytes a patch at two CPUs (11.4 with a second build thread).
         scene, _ = desk
         scene = replace(scene, array=scene.array.with_va(True))
         with pytest.MonkeyPatch.context() as mp:
@@ -458,7 +506,14 @@ class TestClutterMap:
             finally:
                 tracemalloc.stop()
         assert cmap.patch_count == 2_000_000
-        assert peak < 14 * cmap.patch_count
+        assert peak < 11 * cmap.patch_count
+
+
+def small_scene(**overrides):
+    """A scene with clutter over a 40 m x 20 m grid: 800 patches, 400 pairs."""
+    scene = make_scene(clutter_enabled=True)
+    return replace(scene, clutter=replace(scene.clutter, area_x_m=40.0, area_y_m=20.0,
+                                          station_height_m=5.0, **overrides))
 
 
 class TestDerivedSpectra:

@@ -6,6 +6,7 @@ calls on one thread."""
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (DESK_MC, AtSubmission, Never, Stepped, compiled, drop_at, drop_records,
-                      make_array, make_radio, make_scene)
+from conftest import (DESK_MC, AtSubmission, Never, Stepped, assert_no_child, compiled, drop_at,
+                      drop_records, make_array, make_radio, make_scene)
 from mars_jcas import cpus, harness
 from mars_jcas.channel import DropDraws, synthesize_if_cube
 from mars_jcas.cli import preset_path
@@ -376,6 +377,48 @@ class TestSlicesAtPresetSizes:
         assert {(extent, unit) for extent, unit, _ in calls} == {(16, 512), (257, 64),
                                                                  (64, 257)}
         assert all(made == [(0, extent)] for extent, _, made in calls)
+
+
+class TestSpread:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_results_taken_in_order(self, monkeypatch, count, n):
+        # Item i is computed in the calling process where i = 0 (mod
+        # count), else in child i % count; fewer items fork fewer children.
+        monkeypatch.setattr(cpus, "count", lambda: count)
+        taken = []
+        cpus.spread(lambda i: (i, os.getpid()), range(n), taken.append)
+        assert [i for i, _ in taken] == list(range(n))
+        pids = [pid for _, pid in taken]
+        assert all((pid == os.getpid()) == (i % count == 0) for i, pid in enumerate(pids))
+        assert all(pids[i] == pids[i % count] for i in range(n))
+        assert len(set(pids)) == min(count, n)
+        assert_no_child()
+
+    def test_pool_worker_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        monkeypatch.setattr(cpus, "_CALLING_THREAD_ONLY", True)
+        taken = []
+        cpus.spread(lambda i: os.getpid(), range(4), taken.append)
+        assert taken == [os.getpid()] * 4
+
+    def test_error_that_does_not_load_back_is_named(self, monkeypatch):
+        # A local class does not pickle: the child sends a RuntimeError
+        # naming the exception, and the items after it are not taken.
+        class Unpicklable(Exception):
+            pass
+
+        def work(i):
+            if i == 1:
+                raise Unpicklable("item 1 failed")
+            return i
+
+        monkeypatch.setattr(cpus, "count", lambda: 2)
+        taken = []
+        with pytest.raises(RuntimeError, match="^Unpicklable: item 1 failed$"):
+            cpus.spread(work, range(4), taken.append)
+        assert taken == [0]
+        assert_no_child()
 
 
 def blas_threads():

@@ -4,9 +4,12 @@ import contextlib
 import csv
 import json
 import os
+import platform
 import re
 import signal
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -1613,3 +1616,46 @@ class TestCli:
         assert re.search(r"^resolution\.csv\s+ok$", captured.out, re.MULTILINE)
         assert re.search(r"^extra\.csv\s+missing$", captured.out, re.MULTILINE)
         assert "1 outputs differ from the manifest" in captured.err
+
+
+# numpy 2.4's names for its AVX2/FMA3 (X86_V3) and AVX-512 targets; the names
+# older numpy dispatched on (AVX2, AVX512F, ...) disable nothing there.
+SLOW_KERNELS = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+                "OPENBLAS_CORETYPE": "Haswell"}
+
+# Prints numpy's enabled dispatch targets and OpenBLAS's core name as one
+# JSON line, then runs the CLI on the remaining arguments.
+KERNEL_RUN = """
+import ctypes, json, sys
+from numpy._core import _multiarray_umath as umath
+from mars_jcas import cli, cpus
+corename = getattr(cpus._openblas(), "scipy_openblas_get_corename64_", None)
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+    corename = corename().decode()
+print(json.dumps([[t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+                  corename]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the kernel names are x86-64's")
+def test_records_do_not_depend_on_the_host_kernels(tmp_path):
+    # desk_small's records with numpy's AVX2 and AVX-512 loops off and
+    # OpenBLAS's Haswell kernels equal the default run's byte for byte; on
+    # two CPUs each run's clutter map is built with a forked child.
+    env = {k: v for k, v in os.environ.items() if k not in SLOW_KERNELS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    kernels = []
+    for name, extra in (("default", {}), ("slow", SLOW_KERNELS)):
+        out = subprocess.run(
+            [sys.executable, "-c", KERNEL_RUN, "montecarlo", "--preset", "desk_small",
+             "--drops", "20", "--workers", "1", "--out", str(tmp_path / name)],
+            env={**env, **extra}, capture_output=True, text=True, timeout=120, check=True)
+        kernels.append(json.loads(out.stdout.splitlines()[0]))
+    assert kernels[1][0] == [] and kernels[1][1] in ("Haswell", None)
+    assert kernels[0] != kernels[1], "the default run used the same kernels"
+    assert ((tmp_path / "default" / "records.csv").read_bytes()
+            == (tmp_path / "slow" / "records.csv").read_bytes())
